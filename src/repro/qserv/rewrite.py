@@ -16,7 +16,7 @@ boundary are found without touching another node (section 4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..partition import Chunker
 from ..sphgeom import Region, SphericalBox, SphericalCircle, SphericalConvexPolygon
@@ -152,6 +152,11 @@ def _rewrite_ref(
     return ast.TableRef(table=physical, database=metadata.database, alias=ref.name)
 
 
+def _from_list_sql(tables) -> str:
+    """The FROM list exactly as :meth:`ast.Select.to_sql` renders it."""
+    return ", ".join(t.to_sql() for t in tables)
+
+
 def _generate_one(
     analysis: QueryAnalysis,
     plan: AggregationPlan,
@@ -216,32 +221,52 @@ def _generate_one(
         for r in list(sel.tables) + [j.table for j in sel.joins]
         if r is not inner_ref and r is not outer_ref
     ]
+    others = [
+        _rewrite_ref(r, metadata, chunk_table_name(r.table, chunk_id))
+        if metadata.is_partitioned(r.table)
+        else r
+        for r in other_refs
+    ]
+
+    def from_clause(scid: int, outer_name) -> tuple[ast.TableRef, ...]:
+        return (
+            _rewrite_ref(inner_ref, metadata, sub_chunk_table_name(table, chunk_id, scid)),
+            _rewrite_ref(outer_ref, metadata, outer_name(table, chunk_id, scid)),
+            *others,
+        )
+
+    # The self pair and the overlap pair are each rendered once, for
+    # the first sub-chunk; the statements of the other sub-chunks
+    # differ from it only inside the FROM list, so they are that text
+    # with the FROM list swapped.
+    first = int(scids[0])
+    templates = []
+    for outer_name in (sub_chunk_table_name, overlap_table_name):
+        tables = from_clause(first, outer_name)
+        stmt = ast.Select(
+            items=plan.chunk_items,
+            tables=tables,
+            where=where,
+            group_by=sel.group_by,
+            order_by=push_order,
+            limit=push_limit,
+        )
+        from_list = _from_list_sql(tables)
+        head, _, tail = stmt.to_sql().partition(from_list)
+        if from_list in tail:
+            # The FROM list's text also occurs elsewhere (inside a
+            # string literal, say): render every sub-chunk in full.
+            head = tail = None
+        templates.append((outer_name, stmt, head, tail))
+
     statements: list[str] = []
     for scid in scids:
-        scid = int(scid)
-        sub_name = sub_chunk_table_name(table, chunk_id, scid)
-        ovl_name = overlap_table_name(table, chunk_id, scid)
-        for outer_table in (sub_name, ovl_name):
-            tables = [
-                _rewrite_ref(inner_ref, metadata, sub_name),
-                _rewrite_ref(outer_ref, metadata, outer_table),
-            ]
-            for r in other_refs:
-                if metadata.is_partitioned(r.table):
-                    tables.append(
-                        _rewrite_ref(r, metadata, chunk_table_name(r.table, chunk_id))
-                    )
-                else:
-                    tables.append(r)
-            stmt = ast.Select(
-                items=plan.chunk_items,
-                tables=tuple(tables),
-                where=where,
-                group_by=sel.group_by,
-                order_by=push_order,
-                limit=push_limit,
-            )
-            statements.append(stmt.to_sql() + ";")
+        for outer_name, stmt, head, tail in templates:
+            tables = from_clause(int(scid), outer_name)
+            if head is None:
+                statements.append(replace(stmt, tables=tables).to_sql() + ";")
+            else:
+                statements.append(head + _from_list_sql(tables) + tail + ";")
 
     header = f"{SUBCHUNK_HEADER_PREFIX} {', '.join(str(int(s)) for s in scids)}"
     text = header + "\n" + "\n".join(statements)

@@ -21,7 +21,9 @@ import re
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from ..analysis.races import track_shared
 from ..analysis.sanitizer import make_condition, make_lock, make_rlock
@@ -30,6 +32,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..sql import Database, SqlError, Table, dump_table
 from ..sql.engine import ResultTable
+from ..sql.parser import ParseError, parse
 from ..sql.wire import decode_table, encode_table
 from ..xrd import OfsPlugin
 from ..xrd.filesystem import FileSystemError
@@ -61,6 +64,9 @@ __all__ = [
 
 # Physical sub-chunk table names: Object_713_45 / ObjectFullOverlap_713_45.
 _SUBCHUNK_RE = re.compile(r"^(?P<base>\w+?)_(?P<chunk>\d+)_(?P<sub>\d+)$")
+# The same names wherever they occur in statement text, split into the
+# chunk table (Object_713) and the sub-chunk id (45).
+_SUBCHUNK_IN_TEXT_RE = re.compile(r"\b(\w+?_\d+)_(\d+)\b")
 
 _RESULT_TABLE = "chunk_result"
 
@@ -122,8 +128,51 @@ class WorkerStats:
     queries_expired: int = 0
 
 
+def _table_refs(stmt) -> list:
+    """FROM and JOIN table refs of a parsed statement (none for DDL)."""
+    return list(getattr(stmt, "tables", ())) + [
+        j.table for j in getattr(stmt, "joins", ())
+    ]
+
+
+def _rebind_sub_chunk(stmt, old_sub: str, new_sub: str):
+    """``stmt`` with its ``Base_CC_<old_sub>`` table refs renamed to ``new_sub``."""
+    if old_sub == new_sub:
+        return stmt
+    suffix = f"_{old_sub}"
+
+    def rebind(ref):
+        if not _SUBCHUNK_RE.match(ref.table):
+            return ref
+        return replace(ref, table=ref.table[: -len(suffix)] + f"_{new_sub}")
+
+    return replace(
+        stmt,
+        tables=tuple(rebind(r) for r in stmt.tables),
+        joins=tuple(replace(j, table=rebind(j.table)) for j in stmt.joins),
+    )
+
+
+def _partition_by_sub_chunk(parent: Table, subs: list[tuple[int, str]]) -> list[Table]:
+    """One table per ``(sub-chunk id, name)``, from one pass over ``parent``."""
+    sub_chunk_id = parent.column("subChunkId")
+    wanted = np.array([sub for sub, _ in subs], dtype=sub_chunk_id.dtype)
+    rows = np.flatnonzero(np.isin(sub_chunk_id, wanted))
+    keys = sub_chunk_id[rows]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    grouped = parent.select_rows(rows[order]).columns()
+    starts = np.searchsorted(keys, wanted, side="left")
+    stops = np.searchsorted(keys, wanted, side="right")
+    return [
+        Table(name, {col: arr[lo:hi] for col, arr in grouped.items()})
+        for (_, name), lo, hi in zip(subs, starts, stops)
+    ]
+
+
 @track_shared(
-    "_results", "_errors", "_deadlines", "_pending_reads", "_cancelled"
+    "_results", "_errors", "_deadlines", "_pending_reads", "_cancelled",
+    "_sub_chunk_refs",
 )
 class QservWorker(OfsPlugin):
     """One worker node: local database + ofs plugin + FIFO queue.
@@ -622,32 +671,33 @@ class QservWorker(OfsPlugin):
 
     def execute_chunk_query(self, chunk_id: int, text: str) -> Table:
         """Run one chunk query and return the combined result table."""
-        sub_chunk_ids, statements = self._parse_chunk_query(text)
-        acquired: list[str] = []
+        statements = self._parse_statements(self._parse_chunk_query(text)[1])
+        sub_chunk_tables = list(
+            dict.fromkeys(
+                ref.table
+                for stmt in statements
+                for ref in _table_refs(stmt)
+                if _SUBCHUNK_RE.match(ref.table)
+            )
+        )
+        self._acquire_sub_chunks(sub_chunk_tables)
         try:
-            needed = self._needed_sub_chunk_tables(statements)
-            for table_name in needed:
-                self._acquire_sub_chunk(table_name)
-                acquired.append(table_name)
-            combined: Table | None = None
+            outputs = []
             for stmt in statements:
-                out = self.db.execute(stmt)
+                out = self.db.execute_statement(stmt)
                 with self._lock:
                     self.stats.statements_executed += 1
-                if out is None:
-                    continue
-                if combined is None:
-                    combined = ResultTable("result", dict(out.columns()))
-                elif out.num_rows:
-                    combined.append_rows(out.columns())
-            if combined is None:
+                if out is not None:
+                    outputs.append(out)
+            if not outputs:
                 raise SqlError("chunk query contained no SELECT statement")
             with self._lock:
                 self.stats.queries_executed += 1
-            return combined
+            # Column order and dtypes follow the first statement's
+            # result; empty later results are skipped.
+            return ResultTable.concat("result", outputs)
         finally:
-            for table_name in acquired:
-                self._release_sub_chunk(table_name)
+            self._release_sub_chunks(sub_chunk_tables)
 
     def _parse_chunk_query(self, text: str) -> tuple[list[int], list[str]]:
         lines = text.strip().splitlines()
@@ -664,56 +714,92 @@ class QservWorker(OfsPlugin):
         statements = [s.strip() for s in body.split(";") if s.strip()]
         return sub_chunk_ids, statements
 
-    def _needed_sub_chunk_tables(self, statements: list[str]) -> list[str]:
-        """Sub-chunk table names referenced by the statements."""
-        from ..sql.parser import parse
+    def _parse_statements(self, texts: list[str]) -> list:
+        """Parsed statements of a chunk query, parsing each *shape* once.
 
-        needed: dict[str, None] = {}
-        for stmt_text in statements:
-            for stmt in parse(stmt_text):
-                for ref in getattr(stmt, "tables", ()) or ():
-                    if _SUBCHUNK_RE.match(ref.table):
-                        needed.setdefault(ref.table)
-                for j in getattr(stmt, "joins", ()) or ():
-                    if _SUBCHUNK_RE.match(j.table.table):
-                        needed.setdefault(j.table.table)
-        return list(needed)
-
-    def _acquire_sub_chunk(self, table_name: str) -> None:
-        """Build ``Base_CC_SS`` from ``Base_CC`` if absent; bump its refcount."""
-        m = _SUBCHUNK_RE.match(table_name)
-        if not m:
-            return
-        base, chunk, sub = m.group("base"), int(m.group("chunk")), int(m.group("sub"))
-        parent = f"{base}_{chunk}"
-        with self._build_lock:
-            self._sub_chunk_refs[table_name] = self._sub_chunk_refs.get(table_name, 0) + 1
-            if table_name in self.db.tables:
-                self.stats.sub_chunk_cache_hits += 1
-                return
-            if parent not in self.db.tables:
-                self._sub_chunk_refs[table_name] -= 1
-                raise SqlError(
-                    f"worker {self.name} has no chunk table {parent!r} "
-                    f"needed to build {table_name!r}"
+        The statements of a sub-chunked query differ only in the
+        sub-chunk id suffixed to their table names.  A statement's shape
+        is its text with those ids cut out; the first statement of a
+        shape is parsed, and a later one of the same shape is that AST
+        with its sub-chunk table refs renamed.  The shortcut is taken
+        only when every sub-chunk name in the parsed text is a FROM
+        table (not an alias, qualifier or string that merely looks like
+        one), so renaming the refs is exactly the textual substitution;
+        anything else is parsed in full.
+        """
+        shapes: dict[tuple, tuple] = {}
+        parsed = []
+        for text in texts:
+            # [text, chunk table, sub id, text, chunk table, sub id, ..., text]
+            pieces = _SUBCHUNK_IN_TEXT_RE.split(text)
+            sub_ids = pieces[2::3]
+            del pieces[2::3]
+            shape = tuple(pieces) if len(set(sub_ids)) == 1 else None
+            if shape in shapes:
+                template, template_sub = shapes[shape]
+                parsed.append(_rebind_sub_chunk(template, template_sub, sub_ids[0]))
+                continue
+            try:
+                stmts = parse(text)
+            except ParseError as e:
+                raise SqlError(f"parse error: {e}") from e
+            parsed.extend(stmts)
+            if shape is not None and len(stmts) == 1:
+                renamed = sum(
+                    bool(_SUBCHUNK_RE.match(ref.table)) for ref in _table_refs(stmts[0])
                 )
-            self.db.execute(
-                f"CREATE TABLE {table_name} AS SELECT * FROM {parent} "
-                f"WHERE subChunkId = {sub}"
-            )
-            self.stats.sub_chunk_tables_built += 1
+                if renamed == len(sub_ids):
+                    shapes[shape] = (stmts[0], sub_ids[0])
+        return parsed
 
-    def _release_sub_chunk(self, table_name: str) -> None:
-        """Drop the refcount; drop the table at zero unless caching.
+    def _acquire_sub_chunks(self, names: list[str]) -> None:
+        """Take a reference on every ``Base_CC_SS``; build the absent ones.
+
+        All missing sub-chunks of one chunk table come from a single
+        pass over it: select the rows of the wanted sub-chunks, order
+        them by ``subChunkId`` (stably, so each keeps the parent's row
+        order), gather each column once and hand every sub-chunk table
+        its slice.  Either every name is acquired or, when a parent
+        chunk table is missing, none is.
+        """
+        with self._build_lock:
+            missing: dict[str, list[tuple[int, str]]] = {}
+            present = 0
+            for name in names:
+                if name in self.db.tables:
+                    present += 1
+                    continue
+                m = _SUBCHUNK_RE.match(name)
+                parent = f"{m.group('base')}_{m.group('chunk')}"
+                if parent not in self.db.tables:
+                    raise SqlError(
+                        f"worker {self.name} has no chunk table {parent!r} "
+                        f"needed to build {name!r}"
+                    )
+                missing.setdefault(parent, []).append((int(m.group("sub")), name))
+            for name in names:
+                self._sub_chunk_refs[name] = self._sub_chunk_refs.get(name, 0) + 1
+            self.stats.sub_chunk_cache_hits += present
+            for parent, subs in missing.items():
+                for table in _partition_by_sub_chunk(self.db.tables[parent], subs):
+                    self.db.create_table(table)
+                    self.stats.sub_chunk_tables_built += 1
+
+    def _release_sub_chunks(self, names: list[str]) -> None:
+        """Drop the references; drop tables at zero unless caching.
 
         Per the protocol, the worker "is free to drop the tables
         afterwards" -- and the paper's implementation does not cache.
         """
         with self._build_lock:
-            refs = self._sub_chunk_refs.get(table_name, 0) - 1
-            self._sub_chunk_refs[table_name] = max(refs, 0)
-            if refs <= 0 and not self.cache_sub_chunks:
-                self.db.drop_table(table_name, if_exists=True)
+            for name in names:
+                refs = self._sub_chunk_refs[name] - 1
+                if refs > 0:
+                    self._sub_chunk_refs[name] = refs
+                    continue
+                del self._sub_chunk_refs[name]
+                if not self.cache_sub_chunks:
+                    self.db.drop_table(name, if_exists=True)
 
     # -- chunk transfer (the repair fabric) ----------------------------------------------------
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from ..analysis.sanitizer import make_lock
 from ..obs import metrics as obs_metrics
-from .table import Column, Table
+from .table import Table
 
 __all__ = [
     "ColumnStore",
@@ -375,10 +375,12 @@ class MmapTable(Table):
     def columns(self) -> dict[str, np.ndarray]:
         return {n: self.column(n) for n in self._specs}
 
-    def schema(self) -> list[Column]:
+    def _compute_signature(self) -> tuple[tuple[str, str], ...]:
         # From the manifest -- no need to touch (or map) any data file.
+        # Appends stream to the same column files, so the memo in
+        # Table.signature() stays valid for the handle's lifetime.
         sql_types = {"int64": "BIGINT", "float64": "DOUBLE", "bool": "BOOL", "str": "TEXT"}
-        return [Column(n, sql_types[t]) for n, t in self._specs.items()]
+        return tuple((n, sql_types[t]) for n, t in self._specs.items())
 
     # -- mutation -------------------------------------------------------------
 

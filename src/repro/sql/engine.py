@@ -7,7 +7,9 @@ and executes parsed statements against them.  The SELECT pipeline is:
    equi-join conjuncts (``a.x = b.y``) found in ON or WHERE clauses run
    as vectorized sort-merge hash joins; pairs without a usable key fall
    back to a guarded cross join (what a near-neighbor sub-chunk join
-   uses, with the ``qserv_angSep`` predicate applied immediately),
+   uses, with the ``qserv_angSep`` predicate applied immediately);
+   with kernels on, two-table comma joins run as compiled join kernels
+   instead (:mod:`repro.sql.kernels`) and this fold is the reference,
 2. apply the WHERE mask (using a hash index for ``col = literal``
    conjuncts when one exists -- the worker-side objectId fast path of
    paper section 5.5),
@@ -32,15 +34,11 @@ from . import kernels as _kernels
 from .errors import SqlError
 from .expr_eval import Environment, contains_aggregate, evaluate
 from .index import HashIndex
-from .kernels import KernelCache
+from .kernels import MAX_CROSS_PAIRS, KernelCache, equi_join
 from .parser import ParseError, parse
 from .table import Column, Table
 
 __all__ = ["Database", "ResultTable", "SqlError"]
-
-# A cross join bigger than this (pairs) means a query forgot its join
-# predicate; sub-chunk near-neighbor joins sit far below it.
-MAX_CROSS_PAIRS = 30_000_000
 
 # Sentinel row-index meaning "every row, original order" (avoids paying
 # for an arange and identity comparisons on the hot full-scan path).
@@ -241,24 +239,31 @@ class Database:
         """Result columns from the compiled-kernel fast path, or None.
 
         The kernel path only claims queries it can answer bit-identically
-        to the interpreter; anything else (joins, indexed tables where
-        the section-5.5 point-lookup probe should win, unknown names --
-        which must raise the interpreter's errors) returns None.
+        to the interpreter; anything else (shapes the compiler declines,
+        indexed tables where the section-5.5 point-lookup probe should
+        win, unknown names -- which must raise the interpreter's errors)
+        returns None.  Every SELECT with a FROM clause is looked up in
+        the cache, joins included, so ``kernel.executions`` against
+        ``kernel.fallbacks`` describes the whole workload.
         """
         cache = self.kernel_cache
         if cache is None or not self.use_kernels:
             return None
-        if len(sel.tables) != 1 or sel.joins:
+        refs = list(sel.tables) + [j.table for j in sel.joins]
+        tables = []
+        for ref in refs:
+            if ref.database is not None and ref.database != self.name:
+                return None
+            table = self.tables.get(ref.table)
+            if table is None:
+                return None
+            tables.append(table)
+        if not tables:
             return None
-        ref = sel.tables[0]
-        if ref.database is not None and ref.database != self.name:
+        if len(tables) == 1 and any(key[0] == refs[0].table for key in self._indexes):
+            # Only a single-table scan has an index probe to lose.
             return None
-        table = self.tables.get(ref.table)
-        if table is None:
-            return None
-        if any(key[0] == ref.table for key in self._indexes):
-            return None
-        kernel = cache.get_or_compile(sel, table.schema())
+        kernel = cache.get_or_compile(sel, tables)
         sp = obs_trace.current_span()
         if sp is not None:
             sp.set(kernel=kernel is not None)
@@ -266,10 +271,11 @@ class Database:
             return None
         if sp is not None:
             sp.set(
-                rows_scanned=sp.attrs.get("rows_scanned", 0) + table.num_rows
+                rows_scanned=sp.attrs.get("rows_scanned", 0)
+                + sum(t.num_rows for t in tables)
             )
         _kernels.obs_metrics.counter("kernel.executions").add(1)
-        return kernel(table)
+        return kernel(*tables)
 
     # -- binding and joining ----------------------------------------------------------
 
@@ -327,7 +333,7 @@ class Database:
                 left_expr, right_col = key
                 left_vals = self._eval_on_partial(left_expr, idx, tables)
                 right_vals = table.column(right_col)
-                li, ri = _equi_join(left_vals, right_vals)
+                li, ri = equi_join(left_vals, right_vals)
                 idx = {n: resolve(n)[li] for n in idx}
                 idx[name] = ri
             else:
@@ -355,8 +361,6 @@ class Database:
         env = self._materialize_env(sel, idx, tables)
 
         if sel.where is not None:
-            # Index fast path: an indexed 'col = literal' conjunct
-            # pre-restricts the row set before the full predicate runs.
             mask = np.asarray(evaluate(sel.where, env))
             if mask.dtype != bool:
                 mask = mask != 0
@@ -653,21 +657,6 @@ def _find_equi_key(conjuncts, have: set[str], incoming: str, tables):
         # Unqualified columns: resolvable only if names are unambiguous;
         # skip rather than guess.
     return None
-
-
-def _equi_join(left_vals: np.ndarray, right_vals: np.ndarray):
-    """Vectorized many-to-many equi join; returns (left_idx, right_idx)."""
-    order = np.argsort(right_vals, kind="stable")
-    sorted_right = right_vals[order]
-    lo = np.searchsorted(sorted_right, left_vals, side="left")
-    hi = np.searchsorted(sorted_right, left_vals, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    left_idx = np.repeat(np.arange(len(left_vals)), counts)
-    starts = np.cumsum(counts) - counts
-    within = np.arange(total) - np.repeat(starts, counts)
-    right_idx = order[np.repeat(lo, counts) + within]
-    return left_idx, right_idx
 
 
 _referenced_columns = _kernels.referenced_columns

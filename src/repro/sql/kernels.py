@@ -34,16 +34,25 @@ table name is replaced by a placeholder so ``Object_713`` and
 Cache traffic is exported as ``kernel.cache.*`` metrics and annotated
 on the enclosing trace span.
 
-Queries a kernel cannot express (joins, multi-table FROM, shapes that
-need the interpreter's fallback behaviours) raise
-:class:`KernelFallback` at compile time; the negative result is cached
-too, so the decision costs one dict hit per statement.
+Two-table comma joins compile into a :class:`JoinKernel` (the shape
+of the sub-chunk near-neighbour statements and of Object x Source):
+conjuncts bound to one side filter that side before pairing, candidate
+pairs come from a ``col = col`` sort-merge or from a sorted declination
+band under a ``qserv_angSep(...) < r`` conjunct, and every pair
+conjunct is then evaluated exactly on the candidates by the
+interpreter's own :func:`~repro.sql.expr_eval.evaluate`.
+
+Queries a kernel cannot express (explicit JOIN clauses, three or more
+tables, joins with no pairing conjunct, shapes that need the
+interpreter's fallback behaviours) raise :class:`KernelFallback` at
+compile time; the negative result is cached too, so the decision costs
+one dict hit per statement.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,8 +73,12 @@ from .functions import FUNCTIONS
 __all__ = [
     "KernelCache",
     "CompiledKernel",
+    "JoinKernel",
     "KernelFallback",
     "compile_select",
+    "compile_join",
+    "equi_join",
+    "MAX_CROSS_PAIRS",
     "normalize_select",
     "split_conjuncts",
     "referenced_columns",
@@ -75,9 +88,11 @@ __all__ = [
     "group_structure",
 ]
 
-#: Placeholder substituted for the physical table name in cache keys,
-#: so one compiled kernel serves every chunk of the same template.
-TABLE_PLACEHOLDER = "_T_"
+# A join that would materialize more candidate pairs than this means a
+# query forgot its join predicate; sub-chunk near-neighbor joins sit
+# far below it.  Guards the interpreter's cross join and the join
+# kernel's declination band alike.
+MAX_CROSS_PAIRS = 30_000_000
 
 
 class KernelFallback(Exception):
@@ -197,41 +212,50 @@ def _contains_func(expr: ast.Expr) -> bool:
     return found[0]
 
 
-def normalize_select(sel: ast.Select) -> tuple[ast.Select, str]:
-    """(cache-keyable select, binding name) for a single-table SELECT.
+def normalize_select(sel: ast.Select) -> tuple[ast.Select, tuple[str, ...]]:
+    """(cache-keyable select, binding name per table ref) for a SELECT.
 
-    The physical table name is replaced by :data:`TABLE_PLACEHOLDER` so
-    chunk queries (``... FROM LSST.Object_713 AS Object``) and per-query
-    merge tables (``... FROM qserv_merge_7``) of the same template share
-    one cache entry.  When the table is unaliased *and* its name is used
-    as a column qualifier or in ``t.*``, anonymizing would change result
-    column names, so the select is keyed as-is (still cached, just
-    per-table-name).
+    Physical table names are replaced by positional placeholders so
+    chunk queries (``... FROM LSST.Object_713 AS Object``), sub-chunk
+    pairs (``Object_713_45 AS o1, ObjectFullOverlap_713_45 AS o2``) and
+    per-query merge tables (``... FROM qserv_merge_7``) of the same
+    template share one cache entry.  When a table is unaliased *and*
+    its name is used as a column qualifier or in ``t.*``, anonymizing
+    would change how columns resolve, so that ref is keyed as-is (still
+    cached, just per-table-name).
     """
-    ref = sel.tables[0]
-    if ref.alias:
-        # Column refs use the alias; only the physical name moves.
-        anon = replace(
-            sel,
-            tables=(ast.TableRef(table=TABLE_PLACEHOLDER, alias=ref.alias),),
-        )
-        return anon, ref.alias
+    refs = list(sel.tables) + [j.table for j in sel.joins]
+    qualifiers: set[str] = set()
+    if not all(ref.alias for ref in refs):
 
-    binding = ref.table
-    uses_qualifier = [False]
+        def note(e):
+            if isinstance(e, (ast.ColumnRef, ast.Star)) and e.table is not None:
+                qualifiers.add(e.table)
 
-    def check(e):
-        if isinstance(e, (ast.ColumnRef, ast.Star)) and e.table == binding:
-            uses_qualifier[0] = True
+        for expr in _all_exprs(sel):
+            _walk(expr, note)
 
-    for expr in _all_exprs(sel):
-        _walk(expr, check)
-    if uses_qualifier[0]:
-        return sel, binding
-    return (
-        replace(sel, tables=(ast.TableRef(table=TABLE_PLACEHOLDER),)),
-        TABLE_PLACEHOLDER,
+    anon: list[ast.TableRef] = []
+    bindings: list[str] = []
+    for i, ref in enumerate(refs):
+        placeholder = f"_T{i}_"
+        if ref.alias:
+            # Column refs use the alias; only the physical name moves.
+            anon.append(ast.TableRef(table=placeholder, alias=ref.alias))
+            bindings.append(ref.alias)
+        elif ref.table in qualifiers:
+            anon.append(ref)
+            bindings.append(ref.table)
+        else:
+            anon.append(ast.TableRef(table=placeholder))
+            bindings.append(placeholder)
+    n = len(sel.tables)
+    norm = replace(
+        sel,
+        tables=tuple(anon[:n]),
+        joins=tuple(replace(j, table=t) for j, t in zip(sel.joins, anon[n:])),
     )
+    return norm, tuple(bindings)
 
 
 # -- shared group/reduce helpers (used by interpreter AND kernels) ------------------
@@ -388,6 +412,76 @@ def grouped_projection(
             mask = mask != 0
         out_cols = {k: v[mask] for k, v in out_cols.items()}
     return out_cols
+
+
+# -- pairing helpers (used by interpreter AND join kernels) --------------------------
+
+
+def _expand_ranges(lo: np.ndarray, counts: np.ndarray, order: np.ndarray):
+    """(probe index, build index) for ``counts[i]`` build positions from ``lo[i]``.
+
+    ``order`` maps positions in the sorted build side back to build
+    rows.  Probe-major: all matches of probe row 0 first, then row 1, ...
+    """
+    total = int(counts.sum())
+    probe_idx = np.repeat(np.arange(len(lo)), counts)
+    starts = np.cumsum(counts) - counts
+    within = np.arange(total) - np.repeat(starts, counts)
+    build_idx = order[np.repeat(lo, counts) + within]
+    return probe_idx, build_idx
+
+
+def equi_join(left_vals: np.ndarray, right_vals: np.ndarray):
+    """Vectorized many-to-many equi join; returns (left_idx, right_idx).
+
+    Sorts the right side and probes it with the left, so pairs come out
+    left-major with each left row's matches in ascending right order.
+    """
+    order = np.argsort(right_vals, kind="stable")
+    sorted_right = right_vals[order]
+    lo = np.searchsorted(sorted_right, left_vals, side="left")
+    hi = np.searchsorted(sorted_right, left_vals, side="right")
+    return _expand_ranges(lo, hi - lo, order)
+
+
+def _band_join(left_dec: np.ndarray, right_dec: np.ndarray, radius: float):
+    """Candidate pairs whose declinations differ by at most ``radius``.
+
+    A great-circle separation is never smaller than the declination
+    difference, so every pair closer than ``radius`` degrees is among
+    the candidates.  The band is widened by far more than haversine
+    round-off (~1e-14 deg) so a pair the exact test would keep is never
+    missed; the exact test runs on the candidates afterwards.
+    """
+    band = radius + max(1e-9, abs(radius) * 1e-9)
+    order = np.argsort(right_dec, kind="stable")
+    sorted_right = right_dec[order]
+    lo = np.searchsorted(sorted_right, left_dec - band, side="left")
+    hi = np.searchsorted(sorted_right, left_dec + band, side="right")
+    counts = np.maximum(hi - lo, 0)  # a negative radius selects nothing
+    total = int(counts.sum())
+    if total > MAX_CROSS_PAIRS:
+        raise SqlError(
+            f"near-neighbor join of {len(left_dec)} x {len(right_dec)} rows "
+            f"yields {total} candidate pairs, more than {MAX_CROSS_PAIRS}; "
+            "restrict the join"
+        )
+    return _expand_ranges(lo, counts, order)
+
+
+def _drop_unmatched(vals: np.ndarray, rows, other_vals: np.ndarray):
+    """``(vals, rows)`` without the values that ``other_vals`` lacks.
+
+    A semi-join ahead of the sort-merge, taken when this side is much
+    the longer one (Source against the few Objects a box cut kept):
+    ``np.isin`` is one linear pass for integer keys, far cheaper than
+    sorting this side or probing the other with every row of it.
+    ``rows`` are the row indices behind ``vals`` (None = all rows).
+    """
+    if len(vals) < 4 * len(other_vals):
+        return vals, rows
+    keep = np.flatnonzero(np.isin(vals, other_vals))
+    return vals[keep], keep if rows is None else rows[keep]
 
 
 # -- codegen runtime helpers --------------------------------------------------------
@@ -554,6 +648,19 @@ def _compile_fn(name: str, lines: list[str], consts: list, label: str):
     return fn
 
 
+def _account_scan(arrays) -> None:
+    """Charge the scanned column bytes to the metric and the open span."""
+    scanned = 0
+    for arr in arrays:
+        scanned += 8 * arr.size if arr.dtype == object else arr.nbytes
+    obs_metrics.counter("engine.scan.bytes").add(scanned)
+    sp = obs_trace.current_span()
+    if sp is not None:
+        # Accumulate across statements: a sub-chunked chunk query
+        # runs several kernels under one worker.execute span.
+        sp.set(scan_bytes=sp.attrs.get("scan_bytes", 0) + scanned)
+
+
 class CompiledKernel:
     """One fused filter+project(+aggregate) callable for a query template.
 
@@ -591,15 +698,7 @@ class CompiledKernel:
     def __call__(self, table) -> dict[str, np.ndarray]:
         C = {name: table.column(name) for name in self.needed}
         n = table.num_rows
-        scanned = 0
-        for arr in C.values():
-            scanned += 8 * arr.size if arr.dtype == object else arr.nbytes
-        obs_metrics.counter("engine.scan.bytes").add(scanned)
-        sp = obs_trace.current_span()
-        if sp is not None:
-            # Accumulate across statements: a sub-chunked chunk query
-            # runs several kernels under one worker.execute span.
-            sp.set(scan_bytes=sp.attrs.get("scan_bytes", 0) + scanned)
+        _account_scan(C.values())
 
         m = self.mask_fn(C, n) if self.mask_fn is not None else None
         if self.stage_fns:
@@ -815,6 +914,246 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
     )
 
 
+# -- two-table join kernels ---------------------------------------------------------
+
+_ANGSEP_NAMES = frozenset({"QSERV_ANGSEP", "SCISQL_ANGSEP"})
+
+
+@dataclass(frozen=True, slots=True)
+class JoinKernel:
+    """One filter-pair-verify-project callable for a two-table join template.
+
+    Unlike :class:`CompiledKernel` nothing here is generated code: the
+    saving is in *how many pairs* each expression sees, not in how it
+    is dispatched, so every conjunct and output expression goes through
+    the interpreter's own ``evaluate`` -- over one side's rows, over
+    the candidate pairs, or over the surviving pairs -- and is
+    bit-identical to evaluating it over the full cross product because
+    every registered function is elementwise.
+    """
+
+    sel: ast.Select
+    bindings: tuple[str, str]
+    #: Per side, the columns any stage reads, in schema order.
+    needed: tuple[list[str], list[str]]
+    #: Per side, the conjuncts that reference only that side.
+    side_filters: tuple[list, list]
+    #: ``("equi", left column, right column)`` or
+    #: ``("band", left dec column, right dec column, radius)``.
+    pairing: tuple
+    #: ``(conjunct, (side, column) refs)`` for every two-sided conjunct.
+    pair_conjuncts: list
+    #: ``(side, column)`` refs of the select list, GROUP BY and HAVING.
+    output_columns: list
+    grouped: bool
+    aggregates: list
+    out_names: list[str]
+
+    def __call__(self, left, right) -> dict[str, np.ndarray]:
+        sides = tuple(
+            {name: table.column(name) for name in needed}
+            for table, needed in zip((left, right), self.needed)
+        )
+        _account_scan([arr for C in sides for arr in C.values()])
+        kept = (
+            self._side_rows(0, sides[0], left.num_rows),
+            self._side_rows(1, sides[1], right.num_rows),
+        )
+        pairs = self._candidates(sides, kept)
+        for conjunct, refs in self.pair_conjuncts:
+            env = self._pair_env(sides, pairs, refs)
+            keep = _Helpers.as_mask(evaluate(conjunct, env), env.length)
+            pairs = (pairs[0][keep], pairs[1][keep])
+        # The interpreter's order: left rows ascending, and per left row
+        # its right matches ascending.
+        order = np.lexsort((pairs[1], pairs[0]))
+        pairs = (pairs[0][order], pairs[1][order])
+
+        env = self._pair_env(sides, pairs, self.output_columns)
+        if self.grouped:
+            return grouped_projection(self.sel, env, self.aggregates)
+        return {
+            name: _Helpers.as_col(evaluate(item.expr, env), env.length)
+            for name, item in zip(self.out_names, self.sel.items)
+        }
+
+    def _side_rows(self, side: int, C: dict, n: int):
+        """Row indices of one side passing its own conjuncts; None = all."""
+        conjuncts = self.side_filters[side]
+        if not conjuncts:
+            return None
+        binding = self.bindings[side]
+        env = Environment({(binding, name): arr for name, arr in C.items()}, n)
+        mask = None
+        for conjunct in conjuncts:
+            m = _Helpers.as_mask(evaluate(conjunct, env), n)
+            mask = m if mask is None else mask & m
+        return np.flatnonzero(mask)
+
+    def _candidates(self, sides, kept):
+        """Candidate (left rows, right rows): a superset of the answer."""
+        kind, left_col, right_col = self.pairing[:3]
+        left_rows, right_rows = kept
+        left_vals = _Helpers.gather(sides[0][left_col], left_rows)
+        right_vals = _Helpers.gather(sides[1][right_col], right_rows)
+        if kind == "equi":
+            left_vals, left_rows = _drop_unmatched(left_vals, left_rows, right_vals)
+            right_vals, right_rows = _drop_unmatched(right_vals, right_rows, left_vals)
+            li, ri = equi_join(left_vals, right_vals)
+        else:
+            li, ri = _band_join(left_vals, right_vals, self.pairing[3])
+        if left_rows is not None:
+            li = left_rows[li]
+        if right_rows is not None:
+            ri = right_rows[ri]
+        return li, ri
+
+    def _pair_env(self, sides, pairs, refs) -> Environment:
+        cols = {
+            (self.bindings[side], name): sides[side][name][pairs[side]]
+            for side, name in refs
+        }
+        return Environment(cols, len(pairs[0]))
+
+
+def compile_join(sel: ast.Select, bindings, schemas) -> JoinKernel:
+    """Compile a two-table comma join into a :class:`JoinKernel`.
+
+    ``sel`` should already be normalized; ``bindings`` and ``schemas``
+    give each FROM entry's binding name and ordered column list.
+    Raises :class:`KernelFallback` unless the WHERE clause offers a way
+    to generate candidate pairs -- an equality between one column of
+    each side, or ``qserv_angSep(<one side's ra, dec>, <the other's>)
+    < | <= literal`` -- and every column reference resolves to exactly
+    one side.
+    """
+    if sel.joins or len(sel.tables) != 2:
+        raise KernelFallback("only two-table comma joins compile")
+    if bindings[0] == bindings[1]:
+        raise KernelFallback("duplicate table name/alias")
+    schema_names = [[c.name for c in schema] for schema in schemas]
+    colsets = [set(names) for names in schema_names]
+
+    def side_of(ref: ast.ColumnRef) -> int:
+        if ref.table is not None:
+            if ref.table not in bindings:
+                raise KernelFallback(f"unresolvable qualifier {ref.table!r}")
+            sides = [bindings.index(ref.table)]
+        else:
+            sides = [0, 1]
+        hits = [s for s in sides if ref.column in colsets[s]]
+        if len(hits) != 1:
+            raise KernelFallback(f"unknown or ambiguous column {ref.column!r}")
+        return hits[0]
+
+    def refs_of(*exprs) -> list[tuple[int, str]]:
+        found: dict[tuple[int, str], None] = {}
+
+        def fn(e):
+            if isinstance(e, ast.ColumnRef):
+                found.setdefault((side_of(e), e.column))
+
+        for expr in exprs:
+            _walk(expr, fn)
+        return list(found)
+
+    aggregates = collect_aggregates(sel)
+    grouped = bool(aggregates or sel.group_by)
+    if sel.having is not None and not grouped:
+        raise KernelFallback("HAVING without aggregation")
+    if any(isinstance(item.expr, ast.Star) for item in sel.items):
+        raise KernelFallback("'*' over a join")
+    out_names = _output_names(sel, [], None, grouped)
+    _check_order_by(sel, out_names)
+    output_columns = refs_of(
+        *(item.expr for item in sel.items), *sel.group_by, sel.having
+    )
+
+    side_filters: tuple[list, list] = ([], [])
+    pair_conjuncts = []
+    pairing = None
+    band = None
+    for conjunct in split_conjuncts(sel.where):
+        if contains_aggregate(conjunct):
+            raise KernelFallback("aggregate in WHERE")
+        refs = refs_of(conjunct)
+        sides = {side for side, _ in refs}
+        if len(sides) == 1:
+            side_filters[sides.pop()].append(conjunct)
+            continue
+        pair_conjuncts.append((conjunct, refs))
+        if pairing is None:
+            pairing = _equi_pairing(conjunct, side_of)
+        if band is None:
+            band = _band_pairing(conjunct, side_of)
+    pairing = pairing or band
+    if pairing is None:
+        raise KernelFallback("no conjunct to pair the two tables by")
+
+    # The pairing conjunct is one of the pair conjuncts, so its columns
+    # are covered too.
+    referenced = set(output_columns)
+    referenced.update(ref for _, refs in pair_conjuncts for ref in refs)
+    referenced.update(refs_of(*side_filters[0], *side_filters[1]))
+    needed = tuple(
+        [name for name in schema_names[side] if (side, name) in referenced]
+        for side in (0, 1)
+    )
+    return JoinKernel(
+        sel=sel,
+        bindings=tuple(bindings),
+        needed=needed,
+        side_filters=side_filters,
+        pairing=pairing,
+        pair_conjuncts=pair_conjuncts,
+        output_columns=output_columns,
+        grouped=grouped,
+        aggregates=aggregates,
+        out_names=out_names,
+    )
+
+
+def _equi_pairing(conjunct: ast.Expr, side_of):
+    """``("equi", left column, right column)`` for ``a.x = b.y``, else None."""
+    if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+        return None
+    a, b = conjunct.left, conjunct.right
+    if not (isinstance(a, ast.ColumnRef) and isinstance(b, ast.ColumnRef)):
+        return None
+    if side_of(a) == side_of(b):
+        return None
+    if side_of(a) == 1:
+        a, b = b, a
+    return ("equi", a.column, b.column)
+
+
+def _band_pairing(conjunct: ast.Expr, side_of):
+    """``("band", left dec, right dec, radius)`` for a near-neighbour cut.
+
+    Matches ``qserv_angSep(p.ra, p.dec, q.ra, q.dec) < | <= number``
+    with ``p`` and ``q`` on opposite sides of the join.
+    """
+    if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op in ("<", "<=")):
+        return None
+    call, limit = conjunct.left, conjunct.right
+    if not (
+        isinstance(call, ast.FuncCall)
+        and call.name.upper() in _ANGSEP_NAMES
+        and len(call.args) == 4
+        and all(isinstance(a, ast.ColumnRef) for a in call.args)
+        and isinstance(limit, ast.Literal)
+        and isinstance(limit.value, (int, float))
+    ):
+        return None
+    first, second = side_of(call.args[0]), side_of(call.args[2])
+    if (side_of(call.args[1]), side_of(call.args[3])) != (first, second):
+        return None
+    if first == second:
+        return None
+    decs = (call.args[1].column, call.args[3].column)
+    return ("band", decs[first], decs[second], float(limit.value))
+
+
 # -- the cache ----------------------------------------------------------------------
 
 #: Cache value marking "compilation declined; use the interpreter".
@@ -861,19 +1200,25 @@ class KernelCache:
             size = len(self._entries)
         obs_metrics.gauge("kernel.cache.size").set(size)
 
-    def get_or_compile(self, sel: ast.Select, schema):
-        """Kernel for a single-table select, or None (interpreter path).
+    def get_or_compile(self, sel: ast.Select, tables):
+        """Kernel for a select over ``tables``, or None (interpreter path).
 
+        ``tables`` are the resolved FROM/JOIN tables in clause order.
         Handles normalization, cache lookup, compilation, and metrics;
         the caller has already checked table existence and indexes.
         """
-        sig = tuple((c.name, c.type_name) for c in schema)
-        norm_sel, binding = normalize_select(sel)
+        sig = tuple(t.signature() for t in tables)
+        norm_sel, bindings = normalize_select(sel)
         key = (norm_sel.to_sql(), sig)
         entry = self.lookup(key)
         if entry is None:
             try:
-                entry = compile_select(norm_sel, binding, schema)
+                if len(tables) == 1:
+                    entry = compile_select(norm_sel, bindings[0], tables[0].schema())
+                else:
+                    entry = compile_join(
+                        norm_sel, bindings, [t.schema() for t in tables]
+                    )
                 obs_metrics.counter("kernel.compiled").add(1)
             except KernelFallback:
                 entry = FALLBACK

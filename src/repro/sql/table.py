@@ -64,11 +64,12 @@ def sql_type_to_dtype(type_name: str) -> np.dtype:
 
 def dtype_to_sql_type(dtype: np.dtype) -> str:
     """Inverse mapping used when dumping result tables."""
-    if np.issubdtype(dtype, np.bool_):
+    kind = np.dtype(dtype).kind
+    if kind == "b":
         return "BOOL"
-    if np.issubdtype(dtype, np.integer):
+    if kind in "iu":
         return "BIGINT"
-    if np.issubdtype(dtype, np.floating):
+    if kind == "f":
         return "DOUBLE"
     return "TEXT"
 
@@ -93,6 +94,10 @@ class Table:
         # Capacity buffers; the first self._length entries of each are live.
         self._columns: dict[str, np.ndarray] = {}
         self._length = 0
+        # Memo for signature(): names and dtypes are fixed at
+        # construction (append_rows casts batches to the existing
+        # dtypes), so nothing ever has to invalidate it.
+        self._signature: tuple[tuple[str, str], ...] | None = None
         if columns:
             length = None
             for col_name, arr in columns.items():
@@ -155,10 +160,24 @@ class Table:
         """Column dict of trimmed views (treat membership as read-only)."""
         return {n: self.column(n) for n in self._columns}
 
+    def signature(self) -> tuple[tuple[str, str], ...]:
+        """``((column name, SQL type), ...)``, computed once per table.
+
+        This is the schema half of the kernel-cache key, looked up for
+        every statement, so it must not rebuild ``Column`` objects.
+        """
+        sig = self._signature
+        if sig is None:
+            sig = self._signature = self._compute_signature()
+        return sig
+
+    def _compute_signature(self) -> tuple[tuple[str, str], ...]:
+        return tuple(
+            (n, dtype_to_sql_type(a.dtype)) for n, a in self._columns.items()
+        )
+
     def schema(self) -> list[Column]:
-        return [
-            Column(n, dtype_to_sql_type(a.dtype)) for n, a in self.columns().items()
-        ]
+        return [Column(n, t) for n, t in self.signature()]
 
     def row(self, i: int) -> tuple:
         """A single row as a tuple (slow path; for tests and display)."""

@@ -211,6 +211,41 @@ class TestJoins:
         assert d == int(np.count_nonzero(sep < dist))
 
 
+def test_near_neighbor_across_chunk_border_and_ra_wrap():
+    """SHV1 over a box on the RA 0 meridian and the dec 0 stripe border.
+
+    Pairs there are only found through the overlap tables, and the
+    box cut and the pair distance both have to survive the RA wrap;
+    the count must equal a brute-force NumPy count.
+    """
+    from repro.sphgeom import SphericalBox, angular_separation
+
+    tb = build_testbed(num_workers=3, num_objects=12000, seed=37)
+    try:
+        dist = tb.chunker.overlap * 0.9
+        result = tb.czar.submit(
+            "SELECT count(*) FROM Object o1, Object o2 "
+            "WHERE qserv_areaspec_box(359.0, -1.0, 1.0, 1.0) "
+            f"AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < {dist}"
+        )
+    finally:
+        tb.shutdown()
+    assert result.stats.chunks_dispatched == 4
+
+    obj = tb.tables["Object"]
+    ra, dec = obj.column("ra_PS"), obj.column("decl_PS")
+    left = np.flatnonzero(SphericalBox(359.0, -1.0, 361.0, 1.0).contains(ra, dec))
+    sep = angular_separation(
+        ra[left][:, None], dec[left][:, None], ra[None, :], dec[None, :]
+    )
+    li, ri = np.nonzero(sep < dist)
+    assert int(result.table.column("count(*)")[0]) == len(li)
+    # The fixture does contain what the test is about: neighbours on
+    # opposite sides of RA 0 and of the stripe border at dec 0.
+    assert np.any(np.abs(ra[left][li] - ra[ri]) > 300.0)
+    assert np.any((dec[left][li] < 0.0) != (dec[ri] < 0.0))
+
+
 def composite_queries():
     """Random full SELECTs mixing filters, aggregates, grouping, ordering."""
     predicates = st.lists(

@@ -1,5 +1,9 @@
 """Tests for chunk-query and merge-query generation."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.partition import Chunker
@@ -17,6 +21,8 @@ from repro.qserv.rewrite import (
     sub_chunk_table_name,
 )
 from repro.sql.parser import parse
+
+from .rewrite_fixtures import FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +221,62 @@ class TestSubchunkRewrite:
         body = "\n".join(specs[0].text.splitlines()[1:])
         stmts = parse(body)
         assert len(stmts) == 2 * len(specs[0].sub_chunk_ids)
+
+
+class TestChunkQueryTextIsPinned:
+    """Sub-chunk statements come from a template; the text must not move."""
+
+    GOLDEN = json.loads(
+        (Path(__file__).parent / "golden_chunk_queries.json").read_text()
+    )
+
+    def specs_of(self, sql, md, chunker):
+        a = analyze(sql, md)
+        if a.region is not None:
+            chunk_ids = chunker.chunks_intersecting(a.region)
+        else:
+            chunk_ids = chunker.all_chunks()[:3]
+        return gen(sql, md, chunker, chunk_ids)[2]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_byte_identical_to_parent_commit(self, md, chunker, name):
+        specs = self.specs_of(FIXTURES[name], md, chunker)
+        text = "\n---\n".join(
+            f"{s.chunk_id} {s.sub_chunk_ids}\n{s.text}" for s in specs
+        )
+        assert len(specs) == self.GOLDEN[name]["specs"]
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[name]["sha256"]
+
+    @pytest.mark.parametrize("name", [n for n in sorted(FIXTURES) if n.startswith("shv1")])
+    def test_every_statement_is_its_own_rendering(self, md, chunker, name):
+        # What Select.to_sql() would print for exactly these tables.
+        for spec in self.specs_of(FIXTURES[name], md, chunker):
+            lines = spec.text.splitlines()[1:]
+            assert len(lines) == 2 * len(spec.sub_chunk_ids)
+            for scid, (self_pair, overlap_pair) in zip(
+                spec.sub_chunk_ids, zip(lines[0::2], lines[1::2])
+            ):
+                for line, outer in ((self_pair, "Object"), (overlap_pair, "ObjectFullOverlap")):
+                    (stmt,) = parse(line)
+                    assert stmt.to_sql() + ";" == line
+                    assert [t.table for t in stmt.tables[:2]] == [
+                        f"Object_{spec.chunk_id}_{scid}",
+                        f"{outer}_{spec.chunk_id}_{scid}",
+                    ]
+
+    def test_from_list_text_inside_a_literal(self, md, chunker):
+        # A select item that spells out the first sub-chunk's FROM list
+        # leaves no unique place to swap it; every statement is then
+        # rendered in full and the literal stays as written.
+        plain = TestSubchunkRewrite.SHV1
+        first = self.specs_of(plain, md, chunker)[0].text.splitlines()[1]
+        from_list = first[first.index("FROM ") + 5 : first.index(" WHERE")]
+        sql = plain.replace("count(*)", f"'{from_list}' AS tag, count(*)")
+        for spec in self.specs_of(sql, md, chunker)[:1]:
+            for line in spec.text.splitlines()[1:]:
+                (stmt,) = parse(line)
+                assert stmt.to_sql() + ";" == line
+                assert stmt.items[0].expr.value == from_list
 
 
 class TestMergeQuery:

@@ -6,10 +6,13 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis import races
 from repro.partition import Chunker
 from repro.qserv import QservWorker, WorkerShutdownError
+from repro.qserv import worker as worker_module
 from repro.sql import Database, SqlError, Table
 from repro.sql.dump import load_dump
+from repro.sql.wire import decode_table
 from repro.xrd.protocol import query_hash, query_path, result_path
 
 
@@ -144,6 +147,229 @@ class TestSubChunkMaterialization:
             w.execute_chunk_query(
                 999, "-- SUBCHUNKS: 3\nSELECT COUNT(*) FROM LSST.Object_999_3 AS o;"
             )
+
+
+NEAR = "qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS)"
+
+
+def make_join_worker(slots=0, cache=False):
+    """``make_worker`` with a populated overlap table (a shifted copy)."""
+    w, cid, chunker = make_worker(slots=slots, cache=cache)
+    base = w.db.get_table(f"Object_{cid}")
+    cols = {k: v.copy() for k, v in base.columns().items()}
+    cols["objectId"] += 1000
+    cols["ra_PS"] += 0.01
+    w.db.create_table(Table(f"ObjectFullOverlap_{cid}", cols), overwrite=True)
+    scids = [int(s) for s in np.unique(base.column("subChunkId"))[:9]]
+    assert len(scids) == 9
+    return w, cid, scids
+
+
+def pair_statement(cid, scid, outer="Object", radius=0.5, select="COUNT(*) AS n"):
+    return (
+        f"SELECT {select} FROM LSST.Object_{cid}_{scid} AS o1, "
+        f"LSST.{outer}_{cid}_{scid} AS o2 WHERE {NEAR} < {radius}"
+    )
+
+
+def sub_chunk_query(cid, scids, **kwargs):
+    statements = [
+        pair_statement(cid, scid, outer, **kwargs) + ";"
+        for scid in scids
+        for outer in ("Object", "ObjectFullOverlap")
+    ]
+    return f"-- SUBCHUNKS: {', '.join(map(str, scids))}\n" + "\n".join(statements)
+
+
+def reference_rows(w, cid, text):
+    """The same statements the slow way: SQL-built tables, interpreter."""
+    db = Database("LSST", use_kernels=False)
+    for name in (f"Object_{cid}", f"ObjectFullOverlap_{cid}"):
+        db.create_table(w.db.get_table(name).copy())
+    rows = []
+    body = [ln for ln in text.splitlines() if not ln.startswith("--")]
+    for stmt in filter(None, (s.strip() for s in "\n".join(body).split(";"))):
+        for parent, sub in worker_module._SUBCHUNK_IN_TEXT_RE.findall(stmt):
+            db.execute(
+                f"CREATE TABLE IF NOT EXISTS {parent}_{sub} AS "
+                f"SELECT * FROM {parent} WHERE subChunkId = {sub}"
+            )
+        rows += db.execute(stmt).rows()
+    return rows
+
+
+class TestSubChunkPipeline:
+    """Parse once per shape, partition once per chunk table."""
+
+    def count_parses(self, monkeypatch):
+        calls = []
+        real = worker_module.parse
+
+        def counting(sql):
+            calls.append(sql)
+            return real(sql)
+
+        monkeypatch.setattr(worker_module, "parse", counting)
+        return calls
+
+    def test_nine_sub_chunks_parse_once_per_shape(self, monkeypatch):
+        w, cid, scids = make_join_worker()
+        text = sub_chunk_query(cid, scids)
+        calls = self.count_parses(monkeypatch)
+        result = w.execute_chunk_query(cid, text)
+        assert len(calls) == 2  # the self pair and the overlap pair
+        assert w.stats.statements_executed == 18
+        assert result.rows() == reference_rows(w, cid, text)
+        assert sum(n for (n,) in result.rows()) > 18
+
+    def test_rows_keep_statement_order(self):
+        w, cid, scids = make_join_worker()
+        text = sub_chunk_query(
+            cid, scids, select="o1.objectId AS a, o2.objectId AS b, o1.subChunkId AS s"
+        )
+        result = w.execute_chunk_query(cid, text)
+        assert result.num_rows > 0
+        assert result.rows() == reference_rows(w, cid, text)
+
+    def test_hand_edited_sibling_is_parsed_on_its_own(self, monkeypatch):
+        w, cid, scids = make_join_worker()
+        a, b, c = scids[:3]
+        statements = [
+            pair_statement(cid, a),
+            pair_statement(cid, b, radius=0.05),  # another literal
+            pair_statement(cid, c) + " AND o1.objectId != o2.objectId",
+            pair_statement(cid, c),
+        ]
+        text = f"-- SUBCHUNKS: {a}, {b}, {c}\n" + ";\n".join(statements) + ";"
+        calls = self.count_parses(monkeypatch)
+        result = w.execute_chunk_query(cid, text)
+        assert len(calls) == 3  # only the last statement reuses a shape
+        assert result.rows() == reference_rows(w, cid, text)
+
+    def test_look_alike_names_outside_from_are_not_rebound(self):
+        # The first statement's text carries its sub-chunk name in a
+        # string and in an alias as well; renaming FROM tables alone
+        # would not turn it into the second, so both are parsed.
+        w, cid, scids = make_join_worker()
+        a, b = scids[:2]
+        text = f"-- SUBCHUNKS: {a}, {b}\n" + "\n".join(
+            f"SELECT 'Object_{cid}_{s}' AS tag, COUNT(*) AS n "
+            f"FROM LSST.Object_{cid}_{s} AS Object_{cid}_{s};"
+            for s in (a, b)
+        )
+        result = w.execute_chunk_query(cid, text)
+        assert list(result.column("tag")) == [f"Object_{cid}_{a}", f"Object_{cid}_{b}"]
+        base = w.db.get_table(f"Object_{cid}").column("subChunkId")
+        assert list(result.column("n")) == [
+            np.count_nonzero(base == a), np.count_nonzero(base == b)
+        ]
+
+    def test_parse_error_is_a_sql_error(self):
+        w, cid, scids = make_join_worker()
+        with pytest.raises(SqlError, match="parse error"):
+            w.execute_chunk_query(
+                cid, f"SELECT COUNT(* FROM LSST.Object_{cid}_{scids[0]} AS o1;"
+            )
+
+    def test_stats_and_tables_without_cache(self):
+        w, cid, scids = make_join_worker()
+        text = sub_chunk_query(cid, scids)
+        before = set(w.db.tables)
+        w.execute_chunk_query(cid, text)
+        assert set(w.db.tables) == before
+        assert w.stats.sub_chunk_tables_built == 18
+        assert w.stats.sub_chunk_cache_hits == 0
+        w.execute_chunk_query(cid, text)
+        assert set(w.db.tables) == before
+        assert w.stats.sub_chunk_tables_built == 36  # rebuilt: nothing is kept
+        assert w.stats.sub_chunk_cache_hits == 0
+        assert w._sub_chunk_refs == {}
+
+    def test_stats_and_tables_with_cache(self):
+        w, cid, scids = make_join_worker(cache=True)
+        text = sub_chunk_query(cid, scids)
+        before = set(w.db.tables)
+        first = w.execute_chunk_query(cid, text)
+        built = set(w.db.tables) - before
+        assert len(built) == 18 and w.stats.sub_chunk_tables_built == 18
+        second = w.execute_chunk_query(cid, sub_chunk_query(cid, scids[:4]))
+        assert w.stats.sub_chunk_tables_built == 18
+        assert w.stats.sub_chunk_cache_hits == 8
+        assert set(w.db.tables) - before == built
+        assert second.rows() == first.rows()[:8]
+
+    def test_sub_chunk_rows_keep_parent_order(self):
+        w, cid, scids = make_join_worker(cache=True)
+        w.execute_chunk_query(cid, sub_chunk_query(cid, scids))
+        parent = w.db.get_table(f"Object_{cid}")
+        for scid in scids:
+            rows = parent.column("subChunkId") == scid
+            sub = w.db.get_table(f"Object_{cid}_{scid}")
+            assert sub.column_names == parent.column_names
+            for name in parent.column_names:
+                np.testing.assert_array_equal(sub.column(name), parent.column(name)[rows])
+
+    def test_missing_parent_acquires_nothing(self):
+        w, cid, scids = make_join_worker()
+        text = (
+            f"-- SUBCHUNKS: {scids[0]}\n"
+            f"SELECT COUNT(*) FROM LSST.Object_{cid}_{scids[0]} AS o1, "
+            f"LSST.Object_999_{scids[0]} AS o2;"
+        )
+        before = set(w.db.tables)
+        with pytest.raises(SqlError, match="no chunk table 'Object_999'"):
+            w.execute_chunk_query(cid, text)
+        assert set(w.db.tables) == before
+        assert w._sub_chunk_refs == {}
+
+
+class TestConcurrentSubChunkSharing:
+    @pytest.fixture()
+    def race_detector(self):
+        """REPRO_SANITIZE=race for this test, whatever the suite runs under."""
+        if races.enabled():
+            yield
+            return
+        races.enable()
+        yield
+        races.disable()
+
+    def test_shared_sub_chunks_keep_refcounts(self, race_detector, monkeypatch):
+        # Locks and tracked attributes are created under the detector.
+        w, cid, scids = make_join_worker(slots=2)
+        before = set(w.db.tables)
+        # Hold every query inside its statement loop until all of them
+        # have taken their sub-chunk references, so the tables really
+        # are shared and the last one out drops them.
+        inside = threading.Barrier(2)
+        real = w.db.execute_statement
+        arrived = threading.local()
+
+        def rendezvous(stmt):
+            if not getattr(arrived, "done", False):
+                arrived.done = True
+                inside.wait(timeout=10.0)
+            return real(stmt)
+
+        monkeypatch.setattr(w.db, "execute_statement", rendezvous)
+        texts = [
+            "-- RESULT_FORMAT: binary\n" + sub_chunk_query(cid, scids[:6], radius=0.5),
+            "-- RESULT_FORMAT: binary\n" + sub_chunk_query(cid, scids[3:], radius=0.4),
+        ]
+        try:
+            for text in texts:
+                w.on_write(query_path(cid), text.encode())
+            for text in texts:
+                data = w.on_read(result_path(query_hash(text)))
+                assert data is not None
+                assert decode_table(data).rows() == reference_rows(w, cid, text)
+        finally:
+            w.shutdown()
+        assert w.stats.sub_chunk_tables_built + w.stats.sub_chunk_cache_hits == 24
+        assert w.stats.sub_chunk_cache_hits == 6  # scids[3:6], both kinds
+        assert w._sub_chunk_refs == {}
+        assert set(w.db.tables) == before
+        assert races.race_report() == []
 
 
 class TestThreadedMode:

@@ -63,6 +63,16 @@ class TestRoundTrip:
             ("band", "TEXT"),
         ]
 
+    def test_signature_is_memoised_like_a_ram_table(self, tmp_path):
+        t = sample_table()
+        mt = ColumnStore(tmp_path).save_table(t)
+        sig = mt.signature()
+        assert sig == t.signature()
+        assert mt.signature() is sig
+        mt.append_rows({n: a[:2] for n, a in t.columns().items()})
+        assert mt.num_rows == t.num_rows + 2
+        assert mt.signature() is sig
+
     def test_reload_after_reopen(self, tmp_path):
         t = sample_table()
         ColumnStore(tmp_path).save_table(t)

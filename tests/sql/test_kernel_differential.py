@@ -12,6 +12,12 @@ The suite also asserts the kernel path actually executed (via the
 that known-unsupported shapes fall back cleanly rather than erroring.
 A final section repeats representative shapes under ``REPRO_SANITIZE=1``
 so the instrumented-lock build stays equivalent too.
+
+Two-table join kernels get the same treatment over a small sky patch
+cut into sub-chunk, overlap and Source tables: the near-neighbour
+self-pair and sub-chunk x overlap statements, the Object x Source
+equi-join, and the places a declination band could go wrong (a pair
+exactly on the radius, NaN coordinates, the RA wrap, the poles).
 """
 
 import numpy as np
@@ -52,12 +58,15 @@ def data():
     return seeded_table()
 
 
-def fresh_pair(table: Table):
-    """(interpreter db, kernel db) over independent copies of ``table``."""
+def fresh_pair(*tables: Table):
+    """(interpreter db, kernel db) over independent copies of ``tables``."""
     db_i = Database(use_kernels=False)
-    db_i.create_table(Table(table.name, {n: a.copy() for n, a in table.columns().items()}))
     db_k = Database(use_kernels=True)
-    db_k.create_table(Table(table.name, {n: a.copy() for n, a in table.columns().items()}))
+    for db in (db_i, db_k):
+        for table in tables:
+            db.create_table(
+                Table(table.name, {n: a.copy() for n, a in table.columns().items()})
+            )
     return db_i, db_k
 
 
@@ -83,7 +92,8 @@ def assert_identical(a, b):
 
 
 def check(data, sql, expect_kernel=True):
-    db_i, db_k = fresh_pair(data)
+    """``data`` is one table or a tuple of them."""
+    db_i, db_k = fresh_pair(*(data if isinstance(data, tuple) else (data,)))
     r_i = db_i.execute(sql)
     before = metric("kernel.executions")
     fallbacks = metric("kernel.fallbacks")
@@ -247,6 +257,25 @@ class TestKernelMachinery:
         db_k.execute(sql)
         assert metric("kernel.cache.hits") == hits + 1
 
+    def test_cache_hit_builds_no_schema(self, data, patch, monkeypatch):
+        # The key's schema half comes from the tables' memoised
+        # signatures -- for both sides of a join -- so a hit allocates
+        # no Column objects.
+        _, db_k = fresh_pair(data, *patch)
+        queries = [
+            "SELECT COUNT(*) AS n FROM Object_713 WHERE decl_PS > 0",
+            f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} < 0.015",
+        ]
+        first = [db_k.execute(q).rows() for q in queries]
+
+        def no_schema(self):
+            raise AssertionError("schema() rebuilt on a kernel-cache hit")
+
+        monkeypatch.setattr(Table, "schema", no_schema)
+        runs = metric("kernel.executions")
+        assert [db_k.execute(q).rows() for q in queries] == first
+        assert metric("kernel.executions") == runs + 2
+
     def test_alias_shapes_share_one_kernel(self, data):
         # The czar emits `LSST.Object_<chunk> AS Object`; every chunk
         # must reuse one compiled kernel keyed on the anonymized shape.
@@ -299,6 +328,353 @@ class TestKernelMachinery:
         assert metric("kernel.compiled") == compiled + 1
 
 
+# -- two-table join kernels ---------------------------------------------------------
+
+
+def sky_patch(name, n, seed, ra0=0.0, dec0=0.0, size=0.3, first_id=0) -> Table:
+    """``n`` objects scattered over a ``size`` degree square at (ra0, dec0)."""
+    rng = np.random.default_rng(seed)
+    flux = rng.uniform(1e-9, 1e-6, n)
+    flux[rng.random(n) < 0.1] = np.nan
+    return Table(
+        name,
+        {
+            "objectId": first_id + rng.permutation(np.arange(n, dtype=np.int64)),
+            "ra_PS": (ra0 + rng.uniform(0.0, size, n)) % 360.0,
+            "decl_PS": np.clip(dec0 + rng.uniform(0.0, size, n), -90.0, 90.0),
+            "subChunkId": rng.integers(0, 4, n),
+            "uFlux_PS": flux,
+        },
+    )
+
+
+def sources_of(objects: Table, name, per_object=3, seed=99) -> Table:
+    """Detections scattered ~1e-4 deg around each object (a few unmatched)."""
+    rng = np.random.default_rng(seed)
+    owner = np.repeat(objects.column("objectId"), per_object)
+    n = len(owner)
+    owner = owner.copy()
+    owner[rng.random(n) < 0.05] = 10**9  # orphans: no such object
+    return Table(
+        name,
+        {
+            "sourceId": rng.permutation(np.arange(n, dtype=np.int64)),
+            "objectId": owner,
+            "ra": np.repeat(objects.column("ra_PS"), per_object)
+            + rng.normal(0.0, 1e-4, n),
+            "decl": np.repeat(objects.column("decl_PS"), per_object)
+            + rng.normal(0.0, 1e-4, n),
+            "psfFlux": rng.uniform(1e-9, 1e-6, n),
+        },
+    )
+
+
+@pytest.fixture(scope="module")
+def patch():
+    """A sub-chunk, its overlap companion and the chunk's Source table."""
+    sub = sky_patch("Object_713_45", 150, seed=1)
+    overlap = sky_patch("ObjectFullOverlap_713_45", 60, seed=2, first_id=1000)
+    return sub, overlap, sources_of(sub, "Source_713")
+
+
+NEAR = "qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS)"
+BOX = "qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, 0.05, 0.05, 0.25, 0.2) = 1"
+SELF = "LSST.Object_713_45 AS o1, LSST.Object_713_45 AS o2"
+OVERLAP = "LSST.Object_713_45 AS o1, LSST.ObjectFullOverlap_713_45 AS o2"
+OBJ_SRC = "LSST.Object_713_45 AS o, LSST.Source_713 AS s"
+
+JOIN_SHAPES = [
+    # SHV1: the self pair and the sub-chunk x overlap pair, with and
+    # without the one-sided box cut the czar appends
+    f"SELECT COUNT(*) AS n FROM {SELF} WHERE {NEAR} < 0.015",
+    f"SELECT COUNT(*) AS n FROM {SELF} WHERE ({NEAR} < 0.015 AND {BOX})",
+    f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} < 0.015",
+    f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE ({NEAR} < 0.015 AND {BOX})",
+    f"SELECT COUNT(*) AS n FROM {SELF} WHERE {NEAR} <= 0.015 "
+    "AND o1.objectId != o2.objectId",
+    # argument pairs swapped; a filter on the right side; a constant conjunct
+    f"SELECT COUNT(*) AS n FROM {SELF} WHERE "
+    "scisql_angSep(o2.ra_PS, o2.decl_PS, o1.ra_PS, o1.decl_PS) < 0.02 "
+    "AND o2.uFlux_PS IS NOT NULL AND 1 = 1",
+    # rows come out left-major, like the interpreter's cross join
+    f"SELECT o1.objectId AS a, o2.objectId AS b FROM {SELF} WHERE {NEAR} < 0.01",
+    f"SELECT o1.objectId AS a, o2.objectId AS b, {NEAR} AS d FROM {OVERLAP} "
+    f"WHERE {NEAR} < 0.03 AND {BOX}",
+    f"SELECT o1.objectId, o2.objectId FROM {SELF} WHERE {NEAR} < 0.01 "
+    "AND o1.objectId < o2.objectId",
+    # projections, ORDER BY and LIMIT over join output
+    f"SELECT o1.objectId AS a, o2.objectId AS b, {NEAR} AS d FROM {SELF} "
+    f"WHERE {NEAR} < 0.02 ORDER BY d DESC, a, b LIMIT 7",
+    f"SELECT o1.ra_PS - o2.ra_PS AS dra, o1.uFlux_PS / o2.uFlux_PS AS ratio "
+    f"FROM {SELF} WHERE {NEAR} < 0.01 ORDER BY 1 LIMIT 20",
+    f"SELECT DISTINCT o1.subChunkId AS s1, o2.subChunkId AS s2 FROM {SELF} "
+    f"WHERE {NEAR} < 0.01 ORDER BY s1, s2",
+    # aggregates and GROUP BY over pairs
+    f"SELECT o1.objectId AS a, COUNT(*) AS n, MIN({NEAR}) AS nearest "
+    f"FROM {OVERLAP} WHERE {NEAR} < 0.05 GROUP BY o1.objectId "
+    "HAVING COUNT(*) > 1 ORDER BY a",
+    f"SELECT COUNT(o2.uFlux_PS) AS c, SUM(o2.uFlux_PS) AS s, AVG(o1.decl_PS) AS a "
+    f"FROM {SELF} WHERE {NEAR} < 0.02",
+    # SHV2: equi-join with an angSep residual, plus one-sided cuts
+    f"SELECT o.objectId, s.sourceId FROM {OBJ_SRC} WHERE o.objectId = s.objectId "
+    "AND qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > 0.0001",
+    f"SELECT o.objectId, s.sourceId FROM {OBJ_SRC} WHERE "
+    "(qserv_ptInSphericalBox(o.ra_PS, o.decl_PS, 0.05, 0.05, 0.25, 0.2) = 1 "
+    "AND s.objectId = o.objectId AND "
+    "qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > 0.0001)",
+    f"SELECT COUNT(*) AS n, AVG(s.psfFlux) AS f FROM {OBJ_SRC} "
+    "WHERE o.objectId = s.objectId AND s.psfFlux > 5e-7",
+    # the long side on the left, cut down by the few rows the right kept
+    "SELECT s.sourceId, o.objectId FROM LSST.Source_713 AS s, LSST.Object_713_45 AS o "
+    "WHERE s.objectId = o.objectId AND o.decl_PS < 0.05",
+    # unqualified columns that only one side has
+    f"SELECT sourceId, ra_PS FROM {OBJ_SRC} WHERE o.objectId = s.objectId "
+    "AND psfFlux > 5e-7 ORDER BY sourceId LIMIT 11",
+    # unaliased tables used as qualifiers
+    "SELECT COUNT(*) AS n FROM Object_713_45, ObjectFullOverlap_713_45 WHERE "
+    "qserv_angSep(Object_713_45.ra_PS, Object_713_45.decl_PS, "
+    "ObjectFullOverlap_713_45.ra_PS, ObjectFullOverlap_713_45.decl_PS) < 0.02",
+    # a radius no pair can meet
+    f"SELECT o1.objectId FROM {SELF} WHERE {NEAR} < 0",
+]
+
+
+@pytest.mark.parametrize("sql", JOIN_SHAPES)
+def test_join_shape_bit_identical(patch, sql):
+    check(patch, sql, expect_kernel=True)
+
+
+JOIN_FALLBACK_SHAPES = [
+    # nothing to pair the tables by
+    "SELECT COUNT(*) AS n FROM LSST.ObjectFullOverlap_713_45 AS o1, "
+    "LSST.ObjectFullOverlap_713_45 AS o2",
+    f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} > 0.2",
+    f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} < o1.decl_PS",
+    f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} < -1",
+    # explicit JOIN clauses, '*' over a join, three tables
+    "SELECT COUNT(*) AS n FROM Object_713_45 o JOIN Source_713 s "
+    "ON o.objectId = s.objectId",
+    f"SELECT * FROM {OBJ_SRC} WHERE o.objectId = s.objectId AND s.sourceId < 5",
+    f"SELECT COUNT(*) AS n FROM {OBJ_SRC}, LSST.ObjectFullOverlap_713_45 AS v "
+    "WHERE o.objectId = s.objectId AND v.objectId = 1000",
+]
+
+
+@pytest.mark.parametrize("sql", JOIN_FALLBACK_SHAPES)
+def test_join_fallback_shape_still_identical(patch, sql):
+    check(patch, sql, expect_kernel=False)
+
+
+class TestJoinKernelEdges:
+    """Where pruning pairs by declination could lose or invent one."""
+
+    def test_pair_exactly_on_the_radius(self):
+        from repro.sphgeom import angular_separation
+
+        # Same RA, so the separation *is* the declination difference and
+        # the pair sits on the edge of the band as well as of the cut.
+        t = Table(
+            "T_1_1",
+            {
+                "id": np.arange(3, dtype=np.int64),
+                "ra": np.array([10.0, 10.0, 10.0]),
+                "dec": np.array([0.1, 0.6, 2.0]),
+            },
+        )
+        radius = angular_separation(10.0, 0.1, 10.0, 0.6)
+        near = "qserv_angSep(a.ra, a.dec, b.ra, b.dec)"
+        strict = check(
+            t, f"SELECT a.id, b.id FROM T_1_1 a, T_1_1 b WHERE {near} < {radius!r}"
+        )
+        closed = check(
+            t, f"SELECT a.id, b.id FROM T_1_1 a, T_1_1 b WHERE {near} <= {radius!r}"
+        )
+        assert strict.num_rows == 3  # each row with itself
+        assert closed.num_rows == 5  # plus (0, 1) and (1, 0)
+
+    def test_empty_sides(self, patch):
+        sub, overlap, _ = patch
+        empty = Table("Empty_1_1", {n: a[:0] for n, a in sub.columns().items()})
+        for tables in ("Empty_1_1 o1, Object_713_45 o2", "Object_713_45 o1, Empty_1_1 o2",
+                       "Empty_1_1 o1, Empty_1_1 o2"):
+            r = check(
+                (sub, empty), f"SELECT COUNT(*) AS n FROM {tables} WHERE {NEAR} < 0.02"
+            )
+            assert r.rows() == [(0,)]
+            r = check(
+                (sub, empty),
+                f"SELECT o1.objectId, o2.objectId FROM {tables} WHERE {NEAR} < 0.02",
+            )
+            assert r.num_rows == 0
+        # a one-sided cut that empties its side
+        check(
+            (sub, overlap),
+            f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} < 0.02 AND o1.decl_PS > 80",
+        )
+
+    def test_nan_coordinates(self):
+        t = sky_patch("N_1_1", 80, seed=5)
+        t.column("ra_PS")[::7] = np.nan
+        t.column("decl_PS")[::11] = np.nan
+        r = check(t, "SELECT COUNT(*) AS n FROM N_1_1 o1, N_1_1 o2 " f"WHERE {NEAR} < 0.05")
+        # NULL coordinates match nothing, not even themselves.
+        whole = int(np.count_nonzero(~np.isnan(t.column("ra_PS") + t.column("decl_PS"))))
+        assert r.column("n")[0] >= whole
+        check(
+            t,
+            "SELECT o1.objectId, o2.objectId FROM N_1_1 o1, N_1_1 o2 "
+            f"WHERE {NEAR} < 0.05",
+        )
+        # NaN join keys: the sort-merge pairs them, the exact '=' drops them.
+        s = sources_of(t, "NS_1", per_object=2)
+        check(
+            (t, s),
+            "SELECT o.objectId, s.sourceId FROM N_1_1 o, NS_1 s "
+            "WHERE o.ra_PS = s.ra OR o.objectId = s.objectId",
+            expect_kernel=False,
+        )
+        check(
+            (t, t.rename("N_1_2")),
+            "SELECT COUNT(*) AS n FROM N_1_1 a, N_1_2 b WHERE a.ra_PS = b.ra_PS",
+        )
+
+    def test_ra_wrap(self):
+        # The PT1.1 footprint spans 358..5 degrees through RA 0.
+        t = sky_patch("W_1_1", 120, seed=6, ra0=359.9, dec0=-0.1, size=0.2)
+        assert t.column("ra_PS").min() < 0.1 and t.column("ra_PS").max() > 359.9
+        box = "qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, 359.95, -0.05, 360.05, 0.05) = 1"
+        r = check(
+            t,
+            "SELECT o1.objectId, o2.objectId FROM W_1_1 o1, W_1_1 o2 "
+            f"WHERE {NEAR} < 0.02 AND {box} AND o1.objectId != o2.objectId",
+        )
+        ra = t.column("ra_PS")
+        by_id = dict(zip(t.column("objectId"), ra))
+        straddling = [
+            (a, b) for a, b in r.rows() if abs(by_id[a] - by_id[b]) > 300.0
+        ]
+        assert straddling, "no neighbour pair across RA 0 in the fixture"
+
+    @pytest.mark.parametrize("dec0", [89.7, -90.0])
+    def test_near_the_poles(self, dec0):
+        # Every RA is a neighbour this close to a pole.
+        rng = np.random.default_rng(8)
+        n = 90
+        t = Table(
+            "P_1_1",
+            {
+                "objectId": np.arange(n, dtype=np.int64),
+                "ra_PS": rng.uniform(0.0, 360.0, n),
+                "decl_PS": dec0 + rng.uniform(0.0, 0.3, n),
+            },
+        )
+        r = check(t, f"SELECT COUNT(*) AS n FROM P_1_1 o1, P_1_1 o2 WHERE {NEAR} < 0.2")
+        assert r.column("n")[0] > n
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_near_neighbour_sweep(seed):
+    """Random patches, sizes and radii, duplicates and NULLs included."""
+    rng = np.random.default_rng([2011, seed])
+    left = sky_patch("L_9_1", int(rng.integers(1, 120)), seed=100 + seed, size=0.2)
+    right = sky_patch("R_9_1", int(rng.integers(1, 120)), seed=200 + seed, size=0.2)
+    # Coincident points (separation exactly 0) and a few NULL positions.
+    k = min(left.num_rows, right.num_rows, 5)
+    right.column("ra_PS")[:k] = left.column("ra_PS")[:k]
+    right.column("decl_PS")[:k] = left.column("decl_PS")[:k]
+    left.column("decl_PS")[-1] = np.nan
+    radius = float(rng.choice([0.0, 0.003, 0.02, 0.5]))
+    op = "<=" if seed % 2 else "<"
+    tables = "L_9_1 AS o1, R_9_1 AS o2"
+    check(
+        (left, right),
+        f"SELECT o1.objectId AS a, o2.objectId AS b, {NEAR} AS d FROM {tables} "
+        f"WHERE {NEAR} {op} {radius!r} AND o2.uFlux_PS IS NOT NULL",
+    )
+    check(
+        (left, right),
+        f"SELECT o1.subChunkId AS s, COUNT(*) AS n FROM {tables} "
+        f"WHERE {NEAR} {op} {radius!r} GROUP BY o1.subChunkId ORDER BY s",
+    )
+
+
+class TestJoinKernelMachinery:
+    def test_sub_chunk_pairs_share_one_kernel(self, patch):
+        sub, overlap, _ = patch
+        db = Database(use_kernels=True)
+        for scid in (45, 46, 47):
+            db.create_table(sub.rename(f"Object_713_{scid}"))
+            db.create_table(overlap.rename(f"ObjectFullOverlap_713_{scid}"))
+        compiled, runs = metric("kernel.compiled"), metric("kernel.executions")
+        results = []
+        for scid in (45, 46, 47):
+            for outer in ("Object", "ObjectFullOverlap"):
+                results.append(
+                    db.execute(
+                        f"SELECT COUNT(*) AS n FROM LSST.Object_713_{scid} AS o1, "
+                        f"LSST.{outer}_713_{scid} AS o2 WHERE ({NEAR} < 0.015 AND {BOX})"
+                    )
+                )
+        assert metric("kernel.compiled") == compiled + 1
+        assert metric("kernel.executions") == runs + 6
+        assert len({r.rows()[0] for r in results[0::2]}) == 1
+
+    def test_declined_join_is_cached_as_a_fallback(self, patch):
+        _, db_k = fresh_pair(*patch)
+        sql = f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} > 0.2"
+        fallbacks, runs = metric("kernel.fallbacks"), metric("kernel.executions")
+        db_k.execute(sql)
+        assert metric("kernel.fallbacks") == fallbacks + 1
+        hits = metric("kernel.cache.hits")
+        db_k.execute(sql)
+        assert metric("kernel.cache.hits") == hits + 1
+        assert metric("kernel.fallbacks") == fallbacks + 1
+        assert metric("kernel.executions") == runs
+
+    def test_join_statements_annotate_the_span(self, patch):
+        from repro.obs import trace as obs_trace
+
+        sub, overlap, _ = patch
+        _, db_k = fresh_pair(*patch)
+        tr = obs_trace.start_trace(force=True)
+        with obs_trace.span("worker.execute", trace=tr) as sp:
+            db_k.execute(f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} < 0.015")
+            assert sp.attrs["kernel"] is True
+            assert sp.attrs["rows_scanned"] == sub.num_rows + overlap.num_rows
+            assert sp.attrs["scan_bytes"] > 0
+            db_k.execute(f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} > 0.2")
+            assert sp.attrs["kernel"] is False
+
+    def test_indexed_tables_still_join_through_a_kernel(self, patch):
+        # An index only buys a single-table point lookup; a join over
+        # the same table has no probe to lose.
+        db_i, db_k = fresh_pair(*patch)
+        for db in (db_i, db_k):
+            db.create_index("Object_713_45", "objectId")
+        sql = (
+            f"SELECT o.objectId, s.sourceId FROM {OBJ_SRC} "
+            "WHERE o.objectId = s.objectId AND s.psfFlux > 5e-7"
+        )
+        runs = metric("kernel.executions")
+        assert_identical(db_i.execute(sql), db_k.execute(sql))
+        assert metric("kernel.executions") == runs + 1
+
+    def test_band_refuses_a_runaway_candidate_set(self, monkeypatch):
+        from repro.sql import SqlError, kernels
+
+        t = Table("B_1_1", {"ra": np.zeros(400), "dec": np.zeros(400)})
+        db = Database(use_kernels=True)
+        db.create_table(t)
+        sql = (
+            "SELECT COUNT(*) AS n FROM B_1_1 a, B_1_1 b "
+            "WHERE qserv_angSep(a.ra, a.dec, b.ra, b.dec) < 1"
+        )
+        assert db.execute(sql).rows() == [(160_000,)]
+        monkeypatch.setattr(kernels, "MAX_CROSS_PAIRS", 1000)
+        with pytest.raises(SqlError, match="candidate pairs"):
+            db.execute(sql)
+
+
 class TestUnderSanitizer:
     """The instrumented-lock build must stay bit-identical too."""
 
@@ -321,3 +697,15 @@ class TestUnderSanitizer:
     def test_sanitized_equivalence(self, sanitized, data, sql):
         # Fresh objects so every lock is created under REPRO_SANITIZE=1.
         check(data, sql, expect_kernel=True)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE ({NEAR} < 0.015 AND {BOX})",
+            f"SELECT o1.objectId AS a, o2.objectId AS b FROM {SELF} WHERE {NEAR} < 0.01",
+            f"SELECT o.objectId, s.sourceId FROM {OBJ_SRC} WHERE o.objectId = s.objectId "
+            "AND qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > 0.0001",
+        ],
+    )
+    def test_sanitized_join_equivalence(self, sanitized, patch, sql):
+        check(patch, sql, expect_kernel=True)

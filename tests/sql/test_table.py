@@ -87,6 +87,18 @@ class TestAccess:
         types = {c.name: c.type_name for c in table.schema()}
         assert types == {"a": "BIGINT", "b": "DOUBLE"}
 
+    def test_signature_is_computed_once_and_survives_appends(self, table):
+        sig = table.signature()
+        assert sig == (("a", "BIGINT"), ("b", "DOUBLE"))
+        assert table.signature() is sig
+        copy = table.copy()
+        first = copy.signature()
+        copy.append_rows({"a": np.array([7]), "b": np.array([1])})  # int batch, cast
+        assert copy.signature() is first
+        assert [(c.name, c.type_name) for c in copy.schema()] == list(sig)
+        # Derived tables are new objects with their own memo.
+        assert table.select_columns(["b"]).signature() == (("b", "DOUBLE"),)
+
 
 class TestMutation:
     def test_append(self):

@@ -248,13 +248,53 @@ class Chunker:
         return np.array(sorted(out), dtype=np.int64)
 
     def sub_chunks_intersecting(self, chunk_id: int, region: Region) -> np.ndarray:
-        """Sorted sub-chunk ids of ``chunk_id`` intersecting ``region``."""
-        out = [
-            int(scid)
-            for scid in self.sub_chunks_of(chunk_id)
-            if region.relate(self.sub_chunk_box(chunk_id, scid)) is not Relationship.DISJOINT
-        ]
+        """Sorted sub-chunk ids of ``chunk_id`` intersecting ``region``.
+
+        A box disjoint from the region's bounding box is disjoint from
+        the region, and every region type says so; only the sub-stripes
+        and, within each, the columns that bounding box reaches are put
+        to the exact test.  The reach is taken one row and one column
+        wide of the mark either way, so a cell edge that rounds the
+        other way (or merely touches the box) is never skipped.
+        """
+        stripe, chunk = self._check_chunk(chunk_id)
+        bbox = region.bounding_box()
+        if bbox.is_empty:
+            return np.array([], dtype=np.int64)
+        dec_lo = -90.0 + stripe * self.stripe_height
+        first = int((bbox.dec_min - dec_lo) // self.sub_stripe_height) - 1
+        last = int((bbox.dec_max - dec_lo) // self.sub_stripe_height) + 1
+        chunk_width = self._chunk_width[stripe]
+        maxrow = int(self._max_subchunks_per_row[stripe])
+        out = []
+        for ss in range(max(first, 0), min(last, self.num_sub_stripes - 1) + 1):
+            columns = int(self._subchunks_per_row[stripe, ss])
+            reached = range(columns)
+            if not bbox.full_ra:
+                reached = self._columns_reached(
+                    bbox, chunk * chunk_width, chunk_width / columns, columns
+                )
+            for sc in reached:
+                scid = ss * maxrow + sc
+                box = self.sub_chunk_box(chunk_id, scid)
+                if region.relate(box) is not Relationship.DISJOINT:
+                    out.append(scid)
         return np.array(out, dtype=np.int64)
+
+    @staticmethod
+    def _columns_reached(bbox: SphericalBox, ra_lo: float, width: float, columns: int):
+        """Ascending columns of a row starting at ``ra_lo`` that ``bbox`` may touch."""
+        reached: set[int] = set()
+        for lo, hi in bbox._ra_intervals():
+            # Relative to the row's first column, one column of slack.
+            start = (lo - ra_lo) % 360.0 - width
+            stop = start + (hi - lo) + 2.0 * width
+            # The interval may also reach the row from across RA 0.
+            for turn in (-360.0, 0.0, 360.0):
+                c_lo = max(int((start + turn) // width), 0)
+                c_hi = min(int((stop + turn) // width), columns - 1)
+                reached.update(range(c_lo, c_hi + 1))
+        return sorted(reached)
 
     # -- overlap membership ----------------------------------------------------------------
 

@@ -1,12 +1,13 @@
 """The Qserv worker: an Xrootd ofs plugin around a local SQL engine.
 
 Chunk queries arrive as writes to ``/query2/<chunkId>`` (section 5.4).
-The worker parses the ``-- SUBCHUNKS:`` header, materializes the
-required sub-chunk tables on the fly from its chunk tables (``CREATE
-TABLE Object_713_45 AS SELECT ... WHERE subChunkId = 45``), executes
-the statements against its local engine, dumps the combined result with
-the mysqldump equivalent, and publishes the bytes at
-``/result/<md5-of-query>`` for the master to read.
+The worker reads the comment headers, prepares each statement (parsing
+it only if it has not seen its shape before), materializes the
+sub-chunk tables the statements name on the fly from its chunk tables
+(the rows ``CREATE TABLE Object_713_45 AS SELECT ... WHERE subChunkId =
+45`` would select), executes the statements against its local engine,
+dumps the combined result with the mysqldump equivalent, and publishes
+the bytes at ``/result/<md5-of-query>`` for the master to read.
 
 Queueing follows section 6.4: each worker keeps a FIFO queue served by
 a fixed number of execution slots (the paper's cluster ran 4 per node)
@@ -30,7 +31,7 @@ from ..analysis.sanitizer import make_condition, make_lock, make_rlock
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..sql import Database, SqlError, Table, dump_table
+from ..sql import Database, SqlError, Table, ast, dump_table
 from ..sql.engine import ResultTable
 from ..sql.parser import ParseError, parse
 from ..sql.wire import decode_table, encode_table
@@ -39,21 +40,17 @@ from ..xrd.filesystem import FileSystemError
 from ..xrd.protocol import (
     CANCEL_PREFIX,
     CHUNK_PREFIX,
-    DEADLINE_HEADER_PREFIX,
     MANIFEST_PREFIX,
     QUERY_PREFIX,
-    RESULT_FORMAT_HEADER_PREFIX,
     RESULT_PREFIX,
     chunk_id_of_manifest_path,
     chunk_id_of_query_path,
     hash_of_cancel_path,
-    parse_attempt_header,
-    parse_trace_header,
+    parse_headers,
     query_hash,
     result_path,
     table_of_chunk_path,
 )
-from .rewrite import SUBCHUNK_HEADER_PREFIX
 
 __all__ = [
     "QservWorker",
@@ -64,9 +61,13 @@ __all__ = [
 
 # Physical sub-chunk table names: Object_713_45 / ObjectFullOverlap_713_45.
 _SUBCHUNK_RE = re.compile(r"^(?P<base>\w+?)_(?P<chunk>\d+)_(?P<sub>\d+)$")
-# The same names wherever they occur in statement text, split into the
-# chunk table (Object_713) and the sub-chunk id (45).
-_SUBCHUNK_IN_TEXT_RE = re.compile(r"\b(\w+?_\d+)_(\d+)\b")
+# Chunk and sub-chunk table names (Object_713, Object_713_45) wherever
+# they occur in statement text, split into base, chunk id and sub-chunk
+# id (None for a chunk table).
+_CHUNK_TABLE_IN_TEXT_RE = re.compile(r"\b(\w+?)_(\d+)(?:_(\d+))?\b")
+
+# Prepared chunk statements kept per worker (LRU), like KernelCache's 256.
+_PREPARED_CAPACITY = 256
 
 _RESULT_TABLE = "chunk_result"
 
@@ -135,16 +136,21 @@ def _table_refs(stmt) -> list:
     ]
 
 
-def _rebind_sub_chunk(stmt, old_sub: str, new_sub: str):
-    """``stmt`` with its ``Base_CC_<old_sub>`` table refs renamed to ``new_sub``."""
-    if old_sub == new_sub:
-        return stmt
-    suffix = f"_{old_sub}"
+def _rebind(stmt: ast.Select, ids: tuple) -> ast.Select:
+    """``stmt`` with the chunk tables of its FROM clause moved to ``ids``.
+
+    ``ids`` is ``(chunk id, sub-chunk id)`` as text: ``Base_CC`` refs
+    become ``Base_<chunk id>``, ``Base_CC_SS`` refs
+    ``Base_<chunk id>_<sub-chunk id>``.
+    """
+    chunk, sub = ids
 
     def rebind(ref):
-        if not _SUBCHUNK_RE.match(ref.table):
+        m = _CHUNK_TABLE_IN_TEXT_RE.fullmatch(ref.table)
+        if m is None:
             return ref
-        return replace(ref, table=ref.table[: -len(suffix)] + f"_{new_sub}")
+        name = f"{m[1]}_{chunk}" if m[3] is None else f"{m[1]}_{chunk}_{sub}"
+        return replace(ref, table=name)
 
     return replace(
         stmt,
@@ -172,7 +178,7 @@ def _partition_by_sub_chunk(parent: Table, subs: list[tuple[int, str]]) -> list[
 
 @track_shared(
     "_results", "_errors", "_deadlines", "_pending_reads", "_cancelled",
-    "_sub_chunk_refs",
+    "_sub_chunk_refs", "_prepared",
 )
 class QservWorker(OfsPlugin):
     """One worker node: local database + ofs plugin + FIFO queue.
@@ -259,6 +265,9 @@ class QservWorker(OfsPlugin):
         # another is still scanning.
         self._build_lock = make_lock("QservWorker._build_lock")
         self._sub_chunk_refs: dict[str, int] = {}
+        # Prepared chunk statements by shape (see _prepare), LRU.
+        self._prepared_lock = make_lock("QservWorker._prepared_lock")
+        self._prepared: OrderedDict[tuple, tuple] = OrderedDict()
         self.slots = slots
         self._threads: list[threading.Thread] = []
         self._shutdown = False
@@ -292,8 +301,8 @@ class QservWorker(OfsPlugin):
         chunk_id = chunk_id_of_query_path(path)
         text = data.decode()
         rpath = result_path(query_hash(text))
-        nonce = parse_attempt_header(text)
-        budget = self._deadline_seconds(text)
+        headers = parse_headers(text)
+        nonce, budget = headers.attempt, headers.deadline
         with self._lock:
             withdrawn = self._cancelled.get(rpath)
             if withdrawn is not None and nonce in withdrawn:
@@ -476,7 +485,7 @@ class QservWorker(OfsPlugin):
         with self._queue_cv:
             self._remember_cancel_locked(rpath, nonce)
             for i, item in enumerate(self._queue):
-                if item[0] == rpath and parse_attempt_header(item[2]) == nonce:
+                if item[0] == rpath and parse_headers(item[2]).attempt == nonce:
                     del self._queue[i]
                     dropped_from_queue = True
                     break
@@ -526,7 +535,8 @@ class QservWorker(OfsPlugin):
             if self._shutdown:
                 self._abandon_locked(rpath, _SHUTDOWN_MESSAGE)
                 return
-            if parse_attempt_header(text) in self._cancelled.get(rpath, ()):
+            withdrawn = self._cancelled.get(rpath)
+            if withdrawn and parse_headers(text).attempt in withdrawn:
                 # This submission was withdrawn while the task sat in
                 # the FIFO (counted by _cancel_result); refuse to
                 # execute.  A same-hash task from a *different*
@@ -554,11 +564,17 @@ class QservWorker(OfsPlugin):
 
     def _execute_task(self, rpath: str, chunk_id: int, text: str):
         queue_wait = getattr(_task_ctx, "queue_wait", 0.0)
+        headers = parse_headers(text)
         # Trace context, if the master propagated any: the ``-- TRACE:``
         # header names the dispatching attempt's span, so the execute
         # and dump spans recorded here parent under it -- correctly per
-        # attempt, even across retries and hedged duplicates.
-        query_trace, parent_span_id = self._trace_context(text)
+        # attempt, even across retries and hedged duplicates.  A trace
+        # id unknown to the in-process collector (tracing sampled this
+        # query out) degrades the spans to no-ops.
+        query_trace = parent_span_id = None
+        if headers.trace is not None:
+            query_trace = obs_trace.lookup(headers.trace[0])
+            parent_span_id = headers.trace[1]
         try:
             t0 = time.perf_counter()
             with obs_trace.span(
@@ -570,12 +586,12 @@ class QservWorker(OfsPlugin):
                 chunk=chunk_id,
                 queue_wait=round(queue_wait, 6),
             ) as execute_span:
-                result = self.execute_chunk_query(chunk_id, text)
+                result = self.execute_chunk_query(chunk_id, headers.body)
                 execute_span.set(rows=result.num_rows)
             self.metrics.histogram("worker.execute.seconds").observe(
                 time.perf_counter() - t0
             )
-            fmt = self._result_format(text)
+            fmt = headers.result_format
             t1 = time.perf_counter()
             with obs_trace.span(
                 "worker.dump",
@@ -600,7 +616,7 @@ class QservWorker(OfsPlugin):
             self.metrics.counter("worker.queries").add(1)
             self.metrics.counter("worker.result.bytes").add(len(payload))
             with self._lock:
-                if parse_attempt_header(text) in self._cancelled.get(rpath, ()):
+                if headers.attempt in self._cancelled.get(rpath, ()):
                     # Withdrawn while executing: the payload is dropped
                     # and the typed error (already recorded by
                     # _cancel_result) stands.
@@ -623,59 +639,16 @@ class QservWorker(OfsPlugin):
                 if event is not None:
                     event.set()
 
-    @staticmethod
-    def _trace_context(text: str):
-        """``(Trace, parent_span_id)`` from the ``-- TRACE:`` header.
-
-        ``(None, None)`` when the header is absent or the trace id is
-        unknown to the in-process collector (e.g. tracing sampled this
-        query out) -- spans then degrade to no-ops.
-        """
-        ctx = parse_trace_header(text)
-        if ctx is None:
-            return None, None
-        return obs_trace.lookup(ctx[0]), ctx[1]
-
-    @staticmethod
-    def _deadline_seconds(text: str):
-        """The time budget from the ``-- DEADLINE:`` header, or None."""
-        for line in text.lstrip().splitlines():
-            if line.startswith(DEADLINE_HEADER_PREFIX):
-                try:
-                    return max(float(line[len(DEADLINE_HEADER_PREFIX) :]), 0.0)
-                except ValueError:
-                    return None
-            if not line.startswith("--"):
-                break  # headers only appear before the first statement
-        return None
-
-    @staticmethod
-    def _result_format(text: str) -> str:
-        """The result encoding the master asked for (header negotiation).
-
-        Chunk queries without a ``-- RESULT_FORMAT:`` header get the
-        paper-faithful mysqldump text -- that keeps old masters and
-        paper-accurate benchmark runs working against new workers.
-        """
-        for line in text.lstrip().splitlines():
-            if line.startswith(RESULT_FORMAT_HEADER_PREFIX):
-                requested = line[len(RESULT_FORMAT_HEADER_PREFIX) :].strip()
-                if requested == "binary":
-                    return "binary"
-                return "sqldump"
-            if not line.startswith("--"):
-                break  # headers only appear before the first statement
-        return "sqldump"
-
     # -- chunk query execution ---------------------------------------------------------------
 
     def execute_chunk_query(self, chunk_id: int, text: str) -> Table:
-        """Run one chunk query and return the combined result table."""
-        statements = self._parse_statements(self._parse_chunk_query(text)[1])
+        """Run one chunk query (with or without headers); the combined result."""
+        statements = (s.strip() for s in parse_headers(text).body.split(";"))
+        prepared = [pair for s in statements if s for pair in self._prepare(s)]
         sub_chunk_tables = list(
             dict.fromkeys(
                 ref.table
-                for stmt in statements
+                for stmt, _ in prepared
                 for ref in _table_refs(stmt)
                 if _SUBCHUNK_RE.match(ref.table)
             )
@@ -683,8 +656,8 @@ class QservWorker(OfsPlugin):
         self._acquire_sub_chunks(sub_chunk_tables)
         try:
             outputs = []
-            for stmt in statements:
-                out = self.db.execute_statement(stmt)
+            for stmt, kernel_key in prepared:
+                out = self.db.execute_statement(stmt, kernel_key)
                 with self._lock:
                     self.stats.statements_executed += 1
                 if out is not None:
@@ -699,58 +672,57 @@ class QservWorker(OfsPlugin):
         finally:
             self._release_sub_chunks(sub_chunk_tables)
 
-    def _parse_chunk_query(self, text: str) -> tuple[list[int], list[str]]:
-        lines = text.strip().splitlines()
-        sub_chunk_ids: list[int] = []
-        # Protocol headers (RESULT_FORMAT, SUBCHUNKS) are leading
-        # comment lines in any order; consume them before the SQL body.
-        while lines and lines[0].startswith("--"):
-            header = lines.pop(0)
-            if header.startswith(SUBCHUNK_HEADER_PREFIX):
-                spec = header[len(SUBCHUNK_HEADER_PREFIX) :].strip()
-                if spec:
-                    sub_chunk_ids = [int(s.strip()) for s in spec.split(",")]
-        body = "\n".join(lines)
-        statements = [s.strip() for s in body.split(";") if s.strip()]
-        return sub_chunk_ids, statements
+    def _prepare(self, text: str) -> list[tuple]:
+        """``(statement, kernel key)`` pairs for one statement's text.
 
-    def _parse_statements(self, texts: list[str]) -> list:
-        """Parsed statements of a chunk query, parsing each *shape* once.
-
-        The statements of a sub-chunked query differ only in the
-        sub-chunk id suffixed to their table names.  A statement's shape
-        is its text with those ids cut out; the first statement of a
-        shape is parsed, and a later one of the same shape is that AST
-        with its sub-chunk table refs renamed.  The shortcut is taken
-        only when every sub-chunk name in the parsed text is a FROM
+        The chunk queries of one scan, the sub-chunk statements of one
+        chunk query and every repeat of either differ only in the chunk
+        and sub-chunk ids of their table names.  A statement's *shape*
+        is its text with those ids cut out (literals stay: they are part
+        of the AST); the first statement of a shape is parsed and kept,
+        with the kernel key the engine would derive from it, and a later
+        one is that AST with its chunk tables renamed.  The shortcut is
+        taken only when every chunk-table name in the text is a FROM
         table (not an alias, qualifier or string that merely looks like
-        one), so renaming the refs is exactly the textual substitution;
-        anything else is parsed in full.
+        one), so that renaming the refs is exactly the textual
+        substitution and leaves the kernel key as it was; anything else
+        is parsed in full, every time.  Tables are looked up by name at
+        execution, so nothing here outlives a dropped or replaced table.
         """
-        shapes: dict[tuple, tuple] = {}
-        parsed = []
-        for text in texts:
-            # [text, chunk table, sub id, text, chunk table, sub id, ..., text]
-            pieces = _SUBCHUNK_IN_TEXT_RE.split(text)
-            sub_ids = pieces[2::3]
-            del pieces[2::3]
-            shape = tuple(pieces) if len(set(sub_ids)) == 1 else None
-            if shape in shapes:
-                template, template_sub = shapes[shape]
-                parsed.append(_rebind_sub_chunk(template, template_sub, sub_ids[0]))
-                continue
-            try:
-                stmts = parse(text)
-            except ParseError as e:
-                raise SqlError(f"parse error: {e}") from e
-            parsed.extend(stmts)
-            if shape is not None and len(stmts) == 1:
-                renamed = sum(
-                    bool(_SUBCHUNK_RE.match(ref.table)) for ref in _table_refs(stmts[0])
-                )
-                if renamed == len(sub_ids):
-                    shapes[shape] = (stmts[0], sub_ids[0])
-        return parsed
+        # [text, base, chunk id, sub-chunk id or None, text, ...]
+        pieces = _CHUNK_TABLE_IN_TEXT_RE.split(text)
+        chunk_ids, sub_ids = set(pieces[2::4]), set(pieces[3::4]) - {None}
+        shape = None
+        if len(chunk_ids) <= 1 and len(sub_ids) <= 1:
+            ids = (next(iter(chunk_ids), None), next(iter(sub_ids), None))
+            names = len(pieces) // 4
+            pieces[3::4] = [sub is not None for sub in pieces[3::4]]
+            del pieces[2::4]
+            shape = tuple(pieces)
+            with self._prepared_lock:
+                entry = self._prepared.get(shape)
+                if entry is not None:
+                    self._prepared.move_to_end(shape)
+            if entry is not None:
+                stmt, kernel_key = entry
+                return [(_rebind(stmt, ids), kernel_key)]
+        try:
+            stmts = parse(text)
+        except ParseError as e:
+            raise SqlError(f"parse error: {e}") from e
+        if shape is None or len(stmts) != 1 or not isinstance(stmts[0], ast.Select):
+            return [(stmt, None) for stmt in stmts]
+        stmt = stmts[0]
+        kernel_key = self.db.kernel_key(stmt)
+        chunk_tables = sum(
+            bool(_CHUNK_TABLE_IN_TEXT_RE.fullmatch(ref.table)) for ref in _table_refs(stmt)
+        )
+        if chunk_tables == names:
+            with self._prepared_lock:
+                self._prepared[shape] = (stmt, kernel_key)
+                while len(self._prepared) > _PREPARED_CAPACITY:
+                    self._prepared.popitem(last=False)
+        return [(stmt, kernel_key)]
 
     def _acquire_sub_chunks(self, names: list[str]) -> None:
         """Take a reference on every ``Base_CC_SS``; build the absent ones.

@@ -34,7 +34,7 @@ from . import kernels as _kernels
 from .errors import SqlError
 from .expr_eval import Environment, contains_aggregate, evaluate
 from .index import HashIndex
-from .kernels import MAX_CROSS_PAIRS, KernelCache, equi_join
+from .kernels import MAX_CROSS_PAIRS, KernelCache, KernelKey, equi_join
 from .parser import ParseError, parse
 from .table import Column, Table
 
@@ -129,9 +129,17 @@ class Database:
                 result = out
         return result
 
-    def execute_statement(self, stmt: ast.Statement) -> Optional[ResultTable]:
+    def execute_statement(
+        self, stmt: ast.Statement, kernel_key: Optional[KernelKey] = None
+    ) -> Optional[ResultTable]:
+        """Execute one parsed statement.
+
+        ``kernel_key`` is :meth:`kernel_key` of a SELECT executed many
+        times, computed once by the caller; without it the key is
+        derived here, on every execution.
+        """
         if isinstance(stmt, ast.Select):
-            return self._exec_select(stmt)
+            return self._exec_select(stmt, kernel_key)
         if isinstance(stmt, ast.CreateTable):
             return self._exec_create(stmt)
         if isinstance(stmt, ast.CreateTableAsSelect):
@@ -202,8 +210,22 @@ class Database:
 
     # -- SELECT --------------------------------------------------------------------
 
-    def _exec_select(self, sel: ast.Select) -> ResultTable:
-        kernel_cols = self._try_kernel(sel)
+    def kernel_key(self, stmt: ast.Statement) -> Optional[KernelKey]:
+        """The statement's half of its kernel-cache key; None if it has none.
+
+        Independent of the tables the statement names, so it stays valid
+        when only the physical table names of its FROM refs change.
+        """
+        if self.kernel_cache is None or not self.use_kernels:
+            return None
+        if not (isinstance(stmt, ast.Select) and stmt.tables):
+            return None
+        return _kernels.kernel_key(stmt)
+
+    def _exec_select(
+        self, sel: ast.Select, kernel_key: Optional[KernelKey] = None
+    ) -> ResultTable:
+        kernel_cols = self._try_kernel(sel, kernel_key)
         if kernel_cols is not None:
             result = ResultTable("result", kernel_cols)
             if sel.distinct:
@@ -235,7 +257,9 @@ class Database:
         result = self._order_and_limit(sel, result, env)
         return result
 
-    def _try_kernel(self, sel: ast.Select) -> Optional[dict[str, np.ndarray]]:
+    def _try_kernel(
+        self, sel: ast.Select, kernel_key: Optional[KernelKey] = None
+    ) -> Optional[dict[str, np.ndarray]]:
         """Result columns from the compiled-kernel fast path, or None.
 
         The kernel path only claims queries it can answer bit-identically
@@ -263,7 +287,7 @@ class Database:
         if len(tables) == 1 and any(key[0] == refs[0].table for key in self._indexes):
             # Only a single-table scan has an index probe to lose.
             return None
-        kernel = cache.get_or_compile(sel, tables)
+        kernel = cache.get_or_compile(sel, tables, kernel_key)
         sp = obs_trace.current_span()
         if sp is not None:
             sp.set(kernel=kernel is not None)

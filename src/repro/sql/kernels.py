@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,6 +81,8 @@ __all__ = [
     "equi_join",
     "MAX_CROSS_PAIRS",
     "normalize_select",
+    "KernelKey",
+    "kernel_key",
     "split_conjuncts",
     "referenced_columns",
     "collect_aggregates",
@@ -258,24 +261,64 @@ def normalize_select(sel: ast.Select) -> tuple[ast.Select, tuple[str, ...]]:
     return norm, tuple(bindings)
 
 
+class KernelKey(NamedTuple):
+    """What a kernel lookup derives from a SELECT, apart from its tables.
+
+    It depends on the statement alone, so a caller that executes one
+    statement many times (a worker's prepared chunk statement) computes
+    it once and hands it back with every execution.
+    """
+
+    #: The normalized SELECT as text: the statement half of the cache key.
+    sql: str
+    #: The normalized SELECT, compiled on a cache miss.
+    select: ast.Select
+    #: Binding name per table ref, in clause order.
+    bindings: tuple[str, ...]
+
+
+def kernel_key(sel: ast.Select) -> KernelKey:
+    norm, bindings = normalize_select(sel)
+    return KernelKey(norm.to_sql(), norm, bindings)
+
+
 # -- shared group/reduce helpers (used by interpreter AND kernels) ------------------
 
 
 def group_structure(keys: list[np.ndarray], n: int):
-    """(order, group_starts) for GROUP BY keys via lexsort + boundary flags."""
+    """(order, group_starts) for GROUP BY keys; ``order`` None is the identity.
+
+    Rows already in non-decreasing lexicographic key order (a chunk
+    table grouped by its ``chunkId``, any single group) are their own
+    stable sort, so neither the lexsort nor the per-aggregate gathers
+    it feeds are needed.  A NaN key compares false both ways and so
+    never counts as ordered.
+    """
     if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    order = np.lexsort(keys[::-1])
-    sorted_keys = [k[order] for k in keys]
+        return None, np.empty(0, dtype=np.int64)
     changed = np.zeros(n, dtype=bool)
     changed[0] = True
-    for k in sorted_keys:
+    if all(k.dtype.kind in "biuf" for k in keys):
+        ascending = np.zeros(n - 1, dtype=bool)
+        equal = np.ones(n - 1, dtype=bool)
+        for k in keys:
+            ascending |= equal & (k[:-1] < k[1:])
+            equal &= k[:-1] == k[1:]
+        if np.all(ascending | equal):
+            changed[1:] = ~equal
+            return None, np.flatnonzero(changed)
+    order = np.lexsort(keys[::-1])
+    for k in keys:
+        k = k[order]
         changed[1:] |= k[1:] != k[:-1]
     return order, np.flatnonzero(changed)
 
 
 def compute_aggregate(agg: ast.FuncCall, env: Environment, order, group_starts, n):
-    """One aggregate column over pre-sorted groups (MySQL NULL semantics)."""
+    """One aggregate column over pre-sorted groups (MySQL NULL semantics).
+
+    ``order`` sorts the rows by group; None when they already are.
+    """
     name = agg.name.upper()
     num_groups = len(group_starts)
     if n == 0:
@@ -293,7 +336,7 @@ def compute_aggregate(agg: ast.FuncCall, env: Environment, order, group_starts, 
     arr = np.asarray(evaluate(agg.args[0], env))
     if arr.ndim == 0:
         arr = np.full(n, arr)
-    sorted_vals = arr[order]
+    sorted_vals = arr if order is None else arr[order]
     ends = np.append(group_starts[1:], n)
 
     if name == "COUNT":
@@ -365,7 +408,7 @@ def grouped_projection(
         order, group_starts = group_structure(keys, n)
     else:
         # One global group (even over zero rows: COUNT(*) = 0).
-        order = np.arange(n)
+        order = None
         group_starts = np.array([0], dtype=np.int64)
 
     num_groups = len(group_starts)
@@ -375,7 +418,9 @@ def grouped_projection(
 
     # Representative-row environment: first member of each group.
     if n > 0:
-        rep_rows = order[group_starts[group_starts < n]]
+        rep_rows = group_starts[group_starts < n]
+        if order is not None:
+            rep_rows = order[rep_rows]
     else:
         rep_rows = np.empty(0, dtype=np.int64)
     rep_cols = {}
@@ -1200,17 +1245,17 @@ class KernelCache:
             size = len(self._entries)
         obs_metrics.gauge("kernel.cache.size").set(size)
 
-    def get_or_compile(self, sel: ast.Select, tables):
+    def get_or_compile(self, sel: ast.Select, tables, key: KernelKey | None = None):
         """Kernel for a select over ``tables``, or None (interpreter path).
 
-        ``tables`` are the resolved FROM/JOIN tables in clause order.
+        ``tables`` are the resolved FROM/JOIN tables in clause order;
+        ``key`` is ``kernel_key(sel)`` when the caller already has it.
         Handles normalization, cache lookup, compilation, and metrics;
         the caller has already checked table existence and indexes.
         """
-        sig = tuple(t.signature() for t in tables)
-        norm_sel, bindings = normalize_select(sel)
-        key = (norm_sel.to_sql(), sig)
-        entry = self.lookup(key)
+        sql, norm_sel, bindings = key or kernel_key(sel)
+        cache_key = (sql, tuple(t.signature() for t in tables))
+        entry = self.lookup(cache_key)
         if entry is None:
             try:
                 if len(tables) == 1:
@@ -1223,7 +1268,7 @@ class KernelCache:
             except KernelFallback:
                 entry = FALLBACK
                 obs_metrics.counter("kernel.fallbacks").add(1)
-            self.store(key, entry)
+            self.store(cache_key, entry)
         if entry is FALLBACK:
             return None
         return entry

@@ -22,6 +22,7 @@ paper-faithful configuration) degrades safely to the SQL dump.
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple, Optional
 
 __all__ = [
     "QUERY_PREFIX",
@@ -46,9 +47,9 @@ __all__ = [
     "result_format_header",
     "deadline_header",
     "trace_header",
-    "parse_trace_header",
     "attempt_header",
-    "parse_attempt_header",
+    "ChunkHeaders",
+    "parse_headers",
 ]
 
 QUERY_PREFIX = "/query2/"
@@ -129,41 +130,57 @@ def trace_header(trace_id: str, span_id: str) -> str:
     return f"{TRACE_HEADER_PREFIX} {trace_id}/{span_id}"
 
 
-def parse_trace_header(text: str):
-    """``(trace_id, parent_span_id)`` from a chunk query, or ``None``.
-
-    Only the leading comment-header block is scanned, mirroring how
-    workers consume every other header.
-    """
-    for line in text.lstrip().splitlines():
-        if line.startswith(TRACE_HEADER_PREFIX):
-            value = line[len(TRACE_HEADER_PREFIX) :].strip()
-            trace_id, sep, span_id = value.partition("/")
-            if not sep or not trace_id or not span_id:
-                return None
-            return trace_id, span_id
-        if not line.startswith("--"):
-            break  # headers only appear before the first statement
-    return None
-
-
 def attempt_header(nonce: str) -> str:
     """The chunk-query header line naming the czar submission."""
     return f"{ATTEMPT_HEADER_PREFIX} {nonce}"
 
 
-def parse_attempt_header(text: str) -> str:
-    """The submission nonce from a chunk query, or ``""`` when absent.
+class ChunkHeaders(NamedTuple):
+    """The comment-header block of a chunk query, decoded, and the SQL after it."""
 
-    Only the leading comment-header block is scanned, mirroring how
-    workers consume every other header.
+    #: ``-- ATTEMPT:`` submission nonce; ``""`` when absent.
+    attempt: str
+    #: ``-- TRACE:`` as ``(trace_id, parent_span_id)``; None when absent or malformed.
+    trace: Optional[tuple[str, str]]
+    #: ``-- RESULT_FORMAT:``; anything but ``binary`` (or no header) is ``sqldump``.
+    result_format: str
+    #: ``-- DEADLINE:`` budget in seconds, clamped at 0; None when absent or malformed.
+    deadline: Optional[float]
+    #: The chunk query below its headers.
+    body: str
+
+
+def parse_headers(text: str) -> ChunkHeaders:
+    """Decode a chunk query's leading ``-- NAME: value`` lines, all in one scan.
+
+    Headers come in any order and only before the first statement; the
+    first line of a name wins, names this worker does not know
+    (``-- SUBCHUNKS:``, a newer master's) are skipped.
     """
-    for line in text.lstrip().splitlines():
-        if line.startswith(ATTEMPT_HEADER_PREFIX):
-            return line[len(ATTEMPT_HEADER_PREFIX) :].strip()
-        if not line.startswith("--"):
-            break  # headers only appear before the first statement
-    return ""
+    values: dict[str, str] = {}
+    text = text.strip()
+    while text.startswith("--"):
+        line, _, text = text.partition("\n")
+        name, colon, value = line.partition(":")
+        if colon:
+            values.setdefault(name + colon, value.strip())
+    trace = None
+    trace_id, slash, span_id = values.get(TRACE_HEADER_PREFIX, "").partition("/")
+    if slash and trace_id and span_id:
+        trace = (trace_id, span_id)
+    try:
+        deadline = max(float(values[DEADLINE_HEADER_PREFIX]), 0.0)
+    except (KeyError, ValueError):
+        deadline = None  # absent or malformed: no budget
+    return ChunkHeaders(
+        attempt=values.get(ATTEMPT_HEADER_PREFIX, ""),
+        trace=trace,
+        result_format=(
+            "binary" if values.get(RESULT_FORMAT_HEADER_PREFIX) == "binary" else "sqldump"
+        ),
+        deadline=deadline,
+        body=text,
+    )
 
 
 def query_path(chunk_id: int) -> str:

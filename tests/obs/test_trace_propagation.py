@@ -16,7 +16,7 @@ import pytest
 from repro.data import build_testbed
 from repro.qserv import HedgePolicy
 from repro.xrd import FaultPlan
-from repro.xrd.protocol import parse_trace_header, query_hash, trace_header
+from repro.xrd.protocol import parse_headers, query_hash, trace_header
 
 SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
@@ -34,14 +34,14 @@ def span_tree(trace):
 class TestHeaderProtocol:
     def test_round_trip(self):
         text = trace_header("t000042", "s7") + "\nSELECT 1"
-        assert parse_trace_header(text) == ("t000042", "s7")
+        assert parse_headers(text).trace == ("t000042", "s7")
 
     def test_absent_header_is_none(self):
-        assert parse_trace_header("SELECT 1") is None
+        assert parse_headers("SELECT 1").trace is None
 
     def test_header_only_scanned_in_the_leading_comment_block(self):
         text = "SELECT 1\n-- TRACE: t1/s1"
-        assert parse_trace_header(text) is None
+        assert parse_headers(text).trace is None
 
     def test_query_hash_ignores_trace_header(self):
         plain = "-- RESULT_FORMAT: binary\nSELECT COUNT(*) FROM Object_1234"

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.partition import Chunker
-from repro.sphgeom import SphericalBox, SphericalCircle
+from repro.sphgeom import (
+    Relationship,
+    SphericalBox,
+    SphericalCircle,
+    SphericalConvexPolygon,
+)
 
 ras = st.floats(min_value=0.0, max_value=359.999, allow_nan=False)
 decs = st.floats(min_value=-89.999, max_value=89.999, allow_nan=False)
@@ -221,6 +226,87 @@ class TestRegionCoverage:
 
     def test_empty_region(self, small_chunker):
         assert len(small_chunker.chunks_intersecting(SphericalBox.empty())) == 0
+
+
+def exhaustive_sub_chunks(chunker, cid, region):
+    """Every sub-chunk of the chunk put to the exact test."""
+    return np.array(
+        [
+            int(scid)
+            for scid in chunker.sub_chunks_of(cid)
+            if region.relate(chunker.sub_chunk_box(cid, scid)) is not Relationship.DISJOINT
+        ],
+        dtype=np.int64,
+    )
+
+
+def regions_around(chunker, cid, rng):
+    """Boxes, circles and triangles in and around the chunk, plus the edge cases."""
+    box = chunker.chunk_box(cid)
+    width, height = box.ra_extent(), box.dec_extent()
+    for _ in range(12):
+        ra = box.ra_min + rng.uniform(-0.6, 1.6) * width
+        dec = float(np.clip(box.dec_min + rng.uniform(-0.6, 1.6) * height, -89.5, 89.5))
+        w, h = rng.uniform(0.01, 0.8) * width, rng.uniform(0.01, 0.8) * height
+        yield SphericalBox(ra, dec, ra + w, min(dec + h, 90.0))
+        yield SphericalCircle(ra, dec, rng.uniform(0.01, 0.7) * height)
+        if abs(dec) < 80:
+            yield SphericalConvexPolygon([(ra, dec), (ra + w, dec), (ra + w / 2, dec + h)])
+    # Covering the whole chunk, touching it edge to edge, and well clear of it.
+    yield box.dilated(0.5 * height)
+    yield box
+    yield SphericalBox(box.ra_min + width, box.dec_min, box.ra_min + 2 * width, box.dec_max)
+    yield SphericalBox(box.ra_min - width, box.dec_min, box.ra_min, box.dec_max)
+    yield SphericalBox(box.ra_min, box.dec_max, box.ra_min + width, min(box.dec_max + 1, 90))
+    yield SphericalBox(box.ra_min + 3 * width, box.dec_min, box.ra_min + 4 * width, box.dec_max)
+    yield SphericalCircle(box.ra_min + 180.0, -box.dec_min, 0.5)
+    yield SphericalBox(0.0, -90.0, 360.0, 90.0)
+    yield SphericalBox.empty()
+
+
+class TestSubChunkCoveragePruning:
+    """``sub_chunks_intersecting`` tests only what the bounding box reaches."""
+
+    @pytest.mark.parametrize(
+        "ra, dec",
+        [
+            (10.0, 5.0),
+            (0.5, 0.5),  # first chunk of its stripe: RA 0 is its left edge
+            (359.5, -0.5),  # last chunk of its stripe: RA 360 is its right edge
+            (359.9, 40.0),
+            (120.0, 89.9),  # the polar caps: one chunk around the pole
+            (300.0, -89.9),
+            (45.0, 84.0),
+            (200.0, -84.0),
+        ],
+    )
+    @pytest.mark.parametrize("chunker", [Chunker(18, 10, 0.05), Chunker(85, 12, 0.01667)])
+    def test_same_ids_as_testing_every_sub_chunk(self, chunker, ra, dec):
+        cid = chunker.chunk_id(ra, dec)
+        rng = np.random.default_rng([int(ra * 10), int(dec * 10) + 900])
+        hits = 0
+        for region in regions_around(chunker, cid, rng):
+            expected = exhaustive_sub_chunks(chunker, cid, region)
+            got = chunker.sub_chunks_intersecting(cid, region)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected, err_msg=repr(region))
+            hits += len(expected) > 0
+        assert hits >= 3  # the chunk itself, its dilation and the full sky
+
+    def test_few_sub_chunk_boxes_are_built(self, paper_chunker, monkeypatch):
+        cid = paper_chunker.chunk_id(1.0, 0.5)
+        box = paper_chunker.chunk_box(cid)
+        region = SphericalBox(
+            box.ra_min + 0.5, box.dec_min + 0.5, box.ra_min + 0.8, box.dec_min + 0.8
+        )
+        built = []
+        real = paper_chunker.sub_chunk_box
+        monkeypatch.setattr(
+            paper_chunker, "sub_chunk_box", lambda c, s: built.append(s) or real(c, s)
+        )
+        found = paper_chunker.sub_chunks_intersecting(cid, region)
+        assert 4 <= len(found) <= 9
+        assert len(built) <= 25 < len(paper_chunker.sub_chunks_of(cid))
 
 
 class TestOverlap:

@@ -16,8 +16,7 @@ from repro.data import build_testbed
 from repro.sql import Database
 
 
-@pytest.fixture(scope="module")
-def env():
+def make_env():
     tb = build_testbed(num_workers=3, num_objects=900, seed=33)
     local = Database("LSST")
     local.create_table(tb.tables["Object"].copy())
@@ -32,6 +31,11 @@ def env():
     scols["chunkId"][:] = tb.chunker.chunk_id(scols["ra"], scols["decl"])
     scols["subChunkId"][:] = tb.chunker.sub_chunk_id(scols["ra"], scols["decl"])
     return tb, local
+
+
+@pytest.fixture(scope="module")
+def env():
+    return make_env()
 
 
 def assert_same_rows(distributed, local, order_insensitive=True):
@@ -244,6 +248,69 @@ def test_near_neighbor_across_chunk_border_and_ra_wrap():
     # opposite sides of RA 0 and of the stripe border at dec 0.
     assert np.any(np.abs(ra[left][li] - ra[ri]) > 300.0)
     assert np.any((dec[left][li] < 0.0) != (dec[ri] < 0.0))
+
+
+#: The benchmark's scan and box classes: (distributed SQL, single-node SQL).
+SCAN_CLASSES = {
+    "hv1": ("SELECT COUNT(*) FROM Object",) * 2,
+    "hv2": (
+        "SELECT objectId, ra_PS, decl_PS, uFlux_SG FROM Object WHERE uRadius_PS > 0.0975",
+    ) * 2,
+    "hv3": (
+        "SELECT count(*) AS n, AVG(ra_PS), AVG(decl_PS), chunkId "
+        "FROM Object GROUP BY chunkId",
+    ) * 2,
+    "lv3": (
+        "SELECT COUNT(*) FROM Object "
+        "WHERE qserv_areaspec_box(0.5, -2.0, 3.0, 2.0) AND uFlux_SG > 1e-30",
+        "SELECT COUNT(*) FROM Object "
+        "WHERE qserv_ptInSphericalBox(ra_PS, decl_PS, 0.5, -2.0, 3.0, 2.0) = 1 "
+        "AND uFlux_SG > 1e-30",
+    ),
+}
+
+
+def test_prepared_scans_equal_cold_scans_and_count_the_same():
+    """Each class cold, then from the workers' prepared statements.
+
+    Both runs equal the single-node answer, and the kernel counters
+    advance per statement executed as they always have: one execution
+    per chunk query plus the czar's merge query, every one of them a
+    cache hit once the first run has compiled.
+    """
+    from repro.obs import metrics as obs_metrics
+
+    def counters():
+        snap = obs_metrics.REGISTRY.snapshot()
+        return [
+            snap.get("kernel." + name, 0)
+            for name in ("executions", "cache.hits", "cache.misses", "fallbacks")
+        ]
+
+    tb, local = make_env()
+    try:
+        kernels = next(iter(tb.workers.values())).db.use_kernels
+        for name, (sql, local_sql) in SCAN_CLASSES.items():
+            expected = local.execute(local_sql)
+            for run in ("cold", "prepared"):
+                before = counters()
+                result = tb.czar.submit(sql)
+                executions, hits, misses, fallbacks = (
+                    b - a for a, b in zip(before, counters())
+                )
+                if name == "hv3":
+                    assert_same_rows(result.table, expected)  # AVG merged exactly here
+                else:
+                    assert sorted(result.table.rows()) == sorted(expected.rows())
+                statements = result.stats.chunks_dispatched + 1 if kernels else 0
+                assert executions == statements, (name, run)
+                assert hits + misses == statements and fallbacks == 0, (name, run)
+                if run == "prepared":
+                    assert misses == 0, name
+        # One entry per class, however many chunks a worker hosts.
+        assert max(len(w._prepared) for w in tb.workers.values()) == len(SCAN_CLASSES)
+    finally:
+        tb.shutdown()
 
 
 def composite_queries():

@@ -1,5 +1,7 @@
 """Tests for the Qserv worker (ofs plugin, sub-chunk build, FIFO queue)."""
 
+import re
+import sys
 import threading
 import time
 
@@ -7,13 +9,14 @@ import numpy as np
 import pytest
 
 from repro.analysis import races
+from repro.obs import metrics as obs_metrics
 from repro.partition import Chunker
 from repro.qserv import QservWorker, WorkerShutdownError
 from repro.qserv import worker as worker_module
 from repro.sql import Database, SqlError, Table
 from repro.sql.dump import load_dump
-from repro.sql.wire import decode_table
-from repro.xrd.protocol import query_hash, query_path, result_path
+from repro.sql.wire import decode_table, encode_table
+from repro.xrd.protocol import parse_headers, query_hash, query_path, result_path
 
 
 def make_worker(slots=0, cache=False):
@@ -189,7 +192,7 @@ def reference_rows(w, cid, text):
     rows = []
     body = [ln for ln in text.splitlines() if not ln.startswith("--")]
     for stmt in filter(None, (s.strip() for s in "\n".join(body).split(";"))):
-        for parent, sub in worker_module._SUBCHUNK_IN_TEXT_RE.findall(stmt):
+        for parent, sub in re.findall(r"\b(\w+?_\d+)_(\d+)\b", stmt):
             db.execute(
                 f"CREATE TABLE IF NOT EXISTS {parent}_{sub} AS "
                 f"SELECT * FROM {parent} WHERE subChunkId = {sub}"
@@ -198,29 +201,47 @@ def reference_rows(w, cid, text):
     return rows
 
 
+def count_parses(monkeypatch):
+    """The statement texts the worker hands to the parser from here on."""
+    calls = []
+    real = worker_module.parse
+
+    def counting(sql):
+        calls.append(sql)
+        return real(sql)
+
+    monkeypatch.setattr(worker_module, "parse", counting)
+    return calls
+
+
+@pytest.fixture()
+def race_detector():
+    """REPRO_SANITIZE=race for this test, whatever the suite runs under."""
+    if races.enabled():
+        yield
+        return
+    races.enable()
+    yield
+    races.disable()
+
+
 class TestSubChunkPipeline:
     """Parse once per shape, partition once per chunk table."""
-
-    def count_parses(self, monkeypatch):
-        calls = []
-        real = worker_module.parse
-
-        def counting(sql):
-            calls.append(sql)
-            return real(sql)
-
-        monkeypatch.setattr(worker_module, "parse", counting)
-        return calls
 
     def test_nine_sub_chunks_parse_once_per_shape(self, monkeypatch):
         w, cid, scids = make_join_worker()
         text = sub_chunk_query(cid, scids)
-        calls = self.count_parses(monkeypatch)
+        calls = count_parses(monkeypatch)
         result = w.execute_chunk_query(cid, text)
         assert len(calls) == 2  # the self pair and the overlap pair
         assert w.stats.statements_executed == 18
         assert result.rows() == reference_rows(w, cid, text)
         assert sum(n for (n,) in result.rows()) > 18
+        # The repeat (SHV1R), and any other choice of sub-chunks: prepared.
+        assert w.execute_chunk_query(cid, text).rows() == result.rows()
+        fewer = sub_chunk_query(cid, scids[2:7])
+        assert w.execute_chunk_query(cid, fewer).rows() == reference_rows(w, cid, fewer)
+        assert len(calls) == 2
 
     def test_rows_keep_statement_order(self):
         w, cid, scids = make_join_worker()
@@ -241,7 +262,7 @@ class TestSubChunkPipeline:
             pair_statement(cid, c),
         ]
         text = f"-- SUBCHUNKS: {a}, {b}, {c}\n" + ";\n".join(statements) + ";"
-        calls = self.count_parses(monkeypatch)
+        calls = count_parses(monkeypatch)
         result = w.execute_chunk_query(cid, text)
         assert len(calls) == 3  # only the last statement reuses a shape
         assert result.rows() == reference_rows(w, cid, text)
@@ -323,17 +344,229 @@ class TestSubChunkPipeline:
         assert w._sub_chunk_refs == {}
 
 
-class TestConcurrentSubChunkSharing:
-    @pytest.fixture()
-    def race_detector(self):
-        """REPRO_SANITIZE=race for this test, whatever the suite runs under."""
-        if races.enabled():
-            yield
-            return
-        races.enable()
-        yield
-        races.disable()
+SCAN_CHUNKS = (711, 712, 713, 714, 715, 716, 717)
+HV3 = (
+    "SELECT count(*) AS n, AVG(ra_PS), AVG(decl_PS), chunkId "
+    "FROM LSST.Object_{cid} AS Object GROUP BY chunkId;"
+)
+HV2 = (
+    "SELECT objectId, ra_PS FROM LSST.Object_{cid} AS Object "
+    "WHERE uRadius_PS > {cut!r};"
+)
 
+
+def scan_table(cid, rows=None, seed=0, ra_dtype=np.float64):
+    rng = np.random.default_rng([cid, seed])
+    n = 40 + cid % 7 if rows is None else rows
+    return Table(
+        f"Object_{cid}",
+        {
+            "objectId": cid * 1000 + np.arange(n, dtype=np.int64),
+            "ra_PS": rng.uniform(0.0, 360.0, n).astype(ra_dtype),
+            "decl_PS": rng.uniform(-5.0, 5.0, n),
+            "uRadius_PS": rng.uniform(0.0, 1.0, n),
+            "chunkId": np.full(n, cid, dtype=np.int64),
+        },
+    )
+
+
+@pytest.fixture(params=[True, False], ids=["kernels", "interpreter"])
+def scan_worker(request):
+    """A worker hosting seven chunks, as one node of a scan does."""
+    db = Database("LSST", use_kernels=request.param)
+    for cid in SCAN_CHUNKS:
+        db.create_table(scan_table(cid))
+    return QservWorker("w-scan", db)
+
+
+def unprepared_rows(w, text):
+    """``text`` through a plain interpreter over copies of the worker's tables."""
+    db = Database("LSST", use_kernels=False)
+    for table in w.db.tables.values():
+        db.create_table(table.copy())
+    rows = []
+    for stmt in filter(None, (s.strip() for s in text.split(";"))):
+        out = db.execute(stmt)
+        rows += out.rows() if out is not None else []
+    return rows
+
+
+class TestPreparedChunkStatements:
+    """One parse per statement shape per worker; the rest is rebinding."""
+
+    def test_a_scan_parses_once_and_its_repeats_never(self, scan_worker, monkeypatch):
+        w = scan_worker
+        calls = count_parses(monkeypatch)
+        for _ in range(3):
+            for cid in SCAN_CHUNKS:
+                text = HV3.format(cid=cid)
+                result = w.execute_chunk_query(cid, "-- RESULT_FORMAT: binary\n" + text)
+                assert result.rows() == unprepared_rows(w, text)
+                assert result.column("chunkId")[0] == cid
+        assert len(calls) == 1
+        assert w.stats.statements_executed == 21
+
+    def test_a_changed_literal_parses_once_more(self, scan_worker, monkeypatch):
+        w = scan_worker
+        calls = count_parses(monkeypatch)
+        for cut in (0.25, 0.75, 0.25):
+            for cid in SCAN_CHUNKS:
+                text = HV2.format(cid=cid, cut=cut)
+                assert w.execute_chunk_query(cid, text).rows() == unprepared_rows(w, text)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            # the chunk table, unaliased, as a column qualifier
+            "SELECT COUNT(*) AS n FROM LSST.Object_{cid} WHERE Object_{cid}.uRadius_PS > 0.5;",
+            # ... in a string
+            "SELECT 'Object_{cid}' AS tag, COUNT(*) AS n FROM LSST.Object_{cid} AS o;",
+            # ... as its own alias, and an output alias that only looks like one
+            "SELECT COUNT(*) AS n FROM LSST.Object_{cid} AS Object_{cid};",
+            "SELECT COUNT(*) AS n_{cid} FROM LSST.Object_{cid} AS o;",
+            "SELECT COUNT(*) AS n_12 FROM LSST.Object_{cid} AS o;",
+            # two chunks in one statement
+            "SELECT COUNT(*) AS n FROM LSST.Object_{cid} AS a, LSST.Object_711 AS b "
+            "WHERE a.objectId = b.objectId + 1000 * ({cid} - 711);",
+        ],
+    )
+    def test_look_alikes_are_parsed_in_full(self, scan_worker, monkeypatch, template):
+        w = scan_worker
+        calls = count_parses(monkeypatch)
+        for cid in (713, 714, 713):
+            text = template.format(cid=cid)
+            result = w.execute_chunk_query(cid, text)
+            reference = Database("LSST", use_kernels=False)
+            for table in w.db.tables.values():
+                reference.create_table(table.copy())
+            expected = reference.execute(text)
+            assert result.column_names == expected.column_names
+            assert result.rows() == expected.rows()
+        assert len(calls) == 3
+        assert len(w._prepared) == 0
+
+    def test_statements_of_one_text_are_prepared_one_by_one(self, scan_worker, monkeypatch):
+        w = scan_worker
+        calls = count_parses(monkeypatch)
+        template = (
+            "CREATE TABLE tmp_{cid} AS SELECT objectId FROM LSST.Object_{cid} AS o "
+            "WHERE uRadius_PS > 0.5;\n"
+            "SELECT COUNT(*) AS n FROM tmp_{cid} AS t;\n"
+            "SELECT COUNT(*) AS n FROM LSST.Object_{cid} AS o;\n"
+            "DROP TABLE tmp_{cid};"
+        )
+        for cid in SCAN_CHUNKS:
+            result = w.execute_chunk_query(cid, template.format(cid=cid))
+            table = w.db.get_table(f"Object_{cid}")
+            assert result.rows() == [
+                (np.count_nonzero(table.column("uRadius_PS") > 0.5),),
+                (table.num_rows,),
+            ]
+        # The two SELECTs once each; the DDL around them every time.
+        assert len(calls) == 2 + 2 * len(SCAN_CHUNKS)
+        assert set(w.db.tables) == {f"Object_{cid}" for cid in SCAN_CHUNKS}
+
+    def test_errors_read_the_same_prepared_or_not(self, scan_worker):
+        w = scan_worker
+        with pytest.raises(SqlError) as cold:
+            w.execute_chunk_query(999, HV3.format(cid=999))
+        w.execute_chunk_query(711, HV3.format(cid=711))
+        with pytest.raises(SqlError) as prepared:
+            w.execute_chunk_query(999, HV3.format(cid=999))
+        assert str(prepared.value) == str(cold.value) == "no such table 'Object_999'"
+        broken = "SELECT count(* FROM LSST.Object_711 AS Object;"
+        with pytest.raises(SqlError) as from_worker:
+            w.execute_chunk_query(711, broken)
+        with pytest.raises(SqlError) as from_engine:
+            w.db.execute(broken)
+        assert str(from_worker.value) == str(from_engine.value)
+        assert str(from_worker.value).startswith("parse error")
+
+    def test_the_cache_is_bounded(self, scan_worker, monkeypatch):
+        w = scan_worker
+        for i in range(1000):
+            w.execute_chunk_query(711, HV2.format(cid=711, cut=i / 1000.0))
+            assert len(w._prepared) <= worker_module._PREPARED_CAPACITY
+        assert len(w._prepared) == worker_module._PREPARED_CAPACITY
+        # Least recently used goes first: the last literal is still
+        # prepared (on any chunk), the first one is not.
+        calls = count_parses(monkeypatch)
+        w.execute_chunk_query(712, HV2.format(cid=712, cut=0.999))
+        assert calls == []
+        w.execute_chunk_query(712, HV2.format(cid=712, cut=0.0))
+        assert len(calls) == 1
+
+    def test_a_replaced_or_dropped_table_is_never_served_stale(self, scan_worker):
+        w = scan_worker
+        for cid in SCAN_CHUNKS:
+            w.execute_chunk_query(cid, HV3.format(cid=cid))
+        # A repair install over the wire: other rows, and a narrower column.
+        replacement = scan_table(713, rows=9, seed=1, ra_dtype=np.float32)
+        w.on_write("/chunk/Object_713", encode_table(replacement, "Object_713"))
+        text = HV3.format(cid=713)
+        result = w.execute_chunk_query(713, text)
+        assert result.column("n")[0] == 9
+        assert result.rows() == unprepared_rows(w, text)
+        w.db.drop_table("Object_714")
+        with pytest.raises(SqlError, match="no such table 'Object_714'"):
+            w.execute_chunk_query(714, HV3.format(cid=714))
+        w.db.create_table(scan_table(714, rows=3, seed=2))
+        assert w.execute_chunk_query(714, HV3.format(cid=714)).column("n")[0] == 3
+
+    def test_kernel_accounting_is_per_statement(self, scan_worker):
+        w = scan_worker
+
+        def counters():
+            snap = obs_metrics.REGISTRY.snapshot()
+            return [
+                snap.get(name, 0)
+                for name in ("kernel.executions", "kernel.cache.hits",
+                             "kernel.cache.misses", "kernel.fallbacks")
+            ]
+
+        w.execute_chunk_query(711, HV3.format(cid=711))  # compiles, prepares
+        before = counters()
+        for cid in SCAN_CHUNKS:
+            w.execute_chunk_query(cid, HV3.format(cid=cid))
+        delta = [b - a for a, b in zip(before, counters())]
+        assert delta == ([7, 7, 0, 0] if w.db.use_kernels else [0, 0, 0, 0])
+
+
+class TestConcurrentPreparedStatements:
+    def test_two_slots_hammering_one_shape(self, race_detector):
+        db = Database("LSST")
+        for cid in SCAN_CHUNKS:
+            db.create_table(scan_table(cid))
+        w = QservWorker("w-scan", db, slots=2)  # locks and tracking under the detector
+        # A budget of its own gives each text its own result path.
+        texts = [
+            (
+                cid,
+                f"-- RESULT_FORMAT: binary\n-- DEADLINE: {100 + round_}\n"
+                + template.format(cid=cid, cut=0.5),
+            )
+            for round_ in range(6)
+            for cid in SCAN_CHUNKS
+            for template in (HV3, HV2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cid, text in texts:
+                w.on_write(query_path(cid), text.encode())
+            for cid, text in texts:
+                data = w.on_read(result_path(query_hash(text)))
+                assert data is not None
+                assert decode_table(data).rows() == unprepared_rows(w, parse_headers(text).body)
+        finally:
+            sys.setswitchinterval(interval)
+            w.shutdown()
+        assert len(w._prepared) == 2
+        assert races.race_report() == []
+
+
+class TestConcurrentSubChunkSharing:
     def test_shared_sub_chunks_keep_refcounts(self, race_detector, monkeypatch):
         # Locks and tracked attributes are created under the detector.
         w, cid, scids = make_join_worker(slots=2)
@@ -345,11 +578,11 @@ class TestConcurrentSubChunkSharing:
         real = w.db.execute_statement
         arrived = threading.local()
 
-        def rendezvous(stmt):
+        def rendezvous(stmt, kernel_key=None):
             if not getattr(arrived, "done", False):
                 arrived.done = True
                 inside.wait(timeout=10.0)
-            return real(stmt)
+            return real(stmt, kernel_key)
 
         monkeypatch.setattr(w.db, "execute_statement", rendezvous)
         texts = [
@@ -491,7 +724,9 @@ class TestDeadlineHeader:
             w.shutdown(timeout=0.5)
 
     def test_header_parsing(self):
-        parse = QservWorker._deadline_seconds
+        def parse(text):
+            return parse_headers(text).deadline
+
         assert parse("-- DEADLINE: 1.500\nSELECT 1;") == pytest.approx(1.5)
         assert parse("-- RESULT_FORMAT: binary\n-- DEADLINE: 3\nSELECT 1;") == 3.0
         assert parse("-- DEADLINE: -2\nSELECT 1;") == 0.0  # clamped

@@ -248,6 +248,92 @@ class TestGoldenResults:
         assert r.rows() == [(1,), (2,), (3,)]
 
 
+def always_sorting_group_structure(keys, n):
+    """``group_structure`` before it skipped the sort for ordered keys."""
+    if n == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    order = np.lexsort(keys[::-1])
+    changed = np.zeros(n, dtype=bool)
+    changed[0] = True
+    for k in keys:
+        changed[1:] |= k[order][1:] != k[order][:-1]
+    return order, np.flatnonzero(changed)
+
+
+def grouping_table(layout: str, n=3000, seed=77) -> Table:
+    """Group keys ``g`` (and ``h``) laid out as ``layout`` says; payload as ever."""
+    rng = np.random.default_rng(seed)
+    if layout == "empty":
+        n = 0
+    g = np.sort(rng.integers(0, 6, n))
+    h = rng.integers(0, 4, n)
+    if layout == "reverse-sorted":
+        g = g[::-1].copy()
+    elif layout == "one group":
+        g = np.full(n, 713, dtype=np.int64)
+    elif layout == "nan key":
+        g = g.astype(np.float64)
+        g[g == 5] = np.nan  # the sorted tail: ordered but for the NaNs
+    elif layout == "both keys sorted":
+        h = h[np.lexsort((h, g))]
+    v = rng.uniform(1e-9, 1e-6, n)
+    v[rng.random(n) < 0.1] = np.nan
+    return Table("T", {"g": g, "h": h, "v": v, "w": rng.integers(0, 9, n)})
+
+
+GROUPED_AGGREGATES = (
+    "COUNT(*) AS n, COUNT(v) AS c, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, "
+    "MAX(v) AS hi, SUM(w) AS sw, COUNT(DISTINCT w) AS d"
+)
+
+
+class TestOrderedGroupKeysSkipTheSort:
+    """Keys already in order take no lexsort and no gathers; same bits out."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["sorted", "reverse-sorted", "one group", "nan key", "first key sorted",
+         "both keys sorted", "empty"],
+    )
+    @pytest.mark.parametrize("group_by", ["g", "g, h", "h, g"])
+    def test_same_bits_as_always_sorting(self, layout, group_by, monkeypatch):
+        from repro.sql import kernels
+
+        table = grouping_table(layout)
+        sql = f"SELECT {group_by}, {GROUPED_AGGREGATES} FROM T GROUP BY {group_by}"
+        result = check(table, sql)
+        monkeypatch.setattr(kernels, "group_structure", always_sorting_group_structure)
+        reference = fresh_pair(table)[0].execute(sql)
+        assert_identical(result, reference)
+        assert (result.num_rows > 0) == (layout != "empty")
+
+    @pytest.mark.parametrize(
+        "layout, group_by, skipped",
+        [
+            ("sorted", ["g"], True),
+            ("one group", ["g"], True),
+            ("one group", ["g", "h"], False),
+            ("both keys sorted", ["g", "h"], True),
+            ("first key sorted", ["g", "h"], False),
+            ("reverse-sorted", ["g"], False),
+            ("nan key", ["g"], False),
+        ],
+    )
+    def test_which_layouts_skip(self, layout, group_by, skipped):
+        from repro.sql.kernels import group_structure
+
+        table = grouping_table(layout)
+        keys = [table.column(name) for name in group_by]
+        order, starts = group_structure(keys, table.num_rows)
+        assert (order is None) == skipped
+        ref_order, ref_starts = always_sorting_group_structure(keys, table.num_rows)
+        np.testing.assert_array_equal(starts, ref_starts)
+        if order is None:
+            np.testing.assert_array_equal(ref_order, np.arange(table.num_rows))
+        else:
+            np.testing.assert_array_equal(order, ref_order)
+
+
 class TestKernelMachinery:
     def test_cache_hit_on_repeat(self, data):
         _, db_k = fresh_pair(data)

@@ -156,12 +156,14 @@ class TestWorkerProtocolEdges:
         )
         assert result.num_rows == 1
 
-    def test_malformed_header_is_error(self):
+    def test_subchunk_header_ids_are_not_read(self):
+        # The statements name their sub-chunk tables; the header's id
+        # list is informational and skipped like any unknown header.
         w, cid = self.make_worker()
-        with pytest.raises(ValueError):
-            w.execute_chunk_query(
-                cid, f"-- SUBCHUNKS: x, y\nSELECT COUNT(*) FROM LSST.Object_{cid} AS o;"
-            )
+        result = w.execute_chunk_query(
+            cid, f"-- SUBCHUNKS: x, y\nSELECT COUNT(*) FROM LSST.Object_{cid} AS o;"
+        )
+        assert result.column("COUNT(*)")[0] == 10
 
     def test_ddl_only_chunk_query_rejected(self):
         from repro.sql import SqlError

@@ -21,10 +21,13 @@ One user query becomes:
    merge query (final aggregation / ORDER / LIMIT) on it and hand the
    result back to the proxy.
 
-Repeated query shapes skip parse/analysis entirely: the czar memoizes
+Repeated query texts skip parse/analysis entirely: the czar memoizes
 ``analyze()`` + aggregation planning + chunk-query generation keyed by
-the normalized SQL text, and dispatch runs on one persistent thread
-pool owned by the czar rather than a pool per query.
+the normalized SQL text; a new text of a known *shape* (the same query
+about another objectId or box, :mod:`repro.sql.shapes`) skips the parse
+and the aggregation planning and redoes only what its numbers decide.
+Dispatch runs on one persistent thread pool owned by the czar rather
+than a pool per query.
 
 Dispatch is resilient by construction (the paper's section 5.6
 fail-over, hardened): every chunk runs under a
@@ -54,7 +57,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures import wait as _futures_wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -67,10 +70,11 @@ from ..obs import progress as obs_progress
 from ..obs import trace as obs_trace
 from ..obs.profile import ChunkProfile, build_profile
 from ..partition import Chunker
-from ..sql import Database, Table
+from ..sql import Database, Table, ast
 from ..sql.dump import load_dump
 from ..sql.engine import ResultTable
-from ..sql.kernels import KernelCache
+from ..sql.kernels import KernelCache, kernel_key
+from ..sql.shapes import ShapeCache, Template, scan
 from ..sql.wire import decode_table, is_wire_payload
 from ..xrd import RedirectError, XrdClient, Redirector
 from ..xrd.filesystem import FileSystemError
@@ -91,7 +95,12 @@ from ..xrd.protocol import (
 from .aggregation import build_aggregation_plan
 from .analysis import QservAnalysisError, analyze
 from .metadata import CatalogMetadata
-from .rewrite import ChunkQuerySpec, generate_chunk_queries, generate_merge_query
+from .rewrite import (
+    ChunkQuerySpec,
+    generate_chunk_queries,
+    generate_merge_query,
+    merge_select,
+)
 from .secondary_index import SecondaryIndex
 from .worker import WorkerCancelledError, WorkerShutdownError
 
@@ -454,6 +463,9 @@ class Czar:
         self._plan_cache: OrderedDict[str, tuple] = OrderedDict()
         self._plan_cache_size = plan_cache_size
         self._plan_lock = make_lock("Czar._plan_lock")
+        # Behind the exact-text plan cache: per statement shape, what
+        # does not depend on the WHERE literals (see _plan).
+        self._shapes = ShapeCache()
         #: This czar's lifetime metrics; per-query registries (behind
         #: QueryStats) parent here, and this one feeds the global
         #: registry, so one increment updates all three levels.
@@ -532,13 +544,27 @@ class Czar:
     # -- planning ------------------------------------------------------------------
 
     def _plan(self, sql: str, stats: Optional[QueryStats] = None):
-        """Analysis + aggregation plan + chunk queries, memoized.
+        """``(analysis, aggregation plan, chunk queries, merge)``, memoized.
 
-        Keyed by whitespace-normalized SQL: a repeated query shape skips
-        parse, analysis, coverage, and rewriting entirely.  Everything
-        cached is derived deterministically from inputs that are fixed
-        for this czar's lifetime (metadata, chunker, available chunks,
-        finalized secondary index), so reuse is sound.
+        ``merge`` is the merge SELECT over a table named ``qserv_merge``
+        and its kernel key, which does not depend on that name.
+
+        Two levels.  In front, keyed by whitespace-normalized SQL: a
+        repeated query text skips parse, analysis, coverage, and
+        rewriting entirely (``plan_cache_hits`` counts these and only
+        these).  Everything cached there is derived deterministically
+        from inputs that are fixed for this czar's lifetime (metadata,
+        chunker, available chunks, finalized secondary index), so reuse
+        is sound.
+
+        Behind it, keyed by statement shape (:mod:`repro.sql.shapes`):
+        a text that differs from an earlier one only in the numbers of
+        its WHERE clause -- another objectId, another box -- takes that
+        one's parsed statement with its own numbers bound, and its
+        aggregation plan and merge SELECT as they are (neither reads the
+        WHERE clause).  What the numbers decide is redone on the bound
+        statement: index values, region construction and validation,
+        coverage, sub-chunk pruning and the chunk-query text.
         """
         key = " ".join(sql.split())
         with self._plan_lock:
@@ -554,18 +580,32 @@ class Czar:
                     self.metrics.counter("czar.plan_cache.hits").add(1)
                 return entry
         self.metrics.counter("czar.plan_cache.misses").add(1)
-        analysis = analyze(sql, self.metadata)
+        shape, values = scan(sql)
+        prepared = self._shapes.get(shape)
+        select = None
+        if prepared is not None:
+            template, plan, merge = prepared
+            bound = template.bind(values)
+            if bound is not None:
+                select = bound[0]
+        analysis = analyze(sql if select is None else select, self.metadata)
         if not analysis.partitioned_refs:
             raise QservAnalysisError(
                 "query references no partitioned table; submit it to a "
                 "plain database instead"
             )
-        plan = build_aggregation_plan(analysis.select)
+        if select is None:
+            plan = build_aggregation_plan(analysis.select)
+            merge_stmt = merge_select(plan, analysis.select, _MERGE_TABLE)
+            merge = merge_stmt, kernel_key(merge_stmt)
+            template = Template.of((analysis.select,), values)
+            if template is not None:
+                self._shapes.put(shape, (template, plan, merge))
         chunk_ids = self.coverage(analysis)
         specs = generate_chunk_queries(
             analysis, plan, self.metadata, self.chunker, chunk_ids
         )
-        entry = (analysis, plan, specs)
+        entry = (analysis, plan, specs, merge)
         if self._plan_cache_size > 0:
             with self._plan_lock:
                 self._plan_cache[key] = entry
@@ -575,7 +615,7 @@ class Czar:
 
     def explain(self, sql: str) -> ExplainReport:
         """Plan a query without dispatching it (the shell's ``\\explain``)."""
-        analysis, plan, specs = self._plan(sql)
+        analysis, plan, specs, _ = self._plan(sql)
         if analysis.has_index_restriction and self.secondary_index is not None:
             mode = "secondary-index"
         elif analysis.region is not None:
@@ -656,7 +696,7 @@ class Czar:
                 progress.stage("plan")
                 plan_t0 = time.perf_counter()
                 with obs_trace.span("plan", parent=root, track="czar") as plan_span:
-                    analysis, plan, specs = self._plan(sql, stats)
+                    analysis, plan, specs, merge = self._plan(sql, stats)
                     plan_span.set(
                         chunks=len(specs), cache_hit=bool(stats.plan_cache_hits)
                     )
@@ -693,8 +733,11 @@ class Czar:
                         # Zero chunks dispatched (empty region / unknown
                         # objectId).
                         merge_name = self._empty_merge_table(merge_db, plan, analysis)
-                    merge_sql = generate_merge_query(plan, analysis.select, merge_name)
-                    result = merge_db.execute(merge_sql)
+                    merge_stmt, merge_key = merge
+                    result = merge_db.execute_statement(
+                        replace(merge_stmt, tables=(ast.TableRef(table=merge_name),)),
+                        merge_key,
+                    )
                     merge_span.set(rows=stats.rows_merged)
                     progress.note_rows(stats.rows_merged)
                 with self._merge_lock:

@@ -29,6 +29,7 @@ __all__ = [
     "ChunkQuerySpec",
     "generate_chunk_queries",
     "generate_merge_query",
+    "merge_select",
     "chunk_table_name",
     "sub_chunk_table_name",
     "overlap_table_name",
@@ -80,9 +81,31 @@ def generate_chunk_queries(
     query whose region intersects no sub-chunk of the chunk (possible
     because coarse coverage is conservative) has an empty result.
     """
+    chunk_ids = [int(cid) for cid in chunk_ids]
+    if not chunk_ids:
+        return []
+    sel = analysis.select
+    where = _chunk_where(analysis, metadata)
+    # ORDER BY / LIMIT pushdown is only safe per-statement for plain
+    # (non-aggregating) queries; the merge phase re-applies both.
+    push_order = sel.order_by if plan.passthrough else ()
+    push_limit = sel.limit if plan.passthrough else None
+    # Pushing a LIMIT below an OFFSET needs limit+offset rows per chunk.
+    if push_limit is not None and sel.offset:
+        push_limit = sel.limit + sel.offset
+    # What every statement of every chunk shares; FROM tables vary.
+    stmt = ast.Select(
+        items=plan.chunk_items,
+        where=where,
+        group_by=sel.group_by,
+        order_by=push_order,
+        limit=push_limit,
+    )
+    if not analysis.needs_subchunks:
+        return _chunk_statements(analysis, metadata, stmt, chunk_ids)
     specs = []
     for cid in chunk_ids:
-        spec = _generate_one(analysis, plan, metadata, chunker, int(cid))
+        spec = _sub_chunk_statements(analysis, metadata, chunker, stmt, cid)
         if spec is not None:
             specs.append(spec)
     return specs
@@ -157,25 +180,26 @@ def _from_list_sql(tables) -> str:
     return ", ".join(t.to_sql() for t in tables)
 
 
-def _generate_one(
+# Stands in for the chunk id while a chunk statement is rendered once
+# for all chunks; no catalog has this many.
+_ANY_CHUNK = 10**18 + 713
+
+
+def _chunk_statements(
     analysis: QueryAnalysis,
-    plan: AggregationPlan,
     metadata: CatalogMetadata,
-    chunker: Chunker,
-    chunk_id: int,
-) -> ChunkQuerySpec:
+    stmt: ast.Select,
+    chunk_ids: list[int],
+) -> list[ChunkQuerySpec]:
+    """One statement per chunk: ``stmt`` over that chunk's tables.
+
+    The statements differ only in the chunk id inside their table
+    names, so the text is rendered once, for a chunk id nobody uses, and
+    each chunk's text is that with its own id substituted.
+    """
     sel = analysis.select
-    where = _chunk_where(analysis, metadata)
 
-    # ORDER BY / LIMIT pushdown is only safe per-statement for plain
-    # (non-aggregating) queries; the merge phase re-applies both.
-    push_order = sel.order_by if plan.passthrough else ()
-    push_limit = sel.limit if plan.passthrough else None
-    # Pushing a LIMIT below an OFFSET needs limit+offset rows per chunk.
-    if push_limit is not None and sel.offset:
-        push_limit = sel.limit + sel.offset
-
-    if not analysis.needs_subchunks:
+    def over(chunk_id: int) -> ast.Select:
         def rewrite(ref: ast.TableRef) -> ast.TableRef:
             if metadata.is_partitioned(ref.table):
                 return _rewrite_ref(
@@ -183,22 +207,36 @@ def _generate_one(
                 )
             return ref
 
-        base_tables = tuple(rewrite(r) for r in sel.tables)
-        joins = tuple(
-            ast.JoinClause(j.kind, rewrite(j.table), j.on) for j in sel.joins
+        return replace(
+            stmt,
+            tables=tuple(rewrite(r) for r in sel.tables),
+            joins=tuple(
+                ast.JoinClause(j.kind, rewrite(j.table), j.on) for j in sel.joins
+            ),
         )
-        stmt = ast.Select(
-            items=plan.chunk_items,
-            tables=base_tables,
-            joins=joins,
-            where=where,
-            group_by=sel.group_by,
-            order_by=push_order,
-            limit=push_limit,
-        )
-        return ChunkQuerySpec(chunk_id=chunk_id, text=stmt.to_sql() + ";")
 
-    # -- sub-chunk (near-neighbor) form ------------------------------------------
+    pieces = (over(_ANY_CHUNK).to_sql() + ";").split(f"_{_ANY_CHUNK}")
+    if len(pieces) - 1 != len(analysis.partitioned_refs):
+        # The stand-in also occurs elsewhere (a literal of the query):
+        # render every chunk in full.
+        return [
+            ChunkQuerySpec(chunk_id=cid, text=over(cid).to_sql() + ";")
+            for cid in chunk_ids
+        ]
+    return [
+        ChunkQuerySpec(chunk_id=cid, text=f"_{cid}".join(pieces)) for cid in chunk_ids
+    ]
+
+
+def _sub_chunk_statements(
+    analysis: QueryAnalysis,
+    metadata: CatalogMetadata,
+    chunker: Chunker,
+    stmt: ast.Select,
+    chunk_id: int,
+) -> ChunkQuerySpec | None:
+    """The sub-chunk (near-neighbor) form of ``stmt`` for one chunk."""
+    sel = analysis.select
     director_refs = [
         r
         for r in analysis.partitioned_refs
@@ -243,25 +281,17 @@ def _generate_one(
     templates = []
     for outer_name in (sub_chunk_table_name, overlap_table_name):
         tables = from_clause(first, outer_name)
-        stmt = ast.Select(
-            items=plan.chunk_items,
-            tables=tables,
-            where=where,
-            group_by=sel.group_by,
-            order_by=push_order,
-            limit=push_limit,
-        )
         from_list = _from_list_sql(tables)
-        head, _, tail = stmt.to_sql().partition(from_list)
+        head, _, tail = replace(stmt, tables=tables).to_sql().partition(from_list)
         if from_list in tail:
             # The FROM list's text also occurs elsewhere (inside a
             # string literal, say): render every sub-chunk in full.
             head = tail = None
-        templates.append((outer_name, stmt, head, tail))
+        templates.append((outer_name, head, tail))
 
     statements: list[str] = []
     for scid in scids:
-        for outer_name, stmt, head, tail in templates:
+        for outer_name, head, tail in templates:
             tables = from_clause(int(scid), outer_name)
             if head is None:
                 statements.append(replace(stmt, tables=tables).to_sql() + ";")
@@ -280,12 +310,19 @@ def _generate_one(
 def generate_merge_query(
     plan: AggregationPlan, select: ast.Select, merge_table: str
 ) -> str:
+    """The final query the czar runs on its merge table, as text."""
+    return merge_select(plan, select, merge_table).to_sql()
+
+
+def merge_select(
+    plan: AggregationPlan, select: ast.Select, merge_table: str
+) -> ast.Select:
     """The final query the czar runs on its merge table."""
     order_items = tuple(
         ast.OrderItem(_merge_order_expr(o.expr, plan, select), o.descending)
         for o in select.order_by
     )
-    stmt = ast.Select(
+    return ast.Select(
         items=plan.merge_items,
         tables=(ast.TableRef(table=merge_table),),
         where=None,
@@ -296,7 +333,6 @@ def generate_merge_query(
         offset=select.offset,
         distinct=select.distinct,
     )
-    return stmt.to_sql()
 
 
 def _merge_order_expr(expr: ast.Expr, plan: AggregationPlan, select: ast.Select) -> ast.Expr:

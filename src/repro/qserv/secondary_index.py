@@ -72,14 +72,26 @@ class SecondaryIndex:
     def __len__(self) -> int:
         return self.db.get_table(INDEX_TABLE).num_rows
 
+    def _rows(self, object_ids) -> np.ndarray:
+        """Positions of the index rows for any of ``object_ids``, ascending.
+
+        The czar's own access to its metadata table: a probe of the
+        ``objectId`` hash index, or one pass over the column while the
+        index is not built yet.
+        """
+        index = self.db.get_index(INDEX_TABLE, "objectId")
+        if index is not None:
+            return index.lookup_many(object_ids)
+        column = self.db.get_table(INDEX_TABLE).column("objectId")
+        return np.flatnonzero(np.isin(column, object_ids))
+
     def lookup(self, object_id: int) -> tuple[int, int] | None:
         """(chunkId, subChunkId) for one objectId, or None if unknown."""
-        out = self.db.execute(
-            f"SELECT chunkId, subChunkId FROM {INDEX_TABLE} WHERE objectId = {int(object_id)}"
-        )
-        if out.num_rows == 0:
+        rows = self._rows([int(object_id)])
+        if len(rows) == 0:
             return None
-        return int(out.column("chunkId")[0]), int(out.column("subChunkId")[0])
+        table = self.db.get_table(INDEX_TABLE)
+        return int(table.column("chunkId")[rows[0]]), int(table.column("subChunkId")[rows[0]])
 
     def chunks_for(self, object_ids) -> np.ndarray:
         """Sorted unique chunk ids containing any of ``object_ids``.
@@ -91,8 +103,5 @@ class SecondaryIndex:
         ids = sorted({int(v) for v in np.atleast_1d(object_ids)})
         if not ids:
             return np.array([], dtype=np.int64)
-        in_list = ", ".join(str(v) for v in ids)
-        out = self.db.execute(
-            f"SELECT DISTINCT chunkId FROM {INDEX_TABLE} WHERE objectId IN ({in_list})"
-        )
-        return np.sort(out.column("chunkId").astype(np.int64))
+        chunk_ids = self.db.get_table(INDEX_TABLE).column("chunkId")
+        return np.unique(chunk_ids[self._rows(ids)]).astype(np.int64)

@@ -34,6 +34,7 @@ from ..obs import trace as obs_trace
 from ..sql import Database, SqlError, Table, ast, dump_table
 from ..sql.engine import ResultTable
 from ..sql.parser import ParseError, parse
+from ..sql.shapes import ShapeCache, Template, scan
 from ..sql.wire import decode_table, encode_table
 from ..xrd import OfsPlugin
 from ..xrd.filesystem import FileSystemError
@@ -159,6 +160,31 @@ def _rebind(stmt: ast.Select, ids: tuple) -> ast.Select:
     )
 
 
+# Stands in for a chunk or sub-chunk id in an id-free statement text;
+# no statement that lexes has it outside a string or comment.
+_ANY_ID = "@"
+
+
+def _cut_ids(text: str) -> tuple:
+    """``(id-free text, ids, names)`` of one statement's text.
+
+    The id-free text is ``text`` with the chunk and sub-chunk ids of the
+    ``names`` chunk-table names in it blanked, ``ids`` those ids as
+    :func:`_rebind` takes them.  The text is None when the names carry
+    more than one chunk id or more than one sub-chunk id.
+    """
+    # [text, base, chunk id, sub-chunk id or None, text, ...]
+    pieces = _CHUNK_TABLE_IN_TEXT_RE.split(text)
+    chunk_ids, sub_ids = set(pieces[2::4]), set(pieces[3::4]) - {None}
+    if len(chunk_ids) > 1 or len(sub_ids) > 1 or _ANY_ID in text:
+        return None, None, 0
+    ids = (next(iter(chunk_ids), None), next(iter(sub_ids), None))
+    names = len(pieces) // 4
+    pieces[2::4] = ["_" + _ANY_ID] * names
+    pieces[3::4] = ["" if sub is None else "_" + _ANY_ID for sub in pieces[3::4]]
+    return "".join(pieces), ids, names
+
+
 def _partition_by_sub_chunk(parent: Table, subs: list[tuple[int, str]]) -> list[Table]:
     """One table per ``(sub-chunk id, name)``, from one pass over ``parent``."""
     sub_chunk_id = parent.column("subChunkId")
@@ -178,7 +204,7 @@ def _partition_by_sub_chunk(parent: Table, subs: list[tuple[int, str]]) -> list[
 
 @track_shared(
     "_results", "_errors", "_deadlines", "_pending_reads", "_cancelled",
-    "_sub_chunk_refs", "_prepared",
+    "_sub_chunk_refs",
 )
 class QservWorker(OfsPlugin):
     """One worker node: local database + ofs plugin + FIFO queue.
@@ -266,8 +292,7 @@ class QservWorker(OfsPlugin):
         self._build_lock = make_lock("QservWorker._build_lock")
         self._sub_chunk_refs: dict[str, int] = {}
         # Prepared chunk statements by shape (see _prepare), LRU.
-        self._prepared_lock = make_lock("QservWorker._prepared_lock")
-        self._prepared: OrderedDict[tuple, tuple] = OrderedDict()
+        self._prepared = ShapeCache(_PREPARED_CAPACITY)
         self.slots = slots
         self._threads: list[threading.Thread] = []
         self._shutdown = False
@@ -644,7 +669,13 @@ class QservWorker(OfsPlugin):
     def execute_chunk_query(self, chunk_id: int, text: str) -> Table:
         """Run one chunk query (with or without headers); the combined result."""
         statements = (s.strip() for s in parse_headers(text).body.split(";"))
-        prepared = [pair for s in statements if s for pair in self._prepare(s)]
+        # The statements of a sub-chunk query are one or two texts
+        # repeated about other sub-chunks: each is scanned and bound
+        # once per chunk query, its repeats only renamed.
+        repeats: dict = {}
+        prepared = [
+            pair for s in statements if s for pair in self._prepare(s, repeats)
+        ]
         sub_chunk_tables = list(
             dict.fromkeys(
                 ref.table
@@ -672,56 +703,60 @@ class QservWorker(OfsPlugin):
         finally:
             self._release_sub_chunks(sub_chunk_tables)
 
-    def _prepare(self, text: str) -> list[tuple]:
+    def _prepare(self, text: str, repeats: dict) -> list[tuple]:
         """``(statement, kernel key)`` pairs for one statement's text.
 
         The chunk queries of one scan, the sub-chunk statements of one
-        chunk query and every repeat of either differ only in the chunk
-        and sub-chunk ids of their table names.  A statement's *shape*
-        is its text with those ids cut out (literals stay: they are part
-        of the AST); the first statement of a shape is parsed and kept,
+        chunk query, every repeat of either, and the same query asked
+        about another object, box or threshold differ only in the chunk
+        and sub-chunk ids of their table names and in the numbers of
+        their WHERE clause.  A statement's *shape* is its text with both
+        cut out (:func:`_cut_ids`, then :func:`repro.sql.shapes.scan`);
+        the first statement of a shape is parsed and kept as a template,
         with the kernel key the engine would derive from it, and a later
-        one is that AST with its chunk tables renamed.  The shortcut is
-        taken only when every chunk-table name in the text is a FROM
-        table (not an alias, qualifier or string that merely looks like
-        one), so that renaming the refs is exactly the textual
+        one is that template with its numbers bound and its chunk tables
+        renamed.  The shortcut is taken only when every chunk-table name
+        in the text is a FROM table (not an alias, qualifier or string
+        that merely looks like one) and the numbers cut from the text
+        are exactly the parsed statement's WHERE/ON literals
+        (:meth:`Template.of <repro.sql.shapes.Template.of>`), so that
+        renaming the refs and binding the values is exactly the textual
         substitution and leaves the kernel key as it was; anything else
         is parsed in full, every time.  Tables are looked up by name at
         execution, so nothing here outlives a dropped or replaced table.
+
+        ``repeats`` lives for one chunk query and holds what was
+        prepared for it, by id-free text: a later statement with that
+        text (the same numbers, then) is the bound statement renamed.
         """
-        # [text, base, chunk id, sub-chunk id or None, text, ...]
-        pieces = _CHUNK_TABLE_IN_TEXT_RE.split(text)
-        chunk_ids, sub_ids = set(pieces[2::4]), set(pieces[3::4]) - {None}
-        shape = None
-        if len(chunk_ids) <= 1 and len(sub_ids) <= 1:
-            ids = (next(iter(chunk_ids), None), next(iter(sub_ids), None))
-            names = len(pieces) // 4
-            pieces[3::4] = [sub is not None for sub in pieces[3::4]]
-            del pieces[2::4]
-            shape = tuple(pieces)
-            with self._prepared_lock:
-                entry = self._prepared.get(shape)
-                if entry is not None:
-                    self._prepared.move_to_end(shape)
+        id_free, ids, names = _cut_ids(text)
+        if id_free is not None:
+            repeat = repeats.get(id_free)
+            if repeat is not None:
+                return [(_rebind(repeat[0], ids), repeat[1])]
+            shape, values = scan(id_free)
+            entry = self._prepared.get(shape)
             if entry is not None:
-                stmt, kernel_key = entry
-                return [(_rebind(stmt, ids), kernel_key)]
+                template, kernel_key = entry
+                bound = template.bind(values)
+                if bound is not None:
+                    repeats[id_free] = bound[0], kernel_key
+                    return [(_rebind(bound[0], ids), kernel_key)]
         try:
             stmts = parse(text)
         except ParseError as e:
             raise SqlError(f"parse error: {e}") from e
-        if shape is None or len(stmts) != 1 or not isinstance(stmts[0], ast.Select):
+        if id_free is None or len(stmts) != 1 or not isinstance(stmts[0], ast.Select):
             return [(stmt, None) for stmt in stmts]
         stmt = stmts[0]
         kernel_key = self.db.kernel_key(stmt)
+        template = Template.of(stmts, values)
         chunk_tables = sum(
             bool(_CHUNK_TABLE_IN_TEXT_RE.fullmatch(ref.table)) for ref in _table_refs(stmt)
         )
-        if chunk_tables == names:
-            with self._prepared_lock:
-                self._prepared[shape] = (stmt, kernel_key)
-                while len(self._prepared) > _PREPARED_CAPACITY:
-                    self._prepared.popitem(last=False)
+        if template is not None and chunk_tables == names:
+            self._prepared.put(shape, (template, kernel_key))
+            repeats[id_free] = stmt, kernel_key
         return [(stmt, kernel_key)]
 
     def _acquire_sub_chunks(self, names: list[str]) -> None:

@@ -23,6 +23,10 @@ relational engine with
 - ``mysqldump``-style table serialization used for results transfer
   (:mod:`~repro.sql.dump`), and the binary columnar wire format that
   replaces it on the hot path (:mod:`~repro.sql.wire`),
+- statement shapes -- the text or AST minus the numbers of its
+  WHERE/ON clauses -- so that a statement about another object, box or
+  threshold is bound into the parse, plan and kernel of the first one
+  (:mod:`~repro.sql.shapes`),
 - a compiler that fuses each chunk-query plan into one cached NumPy
   kernel (:mod:`~repro.sql.kernels`), and an mmap-backed on-disk
   column store so workers host datasets larger than RAM

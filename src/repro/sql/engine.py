@@ -35,7 +35,8 @@ from .errors import SqlError
 from .expr_eval import Environment, contains_aggregate, evaluate
 from .index import HashIndex
 from .kernels import MAX_CROSS_PAIRS, KernelCache, KernelKey, equi_join
-from .parser import ParseError, parse
+from .parser import ParseError
+from .shapes import ShapeCache
 from .table import Column, Table
 
 __all__ = ["Database", "ResultTable", "SqlError"]
@@ -74,6 +75,9 @@ class Database:
             self.kernel_cache = kernel_cache
         else:
             self.kernel_cache = KernelCache() if use_kernels else None
+        # Parsed statements by shape: a text that differs from an
+        # earlier one only in its WHERE/ON numbers is bound, not parsed.
+        self._shapes = ShapeCache()
 
     # -- catalog management -----------------------------------------------------
 
@@ -107,6 +111,10 @@ class Database:
     def has_index(self, table: str, column: str) -> bool:
         return (table, column) in self._indexes
 
+    def get_index(self, table: str, column: str) -> Optional[HashIndex]:
+        """The hash index on ``table.column``, or None if there is none."""
+        return self._indexes.get((table, column))
+
     def _drop_indexes(self, table: str) -> None:
         for key in [k for k in self._indexes if k[0] == table]:
             del self._indexes[key]
@@ -119,7 +127,7 @@ class Database:
         Returns the result of the last SELECT (or None if none ran).
         """
         try:
-            statements = parse(sql)
+            statements = self._shapes.parse(sql)
         except ParseError as e:
             raise SqlError(f"parse error: {e}") from e
         result: Optional[ResultTable] = None
@@ -299,7 +307,7 @@ class Database:
                 + sum(t.num_rows for t in tables)
             )
         _kernels.obs_metrics.counter("kernel.executions").add(1)
-        return kernel(*tables)
+        return kernel(sel, *tables)
 
     # -- binding and joining ----------------------------------------------------------
 

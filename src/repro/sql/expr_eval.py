@@ -23,6 +23,7 @@ __all__ = [
     "contains_aggregate",
     "EvalError",
     "literal_in_values",
+    "in_values",
     "in_list_mask",
 ]
 
@@ -94,20 +95,25 @@ def contains_aggregate(expr: ast.Expr) -> bool:
 
 
 def literal_in_values(items) -> np.ndarray | None:
-    """Candidate array for the ``np.isin`` IN-list fast path, or None.
-
-    The fast path is only taken when it is provably equivalent to the
-    per-item equality loop: every item is a plain literal and the values
-    are homogeneous -- all numeric (NaN-free: the sort-based ``np.isin``
-    would treat NaN == NaN, the loop does not) or all strings.  Shared
-    by the interpreter and the compiled kernels so the decision can
-    never diverge between the two paths.
-    """
+    """:func:`in_values` of an all-literal IN list, else None."""
     values = []
     for item in items:
         if not isinstance(item, ast.Literal):
             return None
         values.append(item.value)
+    return in_values(values)
+
+
+def in_values(values) -> np.ndarray | None:
+    """Candidate array for the ``np.isin`` IN-list fast path, or None.
+
+    The fast path is only taken when it is provably equivalent to the
+    per-item equality loop: the values are homogeneous -- all numeric
+    (NaN-free: the sort-based ``np.isin`` would treat NaN == NaN, the
+    loop does not) or all strings.  Shared by the interpreter and the
+    compiled kernels (which call it with the values bound at execution)
+    so the decision can never diverge between the two paths.
+    """
     if not values:
         return None
     if all(

@@ -48,6 +48,8 @@ class HashIndex:
     def lookup_many(self, values) -> np.ndarray:
         """Union of row positions for many probe values (sorted, unique)."""
         values = np.asarray(values)
+        if values.size == 1:  # the point look-up: nothing to merge
+            return self.lookup(values.flat[0])
         parts = [self.lookup(v) for v in np.unique(values)]
         if not parts:
             return np.empty(0, dtype=np.int64)

@@ -28,9 +28,14 @@ one fused, cached callable:
   diverge from interpreted aggregation by construction.
 
 Kernels are cached in a :class:`KernelCache` (the worker-side analogue
-of the czar plan cache) keyed by *normalized* SQL -- the physical chunk
-table name is replaced by a placeholder so ``Object_713`` and
-``Object_714`` share one kernel -- plus the table's schema signature.
+of the czar plan cache) keyed by the statement's *shape* -- the physical
+chunk table name is replaced by a placeholder so ``Object_713`` and
+``Object_714`` share one kernel, and the numeric literals of the WHERE
+clause are blanked (:mod:`repro.sql.shapes`) so one kernel serves every
+objectId, box and threshold -- plus the table's schema signature.  The
+generated code reads those literals at call time, from the statement it
+is executing, as ``P[i]``: plain Python ``int``/``float`` scalars, so
+NumPy promotes and computes exactly as it does for the interpreter.
 Cache traffic is exported as ``kernel.cache.*`` metrics and annotated
 on the enclosing trace span.
 
@@ -67,9 +72,11 @@ from .expr_eval import (
     contains_aggregate,
     evaluate,
     in_list_mask,
+    in_values,
     literal_in_values,
 )
 from .functions import FUNCTIONS
+from .shapes import blank
 
 __all__ = [
     "KernelCache",
@@ -112,6 +119,17 @@ def split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
     if isinstance(expr, ast.BinaryOp) and expr.op.upper() == "AND":
         return split_conjuncts(expr.left) + split_conjuncts(expr.right)
     return [expr]
+
+
+def _conjunct_paths(expr: ast.Expr | None, path: str) -> list[tuple[ast.Expr, str]]:
+    """:func:`split_conjuncts` with the attribute path that reaches each one."""
+    if expr is None:
+        return []
+    if isinstance(expr, ast.BinaryOp) and expr.op.upper() == "AND":
+        return _conjunct_paths(expr.left, path + ".left") + _conjunct_paths(
+            expr.right, path + ".right"
+        )
+    return [(expr, path)]
 
 
 def _walk(e, fn):
@@ -269,9 +287,10 @@ class KernelKey(NamedTuple):
     it once and hands it back with every execution.
     """
 
-    #: The normalized SELECT as text: the statement half of the cache key.
+    #: The normalized, literal-free SELECT as text: the statement half
+    #: of the cache key.
     sql: str
-    #: The normalized SELECT, compiled on a cache miss.
+    #: That SELECT, compiled on a cache miss.
     select: ast.Select
     #: Binding name per table ref, in clause order.
     bindings: tuple[str, ...]
@@ -279,6 +298,7 @@ class KernelKey(NamedTuple):
 
 def kernel_key(sel: ast.Select) -> KernelKey:
     norm, bindings = normalize_select(sel)
+    norm = blank(norm)
     return KernelKey(norm.to_sql(), norm, bindings)
 
 
@@ -580,6 +600,11 @@ class _Helpers:
         return in_list_mask(val, candidates, items)
 
     @staticmethod
+    def in_params(val, values):
+        """``val IN (values)`` for an all-numeric list bound at call time."""
+        return in_list_mask(val, in_values(values), values)
+
+    @staticmethod
     def isnull(val, negated):
         val = np.asarray(val)
         if np.issubdtype(val.dtype, np.floating):
@@ -611,21 +636,38 @@ _BINOP_FUNCS = {
 
 
 class _Emitter:
-    """Translates a validated expression tree to Python/NumPy source."""
+    """Translates a validated expression tree to Python/NumPy source.
 
-    def __init__(self, binding: str, colset: set[str], col):
+    An expression emitted with a ``path`` (the attribute chain reaching
+    it from the executing statement ``s``, e.g. ``s.where.left``) lies
+    in the WHERE clause: its numeric literals are holes of the
+    statement's shape, so each is emitted as ``P[i]`` and its path
+    recorded in ``params`` -- the list every emitter of one kernel
+    shares, from which :func:`_compile_params` builds the function that
+    reads ``P`` off a statement.  Without a path (the select list)
+    literals are part of the shape and are emitted inline.
+    """
+
+    def __init__(self, binding: str, colset: set[str], col, params: list[str]):
         self.binding = binding
         self.colset = colset
         self.col = col  # column name -> source string
+        self.params = params
         self.consts: list = []
 
     def const(self, value) -> str:
         self.consts.append(value)
         return f"K[{len(self.consts) - 1}]"
 
-    def emit(self, e: ast.Expr) -> str:
+    def emit(self, e: ast.Expr, path: str | None = None) -> str:
+        def sub(child: ast.Expr, step: str) -> str:
+            return self.emit(child, None if path is None else path + step)
+
         if isinstance(e, ast.Literal):
-            return repr(e.value)
+            if path is None or isinstance(e.value, str):
+                return repr(e.value)
+            self.params.append(path + ".value")
+            return f"P[{len(self.params) - 1}]"
         if isinstance(e, ast.Null):
             return "H.nan"
         if isinstance(e, ast.ColumnRef):
@@ -640,10 +682,10 @@ class _Emitter:
             fname = e.name.upper()
             if fname not in FUNCTIONS:
                 raise KernelFallback(f"unknown function {e.name!r}")
-            args = ", ".join(self.emit(a) for a in e.args)
+            args = ", ".join(sub(a, f".args[{i}]") for i, a in enumerate(e.args))
             return f"F[{fname!r}]({args})"
         if isinstance(e, ast.UnaryOp):
-            inner = self.emit(e.operand)
+            inner = sub(e.operand, ".operand")
             if e.op == "-":
                 return f"np.negative({inner})"
             if e.op.upper() == "NOT":
@@ -651,35 +693,43 @@ class _Emitter:
             raise KernelFallback(f"unknown unary operator {e.op!r}")
         if isinstance(e, ast.BinaryOp):
             op = e.op.upper() if e.op.isalpha() else e.op
+            left = sub(e.left, ".left")
+            right = sub(e.right, ".right")
             if op in ("AND", "OR"):
                 glue = "&" if op == "AND" else "|"
-                left = self.emit(e.left)
-                right = self.emit(e.right)
                 return f"(H.as_bool({left}) {glue} H.as_bool({right}))"
-            left = self.emit(e.left)
-            right = self.emit(e.right)
             if op == "/":
                 return f"H.div({left}, {right})"
             if op in _BINOP_FUNCS:
                 return f"{_BINOP_FUNCS[op]}({left}, {right})"
             raise KernelFallback(f"unknown operator {e.op!r}")
         if isinstance(e, ast.Between):
-            src = (
-                f"H.between({self.emit(e.value)}, {self.emit(e.low)}, "
-                f"{self.emit(e.high)}, {e.negated!r})"
+            return (
+                f"H.between({sub(e.value, '.value')}, {sub(e.low, '.low')}, "
+                f"{sub(e.high, '.high')}, {e.negated!r})"
             )
-            return src
         if isinstance(e, ast.InList):
-            val = self.emit(e.value)
-            candidates = literal_in_values(e.items)
+            val = sub(e.value, ".value")
+            holes = path is not None and all(
+                isinstance(i, ast.Literal) and not isinstance(i.value, str)
+                for i in e.items
+            )
+            candidates = None if holes else literal_in_values(e.items)
             if candidates is not None:
                 src = f"H.in_list({val}, {self.const(candidates)}, None)"
             else:
-                items = ", ".join(self.emit(i) for i in e.items)
-                src = f"H.in_list({val}, None, ({items},))"
+                items = ", ".join(
+                    sub(item, f".items[{i}]") for i, item in enumerate(e.items)
+                )
+                if holes:
+                    # The candidate array is rebuilt from the bound
+                    # values, by the interpreter's own rule.
+                    src = f"H.in_params({val}, ({items},))"
+                else:
+                    src = f"H.in_list({val}, None, ({items},))"
             return f"(~{src})" if e.negated else src
         if isinstance(e, ast.IsNull):
-            return f"H.isnull({self.emit(e.value)}, {e.negated!r})"
+            return f"H.isnull({sub(e.value, '.value')}, {e.negated!r})"
         raise KernelFallback(f"cannot compile {type(e).__name__}")
 
 
@@ -691,6 +741,14 @@ def _compile_fn(name: str, lines: list[str], consts: list, label: str):
     fn = ns[name]
     fn.__kernel_source__ = src
     return fn
+
+
+def _compile_params(params: list[str]):
+    """``s -> P``: the hole values of statement ``s``, read by attribute path."""
+    if not params:
+        return None
+    lines = ["def _params(s):", f"    return ({', '.join(params)},)"]
+    return _compile_fn("_params", lines, [], "params")
 
 
 def _account_scan(arrays) -> None:
@@ -709,56 +767,66 @@ def _account_scan(arrays) -> None:
 class CompiledKernel:
     """One fused filter+project(+aggregate) callable for a query template.
 
-    Calling it with a table returns the result columns (pre-DISTINCT,
-    pre-ORDER BY -- the engine applies those on the output, exactly as
-    it does for the interpreted path).
+    Calling it with a statement of its shape and that statement's table
+    returns the result columns (pre-DISTINCT, pre-ORDER BY -- the engine
+    applies those on the output, exactly as it does for the interpreted
+    path).  The statement supplies the WHERE literals; everything else
+    about it is what the kernel was compiled from.
     """
 
     __slots__ = (
-        "sel",
         "binding",
         "needed",
+        "params_fn",
         "mask_fn",
         "stage_fns",
         "project_fn",
+        "gathers",
         "grouped",
         "aggregates",
         "env_cols",
         "sources",
     )
 
-    def __init__(self, sel, binding, needed, mask_fn, stage_fns, project_fn,
-                 grouped, aggregates, env_cols, sources):
-        self.sel = sel
+    def __init__(self, binding, needed, params_fn, mask_fn, stage_fns, project_fn,
+                 gathers, grouped, aggregates, env_cols, sources):
         self.binding = binding
         self.needed = needed
+        self.params_fn = params_fn
         self.mask_fn = mask_fn
         self.stage_fns = stage_fns
         self.project_fn = project_fn
+        self.gathers = gathers
         self.grouped = grouped
         self.aggregates = aggregates
         self.env_cols = env_cols
         self.sources = sources
 
-    def __call__(self, table) -> dict[str, np.ndarray]:
+    def __call__(self, sel: ast.Select, table) -> dict[str, np.ndarray]:
         C = {name: table.column(name) for name in self.needed}
         n = table.num_rows
         _account_scan(C.values())
+        P = self.params_fn(sel) if self.params_fn is not None else ()
 
-        m = self.mask_fn(C, n) if self.mask_fn is not None else None
+        m = self.mask_fn(C, n, P) if self.mask_fn is not None else None
         if self.stage_fns:
             s = np.flatnonzero(m) if m is not None else np.arange(n)
             for fn in self.stage_fns:
-                keep = fn(C, s, len(s))
+                keep = fn(C, s, len(s), P)
                 s = s[keep]
             sel_idx: object = s
             ns = len(s)
-        elif m is not None:
-            sel_idx = m
-            ns = int(np.count_nonzero(m))
-        else:
+        elif m is None:
             sel_idx = None
             ns = n
+        elif self.gathers:
+            # One conversion, then index gathers: boolean indexing
+            # re-scans the whole mask for every column it cuts.
+            sel_idx = np.flatnonzero(m)
+            ns = len(sel_idx)
+        else:
+            sel_idx = m
+            ns = int(np.count_nonzero(m))
 
         if self.grouped:
             cols = {
@@ -766,7 +834,7 @@ class CompiledKernel:
                 for c in self.env_cols
             }
             env = Environment(cols, ns)
-            return grouped_projection(self.sel, env, self.aggregates)
+            return grouped_projection(sel, env, self.aggregates)
         return self.project_fn(C, sel_idx, ns)
 
 
@@ -862,19 +930,20 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
         raise KernelFallback(f"unresolvable reference: {problems[0]}")
 
     # -- WHERE: cheap conjuncts fused full-table, UDF conjuncts on survivors --
-    conjuncts = split_conjuncts(sel.where)
-    cheap = [c for c in conjuncts if not _contains_func(c)]
-    expensive = [c for c in conjuncts if _contains_func(c)]
-    for c in expensive:
+    conjuncts = _conjunct_paths(sel.where, "s.where")
+    cheap = [(c, path) for c, path in conjuncts if not _contains_func(c)]
+    expensive = [(c, path) for c, path in conjuncts if _contains_func(c)]
+    for c, _ in expensive:
         if contains_aggregate(c):
             raise KernelFallback("aggregate in WHERE")
 
     sources: list[str] = []
+    params: list[str] = []  # one P for all the stages below
     mask_fn = None
     if cheap:
-        em = _Emitter(binding, colset, lambda cn: f"C[{cn!r}]")
-        exprs = [f"H.as_mask({em.emit(c)}, n)" for c in cheap]
-        lines = ["def _mask(C, n):"]
+        em = _Emitter(binding, colset, lambda cn: f"C[{cn!r}]", params)
+        exprs = [f"H.as_mask({em.emit(c, path)}, n)" for c, path in cheap]
+        lines = ["def _mask(C, n, P):"]
         if len(exprs) == 1:
             lines.append(f"    m = {exprs[0]}")
         else:
@@ -888,7 +957,7 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
         sources.append(mask_fn.__kernel_source__)
 
     stage_fns = []
-    for si, c in enumerate(expensive):
+    for si, (c, path) in enumerate(expensive):
         cols_used: dict[str, str] = {}
 
         def col(cn, cols_used=cols_used):
@@ -896,9 +965,9 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
                 cols_used[cn] = f"g{len(cols_used)}"
             return cols_used[cn]
 
-        em = _Emitter(binding, colset, col)
-        expr_src = em.emit(c)
-        lines = [f"def _stage(C, s, ns):"]
+        em = _Emitter(binding, colset, col, params)
+        expr_src = em.emit(c, path)
+        lines = ["def _stage(C, s, ns, P):"]
         for cn, var in cols_used.items():
             lines.append(f"    {var} = H.gather(C[{cn!r}], s)")
         lines.append(f"    return H.as_mask({expr_src}, ns)")
@@ -911,6 +980,7 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
     env_cols: list[str] = []
     if grouped:
         env_cols = [c for c in schema_names if c in referenced_columns(sel)]
+        gathers = bool(env_cols)
     else:
         cols_used = {}
 
@@ -919,7 +989,7 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
                 cols_used[cn] = f"g{len(cols_used)}"
             return cols_used[cn]
 
-        em = _Emitter(binding, colset, col)
+        em = _Emitter(binding, colset, col, params)
         outputs: list[tuple[str, str]] = []
         name_iter = iter(out_names)
         for item in sel.items:
@@ -937,6 +1007,7 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
         lines.append("    return out")
         project_fn = _compile_fn("_project", lines, em.consts, "project")
         sources.append(project_fn.__kernel_source__)
+        gathers = bool(cols_used)
 
     wants_star = any(isinstance(i.expr, ast.Star) for i in sel.items)
     needed = set(referenced_columns(sel)) & colset
@@ -946,12 +1017,13 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
     needed_ordered = [c for c in schema_names if c in needed]
 
     return CompiledKernel(
-        sel=sel,
         binding=binding,
         needed=needed_ordered,
+        params_fn=_compile_params(params),
         mask_fn=mask_fn,
         stage_fns=stage_fns,
         project_fn=project_fn,
+        gathers=gathers,
         grouped=grouped,
         aggregates=aggregates,
         env_cols=env_cols,
@@ -974,19 +1046,23 @@ class JoinKernel:
     the interpreter's own ``evaluate`` -- over one side's rows, over
     the candidate pairs, or over the surviving pairs -- and is
     bit-identical to evaluating it over the full cross product because
-    every registered function is elementwise.
+    every registered function is elementwise.  The expressions are
+    those of the statement being executed (conjuncts are kept by their
+    position in its WHERE clause), so its literals apply, not the ones
+    the kernel was compiled from.
     """
 
-    sel: ast.Select
     bindings: tuple[str, str]
     #: Per side, the columns any stage reads, in schema order.
     needed: tuple[list[str], list[str]]
-    #: Per side, the conjuncts that reference only that side.
+    #: Per side, the (positions of the) conjuncts that reference only
+    #: that side.
     side_filters: tuple[list, list]
     #: ``("equi", left column, right column)`` or
-    #: ``("band", left dec column, right dec column, radius)``.
+    #: ``("band", left dec column, right dec column, position of the
+    #: ``qserv_angSep(...) < radius`` conjunct)``.
     pairing: tuple
-    #: ``(conjunct, (side, column) refs)`` for every two-sided conjunct.
+    #: ``(position, (side, column) refs)`` for every two-sided conjunct.
     pair_conjuncts: list
     #: ``(side, column)`` refs of the select list, GROUP BY and HAVING.
     output_columns: list
@@ -994,20 +1070,21 @@ class JoinKernel:
     aggregates: list
     out_names: list[str]
 
-    def __call__(self, left, right) -> dict[str, np.ndarray]:
+    def __call__(self, sel: ast.Select, left, right) -> dict[str, np.ndarray]:
+        conjuncts = split_conjuncts(sel.where)
         sides = tuple(
             {name: table.column(name) for name in needed}
             for table, needed in zip((left, right), self.needed)
         )
         _account_scan([arr for C in sides for arr in C.values()])
         kept = (
-            self._side_rows(0, sides[0], left.num_rows),
-            self._side_rows(1, sides[1], right.num_rows),
+            self._side_rows(0, conjuncts, sides[0], left.num_rows),
+            self._side_rows(1, conjuncts, sides[1], right.num_rows),
         )
-        pairs = self._candidates(sides, kept)
-        for conjunct, refs in self.pair_conjuncts:
+        pairs = self._candidates(conjuncts, sides, kept)
+        for position, refs in self.pair_conjuncts:
             env = self._pair_env(sides, pairs, refs)
-            keep = _Helpers.as_mask(evaluate(conjunct, env), env.length)
+            keep = _Helpers.as_mask(evaluate(conjuncts[position], env), env.length)
             pairs = (pairs[0][keep], pairs[1][keep])
         # The interpreter's order: left rows ascending, and per left row
         # its right matches ascending.
@@ -1016,26 +1093,26 @@ class JoinKernel:
 
         env = self._pair_env(sides, pairs, self.output_columns)
         if self.grouped:
-            return grouped_projection(self.sel, env, self.aggregates)
+            return grouped_projection(sel, env, self.aggregates)
         return {
             name: _Helpers.as_col(evaluate(item.expr, env), env.length)
-            for name, item in zip(self.out_names, self.sel.items)
+            for name, item in zip(self.out_names, sel.items)
         }
 
-    def _side_rows(self, side: int, C: dict, n: int):
+    def _side_rows(self, side: int, conjuncts: list, C: dict, n: int):
         """Row indices of one side passing its own conjuncts; None = all."""
-        conjuncts = self.side_filters[side]
-        if not conjuncts:
+        positions = self.side_filters[side]
+        if not positions:
             return None
         binding = self.bindings[side]
         env = Environment({(binding, name): arr for name, arr in C.items()}, n)
         mask = None
-        for conjunct in conjuncts:
-            m = _Helpers.as_mask(evaluate(conjunct, env), n)
+        for position in positions:
+            m = _Helpers.as_mask(evaluate(conjuncts[position], env), n)
             mask = m if mask is None else mask & m
         return np.flatnonzero(mask)
 
-    def _candidates(self, sides, kept):
+    def _candidates(self, conjuncts, sides, kept):
         """Candidate (left rows, right rows): a superset of the answer."""
         kind, left_col, right_col = self.pairing[:3]
         left_rows, right_rows = kept
@@ -1046,7 +1123,8 @@ class JoinKernel:
             right_vals, right_rows = _drop_unmatched(right_vals, right_rows, left_vals)
             li, ri = equi_join(left_vals, right_vals)
         else:
-            li, ri = _band_join(left_vals, right_vals, self.pairing[3])
+            radius = float(conjuncts[self.pairing[3]].right.value)
+            li, ri = _band_join(left_vals, right_vals, radius)
         if left_rows is not None:
             li = left_rows[li]
         if right_rows is not None:
@@ -1118,19 +1196,20 @@ def compile_join(sel: ast.Select, bindings, schemas) -> JoinKernel:
     pair_conjuncts = []
     pairing = None
     band = None
-    for conjunct in split_conjuncts(sel.where):
+    conjuncts = split_conjuncts(sel.where)
+    for position, conjunct in enumerate(conjuncts):
         if contains_aggregate(conjunct):
             raise KernelFallback("aggregate in WHERE")
         refs = refs_of(conjunct)
         sides = {side for side, _ in refs}
         if len(sides) == 1:
-            side_filters[sides.pop()].append(conjunct)
+            side_filters[sides.pop()].append(position)
             continue
-        pair_conjuncts.append((conjunct, refs))
+        pair_conjuncts.append((position, refs))
         if pairing is None:
             pairing = _equi_pairing(conjunct, side_of)
         if band is None:
-            band = _band_pairing(conjunct, side_of)
+            band = _band_pairing(conjunct, position, side_of)
     pairing = pairing or band
     if pairing is None:
         raise KernelFallback("no conjunct to pair the two tables by")
@@ -1139,13 +1218,14 @@ def compile_join(sel: ast.Select, bindings, schemas) -> JoinKernel:
     # are covered too.
     referenced = set(output_columns)
     referenced.update(ref for _, refs in pair_conjuncts for ref in refs)
-    referenced.update(refs_of(*side_filters[0], *side_filters[1]))
+    referenced.update(
+        refs_of(*(conjuncts[p] for p in side_filters[0] + side_filters[1]))
+    )
     needed = tuple(
         [name for name in schema_names[side] if (side, name) in referenced]
         for side in (0, 1)
     )
     return JoinKernel(
-        sel=sel,
         bindings=tuple(bindings),
         needed=needed,
         side_filters=side_filters,
@@ -1172,11 +1252,12 @@ def _equi_pairing(conjunct: ast.Expr, side_of):
     return ("equi", a.column, b.column)
 
 
-def _band_pairing(conjunct: ast.Expr, side_of):
-    """``("band", left dec, right dec, radius)`` for a near-neighbour cut.
+def _band_pairing(conjunct: ast.Expr, position: int, side_of):
+    """``("band", left dec, right dec, position)`` for a near-neighbour cut.
 
     Matches ``qserv_angSep(p.ra, p.dec, q.ra, q.dec) < | <= number``
-    with ``p`` and ``q`` on opposite sides of the join.
+    with ``p`` and ``q`` on opposite sides of the join; the radius is
+    read from the conjunct at ``position`` of the executing statement.
     """
     if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op in ("<", "<=")):
         return None
@@ -1196,7 +1277,7 @@ def _band_pairing(conjunct: ast.Expr, side_of):
     if first == second:
         return None
     decs = (call.args[1].column, call.args[3].column)
-    return ("band", decs[first], decs[second], float(limit.value))
+    return ("band", decs[first], decs[second], position)
 
 
 # -- the cache ----------------------------------------------------------------------

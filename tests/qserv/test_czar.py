@@ -291,3 +291,121 @@ class TestProxySession:
         tb.proxy.query("SELECT COUNT(*) FROM Object")
         assert tb.proxy.log.queries == before + 1
         assert tb.proxy.log.distributed_queries >= 1
+
+
+class TestFreshLiteralsOfOneShape:
+    """The 2nd..Nth literal of a shape is bound, not parsed -- and planned anew.
+
+    What the numbers decide (index values, the region, coverage, the
+    chunk-query text) is redone for every query; only what the shape
+    decides is kept.  ``plan_cache_hits`` keeps counting exact repeats.
+    """
+
+    LV1 = "SELECT objectId, ra_PS, decl_PS FROM Object WHERE objectId = {}"
+    LV3 = (
+        "SELECT COUNT(*) FROM Object "
+        "WHERE qserv_areaspec_box({}, {}, {}, {}) AND uFlux_SG > 1e-30"
+    )
+
+    def dispatched(self, result):
+        return sorted(p.chunk_id for p in result.stats.chunk_profiles)
+
+    def box_count(self, objects, ra_min, dec_min, ra_max, dec_max):
+        inside = SphericalBox(ra_min, dec_min, ra_max, dec_max).contains(
+            objects["ra_PS"], objects["decl_PS"]
+        )
+        return int(np.count_nonzero(inside & (objects["uFlux_SG"] > 1e-30)))
+
+    def test_an_object_in_another_chunk_goes_to_that_chunk(self, tb, objects):
+        home = tb.chunker.chunk_id(objects["ra_PS"], objects["decl_PS"])
+        shapes = len(tb.czar._shapes)
+        seen = set()
+        for chunk in (288, 322, 324, 358, 288):
+            row = int(np.flatnonzero(home == chunk)[len(seen)])
+            oid = int(objects["objectId"][row])
+            sql = self.LV1.format(oid)
+            r = tb.query(sql)
+            assert r.table.rows() == [(oid, objects["ra_PS"][row], objects["decl_PS"][row])]
+            assert self.dispatched(r) == [chunk]
+            assert r.stats.plan_cache_hits == 0  # a new literal is a new text
+            assert tb.query(sql).stats.plan_cache_hits == 1
+            seen.add(chunk)
+        assert len(tb.czar._shapes) == shapes + 1
+
+    def test_an_unknown_object_reaches_no_chunk(self, tb, objects):
+        known = int(objects["objectId"][5])
+        count = "SELECT COUNT(*) FROM Object WHERE objectId = {}"
+        for template, answers in (
+            (self.LV1, {known: 1, 999999999: 0, 888888888: 0}),
+            (count, {known: [(1,)], 999999999: [(0,)], 888888888: [(0,)]}),
+        ):
+            for oid, expected in answers.items():
+                r = tb.query(template.format(oid))
+                assert r.stats.chunks_dispatched == (1 if oid == known else 0)
+                if template is count:
+                    assert r.table.rows() == expected
+                else:
+                    assert r.table.num_rows == expected
+            # ... and back: the template was not left pointing nowhere.
+            assert tb.query(template.format(known)).stats.chunks_dispatched == 1
+
+    @pytest.mark.parametrize(
+        "boxes",
+        [
+            # one sign pattern each, so each list is one shape
+            [
+                ((1.0, 1.0, 3.0, 3.0), [324]),
+                ((359.0, 1.0, 359.5, 3.0), [358]),
+                ((359.0, 1.0, 1.0, 3.0), [324, 358]),  # across RA 0
+                ((359.0, 1.0, 361.0, 3.0), [324, 358]),
+                ((1.0, 3.0, 3.0, 1.0), [324]),  # swapped declination bounds
+            ],
+            [
+                ((1.0, -3.0, 3.0, -1.0), [288]),
+                ((1.0, -1.0, 3.0, -1.0), [288]),
+                ((358.0, -3.0, 359.0, -1.0), [322]),
+            ],
+            [
+                ((1.0, -1.0, 3.0, 1.0), [288, 324]),  # across the stripe border
+                ((359.0, -1.0, 1.0, 1.0), [288, 322, 324, 358]),
+                ((358.0, -1.0, 359.0, 1.0), [322, 358]),
+            ],
+        ],
+    )
+    def test_a_box_moved_across_borders_is_covered_anew(self, tb, objects, boxes):
+        shapes = len(tb.czar._shapes)
+        for box, chunks in boxes:
+            r = tb.query(self.LV3.format(*box))
+            ra_min, dec_min, ra_max, dec_max = box
+            expected = self.box_count(
+                objects, ra_min, min(dec_min, dec_max), ra_max, max(dec_min, dec_max)
+            )
+            assert r.table.rows() == [(expected,)]
+            assert self.dispatched(r) == chunks
+            assert r.stats.plan_cache_hits == 0
+        assert len(tb.czar._shapes) <= shapes + 1
+
+    def test_an_invalid_polygon_is_rejected_on_every_use_of_its_shape(self, tb, objects):
+        poly = "SELECT COUNT(*) FROM Object WHERE qserv_areaspec_poly({}, {}, {}, {}, {}, {}, {}, {})"
+        convex = (1.0, 1.0, 3.0, 1.0, 3.0, 3.0, 1.0, 3.0)
+        bowtie = (1.0, 1.0, 3.0, 3.0, 3.0, 1.0, 1.0, 3.0)
+        collapsed = (1.0, 1.0, 1.0, 1.0, 3.0, 3.0, 1.0, 3.0)
+        first = tb.query(poly.format(*convex)).table.rows()
+        assert first[0][0] > 0
+        for bad in (bowtie, collapsed, bowtie):
+            with pytest.raises(QservAnalysisError, match="qserv_areaspec_poly"):
+                tb.query(poly.format(*bad))
+        moved = tuple(v + 0.5 for v in convex)
+        assert tb.query(poly.format(*moved)).table.rows() != first
+        assert tb.query(poly.format(*convex)).table.rows() == first
+
+    def test_errors_read_the_same_on_every_use(self, tb):
+        messages = []
+        for k in (1, 2, 3):
+            with pytest.raises(QservAnalysisError) as raised:
+                tb.query(f"SELECT COUNT(*) FROM Object WHERE objectId = {k} AND qserv_areaspec_box(1, 2)")
+            messages.append(str(raised.value))
+        assert len(set(messages)) == 1 and "takes 4 arguments" in messages[0]
+        for k in (1, 2):
+            with pytest.raises(QservAnalysisError, match="parse error"):
+                tb.query(f"SELECT COUNT(* FROM Object WHERE objectId = {k}")

@@ -313,6 +313,113 @@ def test_prepared_scans_equal_cold_scans_and_count_the_same():
         tb.shutdown()
 
 
+def _box(ra, dec, width, height):
+    return (round(ra, 4), round(dec, 4), round(ra + width, 4), round(dec + height, 4))
+
+
+#: The benchmark's fresh-literal classes: (distributed SQL, single-node
+#: SQL, literal sets).  Boxes sit at positive declinations so that every
+#: set of a class has one sign pattern, i.e. one shape.
+FRESH_LITERAL_CLASSES = {
+    "lv1": (
+        "SELECT objectId, ra_PS, decl_PS FROM Object WHERE objectId = {0}",
+        None,
+        [(5,), (311,), (899,), (10**9,), (42,)],
+    ),
+    "lv2": (
+        "SELECT taiMidPoint, fluxToAbMag(psfFlux), ra, decl FROM Source WHERE objectId = {0}",
+        None,
+        [(7,), (450,), (10**9,), (888,)],
+    ),
+    "lv3": (
+        "SELECT COUNT(*) FROM Object WHERE qserv_areaspec_box({0}, {1}, {2}, {3}) "
+        "AND uFlux_SG > 1e-30",
+        "SELECT COUNT(*) FROM Object WHERE "
+        "qserv_ptInSphericalBox(ra_PS, decl_PS, {0}, {1}, {2}, {3}) = 1 AND uFlux_SG > 1e-30",
+        [_box(1.0, 1.0, 0.5, 0.5), _box(359.7, 0.5, 0.5, 0.5), _box(3.0, 2.0, 2.5, 1.5),
+         _box(200.0, 80.0, 0.5, 0.5)],
+    ),
+    "hv2": (
+        "SELECT objectId, ra_PS, decl_PS, uFlux_SG FROM Object WHERE uRadius_PS > {0}",
+        None,
+        [(0.0975,), (0.0123,), (0.9,), (0.0,)],
+    ),
+    "shv1": (
+        "SELECT COUNT(*) FROM Object o1, Object o2 "
+        "WHERE qserv_areaspec_box({0}, {1}, {2}, {3}) AND "
+        "qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < {4}",
+        "SELECT COUNT(*) FROM Object o1, Object o2 "
+        "WHERE qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, {0}, {1}, {2}, {3}) = 1 AND "
+        "qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < {4}",
+        [_box(1.0, 1.0, 1.5, 1.5) + (0.04,), _box(359.2, 0.2, 1.5, 1.5) + (0.045,),
+         _box(2.0, 3.0, 2.0, 1.0) + (0.02,)],
+    ),
+    "shv2": (
+        "SELECT o.objectId, s.sourceId FROM Object o, Source s "
+        "WHERE qserv_areaspec_box({0}, {1}, {2}, {3}) AND o.objectId = s.objectId "
+        "AND qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > {4}",
+        "SELECT o.objectId, s.sourceId FROM Object o, Source s "
+        "WHERE qserv_ptInSphericalBox(o.ra_PS, o.decl_PS, {0}, {1}, {2}, {3}) = 1 "
+        "AND o.objectId = s.objectId "
+        "AND qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > {4}",
+        [_box(1.0, 1.0, 1.0, 1.0) + (0.0001,), _box(359.5, 2.0, 1.0, 1.0) + (0.00005,),
+         _box(4.0, 0.5, 1.5, 1.0) + (0.0002,)],
+    ),
+}
+
+
+def test_fresh_literals_of_one_shape_equal_the_single_node_answer():
+    """Every class on its 1st (parsed) and 2nd..Nth (bound) literal set.
+
+    The czar parses a class once and keeps one shape for it, every
+    worker one prepared statement per chunk-statement shape; a new
+    literal set is never an exact-text plan hit, the same text again is.
+    Sources of an object scattered into a neighbouring chunk are
+    invisible to chunk-local joins (ROADMAP item 6), so SHV2 is compared
+    on the objects whose family is whole.
+    """
+    tb, local = make_env()
+    try:
+        src = tb.tables["Source"]
+        obj = tb.tables["Object"]
+        src_chunk = tb.chunker.chunk_id(src.column("ra"), src.column("decl"))
+        obj_chunk = tb.chunker.chunk_id(obj.column("ra_PS"), obj.column("decl_PS"))
+        split = set(
+            src.column("objectId")[src_chunk != obj_chunk[src.column("objectId")]].tolist()
+        )
+        answered = dict.fromkeys(FRESH_LITERAL_CLASSES, 0)
+        for name, (sql, local_sql, literal_sets) in FRESH_LITERAL_CLASSES.items():
+            shapes = len(tb.czar._shapes)
+            for values in literal_sets:
+                text = sql.format(*values)
+                result = tb.czar.submit(text)
+                assert result.stats.plan_cache_hits == 0, (name, values)
+                expected = local.execute((local_sql or sql).format(*values)).rows()
+                got = result.table.rows()
+                if name == "shv2":
+                    expected = [r for r in expected if r[0] not in split]
+                    got = [r for r in got if r[0] not in split]
+                if name == "lv2" and values[0] in split:
+                    continue
+                assert sorted(map(repr, got)) == sorted(map(repr, expected)), (name, values)
+                answered[name] += len(got) if name != "shv1" else got[0][0]
+                again = tb.czar.submit(text)
+                assert again.stats.plan_cache_hits == 1
+                assert sorted(map(repr, again.table.rows())) == sorted(
+                    map(repr, result.table.rows())
+                )
+            assert len(tb.czar._shapes) == shapes + 1, name
+        # Nothing above compared empty answers only.
+        assert all(answered.values()), answered
+        # SHV1 has two statement shapes per chunk query (self and
+        # overlap pair), the other classes one each.
+        assert max(len(w._prepared) for w in tb.workers.values()) <= len(
+            FRESH_LITERAL_CLASSES
+        ) + 1
+    finally:
+        tb.shutdown()
+
+
 def composite_queries():
     """Random full SELECTs mixing filters, aggregates, grouping, ordering."""
     predicates = st.lists(

@@ -87,3 +87,27 @@ class TestIncrementalBuild:
         idx.finalize()
         assert len(idx) == 3
         assert idx.lookup(3) == (30, 2)
+
+    def test_answers_before_and_after_finalize_agree(self, chunker):
+        # Not yet finalized: one pass over the column; finalized: a probe
+        # of the hash index.  Duplicate probes, ids indexed twice (one
+        # object entered under two chunks), unknown ids and no ids.
+        idx = SecondaryIndex()
+        idx.add_entries([5, 6, 7, 6], [50, 60, 70, 61], [0, 1, 2, 3])
+        probes = ([6, 6, 5], [6], [7, 10**9], [10**9], [], np.array([7, 5, 7]))
+        cold = [idx.chunks_for(p) for p in probes]
+        assert not idx.db.has_index(INDEX_TABLE, "objectId")
+        assert [idx.lookup(k) for k in (5, 6, 8)] == [(50, 0), (60, 1), None]
+        idx.finalize()
+        for probe, before in zip(probes, cold):
+            after = idx.chunks_for(probe)
+            assert after.dtype == before.dtype == np.int64
+            np.testing.assert_array_equal(after, before)
+        assert [c.tolist() for c in cold] == [[50, 60, 61], [60, 61], [70], [], [], [50, 70]]
+        assert [idx.lookup(k) for k in (5, 6, 8)] == [(50, 0), (60, 1), None]
+
+    def test_entries_added_after_finalize_are_found(self):
+        idx = SecondaryIndex.build([1, 2], [10.0, 20.0], [0.0, 0.0], Chunker(18, 6, 0.05))
+        idx.add_entries([3], [30], [2])  # drops the hash index until the next finalize
+        assert idx.lookup(3) == (30, 2)
+        np.testing.assert_array_equal(idx.chunks_for([3, 3]), [30])

@@ -257,14 +257,14 @@ class TestSubChunkPipeline:
         a, b, c = scids[:3]
         statements = [
             pair_statement(cid, a),
-            pair_statement(cid, b, radius=0.05),  # another literal
+            pair_statement(cid, b, radius=0.05),  # another literal: same shape
             pair_statement(cid, c) + " AND o1.objectId != o2.objectId",
             pair_statement(cid, c),
         ]
         text = f"-- SUBCHUNKS: {a}, {b}, {c}\n" + ";\n".join(statements) + ";"
         calls = count_parses(monkeypatch)
         result = w.execute_chunk_query(cid, text)
-        assert len(calls) == 3  # only the last statement reuses a shape
+        assert len(calls) == 2  # the pair statement once, the edited one once
         assert result.rows() == reference_rows(w, cid, text)
 
     def test_look_alike_names_outside_from_are_not_rebound(self):
@@ -406,14 +406,72 @@ class TestPreparedChunkStatements:
         assert len(calls) == 1
         assert w.stats.statements_executed == 21
 
-    def test_a_changed_literal_parses_once_more(self, scan_worker, monkeypatch):
+    def test_a_changed_where_literal_is_bound_not_parsed(self, scan_worker, monkeypatch):
         w = scan_worker
         calls = count_parses(monkeypatch)
-        for cut in (0.25, 0.75, 0.25):
+        for cut in (0.25, 0.75, 0.25, 1e-30):
             for cid in SCAN_CHUNKS:
                 text = HV2.format(cid=cid, cut=cut)
                 assert w.execute_chunk_query(cid, text).rows() == unprepared_rows(w, text)
+        assert len(calls) == 1
+        # The kind of a literal and its sign are part of the shape.
+        for cut in ("1", "-0.5"):
+            text = HV2.replace("{cut!r}", cut).format(cid=711)
+            assert w.execute_chunk_query(711, text).rows() == unprepared_rows(w, text)
+        assert len(calls) == 3
+
+    def test_a_thousand_literals_are_one_shape(self, scan_worker, monkeypatch):
+        w = scan_worker
+        point = "SELECT objectId, ra_PS FROM LSST.Object_{cid} AS Object WHERE objectId = {oid};"
+        calls = count_parses(monkeypatch)
+        compiled = obs_metrics.REGISTRY.snapshot().get("kernel.compiled", 0)
+        for i in range(1000):
+            cid = SCAN_CHUNKS[i % len(SCAN_CHUNKS)]
+            oid = cid * 1000 + i % 40
+            assert w.execute_chunk_query(cid, point.format(cid=cid, oid=oid)).rows() == [
+                (oid, w.db.get_table(f"Object_{cid}").column("ra_PS")[i % 40])
+            ]
+            cut = i / 1000.0
+            result = w.execute_chunk_query(cid, HV2.format(cid=cid, cut=cut))
+            radius = w.db.get_table(f"Object_{cid}").column("uRadius_PS")
+            assert result.num_rows == np.count_nonzero(radius > cut)
         assert len(calls) == 2
+        assert len(w._prepared) == 2
+        if w.db.use_kernels:
+            assert len(w.db.kernel_cache) == 2
+            assert obs_metrics.REGISTRY.snapshot()["kernel.compiled"] == compiled + 2
+
+    @pytest.mark.parametrize(
+        "template",
+        [
+            # digits in aliases and qualifiers are not numbers
+            "SELECT objectId AS o1 FROM LSST.Object_711 AS t2 WHERE t2.uRadius_PS > {cut!r} AND t2.objectId != {tag};",
+            # a number inside a string is text, inside a backticked name a name
+            "SELECT '{tag}' AS s, COUNT(*) AS `COUNT({tag})` FROM LSST.Object_711 AS o WHERE uRadius_PS > {cut!r};",
+            # a select-list literal names its output column
+            "SELECT {tag}, objectId + {tag} AS shifted FROM LSST.Object_711 AS o WHERE uRadius_PS > {cut!r};",
+            # ... and HAVING, ORDER BY position and LIMIT stay in the shape too
+            "SELECT objectId, ra_PS FROM LSST.Object_711 AS o WHERE uRadius_PS > {cut!r} ORDER BY 2 LIMIT {tag};",
+            "SELECT chunkId, COUNT(*) AS n FROM LSST.Object_711 AS o WHERE uRadius_PS > {cut!r} GROUP BY chunkId HAVING COUNT(*) > {tag};",
+        ],
+    )
+    def test_numbers_outside_where_are_not_holes(self, scan_worker, monkeypatch, template):
+        w = scan_worker
+        calls = count_parses(monkeypatch)
+        reference = Database("LSST", use_kernels=False)
+        for table in w.db.tables.values():
+            reference.create_table(table.copy())
+        for tag in (3, 42, 7):
+            for cut in (0.25, 0.5):
+                text = template.format(tag=tag, cut=cut)
+                result = w.execute_chunk_query(711, text)
+                expected = reference.execute(text)
+                assert result.column_names == expected.column_names
+                assert result.rows() == expected.rows()
+        if "t2.objectId != " in template:
+            assert len(calls) == 1  # there the tag is a WHERE literal
+        else:
+            assert len(calls) == 3  # one parse per tag, none per cut
 
     @pytest.mark.parametrize(
         "template",
@@ -475,6 +533,17 @@ class TestPreparedChunkStatements:
         with pytest.raises(SqlError) as prepared:
             w.execute_chunk_query(999, HV3.format(cid=999))
         assert str(prepared.value) == str(cold.value) == "no such table 'Object_999'"
+        unknown = "SELECT objectId FROM LSST.Object_711 AS Object WHERE nope > {cut!r};"
+        messages = []
+        for cut in (0.25, 0.75):  # parsed, then bound
+            with pytest.raises(Exception) as raised:
+                w.execute_chunk_query(711, unknown.format(cut=cut))
+            messages.append((type(raised.value), str(raised.value)))
+        with pytest.raises(Exception) as from_engine:
+            Database("LSST", use_kernels=False).execute_statement(
+                worker_module.parse(unknown.format(cut=0.75).replace("LSST.", ""))[0]
+            )
+        assert messages[0] == messages[1]
         broken = "SELECT count(* FROM LSST.Object_711 AS Object;"
         with pytest.raises(SqlError) as from_worker:
             w.execute_chunk_query(711, broken)
@@ -485,16 +554,18 @@ class TestPreparedChunkStatements:
 
     def test_the_cache_is_bounded(self, scan_worker, monkeypatch):
         w = scan_worker
-        for i in range(1000):
-            w.execute_chunk_query(711, HV2.format(cid=711, cut=i / 1000.0))
+        # A select-list literal is part of the shape: one shape each.
+        tagged = "SELECT objectId, {tag} AS tag FROM LSST.Object_{cid} AS Object WHERE uRadius_PS > 0.5;"
+        for tag in range(1000):
+            w.execute_chunk_query(711, tagged.format(cid=711, tag=tag))
             assert len(w._prepared) <= worker_module._PREPARED_CAPACITY
         assert len(w._prepared) == worker_module._PREPARED_CAPACITY
-        # Least recently used goes first: the last literal is still
+        # Least recently used goes first: the last shape is still
         # prepared (on any chunk), the first one is not.
         calls = count_parses(monkeypatch)
-        w.execute_chunk_query(712, HV2.format(cid=712, cut=0.999))
+        w.execute_chunk_query(712, tagged.format(cid=712, tag=999))
         assert calls == []
-        w.execute_chunk_query(712, HV2.format(cid=712, cut=0.0))
+        w.execute_chunk_query(712, tagged.format(cid=712, tag=0))
         assert len(calls) == 1
 
     def test_a_replaced_or_dropped_table_is_never_served_stale(self, scan_worker):
@@ -540,16 +611,20 @@ class TestConcurrentPreparedStatements:
             db.create_table(scan_table(cid))
         w = QservWorker("w-scan", db, slots=2)  # locks and tracking under the detector
         # A budget of its own gives each text its own result path.
+        # Every HV2 binds its own cut into the one shared template: a
+        # slot that saw another's value would answer with other rows.
         texts = [
             (
                 cid,
                 f"-- RESULT_FORMAT: binary\n-- DEADLINE: {100 + round_}\n"
-                + template.format(cid=cid, cut=0.5),
+                + template.format(cid=cid, cut=round((round_ * 7 + cid % 7) / 43.0, 6)),
             )
             for round_ in range(6)
             for cid in SCAN_CHUNKS
             for template in (HV3, HV2)
         ]
+        cuts = {text.rsplit("> ", 1)[1] for _, text in texts if "uRadius_PS" in text}
+        assert len(cuts) == 42
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

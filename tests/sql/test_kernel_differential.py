@@ -183,6 +183,149 @@ def test_fallback_shape_still_identical(data, sql):
     check(data, sql, expect_kernel=False)
 
 
+# -- one kernel per shape, whatever the WHERE literals ---------------------------------
+
+#: (statement with ``{}`` holes, three literal sets).  Kinds and signs
+#: are the same across the sets of one statement: they belong to the shape.
+LITERAL_SHAPES = [
+    # comparisons, every operator, int and float holes
+    ("SELECT objectId, ra_PS FROM Object_713 WHERE ra_PS > {} AND decl_PS <= {} AND subChunkId != {}",
+     [(10, 45.5, 3), (350, 0.0, 0), (0, 89.99, 7)]),
+    ("SELECT objectId FROM Object_713 WHERE subChunkId = {} OR objectId < {}",
+     [(2, 100), (5, 0), (7, 4000)]),
+    ("SELECT objectId FROM Object_713 WHERE subChunkId <=> {}", [(2,), (3,), (99,)]),
+    # negative and tiny values: the minus sign is an operator of the shape
+    ("SELECT objectId FROM Object_713 WHERE decl_PS > -{} AND uFlux_PS > {}",
+     [(45.0, 1e-30), (0.5, 5e-7), (90.0, 2.5e-7)]),
+    ("SELECT COUNT(*) AS n FROM Object_713 WHERE uFlux_PS > {}", [(1e-30,), (5e-7,), (1.0,)]),
+    # BETWEEN and NOT BETWEEN
+    ("SELECT objectId FROM Object_713 WHERE ra_PS BETWEEN {} AND {}",
+     [(30, 60), (0, 360), (200, 100)]),
+    ("SELECT objectId FROM Object_713 WHERE decl_PS NOT BETWEEN -{} AND {}",
+     [(80.0, 80.0), (10.5, 0.25), (0.0, 0.0)]),
+    # IN lists: candidate arrays are rebuilt from the bound values
+    ("SELECT objectId FROM Object_713 WHERE subChunkId IN ({}, {}, {})",
+     [(1, 3, 5), (0, 0, 7), (8, 9, 10)]),
+    ("SELECT objectId FROM Object_713 WHERE subChunkId NOT IN ({}, {})", [(0, 7), (1, 1), (9, 8)]),
+    ("SELECT objectId FROM Object_713 WHERE subChunkId IN ({}, {})", [(1.0, 2.5), (0.0, 1e300), (3.0, 3.0)]),
+    ("SELECT objectId FROM Object_713 WHERE subChunkId IN ({}, {} + {})", [(1, 1, 2), (0, 3, 4), (6, 0, 0)]),
+    ("SELECT objectId FROM Object_713 WHERE subChunkId IN ({}, -{})", [(1, 1), (2, 0), (3, 5)]),
+    ("SELECT objectId FROM Object_713 WHERE filterName IN ('u', 'z') AND subChunkId > {}", [(1,), (6,), (9,)]),
+    # arithmetic on a literal, on both sides
+    ("SELECT objectId FROM Object_713 WHERE ra_PS * {} + {} > decl_PS / {}",
+     [(2, 1.5, 3), (0, 0.0, 1), (1, 10.25, 0)]),
+    ("SELECT objectId FROM Object_713 WHERE objectId % {} = {}", [(7, 3), (2, 0), (1000, 999)]),
+    # UDF arguments: the staged (survivor) path reads P too
+    ("SELECT objectId FROM Object_713 WHERE qserv_ptInSphericalBox(ra_PS, decl_PS, {}, -{}, {}, {}) = {}",
+     [(10.0, 10.0, 50.0, 10.0, 1), (350.5, 0.25, 365.0, 0.25, 1), (0.0, 90.0, 360.0, 90.0, 0)]),
+    ("SELECT objectId FROM Object_713 WHERE qserv_angSep(ra_PS, decl_PS, {}, {}) < {} AND flags = {}",
+     [(180.0, 0.0, 30, 1), (0.5, 89.0, 2, 0), (359.9, 0.0, 180, 1)]),
+    ("SELECT objectId, fluxToAbMag(uFlux_PS) AS mag FROM Object_713 "
+     "WHERE fluxToAbMag(uFlux_PS) - fluxToAbMag(gFlux_PS) BETWEEN {} AND {} AND decl_PS > {}",
+     [(0.2, 1.1, 0), (0.0, 9.5, 45), (1.0, 0.5, 3)]),
+    # grouped and global aggregates over a literal-driven cut
+    ("SELECT subChunkId, COUNT(*) AS n, AVG(ra_PS) AS a FROM Object_713 WHERE decl_PS > {} "
+     "GROUP BY subChunkId ORDER BY subChunkId", [(0,), (75,), (90,)]),
+    ("SELECT SUM(uFlux_PS) AS s, MIN(ra_PS) AS lo FROM Object_713 WHERE ra_PS > {}",
+     [(9999,), (180,), (0,)]),
+    # literals outside WHERE stay put while those inside move
+    ("SELECT objectId + 5 AS shifted, 7 AS seven FROM Object_713 WHERE subChunkId = {} "
+     "ORDER BY 1 LIMIT 11", [(1,), (2,), (5,)]),
+    ("SELECT subChunkId, COUNT(*) AS n FROM Object_713 WHERE decl_PS < {} "
+     "GROUP BY subChunkId HAVING COUNT(*) > 100 ORDER BY 2 DESC, 1", [(0.0,), (60.5,), (90.0,)]),
+]
+
+
+def run_literal_sets(tables, template, literal_sets, expect_kernel=True):
+    """Each literal set through one kernel database and a fresh interpreter."""
+    kinds = {tuple(type(v) for v in values) for values in literal_sets}
+    assert len(kinds) == 1, f"literal sets of different kinds: {template}"
+    db_i, db_k = fresh_pair(*tables)
+    compiled, runs = metric("kernel.compiled"), metric("kernel.executions")
+    results = []
+    for values in literal_sets:
+        sql = template.format(*(repr(v) for v in values))
+        r_k = db_k.execute(sql)
+        assert_identical(db_i.execute(sql), r_k)
+        results.append(r_k)
+    if expect_kernel:
+        assert metric("kernel.compiled") == compiled + 1, template
+        assert metric("kernel.executions") == runs + len(literal_sets), template
+        assert len(db_k.kernel_cache) == 1
+    return results
+
+
+@pytest.mark.parametrize("template, literal_sets", LITERAL_SHAPES)
+def test_one_kernel_serves_every_literal_set(data, template, literal_sets):
+    results = run_literal_sets((data,), template, literal_sets)
+    # The sets were chosen to select different rows: a kernel that kept
+    # the first set's values would have been caught above, and here.
+    assert len({(r.num_rows, str(r.rows()[:3])) for r in results}) > 1, template
+
+
+def test_kind_and_sign_of_a_literal_compile_separately(data):
+    _, db_k = fresh_pair(data)
+    compiled = metric("kernel.compiled")
+    for cut in ("10", "10.0", "-10", "20", "20.5", "-30"):
+        db_k.execute(f"SELECT COUNT(*) AS n FROM Object_713 WHERE decl_PS > {cut}")
+    assert metric("kernel.compiled") == compiled + 3
+    for items in ("1, 2", "3, 4", "1, 2, 3"):
+        db_k.execute(f"SELECT COUNT(*) AS n FROM Object_713 WHERE subChunkId IN ({items})")
+    assert metric("kernel.compiled") == compiled + 5
+
+
+class TestMaskToIndexGather:
+    """A mask with columns to cut becomes row indices once (same rows, same order)."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        rng = np.random.default_rng(4242)
+        n = 5000
+        return Table(
+            "Object_713",
+            {
+                "objectId": np.arange(n, dtype=np.int64),
+                "u": rng.uniform(0.0, 1.0, n),
+                "v": rng.normal(size=n),
+                "k": rng.integers(0, 5, n),
+                "nothing": np.full(n, np.nan),
+                "name": np.array([f"o{i % 11}" for i in range(n)], dtype=object),
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "where, selected",
+        [
+            ("u > 1.5", 0),  # no row
+            ("u > 0.84", None),  # ~16 %
+            ("u > -1", 5000),  # every row
+            ("nothing > 0.5", 0),  # NaN compares false: an all-False mask
+            ("nothing IS NULL", 5000),
+            ("nothing IS NOT NULL", 0),
+        ],
+    )
+    def test_selectivities(self, table, where, selected):
+        plain = check(table, f"SELECT objectId, u, v, name FROM Object_713 WHERE {where}")
+        if selected is None:
+            selected = int(np.count_nonzero(table.column("u") > 0.84))
+            assert 0.14 < selected / table.num_rows < 0.18
+        assert plain.num_rows == selected
+        assert list(plain.column("objectId")) == sorted(plain.column("objectId"))
+        star = check(table, f"SELECT * FROM Object_713 WHERE {where}")
+        assert star.num_rows == selected
+        grouped = check(
+            table,
+            f"SELECT k, COUNT(*) AS n, SUM(v) AS s, MIN(u) AS lo FROM Object_713 "
+            f"WHERE {where} GROUP BY k ORDER BY k",
+        )
+        assert int(np.sum(grouped.column("n"))) == selected
+        # Nothing to gather: the count comes straight off the mask.
+        assert check(table, f"SELECT COUNT(*) AS n FROM Object_713 WHERE {where}").rows() == [
+            (selected,)
+        ]
+        check(table, f"SELECT 1 AS one FROM Object_713 WHERE {where}")
+
+
 class TestGoldenResults:
     """Hand-computed MySQL-semantics anchors, run through both paths."""
 
@@ -530,6 +673,32 @@ def test_join_shape_bit_identical(patch, sql):
     check(patch, sql, expect_kernel=True)
 
 
+#: Join statements and three literal sets each, for one JoinKernel apiece.
+JOIN_LITERAL_SHAPES = [
+    # the declination band's width is the bound radius, not the compiled one
+    (f"SELECT COUNT(*) AS n FROM {SELF} WHERE {NEAR} < {{}}", [(0.015,), (0.002,), (0.06,)]),
+    (f"SELECT o1.objectId AS a, o2.objectId AS b FROM {OVERLAP} WHERE {NEAR} <= {{}} "
+     "AND qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, {}, {}, {}, {}) = {}",
+     [(0.03, 0.05, 0.05, 0.25, 0.2, 1), (0.01, 0.0, 0.0, 0.3, 0.3, 1), (0.05, 0.1, 0.1, 0.2, 0.15, 0)]),
+    (f"SELECT COUNT(*) AS n FROM {SELF} WHERE {NEAR} < {{}} AND o1.objectId != o2.objectId "
+     "AND o2.decl_PS > {}", [(0.02, 0.1), (0.005, 0.0), (0.04, 0.29)]),
+    # an integer radius, and one no pair can meet
+    (f"SELECT COUNT(*) AS n FROM {SELF} WHERE {NEAR} < {{}}", [(1,), (0,), (2,)]),
+    # SHV2: equi-join paired, the literals in residual and one-sided conjuncts
+    (f"SELECT o.objectId, s.sourceId FROM {OBJ_SRC} WHERE o.objectId = s.objectId "
+     "AND qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > {} AND s.psfFlux > {}",
+     [(0.0001, 5e-7), (0.0002, 1e-30), (0.00005, 9e-7)]),
+    (f"SELECT o1.objectId AS a, COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} < {{}} "
+     "GROUP BY o1.objectId HAVING COUNT(*) > 1 ORDER BY a", [(0.05,), (0.1,), (0.02,)]),
+]
+
+
+@pytest.mark.parametrize("template, literal_sets", JOIN_LITERAL_SHAPES)
+def test_one_join_kernel_serves_every_literal_set(patch, template, literal_sets):
+    results = run_literal_sets(patch, template, literal_sets)
+    assert len({(r.num_rows, str(r.rows()[:3])) for r in results}) > 1, template
+
+
 JOIN_FALLBACK_SHAPES = [
     # nothing to pair the tables by
     "SELECT COUNT(*) AS n FROM LSST.ObjectFullOverlap_713_45 AS o1, "
@@ -577,6 +746,15 @@ class TestJoinKernelEdges:
         )
         assert strict.num_rows == 3  # each row with itself
         assert closed.num_rows == 5  # plus (0, 1) and (1, 0)
+        # The same through one kernel that was compiled for another
+        # radius: below it, exactly on it, above it.
+        for op, rows in (("<", [3, 3, 5]), ("<=", [3, 5, 5])):
+            results = run_literal_sets(
+                (t,),
+                f"SELECT a.id, b.id FROM T_1_1 a, T_1_1 b WHERE {near} {op} {{}}",
+                [(radius / 2,), (radius,), (radius * 1.5,)],
+            )
+            assert [r.num_rows for r in results] == rows
 
     def test_empty_sides(self, patch):
         sub, overlap, _ = patch

@@ -175,14 +175,10 @@ def _rewrite_ref(
     return ast.TableRef(table=physical, database=metadata.database, alias=ref.name)
 
 
-def _from_list_sql(tables) -> str:
-    """The FROM list exactly as :meth:`ast.Select.to_sql` renders it."""
-    return ", ".join(t.to_sql() for t in tables)
-
-
-# Stands in for the chunk id while a chunk statement is rendered once
-# for all chunks; no catalog has this many.
+# Stand in for the chunk id and the sub-chunk id while a statement is
+# rendered once for all of them; no catalog has this many.
 _ANY_CHUNK = 10**18 + 713
+_ANY_SUB_CHUNK = 10**18 + 45
 
 
 def _chunk_statements(
@@ -266,40 +262,32 @@ def _sub_chunk_statements(
         for r in other_refs
     ]
 
-    def from_clause(scid: int, outer_name) -> tuple[ast.TableRef, ...]:
-        return (
+    def over(scid: int, outer_name) -> str:
+        tables = (
             _rewrite_ref(inner_ref, metadata, sub_chunk_table_name(table, chunk_id, scid)),
             _rewrite_ref(outer_ref, metadata, outer_name(table, chunk_id, scid)),
             *others,
         )
+        return replace(stmt, tables=tables).to_sql() + ";"
 
-    # The self pair and the overlap pair are each rendered once, for
-    # the first sub-chunk; the statements of the other sub-chunks
-    # differ from it only inside the FROM list, so they are that text
-    # with the FROM list swapped.
-    first = int(scids[0])
-    templates = []
+    # The statements of one kind (self pair, overlap pair) differ only
+    # in the sub-chunk id inside their two table names, so each kind is
+    # rendered once, for a sub-chunk id nobody uses, and every
+    # sub-chunk's text is that with its own id substituted.
+    statements: list[list[str]] = []
     for outer_name in (sub_chunk_table_name, overlap_table_name):
-        tables = from_clause(first, outer_name)
-        from_list = _from_list_sql(tables)
-        head, _, tail = replace(stmt, tables=tables).to_sql().partition(from_list)
-        if from_list in tail:
-            # The FROM list's text also occurs elsewhere (inside a
-            # string literal, say): render every sub-chunk in full.
-            head = tail = None
-        templates.append((outer_name, head, tail))
-
-    statements: list[str] = []
-    for scid in scids:
-        for outer_name, head, tail in templates:
-            tables = from_clause(int(scid), outer_name)
-            if head is None:
-                statements.append(replace(stmt, tables=tables).to_sql() + ";")
-            else:
-                statements.append(head + _from_list_sql(tables) + tail + ";")
+        pieces = over(_ANY_SUB_CHUNK, outer_name).split(f"_{_ANY_SUB_CHUNK}")
+        if len(pieces) == 3:
+            statements.append([f"_{int(scid)}".join(pieces) for scid in scids])
+        else:
+            # The stand-in also occurs elsewhere (a literal of the
+            # query): render every sub-chunk in full.
+            statements.append([over(int(scid), outer_name) for scid in scids])
 
     header = f"{SUBCHUNK_HEADER_PREFIX} {', '.join(str(int(s)) for s in scids)}"
-    text = header + "\n" + "\n".join(statements)
+    text = header + "\n" + "\n".join(
+        text for pair in zip(*statements) for text in pair
+    )
     return ChunkQuerySpec(
         chunk_id=chunk_id,
         text=text,

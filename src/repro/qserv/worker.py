@@ -23,6 +23,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,8 +32,9 @@ from ..analysis.sanitizer import make_condition, make_lock, make_rlock
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..sql import Database, SqlError, Table, ast, dump_table
+from ..sql import Database, RowView, SqlError, Table, ast, dump_table
 from ..sql.engine import ResultTable
+from ..sql.kernels import KernelKey, isin
 from ..sql.parser import ParseError, parse
 from ..sql.shapes import ShapeCache, Template, scan
 from ..sql.wire import decode_table, encode_table
@@ -62,10 +64,13 @@ __all__ = [
 
 # Physical sub-chunk table names: Object_713_45 / ObjectFullOverlap_713_45.
 _SUBCHUNK_RE = re.compile(r"^(?P<base>\w+?)_(?P<chunk>\d+)_(?P<sub>\d+)$")
-# Chunk and sub-chunk table names (Object_713, Object_713_45) wherever
-# they occur in statement text, split into base, chunk id and sub-chunk
-# id (None for a chunk table).
-_CHUNK_TABLE_IN_TEXT_RE = re.compile(r"\b(\w+?)_(\d+)(?:_(\d+))?\b")
+# A chunk or sub-chunk table name (Object_713, Object_713_45): base,
+# chunk id and sub-chunk id (None for a chunk table).
+_CHUNK_TABLE_RE = re.compile(r"(\w+?)_(\d+)(?:_(\d+))?")
+# The ids of such names wherever they end a word of statement text:
+# chunk id and sub-chunk id (or None).  Anchored on the underscore, not
+# on the start of the word, so the scan skips from one to the next.
+_IDS_IN_TEXT_RE = re.compile(r"_(?<=\w_)(\d+)(?:_(\d+))?\b")
 
 # Prepared chunk statements kept per worker (LRU), like KernelCache's 256.
 _PREPARED_CAPACITY = 256
@@ -137,67 +142,127 @@ def _table_refs(stmt) -> list:
     ]
 
 
-def _rebind(stmt: ast.Select, ids: tuple) -> ast.Select:
-    """``stmt`` with the chunk tables of its FROM clause moved to ``ids``.
-
-    ``ids`` is ``(chunk id, sub-chunk id)`` as text: ``Base_CC`` refs
-    become ``Base_<chunk id>``, ``Base_CC_SS`` refs
-    ``Base_<chunk id>_<sub-chunk id>``.
-    """
-    chunk, sub = ids
-
-    def rebind(ref):
-        m = _CHUNK_TABLE_IN_TEXT_RE.fullmatch(ref.table)
-        if m is None:
-            return ref
-        name = f"{m[1]}_{chunk}" if m[3] is None else f"{m[1]}_{chunk}_{sub}"
-        return replace(ref, table=name)
-
+def _rename(stmt: ast.Select, names: tuple) -> ast.Select:
+    """``stmt`` with its FROM and JOIN tables named ``names``, in clause order."""
+    name = iter(names)
     return replace(
         stmt,
-        tables=tuple(rebind(r) for r in stmt.tables),
-        joins=tuple(replace(j, table=rebind(j.table)) for j in stmt.joins),
+        tables=tuple(replace(ref, table=next(name)) for ref in stmt.tables),
+        joins=tuple(
+            replace(j, table=replace(j.table, table=next(name))) for j in stmt.joins
+        ),
     )
 
 
 # Stands in for a chunk or sub-chunk id in an id-free statement text;
 # no statement that lexes has it outside a string or comment.
 _ANY_ID = "@"
+# A chunk-table name in an id-free text.
+_ID_FREE_TABLE_RE = re.compile(rf"\w+?_{_ANY_ID}(?:_{_ANY_ID})?")
 
 
 def _cut_ids(text: str) -> tuple:
     """``(id-free text, ids, names)`` of one statement's text.
 
     The id-free text is ``text`` with the chunk and sub-chunk ids of the
-    ``names`` chunk-table names in it blanked, ``ids`` those ids as
-    :func:`_rebind` takes them.  The text is None when the names carry
+    ``names`` chunk-table names in it blanked, ``ids`` those ids as text:
+    ``(chunk id, sub-chunk id)``.  The text is None when the names carry
     more than one chunk id or more than one sub-chunk id.
     """
-    # [text, base, chunk id, sub-chunk id or None, text, ...]
-    pieces = _CHUNK_TABLE_IN_TEXT_RE.split(text)
-    chunk_ids, sub_ids = set(pieces[2::4]), set(pieces[3::4]) - {None}
+    # [text, chunk id, sub-chunk id or None, text, ...]
+    pieces = _IDS_IN_TEXT_RE.split(text)
+    chunk_ids, sub_ids = set(pieces[1::3]), set(pieces[2::3]) - {None}
     if len(chunk_ids) > 1 or len(sub_ids) > 1 or _ANY_ID in text:
         return None, None, 0
     ids = (next(iter(chunk_ids), None), next(iter(sub_ids), None))
-    names = len(pieces) // 4
-    pieces[2::4] = ["_" + _ANY_ID] * names
-    pieces[3::4] = ["" if sub is None else "_" + _ANY_ID for sub in pieces[3::4]]
+    names = len(pieces) // 3
+    pieces[1::3] = ["_" + _ANY_ID] * names
+    pieces[2::3] = ["" if sub is None else "_" + _ANY_ID for sub in pieces[2::3]]
     return "".join(pieces), ids, names
 
 
+class _Prepared(NamedTuple):
+    """One statement text of a chunk query, bound; its repeats only name tables."""
+
+    #: The bound statement; *which* tables it names is not to be relied on.
+    stmt: ast.Statement
+    kernel_key: Optional[KernelKey]
+    #: The text minus its chunk-table names: statements alike in it are
+    #: one statement about different tables.  None for a statement that
+    #: was parsed in full, which is alike to nothing.
+    shape: Optional[str]
+    #: Per FROM table, ``(base, is a sub-chunk table)`` of a chunk
+    #: table and the plain name of any other.
+    refs: tuple
+
+    def names(self, ids: tuple) -> tuple:
+        """The FROM table names of the statement about ``ids``."""
+        chunk, sub = ids
+        return tuple(
+            ref
+            if type(ref) is str
+            else f"{ref[0]}_{chunk}_{sub}"
+            if ref[1]
+            else f"{ref[0]}_{chunk}"
+            for ref in self.refs
+        )
+
+
+def _parsed_in_full(stmt: ast.Statement, kernel_key) -> tuple:
+    """``(prepared statement, FROM table names)`` of a statement taken as it is."""
+    names = tuple(ref.table for ref in _table_refs(stmt))
+    return _Prepared(stmt, kernel_key, None, ()), names
+
+
+@dataclass
+class _Family:
+    """Consecutive statements of a chunk query that differ only in FROM tables."""
+
+    prepared: _Prepared
+    #: Per member, its FROM table names.
+    members: list
+
+    def statements(self) -> list:
+        """Every member as a statement of its own."""
+        stmt = self.prepared.stmt
+        if self.prepared.shape is None:
+            return [stmt]  # parsed in full: it names its own tables
+        return [_rename(stmt, names) for names in self.members]
+
+
+# A statement of a chunk-query body: up to a ';' outside strings and
+# quoted names (the lexer's rules; a quote that never closes is left
+# for the parser to report).
+_STATEMENT_RE = re.compile(
+    r"""(?:[^;'"`]+|'(?:[^'\\]|\\.|'')*'|"(?:[^"\\]|\\.|"")*"|`[^`]*`|['"`])+""",
+    re.DOTALL,
+)
+
+
+def _split_statements(body: str) -> list[str]:
+    """The ';'-separated statements of ``body``, quotes respected."""
+    if "'" in body or '"' in body or "`" in body:
+        return _STATEMENT_RE.findall(body)
+    return body.split(";")
+
+
 def _partition_by_sub_chunk(parent: Table, subs: list[tuple[int, str]]) -> list[Table]:
-    """One table per ``(sub-chunk id, name)``, from one pass over ``parent``."""
+    """One row view per ``(sub-chunk id, name)``, from one pass over ``parent``.
+
+    The rows of all wanted sub-chunks are found at once and ordered by
+    ``subChunkId`` (stably, so each sub-chunk keeps the parent's row
+    order); every view gets its slice of that one index array.
+    """
     sub_chunk_id = parent.column("subChunkId")
     wanted = np.array([sub for sub, _ in subs], dtype=sub_chunk_id.dtype)
-    rows = np.flatnonzero(np.isin(sub_chunk_id, wanted))
+    rows = np.flatnonzero(isin(sub_chunk_id, wanted))
     keys = sub_chunk_id[rows]
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    grouped = parent.select_rows(rows[order]).columns()
+    rows, keys = rows[order], keys[order]
     starts = np.searchsorted(keys, wanted, side="left")
     stops = np.searchsorted(keys, wanted, side="right")
     return [
-        Table(name, {col: arr[lo:hi] for col, arr in grouped.items()})
+        RowView(name, parent, rows[lo:hi])
         for (_, name), lo, hi in zip(subs, starts, stops)
     ]
 
@@ -668,31 +733,47 @@ class QservWorker(OfsPlugin):
 
     def execute_chunk_query(self, chunk_id: int, text: str) -> Table:
         """Run one chunk query (with or without headers); the combined result."""
-        statements = (s.strip() for s in parse_headers(text).body.split(";"))
         # The statements of a sub-chunk query are one or two texts
         # repeated about other sub-chunks: each is scanned and bound
-        # once per chunk query, its repeats only renamed.
+        # once per chunk query, its repeats only name their tables, and
+        # a run of statements that differ in nothing else is a family.
         repeats: dict = {}
-        prepared = [
-            pair for s in statements if s for pair in self._prepare(s, repeats)
-        ]
+        families: list[_Family] = []
+        for statement in _split_statements(parse_headers(text).body):
+            statement = statement.strip()
+            if not statement:
+                continue
+            for prepared, names in self._prepare(statement, repeats):
+                last = families[-1].prepared.shape if families else None
+                if last is not None and last == prepared.shape:
+                    families[-1].members.append(names)
+                else:
+                    families.append(_Family(prepared, [names]))
         sub_chunk_tables = list(
             dict.fromkeys(
-                ref.table
-                for stmt, _ in prepared
-                for ref in _table_refs(stmt)
-                if _SUBCHUNK_RE.match(ref.table)
+                name
+                for family in families
+                for names in family.members
+                for name in names
+                if _SUBCHUNK_RE.match(name)
             )
         )
         self._acquire_sub_chunks(sub_chunk_tables)
         try:
             outputs = []
-            for stmt, kernel_key in prepared:
-                out = self.db.execute_statement(stmt, kernel_key)
+            for family in families:
+                stmt, kernel_key = family.prepared.stmt, family.prepared.kernel_key
+                results = None
+                if len(family.members) > 1:
+                    results = self.db.execute_family(stmt, kernel_key, family.members)
+                if results is None:
+                    results = [
+                        self.db.execute_statement(member, kernel_key)
+                        for member in family.statements()
+                    ]
                 with self._lock:
-                    self.stats.statements_executed += 1
-                if out is not None:
-                    outputs.append(out)
+                    self.stats.statements_executed += len(results)
+                outputs.extend(out for out in results if out is not None)
             if not outputs:
                 raise SqlError("chunk query contained no SELECT statement")
             with self._lock:
@@ -704,7 +785,7 @@ class QservWorker(OfsPlugin):
             self._release_sub_chunks(sub_chunk_tables)
 
     def _prepare(self, text: str, repeats: dict) -> list[tuple]:
-        """``(statement, kernel key)`` pairs for one statement's text.
+        """``(prepared statement, FROM table names)`` pairs for one statement's text.
 
         The chunk queries of one scan, the sub-chunk statements of one
         chunk query, every repeat of either, and the same query asked
@@ -714,60 +795,68 @@ class QservWorker(OfsPlugin):
         cut out (:func:`_cut_ids`, then :func:`repro.sql.shapes.scan`);
         the first statement of a shape is parsed and kept as a template,
         with the kernel key the engine would derive from it, and a later
-        one is that template with its numbers bound and its chunk tables
-        renamed.  The shortcut is taken only when every chunk-table name
-        in the text is a FROM table (not an alias, qualifier or string
-        that merely looks like one) and the numbers cut from the text
-        are exactly the parsed statement's WHERE/ON literals
+        one is that template with its numbers bound, about the tables
+        its ids name.  The shortcut is taken only when every chunk-table
+        name in the text is a FROM table (not an alias, qualifier or
+        string that merely looks like one) and the numbers cut from the
+        text are exactly the parsed statement's WHERE/ON literals
         (:meth:`Template.of <repro.sql.shapes.Template.of>`), so that
-        renaming the refs and binding the values is exactly the textual
-        substitution and leaves the kernel key as it was; anything else
-        is parsed in full, every time.  Tables are looked up by name at
-        execution, so nothing here outlives a dropped or replaced table.
+        naming other tables and binding the values is exactly the
+        textual substitution and leaves the kernel key as it was;
+        anything else is parsed in full, every time.  Tables are looked
+        up by name at execution, so nothing here outlives a dropped or
+        replaced table.
 
         ``repeats`` lives for one chunk query and holds what was
         prepared for it, by id-free text: a later statement with that
-        text (the same numbers, then) is the bound statement renamed.
+        text (the same numbers, then) is the same bound statement.
         """
         id_free, ids, names = _cut_ids(text)
+
+        def prepared_as(stmt, kernel_key, refs) -> list[tuple]:
+            prepared = repeats[id_free] = _Prepared(
+                stmt, kernel_key, _ID_FREE_TABLE_RE.sub(_ANY_ID, id_free), refs
+            )
+            return [(prepared, prepared.names(ids))]
+
         if id_free is not None:
-            repeat = repeats.get(id_free)
-            if repeat is not None:
-                return [(_rebind(repeat[0], ids), repeat[1])]
+            prepared = repeats.get(id_free)
+            if prepared is not None:
+                return [(prepared, prepared.names(ids))]
             shape, values = scan(id_free)
             entry = self._prepared.get(shape)
             if entry is not None:
-                template, kernel_key = entry
+                template, kernel_key, refs = entry
                 bound = template.bind(values)
                 if bound is not None:
-                    repeats[id_free] = bound[0], kernel_key
-                    return [(_rebind(bound[0], ids), kernel_key)]
+                    return prepared_as(bound[0], kernel_key, refs)
         try:
             stmts = parse(text)
         except ParseError as e:
             raise SqlError(f"parse error: {e}") from e
         if id_free is None or len(stmts) != 1 or not isinstance(stmts[0], ast.Select):
-            return [(stmt, None) for stmt in stmts]
+            return [_parsed_in_full(stmt, None) for stmt in stmts]
         stmt = stmts[0]
         kernel_key = self.db.kernel_key(stmt)
         template = Template.of(stmts, values)
-        chunk_tables = sum(
-            bool(_CHUNK_TABLE_IN_TEXT_RE.fullmatch(ref.table)) for ref in _table_refs(stmt)
+        refs = tuple(
+            ref.table if m is None else (m[1], m[3] is not None)
+            for ref in _table_refs(stmt)
+            for m in [_CHUNK_TABLE_RE.fullmatch(ref.table)]
         )
-        if template is not None and chunk_tables == names:
-            self._prepared.put(shape, (template, kernel_key))
-            repeats[id_free] = stmt, kernel_key
-        return [(stmt, kernel_key)]
+        if template is None or sum(type(ref) is tuple for ref in refs) != names:
+            return [_parsed_in_full(stmt, kernel_key)]
+        self._prepared.put(shape, (template, kernel_key, refs))
+        return prepared_as(stmt, kernel_key, refs)
 
     def _acquire_sub_chunks(self, names: list[str]) -> None:
         """Take a reference on every ``Base_CC_SS``; build the absent ones.
 
         All missing sub-chunks of one chunk table come from a single
-        pass over it: select the rows of the wanted sub-chunks, order
-        them by ``subChunkId`` (stably, so each keeps the parent's row
-        order), gather each column once and hand every sub-chunk table
-        its slice.  Either every name is acquired or, when a parent
-        chunk table is missing, none is.
+        pass over it (:func:`_partition_by_sub_chunk`), as row views:
+        what a table costs to build does not depend on how many columns
+        it has.  Either every name is acquired or, when a parent chunk
+        table is missing, none is.
         """
         with self._build_lock:
             missing: dict[str, list[tuple[int, str]]] = {}

@@ -110,7 +110,13 @@ class SphericalBox(Region):
         if self._full_ra:
             in_ra = np.ones_like(in_dec)
         else:
-            ra_n = np.mod(ra, _FULL_RA)
+            # np.mod returns an array already in [0, 360) as it is (but
+            # for the sign of -0.0, which no comparison sees), at four
+            # times the cost of the whole test; NaN fails both checks.
+            if ra.ndim and ra.size and ra.min() >= 0.0 and ra.max() < _FULL_RA:
+                ra_n = ra
+            else:
+                ra_n = np.mod(ra, _FULL_RA)
             if self.wraps:
                 in_ra = (ra_n >= self.ra_min) | (ra_n <= self.ra_max)
             else:

@@ -33,10 +33,16 @@ def normalize_ra(ra):
 
     Works for scalars and arrays; ``360.0`` maps to ``0.0``.
     """
+    # The modulo of a tiny negative value rounds to exactly 360.0; fold
+    # it back so the result is always strictly below 360 (and -0.0 ->
+    # 0.0).
+    if isinstance(ra, (float, int)):
+        # A box corner: float's % is np.mod's arithmetic at a twentieth
+        # of the cost, and every sub-chunk the czar tests builds a box.
+        out = float(ra) % 360.0
+        return 0.0 if out >= 360.0 else out + 0.0
     ra = np.asarray(ra, dtype=np.float64)
     out = np.mod(ra, 360.0)
-    # np.mod of a tiny negative value rounds to exactly 360.0; fold it
-    # back so the result is always strictly below 360 (and -0.0 -> 0.0).
     out = np.where(out >= 360.0, 0.0, out) + 0.0
     if out.ndim == 0:
         return float(out)

@@ -33,7 +33,7 @@ relational engine with
   (:mod:`~repro.sql.colstore`).
 """
 
-from .table import Column, Table
+from .table import Column, RowView, Table
 from .engine import Database, ResultTable, SqlError
 from .kernels import KernelCache
 from .colstore import ColumnStore, MmapTable, ResidencyBudget
@@ -50,6 +50,7 @@ from .wire import (
 __all__ = [
     "Column",
     "Table",
+    "RowView",
     "Database",
     "ResultTable",
     "SqlError",

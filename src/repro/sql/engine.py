@@ -34,7 +34,14 @@ from . import kernels as _kernels
 from .errors import SqlError
 from .expr_eval import Environment, contains_aggregate, evaluate
 from .index import HashIndex
-from .kernels import MAX_CROSS_PAIRS, KernelCache, KernelKey, equi_join
+from .kernels import (
+    MAX_CROSS_PAIRS,
+    JoinKernel,
+    KernelCache,
+    KernelFallback,
+    KernelKey,
+    equi_join,
+)
 from .parser import ParseError
 from .shapes import ShapeCache
 from .table import Column, Table
@@ -235,12 +242,7 @@ class Database:
     ) -> ResultTable:
         kernel_cols = self._try_kernel(sel, kernel_key)
         if kernel_cols is not None:
-            result = ResultTable("result", kernel_cols)
-            if sel.distinct:
-                result = _distinct(result)
-            # Kernel compilation guaranteed every ORDER BY key resolves
-            # against the output columns, so no row env is needed here.
-            return self._order_and_limit(sel, result, Environment({}, result.num_rows))
+            return self._kernel_result(sel, kernel_cols)
 
         bound = self._bind_tables(sel)
         sp = obs_trace.current_span()
@@ -264,6 +266,60 @@ class Database:
             result = _distinct(result)
         result = self._order_and_limit(sel, result, env)
         return result
+
+    def _kernel_result(self, sel: ast.Select, cols: dict) -> ResultTable:
+        """A kernel's output columns with DISTINCT, ORDER BY and LIMIT applied."""
+        result = ResultTable("result", cols)
+        if sel.distinct:
+            result = _distinct(result)
+        # Kernel compilation guaranteed every ORDER BY key resolves
+        # against the output columns, so no row env is needed here.
+        return self._order_and_limit(sel, result, Environment({}, result.num_rows))
+
+    def execute_family(
+        self, sel: ast.Select, kernel_key: Optional[KernelKey], members: list[tuple]
+    ) -> Optional[list[ResultTable]]:
+        """``sel`` asked of each member's tables in place of its own, in one pass.
+
+        A member is a tuple of table names, one per FROM entry of
+        ``sel``; the results are, member by member, what
+        :meth:`execute_statement` returns for ``sel`` with its FROM
+        tables so renamed.  None when there is no one pass to make --
+        kernels are off, the statement is not a join a kernel accepts,
+        a member's table is missing or typed unlike the first member's
+        -- and the caller executes statement by statement, as it would
+        have (any error is that path's to raise).
+        """
+        cache = self.kernel_cache
+        if cache is None or not self.use_kernels or sel.joins:
+            return None
+        if any(ref.database not in (None, self.name) for ref in sel.tables):
+            return None
+        if any(len(names) != len(sel.tables) for names in members):
+            raise ValueError("a family member names one table per FROM entry")
+        resolved = [[self.tables.get(name) for name in names] for names in members]
+        if any(table is None for tables in resolved for table in tables):
+            return None
+        signatures = [table.signature() for table in resolved[0]]
+        for tables in resolved[1:]:
+            if [table.signature() for table in tables] != signatures:
+                return None
+        kernel = cache.get_or_compile(sel, resolved[0], kernel_key)
+        if not isinstance(kernel, JoinKernel):
+            return None
+        try:
+            outputs = kernel.run(sel, resolved)
+        except KernelFallback:
+            return None
+        sp = obs_trace.current_span()
+        if sp is not None:
+            sp.set(
+                kernel=True,
+                rows_scanned=sp.attrs.get("rows_scanned", 0)
+                + sum(t.num_rows for tables in resolved for t in tables),
+            )
+        _kernels.obs_metrics.counter("kernel.executions").add(len(members))
+        return [self._kernel_result(sel, cols) for cols in outputs]
 
     def _try_kernel(
         self, sel: ast.Select, kernel_key: Optional[KernelKey] = None

@@ -45,7 +45,13 @@ conjuncts bound to one side filter that side before pairing, candidate
 pairs come from a ``col = col`` sort-merge or from a sorted declination
 band under a ``qserv_angSep(...) < r`` conjunct, and every pair
 conjunct is then evaluated exactly on the candidates by the
-interpreter's own :func:`~repro.sql.expr_eval.evaluate`.
+interpreter's own :func:`~repro.sql.expr_eval.evaluate`.  It runs a
+whole *family* -- one statement asked of several pairs of tables, the
+2 x *n* sub-chunk statements of a chunk query -- in one pass
+(:meth:`JoinKernel.run`, behind
+:meth:`Database.execute_family <repro.sql.engine.Database.execute_family>`):
+the members' rows are stacked end to end and the two rows of a pair
+must come from one member.
 
 Queries a kernel cannot express (explicit JOIN clauses, three or more
 tables, joins with no pairing conjunct, shapes that need the
@@ -86,6 +92,7 @@ __all__ = [
     "compile_select",
     "compile_join",
     "equi_join",
+    "isin",
     "MAX_CROSS_PAIRS",
     "normalize_select",
     "KernelKey",
@@ -496,42 +503,72 @@ def _expand_ranges(lo: np.ndarray, counts: np.ndarray, order: np.ndarray):
     return probe_idx, build_idx
 
 
+def _probe_runs(right_vals, right_runs, low, high, left_runs):
+    """Sort the right side run by run and probe each run with its own left rows.
+
+    Both sides are cut into the same number of consecutive runs (the
+    members of a statement family; one run when there is one pair of
+    tables): ``right_runs[m]:right_runs[m + 1]`` are the right rows of
+    run ``m``, ``left_runs`` likewise.  Returns ``(order, lo, counts)``:
+    ``order`` lists the right rows run after run, each run stably
+    sorted by value, and left row ``i`` matches the ``counts[i]``
+    positions of ``order`` from ``lo[i]`` -- the values of its *own*
+    run that lie in ``low[i] .. high[i]`` inclusive.
+    """
+    order = np.empty(len(right_vals), dtype=np.intp)
+    lo = np.empty(len(low), dtype=np.intp)
+    hi = np.empty(len(low), dtype=np.intp)
+    # Plain ints and method calls: this loop is per member.
+    right_runs = np.asarray(right_runs).tolist()
+    left_runs = np.asarray(left_runs).tolist()
+    for r0, r1, l0, l1 in zip(right_runs, right_runs[1:], left_runs, left_runs[1:]):
+        run = right_vals[r0:r1]
+        run_order = run.argsort(kind="stable")
+        run = run[run_order]
+        order[r0:r1] = run_order + r0
+        lo[l0:l1] = run.searchsorted(low[l0:l1], "left") + r0
+        hi[l0:l1] = run.searchsorted(high[l0:l1], "right") + r0
+    # An inverted interval (a negative radius) selects nothing.
+    return order, lo, np.maximum(hi - lo, 0)
+
+
 def equi_join(left_vals: np.ndarray, right_vals: np.ndarray):
     """Vectorized many-to-many equi join; returns (left_idx, right_idx).
 
     Sorts the right side and probes it with the left, so pairs come out
     left-major with each left row's matches in ascending right order.
     """
-    order = np.argsort(right_vals, kind="stable")
-    sorted_right = right_vals[order]
-    lo = np.searchsorted(sorted_right, left_vals, side="left")
-    hi = np.searchsorted(sorted_right, left_vals, side="right")
-    return _expand_ranges(lo, hi - lo, order)
-
-
-def _band_join(left_dec: np.ndarray, right_dec: np.ndarray, radius: float):
-    """Candidate pairs whose declinations differ by at most ``radius``.
-
-    A great-circle separation is never smaller than the declination
-    difference, so every pair closer than ``radius`` degrees is among
-    the candidates.  The band is widened by far more than haversine
-    round-off (~1e-14 deg) so a pair the exact test would keep is never
-    missed; the exact test runs on the candidates afterwards.
-    """
-    band = radius + max(1e-9, abs(radius) * 1e-9)
-    order = np.argsort(right_dec, kind="stable")
-    sorted_right = right_dec[order]
-    lo = np.searchsorted(sorted_right, left_dec - band, side="left")
-    hi = np.searchsorted(sorted_right, left_dec + band, side="right")
-    counts = np.maximum(hi - lo, 0)  # a negative radius selects nothing
-    total = int(counts.sum())
-    if total > MAX_CROSS_PAIRS:
-        raise SqlError(
-            f"near-neighbor join of {len(left_dec)} x {len(right_dec)} rows "
-            f"yields {total} candidate pairs, more than {MAX_CROSS_PAIRS}; "
-            "restrict the join"
-        )
+    order, lo, counts = _probe_runs(
+        right_vals, (0, len(right_vals)), left_vals, left_vals, (0, len(left_vals))
+    )
     return _expand_ranges(lo, counts, order)
+
+
+def isin(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """``np.isin(values, candidates)``, by lookup table whenever one is small.
+
+    NumPy sorts unless the candidates' range is within ``6 x`` the two
+    lengths -- ten times slower for a few hundred object ids spread
+    over a chunk's id range -- and its own table method makes a dozen
+    passes.  ``int64`` candidates spanning at most a MiB of flags (or a
+    table in proportion to the input) get one flag per value in their
+    range plus one for "outside" at either end, and the answer is three
+    passes: offset, clip, look up.  Everything else (wide ids, other
+    integer widths, floats, strings) is NumPy's to decide.  The mask is
+    the same either way.
+    """
+    if values.dtype == candidates.dtype == np.int64 and len(candidates):
+        low = int(candidates.min())
+        span = int(candidates.max()) - low
+        if span <= max(2**20, 8 * (len(values) + len(candidates))):
+            table = np.zeros(span + 2, dtype=bool)
+            table[candidates - low] = True
+            # Slots -1 (= span + 1) and span + 1 stay False.  An offset
+            # that wraps around lands far outside 0..span, so is clipped.
+            slots = values - low
+            np.clip(slots, -1, span + 1, out=slots)
+            return table[slots]
+    return np.isin(values, candidates)
 
 
 def _drop_unmatched(vals: np.ndarray, rows, other_vals: np.ndarray):
@@ -539,13 +576,14 @@ def _drop_unmatched(vals: np.ndarray, rows, other_vals: np.ndarray):
 
     A semi-join ahead of the sort-merge, taken when this side is much
     the longer one (Source against the few Objects a box cut kept):
-    ``np.isin`` is one linear pass for integer keys, far cheaper than
-    sorting this side or probing the other with every row of it.
-    ``rows`` are the row indices behind ``vals`` (None = all rows).
+    :func:`isin` is one linear pass for the integer keys of a chunk,
+    far cheaper than sorting this side or probing the other with every
+    row of it.  ``rows`` are the row indices behind ``vals`` (None =
+    all rows).
     """
     if len(vals) < 4 * len(other_vals):
         return vals, rows
-    keep = np.flatnonzero(np.isin(vals, other_vals))
+    keep = np.flatnonzero(isin(vals, other_vals))
     return vals[keep], keep if rows is None else rows[keep]
 
 
@@ -1036,6 +1074,42 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
 _ANGSEP_NAMES = frozenset({"QSERV_ANGSEP", "SCISQL_ANGSEP"})
 
 
+class _Stack(NamedTuple):
+    """One side of a statement family: the members' rows, end to end."""
+
+    #: The columns any stage reads, each the members' columns concatenated.
+    columns: dict[str, np.ndarray]
+    #: Member ``m`` holds rows ``bounds[m]:bounds[m + 1]``.
+    bounds: np.ndarray
+
+    @classmethod
+    def of(cls, tables, needed: list[str]) -> "_Stack":
+        bounds = np.zeros(len(tables) + 1, dtype=np.intp)
+        np.cumsum([t.num_rows for t in tables], out=bounds[1:])
+        columns = {}
+        for name in needed:
+            parts = [t.column(name) for t in tables]
+            if len(parts) == 1:
+                columns[name] = parts[0]
+                continue
+            if len({part.dtype for part in parts}) > 1:
+                # One SQL type, several widths: stacked, the narrow
+                # members would compute in the wide one's arithmetic.
+                raise KernelFallback(f"members differ in the dtype of {name!r}")
+            columns[name] = np.concatenate(parts)
+        return cls(columns, bounds)
+
+    def runs(self, rows) -> np.ndarray:
+        """``bounds`` among the kept ``rows`` (ascending; None = all rows)."""
+        return self.bounds if rows is None else np.searchsorted(rows, self.bounds)
+
+
+# The member a pair belongs to, as a column of the pair environment and
+# an output column of the grouped projection; no statement can name either.
+_MEMBER = ast.ColumnRef(column="member", table="\0family")
+_MEMBER_ITEM = ast.SelectItem(_MEMBER, alias="\0member")
+
+
 @dataclass(frozen=True, slots=True)
 class JoinKernel:
     """One filter-pair-verify-project callable for a two-table join template.
@@ -1050,6 +1124,14 @@ class JoinKernel:
     those of the statement being executed (conjuncts are kept by their
     position in its WHERE clause), so its literals apply, not the ones
     the kernel was compiled from.
+
+    The unit of work is a *family*: one statement asked of several
+    pairs of tables (the sub-chunk statements of a chunk query).  The
+    members' rows are stacked, and every stage runs once over the stack
+    with the member as one more equality between the two sides; the
+    output is then cut at the member boundaries.  Elementwise stages
+    see the same rows in the same order as member-by-member calls
+    would, so each member's share is what a call on it alone returns.
     """
 
     bindings: tuple[str, str]
@@ -1071,41 +1153,56 @@ class JoinKernel:
     out_names: list[str]
 
     def __call__(self, sel: ast.Select, left, right) -> dict[str, np.ndarray]:
+        return self.run(sel, [(left, right)])[0]
+
+    def run(self, sel: ast.Select, members: list) -> list[dict[str, np.ndarray]]:
+        """Result columns of ``sel`` per ``(left table, right table)`` member."""
         conjuncts = split_conjuncts(sel.where)
         sides = tuple(
-            {name: table.column(name) for name in needed}
-            for table, needed in zip((left, right), self.needed)
+            _Stack.of([member[side] for member in members], self.needed[side])
+            for side in (0, 1)
         )
-        _account_scan([arr for C in sides for arr in C.values()])
         kept = (
-            self._side_rows(0, conjuncts, sides[0], left.num_rows),
-            self._side_rows(1, conjuncts, sides[1], right.num_rows),
+            self._side_rows(0, conjuncts, sides[0]),
+            self._side_rows(1, conjuncts, sides[1]),
         )
         pairs = self._candidates(conjuncts, sides, kept)
+        if pairs is None:
+            # More candidates than one pass may hold, though perhaps
+            # no member has as many: halve the family.
+            half = len(members) // 2
+            return self.run(sel, members[:half]) + self.run(sel, members[half:])
+        _account_scan([arr for side in sides for arr in side.columns.values()])
         for position, refs in self.pair_conjuncts:
             env = self._pair_env(sides, pairs, refs)
             keep = _Helpers.as_mask(evaluate(conjuncts[position], env), env.length)
             pairs = (pairs[0][keep], pairs[1][keep])
         # The interpreter's order: left rows ascending, and per left row
-        # its right matches ascending.
+        # its right matches ascending -- member after member, since that
+        # is how the left rows are stacked.
         order = np.lexsort((pairs[1], pairs[0]))
         pairs = (pairs[0][order], pairs[1][order])
+        cuts = np.searchsorted(pairs[0], sides[0].bounds)
 
         env = self._pair_env(sides, pairs, self.output_columns)
         if self.grouped:
-            return grouped_projection(sel, env, self.aggregates)
-        return {
+            return self._grouped(sel, sides, env, cuts)
+        cols = {
             name: _Helpers.as_col(evaluate(item.expr, env), env.length)
             for name, item in zip(self.out_names, sel.items)
         }
+        return _cut(cols, cuts)
 
-    def _side_rows(self, side: int, conjuncts: list, C: dict, n: int):
-        """Row indices of one side passing its own conjuncts; None = all."""
+    def _side_rows(self, side: int, conjuncts: list, stack: _Stack):
+        """Stack rows of one side passing its own conjuncts; None = all."""
         positions = self.side_filters[side]
         if not positions:
             return None
         binding = self.bindings[side]
-        env = Environment({(binding, name): arr for name, arr in C.items()}, n)
+        n = int(stack.bounds[-1])
+        env = Environment(
+            {(binding, name): arr for name, arr in stack.columns.items()}, n
+        )
         mask = None
         for position in positions:
             m = _Helpers.as_mask(evaluate(conjuncts[position], env), n)
@@ -1113,18 +1210,44 @@ class JoinKernel:
         return np.flatnonzero(mask)
 
     def _candidates(self, conjuncts, sides, kept):
-        """Candidate (left rows, right rows): a superset of the answer."""
+        """Candidate (left rows, right rows) of the stack: a superset of the answer.
+
+        Both rows of a candidate belong to one member.  None when there
+        are more than :data:`MAX_CROSS_PAIRS` of them in a family the
+        caller can still halve; for one pair of tables that is an error.
+        """
         kind, left_col, right_col = self.pairing[:3]
         left_rows, right_rows = kept
-        left_vals = _Helpers.gather(sides[0][left_col], left_rows)
-        right_vals = _Helpers.gather(sides[1][right_col], right_rows)
+        left_vals = _Helpers.gather(sides[0].columns[left_col], left_rows)
+        right_vals = _Helpers.gather(sides[1].columns[right_col], right_rows)
         if kind == "equi":
+            # Blind to the member, so still a superset.
             left_vals, left_rows = _drop_unmatched(left_vals, left_rows, right_vals)
             right_vals, right_rows = _drop_unmatched(right_vals, right_rows, left_vals)
-            li, ri = equi_join(left_vals, right_vals)
+            low = high = left_vals
         else:
+            # A great-circle separation is never smaller than the
+            # declination difference, so every pair closer than the
+            # radius lies in this band of the sorted declinations.  It
+            # is widened by far more than haversine round-off (~1e-14
+            # deg) so that no pair the exact test would keep is missed.
             radius = float(conjuncts[self.pairing[3]].right.value)
-            li, ri = _band_join(left_vals, right_vals, radius)
+            band = radius + max(1e-9, abs(radius) * 1e-9)
+            low, high = left_vals - band, left_vals + band
+        order, lo, counts = _probe_runs(
+            right_vals, sides[1].runs(right_rows), low, high, sides[0].runs(left_rows)
+        )
+        if kind == "band":
+            total = int(counts.sum())
+            if total > MAX_CROSS_PAIRS:
+                if len(sides[0].bounds) > 2:
+                    return None
+                raise SqlError(
+                    f"near-neighbor join of {len(left_vals)} x {len(right_vals)} "
+                    f"rows yields {total} candidate pairs, more than "
+                    f"{MAX_CROSS_PAIRS}; restrict the join"
+                )
+        li, ri = _expand_ranges(lo, counts, order)
         if left_rows is not None:
             li = left_rows[li]
         if right_rows is not None:
@@ -1133,10 +1256,55 @@ class JoinKernel:
 
     def _pair_env(self, sides, pairs, refs) -> Environment:
         cols = {
-            (self.bindings[side], name): sides[side][name][pairs[side]]
+            (self.bindings[side], name): sides[side].columns[name][pairs[side]]
             for side, name in refs
         }
         return Environment(cols, len(pairs[0]))
+
+    def _grouped(self, sel, sides, env, cuts) -> list[dict[str, np.ndarray]]:
+        """Group, aggregate and project each member's pairs (``cuts`` apart)."""
+        sizes = np.diff(cuts)
+        out: list = [None] * len(sizes)
+        if env.length:
+            # The member leads the GROUP BY keys: a stable sort keeps
+            # each member's pairs in their order, so every group holds
+            # what it holds when the member is grouped alone.
+            env = Environment(
+                {
+                    **env.columns,
+                    (_MEMBER.table, _MEMBER.column): np.repeat(
+                        np.arange(len(sizes)), sizes
+                    ),
+                },
+                env.length,
+            )
+            family = replace(
+                sel,
+                items=sel.items + (_MEMBER_ITEM,),
+                group_by=(_MEMBER,) + sel.group_by,
+            )
+            cols = grouped_projection(family, env, self.aggregates)
+            group_member = cols.pop(_MEMBER_ITEM.alias)
+            out = _cut(cols, np.searchsorted(group_member, np.arange(len(sizes) + 1)))
+        if not sizes.all():
+            # What no pair at all gives (one COUNT(*) = 0 / NULL row, or
+            # no row under GROUP BY), dtypes included: those of an empty
+            # input, which lead the chunk result if this member does.
+            none = (np.empty(0, dtype=np.intp),) * 2
+            empty = grouped_projection(
+                sel, self._pair_env(sides, none, self.output_columns), self.aggregates
+            )
+            for m in np.flatnonzero(sizes == 0):
+                out[m] = dict(empty)
+        return out
+
+
+def _cut(cols: dict[str, np.ndarray], cuts: np.ndarray) -> list[dict]:
+    """``cols`` member by member: member ``m`` has rows ``cuts[m]:cuts[m + 1]``."""
+    return [
+        {name: arr[lo:hi] for name, arr in cols.items()}
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
 
 
 def compile_join(sel: ast.Select, bindings, schemas) -> JoinKernel:

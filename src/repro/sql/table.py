@@ -30,8 +30,8 @@ long.
 
 All derived operations (row access, selection, packing) go through the
 public primitives ``column()`` / ``columns()`` / ``num_rows`` so that
-storage subclasses (e.g. the mmap-backed tables in
-:mod:`repro.sql.colstore`) only need to override those.
+storage subclasses (the mmap-backed tables in :mod:`repro.sql.colstore`,
+the :class:`RowView` below) only need to override those.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Column", "Table", "sql_type_to_dtype", "dtype_to_sql_type"]
+__all__ = ["Column", "Table", "RowView", "sql_type_to_dtype", "dtype_to_sql_type"]
 
 _INT_TYPES = {"TINYINT", "SMALLINT", "MEDIUMINT", "INT", "INTEGER", "BIGINT"}
 _FLOAT_TYPES = {"FLOAT", "DOUBLE", "REAL", "DECIMAL", "NUMERIC"}
@@ -327,3 +327,59 @@ class Table:
 
     def __repr__(self):
         return f"Table({self.name!r}, rows={self.num_rows}, cols={self.column_names})"
+
+
+class RowView(Table):
+    """Some rows of another table under a name of their own, gathered lazily.
+
+    What ``parent.select_rows(rows)`` would hold, except that a column
+    is cut from the parent the first time it is read and kept from then
+    on -- building the view costs nothing per column, so a statement
+    that reads 2 of 13 columns gathers 2.  The schema (and so the
+    kernel-cache signature) is the parent's.  The view holds the parent
+    *object*: it keeps answering with the rows it was cut from when the
+    database replaces or drops the table of that name.
+    """
+
+    def __init__(self, name: str, parent: Table, rows: np.ndarray):
+        super().__init__(name)
+        self._parent = parent
+        self._rows = rows
+        self._names = parent.column_names
+
+    @property
+    def num_rows(self) -> int:
+        return len(self._rows)
+
+    @property
+    def column_names(self) -> list[str]:
+        return list(self._names)
+
+    def column(self, name: str) -> np.ndarray:
+        arr = self._columns.get(name)
+        if arr is None:
+            try:
+                source = self._parent.column(name)
+            except KeyError:
+                raise KeyError(
+                    f"no column {name!r} in table {self.name!r} "
+                    f"(have {self.column_names})"
+                ) from None
+            # Two threads may both gather; they store equal arrays.
+            arr = self._columns[name] = source[self._rows]
+        return arr
+
+    def columns(self) -> dict[str, np.ndarray]:
+        return {n: self.column(n) for n in self._names}
+
+    def signature(self) -> tuple[tuple[str, str], ...]:
+        return self._parent.signature()
+
+    def append_rows(self, data: dict[str, np.ndarray]) -> None:
+        raise TypeError(f"{self.name!r} is a read-only view of {self._parent.name!r}")
+
+    def __repr__(self):
+        return (
+            f"RowView({self.name!r}, rows={self.num_rows} of "
+            f"{self._parent.name!r}, cols={self.column_names})"
+        )

@@ -215,39 +215,118 @@ class TestJoins:
         assert d == int(np.count_nonzero(sep < dist))
 
 
+def _near_neighbour_answers(tb, box):
+    """(distributed, single-node, brute-force) pairs within ``box`` + radius.
+
+    ``box`` is ``(ra_min, dec_min, ra_max, dec_max)`` as the areaspec
+    takes it.  Each answer is a sorted list of ``(objectId, objectId)``;
+    the distributed side is also asked for the count alone (SHV1).
+    """
+    from repro.sphgeom import SphericalBox, angular_separation
+
+    dist = tb.chunker.overlap * 0.9
+    near = f"qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < {dist}"
+    area = "qserv_areaspec_box({}, {}, {}, {})".format(*box)
+    pairs = tb.czar.submit(
+        f"SELECT o1.objectId AS a, o2.objectId AS b FROM Object o1, Object o2 "
+        f"WHERE {area} AND {near}"
+    )
+    count = tb.czar.submit(f"SELECT count(*) FROM Object o1, Object o2 WHERE {area} AND {near}")
+    distributed = sorted(pairs.table.rows())
+    assert int(count.table.column("count(*)")[0]) == len(distributed)
+    assert count.stats.chunks_dispatched == pairs.stats.chunks_dispatched
+
+    # The single-node engine on the unpartitioned table; its join runs
+    # as a kernel whatever the suite's setting (12 000 x 12 000 rows
+    # are beyond the interpreter's cross join).
+    ra_min, dec_min, ra_max, dec_max = box
+    if ra_max < ra_min:
+        ra_max += 360.0
+    local = Database("LSST", use_kernels=True)
+    local.create_table(tb.tables["Object"])
+    single = sorted(
+        local.execute(
+            "SELECT o1.objectId AS a, o2.objectId AS b FROM Object o1, Object o2 WHERE "
+            f"qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, {ra_min}, {dec_min}, "
+            f"{ra_max}, {dec_max}) = 1 AND {near}"
+        ).rows()
+    )
+
+    obj = tb.tables["Object"]
+    ids, ra, dec = obj.column("objectId"), obj.column("ra_PS"), obj.column("decl_PS")
+    left = np.flatnonzero(SphericalBox(ra_min, dec_min, ra_max, dec_max).contains(ra, dec))
+    sep = angular_separation(
+        ra[left][:, None], dec[left][:, None], ra[None, :], dec[None, :]
+    )
+    li, ri = np.nonzero(sep < dist)
+    brute = sorted(zip(ids[left][li], ids[ri]))
+    return distributed, single, brute, count.stats.chunks_dispatched
+
+
+def _partitionings():
+    from repro.partition import HtmChunker
+
+    return {"stripe": None, "htm": HtmChunker(4, 2, 0.05)}
+
+
 def test_near_neighbor_across_chunk_border_and_ra_wrap():
     """SHV1 over a box on the RA 0 meridian and the dec 0 stripe border.
 
     Pairs there are only found through the overlap tables, and the
     box cut and the pair distance both have to survive the RA wrap;
-    the count must equal a brute-force NumPy count.
+    the pairs must be those of the single-node engine and of a
+    brute-force NumPy count, on the stripe and on the HTM chunker
+    (whose root triangles meet in this very point).
     """
-    from repro.sphgeom import SphericalBox, angular_separation
+    for name, chunker in _partitionings().items():
+        tb = build_testbed(num_workers=3, num_objects=12000, seed=37, chunker=chunker)
+        try:
+            distributed, single, brute, chunks = _near_neighbour_answers(
+                tb, (359.0, -1.0, 1.0, 1.0)
+            )
+        finally:
+            tb.shutdown()
+        assert distributed == single == brute, name
+        assert chunks == 4, name
 
-    tb = build_testbed(num_workers=3, num_objects=12000, seed=37)
-    try:
-        dist = tb.chunker.overlap * 0.9
-        result = tb.czar.submit(
-            "SELECT count(*) FROM Object o1, Object o2 "
-            "WHERE qserv_areaspec_box(359.0, -1.0, 1.0, 1.0) "
-            f"AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < {dist}"
-        )
-    finally:
-        tb.shutdown()
-    assert result.stats.chunks_dispatched == 4
+        obj = tb.tables["Object"]
+        ra = dict(zip(obj.column("objectId"), obj.column("ra_PS")))
+        dec = dict(zip(obj.column("objectId"), obj.column("decl_PS")))
+        # The fixture does contain what the test is about: neighbours on
+        # opposite sides of RA 0 and of the stripe border at dec 0.
+        assert any(abs(ra[a] - ra[b]) > 300.0 for a, b in brute), name
+        assert any((dec[a] < 0.0) != (dec[b] < 0.0) for a, b in brute), name
 
-    obj = tb.tables["Object"]
-    ra, dec = obj.column("ra_PS"), obj.column("decl_PS")
-    left = np.flatnonzero(SphericalBox(359.0, -1.0, 361.0, 1.0).contains(ra, dec))
-    sep = angular_separation(
-        ra[left][:, None], dec[left][:, None], ra[None, :], dec[None, :]
-    )
-    li, ri = np.nonzero(sep < dist)
-    assert int(result.table.column("count(*)")[0]) == len(li)
-    # The fixture does contain what the test is about: neighbours on
-    # opposite sides of RA 0 and of the stripe border at dec 0.
-    assert np.any(np.abs(ra[left][li] - ra[ri]) > 300.0)
-    assert np.any((dec[left][li] < 0.0) != (dec[ri] < 0.0))
+
+def test_near_neighbor_box_on_a_sub_chunk_corner():
+    """Boxes that touch sub-chunks in a corner or along an edge only.
+
+    The czar may name a sub-chunk the box merely touches or leave it
+    out; either way the rows are those of the single-node engine.
+    """
+    for name, chunker in _partitionings().items():
+        tb = build_testbed(num_workers=3, num_objects=12000, seed=41, chunker=chunker)
+        try:
+            if name == "stripe":
+                cid = int(tb.chunker.chunk_id(2.0, 2.0))
+                scid = int(tb.chunker.sub_chunk_id(2.0, 2.0))
+                cell = tb.chunker.sub_chunk_box(cid, scid)
+                corner = (cell.ra_max, cell.dec_max)
+            else:
+                corner = (0.0, 0.0)  # a vertex of every trixel level
+            ra0, dec0 = corner
+            boxes = [
+                (ra0, dec0, ra0 + 0.7, dec0 + 0.7),  # its corner on the corner
+                (ra0 - 0.4, dec0 - 0.4, ra0 + 0.4, dec0 + 0.4),  # centred on it
+                (ra0 - 0.6, dec0, ra0, dec0 + 0.5),  # two edges along cell edges
+            ]
+            for box in boxes:
+                box = (box[0] % 360.0, box[1], box[2] % 360.0, box[3])
+                distributed, single, brute, _ = _near_neighbour_answers(tb, box)
+                assert distributed == single == brute, (name, box)
+                assert len(brute) > 20, (name, box)
+        finally:
+            tb.shutdown()
 
 
 #: The benchmark's scan and box classes: (distributed SQL, single-node SQL).

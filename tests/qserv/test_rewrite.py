@@ -279,6 +279,25 @@ class TestChunkQueryTextIsPinned:
                 assert stmt.items[0].expr.value == from_list
 
 
+    def test_stand_in_sub_chunk_id_inside_a_literal(self, md, chunker):
+        # Each kind of statement is rendered once for a sub-chunk id
+        # nobody uses and the real ids are substituted; a query that
+        # spells that stand-in out is rendered statement by statement.
+        from repro.qserv import rewrite
+
+        tag = f"x_{rewrite._ANY_SUB_CHUNK}"
+        plain = TestSubchunkRewrite.SHV1
+        sql = plain.replace("count(*)", f"'{tag}' AS tag, count(*)")
+        specs, plain_specs = self.specs_of(sql, md, chunker), self.specs_of(plain, md, chunker)
+        assert [s.sub_chunk_ids for s in specs] == [s.sub_chunk_ids for s in plain_specs]
+        for spec in specs:
+            for line in spec.text.splitlines()[1:]:
+                (stmt,) = parse(line)
+                assert stmt.to_sql() + ";" == line
+                assert stmt.items[0].expr.value == tag
+            assert spec.text.count(tag) == 2 * len(spec.sub_chunk_ids)
+
+
 class TestMergeQuery:
     def test_passthrough_merge(self, md, chunker):
         a = analyze("SELECT objectId, ra_PS FROM Object", md)

@@ -1,9 +1,11 @@
 """Tests for the Qserv worker (ofs plugin, sub-chunk build, FIFO queue)."""
 
+import json
 import re
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,16 +652,20 @@ class TestConcurrentSubChunkSharing:
         # have taken their sub-chunk references, so the tables really
         # are shared and the last one out drops them.
         inside = threading.Barrier(2)
-        real = w.db.execute_statement
         arrived = threading.local()
 
-        def rendezvous(stmt, kernel_key=None):
-            if not getattr(arrived, "done", False):
-                arrived.done = True
-                inside.wait(timeout=10.0)
-            return real(stmt, kernel_key)
+        def rendezvous(real):
+            def execute(*args):
+                if not getattr(arrived, "done", False):
+                    arrived.done = True
+                    inside.wait(timeout=10.0)
+                return real(*args)
 
-        monkeypatch.setattr(w.db, "execute_statement", rendezvous)
+            return execute
+
+        # Whichever way the loop executes: as a family or one by one.
+        for entry in ("execute_family", "execute_statement"):
+            monkeypatch.setattr(w.db, entry, rendezvous(getattr(w.db, entry)))
         texts = [
             "-- RESULT_FORMAT: binary\n" + sub_chunk_query(cid, scids[:6], radius=0.5),
             "-- RESULT_FORMAT: binary\n" + sub_chunk_query(cid, scids[3:], radius=0.4),
@@ -678,6 +684,320 @@ class TestConcurrentSubChunkSharing:
         assert w._sub_chunk_refs == {}
         assert set(w.db.tables) == before
         assert races.race_report() == []
+
+
+# -- statement families -------------------------------------------------------------
+
+GOLDEN_RESULTS = Path(__file__).with_name("golden_chunk_results.json")
+FAMILY_BOX = "qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, {}, {}, {}, {}) = 1"
+
+
+def family_worker(use_kernels=True, cache=False, slots=0):
+    """``make_join_worker`` plus the chunk's Source table, kernels on or off."""
+    w, cid, scids = make_join_worker(slots=slots, cache=cache)
+    objects = w.db.get_table(f"Object_{cid}")
+    rng = np.random.default_rng(12)
+    owner = np.repeat(objects.column("objectId"), 3)
+    n = len(owner)
+    sources = Table(
+        f"Source_{cid}",
+        {
+            "sourceId": rng.permutation(np.arange(n, dtype=np.int64)),
+            "objectId": owner,
+            "ra": np.repeat(objects.column("ra_PS"), 3) + rng.normal(0.0, 2e-4, n),
+            "decl": np.repeat(objects.column("decl_PS"), 3) + rng.normal(0.0, 2e-4, n),
+        },
+    )
+    db = Database("LSST", use_kernels=use_kernels)
+    for table in (*w.db.tables.values(), sources):
+        db.create_table(table)
+    w.shutdown()
+    return QservWorker("w-test", db, slots=slots, cache_sub_chunks=cache), cid, scids
+
+
+def family_chunk_queries(w, cid, scids):
+    """Chunk queries as the czar words them for SHV1, SHV2 and friends."""
+    objects = w.db.get_table(f"Object_{cid}")
+    ra, dec = objects.column("ra_PS"), objects.column("decl_PS")
+    box = FAMILY_BOX.format(
+        *(repr(round(float(v), 4)) for v in (
+            np.quantile(ra, 0.2), np.quantile(dec, 0.1), np.quantile(ra, 0.9), np.quantile(dec, 0.8)
+        ))
+    )
+
+    def near_neighbour(select, tail=""):
+        statements = [
+            f"SELECT {select} FROM LSST.Object_{cid}_{scid} AS o1, "
+            f"LSST.{outer}_{cid}_{scid} AS o2 WHERE ({NEAR} < 0.4 AND {box}){tail};"
+            for scid in scids
+            for outer in ("Object", "ObjectFullOverlap")
+        ]
+        return f"-- SUBCHUNKS: {', '.join(map(str, scids))}\n" + "\n".join(statements)
+
+    return {
+        "shv1": near_neighbour("COUNT(*) AS `COUNT(*)`"),
+        "shv2": (
+            f"SELECT o.objectId, s.sourceId FROM LSST.Object_{cid} AS o, "
+            f"LSST.Source_{cid} AS s WHERE ({box.replace('o1.', 'o.')} AND "
+            "o.objectId = s.objectId AND "
+            "qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > 0.0001);"
+        ),
+        "near_neighbour_rows": near_neighbour(
+            f"o1.objectId AS a, o2.objectId AS b, {NEAR} AS d"
+        ),
+        "near_neighbour_group_by": near_neighbour(
+            "o1.subChunkId AS s, COUNT(*) AS n, AVG(o2.ra_PS) AS r, MIN(o2.objectId) AS lo",
+            " GROUP BY o1.subChunkId",
+        ),
+        # The first sub-chunk's result leads the chunk result's dtypes,
+        # and this cut leaves it no pair: MIN(objectId) is NULL there.
+        "near_neighbour_empty_first": near_neighbour(
+            "COUNT(*) AS n, MIN(o2.objectId) AS lo, SUM(o2.decl_PS) AS s",
+            f" AND o1.subChunkId != {scids[0]}",
+        ),
+    }
+
+
+def statement_counters(w):
+    snap = obs_metrics.REGISTRY.snapshot()
+    return (
+        w.stats.statements_executed,
+        w.stats.sub_chunk_tables_built,
+        w.stats.sub_chunk_cache_hits,
+        snap.get("kernel.executions", 0),
+        snap.get("engine.scan.bytes", 0),
+    )
+
+
+def one_by_one(w, monkeypatch):
+    """Make ``w`` execute every statement on its own, as before families."""
+    monkeypatch.setattr(w.db, "execute_family", lambda *args: None)
+
+
+class TestStatementFamilies:
+    """A family pass answers with the bytes the statement loop answers with."""
+
+    CASES = ["shv1", "shv2", "near_neighbour_rows", "near_neighbour_group_by",
+             "near_neighbour_empty_first"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bytes_equal_kernels_on_off_and_before_this_change(self, case, monkeypatch):
+        golden = json.loads(GOLDEN_RESULTS.read_text())
+        payloads = {}
+        for mode in ("family", "one by one", "interpreter"):
+            w, cid, scids = family_worker(use_kernels=mode != "interpreter")
+            if mode == "one by one":
+                one_by_one(w, monkeypatch)
+            with np.errstate(invalid="ignore"):  # NULL -> BIGINT, as the loop casts it
+                result = w.execute_chunk_query(cid, family_chunk_queries(w, cid, scids)[case])
+                payloads[mode] = encode_table(result, "chunk_result")
+            assert result.num_rows > 0
+        assert payloads["family"] == payloads["one by one"] == payloads["interpreter"]
+        assert payloads["family"].hex() == golden[case]
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["no cache", "cache"])
+    def test_counters_count_statements_as_before(self, cache, monkeypatch):
+        deltas = {}
+        for mode in ("family", "one by one"):
+            w, cid, scids = family_worker(cache=cache)
+            if mode == "one by one":
+                one_by_one(w, monkeypatch)
+            families = []
+            real = w.db.execute_family
+            monkeypatch.setattr(
+                w.db, "execute_family",
+                lambda *args, real=real: families.append(len(args[2])) or real(*args),
+            )
+            queries = family_chunk_queries(w, cid, scids)
+            before = statement_counters(w)
+            w.execute_chunk_query(cid, queries["shv1"])
+            w.execute_chunk_query(cid, queries["near_neighbour_rows"])
+            w.execute_chunk_query(cid, queries["shv2"])
+            deltas[mode] = [b - a for a, b in zip(before, statement_counters(w))]
+            # 18 statements a sub-chunked query, one family each; the
+            # single statement of SHV2 is not a family.
+            assert families == [18, 18]
+            assert w._sub_chunk_refs == {}
+        assert deltas["family"] == deltas["one by one"]
+        statements, built, hits, kernel_runs, scanned = deltas["family"]
+        assert (statements, kernel_runs) == (37, 37)
+        assert (built, hits) == ((18, 18) if cache else (36, 0))
+        assert scanned > 0
+
+    def test_a_family_beside_unrelated_statements(self, monkeypatch):
+        w, cid, scids = family_worker()
+        a, b, c = scids[:3]
+        statements = [
+            pair_statement(cid, a),
+            pair_statement(cid, a, "ObjectFullOverlap"),
+            f"SELECT COUNT(*) AS n FROM LSST.Object_{cid} AS o WHERE objectId < 7",
+            pair_statement(cid, b),
+            pair_statement(cid, c),
+            pair_statement(cid, c, radius=0.05),  # other literals: another family
+            pair_statement(cid, b, "ObjectFullOverlap", radius=0.05),
+            pair_statement(cid, a),
+        ]
+        text = f"-- SUBCHUNKS: {a}, {b}, {c}\n" + ";\n".join(statements) + ";"
+        families = []
+        real = w.db.execute_family
+        monkeypatch.setattr(
+            w.db, "execute_family",
+            lambda *args: families.append(args[2]) or real(*args),
+        )
+        result = w.execute_chunk_query(cid, text)
+        assert result.rows() == reference_rows(w, cid, text)
+        assert w.stats.statements_executed == 8
+        assert [len(members) for members in families] == [2, 2, 2]
+        assert families[0] == [
+            (f"Object_{cid}_{a}", f"Object_{cid}_{a}"),
+            (f"Object_{cid}_{a}", f"ObjectFullOverlap_{cid}_{a}"),
+        ]
+        assert w._sub_chunk_refs == {}
+
+    def test_statements_other_than_selects_keep_their_place(self):
+        # Nothing is executed ahead of a statement that precedes it.
+        w, cid, scids = family_worker()
+        a, b = scids[:2]
+        text = ";\n".join([
+            pair_statement(cid, a),
+            f"CREATE TABLE Scratch_1 AS SELECT objectId FROM LSST.Object_{cid}_{b} AS o",
+            pair_statement(cid, b),
+            "SELECT COUNT(*) AS n FROM Scratch_1",
+            "DROP TABLE Scratch_1",
+            pair_statement(cid, a),
+        ]) + ";"
+        result = w.execute_chunk_query(cid, f"-- SUBCHUNKS: {a}, {b}\n" + text)
+        counts = [n for (n,) in result.rows()]
+        sub = w.db.get_table(f"Object_{cid}").column("subChunkId")
+        assert counts[2] == np.count_nonzero(sub == b)
+        assert counts[0] == counts[3] and "Scratch_1" not in w.db.tables
+
+    def test_a_member_naming_a_missing_table(self, monkeypatch):
+        texts = {}
+        for mode in ("family", "one by one"):
+            w, cid, scids = family_worker()
+            if mode == "one by one":
+                one_by_one(w, monkeypatch)
+            a, b = scids[:2]
+            before = set(w.db.tables)
+            # no chunk table to cut the second member's sub-chunk from
+            missing_parent = (
+                f"-- SUBCHUNKS: {a}\n{pair_statement(cid, a)};\n"
+                + pair_statement(cid, a).replace(f"Object_{cid}_{a} AS o2", f"Object_999_{a} AS o2")
+                + ";"
+            )
+            # a second member that names no chunk table at all
+            no_such_table = (
+                f"-- SUBCHUNKS: {a}\n{pair_statement(cid, a)};\n"
+                + pair_statement(cid, b).replace(f"Object_{cid}_{b} AS o2", f"Gone_{cid} AS o2")
+                + ";"
+            )
+            errors = []
+            for text in (missing_parent, no_such_table):
+                with pytest.raises(SqlError) as raised:
+                    w.execute_chunk_query(cid, text)
+                errors.append(str(raised.value))
+                assert w._sub_chunk_refs == {}
+                assert set(w.db.tables) == before
+            texts[mode] = errors
+        assert texts["family"] == texts["one by one"]
+        assert "no chunk table 'Object_999'" in texts["family"][0]
+        assert f"no such table 'Gone_{cid}'" in texts["family"][1]
+
+    def test_sub_chunk_tables_are_views_of_the_chunk_table(self):
+        from repro.sql import RowView
+
+        w, cid, scids = family_worker(cache=True)
+        w.execute_chunk_query(cid, family_chunk_queries(w, cid, scids)["shv1"])
+        parent = w.db.get_table(f"Object_{cid}")
+        for scid in scids:
+            sub = w.db.get_table(f"Object_{cid}_{scid}")
+            assert isinstance(sub, RowView) and sub.signature() is parent.signature()
+            # Only what the statements read was cut from the chunk table.
+            assert set(sub._columns) == {"ra_PS", "decl_PS"}
+
+    def test_two_slots_running_families_on_one_chunk(self, race_detector):
+        w, cid, scids = family_worker(slots=2)  # locks and tracking under the detector
+        queries = family_chunk_queries(w, cid, scids)
+        texts = [
+            f"-- RESULT_FORMAT: binary\n-- DEADLINE: {100 + i}\n" + queries[case]
+            for i, case in enumerate(["shv1", "near_neighbour_rows", "near_neighbour_group_by"] * 4)
+        ]
+        expected = {}
+        reference, _, _ = family_worker(use_kernels=False)
+        for text in texts[:3]:
+            body = parse_headers(text).body
+            expected[body] = encode_table(reference.execute_chunk_query(cid, body), "chunk_result")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for text in texts:
+                w.on_write(query_path(cid), text.encode())
+            for text in texts:
+                data = w.on_read(result_path(query_hash(text)))
+                assert data == expected[parse_headers(text).body]
+        finally:
+            sys.setswitchinterval(interval)
+            w.shutdown()
+        assert w.stats.statements_executed == 12 * 18
+        assert w.stats.sub_chunk_tables_built + w.stats.sub_chunk_cache_hits == 12 * 18
+        assert w._sub_chunk_refs == {}
+        assert races.race_report() == []
+
+
+@pytest.fixture(scope="module")
+def testbed():
+    from repro.data import build_testbed
+
+    tb = build_testbed(num_workers=2, num_objects=1200, seed=7)
+    yield tb
+    tb.shutdown()
+
+
+class TestStatementSplitting:
+    """A ';' inside a string or a quoted name does not end the statement."""
+
+    def test_split(self):
+        split = worker_module._split_statements
+        assert split("SELECT 1; SELECT 2;") == ["SELECT 1", " SELECT 2", ""]
+        assert [s.strip() for s in split("SELECT 'a;b'; SELECT \"c;d\" AS `e;f`;\nSELECT 3")] == [
+            "SELECT 'a;b'", 'SELECT "c;d" AS `e;f`', "SELECT 3"
+        ]
+        # the lexer's escapes: a doubled quote, a backslashed one
+        assert [s.strip() for s in split(r"SELECT 'it''s;'; SELECT 'a\';b'; SELECT 2")] == [
+            "SELECT 'it''s;'", r"SELECT 'a\';b'", "SELECT 2"
+        ]
+        # the other kinds of quote are plain characters inside one
+        assert split("""SELECT 'a"b;`' ; SELECT "x';" """) == [
+            """SELECT 'a"b;`' """, """ SELECT "x';" """
+        ]
+        # a quote that never closes is the parser's to report
+        assert "".join(split("SELECT 'abc; SELECT 2")) == "SELECT 'abc SELECT 2"
+
+    @pytest.mark.parametrize(
+        "literal", ["'a;b' = 'a;b'", '"a;b" = "a;b"', "'a;''b' != \"c;'d\""]
+    )
+    def test_semicolon_in_a_string_through_the_cluster(self, testbed, literal):
+        expected = testbed.query("SELECT COUNT(*) FROM Object WHERE objectId >= 0").rows()
+        assert expected[0][0] > 0
+        result = testbed.query(f"SELECT COUNT(*) FROM Object WHERE {literal} AND objectId >= 0")
+        assert result.rows() == expected
+
+    def test_semicolon_in_a_backticked_alias_through_the_cluster(self, testbed):
+        result = testbed.query("SELECT COUNT(*) AS `n;m` FROM Object WHERE objectId >= 0")
+        assert result.column_names == ["n;m"] and result.rows()[0][0] > 0
+
+    def test_semicolons_in_a_sub_chunked_chunk_query(self, testbed):
+        near = (
+            "FROM Object o1, Object o2 WHERE qserv_areaspec_box(0.0, 0.0, 2.0, 2.0) "
+            "AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.05"
+        )
+        expected = testbed.query(f"SELECT COUNT(*) AS n {near}")
+        assert expected.rows()[0][0] > 0
+        result = testbed.query(
+            f"SELECT COUNT(*) AS `n;m` {near} AND 'a;b' != \"c;'d\" AND `o1`.objectId >= 0"
+        )
+        assert result.column_names == ["n;m"] and result.rows() == expected.rows()
 
 
 class TestThreadedMode:

@@ -69,6 +69,97 @@ class TestContains:
         assert SphericalBox.full_sky().contains(ra, dec)
 
 
+def contains_always_mod(box, ra, dec):
+    """``SphericalBox.contains`` as it reads with ``np.mod`` on every call."""
+    ra = np.asarray(ra, dtype=np.float64)
+    dec = np.asarray(dec, dtype=np.float64)
+    if box.is_empty:
+        return np.zeros(np.broadcast(ra, dec).shape, dtype=bool)
+    in_dec = (dec >= box.dec_min) & (dec <= box.dec_max)
+    if box.full_ra:
+        return in_dec
+    ra_n = np.mod(ra, 360.0)
+    if box.wraps:
+        return in_dec & ((ra_n >= box.ra_min) | (ra_n <= box.ra_max))
+    return in_dec & ((ra_n >= box.ra_min) & (ra_n <= box.ra_max))
+
+
+class TestContainsSkipsTheModOnNormalizedInput:
+    """RAs already in [0, 360) are compared as they are; the mask is the same."""
+
+    BOXES = [
+        SphericalBox(10, -5, 20, 5),
+        SphericalBox(0, -5, 20, 5),  # its edge at RA 0
+        SphericalBox(350, -5, 10, 5),  # wrapping
+        SphericalBox(359.5, -1, 360.5, 1),  # as the czar words a wrap
+        SphericalBox(0, -90, 360, 90),
+        SphericalBox.empty(),
+    ]
+    RAS = {
+        "normalized": [0.0, 5.0, 9.999, 10.0, 15.0, 20.0, 20.001, 355.0, 359.999],
+        "negative": [-0.5, -350.0, 15.0, -10.0],
+        "beyond 360": [370.0, 375.0, 720.0, 15.0, 359.0],
+        "exactly 360": [360.0, 0.0, 10.0],
+        "minus zero": [-0.0, 0.0, 15.0],
+        "nan": [np.nan, 15.0, 0.0, 355.0],
+        "nan only": [np.nan],
+        "infinite": [np.inf, -np.inf, 15.0],
+        "tiny negative": [-1e-300, 15.0],  # np.mod rounds it to 360.0
+        "just below 360": [np.nextafter(360.0, 0.0), 0.0],
+    }
+
+    @pytest.mark.parametrize("box", BOXES, ids=repr)
+    @pytest.mark.parametrize("ras", RAS.values(), ids=RAS.keys())
+    def test_same_mask_as_always_mod(self, box, ras):
+        ra = np.array(ras)
+        for dec in (np.zeros(len(ra)), np.full(len(ra), 6.0), np.linspace(-5, 5, len(ra))):
+            with np.errstate(invalid="ignore"):
+                expected = contains_always_mod(box, ra, dec)
+                got = box.contains(ra, dec)
+            assert got.dtype == bool and got.shape == ra.shape
+            np.testing.assert_array_equal(got, expected)
+        # scalars take the same answer, as a bool
+        for r in ras:
+            with np.errstate(invalid="ignore"):
+                got = box.contains(r, 0.0)
+                assert isinstance(got, bool)
+                assert got == bool(contains_always_mod(box, r, 0.0))
+
+    @pytest.mark.parametrize("box", BOXES, ids=repr)
+    def test_zero_length_and_2d_and_broadcast(self, box):
+        empty = box.contains(np.array([]), np.array([]))
+        assert empty.shape == (0,) and empty.dtype == bool
+        ra = np.array([[5.0, 15.0], [355.0, 359.0]])
+        np.testing.assert_array_equal(
+            box.contains(ra, 0.0), contains_always_mod(box, ra, 0.0)
+        )
+        np.testing.assert_array_equal(
+            box.contains(15.0, np.array([-6.0, 0.0])),
+            contains_always_mod(box, 15.0, np.array([-6.0, 0.0])),
+        )
+
+    def test_the_input_is_not_modified(self):
+        ra = np.array([5.0, 15.0, 355.0])
+        ra.setflags(write=False)
+        assert list(SphericalBox(10, -5, 20, 5).contains(ra, np.zeros(3))) == [False, True, False]
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(min_value=-800.0, max_value=800.0), st.just(np.nan)),
+            max_size=12,
+        ),
+        ras,
+        widths,
+    )
+    def test_property_same_as_always_mod(self, values, ra_min, width):
+        box = make_box(ra_min, -10.0, width, 20.0)
+        ra = np.array(values, dtype=np.float64)
+        dec = np.zeros(len(ra))
+        np.testing.assert_array_equal(
+            box.contains(ra, dec), contains_always_mod(box, ra, dec)
+        )
+
+
 class TestExtentsAndArea:
     def test_ra_extent_plain(self):
         assert SphericalBox(10, 0, 30, 10).ra_extent() == pytest.approx(20)

@@ -47,6 +47,25 @@ class TestNormalizeRa:
         once = normalize_ra(ra)
         assert normalize_ra(once) == pytest.approx(once)
 
+    @pytest.mark.parametrize(
+        "ra",
+        [0.0, -0.0, 360.0, -360.0, 359.99999999999994, -1e-300, -1e-17, 1e-17, 5e-324,
+         720.5, -720.5, 1e17, -1e17, math.inf, -math.inf, math.nan, 7, -7, True,
+         np.float64(-10.0), np.float64(360.0)],
+    )
+    def test_a_scalar_is_the_one_element_array_bit_for_bit(self, ra):
+        scalar = normalize_ra(ra)
+        with np.errstate(invalid="ignore"):  # inf
+            (element,) = normalize_ra(np.array([ra], dtype=np.float64))
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() == element.tobytes()  # NaN and the zero's sign too
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_any_scalar_is_the_one_element_array(self, ra):
+        with np.errstate(invalid="ignore"):
+            (element,) = normalize_ra(np.array([ra]))
+        assert np.float64(normalize_ra(ra)).tobytes() == element.tobytes()
+
 
 class TestNormalizeDec:
     def test_clamps_low(self):

@@ -939,6 +939,308 @@ class TestJoinKernelMachinery:
             db.execute(sql)
 
 
+class TestMembershipHelper:
+    """``kernels.isin`` is ``np.isin``, whichever way it takes."""
+
+    I64 = np.iinfo(np.int64)
+
+    @pytest.mark.parametrize(
+        "values, candidates",
+        [
+            # a chunk's subChunkId column against the wanted sub-chunks
+            (np.random.default_rng(0).integers(0, 144, 5000), np.array([13, 14, 25, 26, 140])),
+            # Source.objectId against the few objects a cut kept
+            (np.random.default_rng(1).integers(0, 400_000, 20_000),
+             np.random.default_rng(2).choice(400_000, 700, replace=False)),
+            # values below, above and far outside the candidates' range
+            (np.array([-5, 0, 9, 10, 11, 20, 21, 10**12, -(10**12)]), np.array([10, 20, 10])),
+            # offsets that wrap around int64
+            (np.array([I64.min, I64.min + 1, -1, 0, 7, I64.max - 1, I64.max]),
+             np.array([5, 7, 9])),
+            (np.array([I64.min, -3, I64.max]), np.array([I64.min, I64.min + 2])),
+            (np.array([I64.min, 3, I64.max]), np.array([I64.max, I64.max - 2])),
+            (np.array([1, 2, 3]), np.array([-4, -2, 2])),
+            # one candidate; no candidate; no value
+            (np.arange(10), np.array([4])),
+            (np.arange(10), np.array([], dtype=np.int64)),
+            (np.array([], dtype=np.int64), np.array([1, 2])),
+            # a range too wide for a table, other widths, other kinds: NumPy's own
+            (np.array([3, 2**40, 5]), np.array([2**40, 3, -(2**41)])),
+            (np.arange(10, dtype=np.int32), np.array([2, 3])),
+            (np.arange(10), np.array([2, 3], dtype=np.uint8)),
+            (np.array([0.5, np.nan, 2.0]), np.array([2.0, np.nan])),
+            (np.array(["a", "b", "c"], dtype=object), np.array(["b", "z"], dtype=object)),
+            (np.array([True, False]), np.array([True])),
+        ],
+    )
+    def test_same_mask_as_numpy(self, values, candidates):
+        from repro.sql.kernels import isin
+
+        before = values.copy()
+        mask = isin(values, candidates)
+        assert mask.dtype == bool and mask.shape == values.shape
+        np.testing.assert_array_equal(mask, np.isin(values, candidates))
+        np.testing.assert_array_equal(values, before)  # a read-only use of its input
+
+    def test_a_strided_or_read_only_column_is_fine(self):
+        from repro.sql.kernels import isin
+
+        values = np.arange(40)[::3]
+        values.setflags(write=False)
+        np.testing.assert_array_equal(
+            isin(values, np.array([3, 9, 10])), np.isin(values, [3, 9, 10])
+        )
+
+
+# -- statement families: one pass over several pairs of tables -----------------------
+
+#: Join statements over ``{left}`` and ``{right}``; each member of a
+#: family names its own pair of tables there.
+FAMILY_BOX = "qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, 0.03, 0.03, 0.27, 0.22) = 1"
+FAMILY_FROM = "LSST.{left} AS o1, LSST.{right} AS o2"
+FAMILY_SHAPES = [
+    # declination band, strict and closed, with the czar's box cut and without
+    f"SELECT COUNT(*) AS n FROM {FAMILY_FROM} WHERE {NEAR} < 0.015",
+    f"SELECT COUNT(*) AS n FROM {FAMILY_FROM} WHERE ({NEAR} <= 0.02 AND {FAMILY_BOX})",
+    # one-sided cuts on the right, and on both sides
+    f"SELECT COUNT(*) AS n FROM {FAMILY_FROM} WHERE {NEAR} < 0.03 "
+    "AND o2.uFlux_PS IS NOT NULL",
+    f"SELECT o1.objectId AS a, o2.objectId AS b FROM {FAMILY_FROM} WHERE {NEAR} < 0.02 "
+    f"AND {FAMILY_BOX} AND o2.decl_PS > 0.1",
+    # plain projections over pair columns
+    f"SELECT o1.objectId AS a, o2.objectId AS b, {NEAR} AS d, 7 AS k FROM {FAMILY_FROM} "
+    f"WHERE {NEAR} < 0.02 AND o1.objectId != o2.objectId",
+    f"SELECT o1.ra_PS - o2.ra_PS AS dra, o1.uFlux_PS / o2.uFlux_PS AS ratio "
+    f"FROM {FAMILY_FROM} WHERE {NEAR} <= 0.01",
+    # aggregates over pair columns: one row per member, NULL when it has no pair
+    f"SELECT COUNT(*) AS n, SUM(o2.uFlux_PS) AS s, AVG(o1.decl_PS) AS a, "
+    f"MIN(o2.objectId) AS lo, MAX({NEAR}) AS far, COUNT(o2.uFlux_PS) AS c "
+    f"FROM {FAMILY_FROM} WHERE {NEAR} < 0.02",
+    # GROUP BY and HAVING
+    f"SELECT o1.subChunkId AS s, COUNT(*) AS n, AVG(o2.ra_PS) AS a FROM {FAMILY_FROM} "
+    f"WHERE {NEAR} < 0.03 GROUP BY o1.subChunkId",
+    f"SELECT o1.objectId AS a, COUNT(*) AS n, MIN({NEAR}) AS nearest FROM {FAMILY_FROM} "
+    f"WHERE {NEAR} < 0.05 GROUP BY o1.objectId HAVING COUNT(*) > 2 ORDER BY n DESC, a",
+    f"SELECT COUNT(*) AS n FROM {FAMILY_FROM} WHERE {NEAR} < 0.02 HAVING COUNT(*) > 40",
+    # DISTINCT, ORDER BY and LIMIT apply to each member's rows
+    f"SELECT DISTINCT o1.subChunkId AS s1, o2.subChunkId AS s2 FROM {FAMILY_FROM} "
+    f"WHERE {NEAR} < 0.02",
+    f"SELECT o1.objectId AS a, o2.objectId AS b, {NEAR} AS d FROM {FAMILY_FROM} "
+    f"WHERE {NEAR} < 0.03 ORDER BY d DESC, a, b LIMIT 5",
+    # equi-join, with and without a separation residual and a one-sided cut
+    f"SELECT o1.objectId AS a, o2.ra_PS AS r FROM {FAMILY_FROM} "
+    "WHERE o1.objectId = o2.objectId",
+    f"SELECT COUNT(*) AS n, AVG(o2.uFlux_PS) AS f FROM {FAMILY_FROM} "
+    f"WHERE o2.objectId = o1.objectId AND {NEAR} > 0.00001 AND o1.decl_PS < 0.2",
+    f"SELECT o1.subChunkId AS s, COUNT(*) AS n FROM {FAMILY_FROM} "
+    "WHERE o1.subChunkId = o2.subChunkId AND o1.objectId < o2.objectId "
+    "GROUP BY o1.subChunkId",
+]
+
+
+def family_tables():
+    """18 ``(left, right)`` table pairs, ordinary and awkward ones mixed.
+
+    The rights of the even members are jittered copies of their lefts
+    (so the equi shapes have matches and the residual something to
+    drop), those of the odd members are the left itself (the sub-chunk
+    self pair) or an unrelated patch (its overlap companion).
+    """
+    rng = np.random.default_rng(18)
+    members = []
+    for m in range(18):
+        n = int(rng.choice([3, 40, 90, 160]))
+        left = sky_patch(f"Object_713_{m}", n, seed=300 + m)
+        if m % 2 == 0:
+            right = sky_patch(f"ObjectFullOverlap_713_{m}", n, seed=300 + m)
+            right.column("ra_PS")[:] += rng.normal(0.0, 1e-4, n)
+            right.column("uFlux_PS")[:] = rng.uniform(1e-9, 1e-6, n)
+            right.column("uFlux_PS")[::5] = np.nan
+        elif m % 4 == 1:
+            right = left
+        else:
+            right = sky_patch(
+                f"ObjectFullOverlap_713_{m}", int(rng.integers(1, 70)), seed=500 + m,
+                first_id=1000,
+            )
+        members.append([left, right])
+
+    def emptied(table):
+        return Table(table.name, {n: a[:0] for n, a in table.columns().items()})
+
+    members[3][0] = emptied(members[3][0])  # no left rows
+    members[4][1] = emptied(members[4][1])  # no right (overlap) rows
+    # A member the box cut empties: everything north of it.
+    members[6][0].column("decl_PS")[:] += 0.25
+    # NULL coordinates on either side.
+    members[7][0].column("ra_PS")[::6] = np.nan
+    members[8][1].column("decl_PS")[::4] = np.nan
+    # The same left table in two members (as the self and overlap pairs have).
+    members[10][0] = members[9][0]
+    # A near pair split over two members: left row here, right row there.
+    members[11][0].column("ra_PS")[0] = members[12][1].column("ra_PS")[0] = 0.123456
+    members[11][0].column("decl_PS")[0] = members[12][1].column("decl_PS")[0] = 0.111111
+    # A pair exactly on the radius 0.015 (same RA: the band's edge too).
+    for col, on_left, on_right in (("ra_PS", 0.2, 0.2), ("decl_PS", 0.1, 0.115)):
+        members[14][0].column(col)[1] = on_left
+        members[14][1].column(col)[1] = on_right
+    return [tuple(member) for member in members]
+
+
+@pytest.fixture(scope="module")
+def family():
+    return family_tables()
+
+
+def family_databases(members):
+    tables = {t.name: t for member in members for t in member}
+    return fresh_pair(*tables.values())
+
+
+def run_family(db, template, members):
+    """``execute_family`` for the statement as the first member words it."""
+    from repro.sql.parser import parse
+
+    (sel,) = parse(template.format(left=members[0][0].name, right=members[0][1].name))
+    names = [(left.name, right.name) for left, right in members]
+    return db.execute_family(sel, db.kernel_key(sel), names)
+
+
+class TestStatementFamilies:
+    """A family's output, cut at the member boundaries, is each member's own."""
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 18])
+    @pytest.mark.parametrize("template", FAMILY_SHAPES)
+    def test_member_by_member_bit_identical(self, family, template, k):
+        members = family[:k]
+        db_i, db_k = family_databases(members)
+        runs = metric("kernel.executions")
+        together = run_family(db_k, template, members)
+        assert together is not None and len(together) == k
+        assert metric("kernel.executions") == runs + k
+        for (left, right), out in zip(members, together):
+            sql = template.format(left=left.name, right=right.name)
+            assert_identical(db_k.execute(sql), out)
+            assert_identical(db_i.execute(sql), out)
+        if k == 18 and "DISTINCT" not in template and "HAVING" not in template:
+            # Not vacuous: some members answer with rows, some with none.
+            sizes = {out.num_rows for out in together}
+            assert len(sizes) > 1 or sizes == {1}, template
+
+    def test_candidates_never_cross_members(self, family):
+        # Members 11 and 12 hold the two halves of a coincident pair.
+        members = family[11:13]
+        _, db_k = family_databases(members)
+        template = (
+            f"SELECT o1.ra_PS AS r1, o2.ra_PS AS r2 FROM {FAMILY_FROM} WHERE {NEAR} < 0.0001"
+        )
+        for out in run_family(db_k, template, members):
+            assert not np.any((out.column("r1") == 0.123456) & (out.column("r2") == 0.123456))
+        # ... which one pair of tables holding both halves does report.
+        left, right = members[0][0], members[1][1].rename("ObjectFullOverlap_713_11")
+        (out,) = run_family(fresh_pair(left, right)[1], template, [(left, right)])
+        assert np.any((out.column("r1") == 0.123456) & (out.column("r2") == 0.123456))
+
+    def test_a_pair_exactly_on_the_radius(self, family):
+        from repro.sphgeom import angular_separation
+
+        members = family[13:16]
+        _, db_k = family_databases(members)
+        radius = float(angular_separation(0.2, 0.1, 0.2, 0.115))
+        counts = {}
+        for op in ("<", "<="):
+            template = (
+                f"SELECT o1.decl_PS AS d1, o2.decl_PS AS d2 FROM {FAMILY_FROM} "
+                f"WHERE {NEAR} {op} {radius!r}"
+            )
+            out = run_family(db_k, template, members)[1]
+            counts[op] = int(
+                np.count_nonzero((out.column("d1") == 0.1) & (out.column("d2") == 0.115))
+            )
+        assert counts == {"<": 0, "<=": 1}
+
+    def test_the_pair_guard_is_each_members_own(self, family, monkeypatch):
+        from repro.sql import SqlError, kernels
+
+        members = family
+        db_i, db_k = family_databases(members)
+        template = f"SELECT COUNT(*) AS n FROM {FAMILY_FROM} WHERE {NEAR} < 0.05"
+        alone = [
+            db_k.execute(template.format(left=l.name, right=r.name)) for l, r in members
+        ]
+        # Below every member's candidate count but the largest: that
+        # member trips, with the text it trips with on its own.
+        monkeypatch.setattr(kernels, "MAX_CROSS_PAIRS", 5000)
+        errors = {}
+        for m, (left, right) in enumerate(members):
+            try:
+                db_k.execute(template.format(left=left.name, right=right.name))
+            except SqlError as e:
+                errors[m] = str(e)
+        assert len(errors) >= 1 and "candidate pairs" in next(iter(errors.values()))
+        with pytest.raises(SqlError) as raised:
+            run_family(db_k, template, members)
+        assert str(raised.value) == errors[min(errors)]
+        # A family with more candidates than one pass may hold, though
+        # no member has as many, is halved until its passes fit.
+        fitting = [m for m in range(len(members)) if m not in errors]
+        passes = []
+        real = kernels.JoinKernel.run
+        monkeypatch.setattr(
+            kernels.JoinKernel,
+            "run",
+            lambda self, sel, tables: passes.append(len(tables)) or real(self, sel, tables),
+        )
+        scans = metric("engine.scan.bytes")
+        together = run_family(db_k, template, [members[m] for m in fitting])
+        halved = metric("engine.scan.bytes") - scans
+        assert passes[0] == len(fitting) and len(passes) >= 3
+        for out, m in zip(together, fitting):
+            assert_identical(alone[m], out)
+        monkeypatch.setattr(kernels, "MAX_CROSS_PAIRS", 30_000_000)
+        scans = metric("engine.scan.bytes")
+        run_family(db_k, template, [members[m] for m in fitting])
+        assert metric("engine.scan.bytes") - scans == halved  # charged once per member
+
+    def test_what_is_not_one_pass_is_declined(self, family):
+        from repro.sql.parser import parse
+
+        members = family[:3]
+        db_i, db_k = family_databases(members)
+        template = FAMILY_SHAPES[0]
+        assert run_family(db_i, template, members) is None  # kernels off
+        names = [(left.name, right.name) for left, right in members]
+        (sel,) = parse(template.format(left=names[0][0], right=names[0][1]))
+        key = db_k.kernel_key(sel)
+        assert db_k.execute_family(sel, key, names) is not None
+        # a missing table, here and in another database
+        assert db_k.execute_family(sel, key, names + [("Object_713_0", "Nope_1_2")]) is None
+        (elsewhere,) = parse(template.format(left=names[0][0], right=names[0][1]).replace(
+            "LSST.Object", "Other.Object"))
+        assert db_k.execute_family(elsewhere, db_k.kernel_key(elsewhere), names) is None
+        # a member typed unlike the first: another schema, or another width
+        left = members[1][0]
+        db_k.create_table(left.select_columns(left.column_names[:-1]).rename("Narrow_713_1"))
+        assert db_k.execute_family(sel, key, names + [("Narrow_713_1", names[1][1])]) is None
+        cols = dict(left.columns())
+        cols["decl_PS"] = cols["decl_PS"].astype(np.float32)
+        db_k.create_table(Table("Single_713_1", cols))
+        assert db_k.execute_family(sel, key, names + [("Single_713_1", names[1][1])]) is None
+        # shapes no join kernel takes: a join with nothing to pair by,
+        # one table, three tables
+        for sql in (
+            f"SELECT COUNT(*) AS n FROM {FAMILY_FROM} WHERE {NEAR} > 0.2",
+            "SELECT COUNT(*) AS n FROM LSST.{left} AS o1",
+            f"SELECT COUNT(*) AS n FROM {FAMILY_FROM}, LSST.{{left}} AS o3 "
+            f"WHERE {NEAR} < 0.01",
+        ):
+            (sel,) = parse(sql.format(left=names[0][0], right=names[0][1]))
+            tables = [member[: len(sel.tables)] + member[:1] * (len(sel.tables) - 2) for member in names]
+            assert db_k.execute_family(sel, db_k.kernel_key(sel), tables) is None
+        with pytest.raises(ValueError, match="one table per FROM entry"):
+            db_k.execute_family(sel, db_k.kernel_key(sel), names)
+
+
 class TestUnderSanitizer:
     """The instrumented-lock build must stay bit-identical too."""
 

@@ -240,3 +240,128 @@ class TestAmortizedAppend:
         t.append_rows({"a": np.array([2], dtype=np.int64)})
         out = Table.concat("c", [t, t])
         np.testing.assert_array_equal(out.column("a"), [0, 1, 2, 0, 1, 2])
+
+
+class TestRowView:
+    """A lazy view of some rows is the eager ``select_rows`` of them."""
+
+    @pytest.fixture()
+    def parent(self):
+        rng = np.random.default_rng(4)
+        n = 50
+        flux = rng.uniform(0.0, 1.0, n)
+        flux[::7] = np.nan
+        return Table(
+            "Object_7",
+            {
+                "objectId": np.arange(n, dtype=np.int64),
+                "ra_PS": rng.uniform(0.0, 360.0, n),
+                "uFlux_PS": flux,
+                "flag": rng.integers(0, 2, n).astype(bool),
+                "band": np.array(list("ugriz") * (n // 5), dtype=object),
+            },
+        )
+
+    ROWS = [
+        np.array([41, 3, 3, 17, 0, 49]),  # any order, repeats allowed
+        np.array([], dtype=np.intp),
+        np.arange(50),
+    ]
+
+    @pytest.mark.parametrize("rows", ROWS, ids=["some", "none", "all"])
+    def test_equals_select_rows(self, parent, rows):
+        from repro.sql.table import RowView
+        from repro.sql.wire import decode_table, encode_table
+
+        view = RowView("Object_7_3", parent, rows)
+        eager = parent.select_rows(rows).rename("Object_7_3")
+
+        def same(a, b):
+            assert a.name == b.name and a.column_names == b.column_names
+            assert a.num_rows == b.num_rows == len(a)
+            for name in b.column_names:
+                assert a.column(name).dtype == b.column(name).dtype
+                np.testing.assert_array_equal(a.column(name), b.column(name))
+
+        same(view, eager)
+        assert list(view.columns()) == list(eager.columns())
+        assert view.signature() == eager.signature() == parent.signature()
+        assert view.schema() == eager.schema()
+        assert "ra_PS" in view and "nope" not in view
+        assert [r[:2] for r in view.rows()] == [r[:2] for r in eager.rows()]
+        if len(rows):
+            assert view.row(0)[:2] == eager.row(0)[:2]
+        same(view.rename("Other_1"), eager.rename("Other_1"))
+        pick = np.arange(view.num_rows)[::2]
+        same(view.select_rows(pick), eager.select_rows(pick))
+        same(view.select_columns(["band", "objectId"]), eager.select_columns(["band", "objectId"]))
+        same(Table.concat("c", [view, eager, view]), Table.concat("c", [eager, eager, eager]))
+        same(view.copy(), eager.copy())
+        assert view.nbytes() == eager.nbytes()
+        assert encode_table(view, "chunk_result") == encode_table(eager, "chunk_result")
+        same(decode_table(encode_table(view)), eager)
+
+    def test_each_column_is_gathered_once_and_only_when_read(self, parent):
+        from repro.sql.table import RowView
+
+        reads = []
+        real = parent.column
+        parent.column = lambda name: reads.append(name) or real(name)
+        view = RowView("Object_7_3", parent, np.array([5, 6, 7]))
+        assert view.num_rows == 3 and view.column_names == parent.column_names
+        assert view.signature() is parent.signature()
+        assert reads == []  # building and describing a view reads nothing
+        first = view.column("ra_PS")
+        assert view.column("ra_PS") is first
+        view.column("objectId"), view.column("ra_PS")
+        assert reads == ["ra_PS", "objectId"]
+        view.columns()
+        assert sorted(reads) == sorted(parent.column_names)
+
+    def test_unknown_column_names_the_view(self, parent):
+        from repro.sql.table import RowView
+
+        with pytest.raises(KeyError, match="no column 'nope' in table 'Object_7_3'"):
+            RowView("Object_7_3", parent, np.array([1])).column("nope")
+
+    def test_a_view_is_read_only(self, parent):
+        from repro.sql.table import RowView
+
+        view = RowView("Object_7_3", parent, np.array([1, 2]))
+        with pytest.raises(TypeError, match="read-only view"):
+            view.append_rows({n: a[:1] for n, a in parent.columns().items()})
+        # It holds copies: writing to them never reaches the parent.
+        view.column("ra_PS")[:] = -1.0
+        assert parent.column("ra_PS").min() >= 0.0
+
+    def test_survives_its_parent_being_replaced_or_dropped(self, parent):
+        # A repair re-installs the chunk table (create_table overwrite)
+        # while a query still holds sub-chunk views cut from the old one.
+        from repro.sql.engine import Database
+        from repro.sql.table import RowView
+
+        db = Database("LSST")
+        db.create_table(parent)
+        rows = np.array([10, 20, 30])
+        view = RowView("Object_7_3", db.get_table("Object_7"), rows)
+        db.create_table(view)
+        expected = parent.select_rows(rows)
+        replacement = parent.select_rows(np.arange(5)).copy()
+        replacement.column("objectId")[:] += 1000
+        db.create_table(replacement, overwrite=True)
+        np.testing.assert_array_equal(view.column("objectId"), expected.column("objectId"))
+        db.drop_table("Object_7")
+        np.testing.assert_array_equal(view.column("band"), expected.column("band"))
+        assert db.execute("SELECT COUNT(*) AS n FROM Object_7_3").rows() == [(3,)]
+
+    def test_view_of_an_mmap_table(self, parent, tmp_path):
+        from repro.sql.colstore import ColumnStore
+        from repro.sql.table import RowView
+
+        stored = ColumnStore(tmp_path).save_table(parent, "Object_7")
+        rows = np.array([4, 2, 40])
+        view = RowView("Object_7_3", stored, rows)
+        assert view.signature() == stored.signature()
+        for name in parent.column_names:
+            np.testing.assert_array_equal(view.column(name), parent.column(name)[rows])
+            assert type(view.column(name)) is np.ndarray  # in RAM, not a memmap

@@ -3,19 +3,20 @@
 In a class that owns locks, the rule infers which state each lock
 guards from the code itself -- a *guard association* is established the
 first time an attribute (or any attribute of a shared object such as
-the czar's per-query ``QueryStats``) is mutated inside a ``with
-self.<lock>:`` block.  Every other mutation of the same state must then
-hold at least one of its associated locks:
+a row of the czar's per-query ``ChunkLedger``) is mutated inside a
+``with self.<lock>:`` block.  Every other mutation of the same state
+must then hold at least one of its associated locks:
 
 - **exact-path discipline** for ``self`` state: if ``self._attempt_pool``
   is assigned under ``_attempt_pool_lock`` anywhere, assigning it
   elsewhere without the lock is a finding;
 - **object-level discipline** for non-``self`` roots: if *any*
-  attribute of a variable named ``stats`` is mutated under a lock in
-  this class, *every* ``stats.*`` mutation in the class must hold one
+  attribute of a variable named ``row`` is mutated under a lock in
+  this class, *every* ``row.*`` mutation in the class must hold one
   of the observed locks.  This is deliberately heuristic (same class +
-  same variable name ~ same shared object role) -- it is exactly how
-  the czar threads one ``QueryStats`` through its dispatch closures.
+  same variable name ~ same shared object role); it is exact where a
+  type owns both the lock and every write, as ``ChunkLedger`` does
+  its rows and ``QservWorker`` its result records.
 
 Methods named ``*_locked`` (the documented "caller holds the lock"
 convention) are exempt.  ``__init__`` is exempt only *up to* the first

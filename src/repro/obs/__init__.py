@@ -8,16 +8,16 @@ This package is that duty made inspectable, in three parts:
   context propagation (the ``-- TRACE:`` chunk-query header) and
   Chrome/Perfetto trace-event JSON export;
 - :mod:`repro.obs.metrics` -- a hierarchy of named counters, gauges,
-  and fixed-bucket histograms (per-query -> per-czar -> process-global);
+  and fixed-bucket histograms (per-czar / per-worker -> process-global);
 - :mod:`repro.obs.events` -- a ring-buffered log of typed operational
   records (retries, hedges, breaker transitions, shutdowns).
 
 On top of the record-keeping tier sits the *operational* tier -- what
 an operator of the multi-tenant frontend works with:
 
-- :mod:`repro.obs.profile` -- EXPLAIN ANALYZE: per-chunk resource
-  accounting assembled with ``QueryStats`` and enriched from the span
-  tree, riding on ``result.stats.profile``;
+- :mod:`repro.obs.profile` -- EXPLAIN ANALYZE: the per-chunk rows of
+  one query and their ledger (``QueryStats`` is a view over them),
+  enriched from the span tree, riding on ``result.stats.profile``;
 - :mod:`repro.obs.progress` -- the in-flight query registry behind
   ``SHOW PROCESSLIST`` / ``SHOW TENANTS``;
 - :mod:`repro.obs.timeseries` -- a bounded metrics-history recorder

@@ -3,10 +3,11 @@
 Instruments live in a :class:`Registry`.  Registries form a hierarchy
 through ``parent``: every update to an instrument also lands on the
 same-named instrument of the parent registry, all the way up.  The
-czar uses exactly that shape -- a per-query registry (backing
-``QueryStats``) parented to the czar's lifetime registry, which is
-parented to the process-global :data:`REGISTRY` -- so one
-``stats.chunks_retried += 1`` updates all three views with one call.
+czar and the workers use exactly that shape -- a lifetime registry each,
+parented to the process-global :data:`REGISTRY` -- and resolve the
+instruments of their hot paths once, so an update is one ``add`` per
+level and no look-up.  (Per-query numbers are not a registry: they are
+sums over the query's chunk rows, :mod:`repro.obs.profile`.)
 
 Propagation is sequential, never nested: an instrument updates its own
 value under its own lock, releases it, and only then calls its parent.

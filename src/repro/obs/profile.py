@@ -1,14 +1,16 @@
-"""EXPLAIN ANALYZE: a profiled execution report for one query.
+"""EXPLAIN ANALYZE: the per-chunk rows of one query, their ledger, the report.
 
 ``\\explain`` shows the czar's *plan*; this module shows what actually
-happened.  The czar maintains one :class:`ChunkProfile` per chunk in
-exactly the code paths that update ``QueryStats`` -- same lock, same
-increments -- so the per-chunk rows/bytes/retry columns sum *by
-construction* to the query's stats and to the global metric deltas (the
-accounting-identity test pins this).  The span tree, when the query was
-traced, only *enriches* the report (worker-side queue wait, execute
-time, rows scanned, kernel vs interpreter); accounting never depends on
-tracing being on.
+happened.  One :class:`ChunkProfile` row per chunk is the whole
+accounting of a query's dispatch: the :class:`ChunkLedger` is the only
+writer of a row and the one place its numbers reach the metric counters
+and the PROCESSLIST entry, and every per-query total (``QueryStats``,
+:meth:`QueryProfile.totals`) is a sum over one column of those rows
+(:data:`TOTALS`) -- so rows, totals and global metric deltas agree by
+construction.  The span tree, when the query was traced, only
+*enriches* the report (worker-side queue wait, execute time, rows
+scanned, kernel vs interpreter); accounting never depends on tracing
+being on.
 
 :func:`build_profile` assembles the :class:`QueryProfile` that rides on
 ``result.stats.profile``; :meth:`QueryProfile.pretty` renders the
@@ -20,17 +22,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["ChunkProfile", "QueryProfile", "build_profile"]
+from ..analysis.races import track_shared
+from ..analysis.sanitizer import make_lock
+
+__all__ = [
+    "ChunkProfile",
+    "ChunkLedger",
+    "QueryProfile",
+    "TOTALS",
+    "build_profile",
+    "ledger_counters",
+]
 
 
 @dataclass
 class ChunkProfile:
     """What one chunk query cost, attempt by attempt.
 
-    Primary fields are maintained by the czar under its merge lock;
-    ``queue_wait`` / ``execute_seconds`` / ``rows_scanned`` /
-    ``scan_bytes`` / ``kernel`` arrive later from the winning attempt's
-    worker-side spans and stay ``None`` for untraced queries.
+    The accounting fields are written by the query's
+    :class:`ChunkLedger` and nothing else; ``queue_wait`` /
+    ``execute_seconds`` / ``rows_scanned`` / ``scan_bytes`` / ``kernel``
+    arrive later from the winning attempt's worker-side spans and stay
+    ``None`` for untraced queries.
     """
 
     chunk_id: int
@@ -45,7 +58,7 @@ class ChunkProfile:
     rows: int = 0
     wire_format: str = ""
     seconds: float = 0.0
-    #: 'pending', 'ok', 'failed', 'timeout', or 'cancelled'.
+    #: 'pending', then one of 'ok', 'failed', 'timeout', 'cancelled'.
     status: str = "pending"
     # -- trace-enriched (None when the query was not traced) --
     queue_wait: Optional[float] = None
@@ -55,26 +68,111 @@ class ChunkProfile:
     kernel: Optional[bool] = None
 
     def as_dict(self) -> dict:
-        return {
-            "chunk_id": self.chunk_id,
-            "worker": self.worker,
-            "subchunks": self.subchunks,
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "hedges_won": self.hedges_won,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "rows": self.rows,
-            "wire_format": self.wire_format,
-            "seconds": self.seconds,
-            "status": self.status,
-            "queue_wait": self.queue_wait,
-            "execute_seconds": self.execute_seconds,
-            "rows_scanned": self.rows_scanned,
-            "scan_bytes": self.scan_bytes,
-            "kernel": self.kernel,
-        }
+        return dict(vars(self))
+
+
+_OK = ("ok",)
+
+#: The accounting, as data: per-query total -> ``(czar counter, row
+#: column summed -- None counts rows --, row statuses it covers -- None
+#: is all)``.  A total is that sum over the ledger's rows
+#: (:meth:`ChunkLedger.total`); the counter moves by the same column of
+#: a row when the row ends (``rows``: when it is merged).
+TOTALS = {
+    "chunks_dispatched": ("czar.chunks.dispatched", None, _OK),
+    "sub_chunk_statements": ("czar.subchunk.statements", "subchunks", _OK),
+    "bytes_dispatched": ("czar.bytes.dispatched", "bytes_sent", _OK),
+    "bytes_collected": ("czar.bytes.collected", "bytes_received", _OK),
+    "rows_merged": ("czar.rows.merged", "rows", _OK),
+    "chunks_retried": ("czar.chunks.retried", "retries", None),
+    "chunks_hedged": ("czar.chunks.hedged", "hedges", None),
+    "hedges_won": ("czar.hedges.won", "hedges_won", None),
+    "chunks_timed_out": ("czar.chunks.timed_out", None, ("timeout",)),
+}
+#: Counters no per-query total reads: rows by how they ended, and
+#: ``czar.bytes.collected`` again by the payload's wire format.
+_ENDINGS = {"failed": "czar.chunks.failed", "timeout": "czar.chunks.failed",
+            "cancelled": "czar.chunks.cancelled"}
+_BYTES_BY_FORMAT = {"binary": "czar.bytes.collected.binary",
+                    "sqldump": "czar.bytes.collected.sqldump"}
+
+
+def ledger_counters(registry) -> dict:
+    """Every counter a :class:`ChunkLedger` adds to, resolved in ``registry`` once."""
+    names = [metric for metric, _, _ in TOTALS.values()]
+    names += [*_ENDINGS.values(), *_BYTES_BY_FORMAT.values()]
+    return {name: registry.counter(name) for name in names}
+
+
+@track_shared("rows")
+class ChunkLedger:
+    """One query's per-chunk rows and the lock every access of them holds.
+
+    A row is opened when its chunk starts, counts attempts, retries and
+    hedges while in flight (:meth:`bump`), and is taken to a terminal
+    state exactly once (:meth:`close`) -- where, and only where, its
+    columns are added to ``counters`` (:func:`ledger_counters`) and
+    ``progress`` hears the chunk is done; the merge stage adds its row
+    count (:meth:`merged`).  So counters equal the sums over closed rows
+    at every instant, also while a failed query's other chunks unwind.
+    """
+
+    def __init__(self, counters=None, progress=None, rows=()):
+        self.lock = make_lock("ChunkLedger.lock")
+        self.rows: list = list(rows)
+        self._counters = counters
+        self._progress = progress
+
+    def open(self, chunk_id: int, subchunks: int = 0) -> ChunkProfile:
+        row = ChunkProfile(chunk_id=chunk_id, subchunks=subchunks)
+        with self.lock:
+            self.rows.append(row)
+        return row
+
+    def bump(self, row: ChunkProfile, column: str) -> None:
+        """One more attempt, retry, hedge or hedge win on a row in flight."""
+        with self.lock:
+            setattr(row, column, getattr(row, column) + 1)
+
+    def close(self, row: ChunkProfile, status: str, **columns) -> None:
+        """Take ``row`` to its terminal ``status``, with its last ``columns``."""
+        with self.lock:
+            for name, value in columns.items():
+                setattr(row, name, value)
+            row.status = status
+            if self._counters is not None:
+                for metric, column, statuses in TOTALS.values():
+                    if statuses is None or status in statuses:
+                        n = 1 if column is None else getattr(row, column)
+                        if n:  # most columns of most rows are zero
+                            self._counters[metric].add(n)
+                if status == "ok":
+                    metric = _BYTES_BY_FORMAT[row.wire_format]
+                    self._counters[metric].add(row.bytes_received)
+                else:
+                    self._counters[_ENDINGS[status]].add(1)
+            if self._progress is not None:
+                self._progress.chunk_done(row.bytes_received, row.retries)
+
+    def merged(self, row_counts: list) -> None:
+        """The merge stage's ``(row, rows merged)`` pairs, onto the rows."""
+        total = sum(n for _, n in row_counts)
+        with self.lock:
+            for row, n in row_counts:
+                row.rows = n
+            if total and self._counters is not None:
+                self._counters["czar.rows.merged"].add(total)
+            if self._progress is not None:
+                self._progress.note_rows(total)
+
+    def total(self, name: str) -> int:
+        """One of :data:`TOTALS`, over the rows as they are now."""
+        _, column, statuses = TOTALS[name]
+        with self.lock:
+            rows = [
+                c for c in self.rows if statuses is None or c.status in statuses
+            ]
+            return len(rows) if column is None else sum(getattr(c, column) for c in rows)
 
 
 @dataclass
@@ -86,7 +184,6 @@ class QueryProfile:
     plan_seconds: float = 0.0
     merge_seconds: float = 0.0
     elapsed_seconds: float = 0.0
-    rows_merged: int = 0
     wire_format: str = ""
     partial_result: bool = False
     status: str = "ok"
@@ -96,21 +193,21 @@ class QueryProfile:
     traced: bool = False
 
     def totals(self) -> dict:
-        """Sums over the per-chunk rows -- what the identity test checks."""
-        done = [c for c in self.chunks if c.status == "ok"]
+        """The per-chunk sums -- :data:`TOTALS` -- by the names the report prints."""
+        total = ChunkLedger(rows=self.chunks).total
         return {
             "chunks": len(self.chunks),
-            "chunks_ok": len(done),
-            "rows": sum(c.rows for c in done),
-            "bytes_sent": sum(c.bytes_sent for c in done),
-            "bytes_received": sum(c.bytes_received for c in done),
-            "retries": sum(c.retries for c in self.chunks),
-            "hedges": sum(c.hedges for c in self.chunks),
-            "hedges_won": sum(c.hedges_won for c in self.chunks),
-            "timeouts": sum(1 for c in self.chunks if c.status == "timeout"),
-            "cancelled": sum(1 for c in self.chunks if c.status == "cancelled"),
-            "failed": sum(1 for c in self.chunks if c.status == "failed"),
-            "subchunk_statements": sum(c.subchunks for c in done),
+            "chunks_ok": total("chunks_dispatched"),
+            "rows": total("rows_merged"),
+            "bytes_sent": total("bytes_dispatched"),
+            "bytes_received": total("bytes_collected"),
+            "retries": total("chunks_retried"),
+            "hedges": total("chunks_hedged"),
+            "hedges_won": total("hedges_won"),
+            "timeouts": total("chunks_timed_out"),
+            "cancelled": sum(c.status == "cancelled" for c in self.chunks),
+            "failed": sum(c.status == "failed" for c in self.chunks),
+            "subchunk_statements": total("sub_chunk_statements"),
         }
 
     def pretty(self, max_chunks: int = 32) -> str:
@@ -134,7 +231,7 @@ class QueryProfile:
             + (f", {t['timeouts']} timed out" if t["timeouts"] else "")
             + (f", {t['cancelled']} cancelled" if t["cancelled"] else "")
             + (f", {t['failed']} failed" if t["failed"] else ""),
-            f"rows merged: {self.rows_merged}"
+            f"rows merged: {t['rows']}"
             f"  bytes: {t['bytes_sent']} sent / {t['bytes_received']} received"
             f"  wire: {self.wire_format or 'n/a'}",
             f"retries: {t['retries']}  hedges: {t['hedges']}"
@@ -223,7 +320,6 @@ def build_profile(stats, sql: str = "", status: str = "ok") -> QueryProfile:
         plan_seconds=getattr(stats, "plan_seconds", 0.0),
         merge_seconds=getattr(stats, "merge_seconds", 0.0),
         elapsed_seconds=stats.elapsed_seconds,
-        rows_merged=stats.rows_merged,
         wire_format=stats.wire_format,
         partial_result=stats.partial_result,
         status=status,

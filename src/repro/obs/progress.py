@@ -2,14 +2,15 @@
 
 Traces and metrics describe queries that *finished*; an operator
 staring at a stuck cluster needs the ones that haven't.  The czar
-registers every in-flight query here at submit time and updates it at
-the same points it updates :class:`~repro.qserv.czar.QueryStats`:
-stage transitions (``plan`` -> ``dispatch`` -> ``merge``), one
-:meth:`QueryProgress.chunk_done` per merged chunk, and a guaranteed
-:meth:`~ProgressRegistry.finish` in the submit ``finally`` -- so
-entries disappear on completion, cancellation, failure, and
-crash-recovered batch re-runs alike (the re-run is just another
-submit).
+registers every in-flight query here at submit time and moves it
+through its stages (``plan`` -> ``dispatch`` -> ``merge``); the query's
+:class:`~repro.obs.profile.ChunkLedger` reports one
+:meth:`QueryProgress.chunk_done` per chunk that *ends* -- collected,
+failed, timed out or cancelled -- with that chunk's retries; and
+:meth:`~ProgressRegistry.finish` is guaranteed in the submit
+``finally`` -- so entries disappear on completion, cancellation,
+failure, and crash-recovered batch re-runs alike (the re-run is just
+another submit).
 
 Each entry also mirrors itself into two global gauges
 (``czar.queries.inflight``, per-tenant ``czar.inflight.<tenant>``) so
@@ -37,8 +38,8 @@ STAGES = ("queued", "plan", "dispatch", "merge", "done")
 class QueryProgress:
     """One in-flight query's live counters.
 
-    Mutators take the entry's own lock and nothing else; the czar may
-    call them while holding its merge lock (consistent outer->inner
+    Mutators take the entry's own lock and nothing else; the chunk
+    ledger calls them while holding its own (consistent outer->inner
     order), and shell threads snapshot concurrently.
     """
 

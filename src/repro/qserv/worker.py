@@ -46,11 +46,10 @@ from ..xrd.protocol import (
     MANIFEST_PREFIX,
     QUERY_PREFIX,
     RESULT_PREFIX,
+    ChunkRequest,
     chunk_id_of_manifest_path,
     chunk_id_of_query_path,
     hash_of_cancel_path,
-    parse_headers,
-    query_hash,
     result_path,
     table_of_chunk_path,
 )
@@ -86,13 +85,37 @@ _CANCELLED_MESSAGE = "chunk query cancelled by master"
 # Cancelled result hashes remembered (with the withdrawn submissions'
 # attempt nonces), so a late-arriving dispatch of a withdrawn
 # submission is discarded instead of executed.  LRU-capped: when a
-# hash rotates out, all its result bookkeeping goes with it.
+# hash rotates out, its result record goes with it.
 _CANCEL_MEMORY = 4096
 
-# Per-slot-thread task context: carries the FIFO queue wait from
-# _serve/_run_task into _execute_task without widening the signature
-# (tests wrap _execute_task with same-signature shims).
-_task_ctx = threading.local()
+
+class _Task(NamedTuple):
+    """One accepted chunk query on its way to an execution slot."""
+
+    rpath: str
+    chunk_id: int
+    request: ChunkRequest
+    #: ``perf_counter`` at acceptance; the FIFO wait is measured from it.
+    enqueued: float
+
+
+class _Result:
+    """Everything the worker holds about one ``/result/H`` path."""
+
+    __slots__ = ("payload", "error", "ready", "deadline", "owed")
+
+    def __init__(self):
+        self.payload: Optional[bytes] = None  # the published bytes, once produced
+        self.error: Optional[str] = None  # what a read raises instead
+        self.ready = threading.Event()
+        # Absolute monotonic time bounding the on_read wait, from the
+        # -- DEADLINE: budgets of the dispatches that share this path:
+        # the latest-expiring one (none at all is latest), so a tighter
+        # dispatch never cuts another's reader short.
+        self.deadline = 0.0
+        # Reads still owed; with cache_results=False the record is
+        # evicted when the last expected reader has read it.
+        self.owed = 0
 
 
 class WorkerShutdownError(SqlError):
@@ -267,10 +290,7 @@ def _partition_by_sub_chunk(parent: Table, subs: list[tuple[int, str]]) -> list[
     ]
 
 
-@track_shared(
-    "_results", "_errors", "_deadlines", "_pending_reads", "_cancelled",
-    "_sub_chunk_refs",
-)
+@track_shared("_results", "_cancelled", "_sub_chunk_refs")
 class QservWorker(OfsPlugin):
     """One worker node: local database + ofs plugin + FIFO queue.
 
@@ -332,15 +352,8 @@ class QservWorker(OfsPlugin):
         self.stats = WorkerStats()
         #: This worker's lifetime metrics, feeding the global registry.
         self.metrics = obs_metrics.Registry(parent=obs_metrics.REGISTRY)
-        self._results: dict[str, bytes] = {}
-        self._result_ready: dict[str, threading.Event] = {}
-        self._errors: dict[str, str] = {}
-        # Absolute monotonic deadline per result path, from the chunk
-        # query's -- DEADLINE: header; bounds the on_read wait.
-        self._deadlines: dict[str, float] = {}
-        # Reads still owed per result path; with cache_results=False a
-        # result is evicted when the last expected reader has read it.
-        self._pending_reads: dict[str, int] = {}
+        # One record per result path; evicting a result is one pop.
+        self._results: dict[str, _Result] = {}
         # Result paths withdrawn via /cancel/<H> mapped to the set of
         # withdrawn submissions' attempt nonces, LRU-capped: a queued
         # task of a withdrawn submission is discarded at dequeue, its
@@ -349,7 +362,7 @@ class QservWorker(OfsPlugin):
         # nonce (a new submission of the same SQL) is never refused.
         self._cancelled: OrderedDict[str, set] = OrderedDict()
         self._lock = make_rlock("QservWorker._lock")
-        self._queue: deque[tuple[str, int, str]] = deque()
+        self._queue: deque[_Task] = deque()
         self._queue_cv = make_condition(self._lock, "QservWorker._queue_cv")
         # Sub-chunk tables are shared across concurrent queries on the
         # same chunk; refcounts keep one query from dropping a table
@@ -388,74 +401,77 @@ class QservWorker(OfsPlugin):
                 result_path(hash_of_cancel_path(path)), data.decode().strip()
             )
             return
-        chunk_id = chunk_id_of_query_path(path)
-        text = data.decode()
-        rpath = result_path(query_hash(text))
-        headers = parse_headers(text)
-        nonce, budget = headers.attempt, headers.deadline
+        request = ChunkRequest.decode(data.decode())
+        rpath = result_path(request.result_hash)
+        task = _Task(rpath, chunk_id_of_query_path(path), request, time.perf_counter())
         with self._lock:
             withdrawn = self._cancelled.get(rpath)
-            if withdrawn is not None and nonce in withdrawn:
+            if withdrawn is not None and request.attempt in withdrawn:
                 # The master withdrew this submission before (or while)
                 # the dispatch landed; refuse it with the typed error so
                 # a racing result read is released, and never execute.
-                self._errors[rpath] = _CANCELLED_MESSAGE
-                event = self._result_ready.setdefault(rpath, threading.Event())
-                if not self.cache_results:
-                    self._pending_reads[rpath] = (
-                        self._pending_reads.get(rpath, 0) + 1
-                    )
-                event.set()
+                self._refuse_locked(rpath, _CANCELLED_MESSAGE)
                 return
-            if withdrawn is not None:
+            record = self._results.get(rpath)
+            if record is not None and record.error == _CANCELLED_MESSAGE:
                 # Same hash, different submission: an earlier submission
                 # of this SQL was cancelled, but *this* dispatch is a
                 # fresh one and must execute.  Clear the old cancel's
                 # terminal state so it cannot poison the fresh result
                 # (the cancel memory itself is kept -- late duplicates
                 # of the withdrawn submission are still refused).
-                if self._errors.get(rpath) == _CANCELLED_MESSAGE:
-                    self._errors.pop(rpath)
-                    event = self._result_ready.get(rpath)
-                    if event is not None and event.is_set():
-                        self._result_ready[rpath] = threading.Event()
+                record.error = None
+                if record.ready.is_set():
+                    record.ready = threading.Event()
             if self._shutdown:
                 # A dispatch raced our shutdown; fail it immediately so
                 # the master's read is released with an error instead
                 # of blocking on a result that will never be produced.
-                self._errors[rpath] = _SHUTDOWN_MESSAGE
-                event = self._result_ready.setdefault(rpath, threading.Event())
-                if not self.cache_results:
-                    self._pending_reads[rpath] = (
-                        self._pending_reads.get(rpath, 0) + 1
-                    )
-                event.set()
+                self._refuse_locked(rpath, _SHUTDOWN_MESSAGE)
                 return
             if (
                 self.cache_results
-                and rpath in self._results
-                and rpath not in self._errors
+                and record is not None
+                and record.payload is not None
+                and record.error is None
             ):
                 # Query-cache hit: the stored dump answers the repeat.
                 self.stats.result_cache_hits += 1
-                self._result_ready[rpath].set()
+                record.ready.set()
                 return
-            self._result_ready.setdefault(rpath, threading.Event())
-            if budget is not None:
-                self._deadlines[rpath] = time.monotonic() + budget
+            record = self._record_locked(rpath)
+            budget = request.deadline
+            record.deadline = max(
+                record.deadline,
+                float("inf") if budget is None else time.monotonic() + budget,
+            )
             if not self.cache_results:
-                self._pending_reads[rpath] = self._pending_reads.get(rpath, 0) + 1
+                record.owed += 1
         if self.slots == 0:
-            self._run_task(rpath, chunk_id, text)
+            self._run_task(task)
         else:
             with self._queue_cv:
-                self._queue.append((rpath, chunk_id, text, time.perf_counter()))
+                self._queue.append(task)
                 self.stats.queue_high_water = max(
                     self.stats.queue_high_water, len(self._queue)
                 )
                 depth = len(self._queue)
                 self._queue_cv.notify()
             self.metrics.gauge(f"worker.queue.depth.{self.name}").set(depth)
+
+    def _record_locked(self, rpath: str) -> _Result:
+        record = self._results.get(rpath)
+        if record is None:
+            record = self._results[rpath] = _Result()
+        return record
+
+    def _refuse_locked(self, rpath: str, message: str) -> None:
+        """Fail a dispatch on arrival: its reader is owed ``message``, nothing runs."""
+        record = self._record_locked(rpath)
+        record.error = message
+        if not self.cache_results:
+            record.owed += 1
+        record.ready.set()
 
     def on_read(self, path: str):
         """Result bytes, blocking on in-flight execution in threaded mode.
@@ -471,42 +487,39 @@ class QservWorker(OfsPlugin):
         if path.startswith(MANIFEST_PREFIX):
             return self._chunk_manifest(path)
         with self._lock:
-            event = self._result_ready.get(path)
-            deadline = self._deadlines.get(path)
-        if event is None:
-            return None
-        timeout = self.result_wait_timeout
-        if deadline is not None:
-            timeout = min(timeout, max(deadline - time.monotonic(), 0.0))
-        if not event.wait(timeout=timeout):
+            record = self._results.get(path)
+            if record is None:
+                return None
+            ready, deadline = record.ready, record.deadline
+        timeout = min(self.result_wait_timeout, max(deadline - time.monotonic(), 0.0))
+        if not ready.wait(timeout=timeout):
             return None
         with self._lock:
-            if path in self._errors:
-                message = self._errors[path]
-                self._done_reading_locked(path)
+            # Looked up again: the last owed read (or a cancel rotating
+            # out) may have evicted the record while this reader waited.
+            record = self._results.get(path)
+            if record is None:
+                return None
+            if record.error is not None:
+                message = record.error
+                self._done_reading_locked(path, record)
                 if message == _SHUTDOWN_MESSAGE:
                     raise WorkerShutdownError(f"worker {self.name}: {message}")
                 if message == _CANCELLED_MESSAGE:
                     raise WorkerCancelledError(f"worker {self.name}: {message}")
                 raise SqlError(f"worker {self.name}: {message}")
-            data = self._results.get(path)
-            if data is not None:
-                self._done_reading_locked(path)
-            return data
+            if record.payload is not None:
+                self._done_reading_locked(path, record)
+            return record.payload
 
-    def _done_reading_locked(self, path: str) -> None:
+    def _done_reading_locked(self, path: str, record: _Result) -> None:
         """One owed read served; evict at zero (caller holds the lock)."""
         if self.cache_results:
             return
-        remaining = self._pending_reads.get(path, 1) - 1
-        if remaining > 0:
-            self._pending_reads[path] = remaining
+        record.owed -= 1
+        if record.owed > 0:
             return
-        self._pending_reads.pop(path, None)
         self._results.pop(path, None)
-        self._errors.pop(path, None)
-        self._result_ready.pop(path, None)
-        self._deadlines.pop(path, None)
         self.stats.results_evicted += 1
         self.metrics.counter("worker.results.evicted").add(1)
 
@@ -519,15 +532,15 @@ class QservWorker(OfsPlugin):
                     self._queue_cv.wait()
                 if self._shutdown:
                     return
-                rpath, chunk_id, text, enqueued = self._queue.popleft()
+                task = self._queue.popleft()
                 depth = len(self._queue)
             # Time spent sitting in the FIFO before a slot picked the
             # task up: the queue-wait column of EXPLAIN ANALYZE and the
             # saturation signal SHOW HISTORY charts.
-            queue_wait = max(time.perf_counter() - enqueued, 0.0)
+            queue_wait = max(time.perf_counter() - task.enqueued, 0.0)
             self.metrics.gauge(f"worker.queue.depth.{self.name}").set(depth)
             self.metrics.histogram("worker.queue.wait.seconds").observe(queue_wait)
-            self._run_task(rpath, chunk_id, text, queue_wait=queue_wait)
+            self._run_task(task, queue_wait)
 
     def shutdown(self, timeout: float = 5.0):
         """Stop serving; release every blocked reader with an error.
@@ -542,10 +555,11 @@ class QservWorker(OfsPlugin):
             self._shutdown = True
             self._queue.clear()
             # Fail every result nobody has produced yet.
-            for rpath, event in self._result_ready.items():
-                if not event.is_set():
-                    self._errors.setdefault(rpath, _SHUTDOWN_MESSAGE)
-                    event.set()
+            for record in self._results.values():
+                if not record.ready.is_set():
+                    if record.error is None:
+                        record.error = _SHUTDOWN_MESSAGE
+                    record.ready.set()
                     pending += 1
             self._queue_cv.notify_all()
         obs_events.emit("worker_shutdown", worker=self.name, pending=pending)
@@ -574,16 +588,16 @@ class QservWorker(OfsPlugin):
         dropped_from_queue = False
         with self._queue_cv:
             self._remember_cancel_locked(rpath, nonce)
-            for i, item in enumerate(self._queue):
-                if item[0] == rpath and parse_headers(item[2]).attempt == nonce:
+            for i, task in enumerate(self._queue):
+                if task.rpath == rpath and task.request.attempt == nonce:
                     del self._queue[i]
                     dropped_from_queue = True
                     break
-            self._errors[rpath] = _CANCELLED_MESSAGE
-            self._results.pop(rpath, None)
-            event = self._result_ready.setdefault(rpath, threading.Event())
+            record = self._record_locked(rpath)
+            record.error = _CANCELLED_MESSAGE
+            record.payload = None
             self.stats.queries_cancelled += 1
-            event.set()
+            record.ready.set()
         self.metrics.counter("worker.queries.cancelled").add(1)
         obs_events.emit(
             "chunk_cancelled",
@@ -595,8 +609,7 @@ class QservWorker(OfsPlugin):
     def _remember_cancel_locked(self, rpath: str, nonce: str) -> None:
         """Record a cancelled (hash, nonce); purge the oldest past the cap.
 
-        A cancelled result is normally never read, so its bookkeeping
-        (error entry, readiness event, owed-read count) has no
+        A cancelled result is normally never read, so its record has no
         refcounted eviction path; it is reclaimed here when the hash
         rotates out of the bounded cancel memory instead.
         """
@@ -608,53 +621,40 @@ class QservWorker(OfsPlugin):
         while len(self._cancelled) > _CANCEL_MEMORY:
             stale, _ = self._cancelled.popitem(last=False)
             self._results.pop(stale, None)
-            self._errors.pop(stale, None)
-            self._result_ready.pop(stale, None)
-            self._deadlines.pop(stale, None)
-            self._pending_reads.pop(stale, None)
 
-    def _abandon_locked(self, rpath: str, message: str) -> None:
-        """Record ``message`` for a task skipped without executing."""
-        self._errors[rpath] = message
-        event = self._result_ready.get(rpath)
-        if event is not None:
-            event.set()
-
-    def _run_task(self, rpath: str, chunk_id: int, text: str, queue_wait: float = 0.0):
+    def _run_task(self, task: _Task, queue_wait: float = 0.0):
+        rpath = task.rpath
         with self._lock:
             if self._shutdown:
-                self._abandon_locked(rpath, _SHUTDOWN_MESSAGE)
+                self._publish_locked(task, error=_SHUTDOWN_MESSAGE)
                 return
             withdrawn = self._cancelled.get(rpath)
-            if withdrawn and parse_headers(text).attempt in withdrawn:
+            if withdrawn and task.request.attempt in withdrawn:
                 # This submission was withdrawn while the task sat in
                 # the FIFO (counted by _cancel_result); refuse to
                 # execute.  A same-hash task from a *different*
                 # submission runs normally.
-                self._abandon_locked(rpath, _CANCELLED_MESSAGE)
+                self._publish_locked(task, error=_CANCELLED_MESSAGE)
                 return
-            deadline = self._deadlines.get(rpath)
-        if deadline is not None and time.monotonic() >= deadline:
-            # The query's whole budget elapsed while this task sat in
-            # the FIFO; the master has already timed out, so executing
-            # now would only burn the slot.  Same monotonic clock, and
-            # the worker's deadline is never earlier than the master's,
-            # so this can only fire after the master gave up.
-            with self._lock:
+            record = self._results.get(rpath)
+            expired = record is not None and time.monotonic() >= record.deadline
+            if expired:
+                # The whole budget of every query owed this result
+                # elapsed while the task sat in the FIFO; the master has
+                # already timed out, so executing now would only burn
+                # the slot.  Same monotonic clock, and the worker's
+                # deadline is never earlier than the master's, so this
+                # can only fire after the master gave up.
                 self.stats.queries_expired += 1
-                self._abandon_locked(rpath, "deadline expired before execution")
+                self._publish_locked(task, error="deadline expired before execution")
+        if expired:
             self.metrics.counter("worker.queries.expired").add(1)
-            obs_events.emit("chunk_expired", worker=self.name, chunk=chunk_id)
+            obs_events.emit("chunk_expired", worker=self.name, chunk=task.chunk_id)
             return
-        # Queue wait rides in a thread-local rather than the signature:
-        # one slot thread runs one task at a time, and tests wrap
-        # _execute_task with same-signature shims.
-        _task_ctx.queue_wait = queue_wait
-        self._execute_task(rpath, chunk_id, text)
+        self._execute_task(task, queue_wait)
 
-    def _execute_task(self, rpath: str, chunk_id: int, text: str):
-        queue_wait = getattr(_task_ctx, "queue_wait", 0.0)
-        headers = parse_headers(text)
+    def _execute_task(self, task: _Task, queue_wait: float = 0.0):
+        chunk_id, request = task.chunk_id, task.request
         # Trace context, if the master propagated any: the ``-- TRACE:``
         # header names the dispatching attempt's span, so the execute
         # and dump spans recorded here parent under it -- correctly per
@@ -662,9 +662,11 @@ class QservWorker(OfsPlugin):
         # id unknown to the in-process collector (tracing sampled this
         # query out) degrades the spans to no-ops.
         query_trace = parent_span_id = None
-        if headers.trace is not None:
-            query_trace = obs_trace.lookup(headers.trace[0])
-            parent_span_id = headers.trace[1]
+        if request.trace is not None:
+            query_trace = obs_trace.lookup(request.trace[0])
+            parent_span_id = request.trace[1]
+        payload = error = None
+        rows = 0
         try:
             t0 = time.perf_counter()
             with obs_trace.span(
@@ -676,12 +678,13 @@ class QservWorker(OfsPlugin):
                 chunk=chunk_id,
                 queue_wait=round(queue_wait, 6),
             ) as execute_span:
-                result = self.execute_chunk_query(chunk_id, headers.body)
-                execute_span.set(rows=result.num_rows)
+                result = self.execute_chunk_query(chunk_id, request)
+                rows = result.num_rows
+                execute_span.set(rows=rows)
             self.metrics.histogram("worker.execute.seconds").observe(
                 time.perf_counter() - t0
             )
-            fmt = headers.result_format
+            fmt = request.result_format
             t1 = time.perf_counter()
             with obs_trace.span(
                 "worker.dump",
@@ -705,41 +708,48 @@ class QservWorker(OfsPlugin):
             )
             self.metrics.counter("worker.queries").add(1)
             self.metrics.counter("worker.result.bytes").add(len(payload))
-            with self._lock:
-                if headers.attempt in self._cancelled.get(rpath, ()):
-                    # Withdrawn while executing: the payload is dropped
-                    # and the typed error (already recorded by
-                    # _cancel_result) stands.
-                    self._results.pop(rpath, None)
-                else:
-                    # A stale cancel of an *earlier* submission may have
-                    # recorded its typed error against this shared path
-                    # while we executed; the fresh result wins.
-                    self._errors.pop(rpath, None)
-                    self._results[rpath] = payload
-                    self.stats.result_rows += result.num_rows
-                    self.stats.result_bytes += len(payload)
         except Exception as e:  # surfaced to the master on read
             self.metrics.counter("worker.errors").add(1)
-            with self._lock:
-                self._errors[rpath] = str(e)
+            payload, error = None, str(e)
         finally:
             with self._lock:
-                event = self._result_ready.get(rpath)
-                if event is not None:
-                    event.set()
+                self._publish_locked(task, payload, rows, error)
+
+    def _publish_locked(self, task: _Task, payload=None, rows=0, error=None) -> None:
+        """A task's outcome -- run or skipped -- onto its result record; readers go."""
+        record = self._results.get(task.rpath)
+        if record is None:
+            # Every read owed was served by an earlier execution of the
+            # same text: nobody is left to publish to.
+            return
+        if error is not None:
+            record.error = error
+        elif payload is None or task.request.attempt in self._cancelled.get(task.rpath, ()):
+            # Withdrawn while executing: the payload is dropped and the
+            # typed error (already recorded by _cancel_result) stands.
+            record.payload = None
+        else:
+            # A stale cancel of an *earlier* submission may have recorded
+            # its typed error against this shared path while we
+            # executed; the fresh result wins.
+            record.error = None
+            record.payload = payload
+            self.stats.result_rows += rows
+            self.stats.result_bytes += len(payload)
+        record.ready.set()
 
     # -- chunk query execution ---------------------------------------------------------------
 
-    def execute_chunk_query(self, chunk_id: int, text: str) -> Table:
-        """Run one chunk query (with or without headers); the combined result."""
+    def execute_chunk_query(self, chunk_id: int, text: "str | ChunkRequest") -> Table:
+        """Run one chunk query (text with or without headers, or decoded); the combined result."""
         # The statements of a sub-chunk query are one or two texts
         # repeated about other sub-chunks: each is scanned and bound
         # once per chunk query, its repeats only name their tables, and
         # a run of statements that differ in nothing else is a family.
         repeats: dict = {}
         families: list[_Family] = []
-        for statement in _split_statements(parse_headers(text).body):
+        request = text if isinstance(text, ChunkRequest) else ChunkRequest.decode(text)
+        for statement in _split_statements(request.body):
             statement = statement.strip()
             if not statement:
                 continue

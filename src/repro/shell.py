@@ -306,13 +306,14 @@ class QservShell:
                     e["stage"],
                     chunks,
                     e["bytes"],
+                    e["retries"],
                     f"{e['elapsed']:.3f}s",
                     deadline,
                     _clip(e["sql"]),
                 )
             )
         return _format_table(
-            ["qid", "tenant", "session", "stage", "chunks", "bytes",
+            ["qid", "tenant", "session", "stage", "chunks", "bytes", "retries",
              "elapsed", "deadline", "sql"],
             rows,
             max_rows=len(rows),

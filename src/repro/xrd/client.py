@@ -51,8 +51,6 @@ class XrdClient:
             max_attempts=max_retries + 1, base_backoff=0.0
         )
         self.health = health
-        self.bytes_written = 0
-        self.bytes_read = 0
 
     def _report(self, server_name: str, ok: bool) -> None:
         if self.health is None:
@@ -100,7 +98,6 @@ class XrdClient:
             try:
                 with server.open(path, "w") as fh:
                     fh.write(data)
-                self.bytes_written += len(data)
                 obs_metrics.counter("xrd.bytes.written").add(len(data))
                 self._report(server.name, ok=True)
                 return server.name
@@ -147,7 +144,6 @@ class XrdClient:
             try:
                 with server.open(path, "r") as fh:
                     data = fh.read()
-                self.bytes_read += len(data)
                 obs_metrics.counter("xrd.bytes.read").add(len(data))
                 self._report(server.name, ok=True)
                 return data

@@ -22,6 +22,7 @@ paper-faithful configuration) degrades safely to the SQL dump.
 from __future__ import annotations
 
 import hashlib
+import re
 from typing import NamedTuple, Optional
 
 __all__ = [
@@ -45,11 +46,7 @@ __all__ = [
     "table_of_chunk_path",
     "chunk_id_of_manifest_path",
     "result_format_header",
-    "deadline_header",
-    "trace_header",
-    "attempt_header",
-    "ChunkHeaders",
-    "parse_headers",
+    "ChunkRequest",
 ]
 
 QUERY_PREFIX = "/query2/"
@@ -80,35 +77,48 @@ MANIFEST_PREFIX = "/chunkmanifest/"
 #: and executes normally instead of being poisoned by the old cancel.
 CANCEL_PREFIX = "/cancel/"
 
-#: Chunk-query comment line requesting a result encoding from the worker.
+#: The chunk-query envelope: ``-- NAME: value`` comment lines ahead of
+#: the SQL, which a worker that does not know a name skips (an old
+#: worker, or the paper's ``-- SUBCHUNKS:`` line, which is part of the
+#: chunk query itself).  :class:`ChunkRequest` is their one codec.
+#:
+#: ``RESULT_FORMAT`` requests a result encoding from the worker.
 RESULT_FORMAT_HEADER_PREFIX = "-- RESULT_FORMAT:"
 
-#: Chunk-query comment line carrying the query's remaining time budget
-#: (seconds).  A worker bounds its result-ready wait by it, so a hung
+#: ``DEADLINE`` carries the query's remaining time budget (seconds) at
+#: dispatch.  A worker bounds its result-ready wait by it, so a hung
 #: executor surfaces as a missing result instead of a deadlocked read.
-#: Workers without deadline support ignore the comment line.
 DEADLINE_HEADER_PREFIX = "-- DEADLINE:"
 
-#: Chunk-query comment line propagating the czar's trace context
+#: ``ATTEMPT`` names the czar submission this dispatch belongs to (an
+#: opaque per-``Czar.submit`` nonce shared by every retry and hedge of
+#: that query).  Cancellation is scoped by it: a ``/cancel/<H>`` write
+#: withdraws only dispatches carrying the same nonce, so re-running the
+#: identical SQL later -- same hash ``H`` -- is not refused by a
+#: worker's cancel memory.
+ATTEMPT_HEADER_PREFIX = "-- ATTEMPT:"
+
+#: ``TRACE`` propagates the czar's trace context
 #: (``<trace_id>/<parent_span_id>``) so worker-side execute/dump spans
-#: parent under the dispatching attempt's span.  Pure observability
-#: metadata: workers without tracing support ignore the line, and it is
-#: excluded from :func:`query_hash` so the result identity -- and with
-#: it worker-side result caching -- is unchanged by tracing.
+#: parent under the dispatching attempt's span.
 TRACE_HEADER_PREFIX = "-- TRACE:"
 
-#: Chunk-query comment line naming the czar submission this dispatch
-#: belongs to (an opaque per-``Czar.submit`` nonce shared by every
-#: retry and hedge of that query).  Cancellation is scoped by it: a
-#: ``/cancel/<H>`` write withdraws only dispatches carrying the same
-#: nonce, so re-running the identical SQL later -- same hash ``H`` --
-#: is not refused by a worker's cancel memory.  Excluded from
-#: :func:`query_hash` like the trace header, so the result path (and
-#: worker-side result caching) is unchanged by cancellation support.
-ATTEMPT_HEADER_PREFIX = "-- ATTEMPT:"
+#: The identity rule: the header names that are *not* part of a chunk
+#: query's result identity ``H``.  Budget, nonce and trace context
+#: belong to one dispatch, not to the question asked; folding any of
+#: them into the hash would give every dispatch its own result path --
+#: defeating worker-side result caching and growing the worker's store
+#: by one entry per distinct budget string.  Every other line of the
+#: text, ``RESULT_FORMAT`` and names nobody knows included, is identity.
+_NOT_IDENTITY = (DEADLINE_HEADER_PREFIX, ATTEMPT_HEADER_PREFIX, TRACE_HEADER_PREFIX)
+_NOT_IDENTITY_LINE_RE = re.compile(
+    "^(?:%s).*\n?" % "|".join(map(re.escape, _NOT_IDENTITY)), re.MULTILINE
+)
 
 #: Result encodings a czar may request / a worker may publish.
 WIRE_FORMATS = ("binary", "sqldump")
+
+_HASH_RE = re.compile(r"[0-9a-f]{32}")
 
 
 def result_format_header(wire_format: str) -> str:
@@ -118,69 +128,79 @@ def result_format_header(wire_format: str) -> str:
     return f"{RESULT_FORMAT_HEADER_PREFIX} {wire_format}"
 
 
-def deadline_header(seconds: float) -> str:
-    """The chunk-query header line carrying a remaining time budget."""
-    if seconds < 0:
-        raise ValueError("deadline seconds must be >= 0")
-    return f"{DEADLINE_HEADER_PREFIX} {seconds:.3f}"
+class ChunkRequest(NamedTuple):
+    """One chunk query as it crosses the fabric: header fields and SQL body."""
 
-
-def trace_header(trace_id: str, span_id: str) -> str:
-    """The chunk-query header line carrying the czar's trace context."""
-    return f"{TRACE_HEADER_PREFIX} {trace_id}/{span_id}"
-
-
-def attempt_header(nonce: str) -> str:
-    """The chunk-query header line naming the czar submission."""
-    return f"{ATTEMPT_HEADER_PREFIX} {nonce}"
-
-
-class ChunkHeaders(NamedTuple):
-    """The comment-header block of a chunk query, decoded, and the SQL after it."""
-
-    #: ``-- ATTEMPT:`` submission nonce; ``""`` when absent.
-    attempt: str
-    #: ``-- TRACE:`` as ``(trace_id, parent_span_id)``; None when absent or malformed.
-    trace: Optional[tuple[str, str]]
-    #: ``-- RESULT_FORMAT:``; anything but ``binary`` (or no header) is ``sqldump``.
-    result_format: str
-    #: ``-- DEADLINE:`` budget in seconds, clamped at 0; None when absent or malformed.
-    deadline: Optional[float]
     #: The chunk query below its headers.
     body: str
+    #: ``binary``, or (also for no header, or anything else) ``sqldump``.
+    result_format: str = "sqldump"
+    #: The remaining budget in seconds at dispatch; None when unbounded.
+    deadline: Optional[float] = None
+    #: The submission nonce; ``""`` when absent.
+    attempt: str = ""
+    #: ``(trace_id, parent_span_id)``, or None.
+    trace: Optional[tuple[str, str]] = None
+    #: The text this was decoded from, unknown headers and all -- its
+    #: identity; None for a request built from fields, whose identity is
+    #: its format line and body.
+    source: Optional[str] = None
 
+    def _text(self, identity_only: bool = False) -> str:
+        lines = []
+        if self.result_format == "binary":
+            lines.append(result_format_header("binary"))
+        if not identity_only:
+            if self.deadline is not None:
+                lines.append(f"{DEADLINE_HEADER_PREFIX} {self.deadline:.3f}")
+            if self.attempt:
+                lines.append(f"{ATTEMPT_HEADER_PREFIX} {self.attempt}")
+            if self.trace is not None:
+                lines.append(f"{TRACE_HEADER_PREFIX} {self.trace[0]}/{self.trace[1]}")
+        lines.append(self.body)
+        return "\n".join(lines)
 
-def parse_headers(text: str) -> ChunkHeaders:
-    """Decode a chunk query's leading ``-- NAME: value`` lines, all in one scan.
+    def encode(self) -> bytes:
+        """The bytes written to ``/query2/CC``: header lines, then the body."""
+        return self._text().encode()
 
-    Headers come in any order and only before the first statement; the
-    first line of a name wins, names this worker does not know
-    (``-- SUBCHUNKS:``, a newer master's) are skipped.
-    """
-    values: dict[str, str] = {}
-    text = text.strip()
-    while text.startswith("--"):
-        line, _, text = text.partition("\n")
-        name, colon, value = line.partition(":")
-        if colon:
-            values.setdefault(name + colon, value.strip())
-    trace = None
-    trace_id, slash, span_id = values.get(TRACE_HEADER_PREFIX, "").partition("/")
-    if slash and trace_id and span_id:
-        trace = (trace_id, span_id)
-    try:
-        deadline = max(float(values[DEADLINE_HEADER_PREFIX]), 0.0)
-    except (KeyError, ValueError):
-        deadline = None  # absent or malformed: no budget
-    return ChunkHeaders(
-        attempt=values.get(ATTEMPT_HEADER_PREFIX, ""),
-        trace=trace,
-        result_format=(
-            "binary" if values.get(RESULT_FORMAT_HEADER_PREFIX) == "binary" else "sqldump"
-        ),
-        deadline=deadline,
-        body=text,
-    )
+    @property
+    def result_hash(self) -> str:
+        """The ``H`` of ``/result/H``; ``query_hash`` of the encoded text."""
+        return query_hash(self.source or self._text(identity_only=True))
+
+    @classmethod
+    def decode(cls, text: str) -> "ChunkRequest":
+        """Decode a chunk query's leading ``-- NAME: value`` lines, all in one scan.
+
+        Headers come in any order and only before the first statement;
+        the first line of a name wins, names this worker does not know
+        (``-- SUBCHUNKS:``, a newer master's) are skipped, a malformed
+        value reads as an absent header.
+        """
+        values: dict[str, str] = {}
+        body = text.strip()
+        while body.startswith("--"):
+            line, _, body = body.partition("\n")
+            name, colon, value = line.partition(":")
+            if colon:
+                values.setdefault(name + colon, value.strip())
+        trace = None
+        trace_id, slash, span_id = values.get(TRACE_HEADER_PREFIX, "").partition("/")
+        if slash and trace_id and span_id:
+            trace = (trace_id, span_id)
+        try:
+            deadline = max(float(values[DEADLINE_HEADER_PREFIX]), 0.0)
+        except (KeyError, ValueError):
+            deadline = None  # absent or malformed: no budget
+        return cls(
+            body,
+            "binary" if values.get(RESULT_FORMAT_HEADER_PREFIX) == "binary" else "sqldump",
+            deadline,
+            values.get(ATTEMPT_HEADER_PREFIX, ""),
+            trace,
+            text,
+        )
 
 
 def query_path(chunk_id: int) -> str:
@@ -191,19 +211,19 @@ def query_path(chunk_id: int) -> str:
 def query_hash(query_text: str) -> str:
     """MD5 of the chunk query text, as 32 hex digits (the paper's H).
 
-    ``-- TRACE:`` and ``-- ATTEMPT:`` header lines are excluded from
-    the hash: trace context and the submission nonce are per-attempt
-    metadata, and folding either into the result identity would defeat
-    worker-side result caching (and change every result path) whenever
-    tracing or cancellable submission is enabled.
+    Header lines that are not identity (``_NOT_IDENTITY``) are cut from
+    the text first, each with its line break; a text without one hashes
+    as it is.
     """
-    if TRACE_HEADER_PREFIX in query_text or ATTEMPT_HEADER_PREFIX in query_text:
-        query_text = "\n".join(
-            line
-            for line in query_text.splitlines()
-            if not line.startswith((TRACE_HEADER_PREFIX, ATTEMPT_HEADER_PREFIX))
-        )
+    if any(name in query_text for name in _NOT_IDENTITY):
+        query_text = _NOT_IDENTITY_LINE_RE.sub("", query_text)
     return hashlib.md5(query_text.encode()).hexdigest()
+
+
+def _hash_of(query_text_or_hash: str) -> str:
+    if _HASH_RE.fullmatch(query_text_or_hash):
+        return query_text_or_hash
+    return query_hash(query_text_or_hash)
 
 
 def result_path(query_text_or_hash: str) -> str:
@@ -212,10 +232,7 @@ def result_path(query_text_or_hash: str) -> str:
     Accepts either the raw chunk-query text (hashed here) or an
     already-computed 32-hex-digit hash.
     """
-    h = query_text_or_hash
-    if not (len(h) == 32 and all(c in "0123456789abcdef" for c in h)):
-        h = query_hash(query_text_or_hash)
-    return f"{RESULT_PREFIX}{h}"
+    return f"{RESULT_PREFIX}{_hash_of(query_text_or_hash)}"
 
 
 def chunk_path(table_name: str) -> str:
@@ -236,10 +253,7 @@ def cancel_path(query_text_or_hash: str) -> str:
     Accepts the chunk query text or its 32-hex-digit hash, mirroring
     :func:`result_path` -- the cancel targets the same ``H``.
     """
-    h = query_text_or_hash
-    if not (len(h) == 32 and all(c in "0123456789abcdef" for c in h)):
-        h = query_hash(query_text_or_hash)
-    return f"{CANCEL_PREFIX}{h}"
+    return f"{CANCEL_PREFIX}{_hash_of(query_text_or_hash)}"
 
 
 def hash_of_cancel_path(path: str) -> str:

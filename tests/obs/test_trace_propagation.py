@@ -16,7 +16,7 @@ import pytest
 from repro.data import build_testbed
 from repro.qserv import HedgePolicy
 from repro.xrd import FaultPlan
-from repro.xrd.protocol import parse_headers, query_hash, trace_header
+from repro.xrd.protocol import ChunkRequest, query_hash
 
 SEED = int(os.environ.get("CHAOS_SEED", "7"))
 
@@ -32,24 +32,24 @@ def span_tree(trace):
 
 
 class TestHeaderProtocol:
+    """The trace field of the envelope (tests/xrd/test_protocol.py has the codec)."""
+
     def test_round_trip(self):
-        text = trace_header("t000042", "s7") + "\nSELECT 1"
-        assert parse_headers(text).trace == ("t000042", "s7")
+        text = ChunkRequest("SELECT 1", trace=("t000042", "s7")).encode().decode()
+        assert text == "-- TRACE: t000042/s7\nSELECT 1"
+        assert ChunkRequest.decode(text).trace == ("t000042", "s7")
 
     def test_absent_header_is_none(self):
-        assert parse_headers("SELECT 1").trace is None
+        assert ChunkRequest.decode("SELECT 1").trace is None
 
     def test_header_only_scanned_in_the_leading_comment_block(self):
         text = "SELECT 1\n-- TRACE: t1/s1"
-        assert parse_headers(text).trace is None
+        assert ChunkRequest.decode(text).trace is None
 
     def test_query_hash_ignores_trace_header(self):
         plain = "-- RESULT_FORMAT: binary\nSELECT COUNT(*) FROM Object_1234"
-        traced = trace_header("t000001", "s3") + "\n" + plain
-        assert query_hash(traced) == query_hash(plain)
-        assert query_hash(trace_header("t9", "s9") + "\n" + plain) == query_hash(
-            plain
-        )
+        assert query_hash("-- TRACE: t000001/s3\n" + plain) == query_hash(plain)
+        assert query_hash("-- TRACE: t9/s9\n" + plain) == query_hash(plain)
 
 
 class TestEndToEndStructure:

@@ -28,7 +28,7 @@ from repro.qserv import (
 from repro.sql import Database, SqlError, Table
 from repro.xrd import FaultPlan, RedirectError
 from repro.xrd.protocol import (
-    attempt_header,
+    ChunkRequest,
     cancel_path,
     query_hash,
     query_path,
@@ -71,10 +71,10 @@ class TestWorkerCancellation:
         gate = threading.Event()
         orig = w._execute_task
 
-        def blocking(rpath, chunk_id, text):
+        def blocking(*task):
             started.set()
             assert gate.wait(timeout=10)
-            orig(rpath, chunk_id, text)
+            orig(*task)
 
         w._execute_task = blocking
         q1 = f"SELECT COUNT(*) FROM LSST.Object_{cid} AS Object;"
@@ -108,8 +108,8 @@ class TestWorkerCancellation:
         """Cancel memory withdraws one submission, not the SQL forever."""
         w, cid = make_worker(slots=0)
         sql = f"SELECT COUNT(*) FROM LSST.Object_{cid} AS Object;"
-        old = attempt_header("attempt-old") + "\n" + sql
-        fresh = attempt_header("attempt-new") + "\n" + sql
+        old = ChunkRequest(sql, attempt="attempt-old").encode().decode()
+        fresh = ChunkRequest(sql, attempt="attempt-new").encode().decode()
         # The nonce is per-attempt metadata: all three share one hash.
         assert query_hash(old) == query_hash(fresh) == query_hash(sql)
 
@@ -141,10 +141,10 @@ class TestWorkerCancellation:
         gate = threading.Event()
         orig = w._execute_task
 
-        def blocking(rpath, chunk_id, text):
+        def blocking(*task):
             started.set()
             assert gate.wait(timeout=10)
-            orig(rpath, chunk_id, text)
+            orig(*task)
 
         w._execute_task = blocking
         q = f"SELECT COUNT(*) FROM LSST.Object_{cid} AS Object;"

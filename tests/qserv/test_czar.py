@@ -409,3 +409,123 @@ class TestFreshLiteralsOfOneShape:
         for k in (1, 2):
             with pytest.raises(QservAnalysisError, match="parse error"):
                 tb.query(f"SELECT COUNT(* FROM Object WHERE objectId = {k}")
+
+
+class TestQueryStatsIsAViewOverTheRows:
+    """Every total is a sum over one column of the chunk ledger's rows."""
+
+    @staticmethod
+    def ledger_of(*rows):
+        from repro.obs import metrics as obs_metrics
+        from repro.obs.profile import ChunkLedger, ledger_counters
+
+        registry = obs_metrics.Registry()
+        ledger = ChunkLedger(ledger_counters(registry))
+        for chunk_id, status, bumps, columns in rows:
+            row = ledger.open(chunk_id, subchunks=columns.pop("subchunks", 0))
+            for column in bumps:
+                ledger.bump(row, column)
+            ledger.close(row, status, **columns)
+        return ledger, registry
+
+    ROWS = (
+        (11, "ok", ["attempts"], dict(
+            worker="w0", bytes_sent=100, bytes_received=40, wire_format="binary",
+            seconds=0.01, subchunks=3)),
+        (12, "ok", ["attempts", "retries", "attempts", "hedges", "hedges_won"], dict(
+            worker="w1", bytes_sent=110, bytes_received=50, wire_format="sqldump",
+            seconds=0.02)),
+        (13, "failed", ["attempts", "retries", "attempts", "retries", "attempts"], {}),
+        (14, "timeout", ["attempts", "hedges"], dict(subchunks=5)),
+        (15, "cancelled", ["attempts"], {}),
+    )
+
+    def rows(self):
+        return [(c, s, list(b), dict(k)) for c, s, b, k in self.ROWS]
+
+    def test_totals_over_a_mix_of_terminal_rows(self):
+        from repro.qserv.czar import QueryStats
+
+        ledger, registry = self.ledger_of(*self.rows())
+        ledger.merged([(ledger.rows[0], 7), (ledger.rows[1], 5)])
+        stats = QueryStats(ledger)
+        assert stats.chunks_dispatched == 2
+        assert stats.sub_chunk_statements == 3  # the timed-out chunk's 5 never ran
+        assert (stats.bytes_dispatched, stats.bytes_collected) == (210, 90)
+        assert stats.rows_merged == 12
+        assert stats.chunks_retried == 3
+        assert (stats.chunks_hedged, stats.hedges_won) == (2, 1)
+        assert stats.chunks_timed_out == 1
+        assert stats.workers_used == {"w0", "w1"}
+        assert stats.failed_chunks == [13, 14, 15]
+        assert stats.wire_format == "mixed"
+        assert [c.chunk_id for c in stats.chunk_profiles] == [11, 12, 13, 14, 15]
+        assert [c.attempts for c in stats.chunk_profiles] == [1, 2, 3, 1, 1]
+        # ... and the counters the ledger fed moved by the same sums.
+        moved = {k: v for k, v in registry.snapshot().items() if v}
+        assert moved == {
+            "czar.chunks.dispatched": 2,
+            "czar.subchunk.statements": 3,
+            "czar.bytes.dispatched": 210,
+            "czar.bytes.collected": 90,
+            "czar.bytes.collected.binary": 40,
+            "czar.bytes.collected.sqldump": 50,
+            "czar.rows.merged": 12,
+            "czar.chunks.retried": 3,
+            "czar.chunks.hedged": 2,
+            "czar.hedges.won": 1,
+            "czar.chunks.timed_out": 1,
+            "czar.chunks.failed": 2,
+            "czar.chunks.cancelled": 1,
+        }
+        t = stats.profile.totals()
+        assert (t["chunks"], t["failed"], t["timeouts"], t["cancelled"]) == (5, 1, 1, 1)
+
+    def test_partial_result_needs_allow_partial_and_a_dropped_chunk(self):
+        from repro.qserv.czar import QueryStats
+
+        ledger, _ = self.ledger_of(*self.rows())
+        stats = QueryStats(ledger)
+        assert not stats.partial_result
+        stats.allow_partial = True
+        assert stats.partial_result
+        clean, _ = self.ledger_of(*self.rows()[:2])
+        stats = QueryStats(clean)
+        stats.allow_partial = True
+        assert not stats.partial_result and stats.failed_chunks == []
+
+    def test_one_wire_format(self):
+        from repro.qserv.czar import QueryStats
+
+        ledger, _ = self.ledger_of(self.rows()[0], self.rows()[3])
+        assert QueryStats(ledger).wire_format == "binary"
+
+    def test_a_row_in_flight_counts_its_retries_only(self):
+        from repro.obs.profile import ChunkLedger
+        from repro.qserv.czar import QueryStats
+
+        ledger = ChunkLedger()
+        row = ledger.open(21, subchunks=4)
+        ledger.bump(row, "retries")
+        stats = QueryStats(ledger)
+        assert stats.chunks_retried == 1
+        assert stats.chunks_dispatched == stats.sub_chunk_statements == 0
+        assert stats.failed_chunks == [] and stats.workers_used == set()
+
+    def test_no_rows_reads_all_zeros(self):
+        """The proxy's local-query path hands out a bare QueryStats()."""
+        from repro.qserv.czar import QueryStats
+
+        stats = QueryStats()
+        assert stats.as_dict() == {
+            "chunks_dispatched": 0, "chunks_retried": 0, "sub_chunk_statements": 0,
+            "bytes_dispatched": 0, "bytes_collected": 0, "rows_merged": 0,
+            "plan_cache_hits": 0, "chunks_hedged": 0, "hedges_won": 0,
+            "chunks_timed_out": 0, "workers_used": set(),
+            "used_secondary_index": False, "used_region_restriction": False,
+            "elapsed_seconds": 0.0, "wire_format": "", "partial_result": False,
+            "failed_chunks": [],
+        }
+        assert stats.chunk_profiles == [] and stats.profile.totals()["chunks"] == 0
+        with pytest.raises(AttributeError):
+            stats.chunks_dispatched = 1  # a view: nothing to assign

@@ -1,25 +1,29 @@
 """EXPLAIN ANALYZE accounting-identity tests.
 
-The profile's per-chunk rows are maintained in exactly the code paths
-(and under exactly the lock) that update ``QueryStats`` -- so three
-views of one query must agree *exactly*, not approximately:
+The query's chunk ledger is the only writer of the profile's per-chunk
+rows and the only place their columns reach the metric counters, and
+``QueryStats`` is a view over the same rows -- so three views of one
+query agree *exactly*, not approximately:
 
 1. the sums over ``result.stats.profile`` chunk rows,
-2. the ``QueryStats`` counters themselves,
-3. the process-global metric deltas across the submit.
+2. the ``QueryStats`` totals (the same sums: ``assert_identity`` is a
+   guard on the definition),
+3. the process-global metric deltas across the submit -- the one that
+   can still go wrong.
 
-That identity must survive retries, hedges, timeouts, and partial
-results injected through seeded fault plans.
+That identity must survive retries, hedges, timeouts, partial results
+and fail-fast queries injected through seeded fault plans.
 """
 
 import os
 import threading
+import time
 
 import pytest
 
 from repro.data import build_testbed
 from repro.obs import metrics as obs_metrics
-from repro.qserv import HedgePolicy, QueryCancelledError
+from repro.qserv import HedgePolicy, QueryCancelledError, QueryError
 from repro.xrd import FaultPlan
 from repro.xrd.retry import CancelToken
 
@@ -179,6 +183,33 @@ class TestUnderFaults:
             assert profile.partial_result
             assert totals["timeouts"] + totals["failed"] == expected_failures
             assert totals["chunks"] == totals["chunks_ok"] + expected_failures
+            assert_global_deltas(before, global_values(), totals)
+        finally:
+            tb.shutdown()
+
+
+    def test_identity_survives_failing_fast_past_chunks_in_flight(self):
+        """submit raises on the first dead chunk; the live ones end after it."""
+        tb = build_testbed(num_workers=2, num_objects=400, seed=31, replication=1)
+        try:
+            victim, survivor = tb.placement.nodes[:2]
+            tb.servers[victim].fail()
+            FaultPlan(seed=SEED).slow_reads(0.3, path_prefix="/result/").attach(
+                tb.servers[survivor]
+            )
+            before = global_values()
+            with pytest.raises(QueryError) as exc:
+                tb.czar.submit("SELECT COUNT(*) FROM Object")
+            stats = exc.value.stats
+            assert any(c.status == "pending" for c in stats.chunk_profiles)
+            deadline = time.monotonic() + 10.0
+            while any(c.status == "pending" for c in stats.chunk_profiles):
+                assert time.monotonic() < deadline, "dispatch threads never drained"
+                time.sleep(0.01)
+            totals = assert_identity(stats)
+            assert totals["failed"] >= 1 and totals["chunks_ok"] >= 1
+            assert totals["rows"] == 0  # collected after the failure, never merged
+            assert sorted(stats.failed_chunks) == sorted(tb.placement.chunks_of(victim))
             assert_global_deltas(before, global_values(), totals)
         finally:
             tb.shutdown()

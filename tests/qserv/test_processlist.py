@@ -15,6 +15,7 @@ from repro.data import build_testbed
 from repro.obs import progress as obs_progress
 from repro.qserv import QueryCancelledError
 from repro.qserv.frontend import QservFrontend, QservOverloadError, TenantPolicy
+from repro.xrd import FaultPlan
 from repro.xrd.retry import CancelToken
 
 
@@ -23,10 +24,10 @@ def gate_workers(tb, started, gate):
     for w in tb.workers.values():
         orig = w._execute_task
 
-        def blocking(rpath, chunk_id, text, _orig=orig):
+        def blocking(*task, _orig=orig):
             started.set()
             assert gate.wait(timeout=30)
-            _orig(rpath, chunk_id, text)
+            _orig(*task)
 
         w._execute_task = blocking
 
@@ -148,6 +149,86 @@ class TestLiveness:
                 tb.czar.submit("SELECT COUNT(*) FROM Object", tenant="carol")
             assert all(
                 e["tenant"] != "carol" for e in obs_progress.PROCESSLIST.entries()
+            )
+        finally:
+            tb.shutdown()
+
+
+class TestChunkAccounting:
+    """The entry is told of every chunk that ends, with its retries."""
+
+    def test_retries_show_while_the_query_is_in_flight(self):
+        tb = build_testbed(num_workers=3, num_objects=600, seed=51, replication=2)
+        try:
+            victim = tb.placement.nodes[0]
+            FaultPlan(seed=7).die_after_writes(1).attach(tb.servers[victim])
+            # Hold one chunk the dying worker never sees (inline workers:
+            # only its dispatch thread waits), so the query is still in
+            # flight when every retried chunk has ended.
+            held = next(
+                c for c in tb.placement.chunk_ids
+                if victim not in tb.placement.replicas(c)
+            )
+            started, gate = threading.Event(), threading.Event()
+            for w in tb.workers.values():
+                orig = w._execute_task
+
+                def blocking(task, *rest, _orig=orig):
+                    if task.chunk_id == held:
+                        started.set()
+                        assert gate.wait(timeout=30)
+                    _orig(task, *rest)
+
+                w._execute_task = blocking
+            result = {}
+            t = threading.Thread(
+                target=lambda: result.update(
+                    r=tb.czar.submit("SELECT COUNT(*) FROM Object", tenant="dora")
+                )
+            )
+            t.start()
+            try:
+                assert started.wait(timeout=10)
+
+                def entry():
+                    return next(
+                        e
+                        for e in obs_progress.PROCESSLIST.entries()
+                        if e["tenant"] == "dora"
+                    )
+
+                assert wait_until(
+                    lambda: entry()["chunks_done"] == entry()["chunks_total"] - 1
+                )
+                assert entry()["retries"] >= 1
+            finally:
+                gate.set()
+                t.join(timeout=30)
+            assert not t.is_alive()
+            stats = result["r"].stats
+            assert stats.chunks_retried >= 1
+            assert int(result["r"].table.column("COUNT(*)")[0]) == 600
+        finally:
+            tb.shutdown()
+
+    def test_partial_query_counts_its_dropped_chunks_as_done(self, monkeypatch):
+        tb = build_testbed(num_workers=2, num_objects=400, seed=31, replication=1)
+        try:
+            tb.servers[tb.placement.nodes[0]].fail()
+            entries = []
+            begin = obs_progress.PROCESSLIST.begin
+
+            def capture(*args, **kwargs):
+                entries.append(begin(*args, **kwargs))
+                return entries[-1]
+
+            monkeypatch.setattr(obs_progress.PROCESSLIST, "begin", capture)
+            r = tb.czar.submit("SELECT COUNT(*) FROM Object", allow_partial=True)
+            assert r.stats.partial_result and r.stats.failed_chunks
+            snap = entries[0].snapshot()
+            assert snap["chunks_done"] == snap["chunks_total"]
+            assert snap["chunks_total"] == (
+                r.stats.chunks_dispatched + len(r.stats.failed_chunks)
             )
         finally:
             tb.shutdown()

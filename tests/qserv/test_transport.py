@@ -101,22 +101,30 @@ class TestFormatNegotiation:
         and the binary czar's collection path accepts either -- here we
         check the detection branch directly on the merge helper.
         """
-        from repro.sql import Database, Table, dump_table, encode_table
+        from repro.obs.profile import ChunkLedger
         from repro.qserv.czar import QueryStats
+        from repro.qserv.dispatch import validate_payload
+        from repro.sql import Database, Table, dump_table, encode_table
 
         t1 = Table("c", {"a": np.array([1, 2])})
         t2 = Table("c", {"a": np.array([3])})
-        # The magic-sniffing detection now happens at collection time:
-        # _validate_payload routes untagged bytes to the dump loader.
-        payloads = [
-            tb.czar._validate_payload(dump_table(t1, "c").encode()),
-            tb.czar._validate_payload(encode_table(t2, "c")),
-        ]
-        stats = QueryStats()
+        # The magic-sniffing detection happens at collection time:
+        # validate_payload routes untagged bytes to the dump loader,
+        # and the chunk's ledger row ends with the format it found.
+        ledger = ChunkLedger()
+        payloads = []
+        for chunk_id, data in enumerate(
+            [dump_table(t1, "c").encode(), encode_table(t2, "c")]
+        ):
+            kind, payload = validate_payload(data)
+            row = ledger.open(chunk_id)
+            ledger.close(row, "ok", wire_format=kind)
+            payloads.append((payload, row))
         merge_db = Database("LSST")
-        name = tb.czar._load_into_merge_table(merge_db, payloads, stats)
+        name = tb.czar._load_into_merge_table(merge_db, payloads, ledger)
         merged = merge_db.get_table(name)
         assert sorted(int(v) for v in merged.column("a")) == [1, 2, 3]
+        stats = QueryStats(ledger)
         assert stats.wire_format == "mixed"
         assert stats.rows_merged == 3
 
@@ -187,9 +195,6 @@ class TestWorkerEviction:
         assert r.stats.chunks_dispatched > 0
         for w in tb.workers.values():
             assert w._results == {}
-            assert w._errors == {}
-            assert w._result_ready == {}
-            assert w._pending_reads == {}
 
     def test_eviction_counted(self, tb):
         before = sum(w.stats.results_evicted for w in tb.workers.values())

@@ -18,7 +18,7 @@ from repro.qserv import worker as worker_module
 from repro.sql import Database, SqlError, Table
 from repro.sql.dump import load_dump
 from repro.sql.wire import decode_table, encode_table
-from repro.xrd.protocol import parse_headers, query_hash, query_path, result_path
+from repro.xrd.protocol import ChunkRequest, query_hash, query_path, result_path
 
 
 def make_worker(slots=0, cache=False):
@@ -612,13 +612,15 @@ class TestConcurrentPreparedStatements:
         for cid in SCAN_CHUNKS:
             db.create_table(scan_table(cid))
         w = QservWorker("w-scan", db, slots=2)  # locks and tracking under the detector
-        # A budget of its own gives each text its own result path.
+        # A header nobody knows is skipped by the worker and is part of
+        # the result identity: it gives each text its own result path
+        # (a -- DEADLINE: would not, budgets are not identity).
         # Every HV2 binds its own cut into the one shared template: a
         # slot that saw another's value would answer with other rows.
         texts = [
             (
                 cid,
-                f"-- RESULT_FORMAT: binary\n-- DEADLINE: {100 + round_}\n"
+                f"-- RESULT_FORMAT: binary\n-- ROUND: {round_}\n"
                 + template.format(cid=cid, cut=round((round_ * 7 + cid % 7) / 43.0, 6)),
             )
             for round_ in range(6)
@@ -635,7 +637,7 @@ class TestConcurrentPreparedStatements:
             for cid, text in texts:
                 data = w.on_read(result_path(query_hash(text)))
                 assert data is not None
-                assert decode_table(data).rows() == unprepared_rows(w, parse_headers(text).body)
+                assert decode_table(data).rows() == unprepared_rows(w, ChunkRequest.decode(text).body)
         finally:
             sys.setswitchinterval(interval)
             w.shutdown()
@@ -920,13 +922,14 @@ class TestStatementFamilies:
         w, cid, scids = family_worker(slots=2)  # locks and tracking under the detector
         queries = family_chunk_queries(w, cid, scids)
         texts = [
-            f"-- RESULT_FORMAT: binary\n-- DEADLINE: {100 + i}\n" + queries[case]
+            # its own result path each: an unknown header is identity
+            f"-- RESULT_FORMAT: binary\n-- ROUND: {i}\n" + queries[case]
             for i, case in enumerate(["shv1", "near_neighbour_rows", "near_neighbour_group_by"] * 4)
         ]
         expected = {}
         reference, _, _ = family_worker(use_kernels=False)
         for text in texts[:3]:
-            body = parse_headers(text).body
+            body = ChunkRequest.decode(text).body
             expected[body] = encode_table(reference.execute_chunk_query(cid, body), "chunk_result")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -935,7 +938,7 @@ class TestStatementFamilies:
                 w.on_write(query_path(cid), text.encode())
             for text in texts:
                 data = w.on_read(result_path(query_hash(text)))
-                assert data == expected[parse_headers(text).body]
+                assert data == expected[ChunkRequest.decode(text).body]
         finally:
             sys.setswitchinterval(interval)
             w.shutdown()
@@ -1118,9 +1121,64 @@ class TestDeadlineHeader:
             gate.set()
             w.shutdown(timeout=0.5)
 
+    def test_deadline_bounded_repeats_hit_the_result_cache(self):
+        """A budget is not result identity (it was: every ``%.3f`` a new /result/H)."""
+        from repro.data import build_testbed
+        from repro.xrd.retry import CancelToken
+
+        tb = build_testbed(num_workers=2, num_objects=400, seed=17)
+        try:
+            for w in tb.workers.values():
+                w.cache_results = True
+
+            def totals():
+                workers = tb.workers.values()
+                return (
+                    sum(w.stats.result_cache_hits for w in workers),
+                    sum(w.stats.queries_executed for w in workers),
+                )
+
+            sql = "SELECT COUNT(*) FROM Object"
+            for _ in range(2):
+                assert tb.czar.submit(sql).stats.chunks_dispatched == 4
+            assert totals() == (4, 4)
+            for options in ({"cancel": CancelToken()}, {"deadline": 5.0}):
+                before = totals()
+                for _ in range(2):
+                    assert int(tb.czar.submit(sql, **options).rows()[0][0]) == 400
+                hits, executed = totals()
+                assert (hits - before[0], executed - before[1]) == (8, 0), options
+            assert sum(len(w._results) for w in tb.workers.values()) == 4
+        finally:
+            tb.shutdown()
+
+    def test_a_shared_result_keeps_the_latest_expiring_budget(self, monkeypatch):
+        """A tighter dispatch of the same text never cuts another's reader short."""
+        w, cid, _ = make_worker(slots=1)
+        gate = threading.Event()
+        original = w.execute_chunk_query
+
+        def stalled(chunk_id, text):
+            gate.wait(timeout=10.0)
+            return original(chunk_id, text)
+
+        monkeypatch.setattr(w, "execute_chunk_query", stalled)
+        try:
+            sql = f"SELECT COUNT(*) FROM LSST.Object_{cid} AS o;"
+            for budget in ("30", "0.05", None):
+                header = "" if budget is None else f"-- DEADLINE: {budget}\n"
+                w.on_write(query_path(cid), (header + sql).encode())
+            (record,) = w._results.values()  # one path, three reads owed
+            assert record.owed == 3 and record.deadline == float("inf")
+            threading.Timer(0.3, gate.set).start()
+            assert w.on_read(result_path(query_hash(sql))) is not None  # outlived 0.05 s
+        finally:
+            gate.set()
+            w.shutdown(timeout=0.5)
+
     def test_header_parsing(self):
         def parse(text):
-            return parse_headers(text).deadline
+            return ChunkRequest.decode(text).deadline
 
         assert parse("-- DEADLINE: 1.500\nSELECT 1;") == pytest.approx(1.5)
         assert parse("-- RESULT_FORMAT: binary\n-- DEADLINE: 3\nSELECT 1;") == 3.0

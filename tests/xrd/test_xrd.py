@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.xrd import (
     DataServer,
     FileSystem,
@@ -352,11 +353,14 @@ class TestClient:
     def test_byte_accounting(self):
         r, _ = self.make_qserv_like_cluster()
         client = XrdClient(r)
+        written = obs_metrics.counter("xrd.bytes.written")
+        read = obs_metrics.counter("xrd.bytes.read")
+        before = written.value, read.value
         q = "SELECT 1"
         client.write_file(query_path(5), q)
         client.read_file(result_path(q), server_name="w0")
-        assert client.bytes_written == len(q)
-        assert client.bytes_read == len(b"RESULT:" + q.encode())
+        assert written.value - before[0] == len(q)
+        assert read.value - before[1] == len(b"RESULT:" + q.encode())
 
     def test_exists(self):
         r, _ = self.make_qserv_like_cluster()

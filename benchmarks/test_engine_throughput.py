@@ -18,6 +18,14 @@ under compiled kernels than interpreted, no shape may regress, and the
 mmap configuration must stay correct while hosting more data than its
 residency budget.
 
+One row is not a 500 k-row scan: ``grouped_aggregation_chunk`` is the
+HV3 chunk statement over one chunk table of the end-to-end benchmark's
+size (14 286 rows, one ``chunkId``), prepared as a worker prepares it
+(parsed and keyed once).  There the sort is nothing and Python is the
+cost, so it is the row that shows whether the aggregate stage runs as
+generated code.  It has no gate of its own beyond "no shape may
+regress": ISSUE 21 asked for 3x and the row reads about 2x.
+
 The trailing micro-benches pin the paths the paired harness does not
 cover (equi-join, indexed point lookup, dump serialization).
 """
@@ -33,12 +41,22 @@ import pytest
 
 from repro.sql import Database, Table
 from repro.sql.colstore import ColumnStore, ResidencyBudget
+from repro.sql.parser import parse_one
 
 from _series import OUT_DIR, emit, format_series
 
 N = 500_000
 REPEATS = 7
 MIN_FUSED_SPEEDUP = 5.0
+
+CHUNK_ROWS = 14_286
+CHUNK_REPEATS = 2001
+CHUNK_QUERY = (
+    "SELECT COUNT(*) AS `COUNT(*)`, SUM(ra_PS) AS `SUM(ra_PS)`, "
+    "COUNT(ra_PS) AS `COUNT(ra_PS)`, SUM(decl_PS) AS `SUM(decl_PS)`, "
+    "COUNT(decl_PS) AS `COUNT(decl_PS)`, chunkId "
+    "FROM LSST.Object_713 AS Object GROUP BY chunkId"
+)
 
 # The HV2/HV3 hybrid the kernels exist for: multi-UDF color cut fused
 # with box predicates, grouped aggregation on top.
@@ -80,12 +98,25 @@ def make_columns(rng) -> dict[str, np.ndarray]:
     }
 
 
-def median_seconds(db: Database, sql: str) -> tuple[float, object]:
-    result = db.execute(sql)  # warm-up (and kernel compile, first time)
+def median_seconds(db: Database, sql: str, prepared: bool = False) -> tuple[float, object]:
+    """Median wall-clock of ``sql`` on ``db``, and its result.
+
+    ``prepared`` runs it as a worker runs a chunk statement: parsed and
+    keyed once, executed often (and, being microseconds, timed often).
+    """
+    if prepared:
+        stmt = parse_one(sql)
+        key = db.kernel_key(stmt)
+        run, warm_ups, repeats = lambda: db.execute_statement(stmt, key), 50, CHUNK_REPEATS
+    else:
+        # One warm-up (and kernel compile, first time).
+        run, warm_ups, repeats = lambda: db.execute(sql), 1, REPEATS
+    for _ in range(warm_ups):
+        result = run()
     times = []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         t0 = time.perf_counter()
-        result = db.execute(sql)
+        result = run()
         times.append(time.perf_counter() - t0)
     return statistics.median(times), result
 
@@ -116,16 +147,24 @@ def test_engine_paired_benchmark(tmp_path):
     db_mmap.create_table(store.save_table(Table("Object", cols)))
     assert store.on_disk_bytes("Object") > budget.max_bytes
 
+    chunk = {k: v[:CHUNK_ROWS].copy() for k, v in cols.items()}
+    chunk["chunkId"][:] = 713
+    for db in (db_interp, db_kernel):
+        db.create_table(Table("Object_713", {k: v.copy() for k, v in chunk.items()}))
+    db_mmap.create_table(store.save_table(Table("Object_713", chunk)))
+
     results = {}
     rows_out = []
-    for name, sql in QUERIES.items():
-        ti, ri = median_seconds(db_interp, sql)
-        tk, rk = median_seconds(db_kernel, sql)
-        tm, rm = median_seconds(db_mmap, sql)
+    benches = [(name, sql, False, N) for name, sql in QUERIES.items()]
+    benches.append(("grouped_aggregation_chunk", CHUNK_QUERY, True, CHUNK_ROWS))
+    for name, sql, prepared, rows in benches:
+        ti, ri = median_seconds(db_interp, sql, prepared)
+        tk, rk = median_seconds(db_kernel, sql, prepared)
+        tm, rm = median_seconds(db_mmap, sql, prepared)
         assert_identical(ri, rk, name)
         assert_identical(ri, rm, name)
         results[name] = {
-            "rows_scanned": N,
+            "rows_scanned": rows,
             "interpreter_s": round(ti, 6),
             "kernel_s": round(tk, 6),
             "kernel_mmap_s": round(tm, 6),
@@ -133,7 +172,9 @@ def test_engine_paired_benchmark(tmp_path):
             "speedup_kernel_mmap": round(ti / tm, 2),
         }
         rows_out.append(
-            (name, ti * 1e3, tk * 1e3, tm * 1e3, f"{ti / tk:.1f}x", f"{ti / tm:.1f}x")
+            # Three decimals: the chunk row is tens of microseconds.
+            (name, *(f"{t * 1e3:.3f}" for t in (ti, tk, tm)),
+             f"{ti / tk:.1f}x", f"{ti / tm:.1f}x")
         )
 
     entry = {
@@ -152,7 +193,8 @@ def test_engine_paired_benchmark(tmp_path):
     emit(
         "engine_kernels",
         format_series(
-            f"Per-node engine, {N} rows (median of {REPEATS})",
+            f"Per-node engine, {N} rows (median of {REPEATS}); "
+            f"the chunk row {CHUNK_ROWS} rows, prepared (median of {CHUNK_REPEATS})",
             ["query", "interp (ms)", "kernel (ms)", "mmap (ms)", "speedup", "mmap speedup"],
             rows_out,
         ),

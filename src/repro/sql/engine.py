@@ -660,8 +660,8 @@ def _distinct(result: ResultTable) -> ResultTable:
     changed = np.zeros(n, dtype=bool)
     changed[0] = True
     for k in str_keys:
-        ks = k[order]
-        changed[1:] |= ks[1:] != ks[:-1]
+        # NULLs are one value to DISTINCT, as they are one group.
+        changed[1:] |= _kernels.boundaries(k[order])
     keep_rows = np.sort(order[changed])
     return ResultTable(
         "result", {k: v[keep_rows] for k, v in result.columns().items()}
@@ -670,33 +670,6 @@ def _distinct(result: ResultTable) -> ResultTable:
 
 # Shared with the compiled-kernel planner.
 _split_conjuncts = _kernels.split_conjuncts
-
-
-def _expr_columns(expr: ast.Expr) -> set[str]:
-    """Unqualified column names referenced by one expression."""
-    out: set[str] = set()
-
-    def walk(e):
-        if isinstance(e, ast.ColumnRef):
-            out.add(e.column)
-        elif isinstance(e, ast.FuncCall):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, ast.BinaryOp):
-            walk(e.left), walk(e.right)
-        elif isinstance(e, ast.UnaryOp):
-            walk(e.operand)
-        elif isinstance(e, ast.Between):
-            walk(e.value), walk(e.low), walk(e.high)
-        elif isinstance(e, ast.InList):
-            walk(e.value)
-            for i in e.items:
-                walk(i)
-        elif isinstance(e, ast.IsNull):
-            walk(e.value)
-
-    walk(expr)
-    return out
 
 
 def _expr_tables(expr: ast.Expr) -> set[str]:
@@ -748,6 +721,7 @@ def _find_equi_key(conjuncts, have: set[str], incoming: str, tables):
 
 
 _referenced_columns = _kernels.referenced_columns
+_expr_columns = _kernels.expr_columns
 
 
 def _wants_all_columns(sel: ast.Select, table_name: str) -> bool:

@@ -20,12 +20,18 @@ one fused, cached callable:
   touches a few percent of the table instead of all of it.  All
   registered functions are elementwise, so survivor-order evaluation is
   bit-identical to full-table evaluation.
-- **Projection stage**: plain projections are codegen'd over the
-  gathered survivor columns; grouped/aggregate queries go through the
-  *shared* group/reduce helpers below (:func:`grouped_projection` /
-  :func:`compute_aggregate`), which are also what the interpreter
-  calls -- a single source of truth, so kernel aggregation cannot
-  diverge from interpreted aggregation by construction.
+- **Projection stage** (codegen): plain projections are emitted over
+  the gathered survivor columns.
+- **Aggregate stage** (codegen): a grouped or aggregate query gets
+  :func:`grouped_projection` written out for it as one function -- the
+  group structure once, each distinct aggregate argument evaluated and
+  tested for NULLs once, the select list and HAVING as emitted
+  expressions.  The group ladder (:func:`group_structure`) and the
+  reductions (``_REDUCTIONS``) it calls are the ones the interpreter
+  calls, on the same operands -- the NULL rules are written once, so
+  kernel aggregation cannot diverge from interpreted aggregation by
+  construction.  What the emitter declines (DISTINCT aggregates,
+  aggregates over text) ends in :func:`grouped_projection` itself.
 
 Kernels are cached in a :class:`KernelCache` (the worker-side analogue
 of the czar plan cache) keyed by the statement's *shape* -- the physical
@@ -99,10 +105,12 @@ __all__ = [
     "kernel_key",
     "split_conjuncts",
     "referenced_columns",
+    "expr_columns",
     "collect_aggregates",
     "grouped_projection",
     "compute_aggregate",
     "group_structure",
+    "boundaries",
 ]
 
 # A join that would materialize more candidate pairs than this means a
@@ -180,17 +188,22 @@ def _all_exprs(sel: ast.Select, include_order_by: bool = True):
             yield j.on
 
 
-def referenced_columns(sel: ast.Select) -> set[str]:
-    """Unqualified column names referenced anywhere in the query."""
+def expr_columns(*exprs: ast.Expr) -> set[str]:
+    """Unqualified column names referenced by the expressions."""
     out: set[str] = set()
 
     def fn(e):
         if isinstance(e, ast.ColumnRef):
             out.add(e.column)
 
-    for expr in _all_exprs(sel):
+    for expr in exprs:
         _walk(expr, fn)
     return out
+
+
+def referenced_columns(sel: ast.Select) -> set[str]:
+    """Unqualified column names referenced anywhere in the query."""
+    return expr_columns(*_all_exprs(sel))
 
 
 def collect_aggregates(sel: ast.Select) -> list[ast.FuncCall]:
@@ -312,17 +325,41 @@ def kernel_key(sel: ast.Select) -> KernelKey:
 # -- shared group/reduce helpers (used by interpreter AND kernels) ------------------
 
 
+def boundaries(keys: np.ndarray) -> np.ndarray:
+    """``keys[1:] != keys[:-1]``, except that NULL (NaN) equals NULL.
+
+    Where one group, one DISTINCT row or one distinct value ends and
+    the next begins, for keys already in sorted order: MySQL puts all
+    NULLs in one group, and every sort here puts NaN last.
+    """
+    changed = keys[1:] != keys[:-1]
+    if keys.dtype.kind == "f":
+        null = np.isnan(keys)
+        if null.any():
+            changed &= ~(null[1:] & null[:-1])
+    return changed
+
+
 def group_structure(keys: list[np.ndarray], n: int):
     """(order, group_starts) for GROUP BY keys; ``order`` None is the identity.
 
-    Rows already in non-decreasing lexicographic key order (a chunk
-    table grouped by its ``chunkId``, any single group) are their own
-    stable sort, so neither the lexsort nor the per-aggregate gathers
-    it feeds are needed.  A NaN key compares false both ways and so
-    never counts as ordered.
+    A ladder, cheapest rung first; every rung gives the groups of a
+    stable lexicographic sort with NULL (NaN) keys equal to each other
+    and last:
+
+    1. one integer key that never changes (a chunk table grouped by its
+       ``chunkId``): one ``!=`` pass;
+    2. numeric keys already in non-decreasing order are their own
+       stable sort, so neither a sort nor the per-aggregate gathers it
+       feeds are needed (a number followed by NaN, or NaN by a number,
+       does not count as ordered);
+    3. ``np.lexsort``.
     """
     if n == 0:
         return None, np.empty(0, dtype=np.int64)
+    if len(keys) == 1 and keys[0].dtype.kind in "iu":
+        if not (keys[0][1:] != keys[0][:-1]).any():
+            return None, np.zeros(1, dtype=np.int64)
     changed = np.zeros(n, dtype=bool)
     changed[0] = True
     if all(k.dtype.kind in "biuf" for k in keys):
@@ -330,15 +367,131 @@ def group_structure(keys: list[np.ndarray], n: int):
         equal = np.ones(n - 1, dtype=bool)
         for k in keys:
             ascending |= equal & (k[:-1] < k[1:])
-            equal &= k[:-1] == k[1:]
+            equal &= ~boundaries(k)
         if np.all(ascending | equal):
             changed[1:] = ~equal
             return None, np.flatnonzero(changed)
     order = np.lexsort(keys[::-1])
     for k in keys:
-        k = k[order]
-        changed[1:] |= k[1:] != k[:-1]
+        changed[1:] |= boundaries(k[order])
     return order, np.flatnonzero(changed)
+
+
+def _group_sizes(group_starts: np.ndarray, n: int) -> np.ndarray:
+    """Rows per group, ``int64``: what ``COUNT(*)`` answers."""
+    sizes = np.empty(len(group_starts), dtype=np.int64)
+    sizes[:-1] = group_starts[1:]
+    sizes[-1:] = n
+    sizes -= group_starts
+    return sizes
+
+
+def _sorted_argument(val, order, n: int) -> np.ndarray:
+    """An aggregate argument as one value per row, in group order."""
+    arr = np.asarray(val)
+    if arr.ndim == 0:
+        arr = np.full(n, arr)
+    return arr if order is None else arr[order]
+
+
+def _no_rows(name: str, num_groups: int) -> np.ndarray:
+    """Any aggregate over an empty input: COUNT is 0, the others NULL."""
+    if name == "COUNT":
+        return np.zeros(num_groups, dtype=np.int64)
+    return np.full(num_groups, np.nan)
+
+
+# The reductions, each over ``(values in group order, valid, group
+# starts, group sizes)``.  ``valid`` marks the non-NULL values and is
+# None when every value is one (:func:`_valid`); MIN and MAX do not read
+# it.  These are the only place the MySQL NULL rules of the aggregates
+# live: the interpreter (:func:`compute_aggregate`) and the generated
+# aggregate stage both call them, on the same operands.
+
+
+def _valid(vals: np.ndarray):
+    """Mask of the non-NULL values (never none); None when there is no NULL."""
+    if vals.dtype.kind != "f":
+        return None
+    # The minimum is NaN exactly when some value is: one pass, no mask.
+    if not np.isnan(np.minimum.reduce(vals)):
+        return None
+    return ~np.isnan(vals)
+
+
+def _count(vals, valid, group_starts, sizes):
+    if valid is None:
+        return sizes
+    return np.add.reduceat(valid.astype(np.int64), group_starts)
+
+
+def _float_sums(vals, valid, group_starts):
+    vals = vals.astype(np.float64, copy=False)
+    if valid is not None:
+        vals = np.where(valid, vals, 0.0)
+    return np.add.reduceat(vals, group_starts)
+
+
+def _sum(vals, valid, group_starts, sizes):
+    if vals.dtype.kind in "iu":
+        # Integer sums stay integer (MySQL semantics for COUNT merges).
+        return np.add.reduceat(vals, group_starts)
+    sums = _float_sums(vals, valid, group_starts)
+    if valid is None:
+        return sums
+    # MySQL: SUM ignores NULLs, but a group of only NULLs sums to NULL
+    # (NaN), not 0.
+    return np.where(_count(vals, valid, group_starts, sizes) > 0, sums, np.nan)
+
+
+def _avg(vals, valid, group_starts, sizes):
+    sums = _float_sums(vals, valid, group_starts)
+    if valid is None:
+        return sums / sizes
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return sums / _count(vals, valid, group_starts, sizes)
+
+
+# MySQL MIN/MAX ignore NULLs; a group of only NULLs yields NULL.
+# np.fmin/fmax skip NaN (vs minimum/maximum, which propagate it) --
+# essential when merging per-chunk partials where empty chunks
+# contributed NULL.
+
+
+def _min(vals, valid, group_starts, sizes):
+    op = np.fmin if vals.dtype.kind == "f" else np.minimum
+    return op.reduceat(vals, group_starts)
+
+
+def _max(vals, valid, group_starts, sizes):
+    op = np.fmax if vals.dtype.kind == "f" else np.maximum
+    return op.reduceat(vals, group_starts)
+
+
+_REDUCTIONS = {"COUNT": _count, "SUM": _sum, "AVG": _avg, "MIN": _min, "MAX": _max}
+_IGNORES_VALID = ("MIN", "MAX")
+
+
+def _count_distinct(vals, group_starts, sizes):
+    """Distinct non-NULL values per group.
+
+    Values were sorted by group only, so do a (group, value) lexsort
+    and count the boundaries.
+    """
+    num_groups = len(group_starts)
+    gid = np.repeat(np.arange(num_groups), sizes)
+    so = np.lexsort((vals, gid))
+    sv, sg = vals[so], gid[so]
+    newval = np.ones(len(vals), dtype=bool)
+    newval[1:] = (sv[1:] != sv[:-1]) | (sg[1:] != sg[:-1])
+    if sv.dtype.kind == "f":
+        # NULL is no value: it is not counted, however often it occurs.
+        newval &= ~np.isnan(sv)
+    return np.bincount(sg[newval], minlength=num_groups).astype(np.int64)
+
+
+def _is_star(agg: ast.FuncCall) -> bool:
+    return len(agg.args) == 1 and isinstance(agg.args[0], ast.Star)
 
 
 def compute_aggregate(agg: ast.FuncCall, env: Environment, order, group_starts, n):
@@ -347,73 +500,33 @@ def compute_aggregate(agg: ast.FuncCall, env: Environment, order, group_starts, 
     ``order`` sorts the rows by group; None when they already are.
     """
     name = agg.name.upper()
-    num_groups = len(group_starts)
     if n == 0:
+        return _no_rows(name, len(group_starts))
+    sizes = _group_sizes(group_starts, n)
+    if _is_star(agg):
         if name == "COUNT":
-            return np.zeros(num_groups, dtype=np.int64)
-        return np.full(num_groups, np.nan)
-
-    is_star = len(agg.args) == 1 and isinstance(agg.args[0], ast.Star)
-    if name == "COUNT" and is_star:
-        ends = np.append(group_starts[1:], n)
-        return (ends - group_starts).astype(np.int64)
-
-    if is_star:
+            return sizes
         raise SqlError(f"{name}(*) is only valid for COUNT")
-    arr = np.asarray(evaluate(agg.args[0], env))
-    if arr.ndim == 0:
-        arr = np.full(n, arr)
-    sorted_vals = arr if order is None else arr[order]
-    ends = np.append(group_starts[1:], n)
+    vals = _sorted_argument(evaluate(agg.args[0], env), order, n)
+    if name == "COUNT" and agg.distinct:
+        return _count_distinct(vals, group_starts, sizes)
+    reduce = _REDUCTIONS.get(name)
+    if reduce is None:
+        raise SqlError(f"unsupported aggregate {name}")
+    valid = None if name in _IGNORES_VALID else _valid(vals)
+    return reduce(vals, valid, group_starts, sizes)
 
-    if name == "COUNT":
-        if agg.distinct:
-            # Distinct count per group: sort values inside each group
-            # and count boundaries.  Values were sorted by group only,
-            # so do a (group, value) lexsort.
-            gid = np.repeat(np.arange(num_groups), ends - group_starts)
-            so = np.lexsort((sorted_vals, gid))
-            sv, sg = sorted_vals[so], gid[so]
-            newval = np.ones(n, dtype=bool)
-            newval[1:] = (sv[1:] != sv[:-1]) | (sg[1:] != sg[:-1])
-            return np.bincount(sg[newval], minlength=num_groups).astype(np.int64)
-        if np.issubdtype(sorted_vals.dtype, np.floating):
-            valid = (~np.isnan(sorted_vals)).astype(np.int64)
-            return np.add.reduceat(valid, group_starts)
-        return (ends - group_starts).astype(np.int64)
 
-    if name == "SUM" and np.issubdtype(sorted_vals.dtype, np.integer):
-        # Integer sums stay integer (MySQL semantics for COUNT merges).
-        return np.add.reduceat(sorted_vals, group_starts)
-    vals = (
-        sorted_vals.astype(np.float64, copy=False)
-        if name in ("SUM", "AVG")
-        else sorted_vals
-    )
-    if name == "SUM":
-        # MySQL: SUM ignores NULLs, but a group of only NULLs sums
-        # to NULL (NaN), not 0.
-        valid = ~np.isnan(vals)
-        sums = np.add.reduceat(np.where(valid, vals, 0.0), group_starts)
-        counts = np.add.reduceat(valid.astype(np.int64), group_starts)
-        return np.where(counts > 0, sums, np.nan)
-    if name == "AVG":
-        valid = ~np.isnan(vals)
-        sums = np.add.reduceat(np.where(valid, vals, 0.0), group_starts)
-        counts = np.add.reduceat(valid.astype(np.float64), group_starts)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return sums / counts
-    if name in ("MIN", "MAX"):
-        # MySQL MIN/MAX ignore NULLs; a group of only NULLs yields
-        # NULL.  np.fmin/fmax skip NaN (vs minimum/maximum, which
-        # propagate it) -- essential when merging per-chunk partials
-        # where empty chunks contributed NULL.
-        if np.issubdtype(vals.dtype, np.floating):
-            op = np.fmin if name == "MIN" else np.fmax
-            return op.reduceat(vals, group_starts)
-        op = np.minimum if name == "MIN" else np.maximum
-        return op.reduceat(vals, group_starts)
-    raise SqlError(f"unsupported aggregate {name}")
+def _representative_rows(order, group_starts, n: int) -> np.ndarray:
+    """The first row of each group: where its non-aggregate values come from."""
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    return group_starts if order is None else order[group_starts]
+
+
+_BARE_ITEM_OVER_NO_ROWS = (
+    "non-aggregate select item {!r} in a global aggregate over an empty table"
+)
 
 
 def grouped_projection(
@@ -421,8 +534,10 @@ def grouped_projection(
 ) -> dict[str, np.ndarray]:
     """Group, aggregate, project, and apply HAVING; returns result columns.
 
-    This is the single implementation behind both the interpreter's
-    grouped path and the compiled kernels' aggregate stage.
+    The interpreter's grouped path, and the reference for the generated
+    aggregate stage (:func:`_compile_aggregate`), which does the same
+    steps through the same helpers.  A kernel whose aggregate stage the
+    emitter declined, and every join kernel, ends here too.
     """
     n = env.length
     if sel.group_by:
@@ -436,29 +551,19 @@ def grouped_projection(
     else:
         # One global group (even over zero rows: COUNT(*) = 0).
         order = None
-        group_starts = np.array([0], dtype=np.int64)
+        group_starts = np.zeros(1, dtype=np.int64)
 
     num_groups = len(group_starts)
     agg_values: dict[ast.FuncCall, np.ndarray] = {}
     for agg in aggregates:
         agg_values[agg] = compute_aggregate(agg, env, order, group_starts, n)
 
-    # Representative-row environment: first member of each group.
-    if n > 0:
-        rep_rows = group_starts[group_starts < n]
-        if order is not None:
-            rep_rows = order[rep_rows]
-    else:
-        rep_rows = np.empty(0, dtype=np.int64)
-    rep_cols = {}
-    for key, arr in env.columns.items():
-        if n > 0:
-            rep_cols[key] = arr[rep_rows]
-        else:
-            rep_cols[key] = arr[:0]
-    # For a global aggregate over zero rows there is still one output
+    # Representative-row environment: first member of each group.  For
+    # a global aggregate over zero rows there is still one output
     # group; representative columns are empty, which is fine because
     # projection expressions must be pure aggregates in that case.
+    rep_rows = _representative_rows(order, group_starts, n)
+    rep_cols = {key: arr[rep_rows] for key, arr in env.columns.items()}
     rep_env = Environment(rep_cols, num_groups)
 
     out_cols: dict[str, np.ndarray] = {}
@@ -468,10 +573,7 @@ def grouped_projection(
             val = evaluate(item.expr, rep_env, aggregates=agg_values)
         else:
             if n == 0 and not sel.group_by:
-                raise SqlError(
-                    f"non-aggregate select item {name!r} in a global "
-                    "aggregate over an empty table"
-                )
+                raise SqlError(_BARE_ITEM_OVER_NO_ROWS.format(name))
             val = evaluate(item.expr, rep_env)
         val = np.asarray(val)
         if val.ndim == 0:
@@ -655,6 +757,15 @@ class _Helpers:
     def gather(arr, s):
         return arr if s is None else arr[s]
 
+    # The aggregate stage: the interpreter's own steps.
+    SqlError = SqlError
+    group_structure = staticmethod(group_structure)
+    group_sizes = staticmethod(_group_sizes)
+    sorted_argument = staticmethod(_sorted_argument)
+    valid = staticmethod(_valid)
+    no_rows = staticmethod(_no_rows)
+    representative_rows = staticmethod(_representative_rows)
+
 
 _HELPERS = _Helpers()
 
@@ -692,6 +803,9 @@ class _Emitter:
         self.col = col  # column name -> source string
         self.params = params
         self.consts: list = []
+        #: Aggregate call -> source string, where the expression is
+        #: evaluated per group (select list and HAVING of a grouped query).
+        self.aggregates: dict[ast.FuncCall, str] = {}
 
     def const(self, value) -> str:
         self.consts.append(value)
@@ -715,6 +829,8 @@ class _Emitter:
                 raise KernelFallback(f"unknown column {e.column!r}")
             return self.col(e.column)
         if isinstance(e, ast.FuncCall):
+            if e in self.aggregates:
+                return self.aggregates[e]
             if e.is_aggregate:
                 raise KernelFallback("aggregate outside aggregation context")
             fname = e.name.upper()
@@ -774,7 +890,7 @@ class _Emitter:
 def _compile_fn(name: str, lines: list[str], consts: list, label: str):
     """exec() the generated function source in a minimal namespace."""
     src = "\n".join(lines)
-    ns = {"np": np, "H": _HELPERS, "F": FUNCTIONS, "K": consts}
+    ns = {"np": np, "H": _HELPERS, "F": FUNCTIONS, "R": _REDUCTIONS, "K": consts}
     exec(compile(src, f"<kernel:{label}>", "exec"), ns)  # noqa: S102 - codegen
     fn = ns[name]
     fn.__kernel_source__ = src
@@ -820,22 +936,23 @@ class CompiledKernel:
         "stage_fns",
         "project_fn",
         "gathers",
-        "grouped",
         "aggregates",
         "env_cols",
         "sources",
     )
 
     def __init__(self, binding, needed, params_fn, mask_fn, stage_fns, project_fn,
-                 gathers, grouped, aggregates, env_cols, sources):
+                 gathers, aggregates, env_cols, sources):
         self.binding = binding
         self.needed = needed
         self.params_fn = params_fn
         self.mask_fn = mask_fn
         self.stage_fns = stage_fns
+        #: The generated ``_project`` or ``_aggregate``; None for a
+        #: grouped statement whose aggregate stage the emitter declined,
+        #: which :func:`grouped_projection` finishes over ``env_cols``.
         self.project_fn = project_fn
         self.gathers = gathers
-        self.grouped = grouped
         self.aggregates = aggregates
         self.env_cols = env_cols
         self.sources = sources
@@ -866,14 +983,12 @@ class CompiledKernel:
             sel_idx = m
             ns = int(np.count_nonzero(m))
 
-        if self.grouped:
-            cols = {
-                (self.binding, c): _Helpers.gather(C[c], sel_idx)
-                for c in self.env_cols
-            }
-            env = Environment(cols, ns)
-            return grouped_projection(sel, env, self.aggregates)
-        return self.project_fn(C, sel_idx, ns)
+        if self.project_fn is not None:
+            return self.project_fn(C, sel_idx, ns)
+        cols = {
+            (self.binding, c): _Helpers.gather(C[c], sel_idx) for c in self.env_cols
+        }
+        return grouped_projection(sel, Environment(cols, ns), self.aggregates)
 
 
 def _output_names(sel: ast.Select, schema_names: list[str], binding: str,
@@ -924,6 +1039,107 @@ def _check_order_by(sel: ast.Select, out_names: list[str]):
         if isinstance(e, ast.FuncCall) and e.to_sql() in out_names:
             continue
         raise KernelFallback("ORDER BY key not resolvable from output columns")
+
+
+def _numbered(variables: dict[str, str], prefix: str):
+    """``column -> its variable``, numbering a column on first use into ``variables``."""
+    return lambda cn: variables.setdefault(cn, f"{prefix}{len(variables)}")
+
+
+def _compile_aggregate(sel: ast.Select, binding: str, schema, aggregates):
+    """``(_aggregate(C, s, ns), whether it gathers)`` for a grouped SELECT.
+
+    The steps of :func:`grouped_projection` as straight-line code: the
+    group structure once, each distinct aggregate argument evaluated
+    once and tested for NULLs once, the group sizes once, the first row
+    of each group gathered only for the columns the select list or
+    HAVING reads outside an aggregate, and every expression emitted --
+    no ``evaluate``.  The reductions are the interpreter's own
+    (``_REDUCTIONS``), on the same operands.  Raises
+    :class:`KernelFallback` for what it leaves to the interpreter's
+    stage: DISTINCT aggregates, aggregates over text columns (whose
+    MIN/MAX compare strings), anything :class:`_Emitter` declines.
+    """
+    text = {c.name for c in schema if c.dtype == object}
+    for agg in aggregates:
+        name = agg.name.upper()
+        if agg.distinct or name not in _REDUCTIONS or len(agg.args) != 1:
+            raise KernelFallback(f"aggregate {agg.to_sql()} is the interpreter's")
+        if _is_star(agg):
+            if name != "COUNT":
+                raise KernelFallback(f"{name}(*)")
+        elif expr_columns(agg.args[0]) & text:
+            raise KernelFallback("aggregate over a text column")
+    # MIN and MAX skip NULLs by themselves; the others are told where.
+    masked = {
+        agg.args[0] for agg in aggregates if agg.name.upper() not in _IGNORES_VALID
+    }
+
+    colset = {c.name for c in schema}
+    row_cols: dict[str, str] = {}  # column -> variable of its selected rows
+    rows = _Emitter(binding, colset, _numbered(row_cols, "g"), [])
+    if sel.group_by:
+        keys = ", ".join(f"H.as_col({rows.emit(g)}, ns)" for g in sel.group_by)
+        body = [f"    order, starts = H.group_structure([{keys}], ns)"]
+    else:
+        # One global group (even over zero rows: COUNT(*) = 0).
+        body = ["    order, starts = None, np.zeros(1, dtype=np.int64)"]
+    body.append("    sizes = H.group_sizes(starts, ns)")
+    body.append("    ng = len(starts)")
+
+    arguments: dict[ast.Expr, str] = {}  # distinct argument -> its number
+    results: dict[ast.FuncCall, str] = {}  # aggregate -> variable of its column
+    over_rows, over_none = [], []
+    for agg in aggregates:
+        result = results[agg] = f"r{len(results)}"
+        name = agg.name.upper()
+        over_none.append(f"        {result} = H.no_rows({name!r}, ng)")
+        if _is_star(agg):
+            over_rows.append(f"        {result} = sizes")
+            continue
+        arg = agg.args[0]
+        i = arguments.get(arg)
+        if i is None:
+            i = arguments[arg] = str(len(arguments))
+            over_rows.append(
+                f"        a{i} = H.sorted_argument({rows.emit(arg)}, order, ns)"
+            )
+            if arg in masked:
+                over_rows.append(f"        v{i} = H.valid(a{i})")
+        valid = "None" if name in _IGNORES_VALID else f"v{i}"
+        over_rows.append(
+            f"        {result} = R[{name!r}](a{i}, {valid}, starts, sizes)"
+        )
+    if aggregates:
+        # As the interpreter: no argument is evaluated over no rows.
+        body += ["    if ns:", *over_rows, "    else:", *over_none]
+
+    rep_cols: dict[str, str] = {}  # column -> variable of its groups' first rows
+    per_group = _Emitter(binding, colset, _numbered(rep_cols, "q"), [])
+    per_group.consts = rows.consts  # one K for the function
+    per_group.aggregates = results
+    outputs = ["    out = {}"]
+    for item in sel.items:
+        name = item.output_name()
+        if not sel.group_by and not contains_aggregate(item.expr):
+            message = _BARE_ITEM_OVER_NO_ROWS.format(name)
+            outputs.append(f"    if ns == 0: raise H.SqlError({message!r})")
+        src = per_group.emit(item.expr)
+        if not (isinstance(item.expr, ast.ColumnRef) or item.expr in results):
+            src = f"H.as_col({src}, ng)"  # the others may be scalars
+        outputs.append(f"    out[{name!r}] = {src}")
+    if sel.having is not None:
+        outputs.append(f"    keep = H.as_bool({per_group.emit(sel.having)})")
+        outputs.append("    out = {name: col[keep] for name, col in out.items()}")
+    outputs.append("    return out")
+    if rep_cols:
+        body.append("    first = H.representative_rows(order, starts, ns)")
+        body += [f"    {var} = {rows.col(cn)}[first]" for cn, var in rep_cols.items()]
+
+    lines = ["def _aggregate(C, s, ns):"]
+    lines += [f"    {var} = H.gather(C[{cn!r}], s)" for cn, var in row_cols.items()]
+    fn = _compile_fn("_aggregate", lines + body + outputs, rows.consts, "aggregate")
+    return fn, bool(row_cols)
 
 
 def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
@@ -997,13 +1213,7 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
     stage_fns = []
     for si, (c, path) in enumerate(expensive):
         cols_used: dict[str, str] = {}
-
-        def col(cn, cols_used=cols_used):
-            if cn not in cols_used:
-                cols_used[cn] = f"g{len(cols_used)}"
-            return cols_used[cn]
-
-        em = _Emitter(binding, colset, col, params)
+        em = _Emitter(binding, colset, _numbered(cols_used, "g"), params)
         expr_src = em.emit(c, path)
         lines = ["def _stage(C, s, ns, P):"]
         for cn, var in cols_used.items():
@@ -1014,26 +1224,23 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
         sources.append(fn.__kernel_source__)
 
     # -- projection ---------------------------------------------------------------
-    project_fn = None
     env_cols: list[str] = []
     if grouped:
-        env_cols = [c for c in schema_names if c in referenced_columns(sel)]
-        gathers = bool(env_cols)
+        try:
+            project_fn, gathers = _compile_aggregate(sel, binding, schema, aggregates)
+        except KernelFallback:
+            project_fn = None
+            env_cols = [c for c in schema_names if c in referenced_columns(sel)]
+            gathers = bool(env_cols)
     else:
         cols_used = {}
-
-        def col(cn):
-            if cn not in cols_used:
-                cols_used[cn] = f"g{len(cols_used)}"
-            return cols_used[cn]
-
-        em = _Emitter(binding, colset, col, params)
+        em = _Emitter(binding, colset, _numbered(cols_used, "g"), params)
         outputs: list[tuple[str, str]] = []
         name_iter = iter(out_names)
         for item in sel.items:
             if isinstance(item.expr, ast.Star):
                 for cname in schema_names:
-                    outputs.append((next(name_iter), col(cname)))
+                    outputs.append((next(name_iter), em.col(cname)))
                 continue
             outputs.append((next(name_iter), em.emit(item.expr)))
         lines = ["def _project(C, s, ns):"]
@@ -1044,8 +1251,9 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
             lines.append(f"    out[{name!r}] = H.as_col({src}, ns)")
         lines.append("    return out")
         project_fn = _compile_fn("_project", lines, em.consts, "project")
-        sources.append(project_fn.__kernel_source__)
         gathers = bool(cols_used)
+    if project_fn is not None:
+        sources.append(project_fn.__kernel_source__)
 
     wants_star = any(isinstance(i.expr, ast.Star) for i in sel.items)
     needed = set(referenced_columns(sel)) & colset
@@ -1062,7 +1270,6 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
         stage_fns=stage_fns,
         project_fn=project_fn,
         gathers=gathers,
-        grouped=grouped,
         aggregates=aggregates,
         env_cols=env_cols,
         sources=sources,

@@ -71,6 +71,19 @@ _DTYPE_STRING = 3
 _HEAD = struct.Struct("<4sB")
 _U16 = struct.Struct("<H")
 _U64 = struct.Struct("<Q")
+_COUNTS = struct.Struct("<HQ")  # ncols, nrows
+_I8 = np.dtype("<i8")
+_F8 = np.dtype("<f8")
+
+# Wire code by ``dtype.kind``; a kind not listed has no encoding.
+_KIND_CODES = {
+    "O": _DTYPE_STRING,
+    "b": _DTYPE_BOOL,
+    "i": _DTYPE_INT64,
+    "u": _DTYPE_INT64,
+    "f": _DTYPE_FLOAT64,
+}
+_CODE_BYTES = [bytes([code]) for code in range(4)]
 
 
 class WireFormatError(ValueError):
@@ -83,15 +96,10 @@ def is_wire_payload(data: bytes) -> bool:
 
 
 def _dtype_code(name: str, arr: np.ndarray) -> int:
-    if arr.dtype == object:
-        return _DTYPE_STRING
-    if np.issubdtype(arr.dtype, np.bool_):
-        return _DTYPE_BOOL
-    if np.issubdtype(arr.dtype, np.integer):
-        return _DTYPE_INT64
-    if np.issubdtype(arr.dtype, np.floating):
-        return _DTYPE_FLOAT64
-    raise WireFormatError(f"column {name!r} has unsupported dtype {arr.dtype}")
+    code = _KIND_CODES.get(arr.dtype.kind)
+    if code is None:
+        raise WireFormatError(f"column {name!r} has unsupported dtype {arr.dtype}")
+    return code
 
 
 def encode_table_parts(table: Table, name: str | None = None) -> list:
@@ -108,27 +116,25 @@ def encode_table_parts(table: Table, name: str | None = None) -> list:
         raise WireFormatError("cannot encode a table with no columns")
     nrows = table.num_rows
 
-    parts: list = [_HEAD.pack(WIRE_MAGIC, WIRE_VERSION)]
     name_b = name.encode()
-    parts.append(_U16.pack(len(name_b)))
-    parts.append(name_b)
-    parts.append(_U16.pack(len(cols)))
-    parts.append(_U64.pack(nrows))
-
+    parts: list = [
+        _HEAD.pack(WIRE_MAGIC, WIRE_VERSION),
+        _U16.pack(len(name_b)),
+        name_b,
+        _COUNTS.pack(len(cols), nrows),
+    ]
     codes: list[int] = []
     for col_name, arr in cols.items():
         code = _dtype_code(col_name, arr)
         codes.append(code)
         cname = col_name.encode()
-        parts.append(_U16.pack(len(cname)))
-        parts.append(cname)
-        parts.append(bytes([code]))
+        parts += (_U16.pack(len(cname)), cname, _CODE_BYTES[code])
 
     for code, arr in zip(codes, cols.values()):
         if code == _DTYPE_INT64:
-            parts.append(np.ascontiguousarray(arr, dtype="<i8").data)
+            parts.append(np.ascontiguousarray(arr, dtype=_I8).data)
         elif code == _DTYPE_FLOAT64:
-            parts.append(np.ascontiguousarray(arr, dtype="<f8").data)
+            parts.append(np.ascontiguousarray(arr, dtype=_F8).data)
         elif code == _DTYPE_BOOL:
             # bool is 1 byte; reinterpret in place instead of astype-copying.
             parts.append(np.ascontiguousarray(arr).view(np.uint8).data)
@@ -154,29 +160,38 @@ def encode_table(table: Table, name: str | None = None) -> bytes:
 class _Reader:
     """Bounds-checked cursor over the payload bytes.
 
-    Operates on a memoryview so ``take`` is zero-copy; header fields
-    convert their few bytes explicitly.
+    ``take`` hands out zero-copy slices of a memoryview for the column
+    payloads; header fields are unpacked in place at the cursor.
     """
 
     def __init__(self, data: bytes):
         self.data = memoryview(data)
+        self.size = len(self.data)
         self.pos = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def skip(self, n: int) -> int:
+        """The offset of the next ``n`` bytes, which the cursor moves past."""
+        pos = self.pos
+        if pos + n > self.size:
             raise WireFormatError(
-                f"truncated payload: need {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
+                f"truncated payload: need {n} bytes at offset {pos}, "
+                f"have {self.size - pos}"
             )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        self.pos = pos + n
+        return pos
 
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
+    def take(self, n: int) -> memoryview:
+        pos = self.skip(n)
+        return self.data[pos : pos + n]
 
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
+    def unpack(self, fields: struct.Struct) -> tuple:
+        return fields.unpack_from(self.data, self.skip(fields.size))
+
+    def text(self) -> str:
+        """A u16 length, then that many utf-8 bytes."""
+        (n,) = _U16.unpack_from(self.data, self.skip(2))
+        pos = self.skip(n)
+        return str(self.data[pos : pos + n], "utf-8")
 
 
 def decode_table(data: bytes, copy: bool = True) -> Table:
@@ -193,21 +208,21 @@ def decode_table(data: bytes, copy: bool = True) -> Table:
     any truncation/corruption the bounds checks can catch.
     """
     r = _Reader(data)
-    magic, version = _HEAD.unpack(r.take(_HEAD.size))
+    magic, version = r.unpack(_HEAD)
     if magic != WIRE_MAGIC:
         raise WireFormatError(f"bad magic {magic!r} (not a wire payload)")
     if version != WIRE_VERSION:
         raise WireFormatError(f"unsupported wire version {version}")
-    name = bytes(r.take(r.u16())).decode()
-    ncols = r.u16()
+    name = r.text()
+    (ncols,) = r.unpack(_U16)
     if ncols == 0:
         raise WireFormatError("payload declares zero columns")
-    nrows = r.u64()
+    (nrows,) = r.unpack(_U64)
 
     schema: list[tuple[str, int]] = []
     for _ in range(ncols):
-        col_name = bytes(r.take(r.u16())).decode()
-        code = r.take(1)[0]
+        col_name = r.text()
+        code = r.data[r.skip(1)]
         if code not in (_DTYPE_INT64, _DTYPE_FLOAT64, _DTYPE_BOOL, _DTYPE_STRING):
             raise WireFormatError(f"column {col_name!r} has unknown dtype code {code}")
         schema.append((col_name, code))
@@ -217,13 +232,13 @@ def decode_table(data: bytes, copy: bool = True) -> Table:
         # copy=True: .astype() always copies here -- frombuffer views
         # are read-only and callers that mutate need writable arrays.
         if code == _DTYPE_INT64:
-            view = np.frombuffer(r.take(nrows * 8), dtype="<i8")
+            view = np.frombuffer(r.data, _I8, nrows, r.skip(nrows * 8))
             cols[col_name] = view.astype(np.int64) if copy else view
         elif code == _DTYPE_FLOAT64:
-            view = np.frombuffer(r.take(nrows * 8), dtype="<f8")
+            view = np.frombuffer(r.data, _F8, nrows, r.skip(nrows * 8))
             cols[col_name] = view.astype(np.float64) if copy else view
         elif code == _DTYPE_BOOL:
-            raw = np.frombuffer(r.take(nrows), dtype=np.uint8)
+            raw = np.frombuffer(r.data, np.uint8, nrows, r.skip(nrows))
             if raw.size and raw.max() > 1:
                 raise WireFormatError(f"column {col_name!r} has non-boolean bytes")
             cols[col_name] = raw.astype(bool) if copy else raw.view(np.bool_)

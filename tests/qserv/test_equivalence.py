@@ -141,6 +141,65 @@ class TestAggregates:
         )
 
 
+    def test_hv3_density_per_chunk(self, env):
+        """HV3: one aggregate chunk statement per chunk, merged by a second one."""
+        tb, local = env
+        sql = (
+            "SELECT count(*) AS n, AVG(ra_PS), AVG(decl_PS), chunkId "
+            "FROM Object GROUP BY chunkId ORDER BY chunkId"
+        )
+        d = tb.czar.submit(sql)
+        l = local.execute(sql)
+        assert d.stats.chunks_dispatched == l.num_rows > 1
+        np.testing.assert_array_equal(d.table.column("chunkId"), l.column("chunkId"))
+        np.testing.assert_array_equal(d.table.column("n"), l.column("n"))
+        for avg in ("AVG(ra_PS)", "AVG(decl_PS)"):
+            # One chunk is one group on both sides: the same sum, bit for bit.
+            np.testing.assert_array_equal(d.table.column(avg), l.column(avg))
+
+    @given(
+        ra0=st.floats(min_value=0, max_value=3, allow_nan=False),
+        dec0=st.floats(min_value=-6, max_value=5, allow_nan=False),
+        cut=st.sampled_from([1e-30, 1e-7, 5e-7]),
+    )
+    @settings(**COMMON)
+    def test_lv3_count_in_a_box(self, env, ra0, dec0, cut):
+        tb, local = env
+        box = f"{ra0}, {dec0}, {ra0 + 0.5}, {dec0 + 0.5}"
+        d = tb.czar.submit(
+            f"SELECT COUNT(*) FROM Object WHERE qserv_areaspec_box({box}) AND uFlux_SG > {cut}"
+        )
+        l = local.execute(
+            "SELECT COUNT(*) FROM Object WHERE "
+            f"qserv_ptInSphericalBox(ra_PS, decl_PS, {box}) = 1 AND uFlux_SG > {cut}"
+        )
+        assert_same_rows(d.table, l)
+
+    def test_null_group_key_spans_chunks(self, env):
+        """NULL keys are one group: per chunk, and again when the czar merges."""
+        tb, local = env
+        key = "(objectId % 3) / (objectId % 3)"  # 0 / 0 is NULL, the rest 1
+        sql = (
+            f"SELECT {key} AS kf, COUNT(*) AS n, MIN(objectId) AS lo, AVG(ra_PS) AS m "
+            f"FROM Object GROUP BY {key}"
+        )
+        d = tb.czar.submit(sql)
+        l = local.execute(sql)
+        assert d.stats.chunks_dispatched > 1
+        ids = tb.tables["Object"].column("objectId")
+        nulls = int(np.count_nonzero(ids % 3 == 0))
+        for result in (d.table, l):
+            assert result.num_rows == 2
+            kf = result.column("kf")
+            assert list(result.column("n")[np.isnan(kf)]) == [nulls]
+            assert list(result.column("n")[kf == 1.0]) == [len(ids) - nulls]
+        order_d, order_l = np.argsort(d.table.column("kf")), np.argsort(l.column("kf"))
+        np.testing.assert_array_equal(d.table.column("lo")[order_d], l.column("lo")[order_l])
+        np.testing.assert_allclose(
+            d.table.column("m")[order_d], l.column("m")[order_l], rtol=1e-12
+        )
+
+
 class TestOrderLimit:
     @given(
         limit=st.integers(min_value=1, max_value=40),

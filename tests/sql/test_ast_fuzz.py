@@ -42,11 +42,12 @@ columns = st.builds(
 )
 
 
-def expressions(depth=3):
+def expressions(depth=3, columns=columns, literals=literals):
+    """Expression trees over the given leaves (any identifier, any literal)."""
     base = st.one_of(literals, columns, st.just(ast.Null()))
     if depth == 0:
         return base
-    sub = expressions(depth - 1)
+    sub = expressions(depth - 1, columns, literals)
     return st.one_of(
         base,
         st.builds(

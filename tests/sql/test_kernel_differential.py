@@ -23,10 +23,16 @@ exactly on the radius, NaN coordinates, the RA wrap, the poles).
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.obs import metrics as obs_metrics
+from repro.sql import ast
 from repro.sql.engine import Database
 from repro.sql.kernels import KernelCache
 from repro.sql.table import Table
+
+from .test_ast_fuzz import expressions
 
 
 def seeded_table(n=4000, seed=1234) -> Table:
@@ -81,9 +87,10 @@ def assert_identical(a, b):
         ca, cb = a.column(name), b.column(name)
         assert ca.dtype == cb.dtype, f"{name}: {ca.dtype} != {cb.dtype}"
         if np.issubdtype(ca.dtype, np.floating):
+            bits = f"u{ca.dtype.itemsize}"  # float16 comes out of SQRT(<bool>)
             np.testing.assert_array_equal(
-                np.nan_to_num(ca, nan=0.0).view(np.uint64),
-                np.nan_to_num(cb, nan=0.0).view(np.uint64),
+                np.nan_to_num(ca, nan=0.0).view(bits),
+                np.nan_to_num(cb, nan=0.0).view(bits),
                 err_msg=name,
             )
             np.testing.assert_array_equal(np.isnan(ca), np.isnan(cb), err_msg=name)
@@ -392,14 +399,18 @@ class TestGoldenResults:
 
 
 def always_sorting_group_structure(keys, n):
-    """``group_structure`` before it skipped the sort for ordered keys."""
+    """``group_structure`` with no rung but the lexsort; NULL keys are one group."""
     if n == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     order = np.lexsort(keys[::-1])
     changed = np.zeros(n, dtype=bool)
     changed[0] = True
     for k in keys:
-        changed[1:] |= k[order][1:] != k[order][:-1]
+        k = k[order]
+        differ = k[1:] != k[:-1]
+        if k.dtype.kind == "f":
+            differ &= ~(np.isnan(k[1:]) & np.isnan(k[:-1]))
+        changed[1:] |= differ
     return order, np.flatnonzero(changed)
 
 
@@ -475,6 +486,344 @@ class TestOrderedGroupKeysSkipTheSort:
             np.testing.assert_array_equal(ref_order, np.arange(table.num_rows))
         else:
             np.testing.assert_array_equal(order, ref_order)
+
+
+# -- the generated aggregate stage ----------------------------------------------------
+
+# Grouped SELECTs over the columns of ``aggregate_table``, their
+# expressions the AST fuzzer's trees with numbers for literals.
+_fuzz_columns = st.sampled_from(["g", "h", "v", "w", "u", "b"]).map(ast.ColumnRef)
+_fuzz_literals = st.one_of(
+    st.integers(min_value=0, max_value=9).map(ast.Literal),
+    st.sampled_from([0.0, 0.5, 2.5e-7, 1e300]).map(ast.Literal),
+)
+_fuzz_trees = expressions(2, _fuzz_columns, _fuzz_literals)
+_fuzz_aggregates = st.one_of(
+    st.just(ast.FuncCall("COUNT", (ast.Star(),))),
+    st.builds(
+        ast.FuncCall,
+        name=st.sampled_from(["COUNT", "SUM", "AVG", "MIN", "MAX"]),
+        args=st.tuples(_fuzz_trees),
+    ),
+)
+# An aggregate, or a tree with aggregates among its leaves.
+_fuzz_per_group = st.one_of(
+    _fuzz_aggregates, expressions(1, _fuzz_aggregates, _fuzz_literals)
+)
+
+
+@st.composite
+def _grouped_selects(draw):
+    keys = draw(st.lists(st.one_of(_fuzz_columns, _fuzz_trees), max_size=2))
+    outputs = keys + draw(st.lists(_fuzz_per_group, min_size=1, max_size=3))
+    return ast.Select(
+        items=tuple(ast.SelectItem(e, f"c{i}") for i, e in enumerate(outputs)),
+        tables=(ast.TableRef("T"),),
+        where=draw(st.one_of(st.none(), _fuzz_trees)),
+        group_by=tuple(keys),
+        having=draw(st.one_of(st.none(), _fuzz_per_group)),
+    )
+
+
+grouped_selects = _grouped_selects()
+
+#: How the group keys ``g`` (and ``h``) of :func:`aggregate_table` lie.
+KEY_LAYOUTS = [
+    "no GROUP BY", "one group", "ordered", "reverse", "unordered ints", "negative ints",
+    "huge ints", "float key", "two keys", "NULL key", "NULL key and a second",
+]
+
+
+def aggregate_table(layout: str, nulls: str, n=1500, seed=5) -> Table:
+    """``g``/``h`` laid out as ``layout`` says; ``v`` with NULLs as ``nulls`` says."""
+    rng = np.random.default_rng(seed)
+
+    def spanning(span, low=0):
+        k = rng.integers(low, low + span, n)
+        k[:2] = low, low + span - 1  # the range is exactly ``span`` values
+        return k
+
+    h = rng.integers(0, 4, n)
+    if layout in ("no GROUP BY", "ordered"):
+        g = np.sort(rng.integers(0, 6, n))
+    elif layout == "one group":
+        g = np.full(n, 713, dtype=np.int64)
+    elif layout == "reverse":
+        g = np.sort(rng.integers(0, 6, n))[::-1].copy()
+    elif layout == "unordered ints":
+        g = spanning(256)
+    elif layout == "negative ints":
+        g = spanning(40, low=-20)
+    elif layout == "huge ints":
+        g = rng.choice(np.array([-(2**63), -(2**62), -1, 0, 2**62, 2**63 - 1]), n)
+    elif layout == "float key":
+        g = rng.choice(np.array([-0.5, 0.25, 1e300, 3.0]), n)
+    elif layout == "two keys":
+        g = spanning(6)
+    elif layout in ("NULL key", "NULL key and a second"):
+        g = rng.choice(np.array([np.nan, 1.0, np.nan, 2.0, 0.5]), n)
+    else:
+        raise ValueError(layout)
+    v = rng.uniform(1e-9, 1e-6, n)
+    if nulls == "some NULLs":
+        v[rng.random(n) < 0.1] = np.nan
+    elif nulls == "an all-NULL group":
+        v[rng.random(n) < 0.1] = np.nan
+        v[g == g[n // 2]] = np.nan
+    return Table(
+        "T",
+        {
+            "g": g,
+            "h": h,
+            "v": v,
+            "w": rng.integers(-9, 9, n),
+            "u": rng.uniform(0.0, 1.0, n),
+            "b": rng.integers(0, 2, n).astype(bool),
+        },
+    )
+
+
+def group_by_of(layout: str) -> str:
+    if layout == "no GROUP BY":
+        return ""
+    return "g, h" if layout == "two keys" or layout.endswith("a second") else "g"
+
+
+#: Every aggregate the emitter accepts, over every kind of argument.
+COMPILED_AGGREGATES = (
+    "COUNT(*) AS n, COUNT(v) AS c, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, MAX(v) AS hi, "
+    "COUNT(w) AS cw, SUM(w) AS sw, AVG(w) AS aw, MIN(w) AS low, MAX(w) AS hiw, "
+    "SUM(b) AS sb, MAX(b) AS hib, "
+    "SUM(v * 2 + w) AS se, MIN(w % 4) AS me, MAX(fluxToAbMag(v)) AS mu, AVG(ABS(w)) AS au, "
+    "SUM(1) AS ones, AVG(2.5) AS same, COUNT(7) AS sevens, MIN(NULL) AS nothing, "
+    "SUM(v) / COUNT(v) AS ratio, MAX(v) - MIN(v) AS spread, COUNT(*) * 2 + 1 AS odd"
+)
+COMPILED_WHERES = {
+    "every row": "",
+    "no row": "WHERE u > 1.5",
+    "16 %": "WHERE u > 0.84",
+    "100 %": "WHERE u > -1",
+    "a UDF stage": "WHERE u > 0.2 AND fluxToAbMag(v) > 24.5",
+}
+
+
+def compiled_aggregate_sql(layout, where="every row", having=""):
+    keys = group_by_of(layout)
+    items = f"{keys}, {COMPILED_AGGREGATES}" if keys else COMPILED_AGGREGATES
+    group_by = f"GROUP BY {keys}" if keys else ""
+    return f"SELECT {items} FROM T {COMPILED_WHERES[where]} {group_by} {having}"
+
+
+def aggregate_stage_compiled(db_k) -> bool:
+    """Whether the one kernel of ``db_k`` has a generated ``_aggregate``."""
+    (kernel,) = db_k.kernel_cache._entries.values()
+    return kernel.project_fn is not None and kernel.project_fn.__name__ == "_aggregate"
+
+
+class TestCompiledAggregates:
+    """The generated aggregate stage is the interpreter's, bit for bit."""
+
+    @pytest.mark.parametrize("nulls", ["no NULL", "some NULLs", "an all-NULL group"])
+    @pytest.mark.parametrize("where", list(COMPILED_WHERES))
+    @pytest.mark.parametrize("layout", KEY_LAYOUTS)
+    def test_bit_identical(self, layout, where, nulls):
+        table = aggregate_table(layout, nulls)
+        result = check(table, compiled_aggregate_sql(layout, where))
+        if where == "no row":
+            assert result.num_rows == (1 if layout == "no GROUP BY" else 0)
+        elif where != "a UDF stage":  # which may leave no row of an all-NULL group
+            assert result.num_rows > 0
+        having = "HAVING COUNT(*) > 3 AND SUM(v) / COUNT(v) > 4e-7 OR MIN(w) = -9"
+        check(table, compiled_aggregate_sql(layout, where, having))
+
+    @pytest.mark.parametrize(
+        "layout", ["no GROUP BY", "one group", "float key", "NULL key and a second"]
+    )
+    def test_empty_input(self, layout):
+        table = aggregate_table(layout, "no NULL", n=0)
+        result = check(table, compiled_aggregate_sql(layout))
+        assert result.num_rows == (1 if layout == "no GROUP BY" else 0)
+        if layout == "no GROUP BY":
+            assert result.column("n")[0] == 0 and np.isnan(result.column("sw")[0])
+
+    def test_integer_sums_stay_integer(self):
+        result = check(
+            aggregate_table("ordered", "no NULL"),
+            "SELECT g, SUM(w) AS sw, SUM(w * 2) AS se, COUNT(*) AS n, SUM(b) AS sb, "
+            "AVG(w) AS aw FROM T GROUP BY g",
+        )
+        assert [result.column(c).dtype.kind for c in ("sw", "se", "n", "sb", "aw")] == list(
+            "iiiff"
+        )
+
+    @pytest.mark.parametrize("layout", KEY_LAYOUTS)
+    def test_against_a_group_by_group_oracle(self, layout):
+        """Per-group NumPy over the rows of each key: neither path's code."""
+        table = aggregate_table(layout, "an all-NULL group")
+        keys = group_by_of(layout).split(", ") if group_by_of(layout) else []
+        result = check(table, compiled_aggregate_sql(layout))
+        key_cols = [table.column(k) for k in keys]
+        v, w = table.column("v"), table.column("w")
+        seen = 0
+        for row in range(result.num_rows):
+            member = np.ones(table.num_rows, dtype=bool)
+            for name, col in zip(keys, key_cols):
+                key = result.column(name)[row]
+                member &= np.isnan(col) if key != key else col == key
+            seen += int(member.sum())
+            assert result.column("n")[row] == member.sum()
+            assert result.column("c")[row] == np.count_nonzero(~np.isnan(v[member]))
+            assert result.column("sw")[row] == w[member].sum()
+            assert result.column("low")[row] == w[member].min()
+            if np.isnan(v[member]).all():
+                for name in ("s", "a", "lo", "hi", "ratio"):
+                    assert np.isnan(result.column(name)[row]), name
+            else:
+                assert result.column("lo")[row] == np.nanmin(v[member])
+                assert result.column("hi")[row] == np.nanmax(v[member])
+                assert result.column("s")[row] == pytest.approx(np.nansum(v[member]), rel=1e-12)
+                assert result.column("a")[row] == pytest.approx(np.nanmean(v[member]), rel=1e-12)
+        # Every row lies in exactly one group: NULL keys included, once.
+        assert seen == table.num_rows
+        if keys:
+            assert result.num_rows == len(
+                {tuple("NULL" if k != k else k for k in key) for key in zip(*key_cols)}
+            )
+
+    # -- NULLs compare equal when grouping (MySQL), on both paths ------------------
+
+    @pytest.fixture()
+    def nullable(self):
+        return Table(
+            "T",
+            {
+                "kf": np.array([np.nan, 1.0, np.nan, 1.0, np.nan, 2.0]),
+                "x": np.array([1.0, np.nan, np.nan, 2.0, 2.0, np.nan]),
+                "i": np.arange(6, dtype=np.int64),
+            },
+        )
+
+    @staticmethod
+    def rows_of(result):
+        """The rows as sorted text, NULL spelled out (NaN != NaN would never match)."""
+        return sorted(
+            repr(tuple("NULL" if v != v else v.item() for v in row))
+            for row in result.rows()
+        )
+
+    def test_null_keys_are_one_group(self, nullable):
+        result = check(nullable, "SELECT kf, COUNT(*) AS n, SUM(i) AS s FROM T GROUP BY kf")
+        assert self.rows_of(result) == sorted(map(repr, [(1.0, 2, 4), (2.0, 1, 5), ("NULL", 3, 6)]))
+
+    def test_null_keys_are_one_group_beside_a_second_key(self, nullable):
+        result = check(
+            nullable, "SELECT kf, i % 2 AS p, COUNT(*) AS n FROM T GROUP BY kf, i % 2"
+        )
+        assert self.rows_of(result) == sorted(map(repr, [(1.0, 1, 2), (2.0, 1, 1), ("NULL", 0, 3)]))
+
+    def test_distinct_keeps_one_null(self, nullable):
+        result = check(nullable, "SELECT DISTINCT x FROM T")
+        assert self.rows_of(result) == sorted(map(repr, [(1.0,), (2.0,), ("NULL",)]))
+        # (NULL, 0) twice and (NULL, NULL) once are two rows, not three.
+        result = check(nullable, "SELECT DISTINCT kf, x * 0 AS z FROM T")
+        assert self.rows_of(result) == sorted(
+            map(repr, [(1.0, 0.0), (1.0, "NULL"), (2.0, "NULL"), ("NULL", 0.0), ("NULL", "NULL")])
+        )
+
+    def test_count_distinct_counts_no_null(self, nullable):
+        # Declined by the emitter: the interpreter's stage behind the kernel's mask.
+        assert check(nullable, "SELECT COUNT(DISTINCT x) AS d FROM T").rows() == [(2,)]
+        result = check(nullable, "SELECT kf, COUNT(DISTINCT x) AS d FROM T GROUP BY kf")
+        # kf NULL holds x = {1.0, NULL, 2.0}; kf 1 holds {NULL, 2.0}; kf 2 holds {NULL}.
+        assert self.rows_of(result) == sorted(map(repr, [(1.0, 1), (2.0, 0), ("NULL", 2)]))
+        group = Table("T", {"x": np.array([1.0, np.nan, np.nan])})
+        assert check(group, "SELECT COUNT(DISTINCT x) AS d FROM T").rows() == [(1,)]
+
+    def test_the_nan_key_layout_has_one_null_group(self):
+        table = grouping_table("nan key")
+        result = check(table, "SELECT g, COUNT(*) AS n FROM T GROUP BY g")
+        assert result.num_rows == 6
+        assert np.isnan(result.column("g")[-1])
+        assert result.column("n")[-1] == np.count_nonzero(np.isnan(table.column("g")))
+
+    # -- what runs generated, and what it calls ------------------------------------
+
+    @pytest.mark.parametrize("layout", ["no GROUP BY", "one group", "unordered ints", "NULL key"])
+    @pytest.mark.parametrize("where", list(COMPILED_WHERES))
+    def test_an_accepted_shape_never_calls_evaluate(self, layout, where, monkeypatch):
+        from repro.sql import engine, kernels
+
+        table = aggregate_table(layout, "some NULLs")
+        sql = compiled_aggregate_sql(layout, where, "HAVING COUNT(*) > 0 ORDER BY n")
+        expected = fresh_pair(table)[0].execute(sql)
+        _, db_k = fresh_pair(table)
+        fallbacks = metric("kernel.fallbacks")
+
+        def no_evaluate(*args, **kwargs):
+            raise AssertionError("evaluate() called for a compiled aggregate")
+
+        for module in (kernels, engine):
+            monkeypatch.setattr(module, "evaluate", no_evaluate)
+        for _ in range(2):  # compiling, then from the cache
+            assert_identical(db_k.execute(sql), expected)
+        assert aggregate_stage_compiled(db_k)
+        assert metric("kernel.fallbacks") == fallbacks
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT g, COUNT(DISTINCT w) AS d FROM T GROUP BY g",
+            "SELECT g, MIN(name) AS first FROM T GROUP BY g",
+            "SELECT COUNT(name) AS names FROM T",
+            "SELECT g, SUM(DISTINCT w) AS s FROM T GROUP BY g",
+        ],
+    )
+    def test_a_declined_stage_is_the_interpreters_behind_the_mask(self, sql):
+        table = aggregate_table("ordered", "some NULLs")
+        table = Table(
+            "T",
+            {**table.columns(), "name": np.array([f"o{i % 7}" for i in range(table.num_rows)], dtype=object)},
+        )
+        db_i, db_k = fresh_pair(table)
+        runs, fallbacks = metric("kernel.executions"), metric("kernel.fallbacks")
+        assert_identical(db_i.execute(sql), db_k.execute(sql))
+        # Still a kernel execution, not a statement fallback.
+        assert metric("kernel.executions") == runs + 1
+        assert metric("kernel.fallbacks") == fallbacks
+        assert not aggregate_stage_compiled(db_k)
+
+    def test_errors_are_the_interpreters(self):
+        for sql, rows in (
+            ("SELECT g, COUNT(*) AS n FROM T", 0),  # a bare column over no rows
+            ("SELECT SUM(COUNT(w)) AS nested FROM T", 50),
+            ("SELECT g, nosuchfunction(SUM(w)) AS f FROM T GROUP BY g", 50),
+            ("SELECT g, SUM(*) AS s FROM T GROUP BY g", 50),
+        ):
+            db_i, db_k = fresh_pair(aggregate_table("ordered", "no NULL", n=rows))
+            with pytest.raises(Exception) as interpreted:
+                db_i.execute(sql)
+            with pytest.raises(type(interpreted.value)) as compiled:
+                db_k.execute(sql)
+            assert str(compiled.value) == str(interpreted.value), sql
+
+    @given(select=grouped_selects)
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_grouped_selects(self, select):
+        """Kernels on == off for grouped SELECTs built from the AST fuzzer's trees."""
+        table = aggregate_table("NULL key and a second", "some NULLs", n=200)
+        sql = select.to_sql()
+        outcomes = []
+        for db in fresh_pair(table):
+            try:
+                with np.errstate(all="ignore"):
+                    outcomes.append(db.execute(sql))
+            except Exception as e:  # noqa: BLE001 - the two paths must fail alike
+                outcomes.append(type(e))
+        interpreted, compiled = outcomes
+        if isinstance(interpreted, type) or isinstance(compiled, type):
+            assert interpreted is compiled, sql
+        else:
+            assert_identical(interpreted, compiled)
 
 
 class TestKernelMachinery:

@@ -19,6 +19,7 @@ annotated plan the shell's ``EXPLAIN ANALYZE <sql>`` prints.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -136,23 +137,37 @@ class ChunkLedger:
 
     def close(self, row: ChunkProfile, status: str, **columns) -> None:
         """Take ``row`` to its terminal ``status``, with its last ``columns``."""
+        self.close_all(status, [(row, columns)])
+
+    def close_all(self, status: str, closing: list) -> None:
+        """:meth:`close` for ``(row, columns)`` pairs that end alike -- a
+        batch's: one lock round, each counter added to once."""
+        if not closing:
+            return
+        added: dict = defaultdict(int)
+        received = retries = 0
         with self.lock:
-            for name, value in columns.items():
-                setattr(row, name, value)
-            row.status = status
-            if self._counters is not None:
+            for row, columns in closing:
+                for name, value in columns.items():
+                    setattr(row, name, value)
+                row.status = status
+                received += row.bytes_received
+                retries += row.retries
+                if self._counters is None:
+                    continue
                 for metric, column, statuses in TOTALS.values():
                     if statuses is None or status in statuses:
                         n = 1 if column is None else getattr(row, column)
                         if n:  # most columns of most rows are zero
-                            self._counters[metric].add(n)
+                            added[metric] += n
                 if status == "ok":
-                    metric = _BYTES_BY_FORMAT[row.wire_format]
-                    self._counters[metric].add(row.bytes_received)
+                    added[_BYTES_BY_FORMAT[row.wire_format]] += row.bytes_received
                 else:
-                    self._counters[_ENDINGS[status]].add(1)
+                    added[_ENDINGS[status]] += 1
+            for metric, n in added.items():
+                self._counters[metric].add(n)
             if self._progress is not None:
-                self._progress.chunk_done(row.bytes_received, row.retries)
+                self._progress.chunk_done(received, retries, chunks=len(closing))
 
     def merged(self, row_counts: list) -> None:
         """The merge stage's ``(row, rows merged)`` pairs, onto the rows."""

@@ -100,9 +100,11 @@ class QueryProgress:
             self._chunks_total = int(chunks)
         return self
 
-    def chunk_done(self, bytes_received: int = 0, retries: int = 0) -> "QueryProgress":
+    def chunk_done(
+        self, bytes_received: int = 0, retries: int = 0, chunks: int = 1
+    ) -> "QueryProgress":
         with self._lock:
-            self._chunks_done += 1
+            self._chunks_done += chunks
             self._bytes += int(bytes_received)
             self._retries += int(retries)
         return self

@@ -2,14 +2,20 @@
 
 The paper's dispatch (sections 5.4, 5.6) is one write to ``/query2/CC``,
 one read of ``/result/H``, and a re-dispatch through the redirector when
-a worker dies.  :class:`ChunkDispatch` is that loop for one user query,
-as a per-chunk state machine of four flat steps: ``_run_chunk`` (open
-the chunk's ledger row, run it, close the row in exactly one terminal
-state), ``_retry`` (bounded attempts with backoff, the suspect location
-invalidated and the chunk repaired in between), ``_attempt`` (inline
-when no deadline, hedge policy or cancel token can interrupt it, else
-raced on the attempt pool against all three) and ``_transact`` (one
-write, one read, one decode).  All accounting goes through the query's
+a worker dies -- per chunk.  :class:`ChunkDispatch` is that loop for one
+user query with the *batch* as the unit of a transaction: the chunks the
+redirector places on one worker go out in one write and come back in
+one read (:func:`~repro.xrd.protocol.batch_body`), and whatever that
+leaves unanswered is re-dispatched chunk by chunk -- a batch of one,
+which is the paper's protocol to the byte.  Five flat steps: ``run``
+(group by worker, a batch per pool hand-off), ``_settle`` (every ledger
+row of a batch to exactly one terminal state; the unanswered alone from
+the next attempt on), ``_retry`` (bounded attempts with backoff, the
+suspect location invalidated and the chunk repaired in between),
+``_attempt`` (inline when no deadline, hedge policy or cancel token can
+interrupt it, else raced on the attempt pool against all three) and
+``_transact`` (one write, one read, one decode per member).  The
+accounting stays per chunk and all of it goes through the query's
 :class:`~repro.obs.profile.ChunkLedger`.
 """
 
@@ -24,10 +30,18 @@ from typing import NamedTuple, Optional
 
 from ..obs import events as obs_events
 from ..obs import trace as obs_trace
+from ..sql import SqlError
 from ..sql.wire import decode_table, is_wire_payload
 from ..xrd import RedirectError
 from ..xrd.filesystem import FileSystemError
-from ..xrd.protocol import ChunkRequest, cancel_path, query_path, result_path
+from ..xrd.protocol import (
+    ChunkRequest,
+    batch_body,
+    cancel_path,
+    decode_frames,
+    query_path,
+    result_path,
+)
 from .worker import WorkerCancelledError, WorkerShutdownError
 
 __all__ = [
@@ -125,7 +139,7 @@ def validate_payload(data: bytes) -> tuple[str, object]:
         except Exception as e:
             raise _PayloadError(f"corrupt binary result payload: {e}") from e
     try:
-        return "sqldump", data.decode()
+        return "sqldump", str(data, "utf-8")
     except UnicodeDecodeError as e:
         raise _PayloadError(f"undecodable result payload: {e}") from e
 
@@ -147,8 +161,14 @@ class _Chunk(NamedTuple):
 
     spec: object
     row: object  # its ledger row
+
+
+class _Batch(NamedTuple):
+    """Chunks bound for one worker, across the attempts they make together."""
+
+    chunks: tuple
     span: object  # its dispatch span
-    # The identity part of the envelope -- format line and chunk query --
+    # The identity part of the envelope -- format line and body --
     # encoded and hashed once: an attempt with no header of its own
     # sends these very bytes, and every attempt reads the same /result/H.
     data: bytes
@@ -156,6 +176,11 @@ class _Chunk(NamedTuple):
     # Workers that accepted an attempt, in order: a hedge steers away
     # from its primary's, a cancellation withdraws from all.
     accepted: list
+
+    @property
+    def label(self) -> str:
+        ids = [c.spec.chunk_id for c in self.chunks]
+        return f"chunk {ids[0]}" if len(ids) == 1 else f"chunks {ids}"
 
 
 class ChunkDispatch:
@@ -185,99 +210,181 @@ class ChunkDispatch:
     def run(self, specs: list) -> list[tuple]:
         """Both file transactions for every chunk query.
 
-        Returns ``(payload, row)`` per collected chunk: its decoded
-        payload (:func:`validate_payload`) and its closed ledger row;
-        chunks dropped under ``allow_partial`` are left out.
+        Returns ``(payload, row)`` per collected chunk, in the order of
+        ``specs``: its decoded payload (:func:`validate_payload`) and
+        its closed ledger row; chunks dropped under ``allow_partial``
+        are left out.
         """
+        groups = self._by_worker(specs)
         # Single read: close() nulls _pool from another thread, and a
         # check-then-use pair would race it (None between the two reads).
         pool = self.czar._pool
-        if pool is None or len(specs) <= 1:
-            collected = [self._run_chunk(s) for s in specs]
+        if pool is None or len(groups) <= 1:
+            settled = [self._run_batch(group) for group in groups]
         else:
-            collected = list(pool.map(self._run_chunk, specs))
-        return [entry for entry in collected if entry is not None]
+            settled = list(pool.map(self._run_batch, groups))
+        collected = {row.chunk_id: (payload, row) for b in settled for payload, row in b}
+        return [collected[s.chunk_id] for s in specs if s.chunk_id in collected]
 
-    def _run_chunk(self, spec):
-        """One chunk, from an open ledger row to a closed one."""
-        chunk_id = spec.chunk_id
+    def _by_worker(self, specs: list) -> list[list]:
+        """``specs`` grouped by the worker the redirector places each on.
+
+        Hedging watches for the one straggling chunk, so under a hedge
+        policy every chunk travels alone; so does a chunk the redirector
+        cannot place, whose own dispatch reports that.
+        """
+        czar = self.czar
+        if czar.hedge_policy is not None or len(specs) <= 1:
+            return [[spec] for spec in specs]
+        locate, health = czar.client.redirector.locate, czar.health
+        groups: dict = {}
+        for spec in specs:
+            try:
+                key = locate(query_path(spec.chunk_id), health=health).name
+            except RedirectError:
+                key = spec.chunk_id
+            groups.setdefault(key, []).append(spec)
+        return list(groups.values())
+
+    def _run_batch(self, specs: list) -> list[tuple]:
+        """One worker's chunks, from open ledger rows to closed ones."""
+        open_row = self.ledger.open
+        chunks = [_Chunk(s, open_row(s.chunk_id, len(s.sub_chunk_ids))) for s in specs]
+        return self._settle(self._batch(chunks, self.parent_span))
+
+    def _request(self, chunks, *header) -> ChunkRequest:
+        body = batch_body([(c.spec.chunk_id, c.spec.text) for c in chunks])
+        return ChunkRequest(body, self.czar.wire_format, *header)
+
+    def _batch(self, chunks: list, parent_span) -> _Batch:
         span = obs_trace.span(
-            "dispatch", parent=self.parent_span, track="czar", chunk=chunk_id
+            "dispatch", parent=parent_span, track="czar",
+            chunk=chunks[0].spec.chunk_id, members=len(chunks),
         )
-        row = self.ledger.open(chunk_id, len(spec.sub_chunk_ids))
-        request = ChunkRequest(spec.text, self.czar.wire_format)
-        chunk = _Chunk(spec, row, span, request.encode(), request.result_hash, [])
+        request = self._request(chunks)
+        return _Batch(tuple(chunks), span, request.encode(), request.result_hash, [])
+
+    def _settle(self, batch: _Batch, attempt_from=0, last=None) -> list[tuple]:
+        """Every row of ``batch`` to a terminal state; ``(payload, row)`` per ok one."""
+        with batch.span:
+            answers = self._answered(batch, attempt_from, last)
+            if answers is None:
+                return []
+            entries, closing, unanswered = [], [], []
+            for chunk in batch.chunks:
+                outcome = answers[chunk.spec.chunk_id]
+                if type(outcome) is tuple:
+                    entries.append((outcome[0], chunk.row))
+                    closing.append((chunk.row, outcome[1]))
+                else:
+                    unanswered.append((chunk, outcome))
+            self.ledger.close_all("ok", closing)
+            # What the batch left unanswered: each chunk alone, from the
+            # next attempt on.  Every one runs to its own end, as chunks
+            # of one query always have; the first failure is the query's.
+            failure = None
+            for chunk, outcome in unanswered:
+                try:
+                    if not isinstance(outcome, _RETRYABLE):
+                        self.ledger.close(chunk.row, "failed")
+                        raise outcome
+                    self._after_failure(chunk.spec.chunk_id, attempt_from)
+                    alone = self._batch([chunk], batch.span)
+                    entries += self._settle(alone, attempt_from + 1, outcome)
+                except Exception as e:  # noqa: BLE001 - raised below, once all have ended
+                    failure = failure or e
+            if failure is not None:
+                raise failure
+            return entries
+
+    def _answered(self, batch: _Batch, attempt_from: int, last) -> Optional[dict]:
+        """:meth:`_retry`, with every row closed when it raises; None for
+        a failure ``allow_partial`` drops."""
+        def close(status):
+            self.ledger.close_all(status, [(c.row, {}) for c in batch.chunks])
+
         try:
-            with span:
-                payload, columns = self._retry(chunk)
+            return self._retry(batch, attempt_from, last)
         except QueryCancelledError:
-            self._withdraw(chunk)
-            self.ledger.close(row, "cancelled")
+            self._withdraw(batch)
+            close("cancelled")
             raise
         except QueryError as e:
             timed_out = isinstance(e, ChunkTimeoutError)
             if timed_out:
-                obs_events.emit("chunk_timeout", chunk=chunk_id)
-            self.ledger.close(row, "timeout" if timed_out else "failed")
+                for c in batch.chunks:
+                    obs_events.emit("chunk_timeout", chunk=c.spec.chunk_id)
+            close("timeout" if timed_out else "failed")
             if self.allow_partial:
                 return None
-            e.failed_chunks = [chunk_id]
+            e.failed_chunks = [c.spec.chunk_id for c in batch.chunks]
             raise
         except BaseException:
             # Not a dispatch failure (a genuine SQL error, say): never
-            # retried, never dropped as partial -- but the row still ends.
-            self.ledger.close(row, "failed")
+            # retried, never dropped as partial -- but the rows still end.
+            close("failed")
             raise
-        self.ledger.close(row, "ok", **columns)
-        return payload, row
 
-    def _cancelled(self, chunk_id: int) -> QueryCancelledError:
+    def _cancelled(self, batch: _Batch) -> QueryCancelledError:
         return QueryCancelledError(
-            f"chunk {chunk_id}: query cancelled "
-            f"({self.cancel.reason or 'cancelled'})"
+            f"{batch.label}: query cancelled ({self.cancel.reason or 'cancelled'})"
         )
 
-    def _retry(self, chunk: _Chunk):
-        """The retry loop around :meth:`_attempt` for one chunk."""
+    def _retry(self, batch: _Batch, attempt_from: int, last: Optional[Exception]) -> dict:
+        """The retry loop around :meth:`_attempt`: an outcome per chunk id.
+
+        A chunk's outcome is ``(payload, ledger columns)`` or the error
+        that stands in for them.  A batch of one has the whole attempt
+        budget; a larger one is attempted once, and a transaction that
+        fails is every member's retryable outcome -- their retries are
+        the caller's, each alone, so no retry re-sends what a worker
+        has already answered.
+        """
         policy, deadline, cancel = self.czar.retry_policy, self.deadline, self.cancel
-        chunk_id = chunk.spec.chunk_id
-        last: Optional[Exception] = None
-        for attempt_no in range(policy.max_attempts):
+        ledger, chunks = self.ledger, batch.chunks
+        for attempt_no in range(attempt_from, policy.max_attempts):
             if cancel is not None and cancel.cancelled:
-                raise self._cancelled(chunk_id)
+                raise self._cancelled(batch)
             if deadline is not None and deadline.expired:
                 raise ChunkTimeoutError(
-                    f"chunk {chunk_id}: query deadline expired "
+                    f"{batch.label}: query deadline expired "
                     f"after {attempt_no} attempt(s): {last}"
                 )
             if attempt_no:
                 # Counted before the backoff: a retry the deadline cuts
                 # short during the sleep below (one that never produces
                 # an attempt span) is still a retry.
-                self.ledger.bump(chunk.row, "retries")
-                obs_events.emit(
-                    "chunk_retry", chunk=chunk_id, attempt=attempt_no, error=str(last)
-                )
-                if not policy.sleep_before(attempt_no, f"chunk-{chunk_id}", deadline):
-                    raise ChunkTimeoutError(
-                        f"chunk {chunk_id}: query deadline expired "
-                        f"during backoff: {last}"
+                for c in chunks:
+                    ledger.bump(c.row, "retries")
+                    obs_events.emit(
+                        "chunk_retry", chunk=c.spec.chunk_id, attempt=attempt_no,
+                        error=str(last),
                     )
-            self.ledger.bump(chunk.row, "attempts")
+                # (Only a batch of one comes round again: the jitter key is its chunk's.)
+                if not policy.sleep_before(
+                    attempt_no, f"chunk-{chunks[0].spec.chunk_id}", deadline
+                ):
+                    raise ChunkTimeoutError(
+                        f"{batch.label}: query deadline expired during backoff: {last}"
+                    )
+            for c in chunks:
+                ledger.bump(c.row, "attempts")
             try:
-                return self._attempt(chunk, attempt_no)
+                return self._attempt(batch, attempt_no)
             except (QueryCancelledError, ChunkTimeoutError):
                 raise
             except _RETRYABLE as e:
+                if len(chunks) > 1:
+                    return dict.fromkeys((c.spec.chunk_id for c in chunks), e)
                 last = e
-                self._after_failure(chunk_id, attempt_no)
+                self._after_failure(chunks[0].spec.chunk_id, attempt_no)
         if deadline is not None and deadline.expired:
             raise ChunkTimeoutError(
-                f"chunk {chunk_id}: query deadline expired "
+                f"{batch.label}: query deadline expired "
                 f"after {policy.max_attempts} attempts: {last}"
             )
         raise QueryError(
-            f"chunk {chunk_id} failed after {policy.max_attempts} attempts: {last}"
+            f"{batch.label} failed after {policy.max_attempts} attempts: {last}"
         )
 
     def _after_failure(self, chunk_id: int, attempt_no: int) -> None:
@@ -303,25 +410,25 @@ class ChunkDispatch:
             # error the retry loop is handling.  Recorded, not swallowed.
             obs_events.emit("repair_error", chunk=chunk_id, error=str(repair_error))
 
-    def _attempt_span(self, chunk: _Chunk, attempt_no: int, kind: str):
+    def _attempt_span(self, batch: _Batch, attempt_no: int, kind: str):
         return obs_trace.span(
-            "attempt", parent=chunk.span, track="czar",
-            chunk=chunk.spec.chunk_id, n=attempt_no, kind=kind,
+            "attempt", parent=batch.span, track="czar",
+            chunk=batch.chunks[0].spec.chunk_id, members=len(batch.chunks),
+            n=attempt_no, kind=kind,
         )
 
-    def _attempt(self, chunk: _Chunk, attempt_no: int):
+    def _attempt(self, batch: _Batch, attempt_no: int) -> dict:
         """One logical attempt: bounded by the deadline, maybe hedged,
         unwound promptly when the cancel token fires."""
         deadline, cancel = self.deadline, self.cancel
         hedge_delay = self.czar._hedge_delay()
-        primary_span = self._attempt_span(chunk, attempt_no, "primary")
+        primary_span = self._attempt_span(batch, attempt_no, "primary")
         if deadline is None and hedge_delay is None and cancel is None:
             # Nothing can interrupt it: no thread hop.
-            return self._transact(chunk, primary_span)
-        chunk_id = chunk.spec.chunk_id
+            return self._transact(batch, primary_span)
         pool = self.czar._ensure_attempt_pool()
-        accepted_before = len(chunk.accepted)
-        primary = pool.submit(self._transact, chunk, primary_span)
+        accepted_before = len(batch.accepted)
+        primary = pool.submit(self._transact, batch, primary_span)
         spans = {primary: primary_span}
         hedge = None
         hedge_at = time.monotonic() + hedge_delay if hedge_delay is not None else None
@@ -342,24 +449,25 @@ class ChunkDispatch:
                 # Abandoned on purpose: the accepted chunk queries are
                 # withdrawn from the workers by the caller.
                 _abandon(not_done, spans)
-                raise self._cancelled(chunk_id)
+                raise self._cancelled(batch)
             if not done:
                 if deadline is not None and deadline.expired:
                     _abandon(not_done, spans)
                     raise ChunkTimeoutError(
-                        f"chunk {chunk_id}: no replica answered "
-                        "within the query deadline"
+                        f"{batch.label}: no replica answered within the query deadline"
                     )
                 if hedge_at is not None and hedge is None and time.monotonic() >= hedge_at:
                     # The primary is slow: race a second attempt against
                     # it, away from the worker that accepted it.
+                    # (Under a hedge policy a batch is its one chunk.)
+                    (chunk,) = batch.chunks
                     self.ledger.bump(chunk.row, "hedges")
                     obs_events.emit(
-                        "hedge_fired", chunk=chunk_id, delay=round(hedge_delay, 6)
+                        "hedge_fired", chunk=chunk.spec.chunk_id, delay=round(hedge_delay, 6)
                     )
-                    hedge_span = self._attempt_span(chunk, attempt_no, "hedge")
-                    exclude = tuple(chunk.accepted[accepted_before:])
-                    hedge = pool.submit(self._transact, chunk, hedge_span, exclude)
+                    hedge_span = self._attempt_span(batch, attempt_no, "hedge")
+                    exclude = tuple(batch.accepted[accepted_before:])
+                    hedge = pool.submit(self._transact, batch, hedge_span, exclude)
                     spans[hedge] = hedge_span
                     pending.add(hedge)
                 continue
@@ -373,70 +481,120 @@ class ChunkDispatch:
                 _abandon(pending, spans)
                 if f is hedge:
                     self.ledger.bump(chunk.row, "hedges_won")
-                    obs_events.emit("hedge_won", chunk=chunk_id)
+                    obs_events.emit("hedge_won", chunk=chunk.spec.chunk_id)
                 return outcome
         assert last is not None
         raise last
 
-    def _transact(self, chunk: _Chunk, span, exclude=()):
+    def _transact(self, batch: _Batch, span, exclude=()) -> dict:
         """One dispatch+collect+validate transaction pair.
 
-        Returns the decoded payload and the columns the chunk's ledger
-        row ends with if this attempt is the one that counts.
+        Returns, per chunk id, the decoded payload and the columns its
+        ledger row ends with if this attempt is the one that counts --
+        or, for a member of a larger batch whose frame is missing, says
+        ``retryable`` or ``sql-error``, or fails to decode, the error.
         """
-        czar, deadline = self.czar, self.deadline
+        czar, deadline, chunks = self.czar, self.deadline, batch.chunks
         with span:
             t0 = time.perf_counter()
-            data = chunk.data
+            data = batch.data
             if deadline is not None or self.nonce or span.trace is not None:
                 # This attempt has something of its own to say: the
                 # *remaining* budget at dispatch time (a retry hands the
                 # worker a tighter wait), the submission's nonce, and
                 # this attempt's span as the remote parent for the
                 # worker-side spans.
-                data = ChunkRequest(
-                    chunk.spec.text,
-                    czar.wire_format,
+                data = self._request(
+                    chunks,
                     deadline.remaining() if deadline is not None else None,
                     self.nonce,
                     (span.trace.trace_id, span.span_id) if span.trace is not None else None,
                 ).encode()
+            # Any member's path leads to the worker they were grouped
+            # by; should it lead elsewhere by now, that worker answers
+            # for the chunks it holds and the rest come back retryable.
             worker = czar.client.write_file(
-                query_path(chunk.spec.chunk_id), data, exclude=exclude, deadline=deadline
+                query_path(chunks[0].spec.chunk_id), data, exclude=exclude, deadline=deadline
             )
             span.set(worker=worker)
             # Plain append -- lists are safe to append concurrently, and
             # the withdrawal reads only after the attempts are abandoned.
-            chunk.accepted.append(worker)
+            batch.accepted.append(worker)
             result = czar.client.read_file(
-                result_path(chunk.result_hash), server_name=worker, deadline=deadline
+                result_path(batch.result_hash), server_name=worker, deadline=deadline
             )
             try:
-                kind, payload = validate_payload(result)
+                answers = self._answers(chunks, worker, result)
             except _PayloadError:
                 czar.health.record_failure(worker)
                 raise
             elapsed = time.perf_counter() - t0
-            czar._observe_latency(elapsed)
-            czar._chunk_seconds.observe(elapsed)
-            span.set(bytes=len(result), format=kind)
-            return payload, dict(
-                worker=worker, bytes_sent=len(data), bytes_received=len(result),
-                seconds=elapsed, wire_format=kind,
-            )
+            ok = [a for a in answers.values() if type(a) is tuple]
+            # A row's seconds are what the worker says its chunk took
+            # plus an even share of the rest of the transaction; its
+            # bytes sent, an even share of the write.
+            spare = (elapsed - sum(a[3] for a in ok)) / max(len(ok), 1)
+            sent, odd = divmod(len(data), len(chunks))
+            for chunk_id, answer in list(answers.items()):
+                if type(answer) is tuple:
+                    kind, payload, received, seconds = answer
+                    czar._observe_latency(seconds + spare)
+                    czar._chunk_seconds.observe(seconds + spare)
+                    answers[chunk_id] = payload, dict(
+                        worker=worker, bytes_sent=sent + odd, bytes_received=received,
+                        seconds=seconds + spare, wire_format=kind,
+                    )
+                    odd = 0
+            span.set(bytes=len(result), format=ok[0][0] if ok else "")
+            return answers
 
-    def _withdraw(self, chunk: _Chunk) -> None:
+    def _answers(self, chunks: tuple, worker: str, result: bytes) -> dict:
+        """What ``worker`` returned, per chunk id: ``(format, decoded
+        payload, payload bytes, worker seconds)``, or the member's error.
+
+        A batch of one reads the bare payload; a larger one reads a
+        frame per member.  Anything wrong with the framing itself is a
+        :class:`_PayloadError` of the whole transaction.
+        """
+        if len(chunks) == 1:
+            return {chunks[0].spec.chunk_id: (*validate_payload(result), len(result), 0.0)}
+        try:
+            frames = decode_frames(result)
+        except ValueError as e:
+            raise _PayloadError(f"corrupt batch result: {e}") from e
+        answers: dict = dict.fromkeys(
+            (c.spec.chunk_id for c in chunks),
+            FileSystemError(f"worker {worker} sent no frame for the chunk"),
+        )
+        for frame in frames:
+            if frame.status == "ok":
+                try:
+                    answer = (
+                        *validate_payload(frame.payload), len(frame.payload), frame.seconds
+                    )
+                except _PayloadError as e:
+                    self.czar.health.record_failure(worker)
+                    answer = e
+            else:
+                # What a read of this member alone would have raised.
+                error = SqlError if frame.status == "sql-error" else FileSystemError
+                answer = error(f"worker {worker}: {str(frame.payload, 'utf-8', 'replace')}")
+            answers[frame.chunk_id] = answer
+        return answers
+
+    def _withdraw(self, batch: _Batch) -> None:
         """Best-effort ``/cancel/<H>`` writes for accepted chunk queries.
 
         Frees worker slots a cancelled query would otherwise consume:
         queued tasks are discarded without executing, in-flight results
-        are dropped at completion.  The payload carries this
-        submission's nonce, scoping the withdrawal so a later re-run of
-        the same SQL is not refused.  Failures are recorded as events --
-        the worker may be dead, which cancels the work even harder.
+        are dropped at completion -- for a batch, at its next member.
+        The payload carries this submission's nonce, scoping the
+        withdrawal so a later re-run of the same SQL is not refused.
+        Failures are recorded as events -- the worker may be dead, which
+        cancels the work even harder.
         """
-        path = cancel_path(chunk.result_hash)
-        for worker in chunk.accepted:
+        path = cancel_path(batch.result_hash)
+        for worker in batch.accepted:
             try:
                 server = self.czar.client.redirector.server(worker)
                 with server.open(path, "w") as fh:

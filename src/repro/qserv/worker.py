@@ -47,8 +47,10 @@ from ..xrd.protocol import (
     QUERY_PREFIX,
     RESULT_PREFIX,
     ChunkRequest,
+    Frame,
     chunk_id_of_manifest_path,
     chunk_id_of_query_path,
+    encode_frames,
     hash_of_cancel_path,
     result_path,
     table_of_chunk_path,
@@ -82,6 +84,9 @@ _SHUTDOWN_MESSAGE = "worker is shut down"
 # Error recorded against a result withdrawn through /cancel/<H>.
 _CANCELLED_MESSAGE = "chunk query cancelled by master"
 
+# Error recorded against a result whose every reader's budget ran out first.
+_EXPIRED_MESSAGE = "deadline expired before execution"
+
 # Cancelled result hashes remembered (with the withdrawn submissions'
 # attempt nonces), so a late-arriving dispatch of a withdrawn
 # submission is discarded instead of executed.  LRU-capped: when a
@@ -90,10 +95,13 @@ _CANCEL_MEMORY = 4096
 
 
 class _Task(NamedTuple):
-    """One accepted chunk query on its way to an execution slot."""
+    """One accepted write -- a chunk query, or a batch of them -- on its
+    way to an execution slot: one queue entry, one slot, one result."""
 
     rpath: str
-    chunk_id: int
+    #: ``(chunk id, request)`` per member; run back to back.
+    members: list
+    #: What was written: the members' shared headers.
     request: ChunkRequest
     #: ``perf_counter`` at acceptance; the FIFO wait is measured from it.
     enqueued: float
@@ -350,8 +358,16 @@ class QservWorker(OfsPlugin):
         self.cache_results = cache_results
         self.result_wait_timeout = result_wait_timeout
         self.stats = WorkerStats()
-        #: This worker's lifetime metrics, feeding the global registry.
+        #: This worker's lifetime metrics, feeding the global registry;
+        #: what every chunk query touches is resolved here, once.
         self.metrics = obs_metrics.Registry(parent=obs_metrics.REGISTRY)
+        self._execute_seconds = self.metrics.histogram("worker.execute.seconds")
+        self._dump_seconds = self.metrics.histogram("worker.dump.seconds")
+        self._queries = self.metrics.counter("worker.queries")
+        self._result_bytes = self.metrics.counter("worker.result.bytes")
+        self._results_evicted = self.metrics.counter("worker.results.evicted")
+        self._queue_wait = self.metrics.histogram("worker.queue.wait.seconds")
+        self._queue_depth = self.metrics.gauge(f"worker.queue.depth.{name}")
         # One record per result path; evicting a result is one pop.
         self._results: dict[str, _Result] = {}
         # Result paths withdrawn via /cancel/<H> mapped to the set of
@@ -402,8 +418,14 @@ class QservWorker(OfsPlugin):
             )
             return
         request = ChunkRequest.decode(data.decode())
+        try:
+            members = request.members(chunk_id_of_query_path(path))
+        except ValueError as e:
+            # Refused as a failed file transaction, like an undecodable
+            # chunk table: the master re-dispatches, nothing half-runs.
+            raise FileSystemError(f"chunk query batch failed to decode: {e}") from e
         rpath = result_path(request.result_hash)
-        task = _Task(rpath, chunk_id_of_query_path(path), request, time.perf_counter())
+        task = _Task(rpath, members, request, time.perf_counter())
         with self._lock:
             withdrawn = self._cancelled.get(rpath)
             if withdrawn is not None and request.attempt in withdrawn:
@@ -436,7 +458,7 @@ class QservWorker(OfsPlugin):
                 and record.error is None
             ):
                 # Query-cache hit: the stored dump answers the repeat.
-                self.stats.result_cache_hits += 1
+                self.stats.result_cache_hits += len(members)
                 record.ready.set()
                 return
             record = self._record_locked(rpath)
@@ -457,7 +479,7 @@ class QservWorker(OfsPlugin):
                 )
                 depth = len(self._queue)
                 self._queue_cv.notify()
-            self.metrics.gauge(f"worker.queue.depth.{self.name}").set(depth)
+            self._queue_depth.set(depth)
 
     def _record_locked(self, rpath: str) -> _Result:
         record = self._results.get(rpath)
@@ -521,7 +543,7 @@ class QservWorker(OfsPlugin):
             return
         self._results.pop(path, None)
         self.stats.results_evicted += 1
-        self.metrics.counter("worker.results.evicted").add(1)
+        self._results_evicted.add(1)
 
     # -- queue service ------------------------------------------------------------------
 
@@ -538,8 +560,8 @@ class QservWorker(OfsPlugin):
             # task up: the queue-wait column of EXPLAIN ANALYZE and the
             # saturation signal SHOW HISTORY charts.
             queue_wait = max(time.perf_counter() - task.enqueued, 0.0)
-            self.metrics.gauge(f"worker.queue.depth.{self.name}").set(depth)
-            self.metrics.histogram("worker.queue.wait.seconds").observe(queue_wait)
+            self._queue_depth.set(depth)
+            self._queue_wait.observe(queue_wait)
             self._run_task(task, queue_wait)
 
     def shutdown(self, timeout: float = 5.0):
@@ -622,39 +644,55 @@ class QservWorker(OfsPlugin):
             stale, _ = self._cancelled.popitem(last=False)
             self._results.pop(stale, None)
 
-    def _run_task(self, task: _Task, queue_wait: float = 0.0):
-        rpath = task.rpath
+    def _refusal_locked(self, task: _Task) -> Optional[str]:
+        """Why ``task`` must not execute (any further), if it must not."""
+        if self._shutdown:
+            return _SHUTDOWN_MESSAGE
+        if task.request.attempt in self._cancelled.get(task.rpath, ()):
+            # This submission was withdrawn (counted by _cancel_result).
+            # A same-hash task from a *different* submission runs
+            # normally.
+            return _CANCELLED_MESSAGE
+        record = self._results.get(task.rpath)
+        if record is not None and time.monotonic() >= record.deadline:
+            # The whole budget of every query owed this result has
+            # elapsed; the master has already timed out, so executing
+            # now would only burn the slot.  Same monotonic clock, and
+            # the worker's deadline is never earlier than the master's,
+            # so this can only fire after the master gave up.
+            return _EXPIRED_MESSAGE
+        return None
+
+    def _note_refused(self, task: _Task, refusal: str, members: list) -> None:
+        """Account for ``members`` of ``task`` that were never executed."""
+        if refusal != _EXPIRED_MESSAGE:
+            return
         with self._lock:
-            if self._shutdown:
-                self._publish_locked(task, error=_SHUTDOWN_MESSAGE)
-                return
-            withdrawn = self._cancelled.get(rpath)
-            if withdrawn and task.request.attempt in withdrawn:
-                # This submission was withdrawn while the task sat in
-                # the FIFO (counted by _cancel_result); refuse to
-                # execute.  A same-hash task from a *different*
-                # submission runs normally.
-                self._publish_locked(task, error=_CANCELLED_MESSAGE)
-                return
-            record = self._results.get(rpath)
-            expired = record is not None and time.monotonic() >= record.deadline
-            if expired:
-                # The whole budget of every query owed this result
-                # elapsed while the task sat in the FIFO; the master has
-                # already timed out, so executing now would only burn
-                # the slot.  Same monotonic clock, and the worker's
-                # deadline is never earlier than the master's, so this
-                # can only fire after the master gave up.
-                self.stats.queries_expired += 1
-                self._publish_locked(task, error="deadline expired before execution")
-        if expired:
-            self.metrics.counter("worker.queries.expired").add(1)
-            obs_events.emit("chunk_expired", worker=self.name, chunk=task.chunk_id)
+            self.stats.queries_expired += len(members)
+        self.metrics.counter("worker.queries.expired").add(len(members))
+        for chunk_id, _ in members:
+            obs_events.emit("chunk_expired", worker=self.name, chunk=chunk_id)
+
+    def _run_task(self, task: _Task, queue_wait: float = 0.0):
+        with self._lock:
+            refusal = self._refusal_locked(task)
+            if refusal is not None:
+                self._publish_locked(task, error=refusal)
+        if refusal is not None:
+            self._note_refused(task, refusal, task.members)
             return
         self._execute_task(task, queue_wait)
 
     def _execute_task(self, task: _Task, queue_wait: float = 0.0):
-        chunk_id, request = task.chunk_id, task.request
+        """Run the members back to back and publish one result.
+
+        A member's failure is its own: its frame says whether another
+        replica may do better (this worker stopped, or does not hold the
+        chunk) or the chunk query is at fault.  A write that was no
+        batch publishes as the paper's protocol does -- the bare payload,
+        or the error the read raises.
+        """
+        members, request = task.members, task.request
         # Trace context, if the master propagated any: the ``-- TRACE:``
         # header names the dispatching attempt's span, so the execute
         # and dump spans recorded here parent under it -- correctly per
@@ -665,58 +703,94 @@ class QservWorker(OfsPlugin):
         if request.trace is not None:
             query_trace = obs_trace.lookup(request.trace[0])
             parent_span_id = request.trace[1]
-        payload = error = None
+        fmt = request.result_format
+        # The members differ in their chunk ids alone: one is scanned
+        # and bound, the others only name their tables.
+        repeats: dict = {}
+        frames: list[Frame] = []
         rows = 0
-        try:
+        for i, (chunk_id, member) in enumerate(members):
+            if i:
+                if self.slots:
+                    # Between members a slot gives way, as it did between
+                    # queue entries when every chunk query was one: a
+                    # scan's batch must not keep an interactive query's
+                    # threads waiting out the interpreter's whole switch
+                    # interval at each hand-off.  An inline worker runs
+                    # on its caller's thread, which serves nobody else.
+                    time.sleep(0)
+                with self._lock:
+                    refusal = self._refusal_locked(task)
+                if refusal is not None:
+                    self._note_refused(task, refusal, members[i:])
+                    left = refusal.encode()
+                    frames += [Frame(c, "retryable", 0.0, left) for c, _ in members[i:]]
+                    break
             t0 = time.perf_counter()
-            with obs_trace.span(
-                "worker.execute",
-                trace=query_trace,
-                parent_id=parent_span_id,
-                track=self.name,
-                worker=self.name,
-                chunk=chunk_id,
-                queue_wait=round(queue_wait, 6),
-            ) as execute_span:
-                result = self.execute_chunk_query(chunk_id, request)
-                rows = result.num_rows
-                execute_span.set(rows=rows)
-            self.metrics.histogram("worker.execute.seconds").observe(
-                time.perf_counter() - t0
-            )
-            fmt = request.result_format
-            t1 = time.perf_counter()
-            with obs_trace.span(
-                "worker.dump",
-                trace=query_trace,
-                parent_id=parent_span_id,
-                track=self.name,
-                worker=self.name,
-                chunk=chunk_id,
-                format=fmt,
-            ):
-                if fmt == "binary":
-                    payload = encode_table(result, _RESULT_TABLE)
-                    with self._lock:
-                        self.stats.binary_results += 1
-                else:
-                    payload = dump_table(result, _RESULT_TABLE).encode()
-                    with self._lock:
-                        self.stats.sqldump_results += 1
-            self.metrics.histogram("worker.dump.seconds").observe(
-                time.perf_counter() - t1
-            )
-            self.metrics.counter("worker.queries").add(1)
-            self.metrics.counter("worker.result.bytes").add(len(payload))
-        except Exception as e:  # surfaced to the master on read
-            self.metrics.counter("worker.errors").add(1)
-            payload, error = None, str(e)
-        finally:
-            with self._lock:
-                self._publish_locked(task, payload, rows, error)
+            try:
+                with obs_trace.span(
+                    "worker.execute",
+                    trace=query_trace,
+                    parent_id=parent_span_id,
+                    track=self.name,
+                    worker=self.name,
+                    chunk=chunk_id,
+                    queue_wait=round(queue_wait, 6),
+                ) as execute_span:
+                    result = self.execute_chunk_query(chunk_id, member, repeats)
+                    rows += result.num_rows
+                    execute_span.set(rows=result.num_rows)
+                t1 = time.perf_counter()
+                self._execute_seconds.observe(t1 - t0)
+                with obs_trace.span(
+                    "worker.dump",
+                    trace=query_trace,
+                    parent_id=parent_span_id,
+                    track=self.name,
+                    worker=self.name,
+                    chunk=chunk_id,
+                    format=fmt,
+                ):
+                    if fmt == "binary":
+                        payload = encode_table(result, _RESULT_TABLE)
+                    else:
+                        payload = dump_table(result, _RESULT_TABLE).encode()
+                t2 = time.perf_counter()
+                self._dump_seconds.observe(t2 - t1)
+                frames.append(Frame(chunk_id, "ok", t2 - t0, payload))
+            except Exception as e:  # surfaced to the master on read
+                self.metrics.counter("worker.errors").add(1)
+                # A chunk this worker does not hold is no fault of the query's.
+                status = "sql-error" if self.chunk_tables(chunk_id) else "retryable"
+                seconds = time.perf_counter() - t0
+                frames.append(Frame(chunk_id, status, seconds, str(e).encode()))
+        done = [frame for frame in frames if frame.status == "ok"]
+        result_bytes = sum(len(frame.payload) for frame in done)
+        if done:
+            self._queries.add(len(done))
+            self._result_bytes.add(result_bytes)
+        payload = error = None
+        if len(members) > 1:
+            payload = encode_frames(frames)
+        elif done:
+            payload = done[0].payload
+        else:
+            error = frames[0].payload.decode()
+        with self._lock:
+            if fmt == "binary":
+                self.stats.binary_results += len(done)
+            else:
+                self.stats.sqldump_results += len(done)
+            self._publish_locked(task, payload, rows, error, result_bytes)
 
-    def _publish_locked(self, task: _Task, payload=None, rows=0, error=None) -> None:
-        """A task's outcome -- run or skipped -- onto its result record; readers go."""
+    def _publish_locked(
+        self, task: _Task, payload=None, rows=0, error=None, result_bytes=0
+    ) -> None:
+        """A task's outcome -- run or skipped -- onto its result record; readers go.
+
+        ``rows`` and ``result_bytes`` are what the members' own results
+        hold, a batch's frame lines not counted.
+        """
         record = self._results.get(task.rpath)
         if record is None:
             # Every read owed was served by an earlier execution of the
@@ -735,18 +809,25 @@ class QservWorker(OfsPlugin):
             record.error = None
             record.payload = payload
             self.stats.result_rows += rows
-            self.stats.result_bytes += len(payload)
+            self.stats.result_bytes += result_bytes
         record.ready.set()
 
     # -- chunk query execution ---------------------------------------------------------------
 
-    def execute_chunk_query(self, chunk_id: int, text: "str | ChunkRequest") -> Table:
-        """Run one chunk query (text with or without headers, or decoded); the combined result."""
+    def execute_chunk_query(
+        self, chunk_id: int, text: "str | ChunkRequest", repeats: Optional[dict] = None
+    ) -> Table:
+        """Run one chunk query (text with or without headers, or decoded); the combined result.
+
+        ``repeats`` is what a batch's earlier members prepared (see
+        :meth:`_prepare`); a chunk query on its own starts with none.
+        """
         # The statements of a sub-chunk query are one or two texts
         # repeated about other sub-chunks: each is scanned and bound
         # once per chunk query, its repeats only name their tables, and
         # a run of statements that differ in nothing else is a family.
-        repeats: dict = {}
+        if repeats is None:
+            repeats = {}
         families: list[_Family] = []
         request = text if isinstance(text, ChunkRequest) else ChunkRequest.decode(text)
         for statement in _split_statements(request.body):
@@ -817,9 +898,10 @@ class QservWorker(OfsPlugin):
         up by name at execution, so nothing here outlives a dropped or
         replaced table.
 
-        ``repeats`` lives for one chunk query and holds what was
-        prepared for it, by id-free text: a later statement with that
-        text (the same numbers, then) is the same bound statement.
+        ``repeats`` lives for one chunk query, or one batch of them, and
+        holds what was prepared for it, by id-free text: a later
+        statement with that text (the same numbers, then) is the same
+        bound statement.
         """
         id_free, ids, names = _cut_ids(text)
 

@@ -51,6 +51,9 @@ class XrdClient:
             max_attempts=max_retries + 1, base_backoff=0.0
         )
         self.health = health
+        # Resolved once, not by name per transaction.
+        self._bytes_written = obs_metrics.counter("xrd.bytes.written")
+        self._bytes_read = obs_metrics.counter("xrd.bytes.read")
 
     def _report(self, server_name: str, ok: bool) -> None:
         if self.health is None:
@@ -98,7 +101,7 @@ class XrdClient:
             try:
                 with server.open(path, "w") as fh:
                     fh.write(data)
-                obs_metrics.counter("xrd.bytes.written").add(len(data))
+                self._bytes_written.add(len(data))
                 self._report(server.name, ok=True)
                 return server.name
             except FileSystemError as e:
@@ -144,8 +147,11 @@ class XrdClient:
             try:
                 with server.open(path, "r") as fh:
                     data = fh.read()
-                obs_metrics.counter("xrd.bytes.read").add(len(data))
-                self._report(server.name, ok=True)
+                self._bytes_read.add(len(data))
+                if server_name is None:
+                    # A pinned read is the second half of a pair whose
+                    # write just reported this server's success.
+                    self._report(server.name, ok=True)
                 return data
             except FileSystemError as e:
                 last_error = e

@@ -17,6 +17,13 @@ result bytes themselves are carried opaquely either way -- Xrootd never
 inspects them -- and the master distinguishes the two by the wire
 magic, so a worker that ignores the header (an old version, or a
 paper-faithful configuration) degrades safely to the SQL dump.
+
+The chunk queries of one user query bound for one worker travel as one
+such pair: the write's body holds every *member* behind a
+``-- MEMBER: <chunk id> <length>`` line (:func:`batch_body`), ``H`` is
+the hash of that whole text, and the read returns one frame per member
+(:func:`encode_frames`).  A batch of one is the bare chunk query and
+the bare payload -- the paper's protocol, byte for byte.
 """
 
 from __future__ import annotations
@@ -35,6 +42,9 @@ __all__ = [
     "DEADLINE_HEADER_PREFIX",
     "TRACE_HEADER_PREFIX",
     "ATTEMPT_HEADER_PREFIX",
+    "BATCH_MEMBER_PREFIX",
+    "FRAME_PREFIX",
+    "FRAME_STATUSES",
     "WIRE_FORMATS",
     "query_path",
     "result_path",
@@ -47,6 +57,10 @@ __all__ = [
     "chunk_id_of_manifest_path",
     "result_format_header",
     "ChunkRequest",
+    "Frame",
+    "batch_body",
+    "encode_frames",
+    "decode_frames",
 ]
 
 QUERY_PREFIX = "/query2/"
@@ -115,6 +129,22 @@ _NOT_IDENTITY_LINE_RE = re.compile(
     "^(?:%s).*\n?" % "|".join(map(re.escape, _NOT_IDENTITY)), re.MULTILINE
 )
 
+#: ``MEMBER`` opens one member of a batch: its chunk id and the length
+#: in characters of its chunk query, which follows verbatim (its own
+#: ``-- SUBCHUNKS:`` line included) on the next line.  Not a header: the
+#: headers end where the first member begins, and every member line is
+#: identity.
+BATCH_MEMBER_PREFIX = "-- MEMBER:"
+
+#: A batch's result: per member one ``-- FRAME: <chunk id> <status>
+#: <worker seconds> <length>`` line and ``length`` bytes -- the member's
+#: result payload exactly as a batch of one would publish it (``ok``),
+#: or the error text.  ``sql-error`` is the chunk query's own fault;
+#: ``retryable`` is the worker's (shut down, withdrawn, out of budget,
+#: chunk not held) and another replica may answer.
+FRAME_PREFIX = b"-- FRAME:"
+FRAME_STATUSES = ("ok", "sql-error", "retryable")
+
 #: Result encodings a czar may request / a worker may publish.
 WIRE_FORMATS = ("binary", "sqldump")
 
@@ -176,15 +206,18 @@ class ChunkRequest(NamedTuple):
         Headers come in any order and only before the first statement;
         the first line of a name wins, names this worker does not know
         (``-- SUBCHUNKS:``, a newer master's) are skipped, a malformed
-        value reads as an absent header.
+        value reads as an absent header.  A batch's headers end at its
+        first ``-- MEMBER:`` line, which starts the body.
         """
         values: dict[str, str] = {}
-        body = text.strip()
-        while body.startswith("--"):
+        body = text.lstrip()
+        while body.startswith("--") and not body.startswith(BATCH_MEMBER_PREFIX):
             line, _, body = body.partition("\n")
             name, colon, value = line.partition(":")
             if colon:
                 values.setdefault(name + colon, value.strip())
+        if not body.startswith(BATCH_MEMBER_PREFIX):
+            body = body.rstrip()  # (a batch's last member is counted to the character)
         trace = None
         trace_id, slash, span_id = values.get(TRACE_HEADER_PREFIX, "").partition("/")
         if slash and trace_id and span_id:
@@ -201,6 +234,81 @@ class ChunkRequest(NamedTuple):
             trace,
             text,
         )
+
+    def members(self, chunk_id: int) -> list[tuple[int, "ChunkRequest"]]:
+        """``(chunk id, request)`` per member, each under this request's headers.
+
+        A body that is no batch is the one member, about ``chunk_id``
+        (the ``CC`` of the path it was written to).  Raises
+        :class:`ValueError` for a member line that does not parse or a
+        length that overruns the text.
+        """
+        if not self.body.startswith(BATCH_MEMBER_PREFIX):
+            return [(chunk_id, self)]
+        out, body, pos = [], self.body, 0
+        while pos < len(body):
+            end = body.find("\n", pos)
+            prefix, member_id, length = body[pos : max(end, 0)].rsplit(" ", 2)
+            start, stop = end + 1, end + 1 + int(length)
+            if prefix != BATCH_MEMBER_PREFIX or int(length) < 0 or stop > len(body):
+                raise ValueError(f"bad batch member line {body[pos:end]!r}")
+            member = ChunkRequest.decode(body[start:stop])
+            out.append((int(member_id), self._replace(body=member.body, source=None)))
+            pos = stop + 1  # the line break that ends a member
+        return out
+
+
+def batch_body(members) -> str:
+    """The body carrying ``(chunk id, chunk query)`` members; one member is itself."""
+    if len(members) == 1:
+        return members[0][1]
+    return "\n".join(
+        f"{BATCH_MEMBER_PREFIX} {chunk_id} {len(text)}\n{text}" for chunk_id, text in members
+    )
+
+
+class Frame(NamedTuple):
+    """One member's part of a batch's result."""
+
+    chunk_id: int
+    status: str  # one of FRAME_STATUSES
+    #: What the member cost the worker: execution and dump.
+    seconds: float
+    #: The result payload (``ok``) or the UTF-8 error text.
+    payload: bytes
+
+
+def encode_frames(frames) -> bytes:
+    """The bytes published at a batch's ``/result/H``."""
+    parts = []
+    for frame in frames:
+        parts.append(
+            b"%s %d %s %.6f %d\n"
+            % (FRAME_PREFIX, frame.chunk_id, frame.status.encode(), frame.seconds,
+               len(frame.payload))
+        )
+        parts.append(frame.payload)
+    return b"".join(parts)
+
+
+def decode_frames(data: bytes) -> list[Frame]:
+    """The frames of a batch's result; payloads are views into ``data``.
+
+    Raises :class:`ValueError` unless ``data`` is frame after whole
+    frame to its last byte, each with a known status.
+    """
+    view, out, pos = memoryview(data), [], 0
+    while pos < len(data):
+        end = data.find(b"\n", pos)
+        fields = data[pos : max(end, 0)].split(b" ")
+        if len(fields) != 6 or b" ".join(fields[:2]) != FRAME_PREFIX:
+            raise ValueError(f"bad frame line at byte {pos}")
+        status, length = fields[3].decode(), int(fields[5])
+        start, pos = end + 1, end + 1 + length
+        if status not in FRAME_STATUSES or length < 0 or pos > len(data):
+            raise ValueError(f"bad frame for chunk {fields[2]!r}: {status} {length}")
+        out.append(Frame(int(fields[2]), status, float(fields[4]), view[start:pos]))
+    return out
 
 
 def query_path(chunk_id: int) -> str:

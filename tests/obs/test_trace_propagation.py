@@ -60,6 +60,9 @@ class TestEndToEndStructure:
         tb.shutdown()
 
     def test_worker_spans_nest_under_czar_attempts(self, tb):
+        """One ``dispatch`` span and one attempt per batch -- the chunks one
+        worker answers in one transaction -- and every member's worker
+        spans under that attempt (counts re-derived from one per chunk)."""
         r = tb.query(
             "SELECT chunkId, COUNT(*) FROM Object GROUP BY chunkId", trace=True
         )
@@ -72,19 +75,23 @@ class TestEndToEndStructure:
         root = roots[0]
 
         dispatches = [s for s in trace.spans if s.name == "dispatch"]
-        assert len(dispatches) == r.stats.chunks_dispatched > 1
+        assert len(dispatches) == len(r.stats.workers_used) > 1
+        assert sum(s.attrs["members"] for s in dispatches) == r.stats.chunks_dispatched
         assert all(s.parent_id == root.span_id for s in dispatches)
 
         attempts = [s for s in trace.spans if s.name == "attempt"]
         executes = [s for s in trace.spans if s.name == "worker.execute"]
         dumps = [s for s in trace.spans if s.name == "worker.dump"]
-        assert len(executes) == len(dispatches)  # one success per chunk
+        assert len(executes) == r.stats.chunks_dispatched  # one success per chunk
+        assert len({s.attrs["chunk"] for s in executes}) == len(executes)
         for sp in attempts:
             assert by_id[sp.parent_id].name == "dispatch"
+            members = [k for k in children[sp.span_id] if k.name == "worker.execute"]
+            assert len(members) == sp.attrs["members"]
         for sp in executes + dumps:
             parent = by_id[sp.parent_id]
             assert parent.name == "attempt"
-            assert parent.attrs["chunk"] == sp.attrs["chunk"]
+            assert parent.attrs["worker"] == sp.attrs["worker"]
             assert sp.attrs["worker"] in r.stats.workers_used
 
         assert {s.name for s in children[root.span_id]} >= {
@@ -106,6 +113,9 @@ class TestEndToEndStructure:
 
 class TestRetrySiblings:
     def test_retried_attempts_are_siblings_under_one_dispatch(self):
+        """The batch that lost its worker holds its failed attempt and,
+        one ``dispatch`` span per member sent again alone, the retries:
+        numbered on, under the same span, never mixed with another's."""
         tb = build_testbed(num_workers=3, num_objects=600, seed=51, replication=2)
         try:
             victim = tb.placement.nodes[0]
@@ -117,18 +127,29 @@ class TestRetrySiblings:
 
             trace = r.stats.trace
             by_id, children = span_tree(trace)
+
+            def attempts_under(span):
+                kids = children.get(span.span_id, [])
+                return [k for k in kids if k.name == "attempt"] + [
+                    a for k in kids if k.name == "dispatch" for a in attempts_under(k)
+                ]
+
             retried = [
-                kids
-                for sid, kids in children.items()
-                if sid in by_id
-                and by_id[sid].name == "dispatch"
-                and len([k for k in kids if k.name == "attempt"]) >= 2
+                s
+                for s in children[children[None][0].span_id]
+                if s.name == "dispatch" and len(attempts_under(s)) >= 2
             ]
-            assert retried, "no dispatch span holds two sibling attempts"
-            kids = [k for k in retried[0] if k.name == "attempt"]
-            assert len({k.attrs["n"] for k in kids}) == len(kids)  # numbered
-            assert any(k.status == "error" for k in kids)  # the dead worker
-            assert any(k.status == "ok" for k in kids)  # the replica
+            assert retried, "no dispatch span holds an attempt and its retry"
+            kids = attempts_under(retried[0])
+            first = [k for k in kids if k.attrs["n"] == 0]
+            assert len(first) == 1 and first[0].status == "error"  # the dead worker
+            again = [k for k in kids if k.attrs["n"] > 0]
+            assert len(again) == first[0].attrs["members"] == r.stats.chunks_retried
+            assert all(k.attrs["members"] == 1 for k in again)  # each alone
+            assert any(k.status == "ok" for k in again)  # the replica
+            for sp in trace.spans:  # numbered within a span
+                mine = [k.attrs["n"] for k in children.get(sp.span_id, []) if k.name == "attempt"]
+                assert len(set(mine)) == len(mine)
         finally:
             tb.shutdown()
 

@@ -13,7 +13,10 @@ the codec): for two chunk queries of ``tests/qserv/rewrite_fixtures.py``
 the 16 present/absent combinations of the four header fields, the text
 that commit's ``Czar._dispatch_and_collect.build_text`` produced from
 ``result_format_header`` / ``deadline_header`` / ``attempt_header`` /
-``trace_header``, and that commit's ``query_hash`` of it.
+``trace_header``, and that commit's ``query_hash`` of it.  Its ``batches`` (PR 23) pin the
+batch form next to them: 2 and 7 members -- the second a sub-chunk body
+with its ``-- SUBCHUNKS:`` line -- under the 8 combinations of deadline,
+nonce and trace, plus one ``sqldump`` batch.
 """
 
 import hashlib
@@ -25,8 +28,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.xrd.protocol import (
+    FRAME_STATUSES,
     ChunkRequest,
+    Frame,
+    batch_body,
     cancel_path,
+    decode_frames,
+    encode_frames,
     query_hash,
     result_format_header,
     result_path,
@@ -204,6 +212,169 @@ class TestGoldenBytes:
             assert r.result_hash != case["query_hash"]
         assert r.result_hash == query_hash(case["text"])
         assert r.result_hash == ChunkRequest(r.body, r.result_format).result_hash
+
+
+# -- the batch form -----------------------------------------------------------
+
+# Member texts as the czar writes them: may lead with a comment line, may
+# end in a line break, never start a line with ``-- MEMBER:``.
+member_texts = st.lists(
+    st.text(alphabet="abcXYZ019_ ()*,.<=;'\n", min_size=1, max_size=40), min_size=1, max_size=2
+).map(lambda parts: "-- SUBCHUNKS: 1, 2\n".join(parts))
+member_lists = st.lists(
+    st.tuples(st.integers(0, 10**6), member_texts), min_size=2, max_size=9
+)
+headers = st.tuples(formats, deadlines, nonces, traces)
+
+
+def batch(members, *header):
+    return ChunkRequest(batch_body(members), *header)
+
+
+class TestBatchRoundTrip:
+    @given(member_lists, headers)
+    def test_members_come_back_under_the_shared_headers(self, members, header):
+        r = batch(members, *header)
+        back = ChunkRequest.decode(r.encode().decode())
+        assert back.result_hash == r.result_hash == query_hash(r.encode().decode())
+        decoded = back.members(members[0][0])
+        assert [chunk_id for chunk_id, _ in decoded] == [chunk_id for chunk_id, _ in members]
+        for (_, text), (_, member) in zip(members, decoded):
+            assert member.body == ChunkRequest.decode(text).body  # its own comment lines cut
+            assert fields(member)[0] == r.result_format
+            assert member.attempt == r.attempt and member.trace == r.trace
+            assert member.deadline == (
+                None if r.deadline is None else pytest.approx(r.deadline, abs=1e-3)
+            )
+
+    @given(member_lists, headers)
+    def test_only_format_and_members_are_identity(self, members, header):
+        fmt, *dispatch = header
+        assert batch(members, fmt, *dispatch).result_hash == batch(members, fmt).result_hash
+        fewer = batch(members[:-1], fmt) if len(members) > 2 else ChunkRequest("x", fmt)
+        assert batch(members, fmt).result_hash != fewer.result_hash
+        moved = [(members[0][0] + 1, members[0][1])] + members[1:]
+        assert batch(members, fmt).result_hash != batch(moved, fmt).result_hash
+
+    @given(st.integers(0, 10**6), member_texts, headers)
+    def test_a_batch_of_one_is_the_bare_request(self, chunk_id, text, header):
+        assert batch_body([(chunk_id, text)]) == text
+        r = ChunkRequest(text, *header)
+        assert batch([(chunk_id, text)], *header).encode() == r.encode()
+        back = ChunkRequest.decode(r.encode().decode())
+        assert back.members(chunk_id) == [(chunk_id, back)]
+
+    def test_unknown_headers_before_the_first_member_are_skipped_and_are_identity(self):
+        members = [(3, "SELECT 1;"), (4, "-- SUBCHUNKS: 9\nSELECT 2;")]
+        text = batch(members, "binary").encode().decode()
+        newer = "-- FUTURE: x\n-- ATTEMPT: n\n" + text
+        r = ChunkRequest.decode(newer)
+        assert fields(r) == ("binary", None, "n", None)
+        assert [(c, m.body) for c, m in r.members(3)] == [(3, "SELECT 1;"), (4, "SELECT 2;")]
+        assert r.result_hash == query_hash("-- FUTURE: x\n" + text) != query_hash(text)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "-- MEMBER: 3 9",  # no text at all
+            "-- MEMBER: 3 99\nSELECT 1;",  # length overruns
+            "-- MEMBER: 3 -1\nSELECT 1;",
+            "-- MEMBER: 3 nine\nSELECT 1;",
+            "-- MEMBER: x 9\nSELECT 1;",
+            "-- MEMBER: 9\nSELECT 1;",
+            "-- MEMBER: 3 8\nSELECT 1;\n-- MEMBER: 4 9\nSELECT 2;",  # short: next line is no member line
+        ],
+    )
+    def test_a_malformed_member_line_is_an_error_not_a_member(self, body):
+        with pytest.raises(ValueError):
+            ChunkRequest.decode(body).members(3)
+
+
+class TestBatchGoldenBytes:
+    CASES = GOLDEN["batches"]
+
+    def test_what_is_pinned(self):
+        assert sorted({len(c["members"]) for c in self.CASES}) == [2, 7]
+        assert len(self.CASES) == 17
+        assert all("-- SUBCHUNKS:" in c["members"][1][1] for c in self.CASES)
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(
+        [str(len(c["members"])), c["result_format"]]
+        + [n for n in ("deadline", "attempt", "trace") if c[n]]
+    ))
+    def test_encode_and_hash(self, case):
+        members = [tuple(m) for m in case["members"]]
+        header = (
+            case["result_format"], case["deadline"], case["attempt"],
+            tuple(case["trace"]) if case["trace"] else None,
+        )
+        r = batch(members, *header)
+        assert r.encode() == case["text"].encode()
+        assert r.result_hash == case["query_hash"] == query_hash(case["text"])
+        assert r.result_hash == batch(members, case["result_format"]).result_hash
+        back = ChunkRequest.decode(case["text"]).members(members[0][0])
+        assert [c for c, _ in back] == [c for c, _ in members]
+        assert "SUBCHUNKS" not in back[1][1].body and back[1][1].body.startswith("SELECT COUNT(*)")
+        assert all(fields(m)[2:] == header[2:] for _, m in back)
+
+
+frames = st.lists(
+    st.builds(
+        Frame,
+        st.integers(0, 10**6),
+        st.sampled_from(FRAME_STATUSES),
+        st.integers(0, 10**7).map(lambda us: us / 1e6),
+        st.binary(max_size=64),
+    ),
+    min_size=1,
+    max_size=9,
+)
+
+
+class TestFrames:
+    @given(frames)
+    def test_round_trip(self, sent):
+        back = decode_frames(encode_frames(sent))
+        assert [(f.chunk_id, f.status, f.seconds, bytes(f.payload)) for f in back] == [
+            tuple(f) for f in sent
+        ]
+
+    def test_payloads_are_views_of_what_was_read(self):
+        data = encode_frames([Frame(3, "ok", 0.5, b"\x93QWFabc"), Frame(4, "retryable", 0.0, b"gone")])
+        assert data == b"-- FRAME: 3 ok 0.500000 7\n\x93QWFabc-- FRAME: 4 retryable 0.000000 4\ngone"
+        assert all(isinstance(f.payload, memoryview) for f in decode_frames(data))
+
+    @given(frames, st.data())
+    def test_a_truncated_result_is_an_error(self, sent, data):
+        whole = encode_frames(sent)
+        cut = data.draw(st.integers(1, len(whole) - 1))
+        try:
+            back = decode_frames(whole[:cut])
+        except ValueError:
+            return
+        # A cut that is itself frame after whole frame can only be a prefix.
+        assert [tuple(f)[:3] for f in back] == [tuple(f)[:3] for f in sent[: len(back)]]
+        assert len(back) < len(sent)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"-- FRAME: 3 ok 0.1 9\nshort",  # bad length: overruns
+            b"-- FRAME: 3 ok 0.1 2\nlong",  # bad length: what follows is no frame line
+            b"-- FRAME: 3 ok 0.1 -1\n",
+            b"-- FRAME: 3 fine 0.1 2\nok",  # bad status
+            b"-- FRAME: 3 \xff 0.1 2\nok",
+            b"-- FRAME: x ok 0.1 2\nok",
+            b"-- FRAME: 3 ok soon 2\nok",
+            b"-- FRAME: 3 ok 0.1\nok",
+            b"-- FRAMES: 3 ok 0.1 2\nok",
+            b"\x93QWF a bare payload",
+            b"-- FRAME: 3 ok 0.1 2",  # no line break
+        ],
+    )
+    def test_bad_frames_are_errors(self, data):
+        with pytest.raises(ValueError):
+            decode_frames(data)
 
 
 class TestPaths:

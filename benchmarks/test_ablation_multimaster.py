@@ -7,16 +7,14 @@ to launch multiple master instances."  Two measurements:
 
 - model: HV1 (pure dispatch overhead) at 150 nodes vs master count --
   the serial bottleneck divides almost ideally;
-- functional: the real LoadBalancingFrontend running a concurrent batch
-  over 1 vs 3 masters with threaded workers.
+- functional: the real QservFrontend running a concurrent batch over
+  3 masters with threaded workers.
 """
 
-import time
-
-import numpy as np
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.data import build_testbed
-from repro.qserv import LoadBalancingFrontend
+from repro.qserv import Czar, QservFrontend
 from repro.sim import SimulatedCluster, hv1_job, paper_cluster, paper_data_scale
 
 from _series import emit, format_series
@@ -97,20 +95,30 @@ def test_ablation_multimaster_functional(benchmark):
     statements = ["SELECT COUNT(*) FROM Object"] * 6
 
     def run_with(masters):
-        fe = LoadBalancingFrontend(
-            tb.redirector,
-            tb.metadata,
-            tb.chunker,
-            num_masters=masters,
-            secondary_index=tb.secondary_index,
-            available_chunks=tb.placement.chunk_ids,
-        )
-        results = fe.query_concurrent(statements)
+        czars = [
+            Czar(
+                tb.redirector,
+                tb.metadata,
+                tb.chunker,
+                secondary_index=tb.secondary_index,
+                available_chunks=tb.placement.chunk_ids,
+            )
+            for _ in range(masters)
+        ]
+        # No result cache: every statement of the batch reaches a czar.
+        fe = QservFrontend(czars, cache_entries=0)
+        try:
+            with ThreadPoolExecutor(max_workers=len(statements)) as pool:
+                results = list(pool.map(fe.query, statements))
+        finally:
+            fe.shutdown()
+            for czar in czars:
+                czar.close()
         counts = {int(r.table.column("COUNT(*)")[0]) for r in results}
         assert counts == {tb.tables["Object"].num_rows}
-        return fe.load_per_master()
+        return [czar.metrics.counter("czar.queries").value for czar in czars]
 
     loads = benchmark(lambda: run_with(3))
     # The batch spread across all three masters.
-    assert all(q >= 1 for q, _ in loads)
+    assert all(q >= 1 for q in loads)
     tb.shutdown()

@@ -9,7 +9,7 @@ takes ``HealthTracker._lock``).  This module covers that dynamic half:
   primitives and report every acquisition/release to a global
   :class:`LockOrderMonitor`;
 - the monitor keeps one *order graph* over lock **roles** (names like
-  ``"Czar._plan_lock"``, shared by every instance of the class, the
+  ``"Lru._lock"``, shared by every instance of the class, the
   way kernel lockdep keys by lock class) and raises
   :class:`LockOrderViolation` the moment a thread acquires lock B while
   holding lock A after some thread previously held B before A --
@@ -370,7 +370,7 @@ def reset() -> None:
 
 
 def make_lock(name: str) -> "threading.Lock | SanitizedLock":
-    """A mutex named for its role, e.g. ``make_lock("Czar._plan_lock")``."""
+    """A mutex named for its role, e.g. ``make_lock("Lru._lock")``."""
     if enabled():
         return SanitizedLock(name)
     return threading.Lock()

@@ -54,7 +54,6 @@ from .frontend import (
     BatchJobQueue,
     MyDb,
 )
-from .multimaster import LoadBalancingFrontend
 from .admin import ClusterAdmin, ClusterHealth
 from .czar import ExplainReport
 from .membership import ClusterMembership, MembershipError
@@ -88,7 +87,6 @@ __all__ = [
     "QservQuotaError",
     "BatchJobQueue",
     "MyDb",
-    "LoadBalancingFrontend",
     "ClusterAdmin",
     "ClusterHealth",
     "ExplainReport",

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
@@ -61,6 +61,7 @@ import numpy as np
 
 from ..analysis.races import track_shared
 from ..analysis.sanitizer import make_lock
+from ..lru import Lru
 from ..obs import events as obs_events
 from ..obs import metrics as obs_metrics
 from ..obs import progress as obs_progress
@@ -71,7 +72,7 @@ from ..sql import Database, Table, ast
 from ..sql.dump import load_dump
 from ..sql.engine import ResultTable
 from ..sql.kernels import KernelCache, kernel_key
-from ..sql.shapes import ShapeCache, Template, scan
+from ..sql.shapes import ShapeCache, Template, scan, text_key
 from ..xrd import XrdClient, Redirector
 from ..xrd.health import HealthTracker
 from ..xrd.retry import CancelToken, Deadline, RetryPolicy
@@ -240,7 +241,7 @@ class ExplainReport:
         return "\n".join(lines)
 
 
-@track_shared("_plan_cache", "_latencies")
+@track_shared("_latencies")
 class Czar:
     """The Qserv frontend master.
 
@@ -317,17 +318,13 @@ class Czar:
             raise ValueError(
                 f"wire_format must be one of {WIRE_FORMATS}, got {wire_format!r}"
             )
-        if plan_cache_size < 0:
-            raise ValueError("plan_cache_size must be >= 0")
         self.retry_policy = retry_policy or RetryPolicy(
             max_attempts=3, base_backoff=0.005, max_backoff=0.25
         )
         self.hedge_policy = hedge_policy
         self.health = health if health is not None else HealthTracker()
         self.repair = repair
-        self.client = XrdClient(
-            redirector, retry_policy=RetryPolicy(max_attempts=1), health=self.health
-        )
+        self.client = XrdClient(redirector, health=self.health)
         self.metadata = metadata
         self.chunker = chunker
         self.secondary_index = secondary_index
@@ -352,12 +349,6 @@ class Czar:
             if dispatch_parallelism > 1
             else None
         )
-        self._plan_cache: OrderedDict[str, tuple] = OrderedDict()
-        self._plan_cache_size = plan_cache_size
-        self._plan_lock = make_lock("Czar._plan_lock")
-        # Behind the exact-text plan cache: per statement shape, what
-        # does not depend on the WHERE literals (see _plan).
-        self._shapes = ShapeCache()
         #: This czar's lifetime metrics, feeding the global registry.
         #: What a query touches is resolved here, once: the counters
         #: its chunk ledger adds to, and the instruments below.
@@ -365,7 +356,14 @@ class Czar:
         self._ledger_counters = ledger_counters(self.metrics)
         self._queries = self.metrics.counter("czar.queries")
         self._plan_hits = self.metrics.counter("czar.plan_cache.hits")
-        self._plan_misses = self.metrics.counter("czar.plan_cache.misses")
+        # Plans by query text (see _plan) and, behind them, per
+        # statement shape, what does not depend on the WHERE literals.
+        self._plan_cache = Lru(
+            plan_cache_size,
+            hits=self._plan_hits,
+            misses=self.metrics.counter("czar.plan_cache.misses"),
+        )
+        self._shapes = ShapeCache()
         self._chunk_seconds = self.metrics.histogram("czar.chunk.seconds")
         self._merge_seconds = self.metrics.histogram("czar.merge.seconds")
         self._query_seconds = self.metrics.histogram("czar.query.seconds")
@@ -442,8 +440,8 @@ class Czar:
         ``merge`` is the merge SELECT over a table named ``qserv_merge``
         and its kernel key, which does not depend on that name.
 
-        Two levels.  In front, keyed by whitespace-normalized SQL: a
-        repeated query text skips parse, analysis, coverage, and
+        Two levels.  In front, keyed by :func:`~repro.sql.shapes.text_key`
+        of the SQL: a repeated query text skips parse, analysis, coverage, and
         rewriting entirely (``plan_cache_hits`` counts these and only
         these).  Everything cached there is derived deterministically
         from inputs that are fixed for this czar's lifetime (metadata,
@@ -459,17 +457,12 @@ class Czar:
         statement: index values, region construction and validation,
         coverage, sub-chunk pruning and the chunk-query text.
         """
-        key = " ".join(sql.split())
-        with self._plan_lock:
-            entry = self._plan_cache.get(key)
-            if entry is not None:
-                self._plan_cache.move_to_end(key)
+        key = text_key(sql)
+        entry = self._plan_cache.get(key)
         if entry is not None:
-            self._plan_hits.add(1)
             if stats is not None:
                 stats.plan_cache_hits = 1
             return entry
-        self._plan_misses.add(1)
         shape, values = scan(sql)
         prepared = self._shapes.get(shape)
         select = None
@@ -496,11 +489,7 @@ class Czar:
             analysis, plan, self.metadata, self.chunker, chunk_ids
         )
         entry = (analysis, plan, specs, merge)
-        if self._plan_cache_size > 0:
-            with self._plan_lock:
-                self._plan_cache[key] = entry
-                while len(self._plan_cache) > self._plan_cache_size:
-                    self._plan_cache.popitem(last=False)
+        self._plan_cache.put(key, entry)
         return entry
 
     def explain(self, sql: str) -> ExplainReport:

@@ -514,15 +514,13 @@ class ChunkDispatch:
             # by; should it lead elsewhere by now, that worker answers
             # for the chunks it holds and the rest come back retryable.
             worker = czar.client.write_file(
-                query_path(chunks[0].spec.chunk_id), data, exclude=exclude, deadline=deadline
+                query_path(chunks[0].spec.chunk_id), data, exclude=exclude
             )
             span.set(worker=worker)
             # Plain append -- lists are safe to append concurrently, and
             # the withdrawal reads only after the attempts are abandoned.
             batch.accepted.append(worker)
-            result = czar.client.read_file(
-                result_path(batch.result_hash), server_name=worker, deadline=deadline
-            )
+            result = czar.client.read_file(result_path(batch.result_hash), server_name=worker)
             try:
                 answers = self._answers(chunks, worker, result)
             except _PayloadError:

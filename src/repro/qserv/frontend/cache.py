@@ -1,4 +1,4 @@
-"""An LRU cache of merged query results, keyed on the query hash.
+"""An LRU cache of merged query results, keyed on the query text.
 
 Interactive astronomy traffic is repetitive -- the same cone searches
 and object lookups arrive from notebooks, dashboards, and retried
@@ -7,31 +7,23 @@ result is valid for as long as the process lives and a tiny LRU in the
 frontend absorbs that repetition before it ever reaches admission
 control or the czar.
 
-Keys reuse :func:`repro.xrd.protocol.query_hash` over the normalized
-(whitespace-collapsed, case-folded keywords aside) SQL text, the same
-identity the dispatch fabric uses for chunk results, so two textually
-trivially-different spellings of a query share an entry.
+The key is :func:`repro.sql.shapes.text_key` of the SQL text, the czar
+plan cache's key, so two spellings of a query that differ only in the
+white space between tokens share an entry and two that differ inside a
+quoted string do not.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional
 
-from ...analysis.races import track_shared
-from ...analysis.sanitizer import make_lock
+from ...lru import Lru
 from ...obs import metrics as obs_metrics
-from ...xrd.protocol import query_hash
+from ...sql.shapes import text_key
 
-__all__ = ["ResultCache", "normalize_sql"]
-
-
-def normalize_sql(sql: str) -> str:
-    """Collapse whitespace so spelling variants share a cache key."""
-    return " ".join(sql.strip().rstrip(";").split())
+__all__ = ["ResultCache"]
 
 
-@track_shared("_entries")
 class ResultCache:
     """A bounded, thread-safe LRU of :class:`~repro.qserv.czar.QueryResult`.
 
@@ -42,51 +34,37 @@ class ResultCache:
     execution counts.
     """
 
-    def __init__(self, capacity: int = 64):
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        self.capacity = capacity
-        self._lock = make_lock("ResultCache._lock")
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self.metrics = obs_metrics.Registry(parent=obs_metrics.REGISTRY)
+    key = staticmethod(text_key)
 
-    @staticmethod
-    def key(sql: str) -> str:
-        return query_hash(normalize_sql(sql))
+    def __init__(self, capacity: int = 64):
+        self.metrics = obs_metrics.Registry(parent=obs_metrics.REGISTRY)
+        self._lru = Lru(
+            capacity,
+            hits=self.metrics.counter("frontend.cache.hits"),
+            misses=self.metrics.counter("frontend.cache.misses"),
+            evicted=self.metrics.counter("frontend.cache.evicted"),
+            size=self.metrics.gauge("frontend.cache.size"),
+        )
 
     def get(self, sql: str) -> Optional[object]:
         """The cached result for ``sql``, or None (counts hit/miss)."""
-        k = self.key(sql)
-        with self._lock:
-            entry = self._entries.get(k)
-            if entry is not None:
-                self._entries.move_to_end(k)
-        if entry is None:
-            self.metrics.counter("frontend.cache.misses").add(1)
-        else:
-            self.metrics.counter("frontend.cache.hits").add(1)
-        return entry
+        return self._lru.get(self.key(sql))
 
     def put(self, sql: str, result) -> None:
-        if self.capacity == 0:
-            return
-        k = self.key(sql)
-        with self._lock:
-            self._entries[k] = result
-            self._entries.move_to_end(k)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.metrics.counter("frontend.cache.evicted").add(1)
-            self.metrics.gauge("frontend.cache.size").set(len(self._entries))
+        """Keep ``result`` as the answer to ``sql`` -- if it is all of it.
+
+        The admission rule of :mod:`repro.lru`: a result some chunks
+        are missing from (``allow_partial``) answers only the caller
+        who allowed that.
+        """
+        if not result.stats.partial_result:
+            self._lru.put(self.key(sql), result)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.metrics.gauge("frontend.cache.size").set(0)
+        self._lru.clear()
 
     def __len__(self):
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
     def __repr__(self):
-        return f"ResultCache(entries={len(self)}, capacity={self.capacity})"
+        return f"ResultCache(entries={len(self)}, capacity={self._lru.capacity})"

@@ -1,11 +1,15 @@
-"""The overload-safe multi-tenant frontend over one czar.
+"""The overload-safe multi-tenant frontend over one czar, or several.
 
 :class:`QservFrontend` is the process users actually talk to: it owns
 per-user proxy sessions, an admission controller with fair-share
 scheduling and quotas, an LRU result cache, the per-user MyDB result
-store, and the crash-recoverable batch job queue.  The czar below it
-stays a pure query engine; everything about *who* may run *how much*
-*when* lives here.
+store, and the crash-recoverable batch job queue.  The czars below it
+stay pure query engines; everything about *who* may run *how much*
+*when* lives here -- and so does *where*: "one way to distribute the
+management load is to launch multiple master instances ... no code
+changes other than some logic in the MySQL proxy to load-balance
+between different Qserv masters" (paper section 7.6).  :meth:`submit`
+is that logic, and every session submits through it.
 
 Two traffic classes share one admission controller:
 
@@ -26,6 +30,7 @@ frontend on the same ``root`` to recover the journal.
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 from pathlib import Path
 from typing import Optional
@@ -34,8 +39,10 @@ from ...analysis.sanitizer import make_lock
 from ...obs import metrics as obs_metrics
 from ...obs import slo as obs_slo
 from ...obs import timeseries as obs_timeseries
+from ...sql import SqlError
+from ...xrd.health import HealthTracker
 from ...xrd.retry import CancelToken, Deadline
-from ..czar import Czar, QueryResult
+from ..czar import Czar, QueryError, QueryResult
 from ..proxy import QservProxy
 from .admission import AdmissionController, TenantPolicy
 from .cache import ResultCache
@@ -46,12 +53,15 @@ __all__ = ["QservFrontend"]
 
 
 class QservFrontend:
-    """Admission-controlled, multi-tenant session/job surface over a czar.
+    """Admission-controlled, multi-tenant session/job surface over czars.
 
     Parameters
     ----------
-    czar:
-        The query engine; its health tracker feeds admission capacity.
+    czars:
+        The query engine, or a list of them over one worker cluster
+        (they share metadata, chunker and secondary index; only
+        dispatch and merge work is replicated; see :meth:`submit`).  The
+        first one's worker-health tracker feeds admission capacity.
     root:
         Directory for durable state (job journal + MyDB).  ``None``
         uses a private temporary directory (gone with the process --
@@ -71,7 +81,7 @@ class QservFrontend:
 
     def __init__(
         self,
-        czar: Czar,
+        czars,
         root=None,
         local_db=None,
         max_concurrent: int = 8,
@@ -84,7 +94,11 @@ class QservFrontend:
         max_jobs: int = 1024,
         slo_objectives=None,
     ):
-        self.czar = czar
+        self.czars = [czars] if isinstance(czars, Czar) else list(czars)
+        if not self.czars:
+            raise ValueError("a frontend needs at least one czar")
+        self._next_czar = itertools.count()
+        self.czar_health = HealthTracker(failure_threshold=3, cooldown=1.0)
         self.local_db = local_db
         self._tmp = None
         if root is None:
@@ -97,7 +111,7 @@ class QservFrontend:
             max_queue_depth=max_queue_depth,
             max_queue_wait=max_queue_wait,
             default_policy=default_policy,
-            health=getattr(czar, "health", None),
+            health=self.czars[0].health,
         )
         self.cache = ResultCache(cache_entries)
         self.mydb = MyDb(self.root / "mydb")
@@ -132,9 +146,35 @@ class QservFrontend:
             proxy = self._sessions.get(user)
             if proxy is None:
                 proxy = self._sessions[user] = QservProxy(
-                    self.czar, local_db=self.local_db, user=user
+                    self, local_db=self.local_db, user=user
                 )
             return proxy
+
+    def submit(self, sql: str, **submit_kwargs) -> QueryResult:
+        """:meth:`Czar.submit` on the next healthy czar, round-robin.
+
+        What the sessions call, past admission.  A czar whose queries
+        keep failing trips ``czar_health``'s breaker and is skipped
+        until its cooldown elapses, when one probe query goes back
+        through it; with every czar tripped, any will do.
+        """
+        n = len(self.czars)
+        turn = next(self._next_czar)
+        order = [(turn + k) % n for k in range(n)]
+        health = self.czar_health
+        index = next((i for i in order if health.available(f"czar-{i}")), order[0])
+        name = f"czar-{index}"
+        try:
+            result = self.czars[index].submit(sql, **submit_kwargs)
+        except (ValueError, SqlError, QueryError):
+            # The query's failure (its text, or the workers), raised by
+            # a czar that works.
+            raise
+        except Exception:
+            health.record_failure(name)
+            raise
+        health.record_success(name)
+        return result
 
     def set_policy(self, user: str, policy: TenantPolicy) -> None:
         self.admission.set_policy(user, policy)

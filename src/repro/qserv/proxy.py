@@ -99,7 +99,11 @@ class SessionLog:
 
 
 class QservProxy:
-    """A client session against one czar, tagged with a user identity."""
+    """A client session against one czar, tagged with a user identity.
+
+    ``czar`` is whatever ``submit`` s the session's queries: a
+    :class:`Czar`, or the frontend that balances several.
+    """
 
     def __init__(
         self,

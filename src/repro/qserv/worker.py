@@ -22,7 +22,7 @@ import re
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -149,8 +149,15 @@ class WorkerCancelledError(SqlError):
 
 @dataclass
 class WorkerStats:
-    """Execution counters, for tests and the benchmark harness."""
+    """Execution counters, for tests and the benchmark harness.
 
+    ``results_evicted``, ``queries_cancelled`` and ``queries_expired``
+    are the worker's ``worker.results.evicted``,
+    ``worker.queries.cancelled`` and ``worker.queries.expired`` counters,
+    read; the rest are plain fields.
+    """
+
+    metrics: obs_metrics.Registry = field(repr=False)
     queries_executed: int = 0
     statements_executed: int = 0
     sub_chunk_tables_built: int = 0
@@ -161,9 +168,18 @@ class WorkerStats:
     queue_high_water: int = 0
     binary_results: int = 0
     sqldump_results: int = 0
-    results_evicted: int = 0
-    queries_cancelled: int = 0
-    queries_expired: int = 0
+
+    @property
+    def results_evicted(self) -> int:
+        return self.metrics.counter("worker.results.evicted").value
+
+    @property
+    def queries_cancelled(self) -> int:
+        return self.metrics.counter("worker.queries.cancelled").value
+
+    @property
+    def queries_expired(self) -> int:
+        return self.metrics.counter("worker.queries.expired").value
 
 
 def _table_refs(stmt) -> list:
@@ -357,15 +373,17 @@ class QservWorker(OfsPlugin):
         self.cache_sub_chunks = cache_sub_chunks
         self.cache_results = cache_results
         self.result_wait_timeout = result_wait_timeout
-        self.stats = WorkerStats()
         #: This worker's lifetime metrics, feeding the global registry;
         #: what every chunk query touches is resolved here, once.
         self.metrics = obs_metrics.Registry(parent=obs_metrics.REGISTRY)
+        self.stats = WorkerStats(self.metrics)
         self._execute_seconds = self.metrics.histogram("worker.execute.seconds")
         self._dump_seconds = self.metrics.histogram("worker.dump.seconds")
         self._queries = self.metrics.counter("worker.queries")
         self._result_bytes = self.metrics.counter("worker.result.bytes")
         self._results_evicted = self.metrics.counter("worker.results.evicted")
+        self._queries_cancelled = self.metrics.counter("worker.queries.cancelled")
+        self._queries_expired = self.metrics.counter("worker.queries.expired")
         self._queue_wait = self.metrics.histogram("worker.queue.wait.seconds")
         self._queue_depth = self.metrics.gauge(f"worker.queue.depth.{name}")
         # One record per result path; evicting a result is one pop.
@@ -542,7 +560,6 @@ class QservWorker(OfsPlugin):
         if record.owed > 0:
             return
         self._results.pop(path, None)
-        self.stats.results_evicted += 1
         self._results_evicted.add(1)
 
     # -- queue service ------------------------------------------------------------------
@@ -618,9 +635,8 @@ class QservWorker(OfsPlugin):
             record = self._record_locked(rpath)
             record.error = _CANCELLED_MESSAGE
             record.payload = None
-            self.stats.queries_cancelled += 1
             record.ready.set()
-        self.metrics.counter("worker.queries.cancelled").add(1)
+        self._queries_cancelled.add(1)
         obs_events.emit(
             "chunk_cancelled",
             worker=self.name,
@@ -667,9 +683,7 @@ class QservWorker(OfsPlugin):
         """Account for ``members`` of ``task`` that were never executed."""
         if refusal != _EXPIRED_MESSAGE:
             return
-        with self._lock:
-            self.stats.queries_expired += len(members)
-        self.metrics.counter("worker.queries.expired").add(len(members))
+        self._queries_expired.add(len(members))
         for chunk_id, _ in members:
             obs_events.emit("chunk_expired", worker=self.name, chunk=chunk_id)
 

@@ -68,13 +68,12 @@ one dict hit per statement.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from ..analysis.sanitizer import make_lock
+from ..lru import Lru
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from . import ast
@@ -1661,45 +1660,23 @@ def _band_pairing(conjunct: ast.Expr, position: int, side_of):
 FALLBACK = object()
 
 
-class KernelCache:
+class KernelCache(Lru):
     """LRU cache of compiled kernels, keyed like the czar plan cache.
 
     Keys are (normalized SQL, schema signature); values are
     :class:`CompiledKernel` objects or the :data:`FALLBACK` sentinel so
     repeated un-compilable statements cost one lookup, not one failed
     compile.  Safe to share across worker slots and merge databases --
-    kernels are stateless and the cache takes a sanitizer-aware lock.
+    kernels are stateless.
     """
 
     def __init__(self, capacity: int = 256):
-        self.capacity = capacity
-        self._lock = make_lock("KernelCache._lock")
-        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def lookup(self, key):
-        """The cached entry (kernel or FALLBACK), or None on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-        if entry is not None:
-            obs_metrics.counter("kernel.cache.hits").add(1)
-        else:
-            obs_metrics.counter("kernel.cache.misses").add(1)
-        return entry
-
-    def store(self, key, entry) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-            size = len(self._entries)
-        obs_metrics.gauge("kernel.cache.size").set(size)
+        super().__init__(
+            capacity,
+            hits=obs_metrics.counter("kernel.cache.hits"),
+            misses=obs_metrics.counter("kernel.cache.misses"),
+            size=obs_metrics.gauge("kernel.cache.size"),
+        )
 
     def get_or_compile(self, sel: ast.Select, tables, key: KernelKey | None = None):
         """Kernel for a select over ``tables``, or None (interpreter path).
@@ -1711,7 +1688,7 @@ class KernelCache:
         """
         sql, norm_sel, bindings = key or kernel_key(sel)
         cache_key = (sql, tuple(t.signature() for t in tables))
-        entry = self.lookup(cache_key)
+        entry = self.get(cache_key)
         if entry is None:
             try:
                 if len(tables) == 1:
@@ -1724,7 +1701,7 @@ class KernelCache:
             except KernelFallback:
                 entry = FALLBACK
                 obs_metrics.counter("kernel.fallbacks").add(1)
-            self.store(cache_key, entry)
+            self.put(cache_key, entry)
         if entry is FALLBACK:
             return None
         return entry

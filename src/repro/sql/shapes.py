@@ -35,32 +35,35 @@ holds them.
 from __future__ import annotations
 
 import re
-from collections import OrderedDict
 from typing import Optional, Sequence
 
-from ..analysis.races import track_shared
-from ..analysis.sanitizer import make_lock
+from ..lru import Lru
 from . import ast
 from .parser import parse
 
-__all__ = ["scan", "literals", "bind", "blank", "Template", "ShapeCache"]
+__all__ = ["text_key", "scan", "literals", "bind", "blank", "Template", "ShapeCache"]
 
-# The scanner's tokens: what it steps over in one piece (strings, quoted
-# names and comments, by the lexer's own rules; whole words, so that the
-# digits of ``Object_713`` or ``o1`` are never taken for a number), the
-# statement separator, and number tokens as the lexer delimits them.
+# What the lexer reads in one piece whatever is inside it, by its own
+# rules: strings, quoted names and comments.
+_STRING = r"""'(?:[^'\\]|\\.|'')*' | "(?:[^"\\]|\\.|"")*" | `[^`]*`"""
+_COMMENT = r"--[^\n]* | /\*.*?\*/"
+# The scanner's tokens: those, stepped over; whole words, so that the
+# digits of ``Object_713`` or ``o1`` are never taken for a number; the
+# statement separator; and number tokens as the lexer delimits them.
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
     | (?P<number>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?)
     | (?P<end>;)
-    | '(?:[^'\\]|\\.|'')*'
-    | "(?:[^"\\]|\\.|"")*"
-    | `[^`]*`
-    | --[^\n]*
-    | /\*.*?\*/
+    | {_STRING}
+    | {_COMMENT}
     """,
     re.VERBOSE | re.DOTALL,
+)
+# What separates two tokens (the lexer's white space, and comments), or
+# a string or quoted name, to be kept as it is.
+_GAP_RE = re.compile(
+    rf"(?P<kept>{_STRING}) | (?: [ \t\r\n]+ | {_COMMENT} )+", re.VERBOSE | re.DOTALL
 )
 # Words that open a WHERE/ON region, and those that close one.
 _OPEN = frozenset({"WHERE", "ON"})
@@ -69,6 +72,24 @@ _CLOSE = frozenset({"GROUP", "HAVING", "ORDER", "LIMIT", "SELECT", "UNION"})
 # Hole markers in a shape; neither character can occur in statement
 # text outside a string, quoted name or comment.
 _INT_HOLE, _FLOAT_HOLE = "?", "#"
+
+
+def text_key(text: str) -> str:
+    """The cache key of statement ``text``: each gap between tokens one space.
+
+    The one rule for a key made of text (:mod:`repro.lru`): white space
+    and comments fold between tokens, never inside ``'...'``, ``"..."``
+    or `` `...` ``, and the statement separator at the end goes.  Two
+    texts with one key are one token stream to the lexer, so whatever
+    is derived from either is derived from both.
+    """
+    if text.isascii() and text.isprintable() and not (
+        "'" in text or '"' in text or "`" in text or "--" in text or "/*" in text
+    ):  # spaces are its only white space and there is nothing to step over
+        key = " ".join(text.split())
+    else:
+        key = _GAP_RE.sub(lambda m: m.group("kept") or " ", text).lstrip(" ")
+    return key.rstrip(" ;")
 
 
 def scan(text: str) -> tuple[str, tuple]:
@@ -249,8 +270,7 @@ class Template:
         return tuple([_map_statement(stmt, take) for stmt in self.statements])
 
 
-@track_shared("_entries")
-class ShapeCache:
+class ShapeCache(Lru):
     """LRU from statement shape to whatever its owner derives from it.
 
     :meth:`parse` is the whole service for an owner that needs the AST
@@ -258,30 +278,6 @@ class ShapeCache:
     czar: the aggregation plan) uses :meth:`get` / :meth:`put` with
     entries of its own around :func:`scan` and :class:`Template`.
     """
-
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
-        self._lock = make_lock("ShapeCache._lock")
-        self._entries: "OrderedDict[object, object]" = OrderedDict()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, shape):
-        """The entry stored for ``shape``, or None."""
-        with self._lock:
-            entry = self._entries.get(shape)
-            if entry is not None:
-                self._entries.move_to_end(shape)
-        return entry
-
-    def put(self, shape, entry) -> None:
-        with self._lock:
-            self._entries[shape] = entry
-            self._entries.move_to_end(shape)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
 
     def parse(self, text: str) -> tuple:
         """``parse(text)``, by binding the shape's template when there is one."""

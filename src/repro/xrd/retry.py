@@ -112,9 +112,6 @@ class RetryPolicy:
     jitter:
         Fraction of the computed backoff added deterministically from
         the operation key (0 disables; 0.5 means up to +50%).
-    attempt_timeout:
-        Per-attempt budget in seconds; ``None`` leaves each attempt
-        bounded only by the overall query deadline.
     """
 
     max_attempts: int = 3
@@ -122,7 +119,6 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
     max_backoff: float = 0.5
     jitter: float = 0.5
-    attempt_timeout: Optional[float] = None
 
     def __post_init__(self):
         if self.max_attempts < 1:
@@ -155,12 +151,3 @@ class RetryPolicy:
         if delay > 0:
             time.sleep(delay)
         return True
-
-    def attempt_deadline(self, deadline: Optional[Deadline]) -> Optional[Deadline]:
-        """The tighter of the per-attempt budget and the overall deadline."""
-        if self.attempt_timeout is None:
-            return deadline
-        per = Deadline.after(self.attempt_timeout)
-        if deadline is None or per.expires_at < deadline.expires_at:
-            return per
-        return deadline

@@ -17,7 +17,6 @@ from repro.xrd import (
     HealthTracker,
     Redirector,
     RedirectError,
-    RetryPolicy,
     XrdClient,
 )
 
@@ -198,16 +197,18 @@ class TestHealthRouting:
             redirector.register(server)
             for i in range(1, 6):
                 server.export(f"/query2/{i}")
-        FaultPlan().fail_opens(3, mode="w").attach(a)
         health = HealthTracker(failure_threshold=3, cooldown=0.05)
-        client = XrdClient(
-            redirector, retry_policy=RetryPolicy(max_attempts=1), health=health
-        )
+        client = XrdClient(redirector, health=health)
 
-        # Three consecutive failures on the preferred replica trip it.
+        # A transaction is one shot: each failure on the preferred
+        # replica is the caller's RedirectError, drops the cached
+        # location and is told to the tracker; three trip it.
+        assert client.write_file("/query2/4", b"q") == "a"
+        FaultPlan().fail_opens(3, mode="w").attach(a)
         for _ in range(3):
             with pytest.raises(RedirectError):
-                client.write_file("/query2/1", b"q")
+                client.write_file("/query2/4", b"q")
+            assert "/query2/4" not in redirector._cache
         assert health.state("a") == "open"
 
         # While open, routing avoids it even though it is the tie-break
@@ -219,6 +220,24 @@ class TestHealthRouting:
         time.sleep(0.06)
         assert client.write_file("/query2/3", b"q") == "a"
         assert health.state("a") == "closed"
+
+    def test_the_dispatch_loop_lands_a_refused_write_on_the_replica(self):
+        """Section 5.6 where it lives: the client gives up at once and says
+        so, ``ChunkDispatch._retry`` asks the redirector again."""
+        health = HealthTracker(failure_threshold=1, cooldown=60.0)
+        tb = build_testbed(
+            num_workers=3, num_objects=600, seed=51, replication=2, health=health
+        )
+        try:
+            victim = tb.placement.nodes[0]
+            FaultPlan().fail_opens(99, mode="w").attach(tb.servers[victim])
+            r = tb.czar.submit("SELECT COUNT(*) FROM Object")
+            assert int(r.table.column("COUNT(*)")[0]) == 600
+            assert r.stats.chunks_retried >= 1
+            assert victim not in r.stats.workers_used
+            assert health.state(victim) == "open"
+        finally:
+            tb.shutdown()
 
 
 class TestRepeatedFailover:

@@ -17,10 +17,13 @@ from repro.qserv import (
     AdmissionController,
     QservOverloadError,
     QservQuotaError,
+    QueryError,
     TenantPolicy,
 )
+from repro.qserv.czar import QueryResult, QueryStats
 from repro.qserv.frontend import ResultCache
-from repro.qserv.frontend.cache import normalize_sql
+from repro.xrd import FaultPlan
+from repro.xrd.protocol import QUERY_PREFIX
 
 
 @pytest.fixture
@@ -272,21 +275,26 @@ class TestHealthScaledCapacity:
 
 class TestResultCache:
     def test_whitespace_variants_share_a_key(self):
-        assert normalize_sql("  SELECT   1 ;") == normalize_sql("SELECT 1")
+        assert ResultCache.key("  SELECT   1 ;") == ResultCache.key("SELECT 1")
+
+    def test_texts_that_differ_inside_a_string_do_not(self):
+        assert ResultCache.key("SELECT 'a  b'") != ResultCache.key("SELECT 'a b'")
 
     def test_lru_eviction(self):
+        r1, r2, r3 = (QueryResult(None, QueryStats()) for _ in range(3))
         c = ResultCache(capacity=2)
-        c.put("q1", "r1")
-        c.put("q2", "r2")
-        assert c.get("q1") == "r1"  # refresh q1
-        c.put("q3", "r3")
+        c.put("q1", r1)
+        c.put("q2", r2)
+        assert c.get("q1") is r1  # refresh q1
+        c.put("q3", r3)
         assert c.get("q2") is None  # q2 was the LRU victim
-        assert c.get("q1") == "r1"
-        assert c.get("q3") == "r3"
+        assert c.get("q1") is r1
+        assert c.get("q3") is r3
+        assert c.metrics.counter("frontend.cache.evicted").value == 1
 
     def test_capacity_zero_disables(self):
         c = ResultCache(capacity=0)
-        c.put("q", "r")
+        c.put("q", QueryResult(None, QueryStats()))
         assert c.get("q") is None
         assert len(c) == 0
 
@@ -303,6 +311,47 @@ class TestFrontendIntegration:
         assert r2 is r1  # served from cache, no re-execution
         hits = tb.frontend.cache.metrics.counter("frontend.cache.hits").value
         assert hits >= 1
+
+    def test_a_partial_result_answers_only_the_caller_who_allowed_it(self):
+        """The admission rule: what ``allow_partial`` left chunks out of is not cached."""
+        tb = build_testbed(num_workers=3, num_objects=600, seed=7, replication=2)
+        try:
+            sql = "SELECT objectId FROM Object"
+            rows = tb.czar.submit(sql).stats.chunk_profiles
+            worker = tb.workers[rows[0].worker]
+            missing = next(r for r in rows[1:] if r.worker == worker.name)
+            # Its worker no longer holds the chunk and its replicas refuse it.
+            dropped = [worker.db.get_table(n) for n in worker.chunk_tables(missing.chunk_id)]
+            for table in dropped:
+                worker.db.drop_table(table.name)
+            for server in tb.servers.values():
+                FaultPlan().fail_opens(
+                    99, mode="w", path_prefix=f"{QUERY_PREFIX}{missing.chunk_id}"
+                ).attach(server)
+            partial = tb.frontend.query(sql, allow_partial=True)
+            assert partial.stats.partial_result
+            assert partial.table.num_rows == 600 - missing.rows
+            assert len(tb.frontend.cache) == 0
+            with pytest.raises(QueryError):
+                tb.frontend.query(sql)
+            for table in dropped:
+                worker.db.create_table(table)
+            for server in tb.servers.values():
+                server.faults = None
+            assert tb.frontend.query(sql).table.num_rows == 600
+            assert tb.frontend.query(sql, allow_partial=True).table.num_rows == 600
+        finally:
+            tb.shutdown()
+
+    def test_texts_that_differ_inside_a_string_are_different_queries(self, tb):
+        """The key rule, through both text-keyed caches."""
+        none = tb.frontend.query("SELECT COUNT(*) FROM Object WHERE 'a  b' = 'a b'")
+        every = tb.frontend.query("SELECT COUNT(*) FROM Object WHERE 'a b' = 'a b'")
+        assert [n for (n,) in none.rows()] == [0]
+        assert [n for (n,) in every.rows()] == [400]
+        assert every.stats.plan_cache_hits == 0
+        again = tb.frontend.query("SELECT  COUNT(*) FROM Object\nWHERE 'a b' = 'a b' ;")
+        assert again is every
 
     def test_quota_enforced_through_frontend(self, tb):
         tb.frontend.set_policy("greedy", TenantPolicy(row_budget=0))

@@ -1,45 +1,87 @@
-"""Tests for multi-master load balancing (paper section 7.6)."""
+"""Multi-master load balancing (paper section 7.6): a frontend over N czars."""
 
-import numpy as np
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.data import build_testbed
-from repro.qserv import LoadBalancingFrontend
+from repro.qserv import Czar, QservFrontend
+from repro.xrd import HealthTracker
+
+from .test_jobs import wait_status
 
 
 @pytest.fixture(scope="module")
 def tb():
     # Threaded workers so concurrent czars actually overlap.
-    return build_testbed(num_workers=3, num_objects=900, seed=61, worker_slots=2)
+    tb = build_testbed(num_workers=3, num_objects=900, seed=61, worker_slots=2)
+    yield tb
+    tb.shutdown()
+
+
+def make_frontend(tb, num_masters, cache_entries=0):
+    """A frontend over ``num_masters`` czars sharing ``tb``'s cluster; by
+    default without a result cache, so every query reaches a czar."""
+    czars = [
+        Czar(
+            tb.redirector,
+            tb.metadata,
+            tb.chunker,
+            secondary_index=tb.secondary_index,
+            available_chunks=tb.placement.chunk_ids,
+        )
+        for _ in range(num_masters)
+    ]
+    return QservFrontend(czars, cache_entries=cache_entries)
+
+
+def close(frontend):
+    frontend.shutdown()
+    for czar in frontend.czars:
+        czar.close()
 
 
 @pytest.fixture(scope="module")
 def frontend(tb):
-    return LoadBalancingFrontend(
-        tb.redirector,
-        tb.metadata,
-        tb.chunker,
-        num_masters=3,
-        secondary_index=tb.secondary_index,
-        available_chunks=tb.placement.chunk_ids,
-    )
+    frontend = make_frontend(tb, 3)
+    yield frontend
+    close(frontend)
+
+
+def load_per_master(frontend):
+    """(queries, chunks dispatched) per czar, from each czar's own counters."""
+    return [
+        (
+            czar.metrics.counter("czar.queries").value,
+            czar.metrics.counter("czar.chunks.dispatched").value,
+        )
+        for czar in frontend.czars
+    ]
+
+
+def query_concurrent(frontend, statements):
+    """One thread per statement; results in input order, the first error raised."""
+    with ThreadPoolExecutor(max_workers=len(statements)) as pool:
+        return list(pool.map(frontend.query, statements))
 
 
 class TestConstruction:
-    def test_bad_master_count(self, tb):
+    def test_bad_master_count(self):
         with pytest.raises(ValueError):
-            LoadBalancingFrontend(tb.redirector, tb.metadata, tb.chunker, num_masters=0)
+            QservFrontend([])
 
-    def test_num_masters(self, frontend):
-        assert frontend.num_masters == 3
+    def test_num_masters(self, frontend, tb):
+        assert len(frontend.czars) == 3
+        assert len(tb.frontend.czars) == 1  # one czar is the list of one
 
 
 class TestRoundRobin:
     def test_queries_rotate_masters(self, frontend, tb):
+        before = load_per_master(frontend)
         for _ in range(6):
             frontend.query("SELECT COUNT(*) FROM Object")
-        loads = frontend.load_per_master()
-        assert [q for q, _ in loads] == [2, 2, 2]
+        loads = load_per_master(frontend)
+        assert [a[0] - b[0] for a, b in zip(loads, before)] == [2, 2, 2]
 
     def test_results_identical_across_masters(self, frontend, tb):
         results = [
@@ -49,6 +91,20 @@ class TestRoundRobin:
         assert len(set(results)) == 1
         assert results[0] == tb.tables["Object"].num_rows
 
+    def test_multi_master_traffic_is_admitted_and_cached(self, tb):
+        """What the separate balancer bypassed: admission, the result cache, jobs."""
+        fe = make_frontend(tb, 2, cache_entries=64)
+        try:
+            first = fe.query("SELECT COUNT(*) FROM Object", user="alice")
+            assert fe.query("SELECT COUNT(*) FROM Object", user="bob") is first
+            assert fe.admission.snapshot()["alice"]["rows_used"] == 1
+            assert [q for q, _ in load_per_master(fe)] == [1, 0]
+            job = fe.submit_job("SELECT COUNT(*) FROM Object", user="alice")
+            assert wait_status(fe.jobs, job, timeout=30.0)["status"] == "done"
+            assert [q for q, _ in load_per_master(fe)] == [1, 1]
+        finally:
+            close(fe)
+
 
 class TestConcurrent:
     def test_concurrent_batch_correct(self, frontend, tb):
@@ -56,7 +112,7 @@ class TestConcurrent:
         oids = [int(v) for v in obj.column("objectId")[:6]]
         statements = [f"SELECT objectId FROM Object WHERE objectId = {o}" for o in oids]
         statements.append("SELECT COUNT(*) FROM Object")
-        results = frontend.query_concurrent(statements)
+        results = query_concurrent(frontend, statements)
         for oid, r in zip(oids, results[:-1]):
             assert [int(v) for v in r.table.column("objectId")] == [oid]
         assert int(results[-1].table.column("COUNT(*)")[0]) == obj.num_rows
@@ -67,48 +123,35 @@ class TestConcurrent:
             "SELECT chunkId, COUNT(*) AS n FROM Object GROUP BY chunkId",
             "SELECT AVG(ra_PS) FROM Object",
         ]
-        results = frontend.query_concurrent(statements)
+        results = query_concurrent(frontend, statements)
         assert len(results) == 3
         assert all(r.table.num_rows >= 1 for r in results)
 
     def test_errors_propagate(self, frontend):
         with pytest.raises(Exception):
-            frontend.query_concurrent(["SELECT nope FROM Object"])
+            query_concurrent(frontend, ["SELECT nope FROM Object"])
 
 
 class TestChunkAccounting:
     def test_chunk_load_spreads(self, frontend, tb):
-        before = frontend.load_per_master()
+        before = load_per_master(frontend)
         for _ in range(3):
             frontend.query("SELECT COUNT(*) FROM Object")
-        after = frontend.load_per_master()
+        after = load_per_master(frontend)
         deltas = [a[1] - b[1] for a, b in zip(after, before)]
         assert sum(deltas) == 3 * len(tb.placement.chunk_ids)
 
 
 class TestMasterHealth:
-    def make_frontend(self, tb, cooldown=0.05, clock=None):
-        from repro.xrd import HealthTracker
-
-        kwargs = {"failure_threshold": 3, "cooldown": cooldown}
-        if clock is not None:
-            kwargs["clock"] = clock
-        return LoadBalancingFrontend(
-            tb.redirector,
-            tb.metadata,
-            tb.chunker,
-            num_masters=2,
-            secondary_index=tb.secondary_index,
-            available_chunks=tb.placement.chunk_ids,
-            master_health=HealthTracker(**kwargs),
-        )
-
     def test_failing_master_skipped_then_probed_back(self, tb):
         # A fake clock makes the cooldown window deterministic: with
         # the real clock, slow runs (race-sanitized CI) let the
         # cooldown elapse mid-test and the probe fires early.
         now = [0.0]
-        fe = self.make_frontend(tb, clock=lambda: now[0])
+        fe = make_frontend(tb, 2)
+        fe.czar_health = HealthTracker(
+            failure_threshold=3, cooldown=0.05, clock=lambda: now[0]
+        )
         try:
             broken = fe.czars[0]
             original = broken.submit
@@ -126,17 +169,28 @@ class TestMasterHealth:
                 except RuntimeError:
                     failures += 1
             assert failures == 3  # exactly the trip threshold
-            assert fe.unhealthy_masters() == [0]
-            # While open, every query routes around master-0.
+            assert fe.czar_health.state("czar-0") == "open"
+            assert fe.czar_health.state("czar-1") == "closed"
+            # While open, every query routes around czar-0.
             for _ in range(4):
                 fe.query("SELECT COUNT(*) FROM Object")
 
-            # Cooldown elapses; the probe goes back through master-0,
+            # Cooldown elapses; the probe goes back through czar-0,
             # which has recovered, and the breaker closes.
             broken.submit = original
             now[0] += 0.06
             for _ in range(4):
                 fe.query("SELECT COUNT(*) FROM Object")
-            assert fe.unhealthy_masters() == []
+            assert fe.czar_health.state("czar-0") == "closed"
         finally:
-            fe.close()
+            close(fe)
+
+    def test_a_query_that_is_wrong_is_not_held_against_its_czar(self, tb):
+        fe = make_frontend(tb, 2)
+        try:
+            for _ in range(8):
+                with pytest.raises(ValueError):
+                    fe.query("SELECT nope FROM NoSuchTable")
+            assert [fe.czar_health.state(f"czar-{i}") for i in (0, 1)] == ["closed"] * 2
+        finally:
+            close(fe)

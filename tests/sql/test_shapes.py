@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sql import ast
+from repro.sql.lexer import LexError, TokenType, tokenize
 from repro.sql.parser import ParseError, parse, parse_one
-from repro.sql.shapes import ShapeCache, Template, bind, blank, literals, scan
+from repro.sql.shapes import ShapeCache, Template, bind, blank, literals, scan, text_key
 
 from .test_ast_fuzz import expressions, identifiers, selects
 
@@ -230,3 +231,56 @@ class TestShapeCache:
         assert literals(first[0]) == (1, 2.5)
         assert literals(second[0]) == (10, 0.5)
         assert first[0].items is second[0].items  # shared, frozen
+
+
+# -- the key of a statement text -------------------------------------------------
+
+# What a text is made of, as far as folding can tell: tokens, the gaps
+# between them, what the lexer steps over in one piece, and the halves
+# of such pieces (an unterminated string fails to lex with any spacing).
+_PIECES = (
+    "SELECT", "x", "o1", "Object_713", "1", "2.5", "1e-3", ".5", "=", "<=", "-", "/", "*",
+    "(", ")", ",", ".", ";", " ", "  ", "\t", "\n", "\r\n", "\x0b", "\xa0", "\\",
+    "'a b'", "'a  b'", "'it''s  '", "'a\\'  b'", '"a  b"', '"say ""x  y"""', "`a  b`",
+    "'--'", "'/*'", "-- c  d\n", "-- it's", "/* c  d */", "/* ' */", "/*", "*/", "--",
+    "'", '"', "`",
+)
+texts = st.lists(st.sampled_from(_PIECES), max_size=12).map("".join)
+
+
+def lexed(text):
+    """The token stream of ``text`` less its trailing separators, or 'error'."""
+    try:
+        tokens = [(t.type, t.value) for t in tokenize(text)[:-1]]
+    except LexError:
+        return "error"
+    while tokens and tokens[-1] == (TokenType.OP, ";"):
+        tokens.pop()
+    return tokens
+
+
+class TestTextKey:
+    @settings(max_examples=1500, deadline=None)
+    @given(texts, texts)
+    def test_equal_keys_are_equal_token_streams(self, a, b):
+        # A key lexes as its text does, so texts that share one lex alike.
+        assert lexed(text_key(a)) == lexed(a)
+        if text_key(a) == text_key(b):
+            assert lexed(a) == lexed(b)
+
+    @given(st.lists(st.sampled_from(("SELECT", "x", "'a  b'", "`c  d`", "1", "=", ",")), min_size=1))
+    def test_spacing_between_tokens_does_not_make_a_key(self, tokens):
+        assert (
+            text_key("  " + " \n\t".join(tokens) + " /* tail */ ; ")
+            == text_key(" -- head\n".join(tokens))
+            == " ".join(tokens)
+        )
+
+    def test_spacing_inside_quotes_does(self):
+        for quote in "'\"`":
+            a, b = (f"SELECT {quote}a{gap}b{quote}" for gap in (" ", "  "))
+            assert text_key(a) == a != text_key(b) == b
+
+    def test_only_the_lexers_white_space_folds(self):
+        assert text_key("SELECT\x0b1") != text_key("SELECT 1")
+        assert text_key("  SELECT   1 ;") == text_key("SELECT\r\n1") == "SELECT 1"

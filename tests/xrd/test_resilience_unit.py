@@ -67,16 +67,6 @@ class TestRetryPolicy:
         assert p.sleep_before(1, "k", Deadline.after(0.02)) is True
         assert time.perf_counter() - t0 < 1.0
 
-    def test_attempt_deadline_takes_tighter_bound(self):
-        p = RetryPolicy(attempt_timeout=0.1)
-        overall = Deadline.after(100.0)
-        per = p.attempt_deadline(overall)
-        assert per is not overall
-        assert per.remaining() <= 0.1
-        loose = RetryPolicy(attempt_timeout=100.0)
-        assert loose.attempt_deadline(Deadline.after(0.1)).remaining() <= 0.1
-        assert RetryPolicy().attempt_deadline(overall) is overall
-
 
 class FakeClock:
     def __init__(self):

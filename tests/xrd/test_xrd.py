@@ -7,8 +7,10 @@ import pytest
 from repro.obs import metrics as obs_metrics
 from repro.xrd import (
     DataServer,
+    FaultPlan,
     FileSystem,
     FileSystemError,
+    HealthTracker,
     OfsPlugin,
     RedirectError,
     Redirector,
@@ -337,12 +339,36 @@ class TestClient:
             client.write_file(query_path(99), "q")
 
     def test_mid_transaction_failover(self):
-        """Cached server dies after first dispatch; retry lands on replica."""
+        """Cached server dies after first dispatch; the redirector re-resolves."""
         r, _ = self.make_qserv_like_cluster()
         client = XrdClient(r)
         assert client.write_file(query_path(6), "q1") == "w0"
         r.server("w0").fail()
         assert client.write_file(query_path(6), "q2") == "w1"
+
+    def test_a_transaction_is_one_shot(self):
+        """One failure: RedirectError, the location dropped, health told.
+
+        Trying the replica is the caller's loop (``ChunkDispatch._retry``;
+        ``tests/qserv/test_fault_tolerance.py`` lands on it).
+        """
+        r, plugins = self.make_qserv_like_cluster()
+        health = HealthTracker()
+        client = XrdClient(r, health=health)
+        assert client.write_file(query_path(6), "q1") == "w0"
+        FaultPlan().fail_opens(1).attach(r.server("w0"))
+        with pytest.raises(RedirectError):
+            client.write_file(query_path(6), "q2")
+        assert not plugins["w1"].written  # no second attempt was made
+        assert health.snapshot()["w0"].consecutive_failures == 1
+        assert query_path(6) not in r._cache
+        # The same for a pinned read: its worker alone is asked.
+        FaultPlan().fail_opens(1, mode="r").attach(r.server("w0"))
+        client.write_file(query_path(5), "q3")
+        with pytest.raises(RedirectError):
+            client.read_file(result_path("q3"), server_name="w0")
+        assert health.snapshot()["w0"].consecutive_failures == 1
+        assert query_path(5) not in r._cache
 
     def test_read_missing_result(self):
         r, _ = self.make_qserv_like_cluster()
@@ -367,8 +393,3 @@ class TestClient:
         client = XrdClient(r)
         assert client.exists(query_path(5))
         assert not client.exists(query_path(99))
-
-    def test_bad_retries(self):
-        r, _ = self.make_qserv_like_cluster()
-        with pytest.raises(ValueError):
-            XrdClient(r, max_retries=-1)

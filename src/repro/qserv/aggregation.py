@@ -87,7 +87,7 @@ def build_aggregation_plan(select: ast.Select) -> AggregationPlan:
     merge_items: list[ast.SelectItem] = []
     for item in select.items:
         if contains_aggregate(item.expr):
-            merged = collector.rewrite(item.expr)
+            merged = _merge_side(item.expr, collector)
             merge_items.append(ast.SelectItem(merged, item.output_name()))
         else:
             # A group key: pass it through the chunk query under its
@@ -109,7 +109,7 @@ def build_aggregation_plan(select: ast.Select) -> AggregationPlan:
 
     merge_having = None
     if select.having is not None:
-        merge_having = collector.rewrite(select.having)
+        merge_having = _merge_side(select.having, collector)
 
     return AggregationPlan(
         chunk_items=tuple(collector.items),
@@ -144,35 +144,6 @@ class _PartialCollector:
     def passthrough_name(self, expr: ast.Expr) -> str | None:
         return self._by_sql.get(expr.to_sql())
 
-    def rewrite(self, expr: ast.Expr) -> ast.Expr:
-        """Merge-side version of ``expr``: aggregates become combiners."""
-        if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
-            return self._combine(expr)
-        if isinstance(expr, ast.FuncCall):
-            return ast.FuncCall(
-                expr.name, tuple(self.rewrite(a) for a in expr.args), expr.distinct
-            )
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(expr.op, self.rewrite(expr.left), self.rewrite(expr.right))
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(expr.op, self.rewrite(expr.operand))
-        if isinstance(expr, ast.Between):
-            return ast.Between(
-                self.rewrite(expr.value),
-                self.rewrite(expr.low),
-                self.rewrite(expr.high),
-                expr.negated,
-            )
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                self.rewrite(expr.value),
-                tuple(self.rewrite(i) for i in expr.items),
-                expr.negated,
-            )
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(self.rewrite(expr.value), expr.negated)
-        return expr
-
     def _combine(self, agg: ast.FuncCall) -> ast.Expr:
         name = agg.name.upper()
         # Canonicalize the function name so 'count(*)' and 'COUNT(*)'
@@ -202,3 +173,10 @@ class _PartialCollector:
             col = self._emit(agg, agg.to_sql())
             return ast.FuncCall(name, (ast.ColumnRef(column=col),))
         raise AggregationError(f"unsupported aggregate {name}")
+
+
+def _merge_side(expr: ast.Expr, collector: _PartialCollector) -> ast.Expr:
+    """Merge-side version of ``expr``: aggregates become combiners."""
+    if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
+        return collector._combine(expr)
+    return expr.map(_merge_side, collector)

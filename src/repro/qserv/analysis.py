@@ -95,10 +95,9 @@ def analyze(query: Union[str, ast.Select], metadata: CatalogMetadata) -> QueryAn
     analysis = QueryAnalysis(select=select)
 
     # -- table references --------------------------------------------------------
-    refs = list(select.tables) + [j.table for j in select.joins]
-    if not refs:
+    if not select.refs:
         raise QservAnalysisError("query has no FROM clause")
-    for ref in refs:
+    for ref in select.refs:
         if ref.database is not None and ref.database != metadata.database:
             raise QservAnalysisError(
                 f"unknown database {ref.database!r} (expected {metadata.database!r})"
@@ -109,8 +108,8 @@ def analyze(query: Union[str, ast.Select], metadata: CatalogMetadata) -> QueryAn
             analysis.unpartitioned_refs.append(ref)
 
     # -- spatial restriction --------------------------------------------------------
-    conjuncts = _split_conjuncts(select.where)
-    _reject_nested_areaspec(select.where, top_level=conjuncts)
+    conjuncts = ast.split_conjuncts(select.where)
+    _reject_nested_areaspec(select, top_level=conjuncts)
     residual: list[ast.Expr] = []
     for c in conjuncts:
         region = _as_areaspec(c)
@@ -120,7 +119,7 @@ def analyze(query: Union[str, ast.Select], metadata: CatalogMetadata) -> QueryAn
             analysis.region = region
         else:
             residual.append(c)
-    analysis.residual_where = _join_conjuncts(residual)
+    analysis.residual_where = ast.join_conjuncts(residual)
 
     # -- secondary-index opportunity ----------------------------------------------------
     index_cols = {}
@@ -153,23 +152,6 @@ def analyze(query: Union[str, ast.Select], metadata: CatalogMetadata) -> QueryAn
 
 
 # -- helpers ---------------------------------------------------------------------------
-
-
-def _split_conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op.upper() == "AND":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
-
-
-def _join_conjuncts(conjuncts: list[ast.Expr]) -> Optional[ast.Expr]:
-    if not conjuncts:
-        return None
-    out = conjuncts[0]
-    for c in conjuncts[1:]:
-        out = ast.BinaryOp("AND", out, c)
-    return out
 
 
 def _literal_value(expr: ast.Expr) -> Optional[float]:
@@ -228,45 +210,26 @@ def _as_areaspec(expr: ast.Expr) -> Optional[Region]:
         raise QservAnalysisError(f"qserv_areaspec_poly: {e}") from e
 
 
-def _reject_nested_areaspec(expr: Optional[ast.Expr], top_level: list[ast.Expr]):
-    """Areaspec functions anywhere except as top-level conjuncts are errors.
+def _reject_nested_areaspec(select: ast.Select, top_level: list[ast.Expr]):
+    """Areaspec functions anywhere except as top-level WHERE conjuncts are errors.
 
     An areaspec under OR/NOT cannot be honored by restricting dispatch
-    (it would silently widen or narrow results), so it is rejected --
-    matching Qserv, which requires areaspec restrictions up front.
+    (it would silently widen or narrow results), and one in another
+    clause would reach a worker or the merge, which know no such
+    function; so it is rejected -- matching Qserv, which requires
+    areaspec restrictions up front.
     """
     top = set(map(id, top_level))
-
-    def walk(e, under_other):
-        if e is None:
-            return
-        is_areaspec = (
-            isinstance(e, ast.FuncCall) and e.name.upper() in _AREASPEC_FUNCS
-        )
-        if is_areaspec and under_other:
-            raise QservAnalysisError(
-                "qserv_areaspec_* must be a top-level AND conjunct of WHERE"
-            )
-        if isinstance(e, ast.BinaryOp):
-            nested = under_other or e.op.upper() not in ("AND",)
-            walk(e.left, nested)
-            walk(e.right, nested)
-        elif isinstance(e, ast.UnaryOp):
-            walk(e.operand, True)
-        elif isinstance(e, ast.FuncCall) and not is_areaspec:
-            for a in e.args:
-                walk(a, True)
-        elif isinstance(e, ast.Between):
-            for sub in (e.value, e.low, e.high):
-                walk(sub, True)
-        elif isinstance(e, ast.InList):
-            walk(e.value, True)
-            for i in e.items:
-                walk(i, True)
-        elif isinstance(e, ast.IsNull):
-            walk(e.value, True)
-
-    walk(expr, False)
+    for clause, expr in select.clauses():
+        for e in expr.walk():
+            if not (isinstance(e, ast.FuncCall) and e.name.upper() in _AREASPEC_FUNCS):
+                continue
+            if clause != "WHERE" or id(e) not in top:
+                place = "nested in WHERE" if clause == "WHERE" else f"in {clause}"
+                raise QservAnalysisError(
+                    f"qserv_areaspec_* must be a top-level AND conjunct of WHERE, "
+                    f"found {place}"
+                )
 
 
 def _find_index_values(conjuncts: list[ast.Expr], index_cols: dict[str, str]) -> list[int]:

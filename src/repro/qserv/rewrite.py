@@ -16,7 +16,7 @@ boundary are found without touching another node (section 4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..partition import Chunker
 from ..sphgeom import Region, SphericalBox, SphericalCircle, SphericalConvexPolygon
@@ -93,9 +93,12 @@ def generate_chunk_queries(
     # Pushing a LIMIT below an OFFSET needs limit+offset rows per chunk.
     if push_limit is not None and sel.offset:
         push_limit = sel.limit + sel.offset
-    # What every statement of every chunk shares; FROM tables vary.
+    # What every statement of every chunk shares; only the physical
+    # tables behind its refs vary.
     stmt = ast.Select(
         items=plan.chunk_items,
+        tables=sel.tables,
+        joins=sel.joins,
         where=where,
         group_by=sel.group_by,
         order_by=push_order,
@@ -164,15 +167,21 @@ def _chunk_where(analysis: QueryAnalysis, metadata: CatalogMetadata) -> ast.Expr
     return where
 
 
-def _rewrite_ref(
-    ref: ast.TableRef, metadata: CatalogMetadata, physical: str
-) -> ast.TableRef:
-    """A table ref pointing at a physical worker table, alias preserved.
+def _over(stmt: ast.Select, metadata: CatalogMetadata, physical) -> ast.Select:
+    """``stmt`` with each partitioned ref over the worker table ``physical(ref)``.
 
     The binding name (alias) is always pinned to the original name so
-    column qualifications like ``Object.ra_PS`` keep resolving.
+    column qualifications like ``Object.ra_PS`` keep resolving;
+    unpartitioned refs stay as they are.
     """
-    return ast.TableRef(table=physical, database=metadata.database, alias=ref.name)
+    return stmt.with_refs(
+        [
+            ast.TableRef(table=physical(ref), database=metadata.database, alias=ref.name)
+            if metadata.is_partitioned(ref.table)
+            else ref
+            for ref in stmt.refs
+        ]
+    )
 
 
 # Stand in for the chunk id and the sub-chunk id while a statement is
@@ -193,32 +202,16 @@ def _chunk_statements(
     names, so the text is rendered once, for a chunk id nobody uses, and
     each chunk's text is that with its own id substituted.
     """
-    sel = analysis.select
 
-    def over(chunk_id: int) -> ast.Select:
-        def rewrite(ref: ast.TableRef) -> ast.TableRef:
-            if metadata.is_partitioned(ref.table):
-                return _rewrite_ref(
-                    ref, metadata, chunk_table_name(ref.table, chunk_id)
-                )
-            return ref
+    def render(chunk_id: int) -> str:
+        chunk = _over(stmt, metadata, lambda ref: chunk_table_name(ref.table, chunk_id))
+        return chunk.to_sql() + ";"
 
-        return replace(
-            stmt,
-            tables=tuple(rewrite(r) for r in sel.tables),
-            joins=tuple(
-                ast.JoinClause(j.kind, rewrite(j.table), j.on) for j in sel.joins
-            ),
-        )
-
-    pieces = (over(_ANY_CHUNK).to_sql() + ";").split(f"_{_ANY_CHUNK}")
+    pieces = render(_ANY_CHUNK).split(f"_{_ANY_CHUNK}")
     if len(pieces) - 1 != len(analysis.partitioned_refs):
         # The stand-in also occurs elsewhere (a literal of the query):
         # render every chunk in full.
-        return [
-            ChunkQuerySpec(chunk_id=cid, text=over(cid).to_sql() + ";")
-            for cid in chunk_ids
-        ]
+        return [ChunkQuerySpec(chunk_id=cid, text=render(cid)) for cid in chunk_ids]
     return [
         ChunkQuerySpec(chunk_id=cid, text=f"_{cid}".join(pieces)) for cid in chunk_ids
     ]
@@ -231,8 +224,12 @@ def _sub_chunk_statements(
     stmt: ast.Select,
     chunk_id: int,
 ) -> ChunkQuerySpec | None:
-    """The sub-chunk (near-neighbor) form of ``stmt`` for one chunk."""
-    sel = analysis.select
+    """The sub-chunk (near-neighbor) form of ``stmt`` for one chunk.
+
+    The first two director refs name a sub-chunk table and its own or
+    its overlap companion; every other partitioned ref names the chunk
+    table.  Refs keep their places, so a JOIN keeps its ON clause.
+    """
     director_refs = [
         r
         for r in analysis.partitioned_refs
@@ -250,25 +247,15 @@ def _sub_chunk_statements(
     else:
         scids = chunker.sub_chunks_of(chunk_id)
 
-    other_refs = [
-        r
-        for r in list(sel.tables) + [j.table for j in sel.joins]
-        if r is not inner_ref and r is not outer_ref
-    ]
-    others = [
-        _rewrite_ref(r, metadata, chunk_table_name(r.table, chunk_id))
-        if metadata.is_partitioned(r.table)
-        else r
-        for r in other_refs
-    ]
+    def render(scid: int, outer_name) -> str:
+        def physical(ref: ast.TableRef) -> str:
+            if ref is inner_ref:
+                return sub_chunk_table_name(table, chunk_id, scid)
+            if ref is outer_ref:
+                return outer_name(table, chunk_id, scid)
+            return chunk_table_name(ref.table, chunk_id)
 
-    def over(scid: int, outer_name) -> str:
-        tables = (
-            _rewrite_ref(inner_ref, metadata, sub_chunk_table_name(table, chunk_id, scid)),
-            _rewrite_ref(outer_ref, metadata, outer_name(table, chunk_id, scid)),
-            *others,
-        )
-        return replace(stmt, tables=tables).to_sql() + ";"
+        return _over(stmt, metadata, physical).to_sql() + ";"
 
     # The statements of one kind (self pair, overlap pair) differ only
     # in the sub-chunk id inside their two table names, so each kind is
@@ -276,13 +263,13 @@ def _sub_chunk_statements(
     # sub-chunk's text is that with its own id substituted.
     statements: list[list[str]] = []
     for outer_name in (sub_chunk_table_name, overlap_table_name):
-        pieces = over(_ANY_SUB_CHUNK, outer_name).split(f"_{_ANY_SUB_CHUNK}")
+        pieces = render(_ANY_SUB_CHUNK, outer_name).split(f"_{_ANY_SUB_CHUNK}")
         if len(pieces) == 3:
             statements.append([f"_{int(scid)}".join(pieces) for scid in scids])
         else:
             # The stand-in also occurs elsewhere (a literal of the
             # query): render every sub-chunk in full.
-            statements.append([over(int(scid), outer_name) for scid in scids])
+            statements.append([render(int(scid), outer_name) for scid in scids])
 
     header = f"{SUBCHUNK_HEADER_PREFIX} {', '.join(str(int(s)) for s in scids)}"
     text = header + "\n" + "\n".join(

@@ -182,25 +182,6 @@ class WorkerStats:
         return self.metrics.counter("worker.queries.expired").value
 
 
-def _table_refs(stmt) -> list:
-    """FROM and JOIN table refs of a parsed statement (none for DDL)."""
-    return list(getattr(stmt, "tables", ())) + [
-        j.table for j in getattr(stmt, "joins", ())
-    ]
-
-
-def _rename(stmt: ast.Select, names: tuple) -> ast.Select:
-    """``stmt`` with its FROM and JOIN tables named ``names``, in clause order."""
-    name = iter(names)
-    return replace(
-        stmt,
-        tables=tuple(replace(ref, table=next(name)) for ref in stmt.tables),
-        joins=tuple(
-            replace(j, table=replace(j.table, table=next(name))) for j in stmt.joins
-        ),
-    )
-
-
 # Stands in for a chunk or sub-chunk id in an id-free statement text;
 # no statement that lexes has it outside a string or comment.
 _ANY_ID = "@"
@@ -257,8 +238,8 @@ class _Prepared(NamedTuple):
 
 def _parsed_in_full(stmt: ast.Statement, kernel_key) -> tuple:
     """``(prepared statement, FROM table names)`` of a statement taken as it is."""
-    names = tuple(ref.table for ref in _table_refs(stmt))
-    return _Prepared(stmt, kernel_key, None, ()), names
+    refs = stmt.refs if isinstance(stmt, ast.Select) else ()
+    return _Prepared(stmt, kernel_key, None, ()), tuple(ref.table for ref in refs)
 
 
 @dataclass
@@ -274,7 +255,10 @@ class _Family:
         stmt = self.prepared.stmt
         if self.prepared.shape is None:
             return [stmt]  # parsed in full: it names its own tables
-        return [_rename(stmt, names) for names in self.members]
+        return [
+            stmt.with_refs([replace(ref, table=name) for ref, name in zip(stmt.refs, names)])
+            for names in self.members
+        ]
 
 
 # A statement of a chunk-query body: up to a ';' outside strings and
@@ -947,7 +931,7 @@ class QservWorker(OfsPlugin):
         template = Template.of(stmts, values)
         refs = tuple(
             ref.table if m is None else (m[1], m[3] is not None)
-            for ref in _table_refs(stmt)
+            for ref in stmt.refs
             for m in [_CHUNK_TABLE_RE.fullmatch(ref.table)]
         )
         if template is None or sum(type(ref) is tuple for ref in refs) != names:

@@ -5,14 +5,24 @@ node knows how to render itself back to SQL text (``to_sql``) -- the
 Qserv czar manipulates parsed queries and then *re-emits SQL text* for
 dispatch to workers, so faithful round-tripping is a first-class
 requirement, not a debugging aid.
+
+The shape of the tree is described here and nowhere else.  An
+expression node lists its sub-expressions (:meth:`Expr.children`) and
+rebuilds itself around new ones (:meth:`Expr.map`); a :class:`Select`
+lists its table refs (:attr:`Select.refs`), renames them
+(:meth:`Select.with_refs`) and lists its clause expressions
+(:meth:`Select.clauses`).  Code elsewhere traverses a tree through
+these, never by naming a node's fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence, Union
 
 __all__ = [
+    "split_conjuncts",
+    "join_conjuncts",
     "Expr",
     "Literal",
     "Null",
@@ -54,10 +64,40 @@ _PREC_PRIMARY = 8
 
 
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
+
+    A leaf (literal, NULL, star, column) has no children and maps to
+    itself; every composite class defines :meth:`children` and
+    :meth:`map` for its own fields, so a new node type is known to every
+    traversal once it defines those two.
+    """
 
     #: Printer precedence of this node (see the _PREC_* levels).
     precedence: int = _PREC_PRIMARY
+
+    def children(self) -> tuple[Expr, ...]:
+        """The sub-expressions of this node, in text order."""
+        return ()
+
+    def map(self, f, arg) -> Expr:
+        """This node with ``f(child, arg)`` in place of each child.
+
+        ``f`` is called on the children in text order; ``arg`` is
+        whatever the caller threads through the recursion.  It is one
+        argument, not ``*args``: statement binding maps every WHERE tree
+        and a star-call would cost it a fifth of its time.
+        """
+        return self
+
+    def walk(self) -> Sequence[Expr]:
+        """This node and every node under it, in text order (pre-order)."""
+        children = self.children()
+        if not children:
+            return (self,)
+        nodes = [self]
+        for child in children:
+            nodes += child.walk()
+        return nodes
 
     def to_sql(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -138,6 +178,12 @@ class FuncCall(Expr):
     def is_aggregate(self) -> bool:
         return self.name.upper() in AGGREGATE_FUNCS
 
+    def children(self) -> tuple[Expr, ...]:
+        return self.args
+
+    def map(self, f, arg) -> FuncCall:
+        return FuncCall(self.name, tuple([f(a, arg) for a in self.args]), self.distinct)
+
     def to_sql(self) -> str:
         inner = ", ".join(a.to_sql() for a in self.args)
         if self.distinct:
@@ -153,6 +199,12 @@ class UnaryOp(Expr):
     @property
     def precedence(self) -> int:
         return _PREC_NOT if self.op.upper() == "NOT" else _PREC_UNARY
+
+    def children(self) -> tuple[Expr, ...]:
+        return (self.operand,)
+
+    def map(self, f, arg) -> UnaryOp:
+        return UnaryOp(self.op, f(self.operand, arg))
 
     def to_sql(self) -> str:
         if self.op.upper() == "NOT":
@@ -190,6 +242,12 @@ class BinaryOp(Expr):
     def precedence(self) -> int:
         return _BINARY_PRECEDENCE[self.op.upper() if self.op.isalpha() else self.op]
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.left, self.right)
+
+    def map(self, f, arg) -> BinaryOp:
+        return BinaryOp(self.op, f(self.left, arg), f(self.right, arg))
+
     def to_sql(self) -> str:
         op = self.op.upper() if self.op.isalpha() else self.op
         prec = self.precedence
@@ -213,6 +271,14 @@ class Between(Expr):
 
     precedence = _PREC_COMPARE
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.value, self.low, self.high)
+
+    def map(self, f, arg) -> Between:
+        return Between(
+            f(self.value, arg), f(self.low, arg), f(self.high, arg), self.negated
+        )
+
     def to_sql(self) -> str:
         neg = "NOT " if self.negated else ""
         return (
@@ -229,6 +295,14 @@ class InList(Expr):
 
     precedence = _PREC_COMPARE
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.value, *self.items)
+
+    def map(self, f, arg) -> InList:
+        return InList(
+            f(self.value, arg), tuple([f(i, arg) for i in self.items]), self.negated
+        )
+
     def to_sql(self) -> str:
         neg = "NOT " if self.negated else ""
         inner = ", ".join(i.to_sql() for i in self.items)
@@ -242,9 +316,34 @@ class IsNull(Expr):
 
     precedence = _PREC_COMPARE
 
+    def children(self) -> tuple[Expr, ...]:
+        return (self.value,)
+
+    def map(self, f, arg) -> IsNull:
+        return IsNull(f(self.value, arg), self.negated)
+
     def to_sql(self) -> str:
         neg = " NOT" if self.negated else ""
         return f"{self.value._sql_as(_PREC_ADD)} IS{neg} NULL"
+
+
+def split_conjuncts(expr: Optional[Expr]) -> list[Expr]:
+    """The AND-ed terms of ``expr``, left to right (none for None)."""
+    if expr is None:
+        return []
+    if isinstance(expr, BinaryOp) and expr.op.upper() == "AND":
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
+    return [expr]
+
+
+def join_conjuncts(conjuncts: Sequence[Expr]) -> Optional[Expr]:
+    """The terms AND-ed together, left-associated (None for none)."""
+    if not conjuncts:
+        return None
+    out = conjuncts[0]
+    for c in conjuncts[1:]:
+        out = BinaryOp("AND", out, c)
+    return out
 
 
 # -- statements ------------------------------------------------------------------
@@ -331,6 +430,49 @@ class Select:
     limit: Optional[int] = None
     offset: Optional[int] = None
     distinct: bool = False
+
+    @property
+    def refs(self) -> tuple[TableRef, ...]:
+        """Every table ref: the FROM refs, then the JOIN refs, in clause order."""
+        if not self.joins:
+            return self.tables
+        return self.tables + tuple([j.table for j in self.joins])
+
+    def with_refs(self, refs: Sequence[TableRef]) -> Select:
+        """This SELECT with ``refs`` in place of :attr:`refs`, position by position.
+
+        Each JOIN keeps its kind and its ON clause.
+        """
+        n = len(self.tables)
+        if len(refs) != n + len(self.joins):
+            raise ValueError(f"{len(refs)} table refs for a SELECT of {len(self.refs)}")
+        joins = tuple(
+            [JoinClause(j.kind, ref, j.on) for j, ref in zip(self.joins, refs[n:])]
+        )
+        return replace(self, tables=tuple(refs[:n]), joins=joins)
+
+    def clauses(self) -> list[tuple[str, Expr]]:
+        """``(clause, expression)`` for every expression of this SELECT, in text order.
+
+        ``clause`` is the keyword the expression stands under:
+        ``SELECT`` (an item), ``ON`` (a join's condition), ``WHERE``,
+        ``GROUP BY``, ``HAVING`` or ``ORDER BY``.
+        """
+        out = []
+        for item in self.items:
+            out.append(("SELECT", item.expr))
+        for j in self.joins:
+            if j.on is not None:
+                out.append(("ON", j.on))
+        if self.where is not None:
+            out.append(("WHERE", self.where))
+        for g in self.group_by:
+            out.append(("GROUP BY", g))
+        if self.having is not None:
+            out.append(("HAVING", self.having))
+        for o in self.order_by:
+            out.append(("ORDER BY", o.expr))
+        return out
 
     def to_sql(self) -> str:
         parts = ["SELECT"]

@@ -10,9 +10,9 @@ and executes parsed statements against them.  The SELECT pipeline is:
    uses, with the ``qserv_angSep`` predicate applied immediately);
    with kernels on, two-table comma joins run as compiled join kernels
    instead (:mod:`repro.sql.kernels`) and this fold is the reference,
-2. apply the WHERE mask (using a hash index for ``col = literal``
-   conjuncts when one exists -- the worker-side objectId fast path of
-   paper section 5.5),
+2. apply the WHERE and ON conjuncts as one mask (using a hash index
+   for ``col = literal`` conjuncts when one exists -- the worker-side
+   objectId fast path of paper section 5.5),
 3. group and aggregate (COUNT/SUM/AVG/MIN/MAX, with or without GROUP
    BY) using sort + ``reduceat`` -- no per-group Python work,
 4. project the select list, apply HAVING/DISTINCT/ORDER BY/LIMIT.
@@ -32,7 +32,7 @@ from ..obs import trace as obs_trace
 from . import ast
 from . import kernels as _kernels
 from .errors import SqlError
-from .expr_eval import Environment, contains_aggregate, evaluate
+from .expr_eval import Environment, evaluate
 from .index import HashIndex
 from .kernels import (
     MAX_CROSS_PAIRS,
@@ -256,9 +256,13 @@ class Database:
             )
         env = self._join_and_filter(sel, bound)
 
-        aggregates = self._collect_aggregates(sel)
+        aggregates = _kernels.collect_aggregates(sel)
         if aggregates or sel.group_by:
-            result = self._grouped_projection(sel, env, aggregates)
+            # Grouping, aggregation (MySQL NULL semantics), and HAVING
+            # live in repro.sql.kernels and are shared verbatim with the
+            # compiled kernels, so the two paths cannot diverge.
+            cols = _kernels.grouped_projection(sel, env, aggregates)
+            result = ResultTable("result", cols)
         else:
             result = self._plain_projection(sel, env, bound)
 
@@ -337,7 +341,7 @@ class Database:
         cache = self.kernel_cache
         if cache is None or not self.use_kernels:
             return None
-        refs = list(sel.tables) + [j.table for j in sel.joins]
+        refs = sel.refs
         tables = []
         for ref in refs:
             if ref.database is not None and ref.database != self.name:
@@ -370,9 +374,8 @@ class Database:
     def _bind_tables(self, sel: ast.Select) -> list[tuple[str, Table]]:
         """Resolve FROM/JOIN table refs to (binding name, Table) pairs."""
         bound: list[tuple[str, Table]] = []
-        refs = list(sel.tables) + [j.table for j in sel.joins]
         seen: set[str] = set()
-        for ref in refs:
+        for ref in sel.refs:
             if ref.database is not None and ref.database != self.name:
                 raise SqlError(
                     f"unknown database {ref.database!r} (this instance is {self.name!r})"
@@ -384,18 +387,20 @@ class Database:
         return bound
 
     def _join_and_filter(self, sel: ast.Select, bound) -> Environment:
-        """Join all FROM tables and apply WHERE; returns the row Environment."""
+        """Join all FROM tables and apply WHERE and ON; returns the row Environment."""
         if not bound:
             # SELECT without FROM: single pseudo-row.
             env = Environment({}, 1)
             return env
 
-        conjuncts = _split_conjuncts(sel.where)
+        # A joined row is kept when every WHERE and every ON conjunct
+        # holds: each JOIN is an INNER join.  LEFT JOIN is accepted
+        # syntax but executed as INNER too (sufficient for every query
+        # shape the paper uses).
+        conjuncts = ast.split_conjuncts(sel.where)
         for join in sel.joins:
-            if join.on is not None:
-                conjuncts.extend(_split_conjuncts(join.on))
-        # LEFT JOIN is accepted syntax but executed as INNER (sufficient
-        # for every query shape the paper uses).
+            conjuncts += ast.split_conjuncts(join.on)
+        condition = ast.join_conjuncts(conjuncts) if sel.joins else sel.where
 
         # Fold tables left to right, carrying per-table row-index arrays.
         # _IDENTITY marks "all rows, original order" without paying for
@@ -448,8 +453,8 @@ class Database:
 
         env = self._materialize_env(sel, idx, tables)
 
-        if sel.where is not None:
-            mask = np.asarray(evaluate(sel.where, env))
+        if condition is not None:
+            mask = np.asarray(evaluate(condition, env))
             if mask.dtype != bool:
                 mask = mask != 0
             if mask.ndim == 0:
@@ -494,7 +499,7 @@ class Database:
     def _eval_on_partial(self, expr: ast.Expr, idx, tables):
         # Only the columns the expression touches are materialized --
         # on an mmap-backed table this avoids faulting in every column.
-        wanted = _expr_columns(expr)
+        wanted = _kernels.expr_columns(expr)
         cols = {}
         length = None
         for n, rows in idx.items():
@@ -516,7 +521,7 @@ class Database:
         Columns are fetched by name so mmap-backed tables only map what
         the query references.
         """
-        referenced = _referenced_columns(sel)
+        referenced = _kernels.referenced_columns(sel)
         cols: dict[tuple[str, str], np.ndarray] = {}
         length = 0
         for n, rows in idx.items():
@@ -530,20 +535,6 @@ class Database:
                 arr = table.column(cname)
                 cols[(n, cname)] = arr if identity else arr[rows]
         return Environment(cols, length)
-
-    # -- aggregation --------------------------------------------------------------------
-
-    def _collect_aggregates(self, sel: ast.Select) -> list[ast.FuncCall]:
-        """All distinct aggregate calls in select list, HAVING, and ORDER BY."""
-        return _kernels.collect_aggregates(sel)
-
-    def _grouped_projection(
-        self, sel: ast.Select, env: Environment, aggregates: list[ast.FuncCall]
-    ) -> ResultTable:
-        # Grouping, aggregation (MySQL NULL semantics), and HAVING live
-        # in repro.sql.kernels and are shared verbatim with the compiled
-        # kernels, so the two paths cannot diverge.
-        return ResultTable("result", _kernels.grouped_projection(sel, env, aggregates))
 
     # -- projection ---------------------------------------------------------------------
 
@@ -668,37 +659,6 @@ def _distinct(result: ResultTable) -> ResultTable:
     )
 
 
-# Shared with the compiled-kernel planner.
-_split_conjuncts = _kernels.split_conjuncts
-
-
-def _expr_tables(expr: ast.Expr) -> set[str]:
-    """Tables referenced by an expression (None for unqualified refs)."""
-    out: set[str] = set()
-
-    def walk(e):
-        if isinstance(e, ast.ColumnRef):
-            out.add(e.table)
-        elif isinstance(e, ast.FuncCall):
-            for a in e.args:
-                walk(a)
-        elif isinstance(e, ast.BinaryOp):
-            walk(e.left), walk(e.right)
-        elif isinstance(e, ast.UnaryOp):
-            walk(e.operand)
-        elif isinstance(e, ast.Between):
-            walk(e.value), walk(e.low), walk(e.high)
-        elif isinstance(e, ast.InList):
-            walk(e.value)
-            for i in e.items:
-                walk(i)
-        elif isinstance(e, ast.IsNull):
-            walk(e.value)
-
-    walk(expr)
-    return out
-
-
 def _find_equi_key(conjuncts, have: set[str], incoming: str, tables):
     """Find an equi-join conjunct linking ``incoming`` to already-bound tables.
 
@@ -718,10 +678,6 @@ def _find_equi_key(conjuncts, have: set[str], incoming: str, tables):
         # Unqualified columns: resolvable only if names are unambiguous;
         # skip rather than guess.
     return None
-
-
-_referenced_columns = _kernels.referenced_columns
-_expr_columns = _kernels.expr_columns
 
 
 def _wants_all_columns(sel: ast.Select, table_name: str) -> bool:

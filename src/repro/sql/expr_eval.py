@@ -75,23 +75,9 @@ class Environment:
 
 def contains_aggregate(expr: ast.Expr) -> bool:
     """True if any sub-expression is an aggregate function call."""
-    if isinstance(expr, ast.FuncCall):
-        if expr.is_aggregate:
-            return True
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, ast.UnaryOp):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, ast.Between):
-        return any(contains_aggregate(e) for e in (expr.value, expr.low, expr.high))
-    if isinstance(expr, ast.InList):
-        return contains_aggregate(expr.value) or any(
-            contains_aggregate(i) for i in expr.items
-        )
-    if isinstance(expr, ast.IsNull):
-        return contains_aggregate(expr.value)
-    return False
+    if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
+        return True
+    return any(map(contains_aggregate, expr.children()))
 
 
 def literal_in_values(items) -> np.ndarray | None:

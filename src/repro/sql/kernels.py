@@ -102,7 +102,6 @@ __all__ = [
     "normalize_select",
     "KernelKey",
     "kernel_key",
-    "split_conjuncts",
     "referenced_columns",
     "expr_columns",
     "collect_aggregates",
@@ -126,17 +125,8 @@ class KernelFallback(Exception):
 # -- AST helpers shared with the engine -------------------------------------------
 
 
-def split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
-    """Flatten a chain of ANDs into a conjunct list."""
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op.upper() == "AND":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
-
-
 def _conjunct_paths(expr: ast.Expr | None, path: str) -> list[tuple[ast.Expr, str]]:
-    """:func:`split_conjuncts` with the attribute path that reaches each one."""
+    """:func:`~repro.sql.ast.split_conjuncts` with the attribute path to each one."""
     if expr is None:
         return []
     if isinstance(expr, ast.BinaryOp) and expr.op.upper() == "AND":
@@ -146,110 +136,43 @@ def _conjunct_paths(expr: ast.Expr | None, path: str) -> list[tuple[ast.Expr, st
     return [(expr, path)]
 
 
-def _walk(e, fn):
-    if e is None:
-        return
-    fn(e)
-    if isinstance(e, ast.FuncCall):
-        for a in e.args:
-            _walk(a, fn)
-    elif isinstance(e, ast.BinaryOp):
-        _walk(e.left, fn)
-        _walk(e.right, fn)
-    elif isinstance(e, ast.UnaryOp):
-        _walk(e.operand, fn)
-    elif isinstance(e, ast.Between):
-        _walk(e.value, fn)
-        _walk(e.low, fn)
-        _walk(e.high, fn)
-    elif isinstance(e, ast.InList):
-        _walk(e.value, fn)
-        for i in e.items:
-            _walk(i, fn)
-    elif isinstance(e, ast.IsNull):
-        _walk(e.value, fn)
-
-
-def _all_exprs(sel: ast.Select, include_order_by: bool = True):
-    for item in sel.items:
-        yield item.expr
-    if sel.where is not None:
-        yield sel.where
-    for g in sel.group_by:
-        yield g
-    if sel.having is not None:
-        yield sel.having
-    if include_order_by:
-        for o in sel.order_by:
-            yield o.expr
-    for j in sel.joins:
-        if j.on is not None:
-            yield j.on
-
-
 def expr_columns(*exprs: ast.Expr) -> set[str]:
     """Unqualified column names referenced by the expressions."""
-    out: set[str] = set()
-
-    def fn(e):
-        if isinstance(e, ast.ColumnRef):
-            out.add(e.column)
-
-    for expr in exprs:
-        _walk(expr, fn)
-    return out
+    return {
+        e.column for expr in exprs for e in expr.walk() if isinstance(e, ast.ColumnRef)
+    }
 
 
 def referenced_columns(sel: ast.Select) -> set[str]:
     """Unqualified column names referenced anywhere in the query."""
-    return expr_columns(*_all_exprs(sel))
+    return expr_columns(*(expr for _, expr in sel.clauses()))
+
+
+# The clauses whose aggregates are computed per group; an aggregate
+# anywhere else is an error the evaluator reports.
+_AGGREGATING = frozenset({"SELECT", "HAVING", "ORDER BY"})
 
 
 def collect_aggregates(sel: ast.Select) -> list[ast.FuncCall]:
     """All distinct aggregate calls in select list, HAVING, and ORDER BY."""
     found: dict[ast.FuncCall, None] = {}
-
-    def walk(expr):
-        if expr is None:
-            return
-        if isinstance(expr, ast.FuncCall):
-            if expr.is_aggregate:
-                found.setdefault(expr)
-                return
-            for a in expr.args:
-                walk(a)
-        elif isinstance(expr, ast.BinaryOp):
-            walk(expr.left)
-            walk(expr.right)
-        elif isinstance(expr, ast.UnaryOp):
-            walk(expr.operand)
-        elif isinstance(expr, ast.Between):
-            walk(expr.value), walk(expr.low), walk(expr.high)
-        elif isinstance(expr, ast.InList):
-            walk(expr.value)
-            for i in expr.items:
-                walk(i)
-        elif isinstance(expr, ast.IsNull):
-            walk(expr.value)
-
-    for item in sel.items:
-        walk(item.expr)
-    walk(sel.having)
-    for o in sel.order_by:
-        walk(o.expr)
+    for clause, expr in sel.clauses():
+        if clause in _AGGREGATING:
+            _aggregates_in(expr, found)
     return list(found)
+
+
+def _aggregates_in(expr: ast.Expr, found: dict) -> None:
+    if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
+        found.setdefault(expr)  # its argument is evaluated per row
+    else:
+        for child in expr.children():
+            _aggregates_in(child, found)
 
 
 def _contains_func(expr: ast.Expr) -> bool:
     """True if the expression contains any function call (aggregate or not)."""
-    found = [False]
-
-    def fn(e):
-        if isinstance(e, ast.FuncCall):
-            found[0] = True
-
-    _walk(expr, fn)
-    return found[0]
+    return any(isinstance(e, ast.FuncCall) for e in expr.walk())
 
 
 def normalize_select(sel: ast.Select) -> tuple[ast.Select, tuple[str, ...]]:
@@ -264,16 +187,15 @@ def normalize_select(sel: ast.Select) -> tuple[ast.Select, tuple[str, ...]]:
     would change how columns resolve, so that ref is keyed as-is (still
     cached, just per-table-name).
     """
-    refs = list(sel.tables) + [j.table for j in sel.joins]
+    refs = sel.refs
     qualifiers: set[str] = set()
     if not all(ref.alias for ref in refs):
-
-        def note(e):
-            if isinstance(e, (ast.ColumnRef, ast.Star)) and e.table is not None:
-                qualifiers.add(e.table)
-
-        for expr in _all_exprs(sel):
-            _walk(expr, note)
+        qualifiers = {
+            e.table
+            for _, expr in sel.clauses()
+            for e in expr.walk()
+            if isinstance(e, (ast.ColumnRef, ast.Star)) and e.table is not None
+        }
 
     anon: list[ast.TableRef] = []
     bindings: list[str] = []
@@ -289,13 +211,7 @@ def normalize_select(sel: ast.Select) -> tuple[ast.Select, tuple[str, ...]]:
         else:
             anon.append(ast.TableRef(table=placeholder))
             bindings.append(placeholder)
-    n = len(sel.tables)
-    norm = replace(
-        sel,
-        tables=tuple(anon[:n]),
-        joins=tuple(replace(j, table=t) for j, t in zip(sel.joins, anon[n:])),
-    )
-    return norm, tuple(bindings)
+    return sel.with_refs(anon), tuple(bindings)
 
 
 class KernelKey(NamedTuple):
@@ -1168,19 +1084,16 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
     # Validate every other column reference up front (the grouped path
     # is not codegen'd expression-by-expression, so _Emitter will not
     # see it).
-    problems: list[str] = []
-
-    def check_ref(e):
-        if isinstance(e, ast.ColumnRef):
+    for clause, expr in sel.clauses():
+        if clause == "ORDER BY":
+            continue
+        for e in expr.walk():
+            if not isinstance(e, ast.ColumnRef):
+                continue
             if e.table is not None and e.table != binding:
-                problems.append(f"qualifier {e.table!r}")
-            elif e.column not in colset:
-                problems.append(f"column {e.column!r}")
-
-    for expr in _all_exprs(sel, include_order_by=False):
-        _walk(expr, check_ref)
-    if problems:
-        raise KernelFallback(f"unresolvable reference: {problems[0]}")
+                raise KernelFallback(f"unresolvable reference: qualifier {e.table!r}")
+            if e.column not in colset:
+                raise KernelFallback(f"unresolvable reference: column {e.column!r}")
 
     # -- WHERE: cheap conjuncts fused full-table, UDF conjuncts on survivors --
     conjuncts = _conjunct_paths(sel.where, "s.where")
@@ -1363,7 +1276,7 @@ class JoinKernel:
 
     def run(self, sel: ast.Select, members: list) -> list[dict[str, np.ndarray]]:
         """Result columns of ``sel`` per ``(left table, right table)`` member."""
-        conjuncts = split_conjuncts(sel.where)
+        conjuncts = ast.split_conjuncts(sel.where)
         sides = tuple(
             _Stack.of([member[side] for member in members], self.needed[side])
             for side in (0, 1)
@@ -1545,13 +1458,10 @@ def compile_join(sel: ast.Select, bindings, schemas) -> JoinKernel:
 
     def refs_of(*exprs) -> list[tuple[int, str]]:
         found: dict[tuple[int, str], None] = {}
-
-        def fn(e):
-            if isinstance(e, ast.ColumnRef):
-                found.setdefault((side_of(e), e.column))
-
         for expr in exprs:
-            _walk(expr, fn)
+            for e in expr.walk():
+                if isinstance(e, ast.ColumnRef):
+                    found.setdefault((side_of(e), e.column))
         return list(found)
 
     aggregates = collect_aggregates(sel)
@@ -1563,14 +1473,14 @@ def compile_join(sel: ast.Select, bindings, schemas) -> JoinKernel:
     out_names = _output_names(sel, [], None, grouped)
     _check_order_by(sel, out_names)
     output_columns = refs_of(
-        *(item.expr for item in sel.items), *sel.group_by, sel.having
+        *(e for clause, e in sel.clauses() if clause in ("SELECT", "GROUP BY", "HAVING"))
     )
 
     side_filters: tuple[list, list] = ([], [])
     pair_conjuncts = []
     pairing = None
     band = None
-    conjuncts = split_conjuncts(sel.where)
+    conjuncts = ast.split_conjuncts(sel.where)
     for position, conjunct in enumerate(conjuncts):
         if contains_aggregate(conjunct):
             raise KernelFallback("aggregate in WHERE")

@@ -142,28 +142,11 @@ def scan(text: str) -> tuple[str, tuple]:
 # -- holes in a parsed statement -----------------------------------------------
 
 
-def _map_holes(e: Optional[ast.Expr], fn) -> Optional[ast.Expr]:
+def _map_holes(e: ast.Expr, fn) -> ast.Expr:
     """``e`` with each hole's value replaced by ``fn(value)``, in text order."""
-    t = type(e)
-    if t is ast.Literal:
+    if type(e) is ast.Literal:
         return e if type(e.value) is str else ast.Literal(fn(e.value))
-    if t is ast.BinaryOp:
-        return ast.BinaryOp(e.op, _map_holes(e.left, fn), _map_holes(e.right, fn))
-    if t is ast.FuncCall:
-        return ast.FuncCall(e.name, tuple([_map_holes(a, fn) for a in e.args]), e.distinct)
-    if t is ast.UnaryOp:
-        return ast.UnaryOp(e.op, _map_holes(e.operand, fn))
-    if t is ast.Between:
-        return ast.Between(
-            _map_holes(e.value, fn), _map_holes(e.low, fn), _map_holes(e.high, fn), e.negated
-        )
-    if t is ast.InList:
-        return ast.InList(
-            _map_holes(e.value, fn), tuple([_map_holes(i, fn) for i in e.items]), e.negated
-        )
-    if t is ast.IsNull:
-        return ast.IsNull(_map_holes(e.value, fn), e.negated)
-    return e
+    return e.map(_map_holes, fn)
 
 
 def _map_statement(stmt: ast.Statement, fn) -> ast.Statement:
@@ -177,13 +160,17 @@ def _map_statement(stmt: ast.Statement, fn) -> ast.Statement:
     joins = stmt.joins
     if joins:
         joins = tuple(
-            [ast.JoinClause(j.kind, j.table, _map_holes(j.on, fn)) for j in joins]
+            [
+                j if j.on is None else ast.JoinClause(j.kind, j.table, _map_holes(j.on, fn))
+                for j in joins
+            ]
         )
+    where = stmt.where
     return ast.Select(
         stmt.items,
         stmt.tables,
         joins,
-        _map_holes(stmt.where, fn),
+        None if where is None else _map_holes(where, fn),
         stmt.group_by,
         stmt.having,
         stmt.order_by,

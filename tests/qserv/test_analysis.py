@@ -93,6 +93,29 @@ class TestSpatialRestriction:
         with pytest.raises(QservAnalysisError):
             analyze("SELECT * FROM Object WHERE NOT qserv_areaspec_box(0,0,1,1)", md)
 
+    @pytest.mark.parametrize(
+        "sql, clause",
+        [
+            (
+                "SELECT COUNT(*) FROM Object o1 JOIN Object o2 "
+                "ON qserv_areaspec_box(0,0,1,1) AND o1.objectId = o2.objectId",
+                "ON",
+            ),
+            (
+                "SELECT chunkId FROM Object GROUP BY chunkId "
+                "HAVING qserv_areaspec_box(0,0,1,1)",
+                "HAVING",
+            ),
+            ("SELECT qserv_areaspec_box(0,0,1,1) FROM Object", "SELECT"),
+            ("SELECT COUNT(*) FROM Object GROUP BY qserv_areaspec_box(0,0,1,1)", "GROUP BY"),
+            ("SELECT ra_PS FROM Object ORDER BY qserv_areaspec_box(0,0,1,1)", "ORDER BY"),
+        ],
+        ids=["on", "having", "select-list", "group-by", "order-by"],
+    )
+    def test_areaspec_outside_where_rejected(self, md, sql, clause):
+        with pytest.raises(QservAnalysisError, match=f"in {clause}$"):
+            analyze(sql, md)
+
     def test_multiple_areaspec_rejected(self, md):
         with pytest.raises(QservAnalysisError):
             analyze(

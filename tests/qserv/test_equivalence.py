@@ -388,6 +388,50 @@ def test_near_neighbor_box_on_a_sub_chunk_corner():
             tb.shutdown()
 
 
+def test_join_on_equals_comma_where_through_sub_chunks():
+    """Director self-joins written with JOIN ... ON, rewritten into sub-chunks.
+
+    Each sub-chunk statement keeps its JOIN and ON clause, so the JOIN
+    form answers what its comma + WHERE form does and what the
+    single-node engine does on the unpartitioned table.
+    """
+    for name, chunker in _partitionings().items():
+        tb = build_testbed(num_workers=3, num_objects=3000, seed=43, chunker=chunker)
+        try:
+            dist = tb.chunker.overlap * 0.9
+            near = f"qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < {dist}"
+            pairs = "SELECT o1.objectId AS a, o2.objectId AS b FROM Object o1"
+            cases = {
+                "same object": (
+                    "SELECT COUNT(*) FROM Object o1 JOIN Object o2 "
+                    "ON o1.objectId = o2.objectId",
+                    "SELECT COUNT(*) FROM Object o1, Object o2 "
+                    "WHERE o1.objectId = o2.objectId",
+                    None,
+                ),
+                "near neighbours": (
+                    f"{pairs} JOIN Object o2 ON {near} AND o1.objectId != o2.objectId "
+                    "WHERE qserv_areaspec_box(0, -3, 2, 3)",
+                    f"{pairs}, Object o2 WHERE qserv_areaspec_box(0, -3, 2, 3) "
+                    f"AND {near} AND o1.objectId != o2.objectId",
+                    f"{pairs}, Object o2 WHERE "
+                    "qserv_ptInSphericalBox(o1.ra_PS, o1.decl_PS, 0, -3, 2, 3) = 1 "
+                    f"AND {near} AND o1.objectId != o2.objectId",
+                ),
+            }
+            # The comma forms run as join kernels on the single node,
+            # whatever the suite's setting (see _near_neighbour_answers).
+            local = Database("LSST", use_kernels=True)
+            local.create_table(tb.tables["Object"])
+            for case, (join, comma, single) in cases.items():
+                joined = sorted(tb.czar.submit(join).table.rows())
+                assert joined == sorted(tb.czar.submit(comma).table.rows()), (name, case)
+                assert joined == sorted(local.execute(single or comma).rows()), (name, case)
+            assert joined, name  # the near-neighbour case found pairs
+        finally:
+            tb.shutdown()
+
+
 #: The benchmark's scan and box classes: (distributed SQL, single-node SQL).
 SCAN_CLASSES = {
     "hv1": ("SELECT COUNT(*) FROM Object",) * 2,

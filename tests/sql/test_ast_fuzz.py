@@ -4,7 +4,14 @@ The czar manipulates parsed queries and re-emits SQL text for dispatch,
 so ``parse(node.to_sql()) == node`` is a load-bearing invariant of the
 whole system, not a convenience.  Hypothesis builds random expression
 trees and SELECT statements to hunt for printing/parsing mismatches.
+
+The same trees check that the structure every traversal relies on --
+:meth:`Expr.children <repro.sql.ast.Expr.children>`, :meth:`Expr.map
+<repro.sql.ast.Expr.map>` and a SELECT's refs -- is exactly what the
+node classes declare.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -42,12 +49,22 @@ columns = st.builds(
 )
 
 
-def expressions(depth=3, columns=columns, literals=literals):
-    """Expression trees over the given leaves (any identifier, any literal)."""
+def expressions(depth=3, columns=columns, literals=literals, aggregates=False):
+    """Expression trees over the given leaves (any identifier, any literal).
+
+    With ``aggregates``, calls may be aggregates too: ``COUNT(*)``
+    among the leaves, and any call named COUNT, SUM, ... with or without
+    DISTINCT.
+    """
     base = st.one_of(literals, columns, st.just(ast.Null()))
+    if aggregates:
+        base = st.one_of(base, st.just(ast.FuncCall("COUNT", (ast.Star(),))))
     if depth == 0:
         return base
-    sub = expressions(depth - 1, columns, literals)
+    sub = expressions(depth - 1, columns, literals, aggregates)
+    names = ["ABS", "SQRT", "fluxToAbMag", "qserv_angSep"]
+    if aggregates:
+        names += sorted(ast.AGGREGATE_FUNCS)
     return st.one_of(
         base,
         st.builds(
@@ -67,33 +84,50 @@ def expressions(depth=3, columns=columns, literals=literals):
         st.builds(ast.IsNull, value=sub, negated=st.booleans()),
         st.builds(
             ast.FuncCall,
-            name=st.sampled_from(["ABS", "SQRT", "fluxToAbMag", "qserv_angSep"]),
+            name=st.sampled_from(names),
             args=st.lists(sub, min_size=1, max_size=3).map(tuple),
+            distinct=st.booleans() if aggregates else st.just(False),
         ),
     )
 
 
 select_items = st.builds(
     ast.SelectItem,
-    expr=expressions(2),
+    expr=expressions(2, aggregates=True),
     alias=st.one_of(st.none(), identifiers),
+)
+
+table_refs = st.builds(
+    ast.TableRef,
+    table=identifiers,
+    database=st.one_of(st.none(), identifiers),
+    alias=st.one_of(st.none(), identifiers),
+)
+
+#: INNER and LEFT joins need an ON clause, a CROSS join may have one.
+joins = st.one_of(
+    st.builds(
+        ast.JoinClause,
+        kind=st.sampled_from(["INNER", "LEFT"]),
+        table=table_refs,
+        on=expressions(2),
+    ),
+    st.builds(
+        ast.JoinClause,
+        kind=st.just("CROSS"),
+        table=table_refs,
+        on=st.one_of(st.none(), expressions(1)),
+    ),
 )
 
 selects = st.builds(
     ast.Select,
     items=st.lists(select_items, min_size=1, max_size=4).map(tuple),
-    tables=st.lists(
-        st.builds(
-            ast.TableRef,
-            table=identifiers,
-            database=st.one_of(st.none(), identifiers),
-            alias=st.one_of(st.none(), identifiers),
-        ),
-        min_size=1,
-        max_size=2,
-    ).map(tuple),
+    tables=st.lists(table_refs, min_size=1, max_size=2).map(tuple),
+    joins=st.lists(joins, max_size=2).map(tuple),
     where=st.one_of(st.none(), expressions(2)),
     group_by=st.lists(columns, max_size=2).map(tuple),
+    having=st.one_of(st.none(), expressions(1, aggregates=True)),
     order_by=st.lists(
         st.builds(ast.OrderItem, expr=columns, descending=st.booleans()),
         max_size=2,
@@ -104,7 +138,7 @@ selects = st.builds(
 
 
 class TestExpressionRoundTrip:
-    @given(expressions(3))
+    @given(expressions(3, aggregates=True))
     @settings(max_examples=300, deadline=None)
     def test_expr_round_trips(self, expr):
         sql = f"SELECT {expr.to_sql()} FROM t"
@@ -126,3 +160,105 @@ class TestExpressionRoundTrip:
         twice = parse_one(once.to_sql())
         assert once == twice
         assert once.to_sql() == twice.to_sql()
+
+
+def declared_children(node: ast.Expr) -> tuple:
+    """The node's ``Expr`` and tuple-of-``Expr`` dataclass fields, in field order."""
+    out: list = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, ast.Expr):
+            out.append(value)
+        elif isinstance(value, tuple) and all(isinstance(v, ast.Expr) for v in value):
+            out.extend(value)
+    return tuple(out)
+
+
+#: One node of every expression class.
+EVERY_NODE = [
+    ast.Literal(1),
+    ast.Null(),
+    ast.Star("t"),
+    ast.ColumnRef("c", "t"),
+    ast.FuncCall("COUNT", (ast.ColumnRef("c"),), distinct=True),
+    ast.UnaryOp("-", ast.Literal(2)),
+    ast.BinaryOp("+", ast.ColumnRef("a"), ast.Literal(3)),
+    ast.Between(ast.ColumnRef("a"), ast.Literal(0), ast.Literal(1), negated=True),
+    ast.InList(ast.ColumnRef("a"), (ast.Literal(1), ast.Literal(2))),
+    ast.IsNull(ast.ColumnRef("a"), negated=True),
+]
+
+
+class TestStructure:
+    def test_every_expression_class_is_covered(self):
+        assert {type(n) for n in EVERY_NODE} == set(ast.Expr.__subclasses__())
+
+    @pytest.mark.parametrize("node", EVERY_NODE, ids=lambda n: type(n).__name__)
+    def test_children_are_the_declared_fields(self, node):
+        assert node.children() == declared_children(node)
+
+    @given(expressions(3, aggregates=True))
+    @settings(max_examples=300, deadline=None)
+    def test_children_are_the_declared_fields_everywhere(self, expr):
+        for node in expr.walk():
+            assert node.children() == declared_children(node)
+
+    @given(expressions(3, aggregates=True))
+    @settings(max_examples=300, deadline=None)
+    def test_identity_map_is_the_identity(self, expr):
+        for node in expr.walk():
+            mapped = node.map(lambda child, _: child, None)
+            assert mapped == node
+            assert hash(mapped) == hash(node)
+
+    @given(expressions(3, aggregates=True))
+    @settings(max_examples=200, deadline=None)
+    def test_map_visits_children_in_text_order(self, expr):
+        seen = []
+        expr.map(lambda child, out: out.append(child) or child, seen)
+        assert tuple(seen) == expr.children()
+        # walk is pre-order over children: the order the text has them.
+        nodes = list(expr.walk())
+        assert nodes[0] is expr
+        assert nodes[1:] == [m for child in expr.children() for m in child.walk()]
+
+    @given(selects)
+    @settings(max_examples=200, deadline=None)
+    def test_refs_are_from_then_join_refs(self, select):
+        assert select.refs == select.tables + tuple(j.table for j in select.joins)
+        renamed = tuple(
+            dataclasses.replace(ref, table=f"{ref.table}_713") for ref in select.refs
+        )
+        moved = select.with_refs(renamed)
+        assert moved.refs == renamed
+        assert [(j.kind, j.on) for j in moved.joins] == [
+            (j.kind, j.on) for j in select.joins
+        ]
+        assert moved.with_refs(select.refs) == select
+
+    @given(selects)
+    @settings(max_examples=200, deadline=None)
+    def test_clauses_are_every_expression_in_text_order(self, select):
+        clauses = list(select.clauses())
+        assert [e for _, e in clauses] == [
+            *(i.expr for i in select.items),
+            *(j.on for j in select.joins if j.on is not None),
+            *([select.where] if select.where is not None else []),
+            *select.group_by,
+            *([select.having] if select.having is not None else []),
+            *(o.expr for o in select.order_by),
+        ]
+        text = select.to_sql()
+        positions = [text.find(f" {c} ") if c != "SELECT" else 0 for c, _ in clauses]
+        assert positions == sorted(positions)
+
+    def test_conjuncts_split_and_join(self):
+        a, b, c = (ast.ColumnRef(n) for n in "abc")
+        tree = ast.BinaryOp("AND", ast.BinaryOp("and", a, b), ast.BinaryOp("OR", b, c))
+        assert ast.split_conjuncts(tree) == [a, b, ast.BinaryOp("OR", b, c)]
+        assert ast.split_conjuncts(None) == []
+        assert ast.join_conjuncts([]) is None
+        assert ast.join_conjuncts([a]) is a
+        joined = ast.join_conjuncts([a, b, c])
+        assert joined == ast.BinaryOp("AND", ast.BinaryOp("AND", a, b), c)
+        assert ast.split_conjuncts(joined) == [a, b, c]

@@ -1,5 +1,7 @@
 """Tests for the SQL query executor."""
 
+import sqlite3
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -486,3 +488,95 @@ class TestIndexInListFastPath:
         db.create_index("Object", "objectId")
         out = db.execute("SELECT COUNT(*) FROM Object WHERE objectId NOT IN (3, 5)")
         assert out.column("COUNT(*)")[0] == 98
+
+
+#: Two small tables whose joins differ by ON conjunct.
+JOIN_TABLES = {
+    "t1": {"x": [1, 1, 2, 3], "y": [1, 5, 2, 9]},
+    "t2": {"x": [1, 2, 2, 4], "y": [3, 1, 7, 0]},
+}
+
+
+@pytest.fixture
+def joined():
+    """``JOIN_TABLES`` in the engine and in an in-memory sqlite3 database."""
+    d = Database()
+    reference = sqlite3.connect(":memory:")
+    for name, cols in JOIN_TABLES.items():
+        d.create_table(Table(name, {c: np.array(v, dtype=np.int64) for c, v in cols.items()}))
+        reference.execute(f"CREATE TABLE {name} (x INTEGER, y INTEGER)")
+        reference.executemany(
+            f"INSERT INTO {name} VALUES (?, ?)", list(zip(cols["x"], cols["y"]))
+        )
+    yield d, reference
+    reference.close()
+
+
+def _rows(result) -> list:
+    return sorted(tuple(int(v) for v in row) for row in result.rows())
+
+
+class TestJoinOn:
+    """Every ON conjunct filters: a JOIN is its comma + WHERE form.
+
+    Runs with whatever ``REPRO_KERNELS`` says; explicit JOINs are the
+    interpreter's either way, their comma forms the join kernel's when
+    kernels are on.
+    """
+
+    @pytest.mark.parametrize(
+        "join, comma, expected",
+        [
+            (
+                "SELECT COUNT(*) FROM t1 a JOIN t2 b ON a.x = b.x AND a.y < b.y",
+                "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.x = b.x AND a.y < b.y",
+                [(2,)],
+            ),
+            (
+                "SELECT COUNT(*) FROM t1 a JOIN t2 b ON a.y < b.y",
+                "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.y < b.y",
+                [(5,)],
+            ),
+            (
+                "SELECT a.y, b.y FROM t1 a INNER JOIN t2 b ON a.x = b.x WHERE a.y < b.y",
+                "SELECT a.y, b.y FROM t1 a, t2 b WHERE a.x = b.x AND a.y < b.y",
+                [(1, 3), (2, 7)],
+            ),
+            (
+                "SELECT a.x, c.y FROM t1 a JOIN t2 b ON a.x = b.x "
+                "JOIN t1 c ON c.y > b.y AND c.x != a.x",
+                "SELECT a.x, c.y FROM t1 a, t2 b, t1 c "
+                "WHERE a.x = b.x AND c.y > b.y AND c.x != a.x",
+                None,
+            ),
+            (
+                "SELECT COUNT(*) FROM t1 a CROSS JOIN t2 b ON a.y > b.y",
+                "SELECT COUNT(*) FROM t1 a, t2 b WHERE a.y > b.y",
+                None,
+            ),
+        ],
+        ids=["key-and-range", "range-only", "on-and-where", "three-tables", "cross-with-on"],
+    )
+    def test_join_equals_comma_form_and_sqlite(self, joined, join, comma, expected):
+        d, reference = joined
+        got = _rows(d.execute(join))
+        assert got == _rows(d.execute(comma))
+        assert got == sorted(reference.execute(join).fetchall())
+        if expected is not None:
+            assert got == expected
+
+    def test_left_join_filters_as_inner(self, joined):
+        d, _ = joined
+        left = d.execute("SELECT COUNT(*) FROM t1 a LEFT JOIN t2 b ON a.y < b.y")
+        assert _rows(left) == [(5,)]
+
+    def test_ambiguous_on_column_is_an_error(self, joined):
+        d, reference = joined
+        for sql in (
+            "SELECT COUNT(*) FROM t1 a JOIN t2 b ON x = 1",
+            "SELECT COUNT(*) FROM t1 a, t2 b WHERE x = 1",
+        ):
+            with pytest.raises(Exception, match="ambiguous"):
+                d.execute(sql)
+            with pytest.raises(sqlite3.OperationalError, match="ambiguous"):
+                reference.execute(sql)

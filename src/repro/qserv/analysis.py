@@ -97,6 +97,9 @@ def analyze(query: Union[str, ast.Select], metadata: CatalogMetadata) -> QueryAn
     # -- table references --------------------------------------------------------
     if not select.refs:
         raise QservAnalysisError("query has no FROM clause")
+    if any(join.kind == "LEFT" for join in select.joins):
+        # The workers answer inner joins only (their engine refuses LEFT).
+        raise QservAnalysisError("LEFT JOIN is not supported")
     for ref in select.refs:
         if ref.database is not None and ref.database != metadata.database:
             raise QservAnalysisError(

@@ -209,7 +209,8 @@ def _cut_ids(text: str) -> tuple:
     return "".join(pieces), ids, names
 
 
-class _Prepared(NamedTuple):
+@dataclass(slots=True)
+class _Prepared:
     """One statement text of a chunk query, bound; its repeats only name tables."""
 
     #: The bound statement; *which* tables it names is not to be relied on.
@@ -222,6 +223,16 @@ class _Prepared(NamedTuple):
     #: Per FROM table, ``(base, is a sub-chunk table)`` of a chunk
     #: table and the plain name of any other.
     refs: tuple
+    #: The batch's plan for a chunk query that is this one SELECT: the
+    #: kernel that answered its first member (``Database.select``) and
+    #: the signatures of the tables it ran on.  None until then.
+    kernel: object = None
+    signatures: tuple = ()
+
+    def about(self, names: tuple) -> ast.Select:
+        """The statement about the FROM tables ``names`` in place of its own."""
+        stmt = self.stmt
+        return stmt.with_refs([replace(ref, table=name) for ref, name in zip(stmt.refs, names)])
 
     def names(self, ids: tuple) -> tuple:
         """The FROM table names of the statement about ``ids``."""
@@ -240,25 +251,6 @@ def _parsed_in_full(stmt: ast.Statement, kernel_key) -> tuple:
     """``(prepared statement, FROM table names)`` of a statement taken as it is."""
     refs = stmt.refs if isinstance(stmt, ast.Select) else ()
     return _Prepared(stmt, kernel_key, None, ()), tuple(ref.table for ref in refs)
-
-
-@dataclass
-class _Family:
-    """Consecutive statements of a chunk query that differ only in FROM tables."""
-
-    prepared: _Prepared
-    #: Per member, its FROM table names.
-    members: list
-
-    def statements(self) -> list:
-        """Every member as a statement of its own."""
-        stmt = self.prepared.stmt
-        if self.prepared.shape is None:
-            return [stmt]  # parsed in full: it names its own tables
-        return [
-            stmt.with_refs([replace(ref, table=name) for ref, name in zip(stmt.refs, names)])
-            for names in self.members
-        ]
 
 
 # A statement of a chunk-query body: up to a ';' outside strings and
@@ -826,39 +818,45 @@ class QservWorker(OfsPlugin):
         # a run of statements that differ in nothing else is a family.
         if repeats is None:
             repeats = {}
-        families: list[_Family] = []
         request = text if isinstance(text, ChunkRequest) else ChunkRequest.decode(text)
-        for statement in _split_statements(request.body):
-            statement = statement.strip()
-            if not statement:
-                continue
-            for prepared, names in self._prepare(statement, repeats):
-                last = families[-1].prepared.shape if families else None
-                if last is not None and last == prepared.shape:
-                    families[-1].members.append(names)
-                else:
-                    families.append(_Family(prepared, [names]))
+        prepared = [
+            pair
+            for statement in filter(None, map(str.strip, _split_statements(request.body)))
+            for pair in self._prepare(statement, repeats)
+        ]
+        if len(prepared) == 1:
+            result = self._execute_planned(*prepared[0])
+            if result is not None:
+                return result
+        # Consecutive statements that differ only in FROM tables, as
+        # (prepared statement, [FROM table names per member]).
+        families: list[tuple] = []
+        for statement, names in prepared:
+            shape = statement.shape
+            if families and shape is not None and families[-1][0].shape == shape:
+                families[-1][1].append(names)
+            else:
+                families.append((statement, [names]))
         sub_chunk_tables = list(
             dict.fromkeys(
-                name
-                for family in families
-                for names in family.members
-                for name in names
-                if _SUBCHUNK_RE.match(name)
+                name for _, names in prepared for name in names if _SUBCHUNK_RE.match(name)
             )
         )
         self._acquire_sub_chunks(sub_chunk_tables)
         try:
             outputs = []
-            for family in families:
-                stmt, kernel_key = family.prepared.stmt, family.prepared.kernel_key
+            for statement, members in families:
                 results = None
-                if len(family.members) > 1:
-                    results = self.db.execute_family(stmt, kernel_key, family.members)
+                if len(members) > 1:
+                    results = self.db.execute_family(
+                        statement.stmt, statement.kernel_key, members
+                    )
                 if results is None:
+                    stmts = [statement.stmt]  # parsed in full: it names its own tables
+                    if statement.shape is not None:
+                        stmts = [statement.about(names) for names in members]
                     results = [
-                        self.db.execute_statement(member, kernel_key)
-                        for member in family.statements()
+                        self.db.execute_statement(stmt, statement.kernel_key) for stmt in stmts
                     ]
                 with self._lock:
                     self.stats.statements_executed += len(results)
@@ -872,6 +870,37 @@ class QservWorker(OfsPlugin):
             return ResultTable.concat("result", outputs)
         finally:
             self._release_sub_chunks(sub_chunk_tables)
+
+    def _execute_planned(self, prepared: _Prepared, names: tuple) -> Optional[Table]:
+        """A chunk query that is one SELECT of chunk tables, by its batch's plan.
+
+        The first member of a batch asking it runs it as the engine
+        would and keeps the kernel that answered on ``prepared``, which
+        the batch's ``repeats`` shares.  Every later member is that
+        kernel run on its own tables (:meth:`Database.run_plan`).  None
+        for any other chunk query, and for a member whose tables the
+        plan does not fit: it goes the way every chunk query goes.
+        """
+        if prepared.kernel is not None:
+            result = self.db.run_plan(
+                prepared.stmt, prepared.kernel, prepared.signatures, names
+            )
+        elif (
+            prepared.shape is not None
+            and prepared.kernel_key is not None
+            and not any(type(ref) is tuple and ref[1] for ref in prepared.refs)
+        ):
+            result, found = self.db.select(prepared.about(names), prepared.kernel_key)
+            if found is not None:
+                prepared.kernel = found[0]
+                prepared.signatures = tuple(table.signature() for table in found[1])
+        else:
+            return None
+        if result is not None:
+            with self._lock:
+                self.stats.statements_executed += 1
+                self.stats.queries_executed += 1
+        return result
 
     def _prepare(self, text: str, repeats: dict) -> list[tuple]:
         """``(prepared statement, FROM table names)`` pairs for one statement's text.
@@ -899,7 +928,7 @@ class QservWorker(OfsPlugin):
         ``repeats`` lives for one chunk query, or one batch of them, and
         holds what was prepared for it, by id-free text: a later
         statement with that text (the same numbers, then) is the same
-        bound statement.
+        bound statement, with the same plan (:meth:`_execute_planned`).
         """
         id_free, ids, names = _cut_ids(text)
 

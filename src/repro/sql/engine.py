@@ -18,7 +18,8 @@ and executes parsed statements against them.  The SELECT pipeline is:
 4. project the select list, apply HAVING/DISTINCT/ORDER BY/LIMIT.
 
 Only the dialect Qserv emits is supported; notably, subqueries are
-rejected at parse time just as in the paper's prototype.
+rejected at parse time just as in the paper's prototype, and an outer
+(``LEFT``) join is parsed but refused at execution.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class Database:
         derived here, on every execution.
         """
         if isinstance(stmt, ast.Select):
-            return self._exec_select(stmt, kernel_key)
+            return self.select(stmt, kernel_key)[0]
         if isinstance(stmt, ast.CreateTable):
             return self._exec_create(stmt)
         if isinstance(stmt, ast.CreateTableAsSelect):
@@ -182,7 +183,7 @@ class Database:
             if stmt.if_not_exists:
                 return None
             raise SqlError(f"table {stmt.table!r} already exists")
-        result = self._exec_select(stmt.select)
+        result = self.select(stmt.select)[0]
         self.tables[stmt.table] = result.rename(stmt.table)
         return None
 
@@ -237,12 +238,23 @@ class Database:
             return None
         return _kernels.kernel_key(stmt)
 
-    def _exec_select(
+    def select(
         self, sel: ast.Select, kernel_key: Optional[KernelKey] = None
-    ) -> ResultTable:
-        kernel_cols = self._try_kernel(sel, kernel_key)
-        if kernel_cols is not None:
-            return self._kernel_result(sel, kernel_cols)
+    ) -> tuple[ResultTable, Optional[tuple]]:
+        """A SELECT's result, and ``(kernel, tables)`` when a compiled kernel computed it.
+
+        The pair is what :meth:`run_kernel` ran: a caller asking the
+        same statement of other tables typed like ``tables`` may run the
+        kernel on them itself (:meth:`run_plan`).  None when the
+        interpreter answered.
+        """
+        if sel.joins and any(join.kind == "LEFT" for join in sel.joins):
+            # A row without a partner is kept by an outer join and dropped
+            # by the ON filter below: refused, never answered as INNER.
+            raise SqlError("LEFT JOIN is not supported")
+        found = self._try_kernel(sel, kernel_key)
+        if found is not None:
+            return self.run_kernel(sel, *found), found
 
         bound = self._bind_tables(sel)
         sp = obs_trace.current_span()
@@ -269,7 +281,48 @@ class Database:
         if sel.distinct:
             result = _distinct(result)
         result = self._order_and_limit(sel, result, env)
-        return result
+        return result, None
+
+    def run_kernel(self, sel: ast.Select, kernel, tables: list[Table]) -> ResultTable:
+        """``sel``'s result computed by ``kernel`` over ``tables``, its FROM tables.
+
+        Every kernel run of one statement comes here -- the engine's own
+        and a worker's repeat of a batch's statement (:meth:`run_plan`)
+        -- so the span's ``kernel`` and ``rows_scanned``,
+        ``kernel.executions`` and what is done to the output are the
+        same for both.
+        """
+        sp = obs_trace.current_span()
+        if sp is not None:
+            # Accumulated: one worker.execute span covers several statements.
+            sp.set(
+                kernel=True,
+                rows_scanned=sp.attrs.get("rows_scanned", 0)
+                + sum(t.num_rows for t in tables),
+            )
+        self.kernel_cache.executions.add(1)
+        return self._kernel_result(sel, kernel(sel, *tables))
+
+    def run_plan(
+        self, sel: ast.Select, kernel, signatures: tuple, names: tuple
+    ) -> Optional[ResultTable]:
+        """``sel`` asked of the tables ``names`` in place of its own, by ``kernel``.
+
+        ``kernel`` is one :meth:`select` returned for ``sel``, and
+        ``signatures`` are those of the tables it ran on there; ``sel``
+        names nothing but its FROM tables that could tell them apart.
+        Each name is looked up now, so nothing outlives a dropped or
+        replaced table.  None when kernels are off, or a table is
+        missing, typed unlike its signature, or the one table and
+        indexed: the caller executes the statement as any other (any
+        error is that path's to raise).
+        """
+        if self.kernel_cache is None or not self.use_kernels:
+            return None
+        tables = self._tables_typed(names, signatures)
+        if tables is None or (len(tables) == 1 and self._indexed(names[0])):
+            return None
+        return self.run_kernel(sel, kernel, tables)
 
     def _kernel_result(self, sel: ast.Select, cols: dict) -> ResultTable:
         """A kernel's output columns with DISTINCT, ORDER BY and LIMIT applied."""
@@ -301,13 +354,13 @@ class Database:
             return None
         if any(len(names) != len(sel.tables) for names in members):
             raise ValueError("a family member names one table per FROM entry")
-        resolved = [[self.tables.get(name) for name in names] for names in members]
-        if any(table is None for tables in resolved for table in tables):
+        first = [self.tables.get(name) for name in members[0]]
+        if any(table is None for table in first):
             return None
-        signatures = [table.signature() for table in resolved[0]]
-        for tables in resolved[1:]:
-            if [table.signature() for table in tables] != signatures:
-                return None
+        signatures = [table.signature() for table in first]
+        resolved = [self._tables_typed(names, signatures) for names in members]
+        if any(tables is None for tables in resolved):
+            return None
         kernel = cache.get_or_compile(sel, resolved[0], kernel_key)
         if not isinstance(kernel, JoinKernel):
             return None
@@ -322,13 +375,27 @@ class Database:
                 rows_scanned=sp.attrs.get("rows_scanned", 0)
                 + sum(t.num_rows for tables in resolved for t in tables),
             )
-        _kernels.obs_metrics.counter("kernel.executions").add(len(members))
+        cache.executions.add(len(members))
         return [self._kernel_result(sel, cols) for cols in outputs]
+
+    def _tables_typed(self, names, signatures) -> Optional[list[Table]]:
+        """The tables ``names``, if each exists and has its signature in ``signatures``."""
+        tables = []
+        for name, signature in zip(names, signatures):
+            table = self.tables.get(name)
+            if table is None or table.signature() != signature:
+                return None
+            tables.append(table)
+        return tables
+
+    def _indexed(self, table: str) -> bool:
+        """Whether ``table`` has a hash index, whose probe a kernel scan would lose."""
+        return bool(self._indexes) and any(key[0] == table for key in self._indexes)
 
     def _try_kernel(
         self, sel: ast.Select, kernel_key: Optional[KernelKey] = None
-    ) -> Optional[dict[str, np.ndarray]]:
-        """Result columns from the compiled-kernel fast path, or None.
+    ) -> Optional[tuple]:
+        """``(kernel, tables)`` for the compiled-kernel fast path, or None.
 
         The kernel path only claims queries it can answer bit-identically
         to the interpreter; anything else (shapes the compiler declines,
@@ -352,22 +419,16 @@ class Database:
             tables.append(table)
         if not tables:
             return None
-        if len(tables) == 1 and any(key[0] == refs[0].table for key in self._indexes):
+        if len(tables) == 1 and self._indexed(refs[0].table):
             # Only a single-table scan has an index probe to lose.
             return None
         kernel = cache.get_or_compile(sel, tables, kernel_key)
-        sp = obs_trace.current_span()
-        if sp is not None:
-            sp.set(kernel=kernel is not None)
         if kernel is None:
+            sp = obs_trace.current_span()
+            if sp is not None:
+                sp.set(kernel=False)
             return None
-        if sp is not None:
-            sp.set(
-                rows_scanned=sp.attrs.get("rows_scanned", 0)
-                + sum(t.num_rows for t in tables)
-            )
-        _kernels.obs_metrics.counter("kernel.executions").add(1)
-        return kernel(sel, *tables)
+        return kernel, tables
 
     # -- binding and joining ----------------------------------------------------------
 
@@ -394,9 +455,7 @@ class Database:
             return env
 
         # A joined row is kept when every WHERE and every ON conjunct
-        # holds: each JOIN is an INNER join.  LEFT JOIN is accepted
-        # syntax but executed as INNER too (sufficient for every query
-        # shape the paper uses).
+        # holds: each JOIN is an INNER join (select refuses LEFT).
         conjuncts = ast.split_conjuncts(sel.where)
         for join in sel.joins:
             conjuncts += ast.split_conjuncts(join.on)

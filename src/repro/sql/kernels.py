@@ -820,12 +820,12 @@ def _compile_params(params: list[str]):
     return _compile_fn("_params", lines, [], "params")
 
 
-def _account_scan(arrays) -> None:
-    """Charge the scanned column bytes to the metric and the open span."""
+def _account_scan(arrays, scan_bytes) -> None:
+    """Charge the scanned column bytes to the ``scan_bytes`` counter and the open span."""
     scanned = 0
     for arr in arrays:
         scanned += 8 * arr.size if arr.dtype == object else arr.nbytes
-    obs_metrics.counter("engine.scan.bytes").add(scanned)
+    scan_bytes.add(scanned)
     sp = obs_trace.current_span()
     if sp is not None:
         # Accumulate across statements: a sub-chunked chunk query
@@ -854,10 +854,11 @@ class CompiledKernel:
         "aggregates",
         "env_cols",
         "sources",
+        "scan_bytes",
     )
 
     def __init__(self, binding, needed, params_fn, mask_fn, stage_fns, project_fn,
-                 gathers, aggregates, env_cols, sources):
+                 gathers, aggregates, env_cols, sources, scan_bytes):
         self.binding = binding
         self.needed = needed
         self.params_fn = params_fn
@@ -871,11 +872,13 @@ class CompiledKernel:
         self.aggregates = aggregates
         self.env_cols = env_cols
         self.sources = sources
+        #: The ``engine.scan.bytes`` counter every call is charged to.
+        self.scan_bytes = scan_bytes
 
     def __call__(self, sel: ast.Select, table) -> dict[str, np.ndarray]:
         C = {name: table.column(name) for name in self.needed}
         n = table.num_rows
-        _account_scan(C.values())
+        _account_scan(C.values(), self.scan_bytes)
         P = self.params_fn(sel) if self.params_fn is not None else ()
 
         m = self.mask_fn(C, n, P) if self.mask_fn is not None else None
@@ -1057,11 +1060,12 @@ def _compile_aggregate(sel: ast.Select, binding: str, schema, aggregates):
     return fn, bool(row_cols)
 
 
-def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
+def compile_select(sel: ast.Select, binding: str, schema, scan_bytes) -> CompiledKernel:
     """Compile a single-table SELECT into a :class:`CompiledKernel`.
 
     ``schema`` is the ordered column list of the target table; ``sel``
-    should already be normalized (see :func:`normalize_select`).  Raises
+    should already be normalized (see :func:`normalize_select`);
+    ``scan_bytes`` is the counter the kernel's scans are charged to.  Raises
     :class:`KernelFallback` for any shape where the interpreter must run
     instead (joins, unknown names, unsupported ORDER BY keys, ...).
     """
@@ -1185,6 +1189,7 @@ def compile_select(sel: ast.Select, binding: str, schema) -> CompiledKernel:
         aggregates=aggregates,
         env_cols=env_cols,
         sources=sources,
+        scan_bytes=scan_bytes,
     )
 
 
@@ -1270,6 +1275,8 @@ class JoinKernel:
     grouped: bool
     aggregates: list
     out_names: list[str]
+    #: The ``engine.scan.bytes`` counter every pass is charged to.
+    scan_bytes: obs_metrics.Counter
 
     def __call__(self, sel: ast.Select, left, right) -> dict[str, np.ndarray]:
         return self.run(sel, [(left, right)])[0]
@@ -1291,7 +1298,9 @@ class JoinKernel:
             # no member has as many: halve the family.
             half = len(members) // 2
             return self.run(sel, members[:half]) + self.run(sel, members[half:])
-        _account_scan([arr for side in sides for arr in side.columns.values()])
+        _account_scan(
+            [arr for side in sides for arr in side.columns.values()], self.scan_bytes
+        )
         for position, refs in self.pair_conjuncts:
             env = self._pair_env(sides, pairs, refs)
             keep = _Helpers.as_mask(evaluate(conjuncts[position], env), env.length)
@@ -1426,11 +1435,12 @@ def _cut(cols: dict[str, np.ndarray], cuts: np.ndarray) -> list[dict]:
     ]
 
 
-def compile_join(sel: ast.Select, bindings, schemas) -> JoinKernel:
+def compile_join(sel: ast.Select, bindings, schemas, scan_bytes) -> JoinKernel:
     """Compile a two-table comma join into a :class:`JoinKernel`.
 
     ``sel`` should already be normalized; ``bindings`` and ``schemas``
-    give each FROM entry's binding name and ordered column list.
+    give each FROM entry's binding name and ordered column list;
+    ``scan_bytes`` is the counter the kernel's scans are charged to.
     Raises :class:`KernelFallback` unless the WHERE clause offers a way
     to generate candidate pairs -- an equality between one column of
     each side, or ``qserv_angSep(<one side's ra, dec>, <the other's>)
@@ -1519,6 +1529,7 @@ def compile_join(sel: ast.Select, bindings, schemas) -> JoinKernel:
         grouped=grouped,
         aggregates=aggregates,
         out_names=out_names,
+        scan_bytes=scan_bytes,
     )
 
 
@@ -1578,6 +1589,11 @@ class KernelCache(Lru):
     repeated un-compilable statements cost one lookup, not one failed
     compile.  Safe to share across worker slots and merge databases --
     kernels are stateless.
+
+    It also holds the handles of the counters every kernel statement
+    touches, resolved once here instead of by name per statement:
+    ``executions`` (its users count a kernel run there) and the scan
+    bytes its kernels charge.
     """
 
     def __init__(self, capacity: int = 256):
@@ -1587,6 +1603,10 @@ class KernelCache(Lru):
             misses=obs_metrics.counter("kernel.cache.misses"),
             size=obs_metrics.gauge("kernel.cache.size"),
         )
+        self.executions = obs_metrics.counter("kernel.executions")
+        self._scan_bytes = obs_metrics.counter("engine.scan.bytes")
+        self._compiled = obs_metrics.counter("kernel.compiled")
+        self._fallbacks = obs_metrics.counter("kernel.fallbacks")
 
     def get_or_compile(self, sel: ast.Select, tables, key: KernelKey | None = None):
         """Kernel for a select over ``tables``, or None (interpreter path).
@@ -1602,15 +1622,17 @@ class KernelCache(Lru):
         if entry is None:
             try:
                 if len(tables) == 1:
-                    entry = compile_select(norm_sel, bindings[0], tables[0].schema())
+                    entry = compile_select(
+                        norm_sel, bindings[0], tables[0].schema(), self._scan_bytes
+                    )
                 else:
                     entry = compile_join(
-                        norm_sel, bindings, [t.schema() for t in tables]
+                        norm_sel, bindings, [t.schema() for t in tables], self._scan_bytes
                     )
-                obs_metrics.counter("kernel.compiled").add(1)
+                self._compiled.add(1)
             except KernelFallback:
                 entry = FALLBACK
-                obs_metrics.counter("kernel.fallbacks").add(1)
+                self._fallbacks.add(1)
             self.put(cache_key, entry)
         if entry is FALLBACK:
             return None

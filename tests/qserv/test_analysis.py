@@ -43,6 +43,12 @@ class TestTableDetection:
         )
         assert len(a.partitioned_refs) == 2
 
+    def test_left_join_rejected(self, md):
+        # The workers answer inner joins only; an outer one is refused,
+        # not answered as inner.
+        with pytest.raises(QservAnalysisError, match="LEFT JOIN"):
+            analyze("SELECT * FROM Object o LEFT JOIN Source s ON o.objectId = s.objectId", md)
+
 
 class TestSpatialRestriction:
     def test_box_extracted(self, md):

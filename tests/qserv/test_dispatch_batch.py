@@ -12,14 +12,25 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.data import build_testbed
 from repro.obs import metrics as obs_metrics
 from repro.qserv import ChunkTimeoutError, Czar, HedgePolicy, QueryCancelledError
 from repro.sql import SqlError, Table
+from repro.sql.wire import encode_table
 from repro.xrd import FaultPlan
-from repro.xrd.protocol import QUERY_PREFIX, ChunkRequest, chunk_id_of_query_path
+from repro.xrd.protocol import (
+    QUERY_PREFIX,
+    ChunkRequest,
+    batch_body,
+    chunk_id_of_query_path,
+    chunk_path,
+    decode_frames,
+    query_path,
+    result_path,
+)
 from repro.xrd.retry import CancelToken, RetryPolicy
 
 from .test_explain_analyze import assert_global_deltas, assert_identity, global_values
@@ -418,3 +429,182 @@ class TestDamagedFrames:
         assert issubclass(dispatch._PayloadError, dispatch._RETRYABLE)
         with pytest.raises(dispatch._PayloadError):
             answers(chunks, "worker-000", damage(data))
+
+
+# -- the batch plan ----------------------------------------------------------------------
+
+#: Chunk queries that are one SELECT of one chunk table, as the czar words
+#: them (DISTINCT, which the czar keeps for its merge, worded here).
+PLANNED = {
+    "hv1": "SELECT COUNT(*) AS `COUNT(*)` FROM LSST.Object_{c} AS Object;",
+    "hv2": (
+        "SELECT objectId, ra_PS, decl_PS, uFlux_SG FROM LSST.Object_{c} AS Object "
+        "WHERE uRadius_PS > 0.0975;"
+    ),
+    "hv3": (
+        "SELECT COUNT(*) AS `COUNT(*)`, SUM(ra_PS) AS `SUM(ra_PS)`, "
+        "COUNT(ra_PS) AS `COUNT(ra_PS)`, chunkId FROM LSST.Object_{c} AS Object "
+        "GROUP BY chunkId;"
+    ),
+    "lv3-box": (
+        "SELECT COUNT(*) AS `COUNT(*)` FROM LSST.Object_{c} AS Object WHERE "
+        "(uFlux_SG > 1e-30 AND qserv_ptInSphericalBox(Object.ra_PS, Object.decl_PS, "
+        "0.5, -4.0, 40.0, 4.0) = 1);"
+    ),
+    "in-list": (
+        "SELECT objectId, ra_PS FROM LSST.Object_{c} AS Object WHERE subChunkId IN (1, 3, 5);"
+    ),
+    "order-limit": (
+        "SELECT objectId, ra_PS FROM LSST.Object_{c} AS Object ORDER BY ra_PS DESC LIMIT 3;"
+    ),
+    "distinct": "SELECT DISTINCT subChunkId FROM LSST.Object_{c} AS Object;",
+}
+
+_KERNEL_COUNTERS = ("kernel.executions", "engine.scan.bytes", "kernel.cache.hits",
+                    "kernel.cache.misses")
+
+
+def kernel_counters():
+    """``(executions, scan bytes, cache lookups)`` so far."""
+    executions, scanned, hits, misses = (
+        obs_metrics.counter(name).value for name in _KERNEL_COUNTERS
+    )
+    return executions, scanned, hits + misses
+
+
+def answers(worker, members):
+    """``(chunk id, status, payload)`` per member of ``members`` written as one batch.
+
+    A batch of one publishes as the paper's protocol does: its payload
+    (``ok``), or an error its read raises (``error``, with the message).
+    """
+    text = "-- RESULT_FORMAT: binary\n" + batch_body(members)
+    worker.on_write(query_path(members[0][0]), text.encode())
+    path = result_path(ChunkRequest.decode(text).result_hash)
+    if len(members) > 1:
+        frames = decode_frames(worker.on_read(path))
+        return [(f.chunk_id, f.status, bytes(f.payload)) for f in frames]
+    try:
+        return [(members[0][0], "ok", worker.on_read(path))]
+    except SqlError as e:
+        return [(members[0][0], "error", str(e))]
+
+
+def batch_and_alone(worker, members):
+    """One batch of ``members`` and each member alone: answers and counter deltas."""
+    before = kernel_counters()
+    together = answers(worker, members)
+    middle = kernel_counters()
+    alone = [answer for member in members for answer in answers(worker, [member])]
+    after = kernel_counters()
+    return (
+        together,
+        alone,
+        [b - a for a, b in zip(before, middle)],
+        [b - a for a, b in zip(middle, after)],
+    )
+
+
+@pytest.fixture
+def planned(slots):
+    """One worker holding 15 chunks; the first 7 of them."""
+    tb = build_testbed(
+        num_workers=1, num_objects=900, seed=61, num_stripes=45, num_sub_stripes=4,
+        worker_slots=slots,
+    )
+    (worker,) = tb.workers.values()
+    chunks = worker.hosted_chunks()[:7]
+    assert len(chunks) == 7
+    yield worker, chunks
+    tb.shutdown()
+
+
+class TestBatchPlan:
+    """A batch's later members are its first member's kernel on their own tables.
+
+    The reference is the same members as batches of one, where nothing
+    is shared: the same frames, byte for byte, and the same kernel
+    runs and scan bytes -- only the kernel cache is consulted once per
+    batch instead of once per member.  Kernels on or off.
+    """
+
+    @pytest.mark.parametrize("case", PLANNED)
+    def test_a_batch_answers_as_its_members_alone(self, planned, case):
+        worker, chunks = planned
+        members = [(c, PLANNED[case].format(c=c)) for c in chunks]
+        answers(worker, members[:1])  # compiled: every lookup below is a hit
+        together, alone, batch, singles = batch_and_alone(worker, members)
+        assert together == alone
+        assert [status for _, status, _ in together] == ["ok"] * 7
+        assert batch[:2] == singles[:2]  # kernel runs, scan bytes
+        if worker.db.use_kernels:
+            assert batch == [7, singles[1], 1] and singles[::2] == [7, 7]
+        else:
+            assert batch == singles == [0, 0, 0]
+
+    def test_a_re_typed_table_is_not_run_by_the_plan(self, planned):
+        """A repair install over ``/chunk/`` makes one member's DOUBLE column BIGINT."""
+        worker, chunks = planned
+        name = f"Object_{chunks[3]}"
+        table = worker.db.get_table(name)
+        columns = table.columns()
+        columns["uRadius_PS"] = columns["uRadius_PS"].astype(np.int64)
+        worker.on_write(chunk_path(name), encode_table(Table(name, columns), name))
+        assert worker.db.get_table(name).signature() != table.signature()
+        members = [(c, PLANNED["hv2"].format(c=c)) for c in chunks]
+        together, alone, batch, singles = batch_and_alone(worker, members)
+        assert together == alone
+        assert [status for _, status, _ in together] == ["ok"] * 7
+        assert batch[:2] == singles[:2]
+        if worker.db.use_kernels:
+            # The first member's lookup, and the re-typed member's own.
+            assert batch[2] == 2 and singles[2] == 7
+
+    def test_a_dropped_table_is_a_retryable_frame(self, planned):
+        worker, chunks = planned
+        gone = chunks[3]
+        for name in worker.chunk_tables(gone):
+            worker.db.drop_table(name)
+        members = [(c, PLANNED["hv3"].format(c=c)) for c in chunks]
+        together, alone, batch, singles = batch_and_alone(worker, members)
+        assert together[:3] + together[4:] == alone[:3] + alone[4:]
+        chunk_id, status, message = together[3]
+        assert (chunk_id, status) == (gone, "retryable")
+        assert b"no such table" in message
+        assert alone[3] == (gone, "error", f"worker {worker.name}: {message.decode()}")
+        assert batch[:2] == singles[:2]
+
+    def test_a_sub_chunk_member_is_not_run_by_the_plan(self, planned):
+        worker, chunks = planned
+        odd = chunks[3]
+        sub = int(worker.db.get_table(f"Object_{odd}").column("subChunkId")[0])
+        members = [(c, PLANNED["hv1"].format(c=c)) for c in chunks]
+        members[3] = (
+            odd,
+            f"-- SUBCHUNKS: {sub}\n"
+            f"SELECT COUNT(*) AS `COUNT(*)` FROM LSST.Object_{odd}_{sub} AS Object;",
+        )
+        built = worker.stats.sub_chunk_tables_built
+        together, alone, batch, singles = batch_and_alone(worker, members)
+        assert together == alone
+        assert [status for _, status, _ in together] == ["ok"] * 7
+        assert worker.stats.sub_chunk_tables_built - built == 2  # once each way
+        assert batch[:2] == singles[:2]
+        if worker.db.use_kernels:
+            assert batch[2] == 2 and singles[2] == 7
+
+    def test_a_fake_executor_still_sees_every_member(self, planned):
+        worker, chunks = planned
+        members = [(c, PLANNED["hv2"].format(c=c)) for c in chunks]
+        seen = []
+
+        def spy(chunk_id, text, *repeats, _real=worker.execute_chunk_query):
+            seen.append(chunk_id)
+            return _real(chunk_id, text, *repeats)
+
+        worker.execute_chunk_query = spy
+        together, alone, batch, singles = batch_and_alone(worker, members)
+        assert seen == chunks + chunks
+        assert together == alone
+        if worker.db.use_kernels:
+            assert batch[2] == 1

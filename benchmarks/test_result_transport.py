@@ -7,6 +7,11 @@ spread over every chunk).  Section 7.1 calls the mysqldump transfer
 "not cheap in speed, disk usage, network utilization"; this bench
 quantifies the planned-optimization win and records it in
 ``benchmarks/out/BENCH_transport.json``.
+
+Both sides are timed one chunk result at a time, as a ``sqldump`` czar
+runs: it sends every chunk query alone.  The binary czar batches a
+worker's chunk queries into one transaction pair with one table back,
+so in the system the binary side does less than this per-chunk loop.
 """
 
 from __future__ import annotations

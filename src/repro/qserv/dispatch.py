@@ -4,18 +4,19 @@ The paper's dispatch (sections 5.4, 5.6) is one write to ``/query2/CC``,
 one read of ``/result/H``, and a re-dispatch through the redirector when
 a worker dies -- per chunk.  :class:`ChunkDispatch` is that loop for one
 user query with the *batch* as the unit of a transaction: the chunks the
-redirector places on one worker go out in one write and come back in
-one read (:func:`~repro.xrd.protocol.batch_body`), and whatever that
-leaves unanswered is re-dispatched chunk by chunk -- a batch of one,
-which is the paper's protocol to the byte.  Five flat steps: ``run``
-(group by worker, a batch per pool hand-off), ``_settle`` (every ledger
-row of a batch to exactly one terminal state; the unanswered alone from
-the next attempt on), ``_retry`` (bounded attempts with backoff, the
-suspect location invalidated and the chunk repaired in between),
-``_attempt`` (inline when no deadline, hedge policy or cancel token can
-interrupt it, else raced on the attempt pool against all three) and
-``_transact`` (one write, one read, one decode per member).  The
-accounting stays per chunk and all of it goes through the query's
+redirector places on one worker go out in one write -- their chunk
+query's template once, with their ids -- and come back in one read, one
+table with an index entry per chunk (:mod:`repro.xrd.protocol`).
+Whatever that leaves unanswered is re-dispatched chunk by chunk -- a
+batch of one, which is the paper's protocol to the byte.  Five flat
+steps: ``run`` (group by worker, a batch per pool hand-off),
+``_settle`` (every ledger row of a batch to exactly one terminal state;
+the unanswered alone from the next attempt on), ``_retry`` (bounded
+attempts with backoff, the suspect location invalidated and the chunk
+repaired in between), ``_attempt`` (inline when no deadline, hedge
+policy or cancel token can interrupt it, else raced on the attempt pool
+against all three) and ``_transact`` (one write, one read, one decode).
+The accounting stays per chunk and all of it goes through the query's
 :class:`~repro.obs.profile.ChunkLedger`.
 """
 
@@ -34,14 +35,7 @@ from ..sql import SqlError
 from ..sql.wire import decode_table, is_wire_payload
 from ..xrd import RedirectError
 from ..xrd.filesystem import FileSystemError
-from ..xrd.protocol import (
-    ChunkRequest,
-    batch_body,
-    cancel_path,
-    decode_frames,
-    query_path,
-    result_path,
-)
+from ..xrd.protocol import ChunkRequest, cancel_path, decode_answer, query_path, result_path
 from .worker import WorkerCancelledError, WorkerShutdownError
 
 __all__ = [
@@ -230,19 +224,24 @@ class ChunkDispatch:
         """``specs`` grouped by the worker the redirector places each on.
 
         Hedging watches for the one straggling chunk, so under a hedge
-        policy every chunk travels alone; so does a chunk the redirector
-        cannot place, whose own dispatch reports that.
+        policy every chunk travels alone.  A batch is a feature of the
+        binary wire, so under a czar asking for ``sqldump`` every chunk
+        travels alone too.  So does a chunk query with no template (one
+        rendered in full), and a chunk the redirector cannot place,
+        whose own dispatch reports that.
         """
         czar = self.czar
-        if czar.hedge_policy is not None or len(specs) <= 1:
+        if czar.hedge_policy is not None or czar.wire_format != "binary" or len(specs) <= 1:
             return [[spec] for spec in specs]
         locate, health = czar.client.redirector.locate, czar.health
         groups: dict = {}
         for spec in specs:
-            try:
-                key = locate(query_path(spec.chunk_id), health=health).name
-            except RedirectError:
-                key = spec.chunk_id
+            key = spec.chunk_id
+            if spec.template is not None:
+                try:
+                    key = locate(query_path(spec.chunk_id), health=health).name, spec.template
+                except RedirectError:
+                    key = spec.chunk_id  # alone: its own dispatch reports it
             groups.setdefault(key, []).append(spec)
         return list(groups.values())
 
@@ -253,8 +252,12 @@ class ChunkDispatch:
         return self._settle(self._batch(chunks, self.parent_span))
 
     def _request(self, chunks, *header) -> ChunkRequest:
-        body = batch_body([(c.spec.chunk_id, c.spec.text) for c in chunks])
-        return ChunkRequest(body, self.czar.wire_format, *header)
+        """One chunk query's text; a larger batch's template and ids."""
+        if len(chunks) == 1:
+            return ChunkRequest(chunks[0].spec.text, self.czar.wire_format, *header)
+        members = tuple((c.spec.chunk_id, c.spec.sub_chunk_ids) for c in chunks)
+        template = chunks[0].spec.template
+        return ChunkRequest(template, self.czar.wire_format, *header, members=members)
 
     def _batch(self, chunks: list, parent_span) -> _Batch:
         span = obs_trace.span(
@@ -491,8 +494,8 @@ class ChunkDispatch:
 
         Returns, per chunk id, the decoded payload and the columns its
         ledger row ends with if this attempt is the one that counts --
-        or, for a member of a larger batch whose frame is missing, says
-        ``retryable`` or ``sql-error``, or fails to decode, the error.
+        or, for a member of a larger batch whose index entry says
+        ``retryable`` or ``sql-error``, the error.
         """
         czar, deadline, chunks = self.czar, self.deadline, batch.chunks
         with span:
@@ -530,54 +533,60 @@ class ChunkDispatch:
             ok = [a for a in answers.values() if type(a) is tuple]
             # A row's seconds are what the worker says its chunk took
             # plus an even share of the rest of the transaction; its
-            # bytes sent, an even share of the write.
-            spare = (elapsed - sum(a[3] for a in ok)) / max(len(ok), 1)
-            sent, odd = divmod(len(data), len(chunks))
+            # bytes sent, an even share of the write, and its bytes
+            # received, of the read (the shares sum to the read).
+            spare = (elapsed - sum(a[2] for a in ok)) / max(len(ok), 1)
+            sent, odd_sent = divmod(len(data), len(chunks))
+            received, odd_received = divmod(len(result), max(len(ok), 1))
             for chunk_id, answer in list(answers.items()):
                 if type(answer) is tuple:
-                    kind, payload, received, seconds = answer
+                    kind, payload, seconds = answer
                     czar._observe_latency(seconds + spare)
                     czar._chunk_seconds.observe(seconds + spare)
                     answers[chunk_id] = payload, dict(
-                        worker=worker, bytes_sent=sent + odd, bytes_received=received,
+                        worker=worker, bytes_sent=sent + odd_sent,
+                        bytes_received=received + odd_received,
                         seconds=seconds + spare, wire_format=kind,
                     )
-                    odd = 0
+                    odd_sent = odd_received = 0
             span.set(bytes=len(result), format=ok[0][0] if ok else "")
             return answers
 
     def _answers(self, chunks: tuple, worker: str, result: bytes) -> dict:
         """What ``worker`` returned, per chunk id: ``(format, decoded
-        payload, payload bytes, worker seconds)``, or the member's error.
+        payload, worker seconds)``, or the member's error.
 
-        A batch of one reads the bare payload; a larger one reads a
-        frame per member.  Anything wrong with the framing itself is a
-        :class:`_PayloadError` of the whole transaction.
+        A batch of one reads the bare payload.  A larger one reads the
+        batch's answer: its index, and its one table, decoded once, of
+        which each ``ok`` member's payload is its rows, as views.
+        Anything wrong with the answer as a whole -- a member missing,
+        repeated or not the batch's, an unknown status, row counts that
+        are not the table's -- is a :class:`_PayloadError` of the whole
+        transaction.
         """
         if len(chunks) == 1:
-            return {chunks[0].spec.chunk_id: (*validate_payload(result), len(result), 0.0)}
+            return {chunks[0].spec.chunk_id: (*validate_payload(result), 0.0)}
         try:
-            frames = decode_frames(result)
+            entries, table_bytes = decode_answer(result, [c.spec.chunk_id for c in chunks])
+            table = decode_table(table_bytes, copy=False) if len(table_bytes) else None
         except ValueError as e:
             raise _PayloadError(f"corrupt batch result: {e}") from e
-        answers: dict = dict.fromkeys(
-            (c.spec.chunk_id for c in chunks),
-            FileSystemError(f"worker {worker} sent no frame for the chunk"),
-        )
-        for frame in frames:
-            if frame.status == "ok":
-                try:
-                    answer = (
-                        *validate_payload(frame.payload), len(frame.payload), frame.seconds
-                    )
-                except _PayloadError as e:
-                    self.czar.health.record_failure(worker)
-                    answer = e
+        answers, start = {}, 0
+        for entry in entries:
+            if entry.status == "ok":
+                stop = start + entry.rows
+                answers[entry.chunk_id] = (
+                    "binary", table.select_rows(slice(start, stop)), entry.seconds
+                )
+                start = stop
             else:
                 # What a read of this member alone would have raised.
-                error = SqlError if frame.status == "sql-error" else FileSystemError
-                answer = error(f"worker {worker}: {str(frame.payload, 'utf-8', 'replace')}")
-            answers[frame.chunk_id] = answer
+                error = SqlError if entry.status == "sql-error" else FileSystemError
+                answers[entry.chunk_id] = error(f"worker {worker}: {entry.error}")
+        if table is not None and start != table.num_rows:
+            raise _PayloadError(
+                f"corrupt batch result: {start} rows in the index, {table.num_rows} in the table"
+            )
         return answers
 
     def _withdraw(self, batch: _Batch) -> None:

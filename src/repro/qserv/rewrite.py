@@ -17,10 +17,18 @@ boundary are found without touching another node (section 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from ..partition import Chunker
 from ..sphgeom import Region, SphericalBox, SphericalCircle, SphericalConvexPolygon
 from ..sql import ast
+from ..xrd.protocol import (
+    ANY_CHUNK as _ANY_CHUNK,
+    ANY_SUB_CHUNK as _ANY_SUB_CHUNK,
+    SUBCHUNK_HEADER_PREFIX,
+    render_member,
+    sub_chunk_text,
+)
 from .aggregation import AggregationPlan
 from .analysis import QueryAnalysis, QservAnalysisError
 from .metadata import CatalogMetadata
@@ -35,8 +43,6 @@ __all__ = [
     "overlap_table_name",
     "SUBCHUNK_HEADER_PREFIX",
 ]
-
-SUBCHUNK_HEADER_PREFIX = "-- SUBCHUNKS:"
 
 
 def chunk_table_name(table: str, chunk_id: int) -> str:
@@ -66,6 +72,10 @@ class ChunkQuerySpec:
     text: str
     #: Sub-chunk ids the worker must materialize first (empty if none).
     sub_chunk_ids: tuple[int, ...] = ()
+    #: The template ``text`` renders from (:func:`render_member`), which
+    #: the query's other chunk queries share; None for a text rendered in
+    #: full, which travels alone.
+    template: Optional[str] = None
 
 
 def generate_chunk_queries(
@@ -106,12 +116,7 @@ def generate_chunk_queries(
     )
     if not analysis.needs_subchunks:
         return _chunk_statements(analysis, metadata, stmt, chunk_ids)
-    specs = []
-    for cid in chunk_ids:
-        spec = _sub_chunk_statements(analysis, metadata, chunker, stmt, cid)
-        if spec is not None:
-            specs.append(spec)
-    return specs
+    return _sub_chunk_statements(analysis, metadata, chunker, stmt, chunk_ids)
 
 
 def _region_restriction(region: Region, ra_col: ast.ColumnRef, dec_col: ast.ColumnRef) -> ast.Expr:
@@ -184,12 +189,6 @@ def _over(stmt: ast.Select, metadata: CatalogMetadata, physical) -> ast.Select:
     )
 
 
-# Stand in for the chunk id and the sub-chunk id while a statement is
-# rendered once for all of them; no catalog has this many.
-_ANY_CHUNK = 10**18 + 713
-_ANY_SUB_CHUNK = 10**18 + 45
-
-
 def _chunk_statements(
     analysis: QueryAnalysis,
     metadata: CatalogMetadata,
@@ -199,21 +198,22 @@ def _chunk_statements(
     """One statement per chunk: ``stmt`` over that chunk's tables.
 
     The statements differ only in the chunk id inside their table
-    names, so the text is rendered once, for a chunk id nobody uses, and
-    each chunk's text is that with its own id substituted.
+    names, so the text is rendered once, for a chunk id nobody uses:
+    that is the template each chunk's text is rendered from.
     """
 
     def render(chunk_id: int) -> str:
         chunk = _over(stmt, metadata, lambda ref: chunk_table_name(ref.table, chunk_id))
         return chunk.to_sql() + ";"
 
-    pieces = render(_ANY_CHUNK).split(f"_{_ANY_CHUNK}")
-    if len(pieces) - 1 != len(analysis.partitioned_refs):
+    template = render(_ANY_CHUNK)
+    if template.count(f"_{_ANY_CHUNK}") != len(analysis.partitioned_refs):
         # The stand-in also occurs elsewhere (a literal of the query):
         # render every chunk in full.
         return [ChunkQuerySpec(chunk_id=cid, text=render(cid)) for cid in chunk_ids]
     return [
-        ChunkQuerySpec(chunk_id=cid, text=f"_{cid}".join(pieces)) for cid in chunk_ids
+        ChunkQuerySpec(chunk_id=cid, text=render_member(template, cid), template=template)
+        for cid in chunk_ids
     ]
 
 
@@ -222,13 +222,15 @@ def _sub_chunk_statements(
     metadata: CatalogMetadata,
     chunker: Chunker,
     stmt: ast.Select,
-    chunk_id: int,
-) -> ChunkQuerySpec | None:
-    """The sub-chunk (near-neighbor) form of ``stmt`` for one chunk.
+    chunk_ids: list[int],
+) -> list[ChunkQuerySpec]:
+    """The sub-chunk (near-neighbor) form of ``stmt``, per chunk.
 
     The first two director refs name a sub-chunk table and its own or
     its overlap companion; every other partitioned ref names the chunk
-    table.  Refs keep their places, so a JOIN keeps its ON clause.
+    table.  Refs keep their places, so a JOIN keeps its ON clause.  A
+    chunk whose sub-chunks the region misses (coarse coverage is
+    conservative) has no chunk query.
     """
     director_refs = [
         r
@@ -240,46 +242,44 @@ def _sub_chunk_statements(
     inner_ref, outer_ref = director_refs[0], director_refs[1]
     table = inner_ref.table
 
-    if analysis.region is not None:
-        scids = chunker.sub_chunks_intersecting(chunk_id, analysis.region)
-        if len(scids) == 0:
-            return None  # conservative coarse coverage; nothing here
-    else:
-        scids = chunker.sub_chunks_of(chunk_id)
+    def render(chunk_id: int, scid: int) -> str:
+        """The self pair and the overlap pair of one sub-chunk."""
+        def statement(outer_name) -> str:
+            def physical(ref: ast.TableRef) -> str:
+                if ref is inner_ref:
+                    return sub_chunk_table_name(table, chunk_id, scid)
+                if ref is outer_ref:
+                    return outer_name(table, chunk_id, scid)
+                return chunk_table_name(ref.table, chunk_id)
 
-    def render(scid: int, outer_name) -> str:
-        def physical(ref: ast.TableRef) -> str:
-            if ref is inner_ref:
-                return sub_chunk_table_name(table, chunk_id, scid)
-            if ref is outer_ref:
-                return outer_name(table, chunk_id, scid)
-            return chunk_table_name(ref.table, chunk_id)
+            return _over(stmt, metadata, physical).to_sql() + ";"
 
-        return _over(stmt, metadata, physical).to_sql() + ";"
+        return "\n".join(map(statement, (sub_chunk_table_name, overlap_table_name)))
 
-    # The statements of one kind (self pair, overlap pair) differ only
-    # in the sub-chunk id inside their two table names, so each kind is
-    # rendered once, for a sub-chunk id nobody uses, and every
-    # sub-chunk's text is that with its own id substituted.
-    statements: list[list[str]] = []
-    for outer_name in (sub_chunk_table_name, overlap_table_name):
-        pieces = render(_ANY_SUB_CHUNK, outer_name).split(f"_{_ANY_SUB_CHUNK}")
-        if len(pieces) == 3:
-            statements.append([f"_{int(scid)}".join(pieces) for scid in scids])
+    # The statements differ only in the chunk and sub-chunk ids inside
+    # their table names, so the pair is rendered once, for ids nobody
+    # uses: that is the template every chunk's text is rendered from.
+    template = render(_ANY_CHUNK, _ANY_SUB_CHUNK)
+    if (
+        template.count(f"_{_ANY_CHUNK}") != 2 * len(analysis.partitioned_refs)
+        or template.count(f"_{_ANY_SUB_CHUNK}") != 4
+    ):
+        template = None  # a stand-in is in a literal too: render in full
+    specs = []
+    for cid in chunk_ids:
+        if analysis.region is not None:
+            scids = chunker.sub_chunks_intersecting(cid, analysis.region)
         else:
-            # The stand-in also occurs elsewhere (a literal of the
-            # query): render every sub-chunk in full.
-            statements.append([render(int(scid), outer_name) for scid in scids])
-
-    header = f"{SUBCHUNK_HEADER_PREFIX} {', '.join(str(int(s)) for s in scids)}"
-    text = header + "\n" + "\n".join(
-        text for pair in zip(*statements) for text in pair
-    )
-    return ChunkQuerySpec(
-        chunk_id=chunk_id,
-        text=text,
-        sub_chunk_ids=tuple(int(s) for s in scids),
-    )
+            scids = chunker.sub_chunks_of(cid)
+        scids = tuple(int(s) for s in scids)
+        if not scids:
+            continue
+        if template is None:
+            text = sub_chunk_text(scids, [render(cid, scid) for scid in scids])
+        else:
+            text = render_member(template, cid, scids)
+        specs.append(ChunkQuerySpec(cid, text, scids, template))
+    return specs
 
 
 def generate_merge_query(

@@ -37,7 +37,7 @@ from ..sql.engine import ResultTable
 from ..sql.kernels import KernelKey, isin
 from ..sql.parser import ParseError, parse
 from ..sql.shapes import ShapeCache, Template, scan
-from ..sql.wire import decode_table, encode_table
+from ..sql.wire import decode_table, encode_table, encode_tables_parts
 from ..xrd import OfsPlugin
 from ..xrd.filesystem import FileSystemError
 from ..xrd.protocol import (
@@ -47,11 +47,12 @@ from ..xrd.protocol import (
     QUERY_PREFIX,
     RESULT_PREFIX,
     ChunkRequest,
-    Frame,
+    MemberAnswer,
     chunk_id_of_manifest_path,
     chunk_id_of_query_path,
-    encode_frames,
+    encode_answer,
     hash_of_cancel_path,
+    render_member,
     result_path,
     table_of_chunk_path,
 )
@@ -76,6 +77,10 @@ _IDS_IN_TEXT_RE = re.compile(r"_(?<=\w_)(\d+)(?:_(\d+))?\b")
 # Prepared chunk statements kept per worker (LRU), like KernelCache's 256.
 _PREPARED_CAPACITY = 256
 
+# The key of a batch's plan in its ``repeats``: the statement its first
+# member ran by the plan, whose later members the plan answers.
+_PLAN = object()
+
 _RESULT_TABLE = "chunk_result"
 
 # Error recorded against every result a shutdown abandons.
@@ -99,9 +104,11 @@ class _Task(NamedTuple):
     way to an execution slot: one queue entry, one slot, one result."""
 
     rpath: str
-    #: ``(chunk id, request)`` per member; run back to back.
-    members: list
-    #: What was written: the members' shared headers.
+    #: ``(chunk id, sub-chunk ids)`` per member, run back to back: a
+    #: batch's, or the one chunk query's, about the chunk of its path.
+    members: tuple
+    #: What was written: the headers, and the chunk query or the
+    #: batch's template.
     request: ChunkRequest
     #: ``perf_counter`` at acceptance; the FIFO wait is measured from it.
     enqueued: float
@@ -164,10 +171,7 @@ class WorkerStats:
     sub_chunk_cache_hits: int = 0
     result_cache_hits: int = 0
     result_rows: int = 0
-    result_bytes: int = 0
     queue_high_water: int = 0
-    binary_results: int = 0
-    sqldump_results: int = 0
 
     @property
     def results_evicted(self) -> int:
@@ -394,12 +398,8 @@ class QservWorker(OfsPlugin):
     # -- ofs plugin interface --------------------------------------------------------
 
     def claims(self, path: str) -> bool:
-        return (
-            path.startswith(QUERY_PREFIX)
-            or path.startswith(RESULT_PREFIX)
-            or path.startswith(CHUNK_PREFIX)
-            or path.startswith(MANIFEST_PREFIX)
-            or path.startswith(CANCEL_PREFIX)
+        return path.startswith(
+            (QUERY_PREFIX, RESULT_PREFIX, CHUNK_PREFIX, MANIFEST_PREFIX, CANCEL_PREFIX)
         )
 
     def on_write(self, path: str, data: bytes) -> None:
@@ -411,13 +411,14 @@ class QservWorker(OfsPlugin):
                 result_path(hash_of_cancel_path(path)), data.decode().strip()
             )
             return
-        request = ChunkRequest.decode(data.decode())
+        text = data.decode()
         try:
-            members = request.members(chunk_id_of_query_path(path))
+            request = ChunkRequest.decode(text)
         except ValueError as e:
             # Refused as a failed file transaction, like an undecodable
             # chunk table: the master re-dispatches, nothing half-runs.
             raise FileSystemError(f"chunk query batch failed to decode: {e}") from e
+        members = request.members or ((chunk_id_of_query_path(path), ()),)
         rpath = result_path(request.result_hash)
         task = _Task(rpath, members, request, time.perf_counter())
         with self._lock:
@@ -676,11 +677,11 @@ class QservWorker(OfsPlugin):
     def _execute_task(self, task: _Task, queue_wait: float = 0.0):
         """Run the members back to back and publish one result.
 
-        A member's failure is its own: its frame says whether another
-        replica may do better (this worker stopped, or does not hold the
-        chunk) or the chunk query is at fault.  A write that was no
-        batch publishes as the paper's protocol does -- the bare payload,
-        or the error the read raises.
+        A member's failure is its own: its index entry says whether
+        another replica may do better (this worker stopped, or does not
+        hold the chunk) or the chunk query is at fault.  A write that
+        was no batch publishes as the paper's protocol does -- the bare
+        payload, or the error the read raises.
         """
         members, request = task.members, task.request
         # Trace context, if the master propagated any: the ``-- TRACE:``
@@ -693,13 +694,13 @@ class QservWorker(OfsPlugin):
         if request.trace is not None:
             query_trace = obs_trace.lookup(request.trace[0])
             parent_span_id = request.trace[1]
-        fmt = request.result_format
-        # The members differ in their chunk ids alone: one is scanned
-        # and bound, the others only name their tables.
+        batch = bool(request.members)
+        # The members differ in their chunk ids alone: the first is
+        # scanned, bound and planned, the others only name their tables.
         repeats: dict = {}
-        frames: list[Frame] = []
-        rows = 0
-        for i, (chunk_id, member) in enumerate(members):
+        entries: list[MemberAnswer] = []
+        tables: list[Table] = []
+        for i, (chunk_id, _) in enumerate(members):
             if i:
                 if self.slots:
                     # Between members a slot gives way, as it did between
@@ -713,8 +714,9 @@ class QservWorker(OfsPlugin):
                     refusal = self._refusal_locked(task)
                 if refusal is not None:
                     self._note_refused(task, refusal, members[i:])
-                    left = refusal.encode()
-                    frames += [Frame(c, "retryable", 0.0, left) for c, _ in members[i:]]
+                    entries += [
+                        MemberAnswer(c, "retryable", 0.0, 0, refusal) for c, _ in members[i:]
+                    ]
                     break
             t0 = time.perf_counter()
             try:
@@ -727,59 +729,66 @@ class QservWorker(OfsPlugin):
                     chunk=chunk_id,
                     queue_wait=round(queue_wait, 6),
                 ) as execute_span:
-                    result = self.execute_chunk_query(chunk_id, member, repeats)
-                    rows += result.num_rows
-                    execute_span.set(rows=result.num_rows)
-                t1 = time.perf_counter()
-                self._execute_seconds.observe(t1 - t0)
-                with obs_trace.span(
-                    "worker.dump",
-                    trace=query_trace,
-                    parent_id=parent_span_id,
-                    track=self.name,
-                    worker=self.name,
-                    chunk=chunk_id,
-                    format=fmt,
-                ):
-                    if fmt == "binary":
-                        payload = encode_table(result, _RESULT_TABLE)
-                    else:
-                        payload = dump_table(result, _RESULT_TABLE).encode()
-                t2 = time.perf_counter()
-                self._dump_seconds.observe(t2 - t1)
-                frames.append(Frame(chunk_id, "ok", t2 - t0, payload))
+                    result = self.execute_chunk_query(chunk_id, request, repeats)
+                    rows = result.num_rows
+                    execute_span.set(rows=rows)
             except Exception as e:  # surfaced to the master on read
                 self.metrics.counter("worker.errors").add(1)
                 # A chunk this worker does not hold is no fault of the query's.
                 status = "sql-error" if self.chunk_tables(chunk_id) else "retryable"
                 seconds = time.perf_counter() - t0
-                frames.append(Frame(chunk_id, status, seconds, str(e).encode()))
-        done = [frame for frame in frames if frame.status == "ok"]
-        result_bytes = sum(len(frame.payload) for frame in done)
-        if done:
-            self._queries.add(len(done))
-            self._result_bytes.add(result_bytes)
+                entries.append(MemberAnswer(chunk_id, status, seconds, 0, str(e)))
+                continue
+            seconds = time.perf_counter() - t0
+            self._execute_seconds.observe(seconds)
+            entries.append(MemberAnswer(chunk_id, "ok", seconds, rows))
+            tables.append(result)
+        fmt = "binary" if batch else request.result_format
         payload = error = None
-        if len(members) > 1:
-            payload = encode_frames(frames)
-        elif done:
-            payload = done[0].payload
-        else:
-            error = frames[0].payload.decode()
+        if batch or tables:
+            t0 = time.perf_counter()
+            with obs_trace.span(
+                "worker.dump",
+                trace=query_trace,
+                parent_id=parent_span_id,
+                track=self.name,
+                worker=self.name,
+                chunk=members[0][0],
+                members=len(members),
+                format=fmt,
+            ):
+                try:
+                    if batch:
+                        parts = encode_tables_parts(tables, _RESULT_TABLE) if tables else ()
+                        payload = encode_answer(entries, parts)
+                    elif fmt == "binary":
+                        payload = encode_table(tables[0], _RESULT_TABLE)
+                    else:
+                        payload = dump_table(tables[0], _RESULT_TABLE).encode()
+                except Exception as e:  # a result column with no encoding
+                    self.metrics.counter("worker.errors").add(1)
+                    entries = [
+                        a._replace(status="sql-error", rows=0, error=str(e))
+                        if a.status == "ok"
+                        else a
+                        for a in entries
+                    ]
+                    tables = []
+                    payload = encode_answer(entries) if batch else None
+            self._dump_seconds.observe(time.perf_counter() - t0)
+        if payload is None:
+            error = entries[0].error
+        rows = sum(entry.rows for entry in entries)
+        if tables:
+            self._queries.add(len(tables))
+            self._result_bytes.add(len(payload))
         with self._lock:
-            if fmt == "binary":
-                self.stats.binary_results += len(done)
-            else:
-                self.stats.sqldump_results += len(done)
-            self._publish_locked(task, payload, rows, error, result_bytes)
+            self._publish_locked(task, payload, rows, error)
 
-    def _publish_locked(
-        self, task: _Task, payload=None, rows=0, error=None, result_bytes=0
-    ) -> None:
+    def _publish_locked(self, task: _Task, payload=None, rows=0, error=None) -> None:
         """A task's outcome -- run or skipped -- onto its result record; readers go.
 
-        ``rows`` and ``result_bytes`` are what the members' own results
-        hold, a batch's frame lines not counted.
+        ``rows`` are what the members' results hold.
         """
         record = self._results.get(task.rpath)
         if record is None:
@@ -799,7 +808,6 @@ class QservWorker(OfsPlugin):
             record.error = None
             record.payload = payload
             self.stats.result_rows += rows
-            self.stats.result_bytes += result_bytes
         record.ready.set()
 
     # -- chunk query execution ---------------------------------------------------------------
@@ -809,8 +817,12 @@ class QservWorker(OfsPlugin):
     ) -> Table:
         """Run one chunk query (text with or without headers, or decoded); the combined result.
 
-        ``repeats`` is what a batch's earlier members prepared (see
-        :meth:`_prepare`); a chunk query on its own starts with none.
+        A decoded request may be a whole batch, of which ``chunk_id``
+        is the member to run.  ``repeats`` is what the batch's earlier
+        members prepared (see :meth:`_prepare`), the plan of the first
+        of them included (:meth:`_execute_planned`): a member the plan
+        answers is never rendered as text.  A chunk query on its own
+        starts with none.
         """
         # The statements of a sub-chunk query are one or two texts
         # repeated about other sub-chunks: each is scanned and bound
@@ -819,6 +831,14 @@ class QservWorker(OfsPlugin):
         if repeats is None:
             repeats = {}
         request = text if isinstance(text, ChunkRequest) else ChunkRequest.decode(text)
+        if request.members:
+            plan = repeats.get(_PLAN)
+            if plan is not None:
+                result = self._execute_planned(plan, plan.names((chunk_id, None)))
+                if result is not None:
+                    return result
+            sub_chunk_ids = dict(request.members)[chunk_id]
+            request = ChunkRequest.decode(render_member(request.body, chunk_id, sub_chunk_ids))
         prepared = [
             pair
             for statement in filter(None, map(str.strip, _split_statements(request.body)))
@@ -827,6 +847,7 @@ class QservWorker(OfsPlugin):
         if len(prepared) == 1:
             result = self._execute_planned(*prepared[0])
             if result is not None:
+                repeats[_PLAN] = prepared[0][0]
                 return result
         # Consecutive statements that differ only in FROM tables, as
         # (prepared statement, [FROM table names per member]).

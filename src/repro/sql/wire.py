@@ -56,6 +56,7 @@ __all__ = [
     "WireFormatError",
     "encode_table",
     "encode_table_parts",
+    "encode_tables_parts",
     "decode_table",
     "is_wire_payload",
 ]
@@ -110,11 +111,29 @@ def encode_table_parts(table: Table, name: str | None = None) -> list:
     made until the caller joins (or writes) the parts.  String columns
     are rendered (inherently a copy).
     """
-    name = name or table.name
-    cols = table.columns()
+    return encode_tables_parts([table], name or table.name)
+
+
+def encode_tables_parts(tables: list, name: str) -> list:
+    """:func:`encode_table_parts` of the rows of ``tables``, one after another.
+
+    What ``encode_table_parts(Table.concat(name, tables))`` returns,
+    without the concatenation: each column's buffers are the tables'
+    own, so joining the parts is the one copy.  Column order and dtypes
+    follow the first table and empty later ones are skipped, as
+    :meth:`Table.concat` has them.
+    """
+    first = tables[0]
+    rest = [t for t in tables[1:] if t.num_rows]
+    cols = first.columns()
     if not cols:
         raise WireFormatError("cannot encode a table with no columns")
-    nrows = table.num_rows
+    for t in rest:
+        if set(t.column_names) != set(cols):
+            raise WireFormatError(
+                f"column mismatch: {sorted(cols)} against {sorted(t.column_names)}"
+            )
+    nrows = first.num_rows + sum(t.num_rows for t in rest)
 
     name_b = name.encode()
     parts: list = [
@@ -130,16 +149,20 @@ def encode_table_parts(table: Table, name: str | None = None) -> list:
         cname = col_name.encode()
         parts += (_U16.pack(len(cname)), cname, _CODE_BYTES[code])
 
-    for code, arr in zip(codes, cols.values()):
+    for code, (col_name, base) in zip(codes, cols.items()):
+        arrays = [base]
+        for t in rest:
+            arr = t.column(col_name)
+            arrays.append(arr.astype(object if code == _DTYPE_STRING else base.dtype, copy=False))
         if code == _DTYPE_INT64:
-            parts.append(np.ascontiguousarray(arr, dtype=_I8).data)
+            parts += [np.ascontiguousarray(arr, dtype=_I8).data for arr in arrays]
         elif code == _DTYPE_FLOAT64:
-            parts.append(np.ascontiguousarray(arr, dtype=_F8).data)
+            parts += [np.ascontiguousarray(arr, dtype=_F8).data for arr in arrays]
         elif code == _DTYPE_BOOL:
             # bool is 1 byte; reinterpret in place instead of astype-copying.
-            parts.append(np.ascontiguousarray(arr).view(np.uint8).data)
+            parts += [np.ascontiguousarray(arr).view(np.uint8).data for arr in arrays]
         else:  # string: u32 lengths, then the concatenated utf-8 blob
-            encoded = [str(v).encode() for v in arr]
+            encoded = [str(v).encode() for arr in arrays for v in arr]
             lengths = np.fromiter(
                 (len(b) for b in encoded), dtype="<u4", count=len(encoded)
             )

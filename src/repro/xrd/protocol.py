@@ -19,17 +19,44 @@ magic, so a worker that ignores the header (an old version, or a
 paper-faithful configuration) degrades safely to the SQL dump.
 
 The chunk queries of one user query bound for one worker travel as one
-such pair: the write's body holds every *member* behind a
-``-- MEMBER: <chunk id> <length>`` line (:func:`batch_body`), ``H`` is
-the hash of that whole text, and the read returns one frame per member
-(:func:`encode_frames`).  A batch of one is the bare chunk query and
-the bare payload -- the paper's protocol, byte for byte.
+such pair, a *batch*.  A batch of one is the bare chunk query and the
+bare payload -- the paper's protocol, byte for byte.  A larger batch
+asks one statement of several chunks, so it writes that statement once::
+
+    -- RESULT_FORMAT: binary
+    (-- DEADLINE: / -- ATTEMPT: / -- TRACE: lines, as for one chunk query)
+    -- BATCH: 713 714 715                (or 713:45,46 714:12, sub-chunk ids after ':')
+    SELECT ... FROM LSST.Object_1000000000000000713 AS Object ...;
+
+The body is the *template*: the chunk query with :data:`ANY_CHUNK` (and
+:data:`ANY_SUB_CHUNK`) in place of a member's ids, and
+:func:`render_member` makes each member's own chunk query of it -- the
+czar renders every chunk query it sends alone the same way.  ``H`` is
+the hash of the whole text, batch line included.  The read returns one
+answer for all members (:func:`encode_answer`, all integers
+little-endian)::
+
+    magic      4 bytes   b"\\x93QWB"
+    members    u32
+    -- per member, in the batch's order:
+    chunk id   u32
+    status     u8        index into FRAME_STATUSES
+    seconds    f32       what executing the member cost the worker
+    count      u32       ok: its rows in the table; else: its error's bytes
+    -- then the error texts (utf-8), in member order
+    -- then one wire table (repro.sql.wire) of every ok member's rows, in
+       member order; absent when no member is ok
+
+Only the czar's binary wire format batches: a czar asking for
+``sqldump``, and a chunk query whose stand-in ids collide with a literal
+of its own, send every chunk query alone.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+import struct
 from typing import NamedTuple, Optional
 
 __all__ = [
@@ -42,9 +69,12 @@ __all__ = [
     "DEADLINE_HEADER_PREFIX",
     "TRACE_HEADER_PREFIX",
     "ATTEMPT_HEADER_PREFIX",
-    "BATCH_MEMBER_PREFIX",
-    "FRAME_PREFIX",
+    "BATCH_HEADER_PREFIX",
+    "SUBCHUNK_HEADER_PREFIX",
+    "ANY_CHUNK",
+    "ANY_SUB_CHUNK",
     "FRAME_STATUSES",
+    "ANSWER_MAGIC",
     "WIRE_FORMATS",
     "query_path",
     "result_path",
@@ -57,10 +87,11 @@ __all__ = [
     "chunk_id_of_manifest_path",
     "result_format_header",
     "ChunkRequest",
-    "Frame",
-    "batch_body",
-    "encode_frames",
-    "decode_frames",
+    "sub_chunk_text",
+    "render_member",
+    "MemberAnswer",
+    "encode_answer",
+    "decode_answer",
 ]
 
 QUERY_PREFIX = "/query2/"
@@ -129,21 +160,35 @@ _NOT_IDENTITY_LINE_RE = re.compile(
     "^(?:%s).*\n?" % "|".join(map(re.escape, _NOT_IDENTITY)), re.MULTILINE
 )
 
-#: ``MEMBER`` opens one member of a batch: its chunk id and the length
-#: in characters of its chunk query, which follows verbatim (its own
-#: ``-- SUBCHUNKS:`` line included) on the next line.  Not a header: the
-#: headers end where the first member begins, and every member line is
-#: identity.
-BATCH_MEMBER_PREFIX = "-- MEMBER:"
+#: ``BATCH`` makes the body a batch's *template*: the chunk query its
+#: members share, with :data:`ANY_CHUNK` (and :data:`ANY_SUB_CHUNK`)
+#: standing in for their ids.  The value lists the members, each
+#: ``<chunk id>`` or ``<chunk id>:<sub-chunk id>,...``, separated by
+#: spaces.  It is identity, and it is always the last header.
+BATCH_HEADER_PREFIX = "-- BATCH:"
 
-#: A batch's result: per member one ``-- FRAME: <chunk id> <status>
-#: <worker seconds> <length>`` line and ``length`` bytes -- the member's
-#: result payload exactly as a batch of one would publish it (``ok``),
-#: or the error text.  ``sql-error`` is the chunk query's own fault;
-#: ``retryable`` is the worker's (shut down, withdrawn, out of budget,
-#: chunk not held) and another replica may answer.
-FRAME_PREFIX = b"-- FRAME:"
+#: The paper's sub-chunk line: the sub-chunk ids a chunk query's
+#: statements name, which the worker materializes.
+SUBCHUNK_HEADER_PREFIX = "-- SUBCHUNKS:"
+
+#: Stand in for a member's chunk id and sub-chunk id in a batch's
+#: template (as ``_<id>`` in a table name); no catalog has this many.
+ANY_CHUNK = 10**18 + 713
+ANY_SUB_CHUNK = 10**18 + 45
+_CHUNK_MARK = f"_{ANY_CHUNK}"
+_SUB_CHUNK_MARK = f"_{ANY_SUB_CHUNK}"
+
+#: A member's status in a batch's answer.  ``sql-error`` is the chunk
+#: query's own fault; ``retryable`` is the worker's (shut down,
+#: withdrawn, out of budget, chunk not held) and another replica may
+#: answer.
 FRAME_STATUSES = ("ok", "sql-error", "retryable")
+
+#: A batch's answer: magic and member count, one index entry per member,
+#: the error texts, then one wire table (see the module docstring).
+ANSWER_MAGIC = b"\x93QWB"
+_ANSWER_HEAD = struct.Struct("<4sI")
+_ANSWER_ENTRY = struct.Struct("<IBfI")
 
 #: Result encodings a czar may request / a worker may publish.
 WIRE_FORMATS = ("binary", "sqldump")
@@ -161,7 +206,7 @@ def result_format_header(wire_format: str) -> str:
 class ChunkRequest(NamedTuple):
     """One chunk query as it crosses the fabric: header fields and SQL body."""
 
-    #: The chunk query below its headers.
+    #: The chunk query below its headers; a batch's template.
     body: str
     #: ``binary``, or (also for no header, or anything else) ``sqldump``.
     result_format: str = "sqldump"
@@ -173,8 +218,12 @@ class ChunkRequest(NamedTuple):
     trace: Optional[tuple[str, str]] = None
     #: The text this was decoded from, unknown headers and all -- its
     #: identity; None for a request built from fields, whose identity is
-    #: its format line and body.
+    #: its format line, batch line and body.
     source: Optional[str] = None
+    #: A batch's members, ``(chunk id, sub-chunk ids)`` each, whose
+    #: chunk queries :func:`render_member` makes of the body; empty for
+    #: one chunk query, which the body is.
+    members: tuple = ()
 
     def _text(self, identity_only: bool = False) -> str:
         lines = []
@@ -187,6 +236,8 @@ class ChunkRequest(NamedTuple):
                 lines.append(f"{ATTEMPT_HEADER_PREFIX} {self.attempt}")
             if self.trace is not None:
                 lines.append(f"{TRACE_HEADER_PREFIX} {self.trace[0]}/{self.trace[1]}")
+        if self.members:
+            lines.append(f"{BATCH_HEADER_PREFIX} {' '.join(map(_member_text, self.members))}")
         lines.append(self.body)
         return "\n".join(lines)
 
@@ -206,18 +257,17 @@ class ChunkRequest(NamedTuple):
         Headers come in any order and only before the first statement;
         the first line of a name wins, names this worker does not know
         (``-- SUBCHUNKS:``, a newer master's) are skipped, a malformed
-        value reads as an absent header.  A batch's headers end at its
-        first ``-- MEMBER:`` line, which starts the body.
+        value reads as an absent header -- except a malformed
+        ``-- BATCH:`` line, which raises :class:`ValueError`: its
+        template is no chunk query.
         """
         values: dict[str, str] = {}
         body = text.lstrip()
-        while body.startswith("--") and not body.startswith(BATCH_MEMBER_PREFIX):
+        while body.startswith("--"):
             line, _, body = body.partition("\n")
             name, colon, value = line.partition(":")
             if colon:
                 values.setdefault(name + colon, value.strip())
-        if not body.startswith(BATCH_MEMBER_PREFIX):
-            body = body.rstrip()  # (a batch's last member is counted to the character)
         trace = None
         trace_id, slash, span_id = values.get(TRACE_HEADER_PREFIX, "").partition("/")
         if slash and trace_id and span_id:
@@ -226,89 +276,133 @@ class ChunkRequest(NamedTuple):
             deadline = max(float(values[DEADLINE_HEADER_PREFIX]), 0.0)
         except (KeyError, ValueError):
             deadline = None  # absent or malformed: no budget
+        batch = values.get(BATCH_HEADER_PREFIX)
         return cls(
-            body,
+            body.rstrip(),
             "binary" if values.get(RESULT_FORMAT_HEADER_PREFIX) == "binary" else "sqldump",
             deadline,
             values.get(ATTEMPT_HEADER_PREFIX, ""),
             trace,
             text,
+            () if batch is None else _members_of(batch),
         )
 
-    def members(self, chunk_id: int) -> list[tuple[int, "ChunkRequest"]]:
-        """``(chunk id, request)`` per member, each under this request's headers.
 
-        A body that is no batch is the one member, about ``chunk_id``
-        (the ``CC`` of the path it was written to).  Raises
-        :class:`ValueError` for a member line that does not parse or a
-        length that overruns the text.
-        """
-        if not self.body.startswith(BATCH_MEMBER_PREFIX):
-            return [(chunk_id, self)]
-        out, body, pos = [], self.body, 0
-        while pos < len(body):
-            end = body.find("\n", pos)
-            prefix, member_id, length = body[pos : max(end, 0)].rsplit(" ", 2)
-            start, stop = end + 1, end + 1 + int(length)
-            if prefix != BATCH_MEMBER_PREFIX or int(length) < 0 or stop > len(body):
-                raise ValueError(f"bad batch member line {body[pos:end]!r}")
-            member = ChunkRequest.decode(body[start:stop])
-            out.append((int(member_id), self._replace(body=member.body, source=None)))
-            pos = stop + 1  # the line break that ends a member
-        return out
+def _member_text(member) -> str:
+    chunk_id, sub_chunk_ids = member
+    if not sub_chunk_ids:
+        return str(chunk_id)
+    return f"{chunk_id}:{','.join(map(str, sub_chunk_ids))}"
 
 
-def batch_body(members) -> str:
-    """The body carrying ``(chunk id, chunk query)`` members; one member is itself."""
-    if len(members) == 1:
-        return members[0][1]
-    return "\n".join(
-        f"{BATCH_MEMBER_PREFIX} {chunk_id} {len(text)}\n{text}" for chunk_id, text in members
+def _members_of(value: str) -> tuple:
+    """The members of a ``-- BATCH:`` line; :class:`ValueError` unless
+    every one parses and no chunk id repeats."""
+    members = []
+    for word in value.split():
+        chunk_id, colon, subs = word.partition(":")
+        members.append(
+            (int(chunk_id), tuple(int(s) for s in subs.split(",")) if colon else ())
+        )
+    if not members or len({chunk_id for chunk_id, _ in members}) != len(members):
+        raise ValueError(f"bad batch line {value!r}")
+    return tuple(members)
+
+
+def sub_chunk_text(sub_chunk_ids, statements) -> str:
+    """A sub-chunk query: its ``-- SUBCHUNKS:`` line, then its statements."""
+    ids = ", ".join(map(str, sub_chunk_ids))
+    return f"{SUBCHUNK_HEADER_PREFIX} {ids}\n" + "\n".join(statements)
+
+
+def render_member(template: str, chunk_id: int, sub_chunk_ids=()) -> str:
+    """A batch member's chunk query: ``template`` about its ids.
+
+    The text the czar sends the member alone.  With sub-chunk ids the
+    template is what the statements about one sub-chunk share, and the
+    member is those statements about each of its sub-chunks in turn.
+    """
+    text = template.replace(_CHUNK_MARK, f"_{chunk_id}")
+    if not sub_chunk_ids:
+        return text
+    return sub_chunk_text(
+        sub_chunk_ids, [text.replace(_SUB_CHUNK_MARK, f"_{s}") for s in sub_chunk_ids]
     )
 
 
-class Frame(NamedTuple):
-    """One member's part of a batch's result."""
+class MemberAnswer(NamedTuple):
+    """One member's entry in a batch's answer index."""
 
     chunk_id: int
     status: str  # one of FRAME_STATUSES
-    #: What the member cost the worker: execution and dump.
+    #: What executing the member cost the worker.
     seconds: float
-    #: The result payload (``ok``) or the UTF-8 error text.
-    payload: bytes
+    #: ``ok``: its rows in the answer's table, after those of the
+    #: ``ok`` members before it.
+    rows: int = 0
+    #: Otherwise: the error text.
+    error: str = ""
 
 
-def encode_frames(frames) -> bytes:
-    """The bytes published at a batch's ``/result/H``."""
-    parts = []
-    for frame in frames:
+def encode_answer(entries, table_parts=()) -> bytes:
+    """The bytes published at a batch's ``/result/H``, gathered in one copy.
+
+    ``table_parts`` are the buffers of one wire table holding the rows
+    of the ``ok`` entries in their order (none when there is none).
+    """
+    errors = [entry.error.encode() for entry in entries]
+    parts = [_ANSWER_HEAD.pack(ANSWER_MAGIC, len(errors))]
+    for entry, error in zip(entries, errors):
+        ok = entry.status == "ok"
         parts.append(
-            b"%s %d %s %.6f %d\n"
-            % (FRAME_PREFIX, frame.chunk_id, frame.status.encode(), frame.seconds,
-               len(frame.payload))
+            _ANSWER_ENTRY.pack(
+                entry.chunk_id, FRAME_STATUSES.index(entry.status), entry.seconds,
+                entry.rows if ok else len(error),
+            )
         )
-        parts.append(frame.payload)
+    parts += errors
+    parts += table_parts
     return b"".join(parts)
 
 
-def decode_frames(data: bytes) -> list[Frame]:
-    """The frames of a batch's result; payloads are views into ``data``.
+def decode_answer(data, chunk_ids) -> tuple[list[MemberAnswer], memoryview]:
+    """The index of a batch's answer and a view of its table's bytes.
 
-    Raises :class:`ValueError` unless ``data`` is frame after whole
-    frame to its last byte, each with a known status.
+    Raises :class:`ValueError` unless the index names each of
+    ``chunk_ids`` exactly once, every status is known, the error texts
+    are whole, and a table follows exactly when some member is ``ok``.
+    That the table's rows are the entries' rows is the caller's to
+    check, once it has decoded the table.
     """
-    view, out, pos = memoryview(data), [], 0
-    while pos < len(data):
-        end = data.find(b"\n", pos)
-        fields = data[pos : max(end, 0)].split(b" ")
-        if len(fields) != 6 or b" ".join(fields[:2]) != FRAME_PREFIX:
-            raise ValueError(f"bad frame line at byte {pos}")
-        status, length = fields[3].decode(), int(fields[5])
-        start, pos = end + 1, end + 1 + length
-        if status not in FRAME_STATUSES or length < 0 or pos > len(data):
-            raise ValueError(f"bad frame for chunk {fields[2]!r}: {status} {length}")
-        out.append(Frame(int(fields[2]), status, float(fields[4]), view[start:pos]))
-    return out
+    view = memoryview(data)
+    if len(view) < _ANSWER_HEAD.size:
+        raise ValueError("truncated batch answer")
+    magic, n = _ANSWER_HEAD.unpack_from(view)
+    pos = _ANSWER_HEAD.size + n * _ANSWER_ENTRY.size
+    if magic != ANSWER_MAGIC or n != len(chunk_ids) or pos > len(view):
+        raise ValueError(f"bad batch answer head: {bytes(magic)!r}, {n} members")
+    entries, ok = [], False
+    for chunk_id, code, seconds, count in _ANSWER_ENTRY.iter_unpack(
+        view[_ANSWER_HEAD.size : pos]
+    ):
+        if code >= len(FRAME_STATUSES):
+            raise ValueError(f"chunk {chunk_id}: unknown status {code}")
+        if code == 0:
+            ok = True
+            entries.append(MemberAnswer(chunk_id, "ok", seconds, count))
+            continue
+        start, pos = pos, pos + count
+        if pos > len(view):
+            raise ValueError(f"chunk {chunk_id}: error text overruns the answer")
+        error = str(view[start:pos], "utf-8", "replace")
+        entries.append(MemberAnswer(chunk_id, FRAME_STATUSES[code], seconds, 0, error))
+    named = {entry.chunk_id for entry in entries}
+    if len(named) != n or named != set(chunk_ids):
+        raise ValueError(f"the answer's members {sorted(named)} are not the batch's")
+    table = view[pos:]
+    if ok != bool(len(table)):
+        raise ValueError("a table without an ok member, or an ok member without one")
+    return entries, table
 
 
 def query_path(chunk_id: int) -> str:

@@ -8,9 +8,11 @@ same answer" is the same code sending batches of one (a czar under a
 hedge policy never batches -- hedging watches single chunks).
 """
 
+import hashlib
 import os
 import threading
 import time
+from types import SimpleNamespace as NS
 
 import numpy as np
 import pytest
@@ -19,16 +21,21 @@ from repro.data import build_testbed
 from repro.obs import metrics as obs_metrics
 from repro.qserv import ChunkTimeoutError, Czar, HedgePolicy, QueryCancelledError
 from repro.sql import SqlError, Table
-from repro.sql.wire import encode_table
+from repro.sql.wire import decode_table, encode_table, encode_table_parts
 from repro.xrd import FaultPlan
 from repro.xrd.protocol import (
+    ANY_CHUNK,
+    ANY_SUB_CHUNK,
     QUERY_PREFIX,
+    RESULT_PREFIX,
     ChunkRequest,
-    batch_body,
+    MemberAnswer,
     chunk_id_of_query_path,
     chunk_path,
-    decode_frames,
+    decode_answer,
+    encode_answer,
     query_path,
+    render_member,
     result_path,
 )
 from repro.xrd.retry import CancelToken, RetryPolicy
@@ -74,14 +81,32 @@ def record_writes(tb):
     for name, worker in tb.workers.items():
         def on_write(path, data, _name=name, _orig=worker.on_write):
             if path.startswith(QUERY_PREFIX):
-                members = ChunkRequest.decode(data.decode()).members(
-                    chunk_id_of_query_path(path)
-                )
-                writes.append((_name, [chunk_id for chunk_id, _ in members]))
+                members = ChunkRequest.decode(data.decode()).members
+                chunks = [chunk_id for chunk_id, _ in members] or [chunk_id_of_query_path(path)]
+                writes.append((_name, chunks))
             return _orig(path, data)
 
         worker.on_write = on_write
     return writes
+
+
+def record_io(tb):
+    """``(worker, bytes)`` of every chunk-query write and every result read."""
+    written, read = [], []
+    for name, worker in tb.workers.items():
+        def on_write(path, data, _name=name, _orig=worker.on_write):
+            if path.startswith(QUERY_PREFIX):
+                written.append((_name, bytes(data)))
+            return _orig(path, data)
+
+        def on_read(path, _name=name, _orig=worker.on_read):
+            data = _orig(path)
+            if path.startswith(RESULT_PREFIX) and data is not None:
+                read.append((_name, bytes(data)))
+            return data
+
+        worker.on_write, worker.on_read = on_write, on_read
+    return written, read
 
 
 def executed(tb):
@@ -101,6 +126,7 @@ class TestSameAnswerAsBatchesOfOne:
             reference = alone.submit(sql)
             assert all(len(chunks) == 1 for _, chunks in writes)
             del writes[:]
+            _, read = record_io(tb)
             before = global_values()
             result = tb.czar.submit(sql)
             totals = assert_identity(result.stats)
@@ -109,19 +135,88 @@ class TestSameAnswerAsBatchesOfOne:
             alone.close()
         assert sorted(result.rows()) == sorted(reference.rows())
         assert result.column_names == reference.column_names
-        for name in ("chunks_dispatched", "rows_merged", "sub_chunk_statements",
-                     "bytes_collected", "chunks_retried"):
+        for name in ("chunks_dispatched", "rows_merged", "sub_chunk_statements", "chunks_retried"):
             assert getattr(result.stats, name) == getattr(reference.stats, name), name
         by_chunk = {c.chunk_id: c for c in reference.stats.chunk_profiles}
         for row in result.stats.chunk_profiles:
-            assert (row.status, row.attempts, row.rows, row.bytes_received) == (
-                "ok", 1, by_chunk[row.chunk_id].rows, by_chunk[row.chunk_id].bytes_received,
-            )
+            assert (row.status, row.attempts, row.rows) == ("ok", 1, by_chunk[row.chunk_id].rows)
         # One write per worker; every chunk in exactly one of them.
         assert len(writes) == len({worker for worker, _ in writes})
         assert sorted(c for _, chunks in writes for c in chunks) == sorted(by_chunk)
         if len(by_chunk) > 3:
             assert max(len(chunks) for _, chunks in writes) > 1
+        # A row's bytes received are its share of its batch's read, and
+        # one table header for a batch is less to read than one per chunk.
+        assert len(read) == len(writes)
+        for worker, data in read:
+            rows = [r for r in result.stats.chunk_profiles if r.worker == worker]
+            share, odd = divmod(len(data), len(rows))
+            assert sorted(r.bytes_received for r in rows) == [share] * (len(rows) - 1) + [
+                share + odd
+            ]
+        assert result.stats.bytes_collected == sum(len(data) for _, data in read)
+        if all(len(chunks) == 1 for _, chunks in writes):
+            assert result.stats.bytes_collected == reference.stats.bytes_collected
+        else:
+            assert result.stats.bytes_collected < reference.stats.bytes_collected
+
+    @pytest.mark.parametrize(
+        "fmt, digests",
+        [
+            (
+                "binary",
+                ((100, "ca3caa0711069ea922ccc6fb4c7ae72f81c31543388e4f582e2f813fa5cfeb0c"),
+                 (64, "f7d9c5a24725800d0d9f03b6a80422c10604b7b9ec2bbbd0ed3aa30cdb2db7dc")),
+            ),
+            (
+                "sqldump",
+                ((75, "55cf5173900b2945b427a347c8be6b136317c13362d2c70d273ad02a4f87abff"),
+                 (151, "6bbaf1298fa1f979f410ad74f6bd72fbfaf80cf2f397e4f160c03dffbee39a4f")),
+            ),
+        ],
+    )
+    def test_a_batch_of_one_writes_and_reads_the_parents_bytes(self, tb, fmt, digests):
+        """LV's one chunk query, as the czar before batch templates wrote and read it.
+
+        The lengths and SHA-256 digests were recorded at commit e626b10
+        on this testbed, inline and with two slots alike.
+        """
+        czar = tb.czar
+        if fmt == "sqldump":
+            czar = Czar(
+                tb.redirector, tb.metadata, tb.chunker, secondary_index=tb.secondary_index,
+                available_chunks=tb.placement.chunk_ids, health=tb.health, wire_format=fmt,
+            )
+        try:
+            written, read = record_io(tb)
+            czar.submit(LV)
+        finally:
+            if czar is not tb.czar:
+                czar.close()
+        ((_, w),), ((_, r),) = written, read
+        assert [(len(data), hashlib.sha256(data).hexdigest()) for data in (w, r)] == list(digests)
+
+    def test_a_sqldump_czar_sends_every_chunk_alone(self, tb):
+        """Batching is a binary-wire feature: one transaction per chunk, same answer."""
+        dump = Czar(
+            tb.redirector, tb.metadata, tb.chunker, secondary_index=tb.secondary_index,
+            available_chunks=tb.placement.chunk_ids, health=tb.health, wire_format="sqldump",
+        )
+        try:
+            for sql in (HV, HV_ROWS, SHV):
+                binary = tb.czar.submit(sql)
+                writes = record_writes(tb)
+                legacy = dump.submit(sql)
+                assert legacy.stats.wire_format == "sqldump"
+                assert sorted(c for _, chunks in writes for c in chunks) == sorted(
+                    row.chunk_id for row in binary.stats.chunk_profiles
+                )
+                assert all(len(chunks) == 1 for _, chunks in writes)
+                assert len(writes) == legacy.stats.chunks_dispatched
+                assert len(writes) > len(legacy.stats.workers_used)
+                assert sorted(legacy.rows()) == sorted(binary.rows())
+        finally:
+            dump.close()
 
     def test_traced_profile_has_every_members_worker_columns(self, tb):
         profile = tb.czar.submit(HV, trace=True).stats.profile
@@ -276,19 +371,21 @@ class TestCancelMidBatch:
                 token.cancel("changed my mind")
                 t.join(timeout=10)
                 assert not t.is_alive()
+                # One /cancel/<H> per batch, by its hash -- all of them in
+                # before any worker goes on: the first batch to unwind
+                # raises, the others follow within a poll.
+                assert wait_for(
+                    lambda: sum(w.stats.queries_cancelled for w in tb.workers.values())
+                    == batches
+                )
             finally:
                 gate.set()
             error = outcome["error"]
             assert isinstance(error, QueryCancelledError)
-            # (The first batch to unwind raises; the others follow within a poll.)
             assert wait_for(
                 lambda: {c.status for c in error.stats.chunk_profiles} == {"cancelled"}
             )
             assert len(writes) == batches and max(len(c) for _, c in writes) > 1
-            # One /cancel/<H> per batch, by its hash.
-            assert wait_for(
-                lambda: sum(w.stats.queries_cancelled for w in tb.workers.values()) == batches
-            )
             # Each worker finishes the member it was inside and runs no other.
             assert wait_for(lambda: executed(tb) - before == batches)
             time.sleep(0.1)
@@ -405,30 +502,59 @@ class TestDamagedFrames:
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda data: data[:-3],  # truncated frame
-            lambda data: data.replace(b" 41\n", b" 40\n", 1),  # bad length
-            lambda data: data.replace(b" ok ", b" okay ", 1),  # bad status
+            lambda entries: answer_of(entries)[:-3],  # truncated table
+            lambda entries: answer_of(entries, rows=3),  # rows the table does not have
+            lambda entries: patched_status(answer_of(entries), 7),
+            lambda entries: answer_of([entries[0], entries[0]]),
+            lambda entries: answer_of([entries[0], entries[1]._replace(chunk_id=5)]),
+            lambda entries: answer_of(entries[:1]),
         ],
-        ids=["truncated", "bad-length", "bad-status"],
+        ids=["truncated", "bad-length", "bad-status", "repeated-member", "foreign-member",
+             "missing-member"],
     )
     def test_damage_is_a_retryable_payload_error_never_a_row(self, damage):
-        from types import SimpleNamespace as NS
-
         from repro.qserv import dispatch
-        from repro.sql.wire import encode_table
-        from repro.xrd.protocol import Frame, encode_frames
 
-        payload = encode_table(Table("chunk_result", {"n": [7]}), "chunk_result")
-        data = encode_frames([Frame(3, "ok", 0.001, payload), Frame(4, "ok", 0.001, payload)])
-        assert damage(data) != data
-        chunks = tuple(NS(spec=NS(chunk_id=chunk_id)) for chunk_id in (3, 4))
-        czar = NS(health=NS(record_failure=lambda worker: None))
-        answers = dispatch.ChunkDispatch(czar, None)._answers
-        whole = answers(chunks, "worker-000", data)
+        entries = [MemberAnswer(3, "ok", 0.001, 1), MemberAnswer(4, "ok", 0.001, 1)]
+        chunks = batch_of(3, 4)
+        answers = dispatch.ChunkDispatch(NO_HEALTH, None)._answers
+        whole = answers(chunks, "worker-000", answer_of(entries))
         assert sorted(whole) == [3, 4] and all(type(a) is tuple for a in whole.values())
+        assert [whole[c][1].column("n").tolist() for c in (3, 4)] == [[0], [1]]
         assert issubclass(dispatch._PayloadError, dispatch._RETRYABLE)
         with pytest.raises(dispatch._PayloadError):
-            answers(chunks, "worker-000", damage(data))
+            answers(chunks, "worker-000", damage(entries))
+
+    def test_a_repeated_member_is_a_payload_error(self):
+        """A damaged id naming another member must not hand that member its rows."""
+        from repro.qserv import dispatch
+
+        entries = [MemberAnswer(3, "ok", 0.001, 1), MemberAnswer(3, "ok", 0.001, 1)]
+        with pytest.raises(dispatch._PayloadError, match="not the batch's"):
+            dispatch.ChunkDispatch(NO_HEALTH, None)._answers(
+                batch_of(3, 4), "worker-000", answer_of(entries)
+            )
+
+
+def batch_of(*chunk_ids):
+    return tuple(NS(spec=NS(chunk_id=chunk_id)) for chunk_id in chunk_ids)
+
+
+#: A czar for ``_answers``, which records no failure of its own.
+NO_HEALTH = NS(health=NS(record_failure=None))
+
+
+def answer_of(entries, rows=None):
+    """A batch answer of ``entries`` and a table of their ``ok`` rows (or ``rows``)."""
+    if rows is None:
+        rows = sum(e.rows for e in entries if e.status == "ok")
+    table = Table("chunk_result", {"n": np.arange(rows, dtype=np.int64)})
+    return encode_answer(entries, encode_table_parts(table))
+
+
+def patched_status(data: bytes, code: int) -> bytes:
+    """``data`` with its first index entry's status byte set to ``code``."""
+    return data[:12] + bytes([code]) + data[13:]
 
 
 # -- the batch plan ----------------------------------------------------------------------
@@ -472,30 +598,51 @@ def kernel_counters():
     return executions, scanned, hits + misses
 
 
-def answers(worker, members):
-    """``(chunk id, status, payload)`` per member of ``members`` written as one batch.
+def decoded(table):
+    """A result table as comparable values: column names, dtypes, values."""
+    return tuple(
+        (name, arr.dtype.str, repr(arr.tolist())) for name, arr in table.columns().items()
+    )
 
-    A batch of one publishes as the paper's protocol does: its payload
+
+def answers(worker, template, members):
+    """``(chunk id, status, result)`` per member of ``members`` written as one batch.
+
+    ``members`` are ``(chunk id, sub-chunk ids)`` of ``template``.  A
+    batch of one publishes as the paper's protocol does: its payload
     (``ok``), or an error its read raises (``error``, with the message).
+    An ``ok`` result is the member's decoded rows (:func:`decoded`).
     """
-    text = "-- RESULT_FORMAT: binary\n" + batch_body(members)
-    worker.on_write(query_path(members[0][0]), text.encode())
-    path = result_path(ChunkRequest.decode(text).result_hash)
     if len(members) > 1:
-        frames = decode_frames(worker.on_read(path))
-        return [(f.chunk_id, f.status, bytes(f.payload)) for f in frames]
+        request = ChunkRequest(template, "binary", members=tuple(members))
+    else:
+        request = ChunkRequest(render_member(template, *members[0]), "binary")
+    worker.on_write(query_path(members[0][0]), request.encode())
+    path = result_path(request.result_hash)
+    if len(members) > 1:
+        entries, table_bytes = decode_answer(worker.on_read(path), [c for c, _ in members])
+        table, start, out = decode_table(table_bytes) if len(table_bytes) else None, 0, []
+        for entry in entries:
+            if entry.status != "ok":
+                out.append((entry.chunk_id, entry.status, entry.error))
+                continue
+            rows = table.select_rows(slice(start, start + entry.rows))
+            out.append((entry.chunk_id, "ok", decoded(rows)))
+            start += entry.rows
+        assert table is None or start == table.num_rows
+        return out
     try:
-        return [(members[0][0], "ok", worker.on_read(path))]
+        return [(members[0][0], "ok", decoded(decode_table(worker.on_read(path))))]
     except SqlError as e:
         return [(members[0][0], "error", str(e))]
 
 
-def batch_and_alone(worker, members):
+def batch_and_alone(worker, template, members):
     """One batch of ``members`` and each member alone: answers and counter deltas."""
     before = kernel_counters()
-    together = answers(worker, members)
+    together = answers(worker, template, members)
     middle = kernel_counters()
-    alone = [answer for member in members for answer in answers(worker, [member])]
+    alone = [answer for member in members for answer in answers(worker, template, [member])]
     after = kernel_counters()
     return (
         together,
@@ -507,7 +654,7 @@ def batch_and_alone(worker, members):
 
 @pytest.fixture
 def planned(slots):
-    """One worker holding 15 chunks; the first 7 of them."""
+    """One worker holding 15 chunks; the first 7 of them, as batch members."""
     tb = build_testbed(
         num_workers=1, num_objects=900, seed=61, num_stripes=45, num_sub_stripes=4,
         worker_slots=slots,
@@ -515,25 +662,28 @@ def planned(slots):
     (worker,) = tb.workers.values()
     chunks = worker.hosted_chunks()[:7]
     assert len(chunks) == 7
-    yield worker, chunks
+    yield worker, [(c, ()) for c in chunks]
     tb.shutdown()
+
+
+def template_of(case):
+    return PLANNED[case].format(c=ANY_CHUNK)
 
 
 class TestBatchPlan:
     """A batch's later members are its first member's kernel on their own tables.
 
     The reference is the same members as batches of one, where nothing
-    is shared: the same frames, byte for byte, and the same kernel
-    runs and scan bytes -- only the kernel cache is consulted once per
-    batch instead of once per member.  Kernels on or off.
+    is shared: the same decoded answers, and the same kernel runs and
+    scan bytes -- only the kernel cache is consulted once per batch
+    instead of once per member.  Kernels on or off.
     """
 
     @pytest.mark.parametrize("case", PLANNED)
     def test_a_batch_answers_as_its_members_alone(self, planned, case):
-        worker, chunks = planned
-        members = [(c, PLANNED[case].format(c=c)) for c in chunks]
-        answers(worker, members[:1])  # compiled: every lookup below is a hit
-        together, alone, batch, singles = batch_and_alone(worker, members)
+        worker, members = planned
+        answers(worker, template_of(case), members[:1])  # compiled: every lookup below is a hit
+        together, alone, batch, singles = batch_and_alone(worker, template_of(case), members)
         assert together == alone
         assert [status for _, status, _ in together] == ["ok"] * 7
         assert batch[:2] == singles[:2]  # kernel runs, scan bytes
@@ -544,15 +694,14 @@ class TestBatchPlan:
 
     def test_a_re_typed_table_is_not_run_by_the_plan(self, planned):
         """A repair install over ``/chunk/`` makes one member's DOUBLE column BIGINT."""
-        worker, chunks = planned
-        name = f"Object_{chunks[3]}"
+        worker, members = planned
+        name = f"Object_{members[3][0]}"
         table = worker.db.get_table(name)
         columns = table.columns()
         columns["uRadius_PS"] = columns["uRadius_PS"].astype(np.int64)
         worker.on_write(chunk_path(name), encode_table(Table(name, columns), name))
         assert worker.db.get_table(name).signature() != table.signature()
-        members = [(c, PLANNED["hv2"].format(c=c)) for c in chunks]
-        together, alone, batch, singles = batch_and_alone(worker, members)
+        together, alone, batch, singles = batch_and_alone(worker, template_of("hv2"), members)
         assert together == alone
         assert [status for _, status, _ in together] == ["ok"] * 7
         assert batch[:2] == singles[:2]
@@ -561,41 +710,38 @@ class TestBatchPlan:
             assert batch[2] == 2 and singles[2] == 7
 
     def test_a_dropped_table_is_a_retryable_frame(self, planned):
-        worker, chunks = planned
-        gone = chunks[3]
+        worker, members = planned
+        gone = members[3][0]
         for name in worker.chunk_tables(gone):
             worker.db.drop_table(name)
-        members = [(c, PLANNED["hv3"].format(c=c)) for c in chunks]
-        together, alone, batch, singles = batch_and_alone(worker, members)
+        together, alone, batch, singles = batch_and_alone(worker, template_of("hv3"), members)
         assert together[:3] + together[4:] == alone[:3] + alone[4:]
         chunk_id, status, message = together[3]
         assert (chunk_id, status) == (gone, "retryable")
-        assert b"no such table" in message
-        assert alone[3] == (gone, "error", f"worker {worker.name}: {message.decode()}")
+        assert "no such table" in message
+        assert alone[3] == (gone, "error", f"worker {worker.name}: {message}")
         assert batch[:2] == singles[:2]
 
     def test_a_sub_chunk_member_is_not_run_by_the_plan(self, planned):
-        worker, chunks = planned
-        odd = chunks[3]
-        sub = int(worker.db.get_table(f"Object_{odd}").column("subChunkId")[0])
-        members = [(c, PLANNED["hv1"].format(c=c)) for c in chunks]
-        members[3] = (
-            odd,
-            f"-- SUBCHUNKS: {sub}\n"
-            f"SELECT COUNT(*) AS `COUNT(*)` FROM LSST.Object_{odd}_{sub} AS Object;",
+        """A batch of sub-chunk queries: every member is prepared from its text."""
+        worker, members = planned
+        members = [
+            (c, (int(worker.db.get_table(f"Object_{c}").column("subChunkId")[0]),))
+            for c, _ in members
+        ]
+        template = (
+            f"SELECT COUNT(*) AS `COUNT(*)` FROM LSST.Object_{ANY_CHUNK}_{ANY_SUB_CHUNK} AS Object;"
         )
         built = worker.stats.sub_chunk_tables_built
-        together, alone, batch, singles = batch_and_alone(worker, members)
+        together, alone, batch, singles = batch_and_alone(worker, template, members)
         assert together == alone
         assert [status for _, status, _ in together] == ["ok"] * 7
-        assert worker.stats.sub_chunk_tables_built - built == 2  # once each way
-        assert batch[:2] == singles[:2]
-        if worker.db.use_kernels:
-            assert batch[2] == 2 and singles[2] == 7
+        assert worker.stats.sub_chunk_tables_built - built == 14  # once each way
+        assert batch == singles  # one lookup per member, as alone
 
     def test_a_fake_executor_still_sees_every_member(self, planned):
-        worker, chunks = planned
-        members = [(c, PLANNED["hv2"].format(c=c)) for c in chunks]
+        worker, members = planned
+        chunks = [c for c, _ in members]
         seen = []
 
         def spy(chunk_id, text, *repeats, _real=worker.execute_chunk_query):
@@ -603,8 +749,21 @@ class TestBatchPlan:
             return _real(chunk_id, text, *repeats)
 
         worker.execute_chunk_query = spy
-        together, alone, batch, singles = batch_and_alone(worker, members)
+        together, alone, batch, singles = batch_and_alone(worker, template_of("hv2"), members)
         assert seen == chunks + chunks
         assert together == alone
         if worker.db.use_kernels:
             assert batch[2] == 1
+
+    def test_a_result_with_no_wire_encoding_is_each_members_error(self, planned):
+        """Results that cannot be gathered into the answer's table fail as they would alone."""
+        worker, members = planned
+        worker.execute_chunk_query = lambda chunk_id, text, *repeats: Table(
+            "result", {"z": np.array([1j])}
+        )
+        together, alone, _, _ = batch_and_alone(worker, template_of("hv1"), members)
+        assert [(c, status) for c, status, _ in together] == [(c, "sql-error") for c, _ in members]
+        assert all("unsupported dtype" in message for _, _, message in together)
+        assert alone == [
+            (c, "error", f"worker {worker.name}: {message}") for c, _, message in together
+        ]

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.partition import Chunker
 from repro.qserv import (
@@ -21,8 +22,9 @@ from repro.qserv.rewrite import (
     sub_chunk_table_name,
 )
 from repro.sql.parser import parse
+from repro.xrd.protocol import ChunkRequest, render_member
 
-from .rewrite_fixtures import FIXTURES
+from .rewrite_fixtures import _NEAR, FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +259,54 @@ class TestChunkQueryTextIsPinned:
                 spec.sub_chunk_ids, zip(lines[0::2], lines[1::2])
             ):
                 for line, outer in ((self_pair, "Object"), (overlap_pair, "ObjectFullOverlap")):
+                    (stmt,) = parse(line)
+                    assert stmt.to_sql() + ";" == line
+                    assert [t.table for t in stmt.tables[:2]] == [
+                        f"Object_{spec.chunk_id}_{scid}",
+                        f"{outer}_{spec.chunk_id}_{scid}",
+                    ]
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_a_batch_renders_every_members_text(self, md, chunker, name):
+        """What a worker renders of a batch is each member's pinned text."""
+        specs = self.specs_of(FIXTURES[name], md, chunker)
+        assert all(s.template is not None and s.template == specs[0].template for s in specs)
+        members = tuple((s.chunk_id, s.sub_chunk_ids) for s in specs)
+        request = ChunkRequest(specs[0].template, "binary", members=members)
+        back = ChunkRequest.decode(request.encode().decode())
+        rendered = [render_member(back.body, *member) for member in back.members]
+        assert rendered == [s.text for s in specs]
+        text = "\n---\n".join(f"{c} {subs}\n{t}" for (c, subs), t in zip(back.members, rendered))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.GOLDEN[name]["sha256"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 3590), st.integers(-800, 750), st.integers(1, 30), st.integers(1, 30),
+        st.sampled_from(["count(*)", "o1.objectId AS a, o2.objectId AS b", "AVG(o2.ra_PS)"]),
+    )
+    def test_generated_sub_chunk_members_render_their_own_statements(
+        self, md, chunker, ra, dec, width, height, select
+    ):
+        """Every member rendered from a generated sub-chunk batch is ``spec.text``,
+        and each statement of it is what ``Select.to_sql()`` prints for its tables."""
+        box = (ra / 10, dec / 10, (ra + width) / 10, (dec + height) / 10)
+        sql = (
+            f"SELECT {select} FROM Object o1, Object o2 "
+            f"WHERE qserv_areaspec_box({', '.join(map(str, box))}) AND {_NEAR} < 0.02"
+        )
+        specs = self.specs_of(sql, md, chunker)[:3]
+        if not specs:
+            return
+        members = tuple((s.chunk_id, s.sub_chunk_ids) for s in specs)
+        back = ChunkRequest.decode(
+            ChunkRequest(specs[0].template, "binary", members=members).encode().decode()
+        )
+        for spec, member in zip(specs, back.members):
+            assert render_member(back.body, *member) == spec.text
+            lines = spec.text.splitlines()
+            assert lines[0] == f"-- SUBCHUNKS: {', '.join(map(str, spec.sub_chunk_ids))}"
+            for scid, pair in zip(spec.sub_chunk_ids, zip(lines[1::2], lines[2::2])):
+                for line, outer in zip(pair, ("Object", "ObjectFullOverlap")):
                     (stmt,) = parse(line)
                     assert stmt.to_sql() + ";" == line
                     assert [t.table for t in stmt.tables[:2]] == [

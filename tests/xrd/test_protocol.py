@@ -13,29 +13,35 @@ the codec): for two chunk queries of ``tests/qserv/rewrite_fixtures.py``
 the 16 present/absent combinations of the four header fields, the text
 that commit's ``Czar._dispatch_and_collect.build_text`` produced from
 ``result_format_header`` / ``deadline_header`` / ``attempt_header`` /
-``trace_header``, and that commit's ``query_hash`` of it.  Its ``batches`` (PR 23) pin the
-batch form next to them: 2 and 7 members -- the second a sub-chunk body
-with its ``-- SUBCHUNKS:`` line -- under the 8 combinations of deadline,
-nonce and trace, plus one ``sqldump`` batch.
+``trace_header``, and that commit's ``query_hash`` of it.  Its
+``templates`` are the same two chunk queries as the czar renders them
+for a batch, and its ``batches`` pin the batch form next to them: a
+2-member batch of the sub-chunk template and a 7-member batch of the
+plain one under the 8 combinations of deadline, nonce and trace, plus
+one ``sqldump`` batch.
 """
 
 import hashlib
 import itertools
 import json
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sql import Table
+from repro.sql.wire import decode_table, encode_table, encode_table_parts
 from repro.xrd.protocol import (
     FRAME_STATUSES,
     ChunkRequest,
-    Frame,
-    batch_body,
+    MemberAnswer,
     cancel_path,
-    decode_frames,
-    encode_frames,
+    decode_answer,
+    encode_answer,
     query_hash,
+    render_member,
     result_format_header,
     result_path,
 )
@@ -216,78 +222,96 @@ class TestGoldenBytes:
 
 # -- the batch form -----------------------------------------------------------
 
-# Member texts as the czar writes them: may lead with a comment line, may
-# end in a line break, never start a line with ``-- MEMBER:``.
-member_texts = st.lists(
-    st.text(alphabet="abcXYZ019_ ()*,.<=;'\n", min_size=1, max_size=40), min_size=1, max_size=2
-).map(lambda parts: "-- SUBCHUNKS: 1, 2\n".join(parts))
-member_lists = st.lists(
-    st.tuples(st.integers(0, 10**6), member_texts), min_size=2, max_size=9
-)
+TEMPLATES = GOLDEN["templates"]
+SUB_CHUNKED = "shv1_tiny_box"
+
+
+@st.composite
+def batches(draw):
+    """``(template, members)``: a template the czar renders, and 2-9
+    members' ids, with sub-chunk ids exactly for the sub-chunk template."""
+    name = draw(st.sampled_from(sorted(TEMPLATES)))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=9, unique=True))
+    subs = st.lists(st.integers(0, 10**4), min_size=1, max_size=4, unique=True).map(tuple)
+    return TEMPLATES[name], tuple(
+        (chunk_id, draw(subs) if name == SUB_CHUNKED else ()) for chunk_id in ids
+    )
+
+
 headers = st.tuples(formats, deadlines, nonces, traces)
 
 
-def batch(members, *header):
-    return ChunkRequest(batch_body(members), *header)
+def batch(template, members, *header):
+    return ChunkRequest(template, *header, members=members)
 
 
 class TestBatchRoundTrip:
-    @given(member_lists, headers)
-    def test_members_come_back_under_the_shared_headers(self, members, header):
-        r = batch(members, *header)
+    @given(batches(), headers)
+    def test_members_come_back_under_the_shared_headers(self, b, header):
+        template, members = b
+        r = batch(template, members, *header)
         back = ChunkRequest.decode(r.encode().decode())
         assert back.result_hash == r.result_hash == query_hash(r.encode().decode())
-        decoded = back.members(members[0][0])
-        assert [chunk_id for chunk_id, _ in decoded] == [chunk_id for chunk_id, _ in members]
-        for (_, text), (_, member) in zip(members, decoded):
-            assert member.body == ChunkRequest.decode(text).body  # its own comment lines cut
-            assert fields(member)[0] == r.result_format
-            assert member.attempt == r.attempt and member.trace == r.trace
-            assert member.deadline == (
-                None if r.deadline is None else pytest.approx(r.deadline, abs=1e-3)
-            )
+        assert back.members == members and back.body == template
+        assert fields(back)[0] == r.result_format
+        assert back.attempt == r.attempt and back.trace == r.trace
+        assert back.deadline == (
+            None if r.deadline is None else pytest.approx(r.deadline, abs=1e-3)
+        )
 
-    @given(member_lists, headers)
-    def test_only_format_and_members_are_identity(self, members, header):
+    @given(batches(), headers)
+    def test_only_format_and_members_are_identity(self, b, header):
+        template, members = b
         fmt, *dispatch = header
-        assert batch(members, fmt, *dispatch).result_hash == batch(members, fmt).result_hash
-        fewer = batch(members[:-1], fmt) if len(members) > 2 else ChunkRequest("x", fmt)
-        assert batch(members, fmt).result_hash != fewer.result_hash
-        moved = [(members[0][0] + 1, members[0][1])] + members[1:]
-        assert batch(members, fmt).result_hash != batch(moved, fmt).result_hash
+        assert batch(template, members, fmt, *dispatch).result_hash == batch(
+            template, members, fmt
+        ).result_hash
+        alone = ChunkRequest(render_member(template, *members[0]), fmt)
+        fewer = batch(template, members[:-1], fmt) if len(members) > 2 else alone
+        assert batch(template, members, fmt).result_hash != fewer.result_hash
+        moved = ((members[0][0] + 10**7, members[0][1]),) + members[1:]
+        assert batch(template, members, fmt).result_hash != batch(template, moved, fmt).result_hash
+        other = TEMPLATES["plain" if template == TEMPLATES[SUB_CHUNKED] else SUB_CHUNKED]
+        assert batch(template, members, fmt).result_hash != batch(other, members, fmt).result_hash
 
-    @given(st.integers(0, 10**6), member_texts, headers)
-    def test_a_batch_of_one_is_the_bare_request(self, chunk_id, text, header):
-        assert batch_body([(chunk_id, text)]) == text
-        r = ChunkRequest(text, *header)
-        assert batch([(chunk_id, text)], *header).encode() == r.encode()
-        back = ChunkRequest.decode(r.encode().decode())
-        assert back.members(chunk_id) == [(chunk_id, back)]
+    def test_a_batch_of_one_is_the_bare_request(self):
+        """A member rendered from its template, sent alone, is the parent's text."""
+        for case in GOLDEN["cases"]:
+            fixture = case["fixture"]
+            chunk_id, sub_chunk_ids = (288, (30,)) if fixture == SUB_CHUNKED else (0, ())
+            text = render_member(TEMPLATES[fixture], chunk_id, sub_chunk_ids)
+            assert text == GOLDEN["bodies"][fixture]
+            header = (
+                case["result_format"], case["deadline"], case["attempt"],
+                tuple(case["trace"]) if case["trace"] else None,
+            )
+            assert ChunkRequest(text, *header).encode() == case["text"].encode()
+            assert ChunkRequest.decode(case["text"]).members == ()
 
     def test_unknown_headers_before_the_first_member_are_skipped_and_are_identity(self):
-        members = [(3, "SELECT 1;"), (4, "-- SUBCHUNKS: 9\nSELECT 2;")]
-        text = batch(members, "binary").encode().decode()
+        members = ((3, ()), (4, ()))
+        text = batch(TEMPLATES["plain"], members, "binary").encode().decode()
         newer = "-- FUTURE: x\n-- ATTEMPT: n\n" + text
         r = ChunkRequest.decode(newer)
         assert fields(r) == ("binary", None, "n", None)
-        assert [(c, m.body) for c, m in r.members(3)] == [(3, "SELECT 1;"), (4, "SELECT 2;")]
+        assert r.members == members and r.body == TEMPLATES["plain"]
         assert r.result_hash == query_hash("-- FUTURE: x\n" + text) != query_hash(text)
 
     @pytest.mark.parametrize(
         "body",
         [
-            "-- MEMBER: 3 9",  # no text at all
-            "-- MEMBER: 3 99\nSELECT 1;",  # length overruns
-            "-- MEMBER: 3 -1\nSELECT 1;",
-            "-- MEMBER: 3 nine\nSELECT 1;",
-            "-- MEMBER: x 9\nSELECT 1;",
-            "-- MEMBER: 9\nSELECT 1;",
-            "-- MEMBER: 3 8\nSELECT 1;\n-- MEMBER: 4 9\nSELECT 2;",  # short: next line is no member line
+            "-- BATCH:\nSELECT 1;",  # no member at all
+            "-- BATCH: 3 x\nSELECT 1;",
+            "-- BATCH: 3 3\nSELECT 1;",  # a member twice
+            "-- BATCH: 3:1 3:2\nSELECT 1;",
+            "-- BATCH: 3:\nSELECT 1;",  # no sub-chunk id after the colon
+            "-- BATCH: 3:1,x\nSELECT 1;",
+            "-- BATCH: 3,4\nSELECT 1;",
         ],
     )
     def test_a_malformed_member_line_is_an_error_not_a_member(self, body):
         with pytest.raises(ValueError):
-            ChunkRequest.decode(body).members(3)
+            ChunkRequest.decode(body)
 
 
 class TestBatchGoldenBytes:
@@ -296,85 +320,144 @@ class TestBatchGoldenBytes:
     def test_what_is_pinned(self):
         assert sorted({len(c["members"]) for c in self.CASES}) == [2, 7]
         assert len(self.CASES) == 17
-        assert all("-- SUBCHUNKS:" in c["members"][1][1] for c in self.CASES)
+        for c in self.CASES:
+            assert (c["fixture"] == SUB_CHUNKED) == (len(c["members"]) == 2)
+            assert all(bool(subs) == (len(c["members"]) == 2) for _, subs in c["members"])
 
     @pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(
         [str(len(c["members"])), c["result_format"]]
         + [n for n in ("deadline", "attempt", "trace") if c[n]]
     ))
     def test_encode_and_hash(self, case):
-        members = [tuple(m) for m in case["members"]]
+        members = tuple((chunk_id, tuple(subs)) for chunk_id, subs in case["members"])
+        template = TEMPLATES[case["fixture"]]
         header = (
             case["result_format"], case["deadline"], case["attempt"],
             tuple(case["trace"]) if case["trace"] else None,
         )
-        r = batch(members, *header)
+        r = batch(template, members, *header)
         assert r.encode() == case["text"].encode()
         assert r.result_hash == case["query_hash"] == query_hash(case["text"])
-        assert r.result_hash == batch(members, case["result_format"]).result_hash
-        back = ChunkRequest.decode(case["text"]).members(members[0][0])
-        assert [c for c, _ in back] == [c for c, _ in members]
-        assert "SUBCHUNKS" not in back[1][1].body and back[1][1].body.startswith("SELECT COUNT(*)")
-        assert all(fields(m)[2:] == header[2:] for _, m in back)
+        assert r.result_hash == batch(template, members, case["result_format"]).result_hash
+        back = ChunkRequest.decode(case["text"])
+        assert back.members == members and back.body == template
+        assert fields(back)[2:] == header[2:]
+        rendered = render_member(template, *members[1])
+        assert rendered.startswith("-- SUBCHUNKS:") == (case["fixture"] == SUB_CHUNKED)
+        assert f"_{members[1][0]}" in rendered and "1000000000000000" not in rendered
 
 
-frames = st.lists(
+def answer_of(sent) -> bytes:
+    """``sent`` encoded with a table of as many rows as its ``ok`` entries have."""
+    rows = sum(a.rows for a in sent if a.status == "ok")
+    table = Table("chunk_result", {"n": np.arange(rows, dtype=np.int64)})
+    ok = any(a.status == "ok" for a in sent)
+    return encode_answer(sent, encode_table_parts(table) if ok else ())
+
+
+def one(chunk_id, status, seconds, rows, error):
+    return MemberAnswer(chunk_id, status, seconds, rows, "") if status == "ok" else MemberAnswer(
+        chunk_id, status, seconds, 0, error
+    )
+
+
+answers = st.lists(
     st.builds(
-        Frame,
+        one,
         st.integers(0, 10**6),
         st.sampled_from(FRAME_STATUSES),
         st.integers(0, 10**7).map(lambda us: us / 1e6),
-        st.binary(max_size=64),
+        st.integers(0, 40),
+        st.text(max_size=20),
     ),
     min_size=1,
     max_size=9,
+    unique_by=lambda a: a.chunk_id,
 )
 
 
+def ids_of(sent):
+    return [a.chunk_id for a in sent]
+
+
+# The layout's offsets: the head, and each index entry after it.
+_HEAD, _ENTRY = 8, 13
+
+
+def patched(data: bytes, offset: int, value: bytes) -> bytes:
+    return data[:offset] + value + data[offset + len(value):]
+
+
+_GOOD = [MemberAnswer(3, "ok", 0.1, 2), MemberAnswer(4, "retryable", 0.1, 0, "gone")]
+
+
 class TestFrames:
-    @given(frames)
+    """A batch's answer: the index, the error texts, one table."""
+
+    @given(answers)
     def test_round_trip(self, sent):
-        back = decode_frames(encode_frames(sent))
-        assert [(f.chunk_id, f.status, f.seconds, bytes(f.payload)) for f in back] == [
-            tuple(f) for f in sent
-        ]
+        data = answer_of(sent)
+        back, table = decode_answer(data, ids_of(sent))
+        assert back == [a._replace(seconds=pytest.approx(a.seconds, rel=1e-6)) for a in sent]
+        if any(a.status == "ok" for a in sent):
+            assert decode_table(table).num_rows == sum(a.rows for a in sent)
+        else:
+            assert len(table) == 0
 
     def test_payloads_are_views_of_what_was_read(self):
-        data = encode_frames([Frame(3, "ok", 0.5, b"\x93QWFabc"), Frame(4, "retryable", 0.0, b"gone")])
-        assert data == b"-- FRAME: 3 ok 0.500000 7\n\x93QWFabc-- FRAME: 4 retryable 0.000000 4\ngone"
-        assert all(isinstance(f.payload, memoryview) for f in decode_frames(data))
+        data = answer_of(_GOOD)
+        assert data[:_HEAD + _ENTRY] == (
+            b"\x93QWB\x02\x00\x00\x00" + (3).to_bytes(4, "little") + b"\x00"
+            + struct.pack("<f", 0.1) + (2).to_bytes(4, "little")
+        )
+        entries, table = decode_answer(data, [4, 3])
+        assert entries == [a._replace(seconds=pytest.approx(0.1)) for a in _GOOD]
+        assert isinstance(table, memoryview) and table.obj is data
+        assert decode_table(table).column("n").tolist() == [0, 1]
 
-    @given(frames, st.data())
+    @given(answers, st.data())
     def test_a_truncated_result_is_an_error(self, sent, data):
-        whole = encode_frames(sent)
+        whole = answer_of(sent)
         cut = data.draw(st.integers(1, len(whole) - 1))
-        try:
-            back = decode_frames(whole[:cut])
-        except ValueError:
-            return
-        # A cut that is itself frame after whole frame can only be a prefix.
-        assert [tuple(f)[:3] for f in back] == [tuple(f)[:3] for f in sent[: len(back)]]
-        assert len(back) < len(sent)
+        with pytest.raises(ValueError):
+            _, table = decode_answer(whole[:cut], ids_of(sent))
+            decode_table(table)  # a cut inside the table: the table's to find
 
+    # Each id names the damaged text frame this case stood for before the
+    # batch answer was one binary index and one table.
     @pytest.mark.parametrize(
         "data",
         [
-            b"-- FRAME: 3 ok 0.1 9\nshort",  # bad length: overruns
-            b"-- FRAME: 3 ok 0.1 2\nlong",  # bad length: what follows is no frame line
-            b"-- FRAME: 3 ok 0.1 -1\n",
-            b"-- FRAME: 3 fine 0.1 2\nok",  # bad status
-            b"-- FRAME: 3 \xff 0.1 2\nok",
-            b"-- FRAME: x ok 0.1 2\nok",
-            b"-- FRAME: 3 ok soon 2\nok",
-            b"-- FRAME: 3 ok 0.1\nok",
-            b"-- FRAMES: 3 ok 0.1 2\nok",
-            b"\x93QWF a bare payload",
-            b"-- FRAME: 3 ok 0.1 2",  # no line break
+            patched(answer_of(_GOOD), _HEAD + _ENTRY + 9, (10**6).to_bytes(4, "little")),
+            answer_of([MemberAnswer(3, "sql-error", 0.1, 0, "x"), _GOOD[1]]) + b"long",
+            answer_of([_GOOD[0]._replace(status="sql-error", error="no table"), _GOOD[1]])
+            + answer_of(_GOOD)[-60:],
+            patched(answer_of(_GOOD), _HEAD + 4, b"\x03"),
+            patched(answer_of(_GOOD), _HEAD + 4, b"\xff"),
+            patched(answer_of(_GOOD), _HEAD, (5).to_bytes(4, "little")),
+            patched(answer_of(_GOOD), _HEAD + _ENTRY, (3).to_bytes(4, "little")),
+            patched(answer_of(_GOOD), 4, b"\x01"),
+            patched(answer_of(_GOOD), 0, b"-- F"),
+            encode_table(Table("chunk_result", {"n": np.arange(2)})),
+            answer_of(_GOOD)[:_HEAD + 10],
+        ],
+        ids=[
+            "-- FRAME: 3 ok 0.1 9\nshort",  # an error text overruns the answer
+            "-- FRAME: 3 ok 0.1 2\nlong",  # bytes after an answer with no ok member
+            "-- FRAME: 3 ok 0.1 -1\n",  # a table, and no ok member for it
+            "-- FRAME: 3 fine 0.1 2\nok",  # an unknown status
+            "-- FRAME: 3 \xff 0.1 2\nok",
+            "-- FRAME: x ok 0.1 2\nok",  # a member that is not the batch's
+            "-- FRAME: 3 ok soon 2\nok",  # a member twice, one missing
+            "-- FRAME: 3 ok 0.1\nok",  # fewer members than the batch
+            "-- FRAMES: 3 ok 0.1 2\nok",  # no answer's magic
+            "\x93QWF a bare payload",
+            "-- FRAME: 3 ok 0.1 2",  # cut inside the index
         ],
     )
     def test_bad_frames_are_errors(self, data):
         with pytest.raises(ValueError):
-            decode_frames(data)
+            decode_answer(data, [3, 4])
 
 
 class TestPaths:

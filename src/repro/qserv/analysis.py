@@ -11,9 +11,12 @@ of :class:`QueryAnalysis`:
 - *Detect index opportunities* -- equality or IN restrictions on the
   secondary-index column (``objectId``) are collected so dispatch can
   consult the secondary index instead of going full-sky.
-- *Detect database and table references* -- every FROM/JOIN reference is
+- *Detect database and table references* -- every FROM reference is
   classified as partitioned or unpartitioned using the catalog
-  metadata.
+  metadata.  A ``JOIN ... ON`` is the comma join the parser makes of
+  it, so its tables are FROM tables and its ON conditions WHERE
+  conjuncts (an areaspec among them included); an outer join is a
+  parse error.
 - *Detect aliases and joins* -- self-joins of the director table with a
   spatial predicate are flagged ``needs_subchunks`` (near-neighbor
   queries execute over sub-chunk + overlap tables).
@@ -54,9 +57,9 @@ class QueryAnalysis:
     region: Optional[Region] = None
     #: WHERE clause with the areaspec pseudo-function removed.
     residual_where: Optional[ast.Expr] = None
-    #: FROM/JOIN refs to partitioned tables (in appearance order).
+    #: FROM refs to partitioned tables (in appearance order).
     partitioned_refs: list[ast.TableRef] = field(default_factory=list)
-    #: FROM/JOIN refs to unpartitioned (replicated) tables.
+    #: FROM refs to unpartitioned (replicated) tables.
     unpartitioned_refs: list[ast.TableRef] = field(default_factory=list)
     #: Values of secondary-index restrictions (objectId = k / IN (...)).
     index_values: list[int] = field(default_factory=list)
@@ -95,12 +98,9 @@ def analyze(query: Union[str, ast.Select], metadata: CatalogMetadata) -> QueryAn
     analysis = QueryAnalysis(select=select)
 
     # -- table references --------------------------------------------------------
-    if not select.refs:
+    if not select.tables:
         raise QservAnalysisError("query has no FROM clause")
-    if any(join.kind == "LEFT" for join in select.joins):
-        # The workers answer inner joins only (their engine refuses LEFT).
-        raise QservAnalysisError("LEFT JOIN is not supported")
-    for ref in select.refs:
+    for ref in select.tables:
         if ref.database is not None and ref.database != metadata.database:
             raise QservAnalysisError(
                 f"unknown database {ref.database!r} (expected {metadata.database!r})"

@@ -16,7 +16,7 @@ boundary are found without touching another node (section 4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..partition import Chunker
@@ -108,7 +108,6 @@ def generate_chunk_queries(
     stmt = ast.Select(
         items=plan.chunk_items,
         tables=sel.tables,
-        joins=sel.joins,
         where=where,
         group_by=sel.group_by,
         order_by=push_order,
@@ -179,13 +178,16 @@ def _over(stmt: ast.Select, metadata: CatalogMetadata, physical) -> ast.Select:
     column qualifications like ``Object.ra_PS`` keep resolving;
     unpartitioned refs stay as they are.
     """
-    return stmt.with_refs(
-        [
-            ast.TableRef(table=physical(ref), database=metadata.database, alias=ref.name)
-            if metadata.is_partitioned(ref.table)
-            else ref
-            for ref in stmt.refs
-        ]
+    return replace(
+        stmt,
+        tables=tuple(
+            [
+                ast.TableRef(table=physical(ref), database=metadata.database, alias=ref.name)
+                if metadata.is_partitioned(ref.table)
+                else ref
+                for ref in stmt.tables
+            ]
+        ),
     )
 
 
@@ -228,9 +230,8 @@ def _sub_chunk_statements(
 
     The first two director refs name a sub-chunk table and its own or
     its overlap companion; every other partitioned ref names the chunk
-    table.  Refs keep their places, so a JOIN keeps its ON clause.  A
-    chunk whose sub-chunks the region misses (coarse coverage is
-    conservative) has no chunk query.
+    table.  A chunk whose sub-chunks the region misses (coarse coverage
+    is conservative) has no chunk query.
     """
     director_refs = [
         r

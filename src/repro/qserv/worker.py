@@ -236,7 +236,7 @@ class _Prepared:
     def about(self, names: tuple) -> ast.Select:
         """The statement about the FROM tables ``names`` in place of its own."""
         stmt = self.stmt
-        return stmt.with_refs([replace(ref, table=name) for ref, name in zip(stmt.refs, names)])
+        return replace(stmt, tables=tuple(replace(r, table=n) for r, n in zip(stmt.tables, names)))
 
     def names(self, ids: tuple) -> tuple:
         """The FROM table names of the statement about ``ids``."""
@@ -253,7 +253,7 @@ class _Prepared:
 
 def _parsed_in_full(stmt: ast.Statement, kernel_key) -> tuple:
     """``(prepared statement, FROM table names)`` of a statement taken as it is."""
-    refs = stmt.refs if isinstance(stmt, ast.Select) else ()
+    refs = stmt.tables if isinstance(stmt, ast.Select) else ()
     return _Prepared(stmt, kernel_key, None, ()), tuple(ref.table for ref in refs)
 
 
@@ -981,7 +981,7 @@ class QservWorker(OfsPlugin):
         template = Template.of(stmts, values)
         refs = tuple(
             ref.table if m is None else (m[1], m[3] is not None)
-            for ref in stmt.refs
+            for ref in stmt.tables
             for m in [_CHUNK_TABLE_RE.fullmatch(ref.table)]
         )
         if template is None or sum(type(ref) is tuple for ref in refs) != names:

@@ -9,15 +9,13 @@ requirement, not a debugging aid.
 The shape of the tree is described here and nowhere else.  An
 expression node lists its sub-expressions (:meth:`Expr.children`) and
 rebuilds itself around new ones (:meth:`Expr.map`); a :class:`Select`
-lists its table refs (:attr:`Select.refs`), renames them
-(:meth:`Select.with_refs`) and lists its clause expressions
-(:meth:`Select.clauses`).  Code elsewhere traverses a tree through
-these, never by naming a node's fields.
+lists its clause expressions (:meth:`Select.clauses`).  Code elsewhere
+traverses a tree through these, never by naming a node's fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 __all__ = [
@@ -36,7 +34,6 @@ __all__ = [
     "IsNull",
     "SelectItem",
     "TableRef",
-    "JoinClause",
     "OrderItem",
     "Select",
     "ColumnDef",
@@ -395,21 +392,6 @@ class TableRef:
 
 
 @dataclass(frozen=True)
-class JoinClause:
-    """An explicit ``[INNER|LEFT|CROSS] JOIN table [ON expr]``."""
-
-    kind: str  # 'INNER', 'LEFT', 'CROSS'
-    table: TableRef
-    on: Optional[Expr] = None
-
-    def to_sql(self) -> str:
-        sql = f"{self.kind} JOIN {self.table.to_sql()}"
-        if self.on is not None:
-            sql += f" ON {self.on.to_sql()}"
-        return sql
-
-
-@dataclass(frozen=True)
 class OrderItem:
     expr: Expr
     descending: bool = False
@@ -420,9 +402,14 @@ class OrderItem:
 
 @dataclass(frozen=True)
 class Select:
+    """A SELECT; ``tables`` is every table it joins, in text order.
+
+    A join has one form, the comma join: the parser turns ``JOIN ...
+    ON`` into it (:mod:`repro.sql.parser`).
+    """
+
     items: tuple[SelectItem, ...]
     tables: tuple[TableRef, ...] = ()
-    joins: tuple[JoinClause, ...] = ()
     where: Optional[Expr] = None
     group_by: tuple[Expr, ...] = ()
     having: Optional[Expr] = None
@@ -431,39 +418,16 @@ class Select:
     offset: Optional[int] = None
     distinct: bool = False
 
-    @property
-    def refs(self) -> tuple[TableRef, ...]:
-        """Every table ref: the FROM refs, then the JOIN refs, in clause order."""
-        if not self.joins:
-            return self.tables
-        return self.tables + tuple([j.table for j in self.joins])
-
-    def with_refs(self, refs: Sequence[TableRef]) -> Select:
-        """This SELECT with ``refs`` in place of :attr:`refs`, position by position.
-
-        Each JOIN keeps its kind and its ON clause.
-        """
-        n = len(self.tables)
-        if len(refs) != n + len(self.joins):
-            raise ValueError(f"{len(refs)} table refs for a SELECT of {len(self.refs)}")
-        joins = tuple(
-            [JoinClause(j.kind, ref, j.on) for j, ref in zip(self.joins, refs[n:])]
-        )
-        return replace(self, tables=tuple(refs[:n]), joins=joins)
-
     def clauses(self) -> list[tuple[str, Expr]]:
         """``(clause, expression)`` for every expression of this SELECT, in text order.
 
         ``clause`` is the keyword the expression stands under:
-        ``SELECT`` (an item), ``ON`` (a join's condition), ``WHERE``,
-        ``GROUP BY``, ``HAVING`` or ``ORDER BY``.
+        ``SELECT`` (an item), ``WHERE``, ``GROUP BY``, ``HAVING`` or
+        ``ORDER BY``.
         """
         out = []
         for item in self.items:
             out.append(("SELECT", item.expr))
-        for j in self.joins:
-            if j.on is not None:
-                out.append(("ON", j.on))
         if self.where is not None:
             out.append(("WHERE", self.where))
         for g in self.group_by:
@@ -482,8 +446,6 @@ class Select:
         if self.tables:
             parts.append("FROM")
             parts.append(", ".join(t.to_sql() for t in self.tables))
-        for j in self.joins:
-            parts.append(j.to_sql())
         if self.where is not None:
             parts.append("WHERE")
             parts.append(self.where.to_sql())

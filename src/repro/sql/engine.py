@@ -4,22 +4,23 @@ A :class:`Database` owns named :class:`~repro.sql.table.Table` objects
 and executes parsed statements against them.  The SELECT pipeline is:
 
 1. bind FROM tables (aliases included) and fold joins left-to-right --
-   equi-join conjuncts (``a.x = b.y``) found in ON or WHERE clauses run
-   as vectorized sort-merge hash joins; pairs without a usable key fall
-   back to a guarded cross join (what a near-neighbor sub-chunk join
-   uses, with the ``qserv_angSep`` predicate applied immediately);
-   with kernels on, two-table comma joins run as compiled join kernels
-   instead (:mod:`repro.sql.kernels`) and this fold is the reference,
-2. apply the WHERE and ON conjuncts as one mask (using a hash index
-   for ``col = literal`` conjuncts when one exists -- the worker-side
-   objectId fast path of paper section 5.5),
+   equi-join conjuncts (``a.x = b.y``) of WHERE run as vectorized
+   sort-merge hash joins; pairs without a usable key fall back to a
+   guarded cross join (what a near-neighbor sub-chunk join uses, with
+   the ``qserv_angSep`` predicate applied immediately); with kernels
+   on, two-table joins run as compiled join kernels instead
+   (:mod:`repro.sql.kernels`) and this fold is the reference,
+2. apply WHERE as one mask (using a hash index for ``col = literal``
+   conjuncts when one exists -- the worker-side objectId fast path of
+   paper section 5.5),
 3. group and aggregate (COUNT/SUM/AVG/MIN/MAX, with or without GROUP
    BY) using sort + ``reduceat`` -- no per-group Python work,
 4. project the select list, apply HAVING/DISTINCT/ORDER BY/LIMIT.
 
 Only the dialect Qserv emits is supported; notably, subqueries are
-rejected at parse time just as in the paper's prototype, and an outer
-(``LEFT``) join is parsed but refused at execution.
+rejected at parse time just as in the paper's prototype, and so are
+outer joins.  An explicit ``JOIN ... ON`` reaches the engine as the
+comma join the parser makes of it.
 """
 
 from __future__ import annotations
@@ -248,10 +249,6 @@ class Database:
         kernel on them itself (:meth:`run_plan`).  None when the
         interpreter answered.
         """
-        if sel.joins and any(join.kind == "LEFT" for join in sel.joins):
-            # A row without a partner is kept by an outer join and dropped
-            # by the ON filter below: refused, never answered as INNER.
-            raise SqlError("LEFT JOIN is not supported")
         found = self._try_kernel(sel, kernel_key)
         if found is not None:
             return self.run_kernel(sel, *found), found
@@ -348,7 +345,7 @@ class Database:
         have (any error is that path's to raise).
         """
         cache = self.kernel_cache
-        if cache is None or not self.use_kernels or sel.joins:
+        if cache is None or not self.use_kernels:
             return None
         if any(ref.database not in (None, self.name) for ref in sel.tables):
             return None
@@ -408,7 +405,7 @@ class Database:
         cache = self.kernel_cache
         if cache is None or not self.use_kernels:
             return None
-        refs = sel.refs
+        refs = sel.tables
         tables = []
         for ref in refs:
             if ref.database is not None and ref.database != self.name:
@@ -433,10 +430,10 @@ class Database:
     # -- binding and joining ----------------------------------------------------------
 
     def _bind_tables(self, sel: ast.Select) -> list[tuple[str, Table]]:
-        """Resolve FROM/JOIN table refs to (binding name, Table) pairs."""
+        """Resolve FROM table refs to (binding name, Table) pairs."""
         bound: list[tuple[str, Table]] = []
         seen: set[str] = set()
-        for ref in sel.refs:
+        for ref in sel.tables:
             if ref.database is not None and ref.database != self.name:
                 raise SqlError(
                     f"unknown database {ref.database!r} (this instance is {self.name!r})"
@@ -448,18 +445,13 @@ class Database:
         return bound
 
     def _join_and_filter(self, sel: ast.Select, bound) -> Environment:
-        """Join all FROM tables and apply WHERE and ON; returns the row Environment."""
+        """Join all FROM tables and apply WHERE; returns the row Environment."""
         if not bound:
             # SELECT without FROM: single pseudo-row.
             env = Environment({}, 1)
             return env
 
-        # A joined row is kept when every WHERE and every ON conjunct
-        # holds: each JOIN is an INNER join (select refuses LEFT).
         conjuncts = ast.split_conjuncts(sel.where)
-        for join in sel.joins:
-            conjuncts += ast.split_conjuncts(join.on)
-        condition = ast.join_conjuncts(conjuncts) if sel.joins else sel.where
 
         # Fold tables left to right, carrying per-table row-index arrays.
         # _IDENTITY marks "all rows, original order" without paying for
@@ -512,8 +504,8 @@ class Database:
 
         env = self._materialize_env(sel, idx, tables)
 
-        if condition is not None:
-            mask = np.asarray(evaluate(condition, env))
+        if sel.where is not None:
+            mask = np.asarray(evaluate(sel.where, env))
             if mask.dtype != bool:
                 mask = mask != 0
             if mask.ndim == 0:

@@ -45,8 +45,8 @@ NumPy promotes and computes exactly as it does for the interpreter.
 Cache traffic is exported as ``kernel.cache.*`` metrics and annotated
 on the enclosing trace span.
 
-Two-table comma joins compile into a :class:`JoinKernel` (the shape
-of the sub-chunk near-neighbour statements and of Object x Source):
+Two-table joins compile into a :class:`JoinKernel` (the shape of the
+sub-chunk near-neighbour statements and of Object x Source):
 conjuncts bound to one side filter that side before pairing, candidate
 pairs come from a ``col = col`` sort-merge or from a sorted declination
 band under a ``qserv_angSep(...) < r`` conjunct, and every pair
@@ -59,9 +59,9 @@ whole *family* -- one statement asked of several pairs of tables, the
 the members' rows are stacked end to end and the two rows of a pair
 must come from one member.
 
-Queries a kernel cannot express (explicit JOIN clauses, three or more
-tables, joins with no pairing conjunct, shapes that need the
-interpreter's fallback behaviours) raise :class:`KernelFallback` at
+Queries a kernel cannot express (three or more tables, joins with no
+pairing conjunct, shapes that need the interpreter's fallback
+behaviours) raise :class:`KernelFallback` at
 compile time; the negative result is cached too, so the decision costs
 one dict hit per statement.
 """
@@ -187,7 +187,7 @@ def normalize_select(sel: ast.Select) -> tuple[ast.Select, tuple[str, ...]]:
     would change how columns resolve, so that ref is keyed as-is (still
     cached, just per-table-name).
     """
-    refs = sel.refs
+    refs = sel.tables
     qualifiers: set[str] = set()
     if not all(ref.alias for ref in refs):
         qualifiers = {
@@ -211,7 +211,7 @@ def normalize_select(sel: ast.Select) -> tuple[ast.Select, tuple[str, ...]]:
         else:
             anon.append(ast.TableRef(table=placeholder))
             bindings.append(placeholder)
-    return sel.with_refs(anon), tuple(bindings)
+    return replace(sel, tables=tuple(anon)), tuple(bindings)
 
 
 class KernelKey(NamedTuple):
@@ -1069,7 +1069,7 @@ def compile_select(sel: ast.Select, binding: str, schema, scan_bytes) -> Compile
     :class:`KernelFallback` for any shape where the interpreter must run
     instead (joins, unknown names, unsupported ORDER BY keys, ...).
     """
-    if len(sel.tables) != 1 or sel.joins:
+    if len(sel.tables) != 1:
         raise KernelFallback("only single-table queries compile")
     schema_names = [c.name for c in schema]
     colset = set(schema_names)
@@ -1447,8 +1447,8 @@ def compile_join(sel: ast.Select, bindings, schemas, scan_bytes) -> JoinKernel:
     < | <= literal`` -- and every column reference resolves to exactly
     one side.
     """
-    if sel.joins or len(sel.tables) != 2:
-        raise KernelFallback("only two-table comma joins compile")
+    if len(sel.tables) != 2:
+        raise KernelFallback("only two-table joins compile")
     if bindings[0] == bindings[1]:
         raise KernelFallback("duplicate table name/alias")
     schema_names = [[c.name for c in schema] for schema in schemas]
@@ -1611,7 +1611,7 @@ class KernelCache(Lru):
     def get_or_compile(self, sel: ast.Select, tables, key: KernelKey | None = None):
         """Kernel for a select over ``tables``, or None (interpreter path).
 
-        ``tables`` are the resolved FROM/JOIN tables in clause order;
+        ``tables`` are the resolved FROM tables in clause order;
         ``key`` is ``kernel_key(sel)`` when the caller already has it.
         Handles normalization, cache lookup, compilation, and metrics;
         the caller has already checked table existence and indexes.

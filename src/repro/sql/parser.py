@@ -2,12 +2,21 @@
 
 Grammar (subset of MySQL 5.1, which is what the paper's workers run):
 
-- ``SELECT [DISTINCT] items FROM tables [JOIN ...] [WHERE] [GROUP BY]
-  [HAVING] [ORDER BY] [LIMIT [OFFSET]]``
+- ``SELECT [DISTINCT] items FROM tables [WHERE] [GROUP BY] [HAVING]
+  [ORDER BY] [LIMIT [OFFSET]]``, where ``tables`` are separated by
+  commas or by ``[INNER] JOIN t ON p`` / ``CROSS JOIN t [ON p]``
 - ``CREATE TABLE [IF NOT EXISTS] t (col type, ...)`` and
   ``CREATE TABLE t AS SELECT ...``
 - ``DROP TABLE [IF EXISTS] t``
 - ``INSERT INTO t [(cols)] VALUES (...), (...)``
+
+An explicit join is parsed as the comma join it means:
+``FROM a JOIN b ON p JOIN c ON q WHERE w`` is the same tree as
+``FROM a, b, c WHERE (p) AND (q) AND (w)`` -- the tables in text
+order, the ON conditions AND-ed in front of WHERE.  Every statement
+enters through here, so nothing after the parser knows a second
+spelling.  Outer (``LEFT`` / ``RIGHT``) joins are refused, as is
+``UNION``.
 
 Expression precedence (loosest to tightest): OR, AND, NOT, comparison /
 BETWEEN / IN / IS, additive, multiplicative, unary minus, primary.
@@ -16,6 +25,8 @@ does not currently support SQL subqueries".
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from . import ast
 from .lexer import LexError, Token, TokenType, tokenize
@@ -30,8 +41,8 @@ class ParseError(ValueError):
 _KEYWORDS = {
     "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
     "ASC", "DESC", "LIMIT", "OFFSET", "AS", "AND", "OR", "NOT", "BETWEEN",
-    "IN", "IS", "NULL", "LIKE", "JOIN", "INNER", "LEFT", "OUTER", "CROSS",
-    "ON", "CREATE", "TABLE", "IF", "EXISTS", "DROP", "INSERT", "INTO",
+    "IN", "IS", "NULL", "LIKE", "JOIN", "INNER", "LEFT", "RIGHT", "OUTER",
+    "CROSS", "ON", "CREATE", "TABLE", "IF", "EXISTS", "DROP", "INSERT", "INTO",
     "VALUES", "UNION",
 }
 
@@ -148,8 +159,9 @@ class _Parser:
             items.append(self.select_item())
 
         tables: list[ast.TableRef] = []
-        joins: list[ast.JoinClause] = []
-        where = None
+        # The ON conditions, then WHERE: AND-ed in this order, which is
+        # the order of their literals in the text.
+        conditions: list[ast.Expr] = []
         group_by: list[ast.Expr] = []
         having = None
         order_by: list[ast.OrderItem] = []
@@ -161,13 +173,16 @@ class _Parser:
                 if self.accept_op(","):
                     tables.append(self.table_ref())
                     continue
-                join = self.maybe_join()
-                if join is not None:
-                    joins.append(join)
-                    continue
-                break
+                kind = self.join_kind()
+                if kind is None:
+                    break
+                tables.append(self.table_ref())
+                if self.accept_keyword("ON"):
+                    conditions.append(self.expr())
+                elif kind != "CROSS":
+                    self.error(f"{kind} JOIN requires an ON clause")
         if self.accept_keyword("WHERE"):
-            where = self.expr()
+            conditions.append(self.expr())
         if self.at_keyword("GROUP"):
             self.advance()
             self.expect_keyword("BY")
@@ -194,8 +209,7 @@ class _Parser:
         return ast.Select(
             items=tuple(items),
             tables=tuple(tables),
-            joins=tuple(joins),
-            where=where,
+            where=ast.join_conjuncts(conditions),
             group_by=tuple(group_by),
             having=having,
             order_by=tuple(order_by),
@@ -243,33 +257,21 @@ class _Parser:
             alias = self.advance().value
         return ast.TableRef(table=table, database=database, alias=alias)
 
-    def maybe_join(self):
-        kind = None
-        if self.at_keyword("JOIN"):
-            self.advance()
-            kind = "INNER"
-        elif self.at_keyword("INNER"):
-            self.advance()
+    def join_kind(self) -> Optional[str]:
+        """``INNER`` or ``CROSS`` for the JOIN keywords here, consumed; else None.
+
+        An outer join is refused: a row without a partner is kept by it
+        and dropped by the comma join every JOIN is parsed as.
+        """
+        if self.accept_keyword("JOIN"):
+            return "INNER"
+        if self.at_keyword("INNER", "CROSS"):
+            kind = self.advance().value.upper()
             self.expect_keyword("JOIN")
-            kind = "INNER"
-        elif self.at_keyword("LEFT"):
-            self.advance()
-            self.accept_keyword("OUTER")
-            self.expect_keyword("JOIN")
-            kind = "LEFT"
-        elif self.at_keyword("CROSS"):
-            self.advance()
-            self.expect_keyword("JOIN")
-            kind = "CROSS"
-        if kind is None:
-            return None
-        table = self.table_ref()
-        on = None
-        if self.accept_keyword("ON"):
-            on = self.expr()
-        elif kind != "CROSS":
-            self.error(f"{kind} JOIN requires an ON clause")
-        return ast.JoinClause(kind=kind, table=table, on=on)
+            return kind
+        if self.at_keyword("LEFT", "RIGHT"):
+            self.error(f"{self.peek().value.upper()} JOIN is not supported")
+        return None
 
     def order_item(self) -> ast.OrderItem:
         expr = self.expr()

@@ -9,7 +9,9 @@ numeric literals of its WHERE and ON clauses cut out.  This module is
 the one place that defines what is cut and what stays:
 
 - a **hole** is an ``int`` or ``float`` :class:`~repro.sql.ast.Literal`
-  anywhere under a WHERE clause or a JOIN's ON clause;
+  anywhere under a WHERE clause or a JOIN's ON clause -- in the parsed
+  statement, under its WHERE alone, since the parser AND-s each ON
+  condition onto WHERE ahead of the WHERE text, in text order;
 - everything else stays in the shape: whether a hole is an integer or a
   float, the ``-`` in front of it (a unary operator, not part of the
   number), the length of an IN list, string literals, and every literal
@@ -28,8 +30,8 @@ the czar, the workers and :meth:`Database.execute
 <repro.sql.engine.Database.execute>` each own one.
 
 AST nodes are frozen, so a template is shared between threads freely
-and a bind rebuilds only the WHERE/ON trees and the statement node that
-holds them.
+and a bind rebuilds only the WHERE tree and the statement node that
+holds it.
 """
 
 from __future__ import annotations
@@ -150,26 +152,17 @@ def _map_holes(e: ast.Expr, fn) -> ast.Expr:
 
 
 def _map_statement(stmt: ast.Statement, fn) -> ast.Statement:
-    """``stmt`` with ``fn`` over its holes: ON clauses first, then WHERE."""
+    """``stmt`` with ``fn`` over the holes of its WHERE clause."""
     if isinstance(stmt, ast.CreateTableAsSelect):
         return ast.CreateTableAsSelect(
             stmt.table, _map_statement(stmt.select, fn), stmt.database, stmt.if_not_exists
         )
     if not isinstance(stmt, ast.Select):
         return stmt
-    joins = stmt.joins
-    if joins:
-        joins = tuple(
-            [
-                j if j.on is None else ast.JoinClause(j.kind, j.table, _map_holes(j.on, fn))
-                for j in joins
-            ]
-        )
     where = stmt.where
     return ast.Select(
         stmt.items,
         stmt.tables,
-        joins,
         None if where is None else _map_holes(where, fn),
         stmt.group_by,
         stmt.having,
@@ -181,7 +174,7 @@ def _map_statement(stmt: ast.Statement, fn) -> ast.Statement:
 
 
 def literals(stmt: ast.Statement) -> tuple:
-    """The hole values of ``stmt`` in text order (ON clauses, then WHERE)."""
+    """The hole values of ``stmt`` in text order."""
     out: list = []
 
     def note(value):

@@ -103,11 +103,6 @@ class TestSpatialRestriction:
         "sql, clause",
         [
             (
-                "SELECT COUNT(*) FROM Object o1 JOIN Object o2 "
-                "ON qserv_areaspec_box(0,0,1,1) AND o1.objectId = o2.objectId",
-                "ON",
-            ),
-            (
                 "SELECT chunkId FROM Object GROUP BY chunkId "
                 "HAVING qserv_areaspec_box(0,0,1,1)",
                 "HAVING",
@@ -116,11 +111,26 @@ class TestSpatialRestriction:
             ("SELECT COUNT(*) FROM Object GROUP BY qserv_areaspec_box(0,0,1,1)", "GROUP BY"),
             ("SELECT ra_PS FROM Object ORDER BY qserv_areaspec_box(0,0,1,1)", "ORDER BY"),
         ],
-        ids=["on", "having", "select-list", "group-by", "order-by"],
+        ids=["having", "select-list", "group-by", "order-by"],
     )
     def test_areaspec_outside_where_rejected(self, md, sql, clause):
         with pytest.raises(QservAnalysisError, match=f"in {clause}$"):
             analyze(sql, md)
+
+    def test_areaspec_in_on_is_a_where_conjunct(self, md):
+        # The parser AND-s ON onto WHERE, so the restriction is top-level.
+        on = analyze(
+            "SELECT COUNT(*) FROM Object o1 JOIN Object o2 "
+            "ON qserv_areaspec_box(0,0,1,1) AND o1.objectId = o2.objectId",
+            md,
+        )
+        where = analyze(
+            "SELECT COUNT(*) FROM Object o1, Object o2 "
+            "WHERE qserv_areaspec_box(0,0,1,1) AND o1.objectId = o2.objectId",
+            md,
+        )
+        assert on.region == where.region and on.region is not None
+        assert on.residual_where == where.residual_where
 
     def test_multiple_areaspec_rejected(self, md):
         with pytest.raises(QservAnalysisError):

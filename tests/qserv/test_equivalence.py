@@ -391,7 +391,7 @@ def test_near_neighbor_box_on_a_sub_chunk_corner():
 def test_join_on_equals_comma_where_through_sub_chunks():
     """Director self-joins written with JOIN ... ON, rewritten into sub-chunks.
 
-    Each sub-chunk statement keeps its JOIN and ON clause, so the JOIN
+    The parser makes the comma + WHERE form of the JOIN, so the JOIN
     form answers what its comma + WHERE form does and what the
     single-node engine does on the unpartitioned table.
     """
@@ -430,6 +430,36 @@ def test_join_on_equals_comma_where_through_sub_chunks():
             assert joined, name  # the near-neighbour case found pairs
         finally:
             tb.shutdown()
+
+
+def test_areaspec_in_on_answers_what_it_answers_in_where():
+    """``qserv_areaspec_*`` in an ON clause restricts as it does in WHERE.
+
+    The parser AND-s the ON condition onto WHERE, so the restriction is
+    a top-level WHERE conjunct like any other.
+    """
+    tb = build_testbed(num_workers=3, num_objects=1500, seed=43)
+    try:
+        near = "qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.04"
+        box = "qserv_areaspec_box(0, -3, 2, 3)"
+        pairs = "SELECT o1.objectId AS a, o2.objectId AS b FROM Object o1"
+        for on, where in (
+            (
+                f"{pairs} JOIN Object o2 ON {box} AND {near} AND o1.objectId != o2.objectId",
+                f"{pairs}, Object o2 WHERE {box} AND {near} AND o1.objectId != o2.objectId",
+            ),
+            (
+                f"SELECT COUNT(*) FROM Object o JOIN Source s ON {box} "
+                "AND o.objectId = s.objectId",
+                f"SELECT COUNT(*) FROM Object o, Source s WHERE {box} "
+                "AND o.objectId = s.objectId",
+            ),
+        ):
+            got = sorted(tb.czar.submit(on).table.rows())
+            assert got == sorted(tb.czar.submit(where).table.rows())
+            assert got and got != [(0,)]
+    finally:
+        tb.shutdown()
 
 
 #: The benchmark's scan and box classes: (distributed SQL, single-node SQL).

@@ -348,6 +348,53 @@ class TestChunkQueryTextIsPinned:
             assert spec.text.count(tag) == 2 * len(spec.sub_chunk_ids)
 
 
+class TestJoinOnPlansAsItsCommaForm:
+    """A ``JOIN ... ON p ... WHERE w`` plans to its ``WHERE (p) AND (w)`` chunk queries."""
+
+    CASES = {
+        "near neighbours": (
+            "SELECT o1.objectId AS a, o2.objectId AS b FROM Object o1 JOIN Object o2 "
+            f"ON {_NEAR} < 0.02 AND o1.objectId != o2.objectId "
+            "WHERE qserv_areaspec_box(0, -3, 2, 3)",
+            "SELECT o1.objectId AS a, o2.objectId AS b FROM Object o1, Object o2 "
+            f"WHERE ({_NEAR} < 0.02 AND o1.objectId != o2.objectId) "
+            "AND (qserv_areaspec_box(0, -3, 2, 3))",
+        ),
+        "same object": (
+            "SELECT COUNT(*) FROM Object o1 JOIN Object o2 ON o1.objectId = o2.objectId",
+            "SELECT COUNT(*) FROM Object o1, Object o2 WHERE (o1.objectId = o2.objectId)",
+        ),
+        "object x source": (
+            "SELECT o.objectId, s.sourceId FROM Object o INNER JOIN Source s "
+            "ON o.objectId = s.objectId "
+            "AND qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > 0.0045 "
+            "WHERE qserv_areaspec_box(224.1, -7.5, 237.1, 5.5)",
+            "SELECT o.objectId, s.sourceId FROM Object o, Source s "
+            "WHERE (o.objectId = s.objectId "
+            "AND qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > 0.0045) "
+            "AND (qserv_areaspec_box(224.1, -7.5, 237.1, 5.5))",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("partitioning", ["stripe", "htm"])
+    def test_identical_chunk_queries(self, md, chunker, case, partitioning):
+        from repro.partition import HtmChunker
+
+        if partitioning == "htm":
+            chunker = HtmChunker(4, 2, 0.05)
+        join, comma = self.CASES[case]
+        a = analyze(join, md)
+        if a.region is not None:
+            chunk_ids = chunker.chunks_intersecting(a.region)[:4]
+        else:
+            chunk_ids = chunker.all_chunks()[:4]
+        specs = gen(join, md, chunker, chunk_ids)[2]
+        assert specs and specs == gen(comma, md, chunker, chunk_ids)[2]
+        assert all(s.template is not None for s in specs)
+        assert not any("JOIN" in s.text or "JOIN" in s.template for s in specs)
+
+
 class TestMergeQuery:
     def test_passthrough_merge(self, md, chunker):
         a = analyze("SELECT objectId, ra_PS FROM Object", md)

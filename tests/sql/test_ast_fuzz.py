@@ -7,8 +7,9 @@ trees and SELECT statements to hunt for printing/parsing mismatches.
 
 The same trees check that the structure every traversal relies on --
 :meth:`Expr.children <repro.sql.ast.Expr.children>`, :meth:`Expr.map
-<repro.sql.ast.Expr.map>` and a SELECT's refs -- is exactly what the
-node classes declare.
+<repro.sql.ast.Expr.map>` and a SELECT's clauses -- is exactly what the
+node classes declare, and generated ``JOIN ... ON`` texts check that
+the parser makes of each the tree of its comma join.
 """
 
 import dataclasses
@@ -27,8 +28,8 @@ identifiers = st.from_regex(r"[a-zA-Z_][a-zA-Z0-9_]{0,10}", fullmatch=True).filt
     not in {
         "SELECT", "DISTINCT", "FROM", "WHERE", "GROUP", "BY", "HAVING", "ORDER",
         "ASC", "DESC", "LIMIT", "OFFSET", "AS", "AND", "OR", "NOT", "BETWEEN",
-        "IN", "IS", "NULL", "LIKE", "JOIN", "INNER", "LEFT", "OUTER", "CROSS",
-        "ON", "CREATE", "TABLE", "IF", "EXISTS", "DROP", "INSERT", "INTO",
+        "IN", "IS", "NULL", "LIKE", "JOIN", "INNER", "LEFT", "RIGHT", "OUTER",
+        "CROSS", "ON", "CREATE", "TABLE", "IF", "EXISTS", "DROP", "INSERT", "INTO",
         "VALUES", "UNION", "E",
     }
 )
@@ -104,27 +105,10 @@ table_refs = st.builds(
     alias=st.one_of(st.none(), identifiers),
 )
 
-#: INNER and LEFT joins need an ON clause, a CROSS join may have one.
-joins = st.one_of(
-    st.builds(
-        ast.JoinClause,
-        kind=st.sampled_from(["INNER", "LEFT"]),
-        table=table_refs,
-        on=expressions(2),
-    ),
-    st.builds(
-        ast.JoinClause,
-        kind=st.just("CROSS"),
-        table=table_refs,
-        on=st.one_of(st.none(), expressions(1)),
-    ),
-)
-
 selects = st.builds(
     ast.Select,
     items=st.lists(select_items, min_size=1, max_size=4).map(tuple),
     tables=st.lists(table_refs, min_size=1, max_size=2).map(tuple),
-    joins=st.lists(joins, max_size=2).map(tuple),
     where=st.one_of(st.none(), expressions(2)),
     group_by=st.lists(columns, max_size=2).map(tuple),
     having=st.one_of(st.none(), expressions(1, aggregates=True)),
@@ -135,6 +119,45 @@ selects = st.builds(
     limit=st.one_of(st.none(), st.integers(min_value=0, max_value=1000)),
     distinct=st.booleans(),
 )
+
+#: What may follow a SELECT's FROM tables: a comma table, or a JOIN and
+#: its ON condition (INNER needs one, CROSS may have one).
+from_parts = st.one_of(
+    st.tuples(st.just(", "), table_refs, st.none()),
+    st.tuples(st.sampled_from([" JOIN ", " INNER JOIN "]), table_refs, expressions(2)),
+    st.tuples(st.just(" CROSS JOIN "), table_refs, st.one_of(st.none(), expressions(1))),
+)
+
+
+@st.composite
+def join_texts(draw):
+    """``(text, comma text, statement)``: a SELECT written with JOINs, and as a comma join.
+
+    The text is a generated SELECT with generated parts after its FROM
+    tables, ``... JOIN t ON p ... WHERE w``; its comma text has the same
+    tables and ``WHERE (p) AND ... AND (w)``; the statement is the tree
+    both must parse to.
+    """
+    select = draw(selects)
+    parts = draw(st.lists(from_parts, min_size=1, max_size=3))
+    # The select list, and what follows WHERE: around a name no
+    # generated text contains.
+    head, tail = dataclasses.replace(
+        select, tables=(ast.TableRef("@"),), where=None
+    ).to_sql().split(" FROM `@`")
+    conditions = [on for _, _, on in parts if on is not None]
+    conditions += [select.where] if select.where is not None else []
+    tables = select.tables + tuple(ref for _, ref, _ in parts)
+    text = head + " FROM " + ", ".join(t.to_sql() for t in select.tables)
+    for sep, ref, on in parts:
+        text += sep + ref.to_sql() + ("" if on is None else " ON " + on.to_sql())
+    if select.where is not None:
+        text += " WHERE " + select.where.to_sql()
+    comma = head + " FROM " + ", ".join(t.to_sql() for t in tables)
+    if conditions:
+        comma += " WHERE " + " AND ".join(f"({c.to_sql()})" for c in conditions)
+    lowered = dataclasses.replace(select, tables=tables, where=ast.join_conjuncts(conditions))
+    return text + tail, comma + tail, lowered
 
 
 class TestExpressionRoundTrip:
@@ -222,19 +245,13 @@ class TestStructure:
         assert nodes[0] is expr
         assert nodes[1:] == [m for child in expr.children() for m in child.walk()]
 
-    @given(selects)
+    @given(join_texts())
     @settings(max_examples=200, deadline=None)
-    def test_refs_are_from_then_join_refs(self, select):
-        assert select.refs == select.tables + tuple(j.table for j in select.joins)
-        renamed = tuple(
-            dataclasses.replace(ref, table=f"{ref.table}_713") for ref in select.refs
-        )
-        moved = select.with_refs(renamed)
-        assert moved.refs == renamed
-        assert [(j.kind, j.on) for j in moved.joins] == [
-            (j.kind, j.on) for j in select.joins
-        ]
-        assert moved.with_refs(select.refs) == select
+    def test_a_join_text_parses_as_its_comma_text(self, texts):
+        text, comma, lowered = texts
+        assert parse_one(text) == parse_one(comma) == lowered
+        # Printed, it is the comma text: one spelling after the parser.
+        assert parse_one(lowered.to_sql()) == lowered
 
     @given(selects)
     @settings(max_examples=200, deadline=None)
@@ -242,7 +259,6 @@ class TestStructure:
         clauses = list(select.clauses())
         assert [e for _, e in clauses] == [
             *(i.expr for i in select.items),
-            *(j.on for j in select.joins if j.on is not None),
             *([select.where] if select.where is not None else []),
             *select.group_by,
             *([select.having] if select.having is not None else []),

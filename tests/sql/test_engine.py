@@ -519,8 +519,8 @@ def _rows(result) -> list:
 class TestJoinOn:
     """Every ON conjunct filters: a JOIN is its comma + WHERE form.
 
-    Runs with whatever ``REPRO_KERNELS`` says; explicit JOINs are the
-    interpreter's either way, their comma forms the join kernel's when
+    Runs with whatever ``REPRO_KERNELS`` says; the parser makes one tree
+    of both forms, which two-table joins run as a join kernel when
     kernels are on.
     """
 
@@ -580,6 +580,28 @@ class TestJoinOn:
                 db.create_table(table)
             with pytest.raises(SqlError, match="LEFT JOIN is not supported"):
                 db.execute(sql)
+
+    def test_star_lists_columns_in_from_text_order(self, joined):
+        """``*`` over a JOIN then a comma table: t1's, t2's, then t3's columns.
+
+        Kernels on and off; a repeated name is qualified here and bare in
+        sqlite, so names are compared without their qualifier.
+        """
+        d, reference = joined
+        reference.execute("CREATE TABLE t3 (w INTEGER)")
+        reference.executemany("INSERT INTO t3 VALUES (?)", [(7,), (8,)])
+        sql = "SELECT * FROM t1 a JOIN t2 b ON a.x = b.x, t3 c"
+        cursor = reference.execute(sql)
+        want = sorted(cursor.fetchall())
+        assert [c[0] for c in cursor.description] == ["x", "y", "x", "y", "w"]
+        for use_kernels in (True, False):
+            db = Database(use_kernels=use_kernels)
+            for table in d.tables.values():
+                db.create_table(table)
+            db.create_table(Table("t3", {"w": np.array([7, 8], dtype=np.int64)}))
+            got = db.execute(sql)
+            assert [n.rsplit(".", 1)[-1] for n in got.column_names] == ["x", "y", "x", "y", "w"]
+            assert _rows(got) == want
 
     def test_ambiguous_on_column_is_an_error(self, joined):
         d, reference = joined

@@ -1002,6 +1002,9 @@ JOIN_SHAPES = [
     "qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > 0.0001)",
     f"SELECT COUNT(*) AS n, AVG(s.psfFlux) AS f FROM {OBJ_SRC} "
     "WHERE o.objectId = s.objectId AND s.psfFlux > 5e-7",
+    # an explicit JOIN is the comma join the parser makes of it
+    "SELECT COUNT(*) AS n FROM Object_713_45 o JOIN Source_713 s "
+    "ON o.objectId = s.objectId",
     # the long side on the left, cut down by the few rows the right kept
     "SELECT s.sourceId, o.objectId FROM LSST.Source_713 AS s, LSST.Object_713_45 AS o "
     "WHERE s.objectId = o.objectId AND o.decl_PS < 0.05",
@@ -1055,9 +1058,7 @@ JOIN_FALLBACK_SHAPES = [
     f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} > 0.2",
     f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} < o1.decl_PS",
     f"SELECT COUNT(*) AS n FROM {OVERLAP} WHERE {NEAR} < -1",
-    # explicit JOIN clauses, '*' over a join, three tables
-    "SELECT COUNT(*) AS n FROM Object_713_45 o JOIN Source_713 s "
-    "ON o.objectId = s.objectId",
+    # '*' over a join, three tables
     f"SELECT * FROM {OBJ_SRC} WHERE o.objectId = s.objectId AND s.sourceId < 5",
     f"SELECT COUNT(*) AS n FROM {OBJ_SRC}, LSST.ObjectFullOverlap_713_45 AS v "
     "WHERE o.objectId = s.objectId AND v.objectId = 1000",

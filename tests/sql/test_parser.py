@@ -175,17 +175,35 @@ class TestClauses:
         assert not sel.order_by[1].descending
 
     def test_explicit_join_on(self):
-        sel = parse_one("SELECT * FROM Object o JOIN Source s ON o.objectId = s.objectId")
-        assert sel.joins[0].kind == "INNER"
-        assert sel.joins[0].on is not None
+        sel = parse_one(
+            "SELECT * FROM Object o JOIN Source s ON o.objectId = s.objectId WHERE s.ra > 1"
+        )
+        assert [t.name for t in sel.tables] == ["o", "s"]
+        assert sel.where == parse_one("SELECT 1 WHERE o.objectId = s.objectId AND s.ra > 1").where
+        assert sel == parse_one(
+            "SELECT * FROM Object o, Source s WHERE (o.objectId = s.objectId) AND (s.ra > 1)"
+        )
+
+    def test_joins_and_comma_tables_keep_text_order(self):
+        sel = parse_one("SELECT * FROM a, b INNER JOIN c ON p = 1, d JOIN e ON q = 2 AND r = 3")
+        assert [t.table for t in sel.tables] == ["a", "b", "c", "d", "e"]
+        assert sel.where.to_sql() == "(p = 1 AND (q = 2 AND r = 3))"
 
     def test_left_join(self):
-        sel = parse_one("SELECT * FROM a LEFT JOIN b ON a.x = b.x")
-        assert sel.joins[0].kind == "LEFT"
+        for sql in (
+            "SELECT * FROM a LEFT JOIN b ON a.x = b.x",
+            "SELECT * FROM a LEFT OUTER JOIN b ON a.x = b.x",
+        ):
+            with pytest.raises(ParseError, match="LEFT JOIN is not supported"):
+                parse_one(sql)
+        with pytest.raises(ParseError, match="RIGHT JOIN is not supported"):
+            parse_one("SELECT * FROM a RIGHT JOIN b ON a.x = b.x")
 
     def test_cross_join(self):
         sel = parse_one("SELECT * FROM a CROSS JOIN b")
-        assert sel.joins[0].kind == "CROSS"
+        assert sel == parse_one("SELECT * FROM a, b")
+        sel = parse_one("SELECT * FROM a CROSS JOIN b ON a.x > b.x")
+        assert sel == parse_one("SELECT * FROM a, b WHERE a.x > b.x")
 
     def test_join_requires_on(self):
         with pytest.raises(ParseError):
@@ -324,7 +342,7 @@ class TestRoundTrip:
         [
             "SELECT a + b * c FROM t WHERE NOT (a = 1 OR b = 2)",
             "SELECT COUNT(DISTINCT a) FROM t GROUP BY b HAVING COUNT(*) > 2",
-            "SELECT * FROM a LEFT JOIN b ON a.x = b.y WHERE a.z IN (1, 2)",
+            "SELECT * FROM a INNER JOIN b ON a.x = b.y WHERE a.z IN (1, 2)",
             "SELECT a FROM t ORDER BY a DESC LIMIT 5 OFFSET 2",
             "INSERT INTO t (a, b) VALUES (1, -2.5), (3, 4.0)",
             "CREATE TABLE s AS SELECT a, b FROM t WHERE a BETWEEN 1 AND 2",

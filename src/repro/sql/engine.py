@@ -38,7 +38,6 @@ from .expr_eval import Environment, evaluate
 from .index import HashIndex
 from .kernels import (
     MAX_CROSS_PAIRS,
-    JoinKernel,
     KernelCache,
     KernelFallback,
     KernelKey,
@@ -359,7 +358,7 @@ class Database:
         if any(tables is None for tables in resolved):
             return None
         kernel = cache.get_or_compile(sel, resolved[0], kernel_key)
-        if not isinstance(kernel, JoinKernel):
+        if kernel is None or len(kernel.sides) != 2:
             return None
         try:
             outputs = kernel.run(sel, resolved)

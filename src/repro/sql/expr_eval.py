@@ -25,6 +25,8 @@ __all__ = [
     "literal_in_values",
     "in_values",
     "in_list_mask",
+    "null_mask",
+    "as_bool",
 ]
 
 
@@ -140,6 +142,22 @@ def in_list_mask(val, candidates, item_values) -> np.ndarray:
     return out
 
 
+def null_mask(val) -> np.ndarray:
+    """Where ``val`` is NULL: the one rule of ``IS NULL``, for the interpreter and kernels.
+
+    A NULL is a NaN in a float column.  A text column is an object
+    array, whose NULL is None or a float NaN (what a VARCHAR NULL is
+    stored as): NaN is the one value unequal to itself.  Other columns
+    hold no NULL.
+    """
+    val = np.asarray(val)
+    if np.issubdtype(val.dtype, np.floating):
+        return np.isnan(val)
+    if val.dtype == object:
+        return np.equal(val, None) | (val != val)
+    return np.zeros(val.shape, dtype=bool)
+
+
 def evaluate(expr: ast.Expr, env: Environment, aggregates: dict | None = None):
     """Evaluate ``expr`` to a NumPy array (or scalar for literal-only input).
 
@@ -173,7 +191,7 @@ def evaluate(expr: ast.Expr, env: Environment, aggregates: dict | None = None):
         if expr.op == "-":
             return np.negative(val)
         if expr.op.upper() == "NOT":
-            return ~_as_bool(val)
+            return ~as_bool(val)
         raise EvalError(f"unknown unary operator {expr.op!r}")
     if isinstance(expr, ast.BinaryOp):
         return _binary(expr, env, aggregates)
@@ -193,18 +211,15 @@ def evaluate(expr: ast.Expr, env: Environment, aggregates: dict | None = None):
         out = in_list_mask(val, candidates, items)
         return ~out if expr.negated else out
     if isinstance(expr, ast.IsNull):
-        val = np.asarray(evaluate(expr.value, env, aggregates))
-        if np.issubdtype(val.dtype, np.floating):
-            out = np.isnan(val)
-        else:
-            out = np.zeros(val.shape, dtype=bool)
+        out = null_mask(evaluate(expr.value, env, aggregates))
         return ~out if expr.negated else out
     if isinstance(expr, ast.Star):
         raise EvalError("'*' is only valid in a select list or COUNT(*)")
     raise EvalError(f"cannot evaluate {type(expr).__name__}")
 
 
-def _as_bool(val):
+def as_bool(val):
+    """A value as a boolean array: nonzero is true (the kernels' ``H.as_bool`` too)."""
     arr = np.asarray(val)
     if arr.dtype == bool:
         return arr
@@ -215,11 +230,11 @@ def _binary(expr: ast.BinaryOp, env: Environment, aggregates):
     op = expr.op.upper() if expr.op.isalpha() else expr.op
     if op == "AND":
         # Short-circuit-free vectorized AND; both sides are masks.
-        return _as_bool(evaluate(expr.left, env, aggregates)) & _as_bool(
+        return as_bool(evaluate(expr.left, env, aggregates)) & as_bool(
             evaluate(expr.right, env, aggregates)
         )
     if op == "OR":
-        return _as_bool(evaluate(expr.left, env, aggregates)) | _as_bool(
+        return as_bool(evaluate(expr.left, env, aggregates)) | as_bool(
             evaluate(expr.right, env, aggregates)
         )
     left = evaluate(expr.left, env, aggregates)

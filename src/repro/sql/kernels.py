@@ -5,33 +5,29 @@ for every statement, allocating an intermediate array per operator and
 evaluating every WHERE conjunct over the full table.  Chunk queries are
 templates, though: the czar dispatches the *same* rewritten SELECT to
 hundreds of chunk tables, so the per-query plan is worth compiling
-once and replaying.  This module compiles a single-table SELECT into
-one fused, cached callable:
+once and replaying.  This module compiles a SELECT over one table, or a
+two-table comma join, into one cached :class:`CompiledKernel`: a
+pipeline of generated Python/NumPy stages that one emitter writes for
+both shapes, resolving each column to its side by one rule
+(:func:`_column_rule`):
 
-- **Mask stage** (codegen): all *cheap* WHERE conjuncts -- comparisons,
-  BETWEEN, IN lists (``np.isin`` for literal lists), IS NULL, boolean
-  combinations -- are emitted as one generated Python/NumPy function
-  that folds conjunct masks together with ``np.logical_and(..., out=m)``
-  scratch reuse instead of N ``evaluate`` dispatches.
-- **Survivor stages** (codegen): conjuncts containing function calls
-  (the expensive UDFs: ``fluxToAbMag``, spherical-geometry predicates)
-  are compiled into per-conjunct functions that run only on the rows
-  surviving the cheap mask -- a selective spatial cut means the UDF
-  touches a few percent of the table instead of all of it.  All
-  registered functions are elementwise, so survivor-order evaluation is
-  bit-identical to full-table evaluation.
-- **Projection stage** (codegen): plain projections are emitted over
-  the gathered survivor columns.
-- **Aggregate stage** (codegen): a grouped or aggregate query gets
-  :func:`grouped_projection` written out for it as one function -- the
-  group structure once, each distinct aggregate argument evaluated and
-  tested for NULLs once, the select list and HAVING as emitted
-  expressions.  The group ladder (:func:`group_structure`) and the
-  reductions (``_REDUCTIONS``) it calls are the ones the interpreter
-  calls, on the same operands -- the NULL rules are written once, so
-  kernel aggregation cannot diverge from interpreted aggregation by
-  construction.  What the emitter declines (DISTINCT aggregates,
-  aggregates over text) ends in :func:`grouped_projection` itself.
+- **side stages**: the WHERE conjuncts that read one FROM entry alone
+  -- the cheap ones fused into one full-table mask, those with a
+  function call (the expensive UDFs) run on its survivors only
+  (:func:`_compile_side`);
+- **row source**: one table's surviving rows; or, for a join, the
+  candidate pairs of surviving rows, from a ``col = col`` sort-merge or
+  a sorted declination band under a ``qserv_angSep(...) < r`` conjunct
+  (the zone algorithm), which the two-sided conjuncts then cut exactly
+  as survivor stages, each column gathered through its side's rows;
+- **projection** (``_project``) or **aggregate** (``_aggregate``): the
+  select list over the gathered columns.  The aggregate stage is
+  :func:`grouped_projection` written out as code, calling the group
+  ladder and reductions the interpreter calls, on the same operands --
+  the NULL rules are written once, so kernel aggregation cannot diverge
+  from interpreted aggregation by construction.  What the emitter
+  declines (DISTINCT aggregates, aggregates over text) ends in
+  :func:`grouped_projection` itself.
 
 Kernels are cached in a :class:`KernelCache` (the worker-side analogue
 of the czar plan cache) keyed by the statement's *shape* -- the physical
@@ -45,16 +41,9 @@ NumPy promotes and computes exactly as it does for the interpreter.
 Cache traffic is exported as ``kernel.cache.*`` metrics and annotated
 on the enclosing trace span.
 
-Two-table joins compile into a :class:`JoinKernel` (the shape of the
-sub-chunk near-neighbour statements and of Object x Source):
-conjuncts bound to one side filter that side before pairing, candidate
-pairs come from a ``col = col`` sort-merge or from a sorted declination
-band under a ``qserv_angSep(...) < r`` conjunct, and every pair
-conjunct is then evaluated exactly on the candidates by the
-interpreter's own :func:`~repro.sql.expr_eval.evaluate`.  It runs a
-whole *family* -- one statement asked of several pairs of tables, the
-2 x *n* sub-chunk statements of a chunk query -- in one pass
-(:meth:`JoinKernel.run`, behind
+A join kernel runs a whole *family* -- one statement asked of several
+pairs of tables, the 2 x *n* sub-chunk statements of a chunk query --
+in one pass (:meth:`CompiledKernel.run`, behind
 :meth:`Database.execute_family <repro.sql.engine.Database.execute_family>`):
 the members' rows are stacked end to end and the two rows of a pair
 must come from one member.
@@ -80,11 +69,13 @@ from . import ast
 from .errors import SqlError
 from .expr_eval import (
     Environment,
+    as_bool,
     contains_aggregate,
     evaluate,
     in_list_mask,
     in_values,
     literal_in_values,
+    null_mask,
 )
 from .functions import FUNCTIONS
 from .shapes import blank
@@ -92,10 +83,8 @@ from .shapes import blank
 __all__ = [
     "KernelCache",
     "CompiledKernel",
-    "JoinKernel",
     "KernelFallback",
     "compile_select",
-    "compile_join",
     "equi_join",
     "isin",
     "MAX_CROSS_PAIRS",
@@ -439,29 +428,34 @@ def _representative_rows(order, group_starts, n: int) -> np.ndarray:
     return group_starts if order is None else order[group_starts]
 
 
+#: The output column of a family's member, which no statement can name.
+MEMBER = "\0member"
+
 _BARE_ITEM_OVER_NO_ROWS = (
     "non-aggregate select item {!r} in a global aggregate over an empty table"
 )
 
 
 def grouped_projection(
-    sel: ast.Select, env: Environment, aggregates: list[ast.FuncCall]
+    sel: ast.Select, env: Environment, aggregates: list[ast.FuncCall], member=None
 ) -> dict[str, np.ndarray]:
     """Group, aggregate, project, and apply HAVING; returns result columns.
 
     The interpreter's grouped path, and the reference for the generated
     aggregate stage (:func:`_compile_aggregate`), which does the same
-    steps through the same helpers.  A kernel whose aggregate stage the
-    emitter declined, and every join kernel, ends here too.
+    steps through the same helpers.  A kernel -- of one table or of a
+    join -- whose aggregate stage the emitter declined ends here too.
+    ``member``, when not None, is a statement family's member per row:
+    a hidden leading group key, returned as the column :data:`MEMBER`.
     """
     n = env.length
-    if sel.group_by:
-        keys = []
-        for gexpr in sel.group_by:
-            arr = np.asarray(evaluate(gexpr, env))
-            if arr.ndim == 0:
-                arr = np.full(n, arr)
-            keys.append(arr)
+    keys = [] if member is None else [member]
+    for gexpr in sel.group_by:
+        arr = np.asarray(evaluate(gexpr, env))
+        if arr.ndim == 0:
+            arr = np.full(n, arr)
+        keys.append(arr)
+    if keys:
         order, group_starts = group_structure(keys, n)
     else:
         # One global group (even over zero rows: COUNT(*) = 0).
@@ -494,6 +488,8 @@ def grouped_projection(
         if val.ndim == 0:
             val = np.full(num_groups, val)
         out_cols[name] = val
+    if member is not None:
+        out_cols[MEMBER] = member[rep_rows]
 
     if sel.having is not None:
         mask = np.asarray(evaluate(sel.having, rep_env, aggregates=agg_values))
@@ -612,15 +608,8 @@ def _drop_unmatched(vals: np.ndarray, rows, other_vals: np.ndarray):
 
 
 class _Helpers:
-    np = np
     nan = np.nan
-
-    @staticmethod
-    def as_bool(val):
-        arr = np.asarray(val)
-        if arr.dtype == bool:
-            return arr
-        return arr != 0
+    as_bool = staticmethod(as_bool)
 
     @staticmethod
     def as_mask(val, n):
@@ -650,9 +639,7 @@ class _Helpers:
         out = (val >= low) & (val <= high)
         return ~out if negated else out
 
-    @staticmethod
-    def in_list(val, candidates, items):
-        return in_list_mask(val, candidates, items)
+    in_list = staticmethod(in_list_mask)
 
     @staticmethod
     def in_params(val, values):
@@ -661,11 +648,7 @@ class _Helpers:
 
     @staticmethod
     def isnull(val, negated):
-        val = np.asarray(val)
-        if np.issubdtype(val.dtype, np.floating):
-            out = np.isnan(val)
-        else:
-            out = np.zeros(val.shape, dtype=bool)
+        out = null_mask(val)
         return ~out if negated else out
 
     @staticmethod
@@ -702,6 +685,9 @@ _BINOP_FUNCS = {
 class _Emitter:
     """Translates a validated expression tree to Python/NumPy source.
 
+    A column reference is emitted as what ``col`` makes of its key, the
+    ``(side, column)`` the compiler's rule ``resolve`` gives it.
+
     An expression emitted with a ``path`` (the attribute chain reaching
     it from the executing statement ``s``, e.g. ``s.where.left``) lies
     in the WHERE clause: its numeric literals are holes of the
@@ -712,10 +698,9 @@ class _Emitter:
     literals are part of the shape and are emitted inline.
     """
 
-    def __init__(self, binding: str, colset: set[str], col, params: list[str]):
-        self.binding = binding
-        self.colset = colset
-        self.col = col  # column name -> source string
+    def __init__(self, resolve, col, params: list[str]):
+        self.resolve = resolve  # ColumnRef -> (side, column)
+        self.col = col  # (side, column) -> source string
         self.params = params
         self.consts: list = []
         #: Aggregate call -> source string, where the expression is
@@ -738,11 +723,7 @@ class _Emitter:
         if isinstance(e, ast.Null):
             return "H.nan"
         if isinstance(e, ast.ColumnRef):
-            if e.table is not None and e.table != self.binding:
-                raise KernelFallback(f"unresolvable qualifier {e.table!r}")
-            if e.column not in self.colset:
-                raise KernelFallback(f"unknown column {e.column!r}")
-            return self.col(e.column)
+            return self.col(self.resolve(e))
         if isinstance(e, ast.FuncCall):
             if e in self.aggregates:
                 return self.aggregates[e]
@@ -802,6 +783,35 @@ class _Emitter:
         raise KernelFallback(f"cannot compile {type(e).__name__}")
 
 
+def _column_rule(bindings, schema_names):
+    """``ColumnRef -> (side, column)``, the one way every stage places a column.
+
+    A qualified reference reads the FROM entry bound to its qualifier,
+    an unqualified one the only entry with the column; the interpreter
+    reports the rest (:class:`KernelFallback`).
+    """
+    colsets = [set(names) for names in schema_names]
+
+    def resolve(ref: ast.ColumnRef) -> tuple[int, str]:
+        if ref.table is not None:
+            if ref.table not in bindings:
+                raise KernelFallback(f"unresolvable qualifier {ref.table!r}")
+            sides = [bindings.index(ref.table)]
+        else:
+            sides = range(len(bindings))
+        hits = [side for side in sides if ref.column in colsets[side]]
+        if len(hits) != 1:
+            raise KernelFallback(f"unknown or ambiguous column {ref.column!r}")
+        return hits[0], ref.column
+
+    return resolve
+
+
+def _keys(expr: ast.Expr, resolve) -> set[tuple[int, str]]:
+    """The column keys an expression reads."""
+    return {resolve(e) for e in expr.walk() if isinstance(e, ast.ColumnRef)}
+
+
 def _compile_fn(name: str, lines: list[str], consts: list, label: str):
     """exec() the generated function source in a minimal namespace."""
     src = "\n".join(lines)
@@ -810,6 +820,21 @@ def _compile_fn(name: str, lines: list[str], consts: list, label: str):
     fn = ns[name]
     fn.__kernel_source__ = src
     return fn
+
+
+def _rows_fn(name: str, args: str, cols_used: dict, body: list[str], consts, label):
+    """A generated function that first gathers the columns it reads.
+
+    Each ``(side, column)`` key of ``cols_used`` becomes its variable,
+    ``C[side][column]`` at the rows ``S[side]``: one table's survivors,
+    or the left and right rows of the pairs.
+    """
+    lines = [f"def {name}({args}):"]
+    lines += [
+        f"    {var} = H.gather(C[{side}][{cn!r}], S[{side}])"
+        for (side, cn), var in cols_used.items()
+    ]
+    return _compile_fn(name, lines + body, consts, label)
 
 
 def _compile_params(params: list[str]):
@@ -833,80 +858,236 @@ def _account_scan(arrays, scan_bytes) -> None:
         sp.set(scan_bytes=sp.attrs.get("scan_bytes", 0) + scanned)
 
 
-class CompiledKernel:
-    """One fused filter+project(+aggregate) callable for a query template.
+class _Stack(NamedTuple):
+    """One side of a join's family: the members' rows, end to end."""
 
-    Calling it with a statement of its shape and that statement's table
-    returns the result columns (pre-DISTINCT, pre-ORDER BY -- the engine
-    applies those on the output, exactly as it does for the interpreted
-    path).  The statement supplies the WHERE literals; everything else
-    about it is what the kernel was compiled from.
-    """
+    #: The columns any stage reads, each the members' columns concatenated.
+    columns: dict[str, np.ndarray]
+    #: Member ``m`` holds rows ``bounds[m]:bounds[m + 1]``.
+    bounds: np.ndarray
 
-    __slots__ = (
-        "binding",
-        "needed",
-        "params_fn",
-        "mask_fn",
-        "stage_fns",
-        "project_fn",
-        "gathers",
-        "aggregates",
-        "env_cols",
-        "sources",
-        "scan_bytes",
-    )
+    @classmethod
+    def of(cls, tables, needed: list[str]) -> "_Stack":
+        bounds = np.zeros(len(tables) + 1, dtype=np.intp)
+        np.cumsum([t.num_rows for t in tables], out=bounds[1:])
+        columns = {}
+        for name in needed:
+            parts = [t.column(name) for t in tables]
+            if len(parts) == 1:
+                columns[name] = parts[0]
+                continue
+            if len({part.dtype for part in parts}) > 1:
+                # One SQL type, several widths: stacked, the narrow
+                # members would compute in the wide one's arithmetic.
+                raise KernelFallback(f"members differ in the dtype of {name!r}")
+            columns[name] = np.concatenate(parts)
+        return cls(columns, bounds)
 
-    def __init__(self, binding, needed, params_fn, mask_fn, stage_fns, project_fn,
-                 gathers, aggregates, env_cols, sources, scan_bytes):
-        self.binding = binding
-        self.needed = needed
-        self.params_fn = params_fn
-        self.mask_fn = mask_fn
-        self.stage_fns = stage_fns
-        #: The generated ``_project`` or ``_aggregate``; None for a
-        #: grouped statement whose aggregate stage the emitter declined,
-        #: which :func:`grouped_projection` finishes over ``env_cols``.
-        self.project_fn = project_fn
-        self.gathers = gathers
-        self.aggregates = aggregates
-        self.env_cols = env_cols
-        self.sources = sources
-        #: The ``engine.scan.bytes`` counter every call is charged to.
-        self.scan_bytes = scan_bytes
+    def runs(self, rows) -> np.ndarray:
+        """``bounds`` among the kept ``rows`` (ascending; None = all rows)."""
+        return self.bounds if rows is None else np.searchsorted(rows, self.bounds)
 
-    def __call__(self, sel: ast.Select, table) -> dict[str, np.ndarray]:
-        C = {name: table.column(name) for name in self.needed}
-        n = table.num_rows
-        _account_scan(C.values(), self.scan_bytes)
-        P = self.params_fn(sel) if self.params_fn is not None else ()
 
+class _Side(NamedTuple):
+    """The stages of the conjuncts that read one FROM entry alone."""
+
+    #: The columns any stage of the kernel reads from this side, in schema order.
+    needed: list[str]
+    #: ``_mask(C, n, P)``: the cheap conjuncts fused over every row; or None.
+    mask_fn: object
+    #: ``_stage(C, S, ns, P)`` per conjunct with a function call, in turn.
+    stage_fns: list
+
+    def rows(self, columns, n: int, P, index: bool):
+        """``(rows, count)`` passing this side's conjuncts.
+
+        ``rows`` is None for every row, else row indices -- or, unless
+        ``index``, perhaps the mask itself.
+        """
+        C = (columns,)
         m = self.mask_fn(C, n, P) if self.mask_fn is not None else None
         if self.stage_fns:
-            s = np.flatnonzero(m) if m is not None else np.arange(n)
+            # With no mask the first stage reads the columns themselves.
+            s = np.flatnonzero(m) if m is not None else None
             for fn in self.stage_fns:
-                keep = fn(C, s, len(s), P)
-                s = s[keep]
-            sel_idx: object = s
-            ns = len(s)
-        elif m is None:
-            sel_idx = None
-            ns = n
-        elif self.gathers:
+                keep = fn(C, (s,), n if s is None else len(s), P)
+                s = np.flatnonzero(keep) if s is None else s[keep]
+            return s, len(s)
+        if m is None:
+            return None, n
+        if index:
             # One conversion, then index gathers: boolean indexing
             # re-scans the whole mask for every column it cuts.
-            sel_idx = np.flatnonzero(m)
-            ns = len(sel_idx)
-        else:
-            sel_idx = m
-            ns = int(np.count_nonzero(m))
+            s = np.flatnonzero(m)
+            return s, len(s)
+        return m, int(np.count_nonzero(m))
 
+
+@dataclass(frozen=True, slots=True)
+class CompiledKernel:
+    """One compiled callable for a query template over one or two tables.
+
+    Calling it with a statement of its shape and that statement's FROM
+    tables returns the result columns (pre-DISTINCT, pre-ORDER BY -- the
+    engine applies those on the output, exactly as it does for the
+    interpreted path).  The statement supplies the WHERE literals;
+    everything else about it is what the kernel was compiled from.
+
+    A join kernel's unit of work is a *family* (:meth:`run`).  Its
+    members' rows are stacked, every stage runs once over the stack,
+    candidate pairs never cross a member, and the output is cut at the
+    member boundaries -- grouped with the member as a hidden leading
+    key.  Elementwise stages see the same rows in the same order as
+    member-by-member calls would, so each member's share is what a call
+    on it alone returns.
+    """
+
+    #: Binding name per FROM entry.
+    bindings: tuple[str, ...]
+    sides: tuple[_Side, ...]
+    params_fn: object
+    #: A join's ``("equi", left column, right column)`` or ``("band",
+    #: left dec, right dec, index of the radius in P)``; None for one table.
+    pairing: tuple | None
+    #: ``_stage(C, S, ns, P)`` per two-sided conjunct, over the pairs.
+    pair_fns: list
+    #: The generated ``_project`` or ``_aggregate`` ``(C, S, ns, M)``; None
+    #: when :func:`grouped_projection` finishes over ``env_cols`` instead.
+    project_fn: object
+    #: Whether it reads columns by row (so a mask is worth turning into rows).
+    gathers: bool
+    grouped: bool
+    aggregates: list
+    env_cols: list
+    #: The ``engine.scan.bytes`` counter every call is charged to.
+    scan_bytes: obs_metrics.Counter
+
+    def __call__(self, sel: ast.Select, *tables) -> dict[str, np.ndarray]:
+        if self.pairing is not None:
+            return self.run(sel, [tables])[0]
+        # One table: its surviving rows are the row source.
+        (table,) = tables
+        C = ({name: table.column(name) for name in self.sides[0].needed},)
+        _account_scan(C[0].values(), self.scan_bytes)
+        P = self.params_fn(sel) if self.params_fn is not None else ()
+        rows, ns = self.sides[0].rows(C[0], table.num_rows, P, self.gathers)
+        return self._finish(sel, C, (rows,), ns)
+
+    def run(self, sel: ast.Select, members: list) -> list[dict[str, np.ndarray]]:
+        """A join's result columns per member: a (left table, right table) pair."""
+        P = self.params_fn(sel) if self.params_fn is not None else ()
+        stacks = [
+            _Stack.of([member[k] for member in members], side.needed)
+            for k, side in enumerate(self.sides)
+        ]
+        C = tuple(stack.columns for stack in stacks)
+        kept = [
+            side.rows(columns, int(stack.bounds[-1]), P, True)[0]
+            for side, columns, stack in zip(self.sides, C, stacks)
+        ]
+        pairs = self._candidates(P, stacks, kept)
+        if pairs is None:
+            # More candidates than one pass may hold, though perhaps
+            # no member has as many: halve the family.
+            half = len(members) // 2
+            return self.run(sel, members[:half]) + self.run(sel, members[half:])
+        _account_scan([arr for columns in C for arr in columns.values()], self.scan_bytes)
+        for fn in self.pair_fns:
+            keep = fn(C, pairs, len(pairs[0]), P)
+            pairs = (pairs[0][keep], pairs[1][keep])
+        # The interpreter's order: left rows ascending, and per left row
+        # its right matches ascending -- member after member, since that
+        # is how the left rows are stacked.
+        order = np.lexsort((pairs[1], pairs[0]))
+        pairs = (pairs[0][order], pairs[1][order])
+        cuts = np.searchsorted(pairs[0], stacks[0].bounds)
+        if not self.grouped:
+            return _cut(self._finish(sel, C, pairs, len(order)), cuts)
+        if len(members) == 1:
+            return [self._finish(sel, C, pairs, len(order))]
+
+        sizes = np.diff(cuts)
+        out: list = [None] * len(sizes)
+        if len(order):
+            # The member leads the GROUP BY keys: a stable sort keeps
+            # each member's pairs in their order, so every group holds
+            # what it holds when the member is grouped alone.
+            member = np.repeat(np.arange(len(sizes)), sizes)
+            cols = self._finish(sel, C, pairs, len(order), member)
+            group_member = cols.pop(MEMBER)
+            out = _cut(cols, np.searchsorted(group_member, np.arange(len(sizes) + 1)))
+        if not sizes.all():
+            # What no pair at all gives (one COUNT(*) = 0 / NULL row, or
+            # no row under GROUP BY), dtypes included: those of an empty
+            # input, which lead the chunk result if this member does.
+            none = np.empty(0, dtype=np.intp)
+            empty = self._finish(sel, C, (none, none), 0)
+            for m in np.flatnonzero(sizes == 0):
+                out[m] = dict(empty)
+        return out
+
+    def _finish(self, sel, C, S, ns: int, member=None) -> dict[str, np.ndarray]:
+        """The select list over the rows ``S``; ``member``: a family's group key."""
         if self.project_fn is not None:
-            return self.project_fn(C, sel_idx, ns)
+            return self.project_fn(C, S, ns, member)
         cols = {
-            (self.binding, c): _Helpers.gather(C[c], sel_idx) for c in self.env_cols
+            (self.bindings[side], name): _Helpers.gather(C[side][name], S[side])
+            for side, name in self.env_cols
         }
-        return grouped_projection(sel, Environment(cols, ns), self.aggregates)
+        return grouped_projection(sel, Environment(cols, ns), self.aggregates, member)
+
+    def _candidates(self, P, stacks, kept):
+        """Candidate (left rows, right rows) of the stacks: a superset of the answer.
+
+        Both rows of a candidate belong to one member.  None when there
+        are more than :data:`MAX_CROSS_PAIRS` of them in a family the
+        caller can still halve; for one pair of tables that is an error.
+        """
+        kind, left_col, right_col = self.pairing[:3]
+        left_rows, right_rows = kept
+        left_vals = _Helpers.gather(stacks[0].columns[left_col], left_rows)
+        right_vals = _Helpers.gather(stacks[1].columns[right_col], right_rows)
+        if kind == "equi":
+            # Blind to the member, so still a superset.
+            left_vals, left_rows = _drop_unmatched(left_vals, left_rows, right_vals)
+            right_vals, right_rows = _drop_unmatched(right_vals, right_rows, left_vals)
+            low = high = left_vals
+        else:
+            # A great-circle separation is never smaller than the
+            # declination difference, so every pair closer than the
+            # radius lies in this band of the sorted declinations.  It
+            # is widened by far more than haversine round-off (~1e-14
+            # deg) so that no pair the exact test would keep is missed.
+            radius = float(P[self.pairing[3]])
+            band = radius + max(1e-9, abs(radius) * 1e-9)
+            low, high = left_vals - band, left_vals + band
+        order, lo, counts = _probe_runs(
+            right_vals, stacks[1].runs(right_rows), low, high, stacks[0].runs(left_rows)
+        )
+        if kind == "band":
+            total = int(counts.sum())
+            if total > MAX_CROSS_PAIRS:
+                if len(stacks[0].bounds) > 2:
+                    return None
+                raise SqlError(
+                    f"near-neighbor join of {len(left_vals)} x {len(right_vals)} "
+                    f"rows yields {total} candidate pairs, more than "
+                    f"{MAX_CROSS_PAIRS}; restrict the join"
+                )
+        li, ri = _expand_ranges(lo, counts, order)
+        if left_rows is not None:
+            li = left_rows[li]
+        if right_rows is not None:
+            ri = right_rows[ri]
+        return li, ri
+
+
+def _cut(cols: dict[str, np.ndarray], cuts: np.ndarray) -> list[dict]:
+    """``cols`` member by member: member ``m`` has rows ``cuts[m]:cuts[m + 1]``."""
+    return [
+        {name: arr[lo:hi] for name, arr in cols.items()}
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
 
 
 def _output_names(sel: ast.Select, schema_names: list[str], binding: str,
@@ -959,13 +1140,75 @@ def _check_order_by(sel: ast.Select, out_names: list[str]):
         raise KernelFallback("ORDER BY key not resolvable from output columns")
 
 
-def _numbered(variables: dict[str, str], prefix: str):
-    """``column -> its variable``, numbering a column on first use into ``variables``."""
-    return lambda cn: variables.setdefault(cn, f"{prefix}{len(variables)}")
+def _numbered(variables: dict, prefix: str):
+    """``column key -> its variable``, numbering a key on first use into ``variables``."""
+    return lambda key: variables.setdefault(key, f"{prefix}{len(variables)}")
 
 
-def _compile_aggregate(sel: ast.Select, binding: str, schema, aggregates):
-    """``(_aggregate(C, s, ns), whether it gathers)`` for a grouped SELECT.
+def _compile_stage(conjunct, path: str, resolve, params: list[str], label: str):
+    """``_stage(C, S, ns, P)``: one conjunct's mask over the selected rows."""
+    cols_used: dict = {}
+    em = _Emitter(resolve, _numbered(cols_used, "g"), params)
+    body = [f"    return H.as_mask({em.emit(conjunct, path)}, ns)"]
+    return _rows_fn("_stage", "C, S, ns, P", cols_used, body, em.consts, label)
+
+
+def _compile_side(side: int, conjuncts, resolve, params, needed) -> _Side:
+    """The stages of one side's conjuncts, which see its columns alone, as ``C[0]``.
+
+    Cheap conjuncts (no function call) fold into one full-table mask
+    with ``np.logical_and(..., out=m)`` scratch reuse.  The others (the
+    expensive UDFs) run only on the rows surviving the mask and the
+    stages before them: every registered function is elementwise, so
+    that is bit-identical to full-table evaluation.
+    """
+
+    def own(ref):
+        return 0, resolve(ref)[1]
+
+    cheap = [(c, path) for c, path in conjuncts if not _contains_func(c)]
+    expensive = [(c, path) for c, path in conjuncts if _contains_func(c)]
+    mask_fn = None
+    if cheap:
+        em = _Emitter(own, lambda key: f"C[0][{key[1]!r}]", params)
+        exprs = [f"H.as_mask({em.emit(c, path)}, n)" for c, path in cheap]
+        lines = ["def _mask(C, n, P):"]
+        if len(exprs) == 1:
+            lines.append(f"    m = {exprs[0]}")
+        else:
+            # First combine allocates fresh (the operands may be column
+            # views); later conjuncts fold in-place into the scratch mask.
+            lines.append(f"    m = np.logical_and({exprs[0]}, {exprs[1]})")
+            for e in exprs[2:]:
+                lines.append(f"    np.logical_and(m, {e}, out=m)")
+        lines.append("    return m")
+        mask_fn = _compile_fn("_mask", lines, em.consts, f"mask{side}")
+    stage_fns = [
+        _compile_stage(c, path, own, params, f"stage{side}.{i}")
+        for i, (c, path) in enumerate(expensive)
+    ]
+    return _Side(needed, mask_fn, stage_fns)
+
+
+def _compile_project(sel: ast.Select, out_names: list[str], resolve, star_columns):
+    """``(_project(C, S, ns, M), whether it gathers)`` for a plain SELECT."""
+    cols_used: dict = {}
+    em = _Emitter(resolve, _numbered(cols_used, "g"), [])
+    srcs: list[str] = []
+    for item in sel.items:
+        if isinstance(item.expr, ast.Star):
+            srcs += [em.col((0, cname)) for cname in star_columns]
+        else:
+            srcs.append(em.emit(item.expr))
+    body = ["    out = {}"]
+    body += [f"    out[{n!r}] = H.as_col({src}, ns)" for n, src in zip(out_names, srcs)]
+    body.append("    return out")
+    fn = _rows_fn("_project", "C, S, ns, M", cols_used, body, em.consts, "project")
+    return fn, bool(cols_used)
+
+
+def _compile_aggregate(sel: ast.Select, resolve, text: set, aggregates):
+    """``(_aggregate(C, S, ns, M), whether it gathers)`` for a grouped SELECT.
 
     The steps of :func:`grouped_projection` as straight-line code: the
     group structure once, each distinct aggregate argument evaluated
@@ -973,12 +1216,13 @@ def _compile_aggregate(sel: ast.Select, binding: str, schema, aggregates):
     of each group gathered only for the columns the select list or
     HAVING reads outside an aggregate, and every expression emitted --
     no ``evaluate``.  The reductions are the interpreter's own
-    (``_REDUCTIONS``), on the same operands.  Raises
-    :class:`KernelFallback` for what it leaves to the interpreter's
-    stage: DISTINCT aggregates, aggregates over text columns (whose
-    MIN/MAX compare strings), anything :class:`_Emitter` declines.
+    (``_REDUCTIONS``), on the same operands.  ``M``, when not None, is
+    a family's member per row: a hidden leading group key, returned as
+    one more output column.  Raises :class:`KernelFallback` for what it
+    leaves to the interpreter's stage: DISTINCT aggregates, aggregates
+    over ``text`` columns (whose MIN/MAX compare strings), anything
+    :class:`_Emitter` declines.
     """
-    text = {c.name for c in schema if c.dtype == object}
     for agg in aggregates:
         name = agg.name.upper()
         if agg.distinct or name not in _REDUCTIONS or len(agg.args) != 1:
@@ -986,22 +1230,30 @@ def _compile_aggregate(sel: ast.Select, binding: str, schema, aggregates):
         if _is_star(agg):
             if name != "COUNT":
                 raise KernelFallback(f"{name}(*)")
-        elif expr_columns(agg.args[0]) & text:
+        elif _keys(agg.args[0], resolve) & text:
             raise KernelFallback("aggregate over a text column")
     # MIN and MAX skip NULLs by themselves; the others are told where.
     masked = {
         agg.args[0] for agg in aggregates if agg.name.upper() not in _IGNORES_VALID
     }
+    # The last aggregate to read an argument frees it, as the interpreter
+    # does: the next argument's gather reuses its memory, no fresh pages.
+    last = {agg.args[0]: agg for agg in aggregates if not _is_star(agg)}
 
-    colset = {c.name for c in schema}
-    row_cols: dict[str, str] = {}  # column -> variable of its selected rows
-    rows = _Emitter(binding, colset, _numbered(row_cols, "g"), [])
+    row_cols: dict = {}  # column key -> variable of its selected rows
+    rows = _Emitter(resolve, _numbered(row_cols, "g"), [])
     if sel.group_by:
         keys = ", ".join(f"H.as_col({rows.emit(g)}, ns)" for g in sel.group_by)
-        body = [f"    order, starts = H.group_structure([{keys}], ns)"]
+        body = [
+            f"    order, starts = H.group_structure([{keys}] if M is None "
+            f"else [M, {keys}], ns)"
+        ]
     else:
         # One global group (even over zero rows: COUNT(*) = 0).
-        body = ["    order, starts = None, np.zeros(1, dtype=np.int64)"]
+        body = [
+            "    order, starts = (None, np.zeros(1, dtype=np.int64)) if M is None "
+            "else H.group_structure([M], ns)"
+        ]
     body.append("    sizes = H.group_sizes(starts, ns)")
     body.append("    ng = len(starts)")
 
@@ -1028,12 +1280,14 @@ def _compile_aggregate(sel: ast.Select, binding: str, schema, aggregates):
         over_rows.append(
             f"        {result} = R[{name!r}](a{i}, {valid}, starts, sizes)"
         )
+        if last[arg] is agg:
+            over_rows.append(f"        del a{i}")
     if aggregates:
         # As the interpreter: no argument is evaluated over no rows.
         body += ["    if ns:", *over_rows, "    else:", *over_none]
 
-    rep_cols: dict[str, str] = {}  # column -> variable of its groups' first rows
-    per_group = _Emitter(binding, colset, _numbered(rep_cols, "q"), [])
+    rep_cols: dict = {}  # column key -> variable of its groups' first rows
+    per_group = _Emitter(resolve, _numbered(rep_cols, "q"), [])
     per_group.consts = rows.consts  # one K for the function
     per_group.aggregates = results
     outputs = ["    out = {}"]
@@ -1046,513 +1300,146 @@ def _compile_aggregate(sel: ast.Select, binding: str, schema, aggregates):
         if not (isinstance(item.expr, ast.ColumnRef) or item.expr in results):
             src = f"H.as_col({src}, ng)"  # the others may be scalars
         outputs.append(f"    out[{name!r}] = {src}")
+    outputs.append(
+        f"    if M is not None: out[{MEMBER!r}] = "
+        "M[H.representative_rows(order, starts, ns)]"
+    )
     if sel.having is not None:
         outputs.append(f"    keep = H.as_bool({per_group.emit(sel.having)})")
         outputs.append("    out = {name: col[keep] for name, col in out.items()}")
     outputs.append("    return out")
     if rep_cols:
         body.append("    first = H.representative_rows(order, starts, ns)")
-        body += [f"    {var} = {rows.col(cn)}[first]" for cn, var in rep_cols.items()]
+        body += [f"    {var} = {rows.col(key)}[first]" for key, var in rep_cols.items()]
 
-    lines = ["def _aggregate(C, s, ns):"]
-    lines += [f"    {var} = H.gather(C[{cn!r}], s)" for cn, var in row_cols.items()]
-    fn = _compile_fn("_aggregate", lines + body + outputs, rows.consts, "aggregate")
+    fn = _rows_fn(
+        "_aggregate", "C, S, ns, M", row_cols, body + outputs, rows.consts, "aggregate"
+    )
     return fn, bool(row_cols)
 
 
-def compile_select(sel: ast.Select, binding: str, schema, scan_bytes) -> CompiledKernel:
-    """Compile a single-table SELECT into a :class:`CompiledKernel`.
+def compile_select(sel: ast.Select, bindings, schemas, scan_bytes) -> CompiledKernel:
+    """Compile a SELECT over one table, or a two-table comma join, into a kernel.
 
-    ``schema`` is the ordered column list of the target table; ``sel``
-    should already be normalized (see :func:`normalize_select`);
-    ``scan_bytes`` is the counter the kernel's scans are charged to.  Raises
-    :class:`KernelFallback` for any shape where the interpreter must run
-    instead (joins, unknown names, unsupported ORDER BY keys, ...).
+    ``sel`` should already be normalized (see :func:`normalize_select`);
+    ``bindings`` and ``schemas`` give each FROM entry's binding name and
+    ordered column list; ``scan_bytes`` is the counter the kernel's
+    scans are charged to.  Raises :class:`KernelFallback` for any shape
+    where the interpreter must run instead (three tables, a join with
+    no conjunct to pair it by, unknown or ambiguous names, unsupported
+    ORDER BY keys, ...).
     """
-    if len(sel.tables) != 1:
-        raise KernelFallback("only single-table queries compile")
-    schema_names = [c.name for c in schema]
-    colset = set(schema_names)
+    if len(schemas) > 2:
+        raise KernelFallback("three or more tables")
+    if len(set(bindings)) != len(bindings):
+        raise KernelFallback("duplicate table name/alias")
+    schema_names = [[c.name for c in schema] for schema in schemas]
+    resolve = _column_rule(bindings, schema_names)
 
     aggregates = collect_aggregates(sel)
     grouped = bool(aggregates or sel.group_by)
     if sel.having is not None and not grouped:
         raise KernelFallback("HAVING without aggregation")
-
-    out_names = _output_names(sel, schema_names, binding, grouped)
+    wants_star = any(isinstance(i.expr, ast.Star) for i in sel.items)
+    if wants_star and len(schemas) > 1:
+        raise KernelFallback("'*' over a join")
+    out_names = _output_names(sel, schema_names[0], bindings[0], grouped)
     # ORDER BY keys resolve against the *output* columns (aliases
-    # included), checked here; they are therefore excluded from the
-    # table-reference validation below.
+    # included), checked here; every other column reference is resolved
+    # up front, which validates it whether or not a stage emits it.
     _check_order_by(sel, out_names)
-
-    # Validate every other column reference up front (the grouped path
-    # is not codegen'd expression-by-expression, so _Emitter will not
-    # see it).
+    referenced: set = set()
     for clause, expr in sel.clauses():
-        if clause == "ORDER BY":
-            continue
-        for e in expr.walk():
-            if not isinstance(e, ast.ColumnRef):
-                continue
-            if e.table is not None and e.table != binding:
-                raise KernelFallback(f"unresolvable reference: qualifier {e.table!r}")
-            if e.column not in colset:
-                raise KernelFallback(f"unresolvable reference: column {e.column!r}")
+        if clause != "ORDER BY":
+            referenced |= _keys(expr, resolve)
 
-    # -- WHERE: cheap conjuncts fused full-table, UDF conjuncts on survivors --
-    conjuncts = _conjunct_paths(sel.where, "s.where")
-    cheap = [(c, path) for c, path in conjuncts if not _contains_func(c)]
-    expensive = [(c, path) for c, path in conjuncts if _contains_func(c)]
-    for c, _ in expensive:
-        if contains_aggregate(c):
-            raise KernelFallback("aggregate in WHERE")
-
-    sources: list[str] = []
-    params: list[str] = []  # one P for all the stages below
-    mask_fn = None
-    if cheap:
-        em = _Emitter(binding, colset, lambda cn: f"C[{cn!r}]", params)
-        exprs = [f"H.as_mask({em.emit(c, path)}, n)" for c, path in cheap]
-        lines = ["def _mask(C, n, P):"]
-        if len(exprs) == 1:
-            lines.append(f"    m = {exprs[0]}")
+    # -- WHERE: each side's own conjuncts, then those that pair the sides ----------
+    own: list[list] = [[] for _ in schemas]
+    two_sided = []
+    for c, path in _conjunct_paths(sel.where, "s.where"):
+        sides = {side for side, _ in _keys(c, resolve)}
+        if len(sides) == 2:
+            two_sided.append((c, path))
         else:
-            # First combine allocates fresh (the operands may be column
-            # views); later conjuncts fold in-place into the scratch mask.
-            lines.append(f"    m = np.logical_and({exprs[0]}, {exprs[1]})")
-            for e in exprs[2:]:
-                lines.append(f"    np.logical_and(m, {e}, out=m)")
-        lines.append("    return m")
-        mask_fn = _compile_fn("_mask", lines, em.consts, "mask")
-        sources.append(mask_fn.__kernel_source__)
+            own[sides.pop() if sides else 0].append((c, path))
+    params: list[str] = []  # one P for all the stages below
+    sides = tuple(
+        _compile_side(
+            k, own[k], resolve, params,
+            [n for n in names if wants_star or (k, n) in referenced],
+        )
+        for k, names in enumerate(schema_names)
+    )
+    pair_fns = [
+        _compile_stage(c, path, resolve, params, f"pair{i}")
+        for i, (c, path) in enumerate(two_sided)
+    ]
+    pairing = _pairing(two_sided, resolve, params) if len(schemas) == 2 else None
 
-    stage_fns = []
-    for si, (c, path) in enumerate(expensive):
-        cols_used: dict[str, str] = {}
-        em = _Emitter(binding, colset, _numbered(cols_used, "g"), params)
-        expr_src = em.emit(c, path)
-        lines = ["def _stage(C, s, ns, P):"]
-        for cn, var in cols_used.items():
-            lines.append(f"    {var} = H.gather(C[{cn!r}], s)")
-        lines.append(f"    return H.as_mask({expr_src}, ns)")
-        fn = _compile_fn("_stage", lines, em.consts, f"stage{si}")
-        stage_fns.append(fn)
-        sources.append(fn.__kernel_source__)
-
-    # -- projection ---------------------------------------------------------------
-    env_cols: list[str] = []
+    # -- the select list ----------------------------------------------------------
+    env_cols: list = []
     if grouped:
+        text = {(k, c.name) for k, cols in enumerate(schemas) for c in cols
+                if c.dtype == object}
         try:
-            project_fn, gathers = _compile_aggregate(sel, binding, schema, aggregates)
+            project_fn, gathers = _compile_aggregate(sel, resolve, text, aggregates)
         except KernelFallback:
             project_fn = None
-            env_cols = [c for c in schema_names if c in referenced_columns(sel)]
+            env_cols = [(k, n) for k, side in enumerate(sides) for n in side.needed]
             gathers = bool(env_cols)
     else:
-        cols_used = {}
-        em = _Emitter(binding, colset, _numbered(cols_used, "g"), params)
-        outputs: list[tuple[str, str]] = []
-        name_iter = iter(out_names)
-        for item in sel.items:
-            if isinstance(item.expr, ast.Star):
-                for cname in schema_names:
-                    outputs.append((next(name_iter), em.col(cname)))
-                continue
-            outputs.append((next(name_iter), em.emit(item.expr)))
-        lines = ["def _project(C, s, ns):"]
-        for cn, var in cols_used.items():
-            lines.append(f"    {var} = H.gather(C[{cn!r}], s)")
-        lines.append("    out = {}")
-        for name, src in outputs:
-            lines.append(f"    out[{name!r}] = H.as_col({src}, ns)")
-        lines.append("    return out")
-        project_fn = _compile_fn("_project", lines, em.consts, "project")
-        gathers = bool(cols_used)
-    if project_fn is not None:
-        sources.append(project_fn.__kernel_source__)
-
-    wants_star = any(isinstance(i.expr, ast.Star) for i in sel.items)
-    needed = set(referenced_columns(sel)) & colset
-    if wants_star:
-        needed |= colset
-    # Preserve schema order for deterministic scans.
-    needed_ordered = [c for c in schema_names if c in needed]
+        project_fn, gathers = _compile_project(sel, out_names, resolve, schema_names[0])
 
     return CompiledKernel(
-        binding=binding,
-        needed=needed_ordered,
+        bindings=tuple(bindings),
+        sides=sides,
         params_fn=_compile_params(params),
-        mask_fn=mask_fn,
-        stage_fns=stage_fns,
+        pairing=pairing,
+        pair_fns=pair_fns,
         project_fn=project_fn,
         gathers=gathers,
+        grouped=grouped,
         aggregates=aggregates,
         env_cols=env_cols,
-        sources=sources,
         scan_bytes=scan_bytes,
     )
 
-
-# -- two-table join kernels ---------------------------------------------------------
 
 _ANGSEP_NAMES = frozenset({"QSERV_ANGSEP", "SCISQL_ANGSEP"})
 
 
-class _Stack(NamedTuple):
-    """One side of a statement family: the members' rows, end to end."""
+def _pairing(conjuncts, resolve, params: list[str]) -> tuple:
+    """How a join's candidate pairs are generated, from its two-sided conjuncts.
 
-    #: The columns any stage reads, each the members' columns concatenated.
-    columns: dict[str, np.ndarray]
-    #: Member ``m`` holds rows ``bounds[m]:bounds[m + 1]``.
-    bounds: np.ndarray
-
-    @classmethod
-    def of(cls, tables, needed: list[str]) -> "_Stack":
-        bounds = np.zeros(len(tables) + 1, dtype=np.intp)
-        np.cumsum([t.num_rows for t in tables], out=bounds[1:])
-        columns = {}
-        for name in needed:
-            parts = [t.column(name) for t in tables]
-            if len(parts) == 1:
-                columns[name] = parts[0]
-                continue
-            if len({part.dtype for part in parts}) > 1:
-                # One SQL type, several widths: stacked, the narrow
-                # members would compute in the wide one's arithmetic.
-                raise KernelFallback(f"members differ in the dtype of {name!r}")
-            columns[name] = np.concatenate(parts)
-        return cls(columns, bounds)
-
-    def runs(self, rows) -> np.ndarray:
-        """``bounds`` among the kept ``rows`` (ascending; None = all rows)."""
-        return self.bounds if rows is None else np.searchsorted(rows, self.bounds)
-
-
-# The member a pair belongs to, as a column of the pair environment and
-# an output column of the grouped projection; no statement can name either.
-_MEMBER = ast.ColumnRef(column="member", table="\0family")
-_MEMBER_ITEM = ast.SelectItem(_MEMBER, alias="\0member")
-
-
-@dataclass(frozen=True, slots=True)
-class JoinKernel:
-    """One filter-pair-verify-project callable for a two-table join template.
-
-    Unlike :class:`CompiledKernel` nothing here is generated code: the
-    saving is in *how many pairs* each expression sees, not in how it
-    is dispatched, so every conjunct and output expression goes through
-    the interpreter's own ``evaluate`` -- over one side's rows, over
-    the candidate pairs, or over the surviving pairs -- and is
-    bit-identical to evaluating it over the full cross product because
-    every registered function is elementwise.  The expressions are
-    those of the statement being executed (conjuncts are kept by their
-    position in its WHERE clause), so its literals apply, not the ones
-    the kernel was compiled from.
-
-    The unit of work is a *family*: one statement asked of several
-    pairs of tables (the sub-chunk statements of a chunk query).  The
-    members' rows are stacked, and every stage runs once over the stack
-    with the member as one more equality between the two sides; the
-    output is then cut at the member boundaries.  Elementwise stages
-    see the same rows in the same order as member-by-member calls
-    would, so each member's share is what a call on it alone returns.
+    The first ``a.x = b.y`` conjunct, else the first near-neighbour cut;
+    a conjunct that reads both sides has its column refs on both.
     """
-
-    bindings: tuple[str, str]
-    #: Per side, the columns any stage reads, in schema order.
-    needed: tuple[list[str], list[str]]
-    #: Per side, the (positions of the) conjuncts that reference only
-    #: that side.
-    side_filters: tuple[list, list]
-    #: ``("equi", left column, right column)`` or
-    #: ``("band", left dec column, right dec column, position of the
-    #: ``qserv_angSep(...) < radius`` conjunct)``.
-    pairing: tuple
-    #: ``(position, (side, column) refs)`` for every two-sided conjunct.
-    pair_conjuncts: list
-    #: ``(side, column)`` refs of the select list, GROUP BY and HAVING.
-    output_columns: list
-    grouped: bool
-    aggregates: list
-    out_names: list[str]
-    #: The ``engine.scan.bytes`` counter every pass is charged to.
-    scan_bytes: obs_metrics.Counter
-
-    def __call__(self, sel: ast.Select, left, right) -> dict[str, np.ndarray]:
-        return self.run(sel, [(left, right)])[0]
-
-    def run(self, sel: ast.Select, members: list) -> list[dict[str, np.ndarray]]:
-        """Result columns of ``sel`` per ``(left table, right table)`` member."""
-        conjuncts = ast.split_conjuncts(sel.where)
-        sides = tuple(
-            _Stack.of([member[side] for member in members], self.needed[side])
-            for side in (0, 1)
-        )
-        kept = (
-            self._side_rows(0, conjuncts, sides[0]),
-            self._side_rows(1, conjuncts, sides[1]),
-        )
-        pairs = self._candidates(conjuncts, sides, kept)
-        if pairs is None:
-            # More candidates than one pass may hold, though perhaps
-            # no member has as many: halve the family.
-            half = len(members) // 2
-            return self.run(sel, members[:half]) + self.run(sel, members[half:])
-        _account_scan(
-            [arr for side in sides for arr in side.columns.values()], self.scan_bytes
-        )
-        for position, refs in self.pair_conjuncts:
-            env = self._pair_env(sides, pairs, refs)
-            keep = _Helpers.as_mask(evaluate(conjuncts[position], env), env.length)
-            pairs = (pairs[0][keep], pairs[1][keep])
-        # The interpreter's order: left rows ascending, and per left row
-        # its right matches ascending -- member after member, since that
-        # is how the left rows are stacked.
-        order = np.lexsort((pairs[1], pairs[0]))
-        pairs = (pairs[0][order], pairs[1][order])
-        cuts = np.searchsorted(pairs[0], sides[0].bounds)
-
-        env = self._pair_env(sides, pairs, self.output_columns)
-        if self.grouped:
-            return self._grouped(sel, sides, env, cuts)
-        cols = {
-            name: _Helpers.as_col(evaluate(item.expr, env), env.length)
-            for name, item in zip(self.out_names, sel.items)
-        }
-        return _cut(cols, cuts)
-
-    def _side_rows(self, side: int, conjuncts: list, stack: _Stack):
-        """Stack rows of one side passing its own conjuncts; None = all."""
-        positions = self.side_filters[side]
-        if not positions:
-            return None
-        binding = self.bindings[side]
-        n = int(stack.bounds[-1])
-        env = Environment(
-            {(binding, name): arr for name, arr in stack.columns.items()}, n
-        )
-        mask = None
-        for position in positions:
-            m = _Helpers.as_mask(evaluate(conjuncts[position], env), n)
-            mask = m if mask is None else mask & m
-        return np.flatnonzero(mask)
-
-    def _candidates(self, conjuncts, sides, kept):
-        """Candidate (left rows, right rows) of the stack: a superset of the answer.
-
-        Both rows of a candidate belong to one member.  None when there
-        are more than :data:`MAX_CROSS_PAIRS` of them in a family the
-        caller can still halve; for one pair of tables that is an error.
-        """
-        kind, left_col, right_col = self.pairing[:3]
-        left_rows, right_rows = kept
-        left_vals = _Helpers.gather(sides[0].columns[left_col], left_rows)
-        right_vals = _Helpers.gather(sides[1].columns[right_col], right_rows)
-        if kind == "equi":
-            # Blind to the member, so still a superset.
-            left_vals, left_rows = _drop_unmatched(left_vals, left_rows, right_vals)
-            right_vals, right_rows = _drop_unmatched(right_vals, right_rows, left_vals)
-            low = high = left_vals
-        else:
-            # A great-circle separation is never smaller than the
-            # declination difference, so every pair closer than the
-            # radius lies in this band of the sorted declinations.  It
-            # is widened by far more than haversine round-off (~1e-14
-            # deg) so that no pair the exact test would keep is missed.
-            radius = float(conjuncts[self.pairing[3]].right.value)
-            band = radius + max(1e-9, abs(radius) * 1e-9)
-            low, high = left_vals - band, left_vals + band
-        order, lo, counts = _probe_runs(
-            right_vals, sides[1].runs(right_rows), low, high, sides[0].runs(left_rows)
-        )
-        if kind == "band":
-            total = int(counts.sum())
-            if total > MAX_CROSS_PAIRS:
-                if len(sides[0].bounds) > 2:
-                    return None
-                raise SqlError(
-                    f"near-neighbor join of {len(left_vals)} x {len(right_vals)} "
-                    f"rows yields {total} candidate pairs, more than "
-                    f"{MAX_CROSS_PAIRS}; restrict the join"
-                )
-        li, ri = _expand_ranges(lo, counts, order)
-        if left_rows is not None:
-            li = left_rows[li]
-        if right_rows is not None:
-            ri = right_rows[ri]
-        return li, ri
-
-    def _pair_env(self, sides, pairs, refs) -> Environment:
-        cols = {
-            (self.bindings[side], name): sides[side].columns[name][pairs[side]]
-            for side, name in refs
-        }
-        return Environment(cols, len(pairs[0]))
-
-    def _grouped(self, sel, sides, env, cuts) -> list[dict[str, np.ndarray]]:
-        """Group, aggregate and project each member's pairs (``cuts`` apart)."""
-        sizes = np.diff(cuts)
-        out: list = [None] * len(sizes)
-        if env.length:
-            # The member leads the GROUP BY keys: a stable sort keeps
-            # each member's pairs in their order, so every group holds
-            # what it holds when the member is grouped alone.
-            env = Environment(
-                {
-                    **env.columns,
-                    (_MEMBER.table, _MEMBER.column): np.repeat(
-                        np.arange(len(sizes)), sizes
-                    ),
-                },
-                env.length,
-            )
-            family = replace(
-                sel,
-                items=sel.items + (_MEMBER_ITEM,),
-                group_by=(_MEMBER,) + sel.group_by,
-            )
-            cols = grouped_projection(family, env, self.aggregates)
-            group_member = cols.pop(_MEMBER_ITEM.alias)
-            out = _cut(cols, np.searchsorted(group_member, np.arange(len(sizes) + 1)))
-        if not sizes.all():
-            # What no pair at all gives (one COUNT(*) = 0 / NULL row, or
-            # no row under GROUP BY), dtypes included: those of an empty
-            # input, which lead the chunk result if this member does.
-            none = (np.empty(0, dtype=np.intp),) * 2
-            empty = grouped_projection(
-                sel, self._pair_env(sides, none, self.output_columns), self.aggregates
-            )
-            for m in np.flatnonzero(sizes == 0):
-                out[m] = dict(empty)
-        return out
+    for pairing_of in (_equi_pairing, _band_pairing):
+        for conjunct, path in conjuncts:
+            pairing = pairing_of(conjunct, path, resolve, params)
+            if pairing is not None:
+                return pairing
+    raise KernelFallback("no conjunct to pair the two tables by")
 
 
-def _cut(cols: dict[str, np.ndarray], cuts: np.ndarray) -> list[dict]:
-    """``cols`` member by member: member ``m`` has rows ``cuts[m]:cuts[m + 1]``."""
-    return [
-        {name: arr[lo:hi] for name, arr in cols.items()}
-        for lo, hi in zip(cuts[:-1], cuts[1:])
-    ]
-
-
-def compile_join(sel: ast.Select, bindings, schemas, scan_bytes) -> JoinKernel:
-    """Compile a two-table comma join into a :class:`JoinKernel`.
-
-    ``sel`` should already be normalized; ``bindings`` and ``schemas``
-    give each FROM entry's binding name and ordered column list;
-    ``scan_bytes`` is the counter the kernel's scans are charged to.
-    Raises :class:`KernelFallback` unless the WHERE clause offers a way
-    to generate candidate pairs -- an equality between one column of
-    each side, or ``qserv_angSep(<one side's ra, dec>, <the other's>)
-    < | <= literal`` -- and every column reference resolves to exactly
-    one side.
-    """
-    if len(sel.tables) != 2:
-        raise KernelFallback("only two-table joins compile")
-    if bindings[0] == bindings[1]:
-        raise KernelFallback("duplicate table name/alias")
-    schema_names = [[c.name for c in schema] for schema in schemas]
-    colsets = [set(names) for names in schema_names]
-
-    def side_of(ref: ast.ColumnRef) -> int:
-        if ref.table is not None:
-            if ref.table not in bindings:
-                raise KernelFallback(f"unresolvable qualifier {ref.table!r}")
-            sides = [bindings.index(ref.table)]
-        else:
-            sides = [0, 1]
-        hits = [s for s in sides if ref.column in colsets[s]]
-        if len(hits) != 1:
-            raise KernelFallback(f"unknown or ambiguous column {ref.column!r}")
-        return hits[0]
-
-    def refs_of(*exprs) -> list[tuple[int, str]]:
-        found: dict[tuple[int, str], None] = {}
-        for expr in exprs:
-            for e in expr.walk():
-                if isinstance(e, ast.ColumnRef):
-                    found.setdefault((side_of(e), e.column))
-        return list(found)
-
-    aggregates = collect_aggregates(sel)
-    grouped = bool(aggregates or sel.group_by)
-    if sel.having is not None and not grouped:
-        raise KernelFallback("HAVING without aggregation")
-    if any(isinstance(item.expr, ast.Star) for item in sel.items):
-        raise KernelFallback("'*' over a join")
-    out_names = _output_names(sel, [], None, grouped)
-    _check_order_by(sel, out_names)
-    output_columns = refs_of(
-        *(e for clause, e in sel.clauses() if clause in ("SELECT", "GROUP BY", "HAVING"))
-    )
-
-    side_filters: tuple[list, list] = ([], [])
-    pair_conjuncts = []
-    pairing = None
-    band = None
-    conjuncts = ast.split_conjuncts(sel.where)
-    for position, conjunct in enumerate(conjuncts):
-        if contains_aggregate(conjunct):
-            raise KernelFallback("aggregate in WHERE")
-        refs = refs_of(conjunct)
-        sides = {side for side, _ in refs}
-        if len(sides) == 1:
-            side_filters[sides.pop()].append(position)
-            continue
-        pair_conjuncts.append((position, refs))
-        if pairing is None:
-            pairing = _equi_pairing(conjunct, side_of)
-        if band is None:
-            band = _band_pairing(conjunct, position, side_of)
-    pairing = pairing or band
-    if pairing is None:
-        raise KernelFallback("no conjunct to pair the two tables by")
-
-    # The pairing conjunct is one of the pair conjuncts, so its columns
-    # are covered too.
-    referenced = set(output_columns)
-    referenced.update(ref for _, refs in pair_conjuncts for ref in refs)
-    referenced.update(
-        refs_of(*(conjuncts[p] for p in side_filters[0] + side_filters[1]))
-    )
-    needed = tuple(
-        [name for name in schema_names[side] if (side, name) in referenced]
-        for side in (0, 1)
-    )
-    return JoinKernel(
-        bindings=tuple(bindings),
-        needed=needed,
-        side_filters=side_filters,
-        pairing=pairing,
-        pair_conjuncts=pair_conjuncts,
-        output_columns=output_columns,
-        grouped=grouped,
-        aggregates=aggregates,
-        out_names=out_names,
-        scan_bytes=scan_bytes,
-    )
-
-
-def _equi_pairing(conjunct: ast.Expr, side_of):
+def _equi_pairing(conjunct: ast.Expr, path: str, resolve, params):
     """``("equi", left column, right column)`` for ``a.x = b.y``, else None."""
     if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
         return None
     a, b = conjunct.left, conjunct.right
     if not (isinstance(a, ast.ColumnRef) and isinstance(b, ast.ColumnRef)):
         return None
-    if side_of(a) == side_of(b):
-        return None
-    if side_of(a) == 1:
+    if resolve(a)[0] == 1:
         a, b = b, a
     return ("equi", a.column, b.column)
 
 
-def _band_pairing(conjunct: ast.Expr, position: int, side_of):
-    """``("band", left dec, right dec, position)`` for a near-neighbour cut.
+def _band_pairing(conjunct: ast.Expr, path: str, resolve, params):
+    """``("band", left dec, right dec, radius)`` for a near-neighbour cut.
 
     Matches ``qserv_angSep(p.ra, p.dec, q.ra, q.dec) < | <= number``
-    with ``p`` and ``q`` on opposite sides of the join; the radius is
-    read from the conjunct at ``position`` of the executing statement.
+    with ``p`` and ``q`` on opposite sides of the join; ``radius`` is
+    the index in ``params`` of the hole the conjunct's stage reads.
     """
     if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op in ("<", "<=")):
         return None
@@ -1566,13 +1453,11 @@ def _band_pairing(conjunct: ast.Expr, position: int, side_of):
         and isinstance(limit.value, (int, float))
     ):
         return None
-    first, second = side_of(call.args[0]), side_of(call.args[2])
-    if (side_of(call.args[1]), side_of(call.args[3])) != (first, second):
-        return None
-    if first == second:
+    first, second = resolve(call.args[0])[0], resolve(call.args[2])[0]
+    if (resolve(call.args[1])[0], resolve(call.args[3])[0]) != (first, second):
         return None
     decs = (call.args[1].column, call.args[3].column)
-    return ("band", decs[first], decs[second], position)
+    return ("band", decs[first], decs[second], params.index(path + ".right.value"))
 
 
 # -- the cache ----------------------------------------------------------------------
@@ -1621,14 +1506,9 @@ class KernelCache(Lru):
         entry = self.get(cache_key)
         if entry is None:
             try:
-                if len(tables) == 1:
-                    entry = compile_select(
-                        norm_sel, bindings[0], tables[0].schema(), self._scan_bytes
-                    )
-                else:
-                    entry = compile_join(
-                        norm_sel, bindings, [t.schema() for t in tables], self._scan_bytes
-                    )
+                entry = compile_select(
+                    norm_sel, bindings, [t.schema() for t in tables], self._scan_bytes
+                )
                 self._compiled.add(1)
             except KernelFallback:
                 entry = FALLBACK

@@ -406,6 +406,49 @@ class TestNullHandling:
         assert out.column("COUNT(*)")[0] == 2
 
 
+class TestTextNulls:
+    """``IS NULL`` over a VARCHAR column, whose NULL is stored as NaN in an object array.
+
+    Against stdlib ``sqlite3``, kernels on and off: on one table, and as
+    a join's one-sided and two-sided conjunct (which a join kernel runs
+    as a side stage and a pair stage).
+    """
+
+    ROWS = [("x", 1, 1), (None, 2, 1), ("y", 3, 2), (None, 4, 2)]
+
+    @pytest.fixture(params=[True, False], ids=["kernels", "interpreter"])
+    def both(self, request):
+        d = Database(use_kernels=request.param)
+        d.execute("CREATE TABLE T (k VARCHAR(8), v INT, g INT)")
+        d.execute("INSERT INTO T VALUES ('x', 1, 1), (NULL, 2, 1), ('y', 3, 2), (NULL, 4, 2)")
+        reference = sqlite3.connect(":memory:")
+        reference.execute("CREATE TABLE T (k VARCHAR(8), v INTEGER, g INTEGER)")
+        reference.executemany("INSERT INTO T VALUES (?, ?, ?)", self.ROWS)
+        yield d, reference
+        reference.close()
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT COUNT(*) FROM T WHERE k IS NULL",
+            "SELECT COUNT(*) FROM T WHERE k IS NOT NULL",
+            "SELECT v FROM T WHERE k IS NULL OR v = 3",
+            "SELECT a.v, b.v FROM T a, T b WHERE a.g = b.g AND a.k IS NULL",
+            "SELECT a.v, b.v FROM T a, T b WHERE a.g = b.g AND b.k IS NOT NULL",
+            "SELECT a.v, b.v FROM T a, T b WHERE a.g = b.g AND (a.k IS NULL OR b.k IS NULL)",
+            "SELECT COUNT(*) FROM T a, T b WHERE a.g = b.g AND (a.k IS NOT NULL) = (b.k IS NULL)",
+        ],
+    )
+    def test_is_null_answers_what_sqlite_answers(self, both, sql):
+        from repro.sql.parser import parse
+
+        d, reference = both
+        (sel,) = parse(sql)
+        result, kernel = d.select(sel)
+        assert (kernel is not None) == d.use_kernels, "a kernel must answer with kernels on"
+        assert _rows(result) == sorted(reference.execute(sql).fetchall())
+
+
 class TestProperties:
     """Metamorphic invariants over randomized data."""
 

@@ -527,6 +527,49 @@ def _grouped_selects(draw):
 
 grouped_selects = _grouped_selects()
 
+# The same over pairs of ``T a, T b``: every column qualified by a side.
+_join_columns = st.builds(
+    ast.ColumnRef,
+    column=st.sampled_from(["g", "h", "v", "w", "u", "b"]),
+    table=st.sampled_from(["a", "b"]),
+)
+_join_trees = expressions(2, _join_columns, _fuzz_literals)
+_join_aggregates = st.one_of(
+    st.just(ast.FuncCall("COUNT", (ast.Star(),))),
+    st.builds(
+        ast.FuncCall,
+        name=st.sampled_from(["COUNT", "SUM", "AVG", "MIN", "MAX"]),
+        args=st.tuples(_join_trees),
+    ),
+)
+_join_per_group = st.one_of(
+    _join_aggregates, expressions(1, _join_aggregates, _fuzz_literals)
+)
+
+
+@st.composite
+def _join_selects(draw):
+    """``FROM T a, T b WHERE a.g = b.g AND <tree>``, plain or grouped."""
+    same_g = ast.BinaryOp("=", ast.ColumnRef("g", "a"), ast.ColumnRef("g", "b"))
+    tree = draw(st.one_of(st.none(), _join_trees))
+    keys, having = [], None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.one_of(_join_columns, _join_trees), max_size=2))
+        outputs = keys + draw(st.lists(_join_per_group, min_size=1, max_size=3))
+        having = draw(st.one_of(st.none(), _join_per_group))
+    else:
+        outputs = draw(st.lists(_join_trees, min_size=1, max_size=3))
+    return ast.Select(
+        items=tuple(ast.SelectItem(e, f"c{i}") for i, e in enumerate(outputs)),
+        tables=(ast.TableRef("T", alias="a"), ast.TableRef("T", alias="b")),
+        where=same_g if tree is None else ast.BinaryOp("AND", same_g, tree),
+        group_by=tuple(keys),
+        having=having,
+    )
+
+
+join_selects = _join_selects()
+
 #: How the group keys ``g`` (and ``h``) of :func:`aggregate_table` lie.
 KEY_LAYOUTS = [
     "no GROUP BY", "one group", "ordered", "reverse", "unordered ints", "negative ints",
@@ -806,11 +849,9 @@ class TestCompiledAggregates:
                 db_k.execute(sql)
             assert str(compiled.value) == str(interpreted.value), sql
 
-    @given(select=grouped_selects)
-    @settings(max_examples=400, deadline=None)
-    def test_fuzzed_grouped_selects(self, select):
-        """Kernels on == off for grouped SELECTs built from the AST fuzzer's trees."""
-        table = aggregate_table("NULL key and a second", "some NULLs", n=200)
+    @staticmethod
+    def assert_same_outcome(table, select):
+        """Kernels on and off answer ``select`` alike, or fail with one error type."""
         sql = select.to_sql()
         outcomes = []
         for db in fresh_pair(table):
@@ -824,6 +865,20 @@ class TestCompiledAggregates:
             assert interpreted is compiled, sql
         else:
             assert_identical(interpreted, compiled)
+
+    @given(select=grouped_selects)
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_grouped_selects(self, select):
+        """Kernels on == off for grouped SELECTs built from the AST fuzzer's trees."""
+        table = aggregate_table("NULL key and a second", "some NULLs", n=200)
+        self.assert_same_outcome(table, select)
+
+    @given(select=join_selects)
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_join_selects(self, select):
+        """Kernels on == off for comma joins whose pair stages are the fuzzer's trees."""
+        table = aggregate_table("NULL key and a second", "some NULLs", n=90)
+        self.assert_same_outcome(table, select)
 
 
 class TestKernelMachinery:
@@ -943,6 +998,7 @@ def sources_of(objects: Table, name, per_object=3, seed=99) -> Table:
             "decl": np.repeat(objects.column("decl_PS"), per_object)
             + rng.normal(0.0, 1e-4, n),
             "psfFlux": rng.uniform(1e-9, 1e-6, n),
+            "filterName": np.array(["ugriz"[i % 5] for i in range(n)], dtype=object),
         },
     )
 
@@ -993,6 +1049,14 @@ JOIN_SHAPES = [
     "HAVING COUNT(*) > 1 ORDER BY a",
     f"SELECT COUNT(o2.uFlux_PS) AS c, SUM(o2.uFlux_PS) AS s, AVG(o1.decl_PS) AS a "
     f"FROM {SELF} WHERE {NEAR} < 0.02",
+    # aggregates the emitter declines: DISTINCT, and MIN/MAX of a text column
+    f"SELECT COUNT(DISTINCT o2.subChunkId) AS d FROM {SELF} WHERE {NEAR} < 0.02",
+    f"SELECT o1.subChunkId AS s, COUNT(DISTINCT o2.subChunkId) AS d FROM {SELF} "
+    f"WHERE {NEAR} < 0.02 GROUP BY o1.subChunkId ORDER BY s",
+    f"SELECT MIN(s.filterName) AS lo, MAX(s.filterName) AS hi, COUNT(*) AS n "
+    f"FROM {OBJ_SRC} WHERE o.objectId = s.objectId AND s.psfFlux > 5e-7",
+    f"SELECT o.subChunkId AS sc, MIN(s.filterName) AS lo, MAX(s.filterName) AS hi "
+    f"FROM {OBJ_SRC} WHERE o.objectId = s.objectId GROUP BY o.subChunkId ORDER BY sc",
     # SHV2: equi-join with an angSep residual, plus one-sided cuts
     f"SELECT o.objectId, s.sourceId FROM {OBJ_SRC} WHERE o.objectId = s.objectId "
     "AND qserv_angSep(s.ra, s.decl, o.ra_PS, o.decl_PS) > 0.0001",
@@ -1372,6 +1436,10 @@ FAMILY_SHAPES = [
     f"SELECT o1.objectId AS a, COUNT(*) AS n, MIN({NEAR}) AS nearest FROM {FAMILY_FROM} "
     f"WHERE {NEAR} < 0.05 GROUP BY o1.objectId HAVING COUNT(*) > 2 ORDER BY n DESC, a",
     f"SELECT COUNT(*) AS n FROM {FAMILY_FROM} WHERE {NEAR} < 0.02 HAVING COUNT(*) > 40",
+    # DISTINCT aggregates: the interpreter's grouping, the member its leading key
+    f"SELECT COUNT(DISTINCT o2.subChunkId) AS d FROM {FAMILY_FROM} WHERE {NEAR} < 0.03",
+    f"SELECT o1.subChunkId AS s, COUNT(DISTINCT o2.subChunkId) AS d FROM {FAMILY_FROM} "
+    f"WHERE {NEAR} < 0.03 GROUP BY o1.subChunkId",
     # DISTINCT, ORDER BY and LIMIT apply to each member's rows
     f"SELECT DISTINCT o1.subChunkId AS s1, o2.subChunkId AS s2 FROM {FAMILY_FROM} "
     f"WHERE {NEAR} < 0.02",
@@ -1535,9 +1603,9 @@ class TestStatementFamilies:
         # no member has as many, is halved until its passes fit.
         fitting = [m for m in range(len(members)) if m not in errors]
         passes = []
-        real = kernels.JoinKernel.run
+        real = kernels.CompiledKernel.run
         monkeypatch.setattr(
-            kernels.JoinKernel,
+            kernels.CompiledKernel,
             "run",
             lambda self, sel, tables: passes.append(len(tables)) or real(self, sel, tables),
         )

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..partition import Placement
 from ..xrd import Redirector, RedirectError
+from .rewrite import parse_table_name
 from .worker import QservWorker
 
 __all__ = ["ClusterAdmin", "ClusterHealth", "NodeReport"]
@@ -117,18 +118,19 @@ class ClusterAdmin:
         return report
 
     def data_distribution(self) -> dict[str, dict[str, int]]:
-        """Per-node, per-logical-table row counts (chunk tables summed)."""
+        """Per-node, per-logical-table row counts (chunk tables summed).
+
+        Overlap tables and resident sub-chunk tables hold copies of rows
+        counted elsewhere, so they are not counted.
+        """
         out: dict[str, dict[str, int]] = {}
         for name, worker in self.workers.items():
             counts: dict[str, int] = {}
             for table_name, table in worker.db.tables.items():
-                parts = table_name.split("_")
-                if len(parts) >= 2 and parts[-1].isdigit():
-                    base = "_".join(parts[:-1])
-                    if base.endswith("FullOverlap"):
-                        continue
-                else:
-                    base = table_name
+                parsed = parse_table_name(table_name)
+                if parsed is not None and (parsed.overlap or parsed.sub_chunk_id is not None):
+                    continue
+                base = table_name if parsed is None else parsed.base
                 counts[base] = counts.get(base, 0) + table.num_rows
             out[name] = counts
         return out

@@ -31,6 +31,7 @@ from ..sql import Database
 from ..xrd import DataServer
 from ..xrd.protocol import query_path
 from ..xrd.repair import RepairError
+from .rewrite import parse_table_name
 from .worker import QservWorker
 
 __all__ = ["ClusterMembership", "MembershipError"]
@@ -146,8 +147,7 @@ class ClusterMembership:
             if peer is worker or not self.servers[peer_name].up:
                 continue
             for table_name, table in peer.db.tables.items():
-                parts = table_name.split("_")
-                if len(parts) >= 2 and parts[-1].isdigit():
+                if parse_table_name(table_name) is not None:
                     continue  # chunk or sub-chunk table: repair's job
                 worker.db.create_table(table.rename(table_name), overwrite=True)
             return

@@ -16,8 +16,9 @@ boundary are found without touching another node (section 4.4).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ..partition import Chunker
 from ..sphgeom import Region, SphericalBox, SphericalCircle, SphericalConvexPolygon
@@ -41,6 +42,8 @@ __all__ = [
     "chunk_table_name",
     "sub_chunk_table_name",
     "overlap_table_name",
+    "parse_table_name",
+    "PhysicalName",
     "SUBCHUNK_HEADER_PREFIX",
 ]
 
@@ -61,6 +64,36 @@ def overlap_table_name(table: str, chunk_id: int, sub_chunk_id: int | None = Non
     if sub_chunk_id is None:
         return base
     return f"{base}_{sub_chunk_id}"
+
+
+_PHYSICAL_NAME_RE = re.compile(r"(\w+?)_(\d+)(?:_(\d+))?")
+
+
+class PhysicalName(NamedTuple):
+    """A chunk or sub-chunk table's name taken apart (:func:`parse_table_name`)."""
+
+    #: What precedes the ids: ``Object``, or ``ObjectFullOverlap``.
+    base: str
+    chunk_id: int
+    #: None for a chunk table.
+    sub_chunk_id: Optional[int]
+
+    @property
+    def overlap(self) -> bool:
+        return self.base.endswith("FullOverlap")
+
+
+def parse_table_name(name: str) -> Optional[PhysicalName]:
+    """What ``chunk_table_name`` and its two siblings above made ``name`` of, or None.
+
+    A name ending in two ``_<digits>`` is a sub-chunk table's:
+    ``Object_713_45``, not chunk 45 of a table ``Object_713``.
+    """
+    m = _PHYSICAL_NAME_RE.fullmatch(name)
+    if m is None:
+        return None
+    base, chunk, sub = m.groups()
+    return PhysicalName(base, int(chunk), None if sub is None else int(sub))
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,7 @@ from ..xrd.protocol import (
     result_path,
     table_of_chunk_path,
 )
+from .rewrite import chunk_table_name, parse_table_name
 
 __all__ = [
     "QservWorker",
@@ -64,12 +65,8 @@ __all__ = [
     "WorkerCancelledError",
 ]
 
-# Physical sub-chunk table names: Object_713_45 / ObjectFullOverlap_713_45.
-_SUBCHUNK_RE = re.compile(r"^(?P<base>\w+?)_(?P<chunk>\d+)_(?P<sub>\d+)$")
-# A chunk or sub-chunk table name (Object_713, Object_713_45): base,
-# chunk id and sub-chunk id (None for a chunk table).
-_CHUNK_TABLE_RE = re.compile(r"(\w+?)_(\d+)(?:_(\d+))?")
-# The ids of such names wherever they end a word of statement text:
+# The ids of chunk and sub-chunk table names (Object_713, Object_713_45)
+# wherever they end a word of statement text:
 # chunk id and sub-chunk id (or None).  Anchored on the underscore, not
 # on the start of the word, so the scan skips from one to the next.
 _IDS_IN_TEXT_RE = re.compile(r"_(?<=\w_)(\d+)(?:_(\d+))?\b")
@@ -97,6 +94,13 @@ _EXPIRED_MESSAGE = "deadline expired before execution"
 # submission is discarded instead of executed.  LRU-capped: when a
 # hash rotates out, its result record goes with it.
 _CANCEL_MEMORY = 4096
+
+# Upper bound, in seconds, a result read blocks waiting for in-flight
+# execution.  A chunk query carrying a ``-- DEADLINE:`` header tightens
+# the wait further, so a hung executor surfaces to the master as a
+# missing result within the query's budget instead of deadlocking the
+# read.
+_RESULT_WAIT_TIMEOUT = 300.0
 
 
 class _Task(NamedTuple):
@@ -227,11 +231,25 @@ class _Prepared:
     #: Per FROM table, ``(base, is a sub-chunk table)`` of a chunk
     #: table and the plain name of any other.
     refs: tuple
-    #: The batch's plan for a chunk query that is this one SELECT: the
-    #: kernel that answered its first member (``Database.select``) and
-    #: the signatures of the tables it ran on.  None until then.
+    #: The batch's plan for a chunk query that is this one SELECT, which
+    #: ``Database.execute_family`` fills on the first member: the kernel
+    #: that answered it (or the compiler's decline) and the signatures
+    #: of the tables it ran on.  None until then.
     kernel: object = None
     signatures: tuple = ()
+
+    @property
+    def plannable(self) -> bool:
+        """Whether a batch's plan may answer a chunk query that is this one statement.
+
+        Prepared from its shape (so about other tables by their names
+        alone), with kernels on, and with no sub-chunk table to build.
+        """
+        return (
+            self.shape is not None
+            and self.kernel_key is not None
+            and not any(type(ref) is tuple and ref[1] for ref in self.refs)
+        )
 
     def about(self, names: tuple) -> ast.Select:
         """The statement about the FROM tables ``names`` in place of its own."""
@@ -318,12 +336,6 @@ class QservWorker(OfsPlugin):
         result was cached" observations).  Safe here because the
         catalog is read-only ("Support for updates has not been
         implemented"); off by default to mirror uncached measurements.
-    result_wait_timeout:
-        Upper bound, in seconds, a result read blocks waiting for
-        in-flight execution.  A chunk query carrying a
-        ``-- DEADLINE:`` header tightens the wait further, so a hung
-        executor surfaces to the master as a missing result within the
-        query's budget instead of deadlocking the read.
     store:
         Optional :class:`~repro.sql.colstore.ColumnStore`.  When set,
         chunk tables installed over the wire (repair copies, loader
@@ -340,19 +352,15 @@ class QservWorker(OfsPlugin):
         slots: int = 0,
         cache_sub_chunks: bool = False,
         cache_results: bool = False,
-        result_wait_timeout: float = 300.0,
         store=None,
     ):
         if slots < 0:
             raise ValueError("slots must be >= 0")
-        if result_wait_timeout <= 0:
-            raise ValueError("result_wait_timeout must be > 0")
         self.name = name
         self.db = db or Database("LSST")
         self.store = store
         self.cache_sub_chunks = cache_sub_chunks
         self.cache_results = cache_results
-        self.result_wait_timeout = result_wait_timeout
         #: This worker's lifetime metrics, feeding the global registry;
         #: what every chunk query touches is resolved here, once.
         self.metrics = obs_metrics.Registry(parent=obs_metrics.REGISTRY)
@@ -508,7 +516,7 @@ class QservWorker(OfsPlugin):
             if record is None:
                 return None
             ready, deadline = record.ready, record.deadline
-        timeout = min(self.result_wait_timeout, max(deadline - time.monotonic(), 0.0))
+        timeout = min(_RESULT_WAIT_TIMEOUT, max(deadline - time.monotonic(), 0.0))
         if not ready.wait(timeout=timeout):
             return None
         with self._lock:
@@ -834,9 +842,7 @@ class QservWorker(OfsPlugin):
         if request.members:
             plan = repeats.get(_PLAN)
             if plan is not None:
-                result = self._execute_planned(plan, plan.names((chunk_id, None)))
-                if result is not None:
-                    return result
+                return self._execute_planned(plan, plan.names((chunk_id, None)))
             sub_chunk_ids = dict(request.members)[chunk_id]
             request = ChunkRequest.decode(render_member(request.body, chunk_id, sub_chunk_ids))
         prepared = [
@@ -844,11 +850,10 @@ class QservWorker(OfsPlugin):
             for statement in filter(None, map(str.strip, _split_statements(request.body)))
             for pair in self._prepare(statement, repeats)
         ]
-        if len(prepared) == 1:
+        if len(prepared) == 1 and prepared[0][0].plannable:
             result = self._execute_planned(*prepared[0])
-            if result is not None:
-                repeats[_PLAN] = prepared[0][0]
-                return result
+            repeats[_PLAN] = prepared[0][0]
+            return result
         # Consecutive statements that differ only in FROM tables, as
         # (prepared statement, [FROM table names per member]).
         families: list[tuple] = []
@@ -858,11 +863,11 @@ class QservWorker(OfsPlugin):
                 families[-1][1].append(names)
             else:
                 families.append((statement, [names]))
-        sub_chunk_tables = list(
-            dict.fromkeys(
-                name for _, names in prepared for name in names if _SUBCHUNK_RE.match(name)
-            )
-        )
+        sub_chunk_tables = [
+            name
+            for name in dict.fromkeys(name for _, names in prepared for name in names)
+            if (parsed := parse_table_name(name)) is not None and parsed.sub_chunk_id is not None
+        ]
         self._acquire_sub_chunks(sub_chunk_tables)
         try:
             outputs = []
@@ -892,35 +897,25 @@ class QservWorker(OfsPlugin):
         finally:
             self._release_sub_chunks(sub_chunk_tables)
 
-    def _execute_planned(self, prepared: _Prepared, names: tuple) -> Optional[Table]:
-        """A chunk query that is one SELECT of chunk tables, by its batch's plan.
+    def _execute_planned(self, prepared: _Prepared, names: tuple) -> Table:
+        """A chunk query that is one :attr:`~_Prepared.plannable` SELECT, by its batch's plan.
 
-        The first member of a batch asking it runs it as the engine
-        would and keeps the kernel that answered on ``prepared``, which
-        the batch's ``repeats`` shares.  Every later member is that
-        kernel run on its own tables (:meth:`Database.run_plan`).  None
-        for any other chunk query, and for a member whose tables the
-        plan does not fit: it goes the way every chunk query goes.
+        ``prepared`` is the plan, which the batch's ``repeats`` shares:
+        the engine keeps on it what the first member's kernel-cache
+        lookup found, and runs every later member of those table types
+        by that kernel on its own tables, with no lookup and no text
+        rendered (:meth:`Database.execute_family`).  A member no kernel
+        answers is the statement about its tables, which the interpreter
+        answers -- by the plan too, so a decline is not looked up again.
         """
-        if prepared.kernel is not None:
-            result = self.db.run_plan(
-                prepared.stmt, prepared.kernel, prepared.signatures, names
-            )
-        elif (
-            prepared.shape is not None
-            and prepared.kernel_key is not None
-            and not any(type(ref) is tuple and ref[1] for ref in prepared.refs)
-        ):
-            result, found = self.db.select(prepared.about(names), prepared.kernel_key)
-            if found is not None:
-                prepared.kernel = found[0]
-                prepared.signatures = tuple(table.signature() for table in found[1])
+        found = self.db.execute_family(prepared.stmt, prepared.kernel_key, [names], prepared)
+        if found is not None:
+            result = found[0]
         else:
-            return None
-        if result is not None:
-            with self._lock:
-                self.stats.statements_executed += 1
-                self.stats.queries_executed += 1
+            result = self.db.select(prepared.about(names), prepared.kernel_key, prepared)
+        with self._lock:
+            self.stats.statements_executed += 1
+            self.stats.queries_executed += 1
         return result
 
     def _prepare(self, text: str, repeats: dict) -> list[tuple]:
@@ -980,9 +975,9 @@ class QservWorker(OfsPlugin):
         kernel_key = self.db.kernel_key(stmt)
         template = Template.of(stmts, values)
         refs = tuple(
-            ref.table if m is None else (m[1], m[3] is not None)
+            ref.table if parsed is None else (parsed.base, parsed.sub_chunk_id is not None)
             for ref in stmt.tables
-            for m in [_CHUNK_TABLE_RE.fullmatch(ref.table)]
+            for parsed in [parse_table_name(ref.table)]
         )
         if template is None or sum(type(ref) is tuple for ref in refs) != names:
             return [_parsed_in_full(stmt, kernel_key)]
@@ -1005,14 +1000,14 @@ class QservWorker(OfsPlugin):
                 if name in self.db.tables:
                     present += 1
                     continue
-                m = _SUBCHUNK_RE.match(name)
-                parent = f"{m.group('base')}_{m.group('chunk')}"
+                parsed = parse_table_name(name)
+                parent = chunk_table_name(parsed.base, parsed.chunk_id)
                 if parent not in self.db.tables:
                     raise SqlError(
                         f"worker {self.name} has no chunk table {parent!r} "
                         f"needed to build {name!r}"
                     )
-                missing.setdefault(parent, []).append((int(m.group("sub")), name))
+                missing.setdefault(parent, []).append((parsed.sub_chunk_id, name))
             for name in names:
                 self._sub_chunk_refs[name] = self._sub_chunk_refs.get(name, 0) + 1
             self.stats.sub_chunk_cache_hits += present
@@ -1098,23 +1093,22 @@ class QservWorker(OfsPlugin):
     def chunk_tables(self, chunk_id: int) -> list[str]:
         """Chunk-level tables for ``chunk_id`` (base + overlap, no sub-chunks)."""
         cid = int(chunk_id)
-        out = []
-        for name in self.db.tables:
-            parts = name.split("_")
-            if len(parts) == 2 and parts[1].isdigit() and int(parts[1]) == cid:
-                out.append(name)
-        return sorted(out)
+        return sorted(
+            name for name, parsed in self._chunk_level_tables() if parsed.chunk_id == cid
+        )
 
     def hosted_chunks(self) -> list[int]:
         """Chunk ids present in this worker's database (director tables)."""
-        out = set()
+        return sorted(
+            {parsed.chunk_id for _, parsed in self._chunk_level_tables() if not parsed.overlap}
+        )
+
+    def _chunk_level_tables(self):
+        """``(name, parsed name)`` of every Base_CC table: no sub-chunk (Base_CC_SS) table."""
         for name in self.db.tables:
-            parts = name.split("_")
-            # Chunk tables are exactly Base_CC; sub-chunk tables
-            # (Base_CC_SS) and overlap tables are excluded.
-            if len(parts) == 2 and parts[1].isdigit() and "FullOverlap" not in parts[0]:
-                out.add(int(parts[1]))
-        return sorted(out)
+            parsed = parse_table_name(name)
+            if parsed is not None and parsed.sub_chunk_id is None:
+                yield name, parsed
 
     def __repr__(self):
         return (

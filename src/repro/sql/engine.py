@@ -7,15 +7,17 @@ and executes parsed statements against them.  The SELECT pipeline is:
    equi-join conjuncts (``a.x = b.y``) of WHERE run as vectorized
    sort-merge hash joins; pairs without a usable key fall back to a
    guarded cross join (what a near-neighbor sub-chunk join uses, with
-   the ``qserv_angSep`` predicate applied immediately); with kernels
-   on, two-table joins run as compiled join kernels instead
-   (:mod:`repro.sql.kernels`) and this fold is the reference,
+   the ``qserv_angSep`` predicate applied immediately),
 2. apply WHERE as one mask (using a hash index for ``col = literal``
    conjuncts when one exists -- the worker-side objectId fast path of
    paper section 5.5),
 3. group and aggregate (COUNT/SUM/AVG/MIN/MAX, with or without GROUP
    BY) using sort + ``reduceat`` -- no per-group Python work,
 4. project the select list, apply HAVING/DISTINCT/ORDER BY/LIMIT.
+
+With kernels on, a compiled kernel (:mod:`repro.sql.kernels`) run by
+:meth:`Database.execute_family`, the one place a kernel meets tables,
+answers instead wherever it compiles, and steps 1-4 are its reference.
 
 Only the dialect Qserv emits is supported; notably, subqueries are
 rejected at parse time just as in the paper's prototype, and so are
@@ -37,6 +39,7 @@ from .errors import SqlError
 from .expr_eval import Environment, evaluate
 from .index import HashIndex
 from .kernels import (
+    FALLBACK,
     MAX_CROSS_PAIRS,
     KernelCache,
     KernelFallback,
@@ -155,7 +158,7 @@ class Database:
         derived here, on every execution.
         """
         if isinstance(stmt, ast.Select):
-            return self.select(stmt, kernel_key)[0]
+            return self.select(stmt, kernel_key)
         if isinstance(stmt, ast.CreateTable):
             return self._exec_create(stmt)
         if isinstance(stmt, ast.CreateTableAsSelect):
@@ -183,7 +186,7 @@ class Database:
             if stmt.if_not_exists:
                 return None
             raise SqlError(f"table {stmt.table!r} already exists")
-        result = self.select(stmt.select)[0]
+        result = self.select(stmt.select)
         self.tables[stmt.table] = result.rename(stmt.table)
         return None
 
@@ -239,18 +242,14 @@ class Database:
         return _kernels.kernel_key(stmt)
 
     def select(
-        self, sel: ast.Select, kernel_key: Optional[KernelKey] = None
-    ) -> tuple[ResultTable, Optional[tuple]]:
-        """A SELECT's result, and ``(kernel, tables)`` when a compiled kernel computed it.
-
-        The pair is what :meth:`run_kernel` ran: a caller asking the
-        same statement of other tables typed like ``tables`` may run the
-        kernel on them itself (:meth:`run_plan`).  None when the
-        interpreter answered.
-        """
-        found = self._try_kernel(sel, kernel_key)
-        if found is not None:
-            return self.run_kernel(sel, *found), found
+        self, sel: ast.Select, kernel_key: Optional[KernelKey] = None, plan=None
+    ) -> ResultTable:
+        """A SELECT's result: a kernel's (:meth:`execute_family`, by ``plan``) or the interpreter's."""
+        if sel.tables:
+            names = tuple(ref.table for ref in sel.tables)
+            found = self.execute_family(sel, kernel_key, [names], plan)
+            if found is not None:
+                return found[0]
 
         bound = self._bind_tables(sel)
         sp = obs_trace.current_span()
@@ -273,106 +272,85 @@ class Database:
             result = ResultTable("result", cols)
         else:
             result = self._plain_projection(sel, env, bound)
+        return self._distinct_order_limit(sel, result, env)
 
-        if sel.distinct:
-            result = _distinct(result)
-        result = self._order_and_limit(sel, result, env)
-        return result, None
+    def execute_family(
+        self, sel: ast.Select, kernel_key: Optional[KernelKey], members: list[tuple], plan=None
+    ) -> Optional[list[ResultTable]]:
+        """``sel`` asked of each member's tables in place of its own: the one kernel entry.
 
-    def run_kernel(self, sel: ast.Select, kernel, tables: list[Table]) -> ResultTable:
-        """``sel``'s result computed by ``kernel`` over ``tables``, its FROM tables.
-
-        Every kernel run of one statement comes here -- the engine's own
-        and a worker's repeat of a batch's statement (:meth:`run_plan`)
-        -- so the span's ``kernel`` and ``rows_scanned``,
-        ``kernel.executions`` and what is done to the output are the
-        same for both.
+        A member is a tuple of table names, one per FROM entry of
+        ``sel``; the results are, member by member, what
+        :meth:`execute_statement` returns for ``sel`` with its FROM
+        tables so renamed.  :meth:`select` asks it of the statement's
+        own tables.  A join kernel makes one pass over all members, a
+        one-table kernel one call each.  The kernel cache is consulted
+        once -- not at all when ``plan`` (``kernel`` and ``signatures``,
+        kept by a caller asking ``sel`` again) holds what a lookup for
+        tables of these types found: the kernel, or the compiler's
+        decline.  An empty plan is filled by the first lookup.  Tables
+        are looked up by name now, so nothing outlives a dropped or
+        replaced table.  None when kernels are off, a table is missing,
+        another database's or typed unlike the first member's, a lone
+        table has an index whose section-5.5 probe a scan would lose,
+        or the compiler declines: the caller executes statement by
+        statement, as the interpreter (any error is that path's to
+        raise).
         """
+        cache = self.kernel_cache
+        if cache is None or not self.use_kernels:
+            return None
+        kernel = None if plan is None else plan.kernel
+        if kernel is not None:
+            signatures = plan.signatures
+            resolved = [self._tables_typed(names, signatures) for names in members]
+            if None in resolved:
+                # Not tables of the plan's types: looked up as without a plan.
+                kernel = None
+        if kernel is None:
+            if any(len(names) != len(sel.tables) for names in members):
+                raise ValueError("a family member names one table per FROM entry")
+            if any(ref.database not in (None, self.name) for ref in sel.tables):
+                return None
+            first = [self.tables.get(name) for name in members[0]]
+            if any(table is None for table in first):
+                return None
+            signatures = tuple(table.signature() for table in first)
+            resolved = [self._tables_typed(names, signatures) for names in members]
+            if None in resolved:
+                return None
+        if len(signatures) == 1 and self._indexes:
+            lone = {name for (name,) in members}
+            if any(table in lone for table, _ in self._indexes):
+                # Only a single-table scan has an index probe to lose.
+                return None
+        if kernel is None:
+            kernel = cache.get_or_compile(sel, resolved[0], kernel_key)
+            if plan is not None and plan.kernel is None:
+                plan.kernel = FALLBACK if kernel is None else kernel
+                plan.signatures = signatures
+        if kernel is None or kernel is FALLBACK:
+            sp = obs_trace.current_span()
+            if sp is not None:
+                sp.set(kernel=False)
+            return None
+        try:
+            if kernel.pairing is not None:
+                outputs = kernel.run(sel, resolved)
+            else:
+                outputs = [kernel(sel, *tables) for tables in resolved]
+        except KernelFallback:
+            return None
         sp = obs_trace.current_span()
         if sp is not None:
             # Accumulated: one worker.execute span covers several statements.
             sp.set(
                 kernel=True,
                 rows_scanned=sp.attrs.get("rows_scanned", 0)
-                + sum(t.num_rows for t in tables),
-            )
-        self.kernel_cache.executions.add(1)
-        return self._kernel_result(sel, kernel(sel, *tables))
-
-    def run_plan(
-        self, sel: ast.Select, kernel, signatures: tuple, names: tuple
-    ) -> Optional[ResultTable]:
-        """``sel`` asked of the tables ``names`` in place of its own, by ``kernel``.
-
-        ``kernel`` is one :meth:`select` returned for ``sel``, and
-        ``signatures`` are those of the tables it ran on there; ``sel``
-        names nothing but its FROM tables that could tell them apart.
-        Each name is looked up now, so nothing outlives a dropped or
-        replaced table.  None when kernels are off, or a table is
-        missing, typed unlike its signature, or the one table and
-        indexed: the caller executes the statement as any other (any
-        error is that path's to raise).
-        """
-        if self.kernel_cache is None or not self.use_kernels:
-            return None
-        tables = self._tables_typed(names, signatures)
-        if tables is None or (len(tables) == 1 and self._indexed(names[0])):
-            return None
-        return self.run_kernel(sel, kernel, tables)
-
-    def _kernel_result(self, sel: ast.Select, cols: dict) -> ResultTable:
-        """A kernel's output columns with DISTINCT, ORDER BY and LIMIT applied."""
-        result = ResultTable("result", cols)
-        if sel.distinct:
-            result = _distinct(result)
-        # Kernel compilation guaranteed every ORDER BY key resolves
-        # against the output columns, so no row env is needed here.
-        return self._order_and_limit(sel, result, Environment({}, result.num_rows))
-
-    def execute_family(
-        self, sel: ast.Select, kernel_key: Optional[KernelKey], members: list[tuple]
-    ) -> Optional[list[ResultTable]]:
-        """``sel`` asked of each member's tables in place of its own, in one pass.
-
-        A member is a tuple of table names, one per FROM entry of
-        ``sel``; the results are, member by member, what
-        :meth:`execute_statement` returns for ``sel`` with its FROM
-        tables so renamed.  None when there is no one pass to make --
-        kernels are off, the statement is not a join a kernel accepts,
-        a member's table is missing or typed unlike the first member's
-        -- and the caller executes statement by statement, as it would
-        have (any error is that path's to raise).
-        """
-        cache = self.kernel_cache
-        if cache is None or not self.use_kernels:
-            return None
-        if any(ref.database not in (None, self.name) for ref in sel.tables):
-            return None
-        if any(len(names) != len(sel.tables) for names in members):
-            raise ValueError("a family member names one table per FROM entry")
-        first = [self.tables.get(name) for name in members[0]]
-        if any(table is None for table in first):
-            return None
-        signatures = [table.signature() for table in first]
-        resolved = [self._tables_typed(names, signatures) for names in members]
-        if any(tables is None for tables in resolved):
-            return None
-        kernel = cache.get_or_compile(sel, resolved[0], kernel_key)
-        if kernel is None or len(kernel.sides) != 2:
-            return None
-        try:
-            outputs = kernel.run(sel, resolved)
-        except KernelFallback:
-            return None
-        sp = obs_trace.current_span()
-        if sp is not None:
-            sp.set(
-                kernel=True,
-                rows_scanned=sp.attrs.get("rows_scanned", 0)
                 + sum(t.num_rows for tables in resolved for t in tables),
             )
         cache.executions.add(len(members))
-        return [self._kernel_result(sel, cols) for cols in outputs]
+        return [self._distinct_order_limit(sel, ResultTable("result", cols)) for cols in outputs]
 
     def _tables_typed(self, names, signatures) -> Optional[list[Table]]:
         """The tables ``names``, if each exists and has its signature in ``signatures``."""
@@ -383,48 +361,6 @@ class Database:
                 return None
             tables.append(table)
         return tables
-
-    def _indexed(self, table: str) -> bool:
-        """Whether ``table`` has a hash index, whose probe a kernel scan would lose."""
-        return bool(self._indexes) and any(key[0] == table for key in self._indexes)
-
-    def _try_kernel(
-        self, sel: ast.Select, kernel_key: Optional[KernelKey] = None
-    ) -> Optional[tuple]:
-        """``(kernel, tables)`` for the compiled-kernel fast path, or None.
-
-        The kernel path only claims queries it can answer bit-identically
-        to the interpreter; anything else (shapes the compiler declines,
-        indexed tables where the section-5.5 point-lookup probe should
-        win, unknown names -- which must raise the interpreter's errors)
-        returns None.  Every SELECT with a FROM clause is looked up in
-        the cache, joins included, so ``kernel.executions`` against
-        ``kernel.fallbacks`` describes the whole workload.
-        """
-        cache = self.kernel_cache
-        if cache is None or not self.use_kernels:
-            return None
-        refs = sel.tables
-        tables = []
-        for ref in refs:
-            if ref.database is not None and ref.database != self.name:
-                return None
-            table = self.tables.get(ref.table)
-            if table is None:
-                return None
-            tables.append(table)
-        if not tables:
-            return None
-        if len(tables) == 1 and self._indexed(refs[0].table):
-            # Only a single-table scan has an index probe to lose.
-            return None
-        kernel = cache.get_or_compile(sel, tables, kernel_key)
-        if kernel is None:
-            sp = obs_trace.current_span()
-            if sp is not None:
-                sp.set(kernel=False)
-            return None
-        return kernel, tables
 
     # -- binding and joining ----------------------------------------------------------
 
@@ -620,10 +556,20 @@ class Database:
                 out.append((public, env.columns[key]))
         return out
 
-    def _order_and_limit(
-        self, sel: ast.Select, result: ResultTable, env: Environment
+    def _distinct_order_limit(
+        self, sel: ast.Select, result: ResultTable, env: Optional[Environment] = None
     ) -> ResultTable:
+        """``result`` with DISTINCT, ORDER BY and LIMIT applied.
+
+        ``env`` holds the rows ORDER BY expressions are evaluated over;
+        None for a kernel's output, whose compilation guaranteed every
+        ORDER BY key resolves against the output columns.
+        """
+        if sel.distinct:
+            result = _distinct(result)
         if sel.order_by:
+            if env is None:
+                env = Environment({}, result.num_rows)
             keys = []
             for o in reversed(sel.order_by):
                 arr = self._order_key(o, result, env)

@@ -1,5 +1,6 @@
 """Tests for cluster administration reports."""
 
+import numpy as np
 import pytest
 
 from repro.data import build_testbed
@@ -70,6 +71,35 @@ class TestDataDistribution:
         tb, admin = unreplicated
         for counts in admin.data_distribution().values():
             assert not any("FullOverlap" in k for k in counts)
+
+    def test_resident_sub_chunk_tables_are_not_logical_tables(self):
+        """Sub-chunk tables kept by the sub-chunk cache are copies of chunk rows."""
+        tb = build_testbed(num_objects=3000, seed=43, num_workers=3)
+        try:
+            admin = ClusterAdmin(tb.placement, tb.redirector, tb.workers)
+            before = admin.data_distribution()
+            for worker in tb.workers.values():
+                worker.cache_sub_chunks = True
+            objects = tb.tables["Object"]
+            ra = float(np.median(objects.column("ra_PS")))
+            dec = float(np.median(objects.column("decl_PS")))
+            tb.query(
+                "SELECT COUNT(*) FROM Object o1, Object o2 WHERE "
+                f"qserv_areaspec_box({ra - 1}, {dec - 1}, {ra + 1}, {dec + 1}) "
+                "AND qserv_angSep(o1.ra_PS, o1.decl_PS, o2.ra_PS, o2.decl_PS) < 0.05"
+            )
+            resident = [
+                name
+                for worker in tb.workers.values()
+                for name in worker.db.tables
+                if name.count("_") == 2
+            ]
+            assert resident, "the query must leave sub-chunk tables behind"
+            after = admin.data_distribution()
+            assert after == before
+            assert all(set(counts) == {"Object", "Source"} for counts in after.values())
+        finally:
+            tb.shutdown()
 
 
 class TestFailureImpact:

@@ -722,6 +722,21 @@ class TestBatchPlan:
         assert alone[3] == (gone, "error", f"worker {worker.name}: {message}")
         assert batch[:2] == singles[:2]
 
+    def test_a_declined_statement_keeps_the_decline_on_the_plan(self, planned):
+        """A shape the compiler declines: the interpreter answers every member."""
+        worker, members = planned
+        template = (
+            f"SELECT objectId FROM LSST.Object_{ANY_CHUNK} AS Object ORDER BY decl_PS LIMIT 10;"
+        )
+        answers(worker, template, members[:1])  # the decline is cached
+        together, alone, batch, singles = batch_and_alone(worker, template, members)
+        assert together == alone
+        assert [status for _, status, _ in together] == ["ok"] * 7
+        assert batch[:2] == singles[:2] == [0, 0]
+        if worker.db.use_kernels:
+            # The first member's lookup: the plan keeps the decline.
+            assert batch[2] == 1 and singles[2] == 7
+
     def test_a_sub_chunk_member_is_not_run_by_the_plan(self, planned):
         """A batch of sub-chunk queries: every member is prepared from its text."""
         worker, members = planned

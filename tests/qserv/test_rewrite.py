@@ -19,6 +19,7 @@ from repro.qserv.rewrite import (
     SUBCHUNK_HEADER_PREFIX,
     chunk_table_name,
     overlap_table_name,
+    parse_table_name,
     sub_chunk_table_name,
 )
 from repro.sql.parser import parse
@@ -53,6 +54,22 @@ class TestNames:
     def test_overlap_names(self):
         assert overlap_table_name("Object", 713) == "ObjectFullOverlap_713"
         assert overlap_table_name("Object", 713, 45) == "ObjectFullOverlap_713_45"
+
+    @pytest.mark.parametrize("table", ["Object", "Source", "Deep_Source"])
+    def test_parse_takes_apart_what_the_name_functions_make(self, table):
+        for name, overlap, sub in [
+            (chunk_table_name(table, 713), False, None),
+            (sub_chunk_table_name(table, 713, 45), False, 45),
+            (overlap_table_name(table, 713), True, None),
+            (overlap_table_name(table, 713, 45), True, 45),
+        ]:
+            parsed = parse_table_name(name)
+            base = table + "FullOverlap" if overlap else table
+            assert parsed == (base, 713, sub) and parsed.overlap == overlap
+
+    @pytest.mark.parametrize("name", ["Object", "chunk_result", "Object_", "Object_7a", "_713"])
+    def test_parse_declines_other_tables(self, name):
+        assert parse_table_name(name) is None
 
 
 class TestSimpleRewrite:

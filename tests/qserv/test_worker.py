@@ -772,8 +772,16 @@ def statement_counters(w):
 
 
 def one_by_one(w, monkeypatch):
-    """Make ``w`` execute every statement on its own, as before families."""
-    monkeypatch.setattr(w.db, "execute_family", lambda *args: None)
+    """Make ``w`` execute every statement on its own, as before families.
+
+    Only calls of two or more members are declined: every SELECT enters
+    ``execute_family`` as a family of one, whose kernel still answers.
+    """
+    real = w.db.execute_family
+    monkeypatch.setattr(
+        w.db, "execute_family",
+        lambda *args, real=real: None if len(args[2]) > 1 else real(*args),
+    )
 
 
 class TestStatementFamilies:
@@ -808,7 +816,8 @@ class TestStatementFamilies:
             real = w.db.execute_family
             monkeypatch.setattr(
                 w.db, "execute_family",
-                lambda *args, real=real: families.append(len(args[2])) or real(*args),
+                lambda *args, real=real: (len(args[2]) > 1 and families.append(len(args[2])))
+                or real(*args),
             )
             queries = family_chunk_queries(w, cid, scids)
             before = statement_counters(w)
@@ -844,7 +853,7 @@ class TestStatementFamilies:
         real = w.db.execute_family
         monkeypatch.setattr(
             w.db, "execute_family",
-            lambda *args: families.append(args[2]) or real(*args),
+            lambda *args: (len(args[2]) > 1 and families.append(args[2])) or real(*args),
         )
         result = w.execute_chunk_query(cid, text)
         assert result.rows() == reference_rows(w, cid, text)
@@ -855,6 +864,46 @@ class TestStatementFamilies:
             (f"Object_{cid}_{a}", f"ObjectFullOverlap_{cid}_{a}"),
         ]
         assert w._sub_chunk_refs == {}
+
+    def test_a_family_of_one_table_statements(self, monkeypatch):
+        """Each member is the one-table kernel's call on its own table, after one lookup."""
+        payloads, families, deltas = {}, [], {}
+        for mode in ("family", "one by one", "interpreter"):
+            w, cid, scids = family_worker(use_kernels=mode != "interpreter")
+            if mode == "one by one":
+                one_by_one(w, monkeypatch)
+            real = w.db.execute_family
+            monkeypatch.setattr(
+                w.db, "execute_family",
+                lambda *args, real=real, mode=mode: (
+                    mode == "family" and len(args[2]) > 1 and families.append(args[2])
+                ) or real(*args),
+            )
+            text = f"-- SUBCHUNKS: {', '.join(map(str, scids[:3]))}\n" + "\n".join(
+                f"SELECT COUNT(*) AS n, SUM(ra_PS) FROM LSST.Object_{cid}_{s} AS o "
+                "WHERE decl_PS > 0;"
+                for s in scids[:3]
+            )
+            before = self.lookups(w)
+            result = w.execute_chunk_query(cid, text)
+            deltas[mode] = [b - a for a, b in zip(before, self.lookups(w))]
+            payloads[mode] = encode_table(result, "chunk_result")
+            assert result.num_rows == 3 and result.column("n").sum() > 0
+        assert payloads["family"] == payloads["one by one"] == payloads["interpreter"]
+        assert families == [[(f"Object_{cid}_{s}",) for s in scids[:3]]]
+        # statements, kernel runs, kernel-cache lookups
+        assert deltas["family"] == [3, 3, 1]
+        assert deltas["one by one"] == [3, 3, 3]
+        assert deltas["interpreter"] == [3, 0, 0]
+
+    @staticmethod
+    def lookups(w):
+        snap = obs_metrics.REGISTRY.snapshot()
+        return (
+            w.stats.statements_executed,
+            snap.get("kernel.executions", 0),
+            snap.get("kernel.cache.hits", 0) + snap.get("kernel.cache.misses", 0),
+        )
 
     def test_statements_other_than_selects_keep_their_place(self):
         # Nothing is executed ahead of a statement that precedes it.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import metrics as obs_metrics
 from repro.sql import Database, SqlError, Table
 
 
@@ -444,8 +445,10 @@ class TestTextNulls:
 
         d, reference = both
         (sel,) = parse(sql)
-        result, kernel = d.select(sel)
-        assert (kernel is not None) == d.use_kernels, "a kernel must answer with kernels on"
+        runs = obs_metrics.REGISTRY.snapshot().get("kernel.executions", 0)
+        result = d.select(sel)
+        runs = obs_metrics.REGISTRY.snapshot().get("kernel.executions", 0) - runs
+        assert runs == int(d.use_kernels), "a kernel must answer with kernels on"
         assert _rows(result) == sorted(reference.execute(sql).fetchall())
 
 

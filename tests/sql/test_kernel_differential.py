@@ -1644,11 +1644,18 @@ class TestStatementFamilies:
         cols["decl_PS"] = cols["decl_PS"].astype(np.float32)
         db_k.create_table(Table("Single_713_1", cols))
         assert db_k.execute_family(sel, key, names + [("Single_713_1", names[1][1])]) is None
-        # shapes no join kernel takes: a join with nothing to pair by,
-        # one table, three tables
+        # one table: each member as the statement about it alone
+        one_table = "SELECT COUNT(*) AS n FROM LSST.{left} AS o1"
+        (sel,) = parse(one_table.format(left=names[0][0]))
+        together = db_k.execute_family(sel, db_k.kernel_key(sel), [n[:1] for n in names])
+        assert len(together) == len(names)
+        for out, (left, _) in zip(together, names):
+            for db in (db_k, db_i):
+                assert_identical(db.execute(one_table.format(left=left)), out)
+        # shapes no kernel takes in one pass: a join with nothing to
+        # pair by, three tables
         for sql in (
             f"SELECT COUNT(*) AS n FROM {FAMILY_FROM} WHERE {NEAR} > 0.2",
-            "SELECT COUNT(*) AS n FROM LSST.{left} AS o1",
             f"SELECT COUNT(*) AS n FROM {FAMILY_FROM}, LSST.{{left}} AS o3 "
             f"WHERE {NEAR} < 0.01",
         ):

@@ -90,11 +90,14 @@ def vector_to_radec(v):
 def angular_separation(ra1, dec1, ra2, dec2):
     """Great-circle separation between points, in degrees.
 
-    Uses the haversine formula for numerical stability at small
-    separations.  All four arguments broadcast against each other, so a
-    single probe point can be compared against a whole column in one
-    call.  This is the implementation behind the ``qserv_angSep`` SQL
-    UDF.
+    Uses the haversine formula, ``2 * arcsin(sqrt(h))``, for numerical
+    stability at small separations.  Past 90 degrees ``arcsin`` loses
+    half the digits as ``h`` nears 1, so there the separation is 180
+    degrees less the one from the antipode of the second point, whose
+    haversine ``1 - h`` is a sum of non-negative terms of its own.  All
+    four arguments broadcast against each other, so a single probe
+    point can be compared against a whole column in one call.  This is
+    the implementation behind the ``qserv_angSep`` SQL UDF.
     """
     ra1 = np.deg2rad(np.asarray(ra1, dtype=np.float64))
     dec1 = np.deg2rad(np.asarray(dec1, dtype=np.float64))
@@ -102,9 +105,19 @@ def angular_separation(ra1, dec1, ra2, dec2):
     dec2 = np.deg2rad(np.asarray(dec2, dtype=np.float64))
 
     sin_ddec = np.sin((dec2 - dec1) * 0.5)
-    sin_dra = np.sin((ra2 - ra1) * 0.5)
-    h = sin_ddec * sin_ddec + np.cos(dec1) * np.cos(dec2) * sin_dra * sin_dra
-    sep = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    half_dra = (ra2 - ra1) * 0.5
+    sin_dra = np.sin(half_dra)
+    cos_cos = np.cos(dec1) * np.cos(dec2)
+    h = sin_ddec * sin_ddec + cos_cos * sin_dra * sin_dra
+    near = h <= 0.5
+    if near.all():
+        sep = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    else:
+        sin_sdec = np.sin((dec2 + dec1) * 0.5)
+        cos_dra = np.cos(half_dra)
+        h_anti = sin_sdec * sin_sdec + cos_cos * cos_dra * cos_dra
+        sep = 2.0 * np.arcsin(np.sqrt(np.clip(np.where(near, h, h_anti), 0.0, 1.0)))
+        sep = np.where(near, sep, np.pi - sep)
     out = np.rad2deg(sep)
     if out.ndim == 0:
         return float(out)

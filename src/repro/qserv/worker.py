@@ -906,13 +906,10 @@ class QservWorker(OfsPlugin):
         by that kernel on its own tables, with no lookup and no text
         rendered (:meth:`Database.execute_family`).  A member no kernel
         answers is the statement about its tables, which the interpreter
-        answers -- by the plan too, so a decline is not looked up again.
+        answers, with no second lookup.
         """
         found = self.db.execute_family(prepared.stmt, prepared.kernel_key, [names], prepared)
-        if found is not None:
-            result = found[0]
-        else:
-            result = self.db.select(prepared.about(names), prepared.kernel_key, prepared)
+        result = found[0] if found is not None else self.db.interpret(prepared.about(names))
         with self._lock:
             self.stats.statements_executed += 1
             self.stats.queries_executed += 1

@@ -109,15 +109,12 @@ def angular_separation(ra1, dec1, ra2, dec2):
     sin_dra = np.sin(half_dra)
     cos_cos = np.cos(dec1) * np.cos(dec2)
     h = sin_ddec * sin_ddec + cos_cos * sin_dra * sin_dra
-    near = h <= 0.5
-    if near.all():
-        sep = 2.0 * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
-    else:
-        sin_sdec = np.sin((dec2 + dec1) * 0.5)
-        cos_dra = np.cos(half_dra)
-        h_anti = sin_sdec * sin_sdec + cos_cos * cos_dra * cos_dra
-        sep = 2.0 * np.arcsin(np.sqrt(np.clip(np.where(near, h, h_anti), 0.0, 1.0)))
-        sep = np.where(near, sep, np.pi - sep)
+    sin_sdec = np.sin((dec2 + dec1) * 0.5)
+    cos_dra = np.cos(half_dra)
+    h_anti = sin_sdec * sin_sdec + cos_cos * cos_dra * cos_dra
+    far = h > 0.5
+    sep = 2.0 * np.arcsin(np.sqrt(np.clip(np.where(far, h_anti, h), 0.0, 1.0)))
+    sep = np.where(far, np.pi - sep, sep)
     out = np.rad2deg(sep)
     if out.ndim == 0:
         return float(out)

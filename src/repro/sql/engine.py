@@ -241,16 +241,17 @@ class Database:
             return None
         return _kernels.kernel_key(stmt)
 
-    def select(
-        self, sel: ast.Select, kernel_key: Optional[KernelKey] = None, plan=None
-    ) -> ResultTable:
-        """A SELECT's result: a kernel's (:meth:`execute_family`, by ``plan``) or the interpreter's."""
+    def select(self, sel: ast.Select, kernel_key: Optional[KernelKey] = None) -> ResultTable:
+        """A SELECT's result: a kernel's (:meth:`execute_family`) or the interpreter's."""
         if sel.tables:
             names = tuple(ref.table for ref in sel.tables)
-            found = self.execute_family(sel, kernel_key, [names], plan)
+            found = self.execute_family(sel, kernel_key, [names])
             if found is not None:
                 return found[0]
+        return self.interpret(sel)
 
+    def interpret(self, sel: ast.Select) -> ResultTable:
+        """A SELECT's result by the interpreter (steps 1-4 of the module docstring)."""
         bound = self._bind_tables(sel)
         sp = obs_trace.current_span()
         if sp is not None:
@@ -383,8 +384,7 @@ class Database:
         """Join all FROM tables and apply WHERE; returns the row Environment."""
         if not bound:
             # SELECT without FROM: single pseudo-row.
-            env = Environment({}, 1)
-            return env
+            return Environment({}, 1)
 
         conjuncts = ast.split_conjuncts(sel.where)
 
@@ -456,30 +456,24 @@ class Database:
         """
         for c in conjuncts:
             if isinstance(c, ast.BinaryOp) and c.op == "=":
-                for ref, lit in ((c.left, c.right), (c.right, c.left)):
-                    if not (
-                        isinstance(ref, ast.ColumnRef) and isinstance(lit, ast.Literal)
-                    ):
-                        continue
-                    if ref.table is not None and ref.table != name:
-                        continue
-                    key = (table.name, ref.column)
-                    if key in self._indexes:
-                        return self._indexes[key].lookup(lit.value)
-            elif (
-                isinstance(c, ast.InList)
-                and not c.negated
-                and isinstance(c.value, ast.ColumnRef)
-                and all(isinstance(i, ast.Literal) for i in c.items)
-            ):
-                ref = c.value
-                if ref.table is not None and ref.table != name:
+                candidates = ((c.left, [c.right]), (c.right, [c.left]))
+            elif isinstance(c, ast.InList) and not c.negated:
+                candidates = ((c.value, c.items),)
+            else:
+                continue
+            for ref, items in candidates:
+                if not (
+                    isinstance(ref, ast.ColumnRef)
+                    and ref.table in (None, name)
+                    and all(isinstance(i, ast.Literal) for i in items)
+                ):
                     continue
-                key = (table.name, ref.column)
-                if key in self._indexes:
-                    return self._indexes[key].lookup_many(
-                        [i.value for i in c.items]
-                    )
+                index = self._indexes.get((table.name, ref.column))
+                if index is not None:
+                    values = [i.value for i in items]
+                    if isinstance(c, ast.InList):
+                        return index.lookup_many(values)
+                    return index.lookup(values[0])
         return None
 
     def _eval_on_partial(self, expr: ast.Expr, idx, tables):
@@ -526,28 +520,24 @@ class Database:
 
     def _plain_projection(self, sel: ast.Select, env: Environment, bound) -> ResultTable:
         out_cols: dict[str, np.ndarray] = {}
-        order_names = []
         for item in sel.items:
             if isinstance(item.expr, ast.Star):
                 for name, arr in self._expand_star(item.expr, env, bound):
                     _add_result_column(out_cols, name, arr, env.length)
-                    order_names.append(name)
                 continue
             val = evaluate(item.expr, env)
             _add_result_column(out_cols, item.output_name(), val, env.length)
-            order_names.append(item.output_name())
         return ResultTable("result", out_cols)
 
     def _expand_star(self, star: ast.Star, env: Environment, bound):
-        names = [n for n, _ in bound]
-        targets = [star.table] if star.table else names
+        tables = dict(bound)
+        targets = [star.table] if star.table else list(tables)
         out = []
         used: set[str] = set()
         for t in targets:
-            if t not in names:
+            if t not in tables:
                 raise SqlError(f"unknown table {t!r} in '{t}.*'")
-            table = dict(bound)[t]
-            for cname in table.column_names:
+            for cname in tables[t].column_names:
                 key = (t, cname)
                 if key not in env.columns:
                     continue
@@ -677,9 +667,7 @@ def _find_equi_key(conjuncts, have: set[str], incoming: str, tables):
 
 
 def _wants_all_columns(sel: ast.Select, table_name: str) -> bool:
-    for item in sel.items:
-        if isinstance(item.expr, ast.Star) and (
-            item.expr.table is None or item.expr.table == table_name
-        ):
-            return True
-    return False
+    return any(
+        isinstance(item.expr, ast.Star) and item.expr.table in (None, table_name)
+        for item in sel.items
+    )

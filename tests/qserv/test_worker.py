@@ -1245,3 +1245,16 @@ class TestHostedChunks:
     def test_lists_chunk_tables_only(self):
         w, cid, _ = make_worker()
         assert w.hosted_chunks() == [cid]
+
+    def test_a_base_name_with_underscores_is_a_chunk_table(self):
+        # The names rewrite builds of a base table that has underscores
+        # of its own: Deep_Source_713 is chunk 713's, Deep_Source_713_5
+        # its sub-chunk 5's.
+        w, cid, _ = make_worker()
+        empty = {"objectId": np.arange(0, dtype=np.int64)}
+        for name in ("Deep_Source_713", "Deep_SourceFullOverlap_713", "Deep_Source_713_5"):
+            w.db.create_table(Table(name, dict(empty)))
+        w.db.create_table(Table("Filter", dict(empty)))
+        assert w.chunk_tables(713) == ["Deep_SourceFullOverlap_713", "Deep_Source_713"]
+        assert w.chunk_tables(5) == []
+        assert w.hosted_chunks() == sorted([cid, 713])

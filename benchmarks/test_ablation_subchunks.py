@@ -60,18 +60,20 @@ def _examined_pairs(tb):
     ch = tb.chunker
     obj = tb.tables["Object"]
     ra, dec = obj.column("ra_PS"), obj.column("decl_PS")
+    from repro.partition.dec_index import DecIndex
     from repro.sphgeom import SphericalBox
 
+    index = DecIndex(ra, dec, *ch.assign(ra, dec))
     region = SphericalBox(0, -7, 4, -1)
     for cid in ch.chunks_intersecting(region):
         cid = int(cid)
-        in_chunk = ch.chunk_box(cid).contains(ra, dec)
-        scids = ch.sub_chunks_intersecting(cid, region)
-        for scid in scids:
+        # Every sub-chunk's overlap size from one chunk-wide call.
+        overlap_sizes = np.bincount(ch.overlap_members(cid, index)[0])
+        for scid in ch.sub_chunks_intersecting(cid, region):
             scid = int(scid)
             box = ch.sub_chunk_box(cid, scid)
             n_sub = int(np.count_nonzero(box.contains(ra, dec)))
-            n_ovl = int(np.count_nonzero(ch.in_sub_chunk_overlap(cid, scid, ra, dec)))
+            n_ovl = int(overlap_sizes[scid]) if scid < len(overlap_sizes) else 0
             total += n_sub * (n_sub + n_ovl)
     return max(total, 1)
 

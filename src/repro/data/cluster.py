@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..partition import Chunker, Placement
 from ..qserv import (
     CatalogMetadata,
@@ -27,7 +25,7 @@ from ..xrd import DataServer, Redirector
 from ..xrd.health import HealthTracker
 from ..xrd.protocol import query_path
 from ..xrd.repair import ChunkChecksums, IntegrityScrubber, RepairManager
-from .loader import LoadReport, load_tables
+from .loader import LoadReport, assign_rows, load_tables
 from .synthesis import synthesize_objects, synthesize_sources
 
 __all__ = ["QservTestbed", "build_testbed"]
@@ -112,15 +110,14 @@ def build_testbed(
         )
     tables = {"Object": objects, "Source": sources}
 
-    # Chunks to place: every chunk holding any data from any table.
+    # Chunks to place: every chunk holding any data from any table.  The
+    # rows' assignment is made once here and handed to the loader.
+    assignments = {}
     present: set[int] = set()
     for name, table in tables.items():
         info = metadata.info(name)
-        if table.num_rows:
-            cids = chunker.chunk_id(
-                table.column(info.ra_column), table.column(info.dec_column)
-            )
-            present.update(int(c) for c in np.unique(cids))
+        assignments[name] = assign_rows(chunker, table, info.ra_column, info.dec_column)
+        present.update(assignments[name].chunks.tolist())
     if not present:
         raise ValueError("no data to load; increase num_objects")
 
@@ -153,6 +150,7 @@ def build_testbed(
         {n: w.db for n, w in workers.items()},
         secondary_index=secondary_index,
         checksums=checksums,
+        assignments=assignments,
     )
     secondary_index.finalize()
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..partition import Chunker, Placement
+from ..partition.dec_index import DecIndex
 from ..sql import Database, Table
-from ..sql.wire import encode_table
+from ..sql.wire import encode_table_parts
 from ..qserv.metadata import CatalogMetadata
 from ..qserv.rewrite import chunk_table_name, overlap_table_name
 from ..qserv.secondary_index import SecondaryIndex
 
-__all__ = ["load_tables", "LoadReport"]
+__all__ = ["assign_rows", "load_tables", "LoadReport", "RowAssignment"]
 
 
 @dataclass
@@ -34,6 +35,38 @@ class LoadReport:
     empty_chunks: dict[str, int] = field(default_factory=dict)
 
 
+class RowAssignment:
+    """A table's rows partitioned: each row's ids, and the rows of each chunk.
+
+    ``chunk_ids`` / ``sub_chunk_ids`` hold one entry per row; ``chunks``
+    is the ascending set of chunk ids with rows, and :meth:`rows_of`
+    the ascending rows of one chunk.  Built by :func:`assign_rows`.
+    """
+
+    def __init__(self, chunk_ids: np.ndarray, sub_chunk_ids: np.ndarray):
+        self.chunk_ids = chunk_ids
+        self.sub_chunk_ids = sub_chunk_ids
+        # One stable sort groups the rows; ids that fit 16 bits take the
+        # radix sort, which orders them the same at a sixth of the cost.
+        keys = chunk_ids
+        if len(keys) and keys.min() >= 0 and keys.max() < 1 << 16:
+            keys = keys.astype(np.uint16)
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.diff(chunk_ids[order])) + 1
+        self.chunks = chunk_ids[order[np.concatenate([[0], starts])]] if len(order) else chunk_ids
+        self._groups = dict(zip(self.chunks.tolist(), np.split(order, starts)))
+
+    def rows_of(self, chunk_id: int) -> np.ndarray:
+        return self._groups.get(int(chunk_id), np.empty(0, dtype=np.int64))
+
+
+def assign_rows(chunker, table: Table, ra_column: str, dec_column: str) -> RowAssignment:
+    """The one assignment pass over a table: see :class:`RowAssignment`."""
+    if not table.num_rows:
+        return RowAssignment(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    return RowAssignment(*chunker.assign(table.column(ra_column), table.column(dec_column)))
+
+
 def load_tables(
     tables: dict[str, Table],
     metadata: CatalogMetadata,
@@ -43,12 +76,19 @@ def load_tables(
     secondary_index: SecondaryIndex | None = None,
     checksums=None,
     stores=None,
+    assignments=None,
 ) -> LoadReport:
     """Partition ``tables`` onto ``worker_dbs`` according to ``placement``.
 
     Every chunk id in the placement receives a physical table on each
     of its replica nodes -- empty where the logical table has no rows
     there, so any dispatched chunk query finds its tables.
+
+    ``assignments`` optionally maps a partitioned table's name to its
+    :class:`RowAssignment`, for a caller that already made that pass (to
+    choose the placement); the loader makes it for the tables it is not
+    given.  Each entry is taken out of the dict as its table is loaded,
+    so one table's arrays at a time are alive.
 
     ``checksums`` (a :class:`repro.xrd.repair.ChunkChecksums`) records
     the reference digest of every chunk table as it is installed --
@@ -63,6 +103,7 @@ def load_tables(
     """
     report = LoadReport()
     stores = stores or {}
+    assignments = {} if assignments is None else assignments
     for name, table in tables.items():
         if not metadata.is_partitioned(name):
             # Unpartitioned tables are replicated whole to every node.
@@ -70,9 +111,13 @@ def load_tables(
                 _install(db, stores.get(node), table.rename(name))
             report.rows_loaded[name] = table.num_rows * len(worker_dbs)
             continue
+        info = metadata.info(name)
+        assignment = assignments.pop(name, None)
+        if assignment is None:
+            assignment = assign_rows(chunker, table, info.ra_column, info.dec_column)
         _load_partitioned(
-            name, table, metadata, chunker, placement, worker_dbs, report,
-            secondary_index, checksums, stores,
+            name, table, assignment, metadata, chunker, placement, worker_dbs,
+            report, secondary_index, checksums, stores,
         )
     return report
 
@@ -87,6 +132,7 @@ def _install(db: Database, store, table: Table) -> None:
 def _load_partitioned(
     name: str,
     table: Table,
+    assignment: RowAssignment,
     metadata: CatalogMetadata,
     chunker: Chunker,
     placement: Placement,
@@ -98,12 +144,7 @@ def _load_partitioned(
 ) -> None:
     stores = stores or {}
     info = metadata.info(name)
-    ra = table.column(info.ra_column)
-    dec = table.column(info.dec_column)
-    n = table.num_rows
-
-    cids = chunker.chunk_id(ra, dec) if n else np.empty(0, dtype=np.int64)
-    scids = chunker.sub_chunk_id(ra, dec) if n else np.empty(0, dtype=np.int64)
+    cids, scids = assignment.chunk_ids, assignment.sub_chunk_ids
 
     # Fill bookkeeping columns on a working copy of the column dict.
     cols = dict(table.columns())
@@ -117,37 +158,30 @@ def _load_partitioned(
     if secondary_index is not None and info.is_director and info.index_column:
         secondary_index.add_entries(table.column(info.index_column), cids, scids)
 
-    # Group rows by chunk with one argsort.
-    order = np.argsort(cids, kind="stable")
-    sorted_cids = cids[order]
-    uniq, starts = np.unique(sorted_cids, return_index=True)
-    row_groups = {
-        int(c): order[s:e]
-        for c, s, e in zip(uniq, starts, np.append(starts[1:], n))
-    }
+    # One declination-sorted index serves every chunk's overlap call.
+    index = None
+    if info.is_director:
+        index = DecIndex(
+            table.column(info.ra_column), table.column(info.dec_column), cids, scids
+        )
 
     chunks = placement.chunk_ids
     loaded = empty = total_rows = total_overlap = 0
     for cid in chunks:
-        rows = row_groups.get(cid, np.empty(0, dtype=np.int64))
+        rows = assignment.rows_of(cid)
         chunk_table = full.select_rows(rows).rename(chunk_table_name(name, cid))
         overlap_table = None
-        if info.is_director:
-            overlap_table = _build_overlap(
-                name, full, ra, dec, chunker, cid
-            )
+        if index is not None:
+            overlap_table = _build_overlap(name, full, index, chunker, cid)
             total_overlap += overlap_table.num_rows
         if checksums is not None:
             # One digest per table name covers every replica: the wire
             # encoding is a pure function of (name, columns, rows).
-            checksums.record_bytes(
-                chunk_table.name, encode_table(chunk_table, chunk_table.name)
-            )
-            if overlap_table is not None:
-                checksums.record_bytes(
-                    overlap_table.name,
-                    encode_table(overlap_table, overlap_table.name),
-                )
+            for installed in (chunk_table, overlap_table):
+                if installed is not None:
+                    checksums.record_bytes(
+                        installed.name, encode_table_parts(installed, installed.name)
+                    )
         for node in placement.replicas(cid):
             db = worker_dbs[node]
             store = stores.get(node)
@@ -167,46 +201,22 @@ def _load_partitioned(
 
 
 def _build_overlap(
-    name: str,
-    full: Table,
-    ra: np.ndarray,
-    dec: np.ndarray,
-    chunker: Chunker,
-    cid: int,
+    name: str, full: Table, index: DecIndex, chunker: Chunker, cid: int
 ) -> Table:
     """The FullOverlap table of chunk ``cid``.
 
     Rows within ``overlap`` of a sub-chunk but outside it, with
-    ``subChunkId`` set to the sub-chunk they pad.  A row near a corner
-    appears once per padded sub-chunk -- that duplication is the price
-    of node-local spatial joins and is how production Qserv stores it.
+    ``subChunkId`` set to the sub-chunk they pad, in ascending
+    sub-chunk id -- one ``overlap_members`` call for the whole chunk.
+    A row near a corner appears once per padded sub-chunk -- that
+    duplication is the price of node-local spatial joins and is how
+    production Qserv stores it.
     """
-    # Candidates: rows in the dilated chunk box but not in the chunk.
-    chunk_box = chunker.chunk_box(cid)
-    dilated = chunker.chunk_overlap_box(cid)
-    candidate_mask = dilated.contains(ra, dec)
-    candidates = np.flatnonzero(candidate_mask)
-    pieces: list[tuple[int, np.ndarray]] = []
-    if len(candidates):
-        cand_ra = ra[candidates]
-        cand_dec = dec[candidates]
-        for scid in chunker.sub_chunks_of(cid):
-            scid = int(scid)
-            in_ovl = chunker.in_sub_chunk_overlap(cid, scid, cand_ra, cand_dec)
-            rows = candidates[in_ovl]
-            if len(rows):
-                pieces.append((scid, rows))
-
-    out_name = overlap_table_name(name, cid)
-    if not pieces:
-        empty = full.select_rows(np.empty(0, dtype=np.int64))
-        return empty.rename(out_name)
-    all_rows = np.concatenate([rows for _, rows in pieces])
-    sub_ids = np.concatenate(
-        [np.full(len(rows), scid, dtype=np.int64) for scid, rows in pieces]
-    )
-    sel = full.select_rows(all_rows)
+    sub_ids, rows = chunker.overlap_members(cid, index)
+    sel = full.select_rows(rows).rename(overlap_table_name(name, cid))
+    if not len(rows):
+        return sel
     cols = dict(sel.columns())
-    cols["chunkId"] = np.full(len(all_rows), cid, dtype=np.int64)
+    cols["chunkId"] = np.full(len(rows), cid, dtype=np.int64)
     cols["subChunkId"] = sub_ids
-    return Table(out_name, cols)
+    return Table(sel.name, cols)

@@ -11,7 +11,9 @@ each chunk into sub-chunks the same way.  The paper's test configuration
 
 - :class:`Chunker` -- (ra, dec) -> (chunkId, subChunkId) assignment,
   chunk/sub-chunk geometry, region -> chunk-set coverage, and overlap
-  membership.
+  membership, a whole chunk per call.
+- :class:`~repro.partition.dec_index.DecIndex` -- a table's positions in
+  declination zones: the candidates of each chunk's overlap call.
 - :class:`Placement` -- chunk -> worker-node placement with incremental
   rebalancing (many more chunks than nodes, per section 4.4).
 """

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..sphgeom import HtmPixelization, Region, SphericalCircle
+from .dec_index import DecIndex
 
 __all__ = ["HtmChunker"]
 
@@ -57,6 +58,15 @@ class HtmChunker:
         self._subs_per_chunk = 4**self.sub_level
 
     # -- point assignment ----------------------------------------------------
+
+    def assign(self, ra, dec) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized (ra, dec) -> (chunk ids, sub-chunk ids), in one pass.
+
+        HTM ids are hierarchical: the chunk is the fine trixel's ancestor
+        ``sub_level`` levels up, so one descent answers both levels.
+        """
+        fine = np.atleast_1d(self._fine.index_points(ra, dec))
+        return fine // self._subs_per_chunk, fine % self._subs_per_chunk
 
     def chunk_id(self, ra, dec):
         return self._coarse.index_points(ra, dec)
@@ -128,24 +138,33 @@ class HtmChunker:
 
     # -- overlap membership -----------------------------------------------------------------
 
-    def in_sub_chunk_overlap(self, chunk_id: int, sub_chunk_id: int, ra, dec):
-        """Overlap rows of a sub-chunk: near the trixel but outside it.
+    def overlap_members(self, chunk_id: int, index: DecIndex):
+        """Every sub-chunk overlap of ``chunk_id``: ``(sub_chunk_ids, rows)``.
 
-        Conservative via the dilated bounding circle -- may store a few
-        extra rows, never misses one within the overlap radius, so
-        near-neighbor joins stay exact (the same contract the box
-        chunker provides).
+        A row pads sub-chunk ``s`` when it lies in the sub-chunk's
+        dilated bounding circle but not in its trixel.  Conservative --
+        a few extra rows may be stored, none within the overlap radius
+        is missed -- so near-neighbor joins stay exact, the contract the
+        box chunker gives.  Candidates are the rows of the chunk's
+        dilated circle, from the index's zones; the trixel
+        test reads the index's own assignment.  Pairs come sorted by
+        sub-chunk id, then row.
         """
-        fine = self._fine_id(chunk_id, sub_chunk_id)
-        ra = np.atleast_1d(np.asarray(ra, dtype=np.float64))
-        dec = np.atleast_1d(np.asarray(dec, dtype=np.float64))
-        near = self.sub_chunk_overlap_box(chunk_id, sub_chunk_id).contains(ra, dec)
-        near = np.atleast_1d(near)
-        out = np.zeros(len(ra), dtype=bool)
-        if near.any():
-            inside = self._fine.index_points(ra[near], dec[near]) == fine
-            out[np.flatnonzero(near)] = ~inside
-        return out
+        self._check_chunk(chunk_id)
+        circle = self.chunk_overlap_box(chunk_id)
+        # The candidates' box is the circle's, widened past any rounding
+        # of the separation the circle's own test computes.
+        rows = np.sort(index.candidates(circle.dilated(1e-6).bounding_box()))
+        rows = rows[circle.contains(index.ra[rows], index.dec[rows])]
+        ra, dec = index.ra[rows], index.dec[rows]
+        own = np.where(index.chunk_ids[rows] == int(chunk_id), index.sub_chunk_ids[rows], -1)
+        subs, members = [], []
+        for scid in range(self._subs_per_chunk):
+            near = self.sub_chunk_overlap_box(chunk_id, scid).contains(ra, dec)
+            hit = rows[near & (own != scid)]
+            subs.append(np.full(len(hit), scid, dtype=np.int64))
+            members.append(hit)
+        return np.concatenate(subs), np.concatenate(members)
 
     def __repr__(self):
         return (

@@ -57,9 +57,7 @@ class SecondaryIndex:
     def build(cls, object_ids, ra, dec, chunker: Chunker) -> "SecondaryIndex":
         """Index a whole director table in one vectorized pass."""
         index = cls()
-        index.add_entries(
-            object_ids, chunker.chunk_id(ra, dec), chunker.sub_chunk_id(ra, dec)
-        )
+        index.add_entries(object_ids, *chunker.assign(ra, dec))
         index.finalize()
         return index
 

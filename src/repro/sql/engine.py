@@ -562,16 +562,17 @@ class Database:
                 env = Environment({}, result.num_rows)
             keys = []
             for o in reversed(sel.order_by):
-                arr = self._order_key(o, result, env)
+                # NULL last either way: the flag of a text key is not flipped.
+                parts = _kernels.sort_keys(self._order_key(o, result, env))
                 if o.descending:
+                    arr = parts[-1]
                     if arr.dtype == object:
-                        # Descending object sort: sort ascending, flip below
-                        # via negated rank.
-                        rank = np.searchsorted(np.sort(arr.astype(str)), arr.astype(str))
-                        arr = -rank
-                    else:
-                        arr = -arr if np.issubdtype(arr.dtype, np.number) else arr
-                keys.append(arr)
+                        # Descending text: the negated rank of each value.
+                        arr = -np.unique(arr.astype(str), return_inverse=True)[1]
+                    elif np.issubdtype(arr.dtype, np.number):
+                        arr = -arr
+                    parts[-1] = arr
+                keys.extend(reversed(parts))
             order = np.lexsort(keys)
             result = ResultTable(
                 "result", {k: v[order] for k, v in result.columns().items()}
@@ -631,12 +632,13 @@ def _distinct(result: ResultTable) -> ResultTable:
     if result.num_rows == 0 or not result.column_names:
         return result
     cols = [np.asarray(result.column(n)) for n in result.column_names]
-    str_keys = [c.astype(str) if c.dtype == object else c for c in cols]
-    order = np.lexsort(str_keys[::-1])
+    keys = [k for c in cols for k in _kernels.sort_keys(c)]
+    keys = [k.astype(str) if k.dtype == object else k for k in keys]
+    order = np.lexsort(keys[::-1])
     n = result.num_rows
     changed = np.zeros(n, dtype=bool)
     changed[0] = True
-    for k in str_keys:
+    for k in keys:
         # NULLs are one value to DISTINCT, as they are one group.
         changed[1:] |= _kernels.boundaries(k[order])
     keep_rows = np.sort(order[changed])

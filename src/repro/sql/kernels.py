@@ -98,6 +98,8 @@ __all__ = [
     "compute_aggregate",
     "group_structure",
     "boundaries",
+    "nulls",
+    "sort_keys",
 ]
 
 # A join that would materialize more candidate pairs than this means a
@@ -229,6 +231,40 @@ def kernel_key(sel: ast.Select) -> KernelKey:
 # -- shared group/reduce helpers (used by interpreter AND kernels) ------------------
 
 
+def nulls(arr: np.ndarray):
+    """Mask of a column's NULLs, or None when it has none.
+
+    A NULL is NaN: in a float column, and -- a VARCHAR NULL -- as a
+    float NaN in a text (object) column, the one value there that is
+    not equal to itself.
+    """
+    if arr.dtype.kind == "f":
+        # The minimum is NaN exactly when some value is: one pass, no mask.
+        if not len(arr) or not np.isnan(np.minimum.reduce(arr)):
+            return None
+        return np.isnan(arr)
+    if arr.dtype == object:
+        null = arr != arr
+        return null if null.any() else None
+    return None
+
+
+def sort_keys(arr: np.ndarray) -> list[np.ndarray]:
+    """``arr`` as sort keys, most significant first, under the one key rule.
+
+    NULL sorts last and every NULL is one value (one group, one
+    DISTINCT row).  A float NaN already does both; a text column with
+    NULLs, whose NaN cannot be compared with its strings, becomes the
+    pair ``(is NULL, text with NULL as "")``.
+    """
+    null = nulls(arr) if arr.dtype == object else None
+    if null is None:
+        return [arr]
+    filled = arr.copy()
+    filled[null] = ""
+    return [null, filled]
+
+
 def boundaries(keys: np.ndarray) -> np.ndarray:
     """``keys[1:] != keys[:-1]``, except that NULL (NaN) equals NULL.
 
@@ -261,6 +297,7 @@ def group_structure(keys: list[np.ndarray], n: int):
     """
     if n == 0:
         return None, np.empty(0, dtype=np.int64)
+    keys = [k for key in keys for k in sort_keys(key)]
     if len(keys) == 1 and keys[0].dtype.kind in "iu":
         if not (keys[0][1:] != keys[0][:-1]).any():
             return None, np.zeros(1, dtype=np.int64)
@@ -315,12 +352,8 @@ def _no_rows(name: str, num_groups: int) -> np.ndarray:
 
 def _valid(vals: np.ndarray):
     """Mask of the non-NULL values (never none); None when there is no NULL."""
-    if vals.dtype.kind != "f":
-        return None
-    # The minimum is NaN exactly when some value is: one pass, no mask.
-    if not np.isnan(np.minimum.reduce(vals)):
-        return None
-    return ~np.isnan(vals)
+    null = nulls(vals)
+    return None if null is None else ~null
 
 
 def _count(vals, valid, group_starts, sizes):
@@ -363,13 +396,41 @@ def _avg(vals, valid, group_starts, sizes):
 
 
 def _min(vals, valid, group_starts, sizes):
+    if vals.dtype == object:
+        return _text_extreme(vals, group_starts, sizes, last=False)
     op = np.fmin if vals.dtype.kind == "f" else np.minimum
     return op.reduceat(vals, group_starts)
 
 
 def _max(vals, valid, group_starts, sizes):
+    if vals.dtype == object:
+        return _text_extreme(vals, group_starts, sizes, last=True)
     op = np.fmax if vals.dtype.kind == "f" else np.maximum
     return op.reduceat(vals, group_starts)
+
+
+def _text_extreme(vals, group_starts, sizes, last: bool):
+    """MIN (``last`` False) or MAX of a text column per group, NULLs skipped.
+
+    A NULL cannot be compared with a string, so the non-NULL values are
+    sorted within their groups and each group's first (or last) taken;
+    a group of only NULLs is NULL.
+    """
+    null = nulls(vals)
+    if null is None:
+        return (np.maximum if last else np.minimum).reduceat(vals, group_starts)
+    gid = np.repeat(np.arange(len(group_starts)), sizes)[~null]
+    vals = vals[~null]
+    so = np.lexsort((vals, gid))
+    vals, gid = vals[so], gid[so]
+    edge = np.ones(len(gid), dtype=bool)
+    if last:
+        edge[:-1] = gid[1:] != gid[:-1]
+    else:
+        edge[1:] = gid[1:] != gid[:-1]
+    out = np.full(len(group_starts), np.nan, dtype=object)
+    out[gid[edge]] = vals[edge]
+    return out
 
 
 _REDUCTIONS = {"COUNT": _count, "SUM": _sum, "AVG": _avg, "MIN": _min, "MAX": _max}
@@ -384,13 +445,14 @@ def _count_distinct(vals, group_starts, sizes):
     """
     num_groups = len(group_starts)
     gid = np.repeat(np.arange(num_groups), sizes)
+    null = nulls(vals)
+    if null is not None:
+        # NULL is no value: it is not counted, however often it occurs.
+        vals, gid = vals[~null], gid[~null]
     so = np.lexsort((vals, gid))
     sv, sg = vals[so], gid[so]
     newval = np.ones(len(vals), dtype=bool)
     newval[1:] = (sv[1:] != sv[:-1]) | (sg[1:] != sg[:-1])
-    if sv.dtype.kind == "f":
-        # NULL is no value: it is not counted, however often it occurs.
-        newval &= ~np.isnan(sv)
     return np.bincount(sg[newval], minlength=num_groups).astype(np.int64)
 
 
@@ -550,11 +612,32 @@ def equi_join(left_vals: np.ndarray, right_vals: np.ndarray):
 
     Sorts the right side and probes it with the left, so pairs come out
     left-major with each left row's matches in ascending right order.
+    A NULL key matches nothing.
     """
+    left_vals, left_rows = _drop_null_keys(left_vals, None)
+    right_vals, right_rows = _drop_null_keys(right_vals, None)
     order, lo, counts = _probe_runs(
         right_vals, (0, len(right_vals)), left_vals, left_vals, (0, len(left_vals))
     )
-    return _expand_ranges(lo, counts, order)
+    li, ri = _expand_ranges(lo, counts, order)
+    return (
+        li if left_rows is None else left_rows[li],
+        ri if right_rows is None else right_rows[ri],
+    )
+
+
+def _drop_null_keys(vals: np.ndarray, rows):
+    """``(vals, rows)`` without the NULL keys, which match nothing.
+
+    ``rows`` are the row indices behind ``vals`` (None = all rows).  A
+    text NULL cannot be sorted with the strings, and a float one would
+    only make candidates the join conjunct throws away.
+    """
+    null = nulls(vals)
+    if null is None:
+        return vals, rows
+    keep = np.flatnonzero(~null)
+    return vals[keep], keep if rows is None else rows[keep]
 
 
 def isin(values: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -1048,6 +1131,8 @@ class CompiledKernel:
         left_vals = _Helpers.gather(stacks[0].columns[left_col], left_rows)
         right_vals = _Helpers.gather(stacks[1].columns[right_col], right_rows)
         if kind == "equi":
+            left_vals, left_rows = _drop_null_keys(left_vals, left_rows)
+            right_vals, right_rows = _drop_null_keys(right_vals, right_rows)
             # Blind to the member, so still a superset.
             left_vals, left_rows = _drop_unmatched(left_vals, left_rows, right_vals)
             right_vals, right_rows = _drop_unmatched(right_vals, right_rows, left_vals)

@@ -13,6 +13,8 @@ from repro.sphgeom import (
     SphericalConvexPolygon,
 )
 
+from .test_overlap_members import overlap_mask
+
 ras = st.floats(min_value=0.0, max_value=359.999, allow_nan=False)
 decs = st.floats(min_value=-89.999, max_value=89.999, allow_nan=False)
 
@@ -326,14 +328,14 @@ class TestOverlap:
         # A point just outside the sub-chunk's dec edge is overlap...
         ra_mid = box.ra_min + box.ra_extent() / 2
         just_out = box.dec_max + small_chunker.overlap / 2
-        out = small_chunker.in_sub_chunk_overlap(cid, scid, np.array([ra_mid]), np.array([just_out]))
+        out = overlap_mask(small_chunker, cid, scid, [ra_mid], [just_out])
         assert out[0]
         # ...a point inside is not...
         dec_mid = (box.dec_min + box.dec_max) / 2
-        inside = small_chunker.in_sub_chunk_overlap(cid, scid, np.array([ra_mid]), np.array([dec_mid]))
+        inside = overlap_mask(small_chunker, cid, scid, [ra_mid], [dec_mid])
         assert not inside[0]
         # ...and a faraway point is not.
-        far = small_chunker.in_sub_chunk_overlap(cid, scid, np.array([ra_mid]), np.array([just_out + 5]))
+        far = overlap_mask(small_chunker, cid, scid, [ra_mid], [just_out + 5])
         assert not far[0]
 
     @given(ras, st.floats(min_value=-80, max_value=80))

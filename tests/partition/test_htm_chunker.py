@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.partition import HtmChunker
 from repro.sphgeom import SphericalBox, SphericalCircle
 
+from .test_overlap_members import overlap_mask
+
 ras = st.floats(min_value=0.0, max_value=359.999, allow_nan=False)
 decs = st.floats(min_value=-89.0, max_value=89.0, allow_nan=False)
 
@@ -119,7 +121,7 @@ class TestOverlap:
         dec = np.rad2deg(np.arcsin(rng.uniform(-1, 1, 500)))
         cid = int(chunker.chunk_id(100.0, 30.0))
         scid = int(chunker.sub_chunk_id(100.0, 30.0))
-        mask = chunker.in_sub_chunk_overlap(cid, scid, ra, dec)
+        mask = overlap_mask(chunker, cid, scid, ra, dec)
         fine = chunker._fine.index_points(ra, dec)
         target = cid * 16 + scid
         # No overlap row may be inside the sub-chunk itself.
@@ -128,7 +130,7 @@ class TestOverlap:
     def test_scalarish_inputs(self, chunker):
         cid = int(chunker.chunk_id(10.0, 10.0))
         scid = int(chunker.sub_chunk_id(10.0, 10.0))
-        out = chunker.in_sub_chunk_overlap(cid, scid, np.array([10.0]), np.array([10.0]))
+        out = overlap_mask(chunker, cid, scid, np.array([10.0]), np.array([10.0]))
         assert out.shape == (1,)
         assert not out[0]  # the point is inside, not overlap
 

@@ -452,6 +452,78 @@ class TestTextNulls:
         assert _rows(result) == sorted(reference.execute(sql).fetchall())
 
 
+class TestTextNullKeys:
+    """A VARCHAR NULL as a key: one rule for sorting, grouping and matching.
+
+    NULL sorts last (where a float NULL sorts) and every NULL is one
+    group; MIN/MAX and COUNT skip NULLs; a NULL join key matches
+    nothing.  Against stdlib ``sqlite3``, kernels on and off; ``sqlite``
+    names NULLS LAST where the engine's order is the thing compared.
+    """
+
+    ROWS = [("x", 1, 1), (None, 2, 1), ("y", 3, 2), (None, 4, 2), ("x", 5, 2), ("", 6, 3)]
+
+    @pytest.fixture(params=[True, False], ids=["kernels", "interpreter"])
+    def both(self, request):
+        d = Database(use_kernels=request.param)
+        d.execute("CREATE TABLE T (k VARCHAR(8), v INT, g INT)")
+        d.execute(
+            "INSERT INTO T VALUES ('x', 1, 1), (NULL, 2, 1), ('y', 3, 2), (NULL, 4, 2), "
+            "('x', 5, 2), ('', 6, 3)"
+        )
+        reference = sqlite3.connect(":memory:")
+        reference.execute("CREATE TABLE T (k VARCHAR(8), v INTEGER, g INTEGER)")
+        reference.executemany("INSERT INTO T VALUES (?, ?, ?)", self.ROWS)
+        yield d, reference
+        reference.close()
+
+    @staticmethod
+    def rows(result) -> list:
+        """Rows as Python values, a NULL (NaN, in any column) as None."""
+        return [
+            tuple(None if v != v else v.item() if hasattr(v, "item") else v for v in row)
+            for row in result.rows()
+        ]
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT k, COUNT(*) FROM T GROUP BY k",
+            "SELECT g, k, SUM(v) FROM T GROUP BY g, k",
+            "SELECT MIN(k), MAX(k) FROM T",
+            "SELECT g, MIN(k), MAX(k) FROM T GROUP BY g",
+            "SELECT COUNT(k), COUNT(DISTINCT k) FROM T",
+            "SELECT g, COUNT(DISTINCT k) FROM T GROUP BY g",
+            "SELECT DISTINCT k FROM T",
+            "SELECT a.v, b.v FROM T a, T b WHERE a.k = b.k",
+            "SELECT a.v, b.v FROM T a JOIN T b ON a.k = b.k AND a.g = b.g",
+        ],
+    )
+    def test_answers_what_sqlite_answers(self, both, sql):
+        d, reference = both
+        key = lambda row: tuple((v is None, v) for v in row)  # noqa: E731
+        got = sorted(self.rows(d.execute(sql)), key=key)
+        assert got == sorted(reference.execute(sql).fetchall(), key=key)
+
+    @pytest.mark.parametrize(
+        "sql, nulls_last",
+        [
+            ("SELECT k, v FROM T ORDER BY k, v", "SELECT k, v FROM T ORDER BY k NULLS LAST, v"),
+            (
+                "SELECT k, v FROM T ORDER BY k DESC, v DESC",
+                "SELECT k, v FROM T ORDER BY k DESC NULLS LAST, v DESC",
+            ),
+            (
+                "SELECT g, k FROM T ORDER BY g, k DESC",
+                "SELECT g, k FROM T ORDER BY g, k DESC NULLS LAST",
+            ),
+        ],
+    )
+    def test_order_puts_null_last(self, both, sql, nulls_last):
+        d, reference = both
+        assert self.rows(d.execute(sql)) == reference.execute(nulls_last).fetchall()
+
+
 class TestProperties:
     """Metamorphic invariants over randomized data."""
 

@@ -36,11 +36,12 @@ decs = st.one_of(st.floats(85.0, 90.0), st.floats(-90.0, -85.0), st.floats(-90.0
 def reference(chunker, cid, ra, dec):
     """``(sub-chunk id, row)`` pairs of the per-sub-chunk loop, in its order."""
     cand = np.flatnonzero(chunker.chunk_overlap_box(cid).contains(ra, dec))
+    if isinstance(chunker, HtmChunker):
+        fine = np.atleast_1d(chunker._fine.index_points(ra[cand], dec[cand]))
     pairs = []
     for scid in chunker.sub_chunks_of(cid).tolist():
         near = chunker.sub_chunk_overlap_box(cid, scid).contains(ra[cand], dec[cand])
         if isinstance(chunker, HtmChunker):
-            fine = chunker._fine.index_points(ra[cand], dec[cand])
             inside = fine == cid * 4**chunker.sub_level + scid
         else:
             inside = chunker.sub_chunk_box(cid, scid).contains(ra[cand], dec[cand])

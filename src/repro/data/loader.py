@@ -10,6 +10,7 @@ according to the placement, and populates the objectId secondary index.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,12 +47,8 @@ class RowAssignment:
     def __init__(self, chunk_ids: np.ndarray, sub_chunk_ids: np.ndarray):
         self.chunk_ids = chunk_ids
         self.sub_chunk_ids = sub_chunk_ids
-        # One stable sort groups the rows; ids that fit 16 bits take the
-        # radix sort, which orders them the same at a sixth of the cost.
-        keys = chunk_ids
-        if len(keys) and keys.min() >= 0 and keys.max() < 1 << 16:
-            keys = keys.astype(np.uint16)
-        order = np.argsort(keys, kind="stable")
+        # One stable sort groups the rows, each chunk's in ascending order.
+        order = np.argsort(chunk_ids, kind="stable")
         starts = np.flatnonzero(np.diff(chunk_ids[order])) + 1
         self.chunks = chunk_ids[order[np.concatenate([[0], starts])]] if len(order) else chunk_ids
         self._groups = dict(zip(self.chunks.tolist(), np.split(order, starts)))
@@ -88,7 +85,8 @@ def load_tables(
     :class:`RowAssignment`, for a caller that already made that pass (to
     choose the placement); the loader makes it for the tables it is not
     given.  Each entry is taken out of the dict as its table is loaded,
-    so one table's arrays at a time are alive.
+    so it is freed with that table; the entries of tables loaded later
+    stay alive until then.
 
     ``checksums`` (a :class:`repro.xrd.repair.ChunkChecksums`) records
     the reference digest of every chunk table as it is installed --
@@ -179,9 +177,7 @@ def _load_partitioned(
             # encoding is a pure function of (name, columns, rows).
             for installed in (chunk_table, overlap_table):
                 if installed is not None:
-                    checksums.record_bytes(
-                        installed.name, encode_table_parts(installed, installed.name)
-                    )
+                    checksums.record(installed.name, _wire_digest(installed))
         for node in placement.replicas(cid):
             db = worker_dbs[node]
             store = stores.get(node)
@@ -198,6 +194,18 @@ def _load_partitioned(
     report.empty_chunks[name] = empty
     if info.is_director:
         report.overlap_rows[name] = total_overlap
+
+
+def _wire_digest(table: Table) -> str:
+    """``table_digest`` of the table's wire bytes, without joining them.
+
+    The md5 of the ``encode_table_parts`` buffers fed one after another
+    is the md5 of their concatenation, which is ``encode_table``.
+    """
+    md5 = hashlib.md5()
+    for part in encode_table_parts(table, table.name):
+        md5.update(part)
+    return md5.hexdigest()
 
 
 def _build_overlap(

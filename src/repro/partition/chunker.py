@@ -27,46 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..sphgeom import Region, Relationship, SphericalBox
-from ..sphgeom.coords import MAX_DEC, MIN_DEC, normalize_ra
+from ..sphgeom.coords import normalize_ra
 from .dec_index import DecIndex
 
 __all__ = ["Chunker", "ChunkLocation"]
-
-
-class _Boxes:
-    """Boxes' RA bounds as :class:`SphericalBox` holds them, one box an entry.
-
-    ``ra_lo``/``ra_hi`` are the raw corners a box is built from; the
-    normalized bounds and the full-circle rule are the constructor's
-    arithmetic on arrays.  A full circle is ``[0, 360]``, which holds
-    every RA ``contains`` compares, so only ``ra_min > ra_max`` wraps.
-    """
-
-    def __init__(self, ra_lo, ra_hi, full=False):
-        self.full = (ra_hi - ra_lo >= 360.0) | full
-        self.ra_min = np.where(self.full, 0.0, normalize_ra(ra_lo))
-        self.ra_max = np.where(self.full, 360.0, normalize_ra(ra_hi))
-
-    def ra_contains(self, boxes, ra):
-        """Whether ``ra[i]`` (in ``[0, 360]``) is in box ``boxes[i]``."""
-        lo, hi = self.ra_min[boxes], self.ra_max[boxes]
-        above, below = ra >= lo, ra <= hi
-        return np.where(lo > hi, above | below, above & below)
-
-    def ra_intervals(self, boxes: slice):
-        """``(box, lo, hi)`` of plain intervals whose union is each box's RA range.
-
-        A wrapping box is ``[ra_min, inf)`` and ``(-inf, ra_max]``: the
-        same comparisons as ``contains`` makes, two disjoint pieces.
-        """
-        lo, hi = self.ra_min[boxes], self.ra_max[boxes]
-        box = np.arange(len(lo))
-        wraps = lo > hi
-        return (
-            np.concatenate([box, box[wraps]]),
-            np.concatenate([lo, np.full(wraps.sum(), -np.inf)]),
-            np.concatenate([np.where(wraps, np.inf, hi), hi[wraps]]),
-        )
 
 
 @dataclass(frozen=True)
@@ -348,20 +312,20 @@ class Chunker:
         """Every sub-chunk overlap of ``chunk_id``, in one call.
 
         Returns ``(sub_chunk_ids, rows)``: row ``rows[i]`` of ``index``
-        lies in ``sub_chunk_box(chunk_id, sub_chunk_ids[i])`` dilated by
-        ``overlap`` (a conservative stand-in for "within ``overlap``
-        degrees") but not in that sub-chunk box, and in the chunk's
-        dilated box, which holds every such row.  These are the rows of
-        the ``FullOverlap`` companion tables that make near-neighbor
-        joins correct across partition borders.  Pairs come sorted by
-        sub-chunk id, then row.
+        lies in ``sub_chunk_overlap_box(chunk_id, sub_chunk_ids[i])`` (a
+        conservative stand-in for "within ``overlap`` degrees") but not
+        in ``sub_chunk_box(chunk_id, sub_chunk_ids[i])``, and in the
+        chunk's dilated box, which holds every such row.  These are the
+        rows of the ``FullOverlap`` companion tables that make
+        near-neighbor joins correct across partition borders.  Pairs
+        come sorted by sub-chunk id, then row.
 
         Candidates are the index's rows in the dilated chunk box.  Each
         is tested only against the sub-stripe rows whose dilated band
-        holds its declination, with the bounds and the inclusive
-        comparisons of :meth:`SphericalBox.contains`.
+        holds its declination, with the boxes' own bounds and the
+        inclusive comparisons of :meth:`SphericalBox.contains`.
         """
-        stripe, chunk = self._check_chunk(chunk_id)
+        stripe, _ = self._check_chunk(chunk_id)
         none = np.empty(0, dtype=np.int64)
         if self.overlap == 0.0:
             return none, none  # a box dilated by 0 is the box
@@ -373,61 +337,39 @@ class Chunker:
         # are a slice, found by binary search with the box's own bounds.
         order = np.argsort(ra, kind="stable")  # merges the zones' sorted runs
         rows, ra, dec = rows[order], ra[order], index.dec[rows[order]]
-        plain, dilated, bands, first = self._sub_chunk_boxes(stripe, chunk)
         maxrow = int(self._max_subchunks_per_row[stripe])
         # A pair is one int64, sub-chunk id * rows + row: sorted, the
         # pairs come in sub-chunk order, then row order.
         keys = [none]
-        for ss, (p_lo, p_hi, d_lo, d_hi) in enumerate(bands):
-            near = np.flatnonzero((dec >= d_lo) & (dec <= d_hi))
-            column, lo, hi = dilated.ra_intervals(slice(first[ss], first[ss + 1]))
+        for ss in range(self.num_sub_stripes):
+            first = ss * maxrow
+            plain = [
+                self.sub_chunk_box(chunk_id, first + sc)
+                for sc in range(self._subchunks_per_row[stripe, ss])
+            ]
+            dilated = [b.dilated(self.overlap) for b in plain]
+            # A row's boxes all span its declinations.
+            near = np.flatnonzero((dec >= dilated[0].dec_min) & (dec <= dilated[0].dec_max))
+            if not len(near):
+                continue
+            # A wrapping box is two RA intervals, a full circle [0, 360].
+            column, lo, hi = np.array(
+                [(sc, lo, hi) for sc, b in enumerate(dilated) for lo, hi in b._ra_intervals()]
+            ).T
             starts = np.searchsorted(ra[near], lo, side="left")
             counts = np.searchsorted(ra[near], hi, side="right") - starts
-            column = np.repeat(column, counts)
+            column = np.repeat(column.astype(np.int64), counts)
             within = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
             at = near[np.repeat(starts, counts) + within]
-            inside = plain.ra_contains(first[ss] + column, ra[at]) & (
-                (dec[at] >= p_lo) & (dec[at] <= p_hi)
+            p_lo = np.array([b.ra_min for b in plain])[column]
+            p_hi = np.array([b.ra_max for b in plain])[column]
+            above, below = ra[at] >= p_lo, ra[at] <= p_hi
+            inside = np.where(p_lo > p_hi, above | below, above & below) & (
+                (dec[at] >= plain[0].dec_min) & (dec[at] <= plain[0].dec_max)
             )
-            keys.append((ss * maxrow + column[~inside]) * len(index.ra) + rows[at[~inside]])
+            keys.append((first + column[~inside]) * len(index.ra) + rows[at[~inside]])
         keys = np.sort(np.concatenate(keys))
         return keys // len(index.ra), keys % len(index.ra)
-
-    def _sub_chunk_boxes(self, stripe: int, chunk: int):
-        """Every sub-chunk box of a chunk and its dilation, in sub-chunk order.
-
-        Returns the plain and dilated :class:`_Boxes`, each sub-stripe
-        row's ``(dec_min, dec_max)`` plain and dilated, and the index of
-        each row's first box.  Box ``i`` is ``sub_chunk_box(...)`` and
-        its ``.dilated(overlap)``, worked out for all boxes at once with
-        the float operations of those methods, in their order.
-        """
-        columns = self._subchunks_per_row[stripe]
-        first = np.concatenate([[0], np.cumsum(columns)])
-        ss = np.repeat(np.arange(self.num_sub_stripes), columns)
-        sc = np.arange(first[-1]) - first[ss]
-        chunk_width = self._chunk_width[stripe]
-        sub_width = chunk_width / columns[ss]
-        ra_lo = chunk * chunk_width + sc * sub_width
-        plain = _Boxes(ra_lo, ra_lo + sub_width)
-
-        ss_lo = np.arange(self.num_sub_stripes) * self.sub_stripe_height
-        dec_lo = -90.0 + stripe * self.stripe_height + ss_lo
-        bands, pads = [], []
-        for lo, hi in zip(dec_lo.tolist(), (dec_lo + self.sub_stripe_height).tolist()):
-            lo, hi = max(lo, MIN_DEC), min(hi, MAX_DEC)
-            d_lo, d_hi = max(lo - self.overlap, MIN_DEC), min(hi + self.overlap, MAX_DEC)
-            bands.append((lo, hi, d_lo, d_hi))
-            pads.append(SphericalBox.ra_pad(d_lo, d_hi, self.overlap))
-        pad = np.array(pads)[ss]
-        wraps = plain.ra_min > plain.ra_max
-        extent = np.where(wraps, 360.0 - plain.ra_min + plain.ra_max, plain.ra_max - plain.ra_min)
-        dilated = _Boxes(
-            plain.ra_min - pad,
-            np.where(wraps, plain.ra_max + 360.0, plain.ra_max) + pad,
-            full=(extent + 2.0 * pad >= 360.0) | plain.full,
-        )
-        return plain, dilated, bands, first
 
     def __repr__(self):
         return (

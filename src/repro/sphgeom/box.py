@@ -220,25 +220,20 @@ class SphericalBox(Region):
             return self
         dec_min = max(self.dec_min - radius, MIN_DEC)
         dec_max = min(self.dec_max + radius, MAX_DEC)
-        ra_pad = self.ra_pad(dec_min, dec_max, radius)
+        # Worst-case metric scaling for the RA direction across the
+        # dilated dec range.  At the poles the scale diverges: fall back
+        # to a full RA circle.
+        max_abs_dec = min(max(abs(dec_min), abs(dec_max)), 89.9999)
+        cos_term = math.cos(math.radians(max_abs_dec))
+        if cos_term <= 0.0:
+            return SphericalBox(0.0, dec_min, 360.0, dec_max)
+        ra_pad = radius / cos_term
         if self._full_ra or self.ra_extent() + 2.0 * ra_pad >= _FULL_RA:
             return SphericalBox(0.0, dec_min, 360.0, dec_max)
         # Preserve wrap structure by working with raw endpoints.
         ra_min = self.ra_min - ra_pad
         ra_max = (self.ra_max if not self.wraps else self.ra_max + _FULL_RA) + ra_pad
         return SphericalBox(ra_min, dec_min, ra_max, dec_max)
-
-    @staticmethod
-    def ra_pad(dec_min: float, dec_max: float, radius: float) -> float:
-        """RA half-growth of a box dilated by ``radius`` to ``[dec_min, dec_max]``.
-
-        The worst-case metric scaling for the RA direction across the
-        dilated dec range.  At the poles the scale diverges: infinity,
-        which :meth:`dilated` answers with a full RA circle.
-        """
-        max_abs_dec = min(max(abs(dec_min), abs(dec_max)), 89.9999)
-        cos_term = math.cos(math.radians(max_abs_dec))
-        return radius / cos_term if cos_term > 0.0 else math.inf
 
     # -- dunder ----------------------------------------------------------------
 

@@ -42,10 +42,6 @@ def normalize_ra(ra):
         out = float(ra) % 360.0
         return 0.0 if out >= 360.0 else out + 0.0
     ra = np.asarray(ra, dtype=np.float64)
-    if ra.ndim and ra.size and ra.min() >= 0.0 and ra.max() < 360.0:
-        # Already in range, where np.mod is the identity (but for the
-        # sign of -0.0), at a twentieth of its cost.
-        return ra + 0.0
     out = np.mod(ra, 360.0)
     out = np.where(out >= 360.0, 0.0, out) + 0.0
     if out.ndim == 0:

@@ -51,17 +51,9 @@ __all__ = [
 ]
 
 
-def table_digest(data) -> str:
-    """The content digest of one chunk table's wire bytes (32 hex chars).
-
-    ``data`` is the bytes, or the buffers of ``encode_table_parts`` in
-    order: hashed one after another they give the same digest, and no
-    joined copy of the table is made.
-    """
-    md5 = hashlib.md5()
-    for part in (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data:
-        md5.update(part)
-    return md5.hexdigest()
+def table_digest(data: bytes) -> str:
+    """The content digest of one chunk table's wire bytes (32 hex chars)."""
+    return hashlib.md5(data).hexdigest()
 
 
 class ChunkChecksums:
@@ -83,8 +75,8 @@ class ChunkChecksums:
         with self._lock:
             self._digests[table_name] = digest
 
-    def record_bytes(self, table_name: str, data) -> str:
-        """Record (and return) the digest of ``data`` (see :func:`table_digest`)."""
+    def record_bytes(self, table_name: str, data: bytes) -> str:
+        """Record (and return) the digest of ``data`` for ``table_name``."""
         digest = table_digest(data)
         self.record(table_name, digest)
         return digest

@@ -8,6 +8,8 @@ from repro.data.schema import TABLE1_ESTIMATES
 from repro.partition import Chunker, Placement
 from repro.qserv import CatalogMetadata, SecondaryIndex
 from repro.sql import Database
+from repro.sql.wire import encode_table
+from repro.xrd.repair import ChunkChecksums, table_digest
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,25 @@ class TestPartitioning:
         assert cid == chunker.chunk_id(
             float(objects.column("ra_PS")[5]), float(objects.column("decl_PS")[5])
         )
+
+
+class TestChecksums:
+    def test_recorded_digest_is_that_of_the_table_wire_bytes(self):
+        # The loader hashes the encoding's buffers one after another;
+        # the scrubber hashes the joined bytes a data server returns.
+        objects = synthesize_objects(400, seed=5)
+        chunker = Chunker(18, 6, 0.05)
+        cids = chunker.chunk_id(objects.column("ra_PS"), objects.column("decl_PS"))
+        placement = Placement(sorted(set(int(c) for c in np.unique(cids))), ["n0"])
+        db, checksums = Database("LSST"), ChunkChecksums()
+        load_tables(
+            {"Object": objects}, CatalogMetadata.lsst_default(), chunker, placement,
+            {"n0": db}, checksums=checksums,
+        )
+        assert len(checksums) == 2 * len(placement.chunk_ids)
+        for name in db.table_names():
+            table = db.get_table(name)
+            assert checksums.expected(name) == table_digest(encode_table(table, name))
 
 
 class TestOverlap:

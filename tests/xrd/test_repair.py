@@ -5,14 +5,11 @@ trim), the integrity scrubber (reference and quorum verification,
 quarantine, heal), and the membership lifecycle state machine.
 """
 
-import numpy as np
 import pytest
 
 from repro.data import build_testbed
 from repro.obs import events as obs_events
 from repro.qserv import MembershipError
-from repro.sql import Table
-from repro.sql.wire import encode_table, encode_table_parts
 from repro.xrd import ChunkChecksums, FaultPlan
 from repro.xrd.protocol import query_path
 from repro.xrd.repair import IntegrityScrubber, table_digest
@@ -69,13 +66,6 @@ class TestChunkChecksums:
         digest = cs.record_bytes("T", b"payload")
         assert digest == table_digest(b"payload")
         assert cs.expected("T") == digest
-
-    def test_digest_of_the_encoded_parts_is_the_digest_of_their_join(self):
-        t = Table("T", {"a": np.arange(5), "s": np.array(["x", "yy", "", "z", "w"], dtype=object)})
-        parts = encode_table_parts(t)
-        assert len(parts) > 1
-        assert table_digest(parts) == table_digest(encode_table(t))
-        assert ChunkChecksums().record_bytes("T", parts) == table_digest(encode_table(t))
 
     def test_digest_sensitive_to_any_byte(self):
         data = bytearray(b"x" * 64)

@@ -220,7 +220,10 @@ class Database:
         for col in columns:
             target = table.column(col).dtype
             if target == object:
-                arrays[col] = np.array(batch[col], dtype=object)
+                # Text holds text: a number is stored as its digits, as in
+                # MySQL and sqlite; NULL (NaN) stays NULL.
+                values = [v if v != v else str(v) for v in batch[col]]
+                arrays[col] = np.array(values, dtype=object)
             else:
                 arrays[col] = np.array(batch[col]).astype(target)
         table.append_rows(arrays)
@@ -562,17 +565,12 @@ class Database:
                 env = Environment({}, result.num_rows)
             keys = []
             for o in reversed(sel.order_by):
-                # NULL last either way: the flag of a text key is not flipped.
-                parts = _kernels.sort_keys(self._order_key(o, result, env))
-                if o.descending:
-                    arr = parts[-1]
-                    if arr.dtype == object:
-                        # Descending text: the negated rank of each value.
-                        arr = -np.unique(arr.astype(str), return_inverse=True)[1]
-                    elif np.issubdtype(arr.dtype, np.number):
-                        arr = -arr
-                    parts[-1] = arr
-                keys.extend(reversed(parts))
+                key = self._order_key(o, result, env)
+                if key.dtype == object:
+                    key = _kernels.ranks(key)[0]  # text by rank; a NULL's NaN is last
+                if o.descending and np.issubdtype(key.dtype, np.number):
+                    key = -key  # NaN stays NaN: NULL last either way
+                keys.append(key)
             order = np.lexsort(keys)
             result = ResultTable(
                 "result", {k: v[order] for k, v in result.columns().items()}
@@ -629,19 +627,12 @@ def _filter_env(env: Environment, mask: np.ndarray) -> Environment:
 
 
 def _distinct(result: ResultTable) -> ResultTable:
+    """The first row of each group of equal rows (NULLs equal, as in GROUP BY)."""
     if result.num_rows == 0 or not result.column_names:
         return result
     cols = [np.asarray(result.column(n)) for n in result.column_names]
-    keys = [k for c in cols for k in _kernels.sort_keys(c)]
-    keys = [k.astype(str) if k.dtype == object else k for k in keys]
-    order = np.lexsort(keys[::-1])
-    n = result.num_rows
-    changed = np.zeros(n, dtype=bool)
-    changed[0] = True
-    for k in keys:
-        # NULLs are one value to DISTINCT, as they are one group.
-        changed[1:] |= _kernels.boundaries(k[order])
-    keep_rows = np.sort(order[changed])
+    order, starts = _kernels.group_structure(cols, result.num_rows)
+    keep_rows = starts if order is None else np.sort(order[starts])
     return ResultTable(
         "result", {k: v[keep_rows] for k, v in result.columns().items()}
     )

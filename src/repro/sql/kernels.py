@@ -25,9 +25,13 @@ both shapes, resolving each column to its side by one rule
   :func:`grouped_projection` written out as code, calling the group
   ladder and reductions the interpreter calls, on the same operands --
   the NULL rules are written once, so kernel aggregation cannot diverge
-  from interpreted aggregation by construction.  What the emitter
-  declines (DISTINCT aggregates, aggregates over text) ends in
-  :func:`grouped_projection` itself.
+  from interpreted aggregation by construction.  A kernel compiles
+  whole or not at all: a select list the emitter cannot write declines
+  the statement to the interpreter.
+
+Which keys are equal and how they order is decided in one place,
+:func:`group_structure`: GROUP BY, SELECT DISTINCT, DISTINCT aggregates
+and the ranks that order and reduce text (:func:`ranks`) all read it.
 
 Kernels are cached in a :class:`KernelCache` (the worker-side analogue
 of the czar plan cache) keyed by the statement's *shape* -- the physical
@@ -97,9 +101,8 @@ __all__ = [
     "grouped_projection",
     "compute_aggregate",
     "group_structure",
-    "boundaries",
+    "ranks",
     "nulls",
-    "sort_keys",
 ]
 
 # A join that would materialize more candidate pairs than this means a
@@ -249,7 +252,7 @@ def nulls(arr: np.ndarray):
     return None
 
 
-def sort_keys(arr: np.ndarray) -> list[np.ndarray]:
+def _sort_keys(arr: np.ndarray) -> list[np.ndarray]:
     """``arr`` as sort keys, most significant first, under the one key rule.
 
     NULL sorts last and every NULL is one value (one group, one
@@ -265,7 +268,7 @@ def sort_keys(arr: np.ndarray) -> list[np.ndarray]:
     return [null, filled]
 
 
-def boundaries(keys: np.ndarray) -> np.ndarray:
+def _boundaries(keys: np.ndarray) -> np.ndarray:
     """``keys[1:] != keys[:-1]``, except that NULL (NaN) equals NULL.
 
     Where one group, one DISTINCT row or one distinct value ends and
@@ -281,7 +284,11 @@ def boundaries(keys: np.ndarray) -> np.ndarray:
 
 
 def group_structure(keys: list[np.ndarray], n: int):
-    """(order, group_starts) for GROUP BY keys; ``order`` None is the identity.
+    """(order, group_starts) for rows keyed by ``keys``; ``order`` None is the identity.
+
+    The one rule of which keys are equal and how they order: GROUP BY
+    groups, SELECT DISTINCT keeps and DISTINCT aggregates count what it
+    finds equal, and :func:`ranks` orders by it.
 
     A ladder, cheapest rung first; every rung gives the groups of a
     stable lexicographic sort with NULL (NaN) keys equal to each other
@@ -297,7 +304,7 @@ def group_structure(keys: list[np.ndarray], n: int):
     """
     if n == 0:
         return None, np.empty(0, dtype=np.int64)
-    keys = [k for key in keys for k in sort_keys(key)]
+    keys = [k for key in keys for k in _sort_keys(key)]
     if len(keys) == 1 and keys[0].dtype.kind in "iu":
         if not (keys[0][1:] != keys[0][:-1]).any():
             return None, np.zeros(1, dtype=np.int64)
@@ -308,13 +315,13 @@ def group_structure(keys: list[np.ndarray], n: int):
         equal = np.ones(n - 1, dtype=bool)
         for k in keys:
             ascending |= equal & (k[:-1] < k[1:])
-            equal &= ~boundaries(k)
+            equal &= ~_boundaries(k)
         if np.all(ascending | equal):
             changed[1:] = ~equal
             return None, np.flatnonzero(changed)
     order = np.lexsort(keys[::-1])
     for k in keys:
-        changed[1:] |= boundaries(k[order])
+        changed[1:] |= _boundaries(k[order])
     return order, np.flatnonzero(changed)
 
 
@@ -325,6 +332,27 @@ def _group_sizes(group_starts: np.ndarray, n: int) -> np.ndarray:
     sizes[-1:] = n
     sizes -= group_starts
     return sizes
+
+
+def ranks(arr: np.ndarray):
+    """``(rank, values)``: ``values`` are ``arr``'s distinct values in key order.
+
+    ``rank[i]`` is the position of ``arr[i]`` in ``values``, as a
+    ``float64`` whose NULL is NaN: a rank sorts as its value does, NULL
+    last, and ``fmin``/``fmax`` skip it.  How text, whose NULL cannot be
+    compared with a string, is ordered and reduced.
+    """
+    n = len(arr)
+    order, starts = group_structure([arr], n)
+    values = arr[_representative_rows(order, starts, n)]
+    in_order = np.repeat(np.arange(len(starts), dtype=np.float64), _group_sizes(starts, n))
+    if n and values[-1] != values[-1]:
+        in_order[starts[-1]:] = np.nan  # the NULL group, which sorts last
+    if order is None:
+        return in_order, values
+    rank = np.empty(n)
+    rank[order] = in_order
+    return rank, values
 
 
 def _sorted_argument(val, order, n: int) -> np.ndarray:
@@ -397,39 +425,29 @@ def _avg(vals, valid, group_starts, sizes):
 
 def _min(vals, valid, group_starts, sizes):
     if vals.dtype == object:
-        return _text_extreme(vals, group_starts, sizes, last=False)
+        return _text_by_rank(np.fmin, vals, group_starts)
     op = np.fmin if vals.dtype.kind == "f" else np.minimum
     return op.reduceat(vals, group_starts)
 
 
 def _max(vals, valid, group_starts, sizes):
     if vals.dtype == object:
-        return _text_extreme(vals, group_starts, sizes, last=True)
+        return _text_by_rank(np.fmax, vals, group_starts)
     op = np.fmax if vals.dtype.kind == "f" else np.maximum
     return op.reduceat(vals, group_starts)
 
 
-def _text_extreme(vals, group_starts, sizes, last: bool):
-    """MIN (``last`` False) or MAX of a text column per group, NULLs skipped.
+def _text_by_rank(extreme, vals, group_starts):
+    """MIN (``np.fmin``) or MAX (``np.fmax``) of text per group, by :func:`ranks`.
 
-    A NULL cannot be compared with a string, so the non-NULL values are
-    sorted within their groups and each group's first (or last) taken;
-    a group of only NULLs is NULL.
+    Each group's extreme rank names its value; a NULL's NaN rank is
+    skipped, so a group of only NULLs is NULL.
     """
-    null = nulls(vals)
-    if null is None:
-        return (np.maximum if last else np.minimum).reduceat(vals, group_starts)
-    gid = np.repeat(np.arange(len(group_starts)), sizes)[~null]
-    vals = vals[~null]
-    so = np.lexsort((vals, gid))
-    vals, gid = vals[so], gid[so]
-    edge = np.ones(len(gid), dtype=bool)
-    if last:
-        edge[:-1] = gid[1:] != gid[:-1]
-    else:
-        edge[1:] = gid[1:] != gid[:-1]
-    out = np.full(len(group_starts), np.nan, dtype=object)
-    out[gid[edge]] = vals[edge]
+    rank, values = ranks(vals)
+    picked = extreme.reduceat(rank, group_starts)
+    null = np.isnan(picked)
+    out = values[np.where(null, 0, picked).astype(np.intp)]
+    out[null] = np.nan
     return out
 
 
@@ -437,23 +455,30 @@ _REDUCTIONS = {"COUNT": _count, "SUM": _sum, "AVG": _avg, "MIN": _min, "MAX": _m
 _IGNORES_VALID = ("MIN", "MAX")
 
 
-def _count_distinct(vals, group_starts, sizes):
-    """Distinct non-NULL values per group.
+def _reduce_distinct(name, vals, valid, group_starts, sizes):
+    """``name(DISTINCT vals)`` per group: the reduction over each group's distinct values.
 
-    Values were sorted by group only, so do a (group, value) lexsort
-    and count the boundaries.
+    The distinct values are the runs of one :func:`group_structure`
+    over (group, value), NULLs left out: NULL is no value.  A group left
+    with none answers what an empty input does (COUNT 0, the rest NULL).
+    MIN and MAX, which no repeat moves, do not come here.
     """
     num_groups = len(group_starts)
     gid = np.repeat(np.arange(num_groups), sizes)
-    null = nulls(vals)
-    if null is not None:
-        # NULL is no value: it is not counted, however often it occurs.
-        vals, gid = vals[~null], gid[~null]
-    so = np.lexsort((vals, gid))
-    sv, sg = vals[so], gid[so]
-    newval = np.ones(len(vals), dtype=bool)
-    newval[1:] = (sv[1:] != sv[:-1]) | (sg[1:] != sg[:-1])
-    return np.bincount(sg[newval], minlength=num_groups).astype(np.int64)
+    if valid is not None:
+        vals, gid = vals[valid], gid[valid]
+    order, starts = group_structure([gid, vals], len(vals))
+    first = _representative_rows(order, starts, len(vals))
+    vals, counts = vals[first], np.bincount(gid[first], minlength=num_groups)
+    present = np.flatnonzero(counts)
+    found = _REDUCTIONS[name](
+        vals, None, (np.cumsum(counts) - counts)[present], counts[present]
+    )
+    if len(present) == num_groups:
+        return found
+    out = _no_rows(name, num_groups)
+    out[present] = found
+    return out
 
 
 def _is_star(agg: ast.FuncCall) -> bool:
@@ -474,12 +499,12 @@ def compute_aggregate(agg: ast.FuncCall, env: Environment, order, group_starts, 
             return sizes
         raise SqlError(f"{name}(*) is only valid for COUNT")
     vals = _sorted_argument(evaluate(agg.args[0], env), order, n)
-    if name == "COUNT" and agg.distinct:
-        return _count_distinct(vals, group_starts, sizes)
     reduce = _REDUCTIONS.get(name)
     if reduce is None:
         raise SqlError(f"unsupported aggregate {name}")
     valid = None if name in _IGNORES_VALID else _valid(vals)
+    if agg.distinct and name not in _IGNORES_VALID:
+        return _reduce_distinct(name, vals, valid, group_starts, sizes)
     return reduce(vals, valid, group_starts, sizes)
 
 
@@ -499,19 +524,16 @@ _BARE_ITEM_OVER_NO_ROWS = (
 
 
 def grouped_projection(
-    sel: ast.Select, env: Environment, aggregates: list[ast.FuncCall], member=None
+    sel: ast.Select, env: Environment, aggregates: list[ast.FuncCall]
 ) -> dict[str, np.ndarray]:
     """Group, aggregate, project, and apply HAVING; returns result columns.
 
     The interpreter's grouped path, and the reference for the generated
     aggregate stage (:func:`_compile_aggregate`), which does the same
-    steps through the same helpers.  A kernel -- of one table or of a
-    join -- whose aggregate stage the emitter declined ends here too.
-    ``member``, when not None, is a statement family's member per row:
-    a hidden leading group key, returned as the column :data:`MEMBER`.
+    steps through the same helpers.
     """
     n = env.length
-    keys = [] if member is None else [member]
+    keys = []
     for gexpr in sel.group_by:
         arr = np.asarray(evaluate(gexpr, env))
         if arr.ndim == 0:
@@ -550,8 +572,6 @@ def grouped_projection(
         if val.ndim == 0:
             val = np.full(num_groups, val)
         out_cols[name] = val
-    if member is not None:
-        out_cols[MEMBER] = member[rep_rows]
 
     if sel.having is not None:
         mask = np.asarray(evaluate(sel.having, rep_env, aggregates=agg_values))
@@ -744,6 +764,7 @@ class _Helpers:
     group_sizes = staticmethod(_group_sizes)
     sorted_argument = staticmethod(_sorted_argument)
     valid = staticmethod(_valid)
+    distinct = staticmethod(_reduce_distinct)
     no_rows = staticmethod(_no_rows)
     representative_rows = staticmethod(_representative_rows)
 
@@ -1025,8 +1046,6 @@ class CompiledKernel:
     on it alone returns.
     """
 
-    #: Binding name per FROM entry.
-    bindings: tuple[str, ...]
     sides: tuple[_Side, ...]
     params_fn: object
     #: A join's ``("equi", left column, right column)`` or ``("band",
@@ -1034,14 +1053,11 @@ class CompiledKernel:
     pairing: tuple | None
     #: ``_stage(C, S, ns, P)`` per two-sided conjunct, over the pairs.
     pair_fns: list
-    #: The generated ``_project`` or ``_aggregate`` ``(C, S, ns, M)``; None
-    #: when :func:`grouped_projection` finishes over ``env_cols`` instead.
+    #: The generated ``_project`` or ``_aggregate`` ``(C, S, ns, M)``.
     project_fn: object
     #: Whether it reads columns by row (so a mask is worth turning into rows).
     gathers: bool
     grouped: bool
-    aggregates: list
-    env_cols: list
     #: The ``engine.scan.bytes`` counter every call is charged to.
     scan_bytes: obs_metrics.Counter
 
@@ -1054,7 +1070,7 @@ class CompiledKernel:
         _account_scan(C[0].values(), self.scan_bytes)
         P = self.params_fn(sel) if self.params_fn is not None else ()
         rows, ns = self.sides[0].rows(C[0], table.num_rows, P, self.gathers)
-        return self._finish(sel, C, (rows,), ns)
+        return self.project_fn(C, (rows,), ns, None)
 
     def run(self, sel: ast.Select, members: list) -> list[dict[str, np.ndarray]]:
         """A join's result columns per member: a (left table, right table) pair."""
@@ -1085,9 +1101,9 @@ class CompiledKernel:
         pairs = (pairs[0][order], pairs[1][order])
         cuts = np.searchsorted(pairs[0], stacks[0].bounds)
         if not self.grouped:
-            return _cut(self._finish(sel, C, pairs, len(order)), cuts)
+            return _cut(self.project_fn(C, pairs, len(order), None), cuts)
         if len(members) == 1:
-            return [self._finish(sel, C, pairs, len(order))]
+            return [self.project_fn(C, pairs, len(order), None)]
 
         sizes = np.diff(cuts)
         out: list = [None] * len(sizes)
@@ -1096,7 +1112,7 @@ class CompiledKernel:
             # each member's pairs in their order, so every group holds
             # what it holds when the member is grouped alone.
             member = np.repeat(np.arange(len(sizes)), sizes)
-            cols = self._finish(sel, C, pairs, len(order), member)
+            cols = self.project_fn(C, pairs, len(order), member)
             group_member = cols.pop(MEMBER)
             out = _cut(cols, np.searchsorted(group_member, np.arange(len(sizes) + 1)))
         if not sizes.all():
@@ -1104,20 +1120,10 @@ class CompiledKernel:
             # no row under GROUP BY), dtypes included: those of an empty
             # input, which lead the chunk result if this member does.
             none = np.empty(0, dtype=np.intp)
-            empty = self._finish(sel, C, (none, none), 0)
+            empty = self.project_fn(C, (none, none), 0, None)
             for m in np.flatnonzero(sizes == 0):
                 out[m] = dict(empty)
         return out
-
-    def _finish(self, sel, C, S, ns: int, member=None) -> dict[str, np.ndarray]:
-        """The select list over the rows ``S``; ``member``: a family's group key."""
-        if self.project_fn is not None:
-            return self.project_fn(C, S, ns, member)
-        cols = {
-            (self.bindings[side], name): _Helpers.gather(C[side][name], S[side])
-            for side, name in self.env_cols
-        }
-        return grouped_projection(sel, Environment(cols, ns), self.aggregates, member)
 
     def _candidates(self, P, stacks, kept):
         """Candidate (left rows, right rows) of the stacks: a superset of the answer.
@@ -1292,7 +1298,7 @@ def _compile_project(sel: ast.Select, out_names: list[str], resolve, star_column
     return fn, bool(cols_used)
 
 
-def _compile_aggregate(sel: ast.Select, resolve, text: set, aggregates):
+def _compile_aggregate(sel: ast.Select, resolve, aggregates):
     """``(_aggregate(C, S, ns, M), whether it gathers)`` for a grouped SELECT.
 
     The steps of :func:`grouped_projection` as straight-line code: the
@@ -1303,20 +1309,14 @@ def _compile_aggregate(sel: ast.Select, resolve, text: set, aggregates):
     no ``evaluate``.  The reductions are the interpreter's own
     (``_REDUCTIONS``), on the same operands.  ``M``, when not None, is
     a family's member per row: a hidden leading group key, returned as
-    one more output column.  Raises :class:`KernelFallback` for what it
-    leaves to the interpreter's stage: DISTINCT aggregates, aggregates
-    over ``text`` columns (whose MIN/MAX compare strings), anything
+    one more output column.  Raises :class:`KernelFallback`, declining
+    the whole statement, for an aggregate the interpreter rejects or
+    reads oddly (``SUM(*)``, no argument or several) and for anything
     :class:`_Emitter` declines.
     """
     for agg in aggregates:
-        name = agg.name.upper()
-        if agg.distinct or name not in _REDUCTIONS or len(agg.args) != 1:
+        if len(agg.args) != 1 or (_is_star(agg) and agg.name.upper() != "COUNT"):
             raise KernelFallback(f"aggregate {agg.to_sql()} is the interpreter's")
-        if _is_star(agg):
-            if name != "COUNT":
-                raise KernelFallback(f"{name}(*)")
-        elif _keys(agg.args[0], resolve) & text:
-            raise KernelFallback("aggregate over a text column")
     # MIN and MAX skip NULLs by themselves; the others are told where.
     masked = {
         agg.args[0] for agg in aggregates if agg.name.upper() not in _IGNORES_VALID
@@ -1361,10 +1361,13 @@ def _compile_aggregate(sel: ast.Select, resolve, text: set, aggregates):
             )
             if arg in masked:
                 over_rows.append(f"        v{i} = H.valid(a{i})")
-        valid = "None" if name in _IGNORES_VALID else f"v{i}"
-        over_rows.append(
-            f"        {result} = R[{name!r}](a{i}, {valid}, starts, sizes)"
-        )
+        if name in _IGNORES_VALID:  # which DISTINCT does not move
+            call = f"R[{name!r}](a{i}, None, starts, sizes)"
+        elif agg.distinct:
+            call = f"H.distinct({name!r}, a{i}, v{i}, starts, sizes)"
+        else:
+            call = f"R[{name!r}](a{i}, v{i}, starts, sizes)"
+        over_rows.append(f"        {result} = {call}")
         if last[arg] is agg:
             over_rows.append(f"        del a{i}")
     if aggregates:
@@ -1462,21 +1465,12 @@ def compile_select(sel: ast.Select, bindings, schemas, scan_bytes) -> CompiledKe
     pairing = _pairing(two_sided, resolve, params) if len(schemas) == 2 else None
 
     # -- the select list ----------------------------------------------------------
-    env_cols: list = []
     if grouped:
-        text = {(k, c.name) for k, cols in enumerate(schemas) for c in cols
-                if c.dtype == object}
-        try:
-            project_fn, gathers = _compile_aggregate(sel, resolve, text, aggregates)
-        except KernelFallback:
-            project_fn = None
-            env_cols = [(k, n) for k, side in enumerate(sides) for n in side.needed]
-            gathers = bool(env_cols)
+        project_fn, gathers = _compile_aggregate(sel, resolve, aggregates)
     else:
         project_fn, gathers = _compile_project(sel, out_names, resolve, schema_names[0])
 
     return CompiledKernel(
-        bindings=tuple(bindings),
         sides=sides,
         params_fn=_compile_params(params),
         pairing=pairing,
@@ -1484,8 +1478,6 @@ def compile_select(sel: ast.Select, bindings, schemas, scan_bytes) -> CompiledKe
         project_fn=project_fn,
         gathers=gathers,
         grouped=grouped,
-        aggregates=aggregates,
-        env_cols=env_cols,
         scan_bytes=scan_bytes,
     )
 

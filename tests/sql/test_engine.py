@@ -524,6 +524,51 @@ class TestTextNullKeys:
         assert self.rows(d.execute(sql)) == reference.execute(nulls_last).fetchall()
 
 
+class TestNumbersIntoText:
+    """A number inserted into a VARCHAR column is stored as its text, as sqlite stores it.
+
+    So ``1`` and ``'1'`` are one value, and every key of the column is
+    a string or NULL: grouping, ordering and MIN/MAX compare strings.
+    """
+
+    VALUES = "(1, 1), ('1', 2), (2.5, 3), ('2.5', 4), (NULL, 5), (-3, 6), ('x', 7), (10, 8)"
+
+    @pytest.fixture(params=[True, False], ids=["kernels", "interpreter"])
+    def both(self, request):
+        d = Database(use_kernels=request.param)
+        reference = sqlite3.connect(":memory:")
+        for db, int_type in ((d, "INT"), (reference, "INTEGER")):
+            db.execute(f"CREATE TABLE T (k VARCHAR(8), v {int_type})")
+            db.execute(f"INSERT INTO T VALUES {self.VALUES}")
+        yield d, reference
+        reference.close()
+
+    def test_stored_as_text(self, both):
+        d, reference = both
+        stored = list(d.get_table("T").column("k"))
+        assert stored[:4] + stored[5:] == [r for (r,) in reference.execute(
+            "SELECT k FROM T WHERE k IS NOT NULL ORDER BY v"
+        )]
+        assert all(isinstance(k, str) for k in stored[:4] + stored[5:])
+
+    @pytest.mark.parametrize(
+        "sql, nulls_last",
+        [
+            ("SELECT k, COUNT(*), SUM(v) FROM T GROUP BY k ORDER BY k",
+             "SELECT k, COUNT(*), SUM(v) FROM T GROUP BY k ORDER BY k NULLS LAST"),
+            ("SELECT DISTINCT k FROM T ORDER BY k DESC",
+             "SELECT DISTINCT k FROM T ORDER BY k DESC NULLS LAST"),
+            ("SELECT k, v FROM T ORDER BY k, v DESC",
+             "SELECT k, v FROM T ORDER BY k NULLS LAST, v DESC"),
+            ("SELECT MIN(k), MAX(k), COUNT(k), COUNT(DISTINCT k) FROM T", None),
+        ],
+    )
+    def test_answers_what_sqlite_answers(self, both, sql, nulls_last):
+        d, reference = both
+        expected = reference.execute(nulls_last or sql).fetchall()
+        assert TestTextNullKeys.rows(d.execute(sql)) == expected
+
+
 class TestProperties:
     """Metamorphic invariants over randomized data."""
 

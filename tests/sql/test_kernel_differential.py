@@ -152,6 +152,13 @@ SUPPORTED_SHAPES = [
     "SELECT COUNT(*) AS n FROM Object_713 WHERE ra_PS > 9999",
     "SELECT SUM(uFlux_PS) AS s FROM Object_713 WHERE ra_PS > 9999",
     "SELECT COUNT(DISTINCT subChunkId) AS d FROM Object_713",
+    "SELECT SUM(DISTINCT subChunkId) AS sd, AVG(DISTINCT subChunkId % 3) AS ad "
+    "FROM Object_713",
+    "SELECT subChunkId, SUM(DISTINCT uFlux_PS) AS sd, AVG(DISTINCT uFlux_PS) AS ad "
+    "FROM Object_713 GROUP BY subChunkId ORDER BY subChunkId",
+    "SELECT MIN(filterName) AS lo, MAX(filterName) AS hi FROM Object_713",
+    "SELECT subChunkId, MIN(filterName) AS lo, MAX(filterName) AS hi FROM Object_713 "
+    "WHERE decl_PS > 60 GROUP BY subChunkId ORDER BY subChunkId",
     "SELECT subChunkId, COUNT(*) AS n, AVG(ra_PS) AS a FROM Object_713 "
     "GROUP BY subChunkId ORDER BY subChunkId",
     "SELECT filterName, COUNT(uFlux_PS) AS n, MIN(decl_PS) AS lo FROM Object_713 "
@@ -387,6 +394,48 @@ class TestGoldenResults:
             "SELECT a, COUNT(DISTINCT s) AS d FROM T GROUP BY a ORDER BY a",
         )
         assert r.rows() == [(1, 1), (2, 2), (3, 2)]
+
+    @pytest.fixture()
+    def repeats(self):
+        # g 1: v {5, 5, 7}; g 2: v {NULL, 4, 4}; g 3: v only NULLs.
+        return Table(
+            "T",
+            {
+                "g": np.array([1, 1, 1, 2, 2, 2, 3, 3], dtype=np.int64),
+                "v": np.array([5.0, 5.0, 7.0, np.nan, 4.0, 4.0, np.nan, np.nan]),
+                "w": np.array([5, 5, 7, 4, 4, 4, 1, 1], dtype=np.int64),
+            },
+        )
+
+    @staticmethod
+    def values(result):
+        return [tuple(None if v != v else v.item() for v in row) for row in result.rows()]
+
+    def test_sum_avg_distinct_per_group(self, repeats):
+        # MySQL: DISTINCT drops repeats and NULLs; a group left with no
+        # value sums and averages to NULL and counts 0.
+        r = self.run_both(
+            repeats,
+            "SELECT g, SUM(DISTINCT v) AS s, AVG(DISTINCT v) AS a, COUNT(DISTINCT v) AS c, "
+            "SUM(DISTINCT w) AS sw, AVG(DISTINCT w) AS aw FROM T GROUP BY g ORDER BY g",
+        )
+        assert self.values(r) == [
+            (1, 12.0, 6.0, 2, 12, 6.0),
+            (2, 4.0, 4.0, 1, 4, 4.0),
+            (3, None, None, 0, 1, 1.0),
+        ]
+        assert r.column("sw").dtype.kind == "i"
+
+    def test_sum_avg_distinct_global(self, repeats):
+        r = self.run_both(
+            repeats,
+            "SELECT SUM(DISTINCT v) AS s, AVG(DISTINCT v) AS a, SUM(DISTINCT w) AS sw FROM T",
+        )
+        assert self.values(r) == [(16.0, 16.0 / 3, 17)]
+        r = self.run_both(
+            repeats, "SELECT SUM(DISTINCT v) AS s, AVG(DISTINCT v) AS a FROM T WHERE g = 3"
+        )
+        assert self.values(r) == [(None, None)]
 
     def test_in_list_string(self, tiny):
         r = self.run_both(tiny, "SELECT a FROM T WHERE s IN ('u') ORDER BY a")
@@ -774,7 +823,7 @@ class TestCompiledAggregates:
         )
 
     def test_count_distinct_counts_no_null(self, nullable):
-        # Declined by the emitter: the interpreter's stage behind the kernel's mask.
+        # Compiled: one group_structure over (group, value), NULLs left out.
         assert check(nullable, "SELECT COUNT(DISTINCT x) AS d FROM T").rows() == [(2,)]
         result = check(nullable, "SELECT kf, COUNT(DISTINCT x) AS d FROM T GROUP BY kf")
         # kf NULL holds x = {1.0, NULL, 2.0}; kf 1 holds {NULL, 2.0}; kf 2 holds {NULL}.
@@ -821,7 +870,7 @@ class TestCompiledAggregates:
             "SELECT g, SUM(DISTINCT w) AS s FROM T GROUP BY g",
         ],
     )
-    def test_a_declined_stage_is_the_interpreters_behind_the_mask(self, sql):
+    def test_distinct_and_text_aggregates_compile_whole(self, sql):
         table = aggregate_table("ordered", "some NULLs")
         table = Table(
             "T",
@@ -833,7 +882,7 @@ class TestCompiledAggregates:
         # Still a kernel execution, not a statement fallback.
         assert metric("kernel.executions") == runs + 1
         assert metric("kernel.fallbacks") == fallbacks
-        assert not aggregate_stage_compiled(db_k)
+        assert aggregate_stage_compiled(db_k)
 
     def test_errors_are_the_interpreters(self):
         for sql, rows in (

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 import threading
 import time
+import weakref
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -34,7 +35,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..sql import Database, RowView, SqlError, Table, ast, dump_table
 from ..sql.engine import ResultTable
-from ..sql.kernels import KernelKey, isin
+from ..sql.kernels import KernelKey
 from ..sql.parser import ParseError, parse
 from ..sql.shapes import ShapeCache, Template, scan
 from ..sql.wire import decode_table, encode_table, encode_tables_parts
@@ -79,6 +80,8 @@ _PREPARED_CAPACITY = 256
 _PLAN = object()
 
 _RESULT_TABLE = "chunk_result"
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
 
 # Error recorded against every result a shutdown abandons.
 _SHUTDOWN_MESSAGE = "worker is shut down"
@@ -193,28 +196,48 @@ class WorkerStats:
 # Stands in for a chunk or sub-chunk id in an id-free statement text;
 # no statement that lexes has it outside a string or comment.
 _ANY_ID = "@"
-# A chunk-table name in an id-free text.
+# A chunk-table name in an id-free text, and its ids' marks alone.
 _ID_FREE_TABLE_RE = re.compile(rf"\w+?_{_ANY_ID}(?:_{_ANY_ID})?")
+_ID_MARK = "_" + _ANY_ID
+_ID_MARKS_RE = re.compile(rf"{_ID_MARK}(?:{_ID_MARK})?")
 
 
-def _cut_ids(text: str) -> tuple:
-    """``(id-free text, ids, names)`` of one statement's text.
+def _cut_statements(body: str) -> list[tuple]:
+    """``(blanked text, ids)`` per statement of ``body``, from one cut of all its ids.
 
-    The id-free text is ``text`` with the chunk and sub-chunk ids of the
-    ``names`` chunk-table names in it blanked, ``ids`` those ids as text:
-    ``(chunk id, sub-chunk id)``.  The text is None when the names carry
-    more than one chunk id or more than one sub-chunk id.
+    The blanked text is the statement with the ids of its chunk-table
+    names replaced by ``_ANY_ID``; ``ids`` are ``(chunk ids, sub-chunk
+    ids or None)`` of its names, as text, in order (:func:`_restore`
+    puts them back) -- or None, with the text as it is, when ``body``
+    holds ``_ANY_ID`` itself.  A sub-chunk query is one or two texts about
+    many sub-chunks: one pass over it beats one per statement.
     """
+    if _ANY_ID in body:
+        return [(text, None) for text in map(str.strip, _split_statements(body)) if text]
     # [text, chunk id, sub-chunk id or None, text, ...]
-    pieces = _IDS_IN_TEXT_RE.split(text)
-    chunk_ids, sub_ids = set(pieces[1::3]), set(pieces[2::3]) - {None}
-    if len(chunk_ids) > 1 or len(sub_ids) > 1 or _ANY_ID in text:
-        return None, None, 0
-    ids = (next(iter(chunk_ids), None), next(iter(sub_ids), None))
-    names = len(pieces) // 3
-    pieces[1::3] = ["_" + _ANY_ID] * names
-    pieces[2::3] = ["" if sub is None else "_" + _ANY_ID for sub in pieces[2::3]]
-    return "".join(pieces), ids, names
+    pieces = _IDS_IN_TEXT_RE.split(body)
+    chunks, subs = pieces[1::3], pieces[2::3]
+    pieces[1::3] = [_ID_MARK] * len(chunks)
+    pieces[2::3] = ["" if sub is None else _ID_MARK for sub in subs]
+    texts = [s for s in map(str.strip, _split_statements("".join(pieces))) if s]
+    if len(texts) == 1:
+        return [(texts[0], (chunks, subs))]
+    cut, at, names_in = [], 0, {}
+    for blanked in texts:
+        names = names_in.get(blanked)
+        if names is None:
+            names = names_in[blanked] = len(_ID_MARKS_RE.findall(blanked))
+        cut.append((blanked, (chunks[at:at + names], subs[at:at + names])))
+        at += names
+    return cut
+
+
+def _restore(blanked: str, found) -> str:
+    """The statement text :func:`_cut_statements` made ``(blanked, found)`` of."""
+    if found is None:
+        return blanked
+    names = iter("".join("_" + i for i in ids if i is not None) for ids in zip(*found))
+    return _ID_MARKS_RE.sub(lambda _: next(names), blanked)
 
 
 @dataclass(slots=True)
@@ -286,30 +309,27 @@ _STATEMENT_RE = re.compile(
 
 def _split_statements(body: str) -> list[str]:
     """The ';'-separated statements of ``body``, quotes respected."""
+    parts = body.split(";")
     if "'" in body or '"' in body or "`" in body:
-        return _STATEMENT_RE.findall(body)
-    return body.split(";")
+        # With one kind of quote and no escape, a split inside quotes
+        # leaves a part with an odd number of them (a doubled quote is two).
+        kinds = [q for q in "'\"`" if q in body]
+        if len(kinds) > 1 or "\\" in body or any(p.count(kinds[0]) % 2 for p in parts):
+            return _STATEMENT_RE.findall(body)
+    return parts
 
 
-def _partition_by_sub_chunk(parent: Table, subs: list[tuple[int, str]]) -> list[Table]:
-    """One row view per ``(sub-chunk id, name)``, from one pass over ``parent``.
+def _rows_by_sub_chunk(table: Table) -> dict:
+    """Sub-chunk id -> its rows of ``table``, in the table's order.
 
-    The rows of all wanted sub-chunks are found at once and ordered by
-    ``subChunkId`` (stably, so each sub-chunk keeps the parent's row
-    order); every view gets its slice of that one index array.
+    Slices of one stable sort by ``subChunkId``, so a ``Base_CC_SS``
+    view costs a dict lookup (:meth:`QservWorker._acquire_sub_chunks`).
     """
-    sub_chunk_id = parent.column("subChunkId")
-    wanted = np.array([sub for sub, _ in subs], dtype=sub_chunk_id.dtype)
-    rows = np.flatnonzero(isin(sub_chunk_id, wanted))
-    keys = sub_chunk_id[rows]
-    order = np.argsort(keys, kind="stable")
-    rows, keys = rows[order], keys[order]
-    starts = np.searchsorted(keys, wanted, side="left")
-    stops = np.searchsorted(keys, wanted, side="right")
-    return [
-        RowView(name, parent, rows[lo:hi])
-        for (_, name), lo, hi in zip(subs, starts, stops)
-    ]
+    order = np.argsort(table.column("subChunkId"), kind="stable")
+    ids, starts = np.unique(table.column("subChunkId")[order], return_index=True)
+    # Half the bytes of intp, for every chunk table a worker holds.
+    rows = order.astype(np.int32) if len(order) < 2**31 else order
+    return dict(zip(ids.tolist(), np.split(rows, starts[1:])))
 
 
 @track_shared("_results", "_cancelled", "_sub_chunk_refs")
@@ -391,6 +411,9 @@ class QservWorker(OfsPlugin):
         # another is still scanning.
         self._build_lock = make_lock("QservWorker._build_lock")
         self._sub_chunk_refs: dict[str, int] = {}
+        # Chunk table object -> (its rows then, _rows_by_sub_chunk of it):
+        # cut once per table, gone with it; a replacement is cut afresh.
+        self._sub_chunk_rows: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         # Prepared chunk statements by shape (see _prepare), LRU.
         self._prepared = ShapeCache(_PREPARED_CAPACITY)
         self.slots = slots
@@ -847,8 +870,8 @@ class QservWorker(OfsPlugin):
             request = ChunkRequest.decode(render_member(request.body, chunk_id, sub_chunk_ids))
         prepared = [
             pair
-            for statement in filter(None, map(str.strip, _split_statements(request.body)))
-            for pair in self._prepare(statement, repeats)
+            for blanked, found in _cut_statements(request.body)
+            for pair in self._prepare(blanked, found, repeats)
         ]
         if len(prepared) == 1 and prepared[0][0].plannable:
             result = self._execute_planned(*prepared[0])
@@ -863,11 +886,11 @@ class QservWorker(OfsPlugin):
                 families[-1][1].append(names)
             else:
                 families.append((statement, [names]))
-        sub_chunk_tables = [
-            name
+        sub_chunk_tables = {
+            name: parsed
             for name in dict.fromkeys(name for _, names in prepared for name in names)
             if (parsed := parse_table_name(name)) is not None and parsed.sub_chunk_id is not None
-        ]
+        }
         self._acquire_sub_chunks(sub_chunk_tables)
         try:
             outputs = []
@@ -915,15 +938,15 @@ class QservWorker(OfsPlugin):
             self.stats.queries_executed += 1
         return result
 
-    def _prepare(self, text: str, repeats: dict) -> list[tuple]:
-        """``(prepared statement, FROM table names)`` pairs for one statement's text.
+    def _prepare(self, blanked: str, found, repeats: dict) -> list[tuple]:
+        """``(prepared statement, FROM table names)`` pairs for one statement.
 
         The chunk queries of one scan, the sub-chunk statements of one
         chunk query, every repeat of either, and the same query asked
         about another object, box or threshold differ only in the chunk
         and sub-chunk ids of their table names and in the numbers of
         their WHERE clause.  A statement's *shape* is its text with both
-        cut out (:func:`_cut_ids`, then :func:`repro.sql.shapes.scan`);
+        cut out (:func:`_cut_statements`, then :func:`repro.sql.shapes.scan`);
         the first statement of a shape is parsed and kept as a template,
         with the kernel key the engine would derive from it, and a later
         one is that template with its numbers bound, about the tables
@@ -942,8 +965,15 @@ class QservWorker(OfsPlugin):
         holds what was prepared for it, by id-free text: a later
         statement with that text (the same numbers, then) is the same
         bound statement, with the same plan (:meth:`_execute_planned`).
+        The statement comes cut (:func:`_cut_statements`): its text is
+        rebuilt only to be parsed.
         """
-        id_free, ids, names = _cut_ids(text)
+        id_free, ids, names = None, None, 0
+        if found is not None:
+            chunks, subs = set(found[0]), set(found[1]) - {None}
+            if len(chunks) <= 1 and len(subs) <= 1:
+                id_free, names = blanked, len(found[0])
+                ids = (next(iter(chunks), None), next(iter(subs), None))
 
         def prepared_as(stmt, kernel_key, refs) -> list[tuple]:
             prepared = repeats[id_free] = _Prepared(
@@ -963,7 +993,7 @@ class QservWorker(OfsPlugin):
                 if bound is not None:
                     return prepared_as(bound[0], kernel_key, refs)
         try:
-            stmts = parse(text)
+            stmts = parse(_restore(blanked, found))
         except ParseError as e:
             raise SqlError(f"parse error: {e}") from e
         if id_free is None or len(stmts) != 1 or not isinstance(stmts[0], ast.Select):
@@ -981,23 +1011,22 @@ class QservWorker(OfsPlugin):
         self._prepared.put(shape, (template, kernel_key, refs))
         return prepared_as(stmt, kernel_key, refs)
 
-    def _acquire_sub_chunks(self, names: list[str]) -> None:
-        """Take a reference on every ``Base_CC_SS``; build the absent ones.
+    def _acquire_sub_chunks(self, names: dict) -> None:
+        """Take a reference on every ``Base_CC_SS`` (name -> parsed); build the absent ones.
 
-        All missing sub-chunks of one chunk table come from a single
-        pass over it (:func:`_partition_by_sub_chunk`), as row views:
-        what a table costs to build does not depend on how many columns
-        it has.  Either every name is acquired or, when a parent chunk
+        A sub-chunk table is a row view of its chunk table, a slice of
+        :func:`_rows_by_sub_chunk`: what it costs to build depends
+        neither on how many columns nor on how many rows the chunk table
+        has.  Either every name is acquired or, when a parent chunk
         table is missing, none is.
         """
         with self._build_lock:
             missing: dict[str, list[tuple[int, str]]] = {}
             present = 0
-            for name in names:
+            for name, parsed in names.items():
                 if name in self.db.tables:
                     present += 1
                     continue
-                parsed = parse_table_name(name)
                 parent = chunk_table_name(parsed.base, parsed.chunk_id)
                 if parent not in self.db.tables:
                     raise SqlError(
@@ -1009,8 +1038,13 @@ class QservWorker(OfsPlugin):
                 self._sub_chunk_refs[name] = self._sub_chunk_refs.get(name, 0) + 1
             self.stats.sub_chunk_cache_hits += present
             for parent, subs in missing.items():
-                for table in _partition_by_sub_chunk(self.db.tables[parent], subs):
-                    self.db.create_table(table)
+                table = self.db.tables[parent]
+                num_rows, rows = self._sub_chunk_rows.get(table, (None, None))
+                if num_rows != table.num_rows:  # first use, or rows appended since
+                    rows = _rows_by_sub_chunk(table)
+                    self._sub_chunk_rows[table] = (table.num_rows, rows)
+                for sub_chunk_id, name in subs:
+                    self.db.create_table(RowView(name, table, rows.get(sub_chunk_id, _NO_ROWS)))
                     self.stats.sub_chunk_tables_built += 1
 
     def _release_sub_chunks(self, names: list[str]) -> None:

@@ -48,7 +48,7 @@ from .kernels import (
 )
 from .parser import ParseError
 from .shapes import ShapeCache
-from .table import Column, Table
+from .table import Column, Table, dtype_to_sql_type
 
 __all__ = ["Database", "ResultTable", "SqlError"]
 
@@ -200,6 +200,7 @@ class Database:
             )
         # Literal-only fast path (the dump loader always hits this).
         batch: dict[str, list] = {c: [] for c in columns}
+        nulls: set[str] = set()
         for row in stmt.rows:
             if len(row) != len(columns):
                 raise SqlError(
@@ -210,6 +211,7 @@ class Database:
                     batch[col].append(value_expr.value)
                 elif isinstance(value_expr, ast.Null):
                     batch[col].append(np.nan)
+                    nulls.add(col)
                 elif isinstance(value_expr, ast.UnaryOp) and isinstance(
                     value_expr.operand, ast.Literal
                 ):
@@ -219,6 +221,11 @@ class Database:
         arrays = {}
         for col in columns:
             target = table.column(col).dtype
+            if target.kind in "biu" and col in nulls:
+                raise SqlError(
+                    f"column {col!r} of {stmt.table!r} is {dtype_to_sql_type(target)}, "
+                    "which holds no NULL"
+                )
             if target == object:
                 # Text holds text: a number is stored as its digits, as in
                 # MySQL and sqlite; NULL (NaN) stays NULL.
@@ -566,10 +573,11 @@ class Database:
             keys = []
             for o in reversed(sel.order_by):
                 key = self._order_key(o, result, env)
-                if key.dtype == object:
+                if o.descending:
+                    # Any type by its rank; NaN stays NaN: NULL last either way.
+                    key = -_kernels.ranks(key)[0]
+                elif key.dtype == object:
                     key = _kernels.ranks(key)[0]  # text by rank; a NULL's NaN is last
-                if o.descending and np.issubdtype(key.dtype, np.number):
-                    key = -key  # NaN stays NaN: NULL last either way
                 keys.append(key)
             order = np.lexsort(keys)
             result = ResultTable(

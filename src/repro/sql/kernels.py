@@ -16,9 +16,10 @@ both shapes, resolving each column to its side by one rule
   function call (the expensive UDFs) run on its survivors only
   (:func:`_compile_side`);
 - **row source**: one table's surviving rows; or, for a join, the
-  candidate pairs of surviving rows, from a ``col = col`` sort-merge or
-  a sorted declination band under a ``qserv_angSep(...) < r`` conjunct
-  (the zone algorithm), which the two-sided conjuncts then cut exactly
+  candidate pairs of surviving rows, from a ``col = col`` sort-merge or,
+  under a ``qserv_angSep(...) < r`` conjunct, the right side's zone
+  index (:class:`~repro.partition.dec_index.DecIndex`) probed with each
+  left row's RA windows, which the two-sided conjuncts then cut exactly
   as survivor stages, each column gathered through its side's rows;
 - **projection** (``_project``) or **aggregate** (``_aggregate``): the
   select list over the gathered columns.  The aggregate stage is
@@ -69,6 +70,7 @@ import numpy as np
 from ..lru import Lru
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
+from ..partition.dec_index import DecIndex
 from . import ast
 from .errors import SqlError
 from .expr_eval import (
@@ -108,7 +110,8 @@ __all__ = [
 # A join that would materialize more candidate pairs than this means a
 # query forgot its join predicate; sub-chunk near-neighbor joins sit
 # far below it.  Guards the interpreter's cross join and the join
-# kernel's declination band alike.
+# kernel's near-neighbour candidates alike: the pairs of the zone
+# index's RA windows, which the exact separation test then cuts.
 MAX_CROSS_PAIRS = 30_000_000
 
 
@@ -584,21 +587,20 @@ def grouped_projection(
 # -- pairing helpers (used by interpreter AND join kernels) --------------------------
 
 
-def _expand_ranges(lo: np.ndarray, counts: np.ndarray, order: np.ndarray):
+def _expand_ranges(lo: np.ndarray, counts: np.ndarray, order: np.ndarray, probes=None):
     """(probe index, build index) for ``counts[i]`` build positions from ``lo[i]``.
 
     ``order`` maps positions in the sorted build side back to build
-    rows.  Probe-major: all matches of probe row 0 first, then row 1, ...
+    rows, ``probes`` range ``i`` to its probe row (None: row ``i``).
+    Probe-major: all matches of range 0 first, then range 1, ...
     """
-    total = int(counts.sum())
-    probe_idx = np.repeat(np.arange(len(lo)), counts)
-    starts = np.cumsum(counts) - counts
-    within = np.arange(total) - np.repeat(starts, counts)
-    build_idx = order[np.repeat(lo, counts) + within]
-    return probe_idx, build_idx
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    build_idx = order[np.arange(total) + np.repeat(lo - (ends - counts), counts)]
+    return np.repeat(np.arange(len(lo)) if probes is None else probes, counts), build_idx
 
 
-def _probe_runs(right_vals, right_runs, low, high, left_runs):
+def _probe_runs(right_vals, right_runs, left_vals, left_runs):
     """Sort the right side run by run and probe each run with its own left rows.
 
     Both sides are cut into the same number of consecutive runs (the
@@ -608,11 +610,11 @@ def _probe_runs(right_vals, right_runs, low, high, left_runs):
     ``order`` lists the right rows run after run, each run stably
     sorted by value, and left row ``i`` matches the ``counts[i]``
     positions of ``order`` from ``lo[i]`` -- the values of its *own*
-    run that lie in ``low[i] .. high[i]`` inclusive.
+    run equal to ``left_vals[i]``.
     """
     order = np.empty(len(right_vals), dtype=np.intp)
-    lo = np.empty(len(low), dtype=np.intp)
-    hi = np.empty(len(low), dtype=np.intp)
+    lo = np.empty(len(left_vals), dtype=np.intp)
+    hi = np.empty(len(left_vals), dtype=np.intp)
     # Plain ints and method calls: this loop is per member.
     right_runs = np.asarray(right_runs).tolist()
     left_runs = np.asarray(left_runs).tolist()
@@ -621,10 +623,9 @@ def _probe_runs(right_vals, right_runs, low, high, left_runs):
         run_order = run.argsort(kind="stable")
         run = run[run_order]
         order[r0:r1] = run_order + r0
-        lo[l0:l1] = run.searchsorted(low[l0:l1], "left") + r0
-        hi[l0:l1] = run.searchsorted(high[l0:l1], "right") + r0
-    # An inverted interval (a negative radius) selects nothing.
-    return order, lo, np.maximum(hi - lo, 0)
+        lo[l0:l1] = run.searchsorted(left_vals[l0:l1], "left") + r0
+        hi[l0:l1] = run.searchsorted(left_vals[l0:l1], "right") + r0
+    return order, lo, hi - lo
 
 
 def equi_join(left_vals: np.ndarray, right_vals: np.ndarray):
@@ -636,9 +637,7 @@ def equi_join(left_vals: np.ndarray, right_vals: np.ndarray):
     """
     left_vals, left_rows = _drop_null_keys(left_vals, None)
     right_vals, right_rows = _drop_null_keys(right_vals, None)
-    order, lo, counts = _probe_runs(
-        right_vals, (0, len(right_vals)), left_vals, left_vals, (0, len(left_vals))
-    )
+    order, lo, counts = _probe_runs(right_vals, (0, len(right_vals)), left_vals, (0, len(left_vals)))
     li, ri = _expand_ranges(lo, counts, order)
     return (
         li if left_rows is None else left_rows[li],
@@ -1048,8 +1047,9 @@ class CompiledKernel:
 
     sides: tuple[_Side, ...]
     params_fn: object
-    #: A join's ``("equi", left column, right column)`` or ``("band",
-    #: left dec, right dec, index of the radius in P)``; None for one table.
+    #: A join's ``("equi", ((left column,), (right column,)))`` or
+    #: ``("near", ((left ra, left dec), (right ra, right dec)), index of
+    #: the radius in P)``; None for one table.
     pairing: tuple | None
     #: ``_stage(C, S, ns, P)`` per two-sided conjunct, over the pairs.
     pair_fns: list
@@ -1092,12 +1092,13 @@ class CompiledKernel:
             return self.run(sel, members[:half]) + self.run(sel, members[half:])
         _account_scan([arr for columns in C for arr in columns.values()], self.scan_bytes)
         for fn in self.pair_fns:
-            keep = fn(C, pairs, len(pairs[0]), P)
+            keep = np.flatnonzero(fn(C, pairs, len(pairs[0]), P))  # one mask scan, two takes
             pairs = (pairs[0][keep], pairs[1][keep])
         # The interpreter's order: left rows ascending, and per left row
         # its right matches ascending -- member after member, since that
-        # is how the left rows are stacked.
-        order = np.lexsort((pairs[1], pairs[0]))
+        # is how the left rows are stacked.  A pair is one key, as no two
+        # pairs are equal.
+        order = np.argsort(pairs[0] * np.int64(stacks[1].bounds[-1]) + pairs[1])
         pairs = (pairs[0][order], pairs[1][order])
         cuts = np.searchsorted(pairs[0], stacks[0].bounds)
         if not self.grouped:
@@ -1132,40 +1133,37 @@ class CompiledKernel:
         are more than :data:`MAX_CROSS_PAIRS` of them in a family the
         caller can still halve; for one pair of tables that is an error.
         """
-        kind, left_col, right_col = self.pairing[:3]
         left_rows, right_rows = kept
-        left_vals = _Helpers.gather(stacks[0].columns[left_col], left_rows)
-        right_vals = _Helpers.gather(stacks[1].columns[right_col], right_rows)
-        if kind == "equi":
+        left, right = (
+            [_Helpers.gather(stack.columns[name], rows) for name in names]
+            for stack, rows, names in zip(stacks, kept, self.pairing[1])
+        )
+        if self.pairing[0] == "equi":
+            (left_vals,), (right_vals,) = left, right
             left_vals, left_rows = _drop_null_keys(left_vals, left_rows)
             right_vals, right_rows = _drop_null_keys(right_vals, right_rows)
             # Blind to the member, so still a superset.
             left_vals, left_rows = _drop_unmatched(left_vals, left_rows, right_vals)
             right_vals, right_rows = _drop_unmatched(right_vals, right_rows, left_vals)
-            low = high = left_vals
+            order, lo, counts = _probe_runs(
+                right_vals, stacks[1].runs(right_rows), left_vals, stacks[0].runs(left_rows)
+            )
+            li, ri = _expand_ranges(lo, counts, order)
         else:
-            # A great-circle separation is never smaller than the
-            # declination difference, so every pair closer than the
-            # radius lies in this band of the sorted declinations.  It
-            # is widened by far more than haversine round-off (~1e-14
-            # deg) so that no pair the exact test would keep is missed.
-            radius = float(P[self.pairing[3]])
-            band = radius + max(1e-9, abs(radius) * 1e-9)
-            low, high = left_vals - band, left_vals + band
-        order, lo, counts = _probe_runs(
-            right_vals, stacks[1].runs(right_rows), low, high, stacks[0].runs(left_rows)
-        )
-        if kind == "band":
+            # The rows of the right side's zone index in each left row's
+            # windows: the circle of the radius around it, in its member.
+            radius = float(P[self.pairing[2]])
+            index = DecIndex.for_join(*right, stacks[1].runs(right_rows), radius)
+            probes, lo, counts = index.windows(*left, stacks[0].runs(left_rows), radius)
             total = int(counts.sum())
             if total > MAX_CROSS_PAIRS:
                 if len(stacks[0].bounds) > 2:
                     return None
                 raise SqlError(
-                    f"near-neighbor join of {len(left_vals)} x {len(right_vals)} "
-                    f"rows yields {total} candidate pairs, more than "
-                    f"{MAX_CROSS_PAIRS}; restrict the join"
+                    f"near-neighbor join of {len(left[0])} x {len(right[0])} rows yields "
+                    f"{total} candidate pairs, more than {MAX_CROSS_PAIRS}; restrict the join"
                 )
-        li, ri = _expand_ranges(lo, counts, order)
+            li, ri = _expand_ranges(lo, counts, index.order, probes)
         if left_rows is not None:
             li = left_rows[li]
         if right_rows is not None:
@@ -1491,7 +1489,7 @@ def _pairing(conjuncts, resolve, params: list[str]) -> tuple:
     The first ``a.x = b.y`` conjunct, else the first near-neighbour cut;
     a conjunct that reads both sides has its column refs on both.
     """
-    for pairing_of in (_equi_pairing, _band_pairing):
+    for pairing_of in (_equi_pairing, _near_pairing):
         for conjunct, path in conjuncts:
             pairing = pairing_of(conjunct, path, resolve, params)
             if pairing is not None:
@@ -1500,7 +1498,7 @@ def _pairing(conjuncts, resolve, params: list[str]) -> tuple:
 
 
 def _equi_pairing(conjunct: ast.Expr, path: str, resolve, params):
-    """``("equi", left column, right column)`` for ``a.x = b.y``, else None."""
+    """``("equi", ((left column,), (right column,)))`` for ``a.x = b.y``, else None."""
     if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
         return None
     a, b = conjunct.left, conjunct.right
@@ -1508,15 +1506,15 @@ def _equi_pairing(conjunct: ast.Expr, path: str, resolve, params):
         return None
     if resolve(a)[0] == 1:
         a, b = b, a
-    return ("equi", a.column, b.column)
+    return ("equi", ((a.column,), (b.column,)))
 
 
-def _band_pairing(conjunct: ast.Expr, path: str, resolve, params):
-    """``("band", left dec, right dec, radius)`` for a near-neighbour cut.
+def _near_pairing(conjunct: ast.Expr, path: str, resolve, params):
+    """``("near", ((left ra, left dec), (right ra, right dec)), radius)``.
 
-    Matches ``qserv_angSep(p.ra, p.dec, q.ra, q.dec) < | <= number``
-    with ``p`` and ``q`` on opposite sides of the join; ``radius`` is
-    the index in ``params`` of the hole the conjunct's stage reads.
+    For ``qserv_angSep(p.ra, p.dec, q.ra, q.dec) < | <= number`` with
+    ``p`` and ``q`` on opposite sides of the join, else None; ``radius``
+    is the index in ``params`` of the hole the conjunct's stage reads.
     """
     if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op in ("<", "<=")):
         return None
@@ -1533,8 +1531,8 @@ def _band_pairing(conjunct: ast.Expr, path: str, resolve, params):
     first, second = resolve(call.args[0])[0], resolve(call.args[2])[0]
     if (resolve(call.args[1])[0], resolve(call.args[3])[0]) != (first, second):
         return None
-    decs = (call.args[1].column, call.args[3].column)
-    return ("band", decs[first], decs[second], params.index(path + ".right.value"))
+    points = (call.args[0].column, call.args[1].column), (call.args[2].column, call.args[3].column)
+    return ("near", (points[first], points[second]), params.index(path + ".right.value"))
 
 
 # -- the cache ----------------------------------------------------------------------

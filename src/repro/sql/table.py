@@ -17,9 +17,13 @@ BOOL/BOOLEAN     bool
 CHAR/VARCHAR/TEXT str (object array)
 ==============  ==================
 
-NULL handling follows the engine's needs: float columns use NaN as
-NULL; other types are non-nullable (the LSST catalog schemas the paper
-queries are fully populated for the tested columns).
+NULL handling follows the engine's needs: float columns hold NULL as
+NaN, and text columns as a float NaN too -- ``None`` is taken for NULL
+where data enters a table (construction, appended rows) and stored as
+that NaN, the one form every NULL rule reads.  Integer and BOOL columns
+hold no NULL: an INSERT of NULL into one is an ``SqlError`` (the LSST
+catalog schemas the paper queries are fully populated for the tested
+columns).
 
 Ingest is amortized-linear: :meth:`Table.append_rows` over-allocates
 with capacity doubling and tracks a logical row count, so bulk loading
@@ -74,6 +78,18 @@ def dtype_to_sql_type(dtype: np.dtype) -> str:
     return "TEXT"
 
 
+def _text_nulls(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or a copy of a text column with its ``None`` NULLs stored as NaN."""
+    if arr.dtype != object:
+        return arr
+    none = np.equal(arr, None)
+    if not none.any():
+        return arr
+    arr = arr.copy()
+    arr[none] = np.nan
+    return arr
+
+
 @dataclass(frozen=True)
 class Column:
     """Schema entry: a column name and its SQL type."""
@@ -110,7 +126,7 @@ class Table:
                     raise ValueError(
                         f"column {col_name!r} has length {len(arr)}, expected {length}"
                     )
-                self._columns[col_name] = arr
+                self._columns[col_name] = _text_nulls(arr)
             self._length = length or 0
 
     # -- construction --------------------------------------------------------
@@ -214,7 +230,7 @@ class Table:
             incoming = np.asarray(data[name])
             existing = self._columns[name]
             if existing.dtype == object:
-                incoming = incoming.astype(object)
+                incoming = _text_nulls(incoming.astype(object))
             else:
                 incoming = incoming.astype(existing.dtype, copy=False)
             if needed > len(existing):

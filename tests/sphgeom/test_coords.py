@@ -1,6 +1,7 @@
 """Unit and property tests for repro.sphgeom.coords."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -159,3 +160,56 @@ class TestAngularSeparation:
         s23 = angular_separation(ra2, dec2, ra3, dec3)
         s13 = angular_separation(ra1, dec1, ra3, dec3)
         assert s13 <= s12 + s23 + 1e-9
+
+
+def _separation_both_ways(ra1, dec1, ra2, dec2):
+    """The separation as computed before pairs past 90 degrees were split off:
+    both haversines of every pair, one picked by ``np.where``."""
+    ra1, dec1, ra2, dec2 = (np.deg2rad(np.asarray(a, dtype=np.float64)) for a in (ra1, dec1, ra2, dec2))
+    sin_ddec = np.sin((dec2 - dec1) * 0.5)
+    half_dra = (ra2 - ra1) * 0.5
+    sin_dra = np.sin(half_dra)
+    cos_cos = np.cos(dec1) * np.cos(dec2)
+    h = sin_ddec * sin_ddec + cos_cos * sin_dra * sin_dra
+    sin_sdec = np.sin((dec2 + dec1) * 0.5)
+    cos_dra = np.cos(half_dra)
+    h_anti = sin_sdec * sin_sdec + cos_cos * cos_dra * cos_dra
+    far = h > 0.5
+    sep = 2.0 * np.arcsin(np.sqrt(np.clip(np.where(far, h_anti, h), 0.0, 1.0)))
+    return np.rad2deg(np.where(far, np.pi - sep, sep))
+
+
+# Poles, the RA wrap, and points a hair from either.
+_edges = st.sampled_from([0.0, 360.0, -0.0, 1e-12, 359.999999999, 180.0, -180.0])
+_pole_decs = st.sampled_from([90.0, -90.0, 89.9999999, -89.9999999, 0.0])
+
+
+class TestAngularSeparationOracle:
+    """Bit-identical to computing both haversines of every pair (Hypothesis)."""
+
+    EXAMPLES = int(os.environ.get("GENTEST_EXAMPLES", 100))
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(
+        st.lists(st.tuples(ras | _edges, decs | _pole_decs, ras | _edges, decs | _pole_decs),
+                 min_size=1, max_size=40),
+    )
+    def test_columns(self, pairs):
+        cols = [np.array(c) for c in zip(*pairs)]
+        np.testing.assert_array_equal(angular_separation(*cols), _separation_both_ways(*cols))
+
+    @settings(max_examples=EXAMPLES, deadline=None)
+    @given(ras | _edges, decs | _pole_decs, st.lists(st.tuples(ras, decs), min_size=1, max_size=20))
+    def test_one_point_against_a_column(self, ra, dec, points):
+        ra2, dec2 = (np.array(c) for c in zip(*points))
+        got = angular_separation(ra, dec, ra2, dec2)
+        np.testing.assert_array_equal(got, _separation_both_ways(ra, dec, ra2, dec2))
+        # Scalars give a float, bit for bit the column's entry.
+        assert angular_separation(ra, dec, float(ra2[0]), float(dec2[0])) == got[0]
+
+    def test_past_ninety_degrees_and_antipodes(self):
+        ra2 = np.array([180.0, 179.9, 0.0, 90.0, 270.0, 12.0])
+        dec2 = np.array([0.0, -0.1, -90.0, 45.0, -45.0, 89.0])
+        got = angular_separation(0.0, 0.0, ra2, dec2)
+        np.testing.assert_array_equal(got, _separation_both_ways(0.0, 0.0, ra2, dec2))
+        assert got[0] == 180.0

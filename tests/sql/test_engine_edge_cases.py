@@ -213,3 +213,49 @@ class TestMinMaxNullSkipping:
         out = db.execute("SELECT k, MIN(x) AS lo FROM gm GROUP BY k ORDER BY k")
         assert out.column("lo")[0] == 5.0
         assert np.isnan(out.column("lo")[1])
+
+
+@pytest.mark.parametrize("kernels", [True, False], ids=["kernels", "interpreter"])
+class TestOneNullFormAndDescendingOrder:
+    """A key of any type orders descending; a NULL has one stored form and
+    goes only into columns that hold one."""
+
+    def test_bool_key_descending(self, kernels):
+        d = Database(use_kernels=kernels)
+        d.create_table(Table("T", {"b": np.array([False, True, False, True]), "i": np.arange(4)}))
+        out = d.execute("SELECT b, i FROM T ORDER BY b DESC, i")
+        assert out.rows() == [(True, 1), (True, 3), (False, 0), (False, 2)]
+        out = d.execute("SELECT b, i FROM T ORDER BY b, i DESC")
+        assert out.rows() == [(False, 2), (False, 0), (True, 3), (True, 1)]
+
+    def test_int_key_descending_from_its_minimum(self, kernels):
+        low = np.iinfo(np.int64).min
+        d = Database(use_kernels=kernels)
+        d.create_table(Table("T", {"k": np.array([3, low, 0, -1])}))
+        assert d.execute("SELECT k FROM T ORDER BY k DESC").rows() == [(3,), (0,), (-1,), (low,)]
+
+    def test_null_into_a_column_that_holds_none_is_an_error(self, kernels):
+        d = Database(use_kernels=kernels)
+        d.execute("CREATE TABLE U (a INT, b INT, f BOOL, x DOUBLE, s VARCHAR(8))")
+        for row in ("(0, NULL, 1, 1.0, 'a')", "(0, 1, NULL, 1.0, 'a')"):
+            with pytest.raises(SqlError, match="holds no NULL"):
+                d.execute(f"INSERT INTO U VALUES {row}")
+        assert d.get_table("U").num_rows == 0
+        d.execute("INSERT INTO U VALUES (0, 1, 1, NULL, NULL)")
+        assert d.execute("SELECT COUNT(*) AS n FROM U WHERE x IS NULL AND s IS NULL").rows() == [(1,)]
+
+    def test_none_in_a_text_column_is_a_null_everywhere(self, kernels):
+        d = Database(use_kernels=kernels)
+        s = np.array(["a", None, "b", None, "a"], dtype=object)
+        d.create_table(Table("S", {"s": s, "x": np.arange(5.0)}))
+        assert s[1] is None  # the caller's array is not written to
+        out = d.execute("SELECT s, COUNT(*) AS n, SUM(x) AS t FROM S GROUP BY s ORDER BY n DESC, t")
+        rows = out.rows()
+        assert [r[1:] for r in rows] == [(2, 4.0), (2, 4.0), (1, 2.0)]
+        assert rows[2][0] == "b" and {rows[0][0], rows[1][0]} - {"a"} != set()
+        assert d.execute("SELECT COUNT(*) AS n FROM S WHERE s IS NULL").rows() == [(2,)]
+        assert d.execute("SELECT COUNT(DISTINCT s) AS n FROM S").rows() == [(2,)]
+        t = d.get_table("S")
+        t.append_rows({"s": np.array([None], dtype=object), "x": np.array([9.0])})
+        assert d.execute("SELECT COUNT(*) AS n FROM S WHERE s IS NULL").rows() == [(3,)]
+        assert d.execute("SELECT COUNT(*) AS n FROM S GROUP BY s").num_rows == 3
